@@ -16,7 +16,7 @@ within a small Hamming distance of that noiseless reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -183,3 +183,21 @@ def screen_challenge(
         if mismatch > policy.max_unreliable_bits:
             return ScreeningResult(False, "stability", rnd, worst, ref)
     return ScreeningResult(True, None, rnd, worst, ref)
+
+
+def screen_pool(
+    device: PufDevice,
+    candidates: Iterable[tuple[Challenge, Sequence[int]]],
+    policy: ScreeningPolicy,
+) -> list[tuple[Challenge, Response]]:
+    """Screen (challenge, read seeds) candidates in order and return the
+    survivors with their reference responses. A challenge equal to one
+    already kept is skipped unscreened: an exact duplicate never enrolls
+    twice."""
+    kept: dict[Challenge, Response] = {}
+    for challenge, seeds in candidates:
+        if challenge not in kept:
+            result = screen_challenge(device, challenge, policy, seeds)
+            if result.accepted:
+                kept[challenge] = result.reference
+    return list(kept.items())

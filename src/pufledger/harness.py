@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -127,6 +127,8 @@ class ScenarioConfig:
             raise ConfigError("demotion_threshold must be >= 0 (0 disables)")
         if self.bench_trials < 1:
             raise ConfigError("bench_trials must be >= 1")
+        if self.puf_response_bits != ledger.RESPONSE_BITS:
+            raise ConfigError(f"puf_response_bits must be {ledger.RESPONSE_BITS}, the width auth tags bind")
 
     def puf_config(self) -> PufConfig:
         return PufConfig(
@@ -317,22 +319,6 @@ class MetricsReport:
     pop_pow_ratio: Optional[float]
     transactions: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_transactions": self.n_transactions,
-            "n_adversarial": self.n_adversarial,
-            "accepted": self.accepted,
-            "rejected_by_reason": self.rejected_by_reason,
-            "adversarial_accepted": self.adversarial_accepted,
-            "adversarial_rejected_by_reason": self.adversarial_rejected_by_reason,
-            "dt_sa_ms": self.dt_sa_ms,
-            "dt_ca_ms": self.dt_ca_ms,
-            "dt_tx_ms": self.dt_tx_ms,
-            "per_node": self.per_node,
-            "pop_pow_ratio": self.pop_pow_ratio,
-            "transactions": self.transactions,
-        }
-
 
 def _stats(values: list[int | float]) -> dict[str, float]:
     if not values:
@@ -486,7 +472,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOut
         netsim.save_events(files["events"], result.events)
         files["metrics"] = out / "metrics.json"
         files["metrics"].write_text(
-            json.dumps(report.to_dict(), indent=1) + "\n", encoding="ascii")
+            json.dumps(asdict(report), indent=1) + "\n", encoding="ascii")
         files["timings"] = out / "timings.csv"
         files["timings"].write_text(
             "\n".join(timings_csv_lines(report)) + "\n", encoding="ascii")
@@ -520,14 +506,9 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     per_device = []
     accepted_counts = []
     all_uni, all_rel, all_rnd = [], [], []
-    screened_refs_common: list[list] = [[] for _ in devices]
-    common_set = None
+    common_matrix = None
     for d, device in enumerate(devices):
-        screened = []
-        for c, challenge in enumerate(pool):
-            outcome = fom.screen_challenge(device, challenge, policy, screen_seeds[c].tolist())
-            if outcome.accepted:
-                screened.append((challenge, outcome.reference))
+        screened = fom.screen_pool(device, zip(pool, screen_seeds), policy)
         accepted_counts.append(len(screened))
         if not screened:
             raise ScenarioError(
@@ -535,8 +516,6 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         screened = screened[: cfg.fom_n_challenges]
         challenges = [challenge for challenge, _ in screened]
         refs = [ref for _, ref in screened]
-        if d == 0:
-            common_set = challenges
         # responses of every device on this device's screened set
         matrix = []
         for other in devices:
@@ -544,6 +523,8 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                 matrix.append(refs)
             else:
                 matrix.append([reference_response(other, challenge) for challenge in challenges])
+        if d == 0:
+            common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)
         rel_seeds = rel_rng.integers(0, 1 << 63, size=(len(challenges), cfg.fom_n_reevals))
         rel = float(np.mean([
@@ -557,10 +538,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         report = FomReport(uni, rel, rnd, len(devices), len(challenges), cfg.fom_n_reevals)
         per_device.append({"device_id": device.device_id_hex, **report.to_dict()})
 
-    for d, device in enumerate(devices):
-        screened_refs_common[d] = [reference_response(device, challenge)
-                                   for challenge in common_set]
-    correlation = fom.mean_abs_correlation(screened_refs_common)
+    correlation = fom.mean_abs_correlation(common_matrix)
     population = FomReport(
         uniqueness_pct=float(np.mean(all_uni)),
         reliability_pct=float(np.mean(all_rel)),

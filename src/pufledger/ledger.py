@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ChainFormatError, ConfigError, PayloadSizeError
 from .puf import DEVICE_ID_BITS, Response, format_device_id, parse_device_id
@@ -314,34 +314,35 @@ def save_chain(path: str | Path, chain: Chain) -> None:
             fh.write(entry_to_json_line(entry) + "\n")
 
 
+def _parse_entries(raw: bytes) -> Iterator[ChainEntry]:
+    """Yield the entries of serialized chain bytes in order, raising
+    ChainFormatError naming the first line that does not parse."""
+    if not raw:
+        return
+    body = raw[:-1] if raw.endswith(b"\n") else raw
+    for index, segment in enumerate(body.split(b"\n")):
+        try:
+            entry = entry_from_json_line(segment.decode("ascii"))
+        except (ValueError, KeyError) as exc:
+            raise ChainFormatError(f"line {index}: {exc}") from exc
+        yield entry
+
+
 def load_chain(path: str | Path) -> Chain:
     """Load a chain file, raising ChainFormatError naming the first bad line."""
-    entries = []
-    raw = Path(path).read_bytes()
-    if raw:
-        body = raw[:-1] if raw.endswith(b"\n") else raw
-        for index, segment in enumerate(body.split(b"\n")):
-            try:
-                text = segment.decode("ascii")
-                entries.append(entry_from_json_line(text))
-            except (ValueError, KeyError) as exc:
-                raise ChainFormatError(f"line {index}: {exc}") from exc
-    return Chain(tuple(entries))
+    return Chain(tuple(_parse_entries(Path(path).read_bytes())))
 
 
 def verify_chain_bytes(raw: bytes) -> Optional[int]:
     """Verify a serialized chain; returns None when sound, else the first
     failing position (line index, which equals height for a well-formed
     file). Parse failures count as verification failures at their line."""
-    if not raw:
-        return None
-    body = raw[:-1] if raw.endswith(b"\n") else raw
-    entries = []
-    for index, segment in enumerate(body.split(b"\n")):
-        try:
-            entries.append(entry_from_json_line(segment.decode("ascii")))
-        except (ValueError, KeyError):
-            return index
+    entries: list[ChainEntry] = []
+    try:
+        for entry in _parse_entries(raw):
+            entries.append(entry)
+    except ChainFormatError:
+        return len(entries)
     return verify(Chain(tuple(entries)))
 
 

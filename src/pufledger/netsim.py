@@ -40,7 +40,10 @@ from . import consensus
 from .consensus import (
     ROLE_CLIENT,
     ROLE_TRUSTED,
+    REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
+    AcceptResult,
+    AuthResult,
     NodeState,
     WireBlock,
 )
@@ -316,7 +319,6 @@ class _Sim:
         self.heap: list[tuple[int, int, tuple]] = []
         self.push_counter = 0
         self.msg_counter = 0
-        self.now = 0
         self.events: list[LogEvent] = []
         self.free_at: dict[int, int] = {node_id: 0 for node_id in self.order}
         self.tx_records: list[TxRecord] = []
@@ -454,109 +456,76 @@ class _Sim:
                 # a trusted node replicates nothing; it already holds its own entry
                 self.log(t, "ignore", receiver, "", {"msg": msg.msg_id})
                 return
-            claimed = msg.block.validated_by
-            if claimed not in self.trusted_live:
-                # structural drop at arrival: the header names nobody trusted,
-                # so no validation work is spent on it
-                self.record_outcome(msg, t, False, REASON_NOT_FROM_TRUSTED)
-                self.log(t, "reject", receiver, "", {
-                    "msg": msg.msg_id, "tx": msg.tx_id if msg.tx_id is not None else -1,
-                    "reason": REASON_NOT_FROM_TRUSTED, "adv": msg.provenance,
-                })
-                return
-            self.schedule_judgment(t, msg)
+            # structural drop at arrival when the header names nobody trusted:
+            # no validation work is spent on it
+            judged = msg.block.validated_by in self.trusted_live
         else:
-            if role == ROLE_TRUSTED:
-                self.schedule_judgment(t, msg)
-            else:
-                # clients act only on blocks a trusted node has validated
-                self.record_outcome(msg, t, False, REASON_NOT_FROM_TRUSTED)
-                self.log(t, "reject", receiver, "", {
-                    "msg": msg.msg_id, "tx": msg.tx_id if msg.tx_id is not None else -1,
-                    "reason": REASON_NOT_FROM_TRUSTED, "adv": msg.provenance,
-                })
-
-    def schedule_judgment(self, t: int, msg: _Message) -> None:
-        """Reserve the receiver and let the verdict land when the work ends.
-
-        State changes (appends, penalties, demotions) happen at completion
-        time, in global time order, never retroactively."""
-        done = self.occupy(msg.receiver, t, self.cost(msg.receiver, "handle"))
+            # clients act only on blocks a trusted node has validated
+            judged = role == ROLE_TRUSTED
+        if not judged:
+            self.record_verdict(t, msg, None)
+            return
+        # reserve the receiver and let the verdict land when the work ends:
+        # appends, penalties and demotions happen in global time order
+        done = self.occupy(receiver, t, self.cost(receiver, "handle"))
         self.push(done, ("judge", msg, t))
 
     def handle_judgment(self, done: int, msg: _Message, arrival: int) -> None:
+        node = self.nodes[msg.receiver]
         if msg.block.is_validated:
-            self.client_finishes(done, arrival, msg)
+            result = consensus.accept_validated(node, msg.block, self.view, now=done)
+        elif node.role == ROLE_TRUSTED:
+            result = consensus.authenticate(node, msg.block, self.registry, now=done)
         else:
-            self.trusted_finishes(done, arrival, msg)
+            result = None  # demoted while this block sat in its queue: authority is gone
+        self.record_verdict(done, msg, result, arrival)
 
-    def trusted_finishes(self, done: int, arrival: int, msg: _Message) -> None:
+    def record_verdict(self, t: int, msg: _Message,
+                       result: Optional[AuthResult | AcceptResult],
+                       arrival: Optional[int] = None) -> None:
+        """Log one node's verdict on one delivery and account for it.
+
+        A result of None is a not-from-trusted reject that spent no
+        validation work. Adversarial deliveries become AdvOutcomes; honest
+        ones update their TxRecord. A trusted accept is rebroadcast, and a
+        client's no-match penalizes the validator the block names."""
         receiver = msg.receiver
-        node = self.nodes[receiver]
-        if node.role != ROLE_TRUSTED:
-            # demoted while this block sat in its queue: authority is gone
-            self.record_outcome(msg, done, False, REASON_NOT_FROM_TRUSTED)
-            self.log(done, "reject", receiver, "", {
-                "msg": msg.msg_id, "tx": msg.tx_id if msg.tx_id is not None else -1,
-                "reason": REASON_NOT_FROM_TRUSTED, "adv": msg.provenance,
-            })
-            return
-        result = consensus.authenticate(node, msg.block, self.registry, now=done)
-        if msg.tx_id is not None and msg.provenance == "normal":
+        role = self.role_of(receiver)
+        accepted = result is not None and result.accepted
+        reason = result.reason if result is not None else REASON_NOT_FROM_TRUSTED
+        tx = msg.tx_id if msg.tx_id is not None else -1
+        if msg.provenance != "normal":
+            self.adversarial.append(AdvOutcome(
+                kind=msg.provenance, msg_id=msg.msg_id, receiver=receiver,
+                receiver_role=role, t_ms=t, accepted=accepted, reason=reason,
+            ))
+        elif msg.tx_id is not None and result is not None:
             record = self.tx_records[msg.tx_id]
-            if record.accepted is None:
+            if msg.block.is_validated:
+                record.client_outcomes[receiver] = ClientOutcome(arrival, t, accepted, reason)
+            elif record.accepted is None:
                 record.t_recv_trusted = arrival
-                record.t_validated = done
-                record.accepted = result.accepted
-                record.reason = result.reason
-        self.record_outcome(msg, done, result.accepted, result.reason)
-        if result.accepted:
+                record.t_validated = t
+                record.accepted = accepted
+                record.reason = reason
+        if accepted:
             entry = result.entry
-            self.log(done, "accept", receiver, entry.entry_hash.hex(), {
-                "tx": msg.tx_id if msg.tx_id is not None else -1,
-                "seq": entry.data.seq, "height": entry.height,
-                "role": ROLE_TRUSTED, "hashes": result.hashes_tried,
-                "adv": msg.provenance,
+            self.log(t, "accept", receiver, entry.entry_hash.hex(), {
+                "tx": tx, "seq": entry.data.seq, "height": entry.height,
+                "role": role, "hashes": result.hashes_tried, "adv": msg.provenance,
             })
-            self.log(done, "rebroadcast", receiver, entry.entry_hash.hex(), {
-                "tx": msg.tx_id if msg.tx_id is not None else -1,
-            })
-            self.send(result.rebroadcast, receiver, self.peers_of(receiver),
-                      done, msg.tx_id, "normal")
-        else:
-            self.log(done, "reject", receiver, "", {
-                "msg": msg.msg_id, "tx": msg.tx_id if msg.tx_id is not None else -1,
-                "reason": result.reason, "hashes": result.hashes_tried,
-                "adv": msg.provenance,
-            })
-
-    def client_finishes(self, done: int, arrival: int, msg: _Message) -> None:
-        receiver = msg.receiver
-        node = self.nodes[receiver]
-        claimed = msg.block.validated_by
-        result = consensus.accept_validated(node, msg.block, self.view, now=done)
-        self.record_outcome(msg, done, result.accepted, result.reason)
-        if result.accepted:
-            if msg.tx_id is not None and msg.provenance == "normal":
-                record = self.tx_records[msg.tx_id]
-                record.client_outcomes[receiver] = ClientOutcome(arrival, done, True, None)
-            self.log(done, "accept", receiver, result.entry.entry_hash.hex(), {
-                "tx": msg.tx_id if msg.tx_id is not None else -1,
-                "seq": result.entry.data.seq, "height": result.entry.height,
-                "role": ROLE_CLIENT, "hashes": result.hashes_tried,
-                "adv": msg.provenance,
-            })
-        else:
-            if msg.tx_id is not None and msg.provenance == "normal":
-                record = self.tx_records[msg.tx_id]
-                record.client_outcomes[receiver] = ClientOutcome(arrival, done, False, result.reason)
-            self.log(done, "reject", receiver, "", {
-                "msg": msg.msg_id, "tx": msg.tx_id if msg.tx_id is not None else -1,
-                "reason": result.reason, "hashes": result.hashes_tried,
-                "adv": msg.provenance,
-            })
-            if result.reason == consensus.REASON_NO_MATCH:
-                self.penalize(done, claimed)
+            if role == ROLE_TRUSTED:
+                self.log(t, "rebroadcast", receiver, entry.entry_hash.hex(), {"tx": tx})
+                self.send(result.rebroadcast, receiver, self.peers_of(receiver),
+                          t, msg.tx_id, "normal")
+            return
+        detail = {"msg": msg.msg_id, "tx": tx, "reason": reason}
+        if result is not None:
+            detail["hashes"] = result.hashes_tried
+        detail["adv"] = msg.provenance
+        self.log(t, "reject", receiver, "", detail)
+        if msg.block.is_validated and reason == REASON_NO_MATCH:
+            self.penalize(t, msg.block.validated_by)
 
     def penalize(self, t: int, trusted_id: int) -> None:
         """A client caught a bad validation under this trusted node's name."""
@@ -572,14 +541,6 @@ class _Sim:
             self.trusted_live.remove(trusted_id)
             node.role = ROLE_CLIENT
             self.log(t, "demote", trusted_id, "", {"trust_value": node.trust_value})
-
-    def record_outcome(self, msg: _Message, t: int, accepted: bool, reason: Optional[str]) -> None:
-        if msg.provenance != "normal":
-            self.adversarial.append(AdvOutcome(
-                kind=msg.provenance, msg_id=msg.msg_id, receiver=msg.receiver,
-                receiver_role=self.role_of(msg.receiver), t_ms=t,
-                accepted=accepted, reason=reason,
-            ))
 
     def handle_injection(self, t: int, adv_index: int) -> None:
         adv = self.scenario.adversaries[adv_index]
@@ -638,7 +599,6 @@ class _Sim:
         final_time = 0
         while self.heap:
             t, _, item = heapq.heappop(self.heap)
-            self.now = t
             final_time = max(final_time, t)
             if item[0] == "init":
                 self.handle_initiation(t, item[1])

@@ -36,7 +36,7 @@ def format_device_id(device_id: int) -> str:
 
 
 def parse_device_id(text: str) -> int:
-    if len(text) != DEVICE_ID_HEX_DIGITS or text != text.lower():
+    if not isinstance(text, str) or len(text) != DEVICE_ID_HEX_DIGITS or text != text.lower():
         raise ValueError(f"device id must be {DEVICE_ID_HEX_DIGITS} lowercase hex digits: {text!r}")
     return int(text, 16)
 

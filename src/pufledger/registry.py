@@ -25,7 +25,7 @@ from .errors import (
     RegistryConflictError,
     UnknownDeviceError,
 )
-from .fom import ScreeningPolicy, screen_challenge
+from .fom import ScreeningPolicy, screen_pool
 from .puf import (
     Challenge,
     PufDevice,
@@ -117,17 +117,12 @@ def enroll(
             f"device {format_device_id(device.device_id)} is already enrolled"
         )
     rng = np.random.default_rng([seed])
-    pairs: list[tuple[Challenge, Response]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for _ in range(n_candidates):
-        challenge = random_challenge(device.bank_size, response_bits, rng)
-        read_seeds = rng.integers(0, _EVAL_SEED_BOUND, size=policy.n_screen_reevals)
-        if challenge.key() in seen:
-            continue  # an exact duplicate draw can never enroll twice
-        result = screen_challenge(device, challenge, policy, read_seeds.tolist())
-        if result.accepted:
-            pairs.append((challenge, result.reference))
-            seen.add(challenge.key())
+    candidates = (
+        (random_challenge(device.bank_size, response_bits, rng),
+         rng.integers(0, _EVAL_SEED_BOUND, size=policy.n_screen_reevals).tolist())
+        for _ in range(n_candidates)
+    )
+    pairs = screen_pool(device, candidates, policy)
     if not pairs:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "

@@ -70,6 +70,7 @@ def test_config_text_parses_types_and_comments():
     ("payload_bytes = 999999", "payload_bytes"),
     ("demotion_threshold = -1", "demotion_threshold"),
     ("bench_trials = 0", "bench_trials"),
+    ("puf_response_bits = 64", "puf_response_bits"),
 ])
 def test_bad_config_text_is_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

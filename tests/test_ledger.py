@@ -309,12 +309,12 @@ def test_entry_line_rejects_uppercase_hex():
 def test_entry_line_rejects_float_and_bool_fields():
     line = entry_to_json_line(sample_chain(1).entries[0])
     obj = json.loads(line)
-    float_line = json.dumps({**obj, "height": 0.0}, separators=(",", ":"))
-    with pytest.raises(ValueError):
-        entry_from_json_line(float_line)
-    bool_line = json.dumps({**obj, "seq": False}, separators=(",", ":"))
-    with pytest.raises(ValueError):
-        entry_from_json_line(bool_line)
+    for key, value in [("height", 0.0), ("seq", False),
+                       ("device_id", 7), ("device_id", None),
+                       ("trusted_node_id", 7), ("trusted_node_id", None)]:
+        bad_line = json.dumps({**obj, key: value}, separators=(",", ":"))
+        with pytest.raises(ValueError):
+            entry_from_json_line(bad_line)
 
 
 def test_entry_line_rejects_extra_whitespace():
@@ -365,6 +365,14 @@ def test_verify_chain_bytes_spot_mutations(tmp_path):
         mutated = bytearray(raw)
         mutated[position] ^= 0x01
         assert verify_chain_bytes(bytes(mutated)) == height
+
+
+def test_verify_chain_bytes_reports_non_string_device_id_at_its_height():
+    lines = [json.loads(entry_to_json_line(entry)) for entry in sample_chain(3).entries]
+    lines[2]["device_id"] = 12345
+    lines[1]["trusted_node_id"] = None
+    raw = b"".join(json.dumps(obj, separators=(",", ":")).encode() + b"\n" for obj in lines)
+    assert verify_chain_bytes(raw) == 1
 
 
 def test_verify_chain_bytes_newline_mutation_reports_merged_line(tmp_path):
