@@ -181,6 +181,17 @@ def _validation_tag(entry_hash: bytes, response) -> bytes:
     return sha256(entry_hash + response.packed())
 
 
+def _first_match(prefix: bytes, stored, target: bytes) -> tuple[bool, int]:
+    """Hash prefix || each stored response in order until a digest equals
+    target. Returns (matched, hashes tried)."""
+    hashes = 0
+    for response in stored:
+        hashes += 1
+        if sha256(prefix + response.packed()) == target:
+            return True, hashes
+    return False, hashes
+
+
 def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> AuthResult:
     """Judge an origin block: scan the device's stored responses for one
     whose recomputed tag matches, guard against stale sequence numbers,
@@ -196,13 +207,8 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
     except UnknownDeviceError:
         return AuthResult(False, REASON_UNKNOWN_DEVICE, None, None, 0)
 
-    hashes = 0
-    matched = False
-    for response in stored:
-        hashes += 1
-        if make_auth_tag(block.data, response) == block.auth_tag:
-            matched = True
-            break
+    # make_auth_tag's digest, with the block encoded once for the whole scan
+    matched, hashes = _first_match(canonical_bytes(block.data), stored, block.auth_tag.h)
     if not matched:
         return AuthResult(False, REASON_NO_MATCH, None, None, hashes)
 
@@ -255,14 +261,12 @@ def accept_validated(client: NodeState, block: WireBlock, view: TrustedView, now
         trusted_node_id=block.validated_by,
         t_validated=block.t_validated,
     )
-    hashes = 0
-    for response in stored:
-        hashes += 1
-        if _validation_tag(candidate.entry_hash, response) == block.validation_tag:
-            client.chain = Chain(client.chain.entries + (candidate,))
-            client.last_seq_accepted[block.data.device_id] = block.data.seq
-            return AcceptResult(True, None, candidate, hashes)
-    return AcceptResult(False, REASON_NO_MATCH, None, hashes)
+    matched, hashes = _first_match(candidate.entry_hash, stored, block.validation_tag)
+    if not matched:
+        return AcceptResult(False, REASON_NO_MATCH, None, hashes)
+    client.chain = Chain(client.chain.entries + (candidate,))
+    client.last_seq_accepted[block.data.device_id] = block.data.seq
+    return AcceptResult(True, None, candidate, hashes)
 
 
 def leading_zero_bits(digest: bytes) -> int:
@@ -276,14 +280,15 @@ def pow_mine_baseline(data: BlockData, difficulty_bits: int) -> tuple[int, bytes
     authentication is benchmarked."""
     if not 0 <= difficulty_bits <= 32:
         raise ValueError(f"difficulty_bits must be in [0, 32], got {difficulty_bits}")
-    prefix = canonical_bytes(data)
+    prefixed = hashlib.sha256(canonical_bytes(data))  # hashed once, copied per nonce
     n_zero_bytes, rem = divmod(difficulty_bits, 8)
     zero_prefix = bytes(n_zero_bytes)
     limit = 1 << (8 - rem) if rem else 0x100
-    _sha256 = hashlib.sha256
     nonce = 0
     while True:
-        digest = _sha256(prefix + nonce.to_bytes(8, "big")).digest()
+        h = prefixed.copy()
+        h.update(nonce.to_bytes(8, "big"))
+        digest = h.digest()
         if digest.startswith(zero_prefix) and digest[n_zero_bytes] < limit:
             return nonce, digest
         nonce += 1

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .puf import Challenge, PufDevice, Response, evaluate, reference_response
+from .puf import Challenge, PufDevice, Response, noisy_bits, reference_response, selected_freqs
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,9 @@ def reliability(device: PufDevice, challenge: Challenge, n_reevals: int, seeds: 
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
     if len(seeds) < n_reevals:
         raise ValueError(f"need {n_reevals} seeds, got {len(seeds)}")
-    reads = np.stack([evaluate(device, challenge, int(seeds[k])).bits for k in range(n_reevals)])
+    f1, f2 = selected_freqs(device, challenge)
+    sigma = device.noise_sigma_mhz
+    reads = np.stack([noisy_bits(f1, f2, sigma, int(seed)) for seed in seeds[:n_reevals]])
     total = 0
     n_pairs = 0
     for a in range(n_reevals):
@@ -176,9 +178,11 @@ def screen_challenge(
     low, high = policy.randomness_band
     if not (low <= rnd <= high):
         return ScreeningResult(False, "randomness", rnd, 0, ref)
+    f1, f2 = selected_freqs(device, challenge)
+    sigma = device.noise_sigma_mhz
     worst = 0
     for k in range(policy.n_screen_reevals):
-        mismatch = evaluate(device, challenge, int(seeds[k])).hamming(ref)
+        mismatch = int(np.count_nonzero(noisy_bits(f1, f2, sigma, int(seeds[k])) != ref.bits))
         worst = max(worst, mismatch)
         if mismatch > policy.max_unreliable_bits:
             return ScreeningResult(False, "stability", rnd, worst, ref)

@@ -15,7 +15,8 @@ a device round-trips exactly through its on-disk representation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,6 +27,7 @@ from .errors import ChallengeError, ConfigError
 DEVICE_ID_BITS = 48
 DEVICE_ID_HEX_DIGITS = DEVICE_ID_BITS // 4
 FREQ_DECIMALS = 6
+_DEVICE_ID_RE = re.compile(f"[0-9a-f]{{{DEVICE_ID_HEX_DIGITS}}}")
 
 
 def format_device_id(device_id: int) -> str:
@@ -36,7 +38,8 @@ def format_device_id(device_id: int) -> str:
 
 
 def parse_device_id(text: str) -> int:
-    if not isinstance(text, str) or len(text) != DEVICE_ID_HEX_DIGITS or text != text.lower():
+    """Inverse of format_device_id; accepts nothing else (no sign, prefix or underscore)."""
+    if not isinstance(text, str) or _DEVICE_ID_RE.fullmatch(text) is None:
         raise ValueError(f"device id must be {DEVICE_ID_HEX_DIGITS} lowercase hex digits: {text!r}")
     return int(text, 16)
 
@@ -123,17 +126,16 @@ class Challenge:
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.set1_idx.tolist(), self.set2_idx.tolist()))
 
-    def key(self) -> tuple[tuple[int, int], ...]:
-        """Hashable identity used to detect duplicate challenges."""
-        return tuple(zip(self.set1_idx.tolist(), self.set2_idx.tolist()))
-
     def __eq__(self, other: object) -> bool:
+        """Equal when both select the same pairs in the same order (both
+        selector arrays are int64, so equal bytes mean equal indices)."""
         if not isinstance(other, Challenge):
             return NotImplemented
-        return self.key() == other.key()
+        return (self.set1_idx.tobytes() == other.set1_idx.tobytes()
+                and self.set2_idx.tobytes() == other.set2_idx.tobytes())
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash((self.set1_idx.tobytes(), self.set2_idx.tobytes()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,15 +143,17 @@ class Response:
     """An ordered bit vector produced by evaluating one challenge."""
 
     bits: np.ndarray
+    _packed: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bits.ndim != 1 or self.bits.dtype != np.uint8:
             raise ValueError("response bits must be a one-dimensional uint8 array")
         if len(self.bits) == 0:
             raise ValueError("response must contain at least one bit")
-        if not np.isin(self.bits, (0, 1)).all():
+        if self.bits.max() > 1:
             raise ValueError("response bits must be 0 or 1")
         self.bits.setflags(write=False)
+        object.__setattr__(self, "_packed", np.packbits(self.bits).tobytes())
 
     @property
     def n_bits(self) -> int:
@@ -157,7 +161,7 @@ class Response:
 
     def packed(self) -> bytes:
         """Pack bits MSB-first: bit 0 lands in the high bit of byte 0."""
-        return np.packbits(self.bits).tobytes()
+        return self._packed
 
     def hex(self) -> str:
         return self.packed().hex()
@@ -248,11 +252,14 @@ def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevic
     )
 
 
-def _check_challenge_range(device: PufDevice, challenge: Challenge) -> None:
+def selected_freqs(device: PufDevice, challenge: Challenge) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies the challenge races, bit by bit: (set1, set2).
+    Raises ChallengeError when it selects past the device's banks."""
     if int(challenge.set1_idx.max()) >= device.bank_size or int(challenge.set2_idx.max()) >= device.bank_size:
         raise ChallengeError(
             f"challenge selects oscillators past bank size {device.bank_size}"
         )
+    return device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
 
 
 def reference_response(device: PufDevice, challenge: Challenge) -> Response:
@@ -261,30 +268,32 @@ def reference_response(device: PufDevice, challenge: Challenge) -> Response:
     Ties (exactly equal frequencies) resolve to 0; an arbiter needs a strict
     win by the first bank to emit 1.
     """
-    _check_challenge_range(device, challenge)
-    f1 = device.set1_freqs[challenge.set1_idx]
-    f2 = device.set2_freqs[challenge.set2_idx]
+    f1, f2 = selected_freqs(device, challenge)
     return Response((f1 > f2).astype(np.uint8))
 
 
-def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
-    """Noisy evaluation: every race gets fresh jitter on both oscillators.
+def noisy_bits(f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float, eval_seed: int) -> np.ndarray:
+    """One noisy race of the selected oscillator frequencies f1 against f2.
 
-    The jitter stream is a deterministic function of eval_seed alone, so the
-    same (device, challenge, eval_seed) triple always reproduces the same
-    response, and distinct seeds give independent jitter.
+    Every race gets fresh jitter on both oscillators. The jitter stream is a
+    deterministic function of eval_seed alone, so the same frequencies and
+    eval_seed always reproduce the same bits, and distinct seeds give
+    independent jitter. Returns the uint8 bit vector.
     """
     if eval_seed < 0:
         raise ConfigError(f"eval_seed must be >= 0, got {eval_seed}")
-    _check_challenge_range(device, challenge)
-    f1 = device.set1_freqs[challenge.set1_idx]
-    f2 = device.set2_freqs[challenge.set2_idx]
-    if device.noise_sigma_mhz > 0:
+    if noise_sigma_mhz > 0:
         rng = np.random.default_rng([eval_seed])
-        jitter = rng.normal(0.0, device.noise_sigma_mhz, size=(2, challenge.n_bits))
+        jitter = rng.normal(0.0, noise_sigma_mhz, size=(2, len(f1)))
         f1 = f1 + jitter[0]
         f2 = f2 + jitter[1]
-    return Response((f1 > f2).astype(np.uint8))
+    return (f1 > f2).astype(np.uint8)
+
+
+def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
+    """Noisy evaluation of a challenge on a device (see noisy_bits)."""
+    f1, f2 = selected_freqs(device, challenge)
+    return Response(noisy_bits(f1, f2, device.noise_sigma_mhz, eval_seed))
 
 
 def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> Challenge:
@@ -293,16 +302,14 @@ def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> C
         raise ChallengeError(
             f"cannot pick {n_bits} distinct pairs from {bank_size}x{bank_size} choices"
         )
-    chosen: dict[tuple[int, int], None] = {}
+    chosen: dict[int, None] = {}  # pair (i, j) coded as i * bank_size + j, in draw order
     while len(chosen) < n_bits:
         need = n_bits - len(chosen)
         i = rng.integers(0, bank_size, size=need)
         j = rng.integers(0, bank_size, size=need)
-        for pair in zip(i.tolist(), j.tolist()):
-            if pair not in chosen:
-                chosen[pair] = None
-    arr = np.asarray(list(chosen.keys()), dtype=np.int64)
-    return Challenge(arr[:, 0].copy(), arr[:, 1].copy())
+        chosen.update(dict.fromkeys((i * bank_size + j).tolist()))
+    codes = np.array(list(chosen), dtype=np.int64)
+    return Challenge(codes // bank_size, codes % bank_size)
 
 
 def _format_freqs(freqs: np.ndarray) -> str:

@@ -49,8 +49,7 @@ class CrpRecord:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("a record must hold at least one challenge/response pair")
-        keys = {challenge.key() for challenge, _ in self.pairs}
-        if len(keys) != len(self.pairs):
+        if len(set(self.challenges)) != len(self.pairs):
             raise ValueError("a record must not repeat a challenge")
 
     @property
@@ -176,7 +175,7 @@ def record_to_json_line(record: CrpRecord) -> str:
         "device_id": format_device_id(record.device_id),
         "enrolled_at": record.enrolled_at,
         "pairs": [
-            {"challenge": [[int(i), int(j)] for i, j in challenge.pairs()],
+            {"challenge": np.column_stack((challenge.set1_idx, challenge.set2_idx)).tolist(),
              "response": response.hex()}
             for challenge, response in record.pairs
         ],

@@ -67,7 +67,8 @@ def test_device_id_round_trip(device_id):
     assert parse_device_id(text) == device_id
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "ABCDEF012345", "0123456789ag", "0" * 13])
+@pytest.mark.parametrize("bad", ["", "abc", "ABCDEF012345", "0123456789ag", "0" * 13,
+                                 "0x00000000ab", "+0000000000a", "0000_000000a", " 0000000000a"])
 def test_device_id_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_device_id(bad)

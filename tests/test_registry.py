@@ -28,7 +28,7 @@ def test_enroll_is_deterministic(default_config, policy):
     device = manufacture(default_config, 0x111, 0)
     first = enroll(Registry([0x1]), device, 80, policy, seed=5)
     second = enroll(Registry([0x1]), device, 80, policy, seed=5)
-    assert [c.key() for c in first.challenges] == [c.key() for c in second.challenges]
+    assert first.challenges == second.challenges
     assert [r.hex() for r in first.responses] == [r.hex() for r in second.responses]
 
 
@@ -36,7 +36,7 @@ def test_enroll_seed_changes_selection(default_config, policy):
     device = manufacture(default_config, 0x111, 0)
     first = enroll(Registry([0x1]), device, 80, policy, seed=5)
     second = enroll(Registry([0x1]), device, 80, policy, seed=6)
-    assert [c.key() for c in first.challenges] != [c.key() for c in second.challenges]
+    assert first.challenges != second.challenges
 
 
 def test_enrolled_responses_are_noiseless_references(devices, enrolled):
@@ -132,7 +132,7 @@ def test_record_line_round_trip(enrolled, devices):
     parsed = record_from_json_line(line)
     assert parsed.device_id == record.device_id
     assert parsed.enrolled_at == record.enrolled_at
-    assert [c.key() for c in parsed.challenges] == [c.key() for c in record.challenges]
+    assert parsed.challenges == record.challenges
     assert [r.hex() for r in parsed.responses] == [r.hex() for r in record.responses]
 
 
@@ -161,4 +161,4 @@ def test_registry_file_round_trip(tmp_path, devices, enrolled):
         original = records[device.device_id]
         copy = loaded.record_for_enrollee(device.device_id)
         assert [r.hex() for r in copy.responses] == [r.hex() for r in original.responses]
-        assert [c.key() for c in copy.challenges] == [c.key() for c in original.challenges]
+        assert copy.challenges == original.challenges
