@@ -114,21 +114,23 @@ def uniqueness(responses_by_device: Sequence[Sequence[Response]]) -> float:
     return 100.0 * total / n_pairs
 
 
-def reliability(device: PufDevice, challenge: Challenge, n_reevals: int, seeds: Sequence[int]) -> float:
-    """Mean pairwise Hamming distance among repeated noisy reads, in percent."""
+def reliability(device: PufDevice, challenge: Challenge, n_reevals: int, words: np.ndarray) -> float:
+    """Mean pairwise Hamming distance among repeated noisy reads, in percent.
+
+    words holds one row of read_seeds words per read. A bit read as 1 in k
+    of n reads disagrees in k * (n - k) of the read pairs, so the sum of
+    that over bits is the pairwise distance total.
+    """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
-    if len(seeds) < n_reevals:
-        raise ValueError(f"need {n_reevals} seeds, got {len(seeds)}")
+    if len(words) < n_reevals:
+        raise ValueError(f"need {n_reevals} read seeds, got {len(words)}")
     f1, f2 = selected_freqs(device, challenge)
     sigma = device.noise_sigma_mhz
-    reads = np.stack([noisy_bits(f1, f2, sigma, int(seed)) for seed in seeds[:n_reevals]])
-    total = 0
-    n_pairs = 0
-    for a in range(n_reevals):
-        for b in range(a + 1, n_reevals):
-            total += int((reads[a] != reads[b]).sum())
-            n_pairs += 1
+    reads = np.stack([noisy_bits(f1, f2, sigma, words[k]) for k in range(n_reevals)])
+    ones = reads.sum(axis=0, dtype=np.int64)
+    total = int((ones * (n_reevals - ones)).sum())
+    n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.n_bits)
 
 
@@ -162,17 +164,18 @@ def screen_challenge(
     device: PufDevice,
     challenge: Challenge,
     policy: ScreeningPolicy,
-    seeds: Sequence[int],
+    words: np.ndarray,
 ) -> ScreeningResult:
     """Decide whether a challenge is stable and balanced enough to enroll.
 
     The noiseless response is the stored reference; the challenge passes
     when that reference's randomness sits inside the policy band and each
     of n_screen_reevals noisy reads differs from the reference by at most
-    max_unreliable_bits bits. Stops at the first failing read.
+    max_unreliable_bits bits. Read k draws its jitter from words[k], one
+    row of read_seeds words. Stops at the first failing read.
     """
-    if len(seeds) < policy.n_screen_reevals:
-        raise ValueError(f"need {policy.n_screen_reevals} seeds, got {len(seeds)}")
+    if len(words) < policy.n_screen_reevals:
+        raise ValueError(f"need {policy.n_screen_reevals} read seeds, got {len(words)}")
     ref = reference_response(device, challenge)
     rnd = randomness(ref)
     low, high = policy.randomness_band
@@ -182,7 +185,7 @@ def screen_challenge(
     sigma = device.noise_sigma_mhz
     worst = 0
     for k in range(policy.n_screen_reevals):
-        mismatch = int(np.count_nonzero(noisy_bits(f1, f2, sigma, int(seeds[k])) != ref.bits))
+        mismatch = int(np.count_nonzero(noisy_bits(f1, f2, sigma, words[k]) != ref.bits))
         worst = max(worst, mismatch)
         if mismatch > policy.max_unreliable_bits:
             return ScreeningResult(False, "stability", rnd, worst, ref)
@@ -191,17 +194,17 @@ def screen_challenge(
 
 def screen_pool(
     device: PufDevice,
-    candidates: Iterable[tuple[Challenge, Sequence[int]]],
+    candidates: Iterable[tuple[Challenge, np.ndarray]],
     policy: ScreeningPolicy,
 ) -> list[tuple[Challenge, Response]]:
-    """Screen (challenge, read seeds) candidates in order and return the
-    survivors with their reference responses. A challenge equal to one
+    """Screen (challenge, read seed words) candidates in order and return
+    the survivors with their reference responses. A challenge equal to one
     already kept is skipped unscreened: an exact duplicate never enrolls
     twice."""
     kept: dict[Challenge, Response] = {}
-    for challenge, seeds in candidates:
+    for challenge, words in candidates:
         if challenge not in kept:
-            result = screen_challenge(device, challenge, policy, seeds)
+            result = screen_challenge(device, challenge, policy, words)
             if result.accepted:
                 kept[challenge] = result.reference
     return list(kept.items())

@@ -16,9 +16,10 @@ time lands near 198 ms.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +48,7 @@ from .puf import (
     format_device_id,
     manufacture,
     random_challenge,
+    read_seeds,
     reference_response,
 )
 from .registry import Registry, enroll
@@ -107,6 +109,9 @@ class ScenarioConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.n_transactions < 0:
             raise ConfigError("n_transactions must be >= 0")
         if self.n_clients < 1:
@@ -471,8 +476,10 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOut
         files["events"] = out / "events.ndjson"
         netsim.save_events(files["events"], result.events)
         files["metrics"] = out / "metrics.json"
+        # vars(), not asdict(): the report holds no nested dataclass, and
+        # asdict would deep-copy every transaction dict only to serialize it
         files["metrics"].write_text(
-            json.dumps(asdict(report), indent=1) + "\n", encoding="ascii")
+            json.dumps(vars(report), indent=1) + "\n", encoding="ascii")
         files["timings"] = out / "timings.csv"
         files["timings"].write_text(
             "\n".join(timings_csv_lines(report)) + "\n", encoding="ascii")
@@ -500,7 +507,8 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     pool = [random_challenge(puf_config.bank_size, puf_config.response_bits, pool_rng)
             for _ in range(cfg.fom_pool_size)]
     screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN])
-    screen_seeds = screen_rng.integers(0, 1 << 63, size=(cfg.fom_pool_size, policy.n_screen_reevals))
+    screen_words = read_seeds(
+        screen_rng.integers(0, 1 << 63, size=(cfg.fom_pool_size, policy.n_screen_reevals)))
     rel_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_RELIABILITY])
 
     per_device = []
@@ -508,7 +516,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     all_uni, all_rel, all_rnd = [], [], []
     common_matrix = None
     for d, device in enumerate(devices):
-        screened = fom.screen_pool(device, zip(pool, screen_seeds), policy)
+        screened = fom.screen_pool(device, zip(pool, screen_words), policy)
         accepted_counts.append(len(screened))
         if not screened:
             raise ScenarioError(
@@ -526,9 +534,10 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)
-        rel_seeds = rel_rng.integers(0, 1 << 63, size=(len(challenges), cfg.fom_n_reevals))
+        rel_words = read_seeds(
+            rel_rng.integers(0, 1 << 63, size=(len(challenges), cfg.fom_n_reevals)))
         rel = float(np.mean([
-            fom.reliability(device, challenge, cfg.fom_n_reevals, rel_seeds[i].tolist())
+            fom.reliability(device, challenge, cfg.fom_n_reevals, rel_words[i])
             for i, challenge in enumerate(challenges)
         ]))
         rnd = float(np.mean([fom.randomness(ref) for ref in refs]))

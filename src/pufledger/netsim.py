@@ -30,6 +30,7 @@ from __future__ import annotations
 import copy
 import heapq
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -88,8 +89,9 @@ class CostModel:
     handle_sd_ms: float = 3.0
 
     def __post_init__(self) -> None:
-        if min(self.init_mean_ms, self.init_sd_ms, self.handle_mean_ms, self.handle_sd_ms) < 0:
-            raise ScenarioError("cost parameters must be >= 0")
+        values = (self.init_mean_ms, self.init_sd_ms, self.handle_mean_ms, self.handle_sd_ms)
+        if not all(math.isfinite(v) and v >= 0 for v in values):
+            raise ScenarioError(f"cost parameters must be finite and >= 0, got {values}")
 
 
 @dataclass(frozen=True)

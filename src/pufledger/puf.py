@@ -15,6 +15,7 @@ a device round-trips exactly through its on-disk representation.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,12 +68,12 @@ class PufConfig:
             raise ConfigError(f"n_oscillators must be even and >= 2, got {self.n_oscillators}")
         if self.response_bits < 1:
             raise ConfigError(f"response_bits must be >= 1, got {self.response_bits}")
-        if self.freq_mean_mhz <= 0:
-            raise ConfigError(f"freq_mean_mhz must be positive, got {self.freq_mean_mhz}")
-        if self.freq_sigma_mhz <= 0:
-            raise ConfigError(f"freq_sigma_mhz must be positive, got {self.freq_sigma_mhz}")
-        if self.noise_sigma_mhz < 0:
-            raise ConfigError(f"noise_sigma_mhz must be >= 0, got {self.noise_sigma_mhz}")
+        if not (math.isfinite(self.freq_mean_mhz) and self.freq_mean_mhz > 0):
+            raise ConfigError(f"freq_mean_mhz must be finite and positive, got {self.freq_mean_mhz}")
+        if not (math.isfinite(self.freq_sigma_mhz) and self.freq_sigma_mhz > 0):
+            raise ConfigError(f"freq_sigma_mhz must be finite and positive, got {self.freq_sigma_mhz}")
+        if not (math.isfinite(self.noise_sigma_mhz) and self.noise_sigma_mhz >= 0):
+            raise ConfigError(f"noise_sigma_mhz must be finite and >= 0, got {self.noise_sigma_mhz}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         bank = self.n_oscillators // 2
@@ -210,13 +211,13 @@ class PufDevice:
         for arr in (self.set1_freqs, self.set2_freqs):
             if arr.ndim != 1 or arr.dtype != np.float64:
                 raise ConfigError("frequency banks must be one-dimensional float64 arrays")
-            if len(arr) == 0 or (arr <= 0).any():
-                raise ConfigError("frequency banks must be non-empty and strictly positive")
+            if len(arr) == 0 or not (np.isfinite(arr) & (arr > 0)).all():
+                raise ConfigError("frequency banks must be non-empty, finite and strictly positive")
             arr.setflags(write=False)
         if len(self.set1_freqs) != len(self.set2_freqs):
             raise ConfigError("frequency banks must have equal size")
-        if self.noise_sigma_mhz < 0:
-            raise ConfigError(f"noise_sigma_mhz must be >= 0, got {self.noise_sigma_mhz}")
+        if not (math.isfinite(self.noise_sigma_mhz) and self.noise_sigma_mhz >= 0):
+            raise ConfigError(f"noise_sigma_mhz must be finite and >= 0, got {self.noise_sigma_mhz}")
 
     @property
     def bank_size(self) -> int:
@@ -272,18 +273,102 @@ def reference_response(device: PufDevice, challenge: Challenge) -> Response:
     return Response((f1 > f2).astype(np.uint8))
 
 
-def noisy_bits(f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float, eval_seed: int) -> np.ndarray:
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_SS_MIX_MULT_R = np.uint32(0x4973F715)
+_SS_XSHIFT = np.uint32(16)
+_SS_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_SEED_LIMIT = 1 << 64
+
+
+def read_seeds(eval_seeds) -> np.ndarray:
+    """The PCG64 seed words of the noisy read named by each eval seed.
+
+    Row k of the result (shape eval_seeds.shape + (4,), uint64) equals
+    np.random.SeedSequence([s]).generate_state(4, np.uint64) for the seed s
+    at k: the SeedSequence hash with pool size 4, run over every seed at
+    once in uint32 array arithmetic. Its entropy is the seed's low and high
+    32-bit words; a seed below 2**32 hashes as one word, and a missing word
+    hashes like a zero word, so two words serve every seed in [0, 2**64).
+    Raises ConfigError for a seed outside that range.
+    """
+    # Python ints stay exact as objects (a list mixing seeds past 2**63 with
+    # small ones would otherwise become float64)
+    seeds = eval_seeds if isinstance(eval_seeds, np.ndarray) else np.array(eval_seeds, dtype=object)
+    if seeds.dtype == object:
+        valid = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                    and 0 <= s < _SEED_LIMIT for s in seeds.flat)
+    else:
+        valid = seeds.dtype.kind == "u" or (seeds.dtype.kind == "i" and (seeds.size == 0 or seeds.min() >= 0))
+    if not valid:
+        raise ConfigError("eval seeds must be integers in [0, 2**64)")
+    flat = seeds.reshape(-1).astype(np.uint64)
+    entropy = [(flat & np.uint64(_MASK32)).astype(np.uint32),
+               (flat >> np.uint64(32)).astype(np.uint32)]
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _SS_XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _SS_MIX_MULT_L * x - _SS_MIX_MULT_R * y
+        return result ^ (result >> _SS_XSHIFT)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_SS_POOL_SIZE)]
+    for i_src in range(_SS_POOL_SIZE):
+        for i_dst in range(_SS_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    # generate_state(4, uint64): eight uint32 words cycled from the pool,
+    # paired little-endian into four uint64 words
+    hash_const = _SS_INIT_B
+    state = []
+    for i_dst in range(2 * _SS_POOL_SIZE):
+        value = pool[i_dst % _SS_POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append(value ^ (value >> _SS_XSHIFT))
+    words = np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    return words.reshape(seeds.shape + (4,))
+
+
+class _ReadSeed(np.random.bit_generator.ISeedSequence):
+    """Hands one row of read_seeds words to PCG64 as its seeded state."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a read seed holds exactly four uint64 words")
+        # PCG64 reads the raw buffer, so it must be four contiguous uint64s
+        return np.ascontiguousarray(self._words, dtype=np.uint64)
+
+
+def noisy_bits(f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float, words: np.ndarray) -> np.ndarray:
     """One noisy race of the selected oscillator frequencies f1 against f2.
 
     Every race gets fresh jitter on both oscillators. The jitter stream is a
-    deterministic function of eval_seed alone, so the same frequencies and
-    eval_seed always reproduce the same bits, and distinct seeds give
-    independent jitter. Returns the uint8 bit vector.
+    deterministic function of the read's seed words (one row of read_seeds)
+    alone, and is the stream np.random.default_rng([eval_seed]) gives for
+    the seed they came from. The same frequencies and words always
+    reproduce the same bits, and distinct seeds give independent jitter.
+    Returns the uint8 bit vector.
     """
-    if eval_seed < 0:
-        raise ConfigError(f"eval_seed must be >= 0, got {eval_seed}")
     if noise_sigma_mhz > 0:
-        rng = np.random.default_rng([eval_seed])
+        rng = np.random.Generator(np.random.PCG64(_ReadSeed(words)))
         jitter = rng.normal(0.0, noise_sigma_mhz, size=(2, len(f1)))
         f1 = f1 + jitter[0]
         f2 = f2 + jitter[1]
@@ -291,9 +376,10 @@ def noisy_bits(f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float, eval_seed
 
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
-    """Noisy evaluation of a challenge on a device (see noisy_bits)."""
+    """Noisy evaluation of a challenge on a device (see noisy_bits); eval_seed
+    must lie in [0, 2**64)."""
     f1, f2 = selected_freqs(device, challenge)
-    return Response(noisy_bits(f1, f2, device.noise_sigma_mhz, eval_seed))
+    return Response(noisy_bits(f1, f2, device.noise_sigma_mhz, read_seeds(eval_seed)))
 
 
 def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> Challenge:

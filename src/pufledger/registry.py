@@ -33,9 +33,11 @@ from .puf import (
     format_device_id,
     parse_device_id,
     random_challenge,
+    read_seeds,
 )
 
 _EVAL_SEED_BOUND = 1 << 63
+_CANDIDATE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,17 @@ def enroll(
             f"device {format_device_id(device.device_id)} is already enrolled"
         )
     rng = np.random.default_rng([seed])
-    candidates = (
-        (random_challenge(device.bank_size, response_bits, rng),
-         rng.integers(0, _EVAL_SEED_BOUND, size=policy.n_screen_reevals).tolist())
-        for _ in range(n_candidates)
-    )
-    pairs = screen_pool(device, candidates, policy)
+
+    def candidates():
+        # read seed words are hashed a block of candidates at a time
+        for start in range(0, n_candidates, _CANDIDATE_BLOCK):
+            block = [(random_challenge(device.bank_size, response_bits, rng),
+                      rng.integers(0, _EVAL_SEED_BOUND, size=policy.n_screen_reevals))
+                     for _ in range(min(_CANDIDATE_BLOCK, n_candidates - start))]
+            words = read_seeds(np.stack([seeds for _, seeds in block]))
+            yield from zip([challenge for challenge, _ in block], words)
+
+    pairs = screen_pool(device, candidates(), policy)
     if not pairs:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "

@@ -35,6 +35,7 @@ from pufledger import (
     wire_to_json,
 )
 from pufledger import consensus, fom
+from pufledger.puf import read_seeds
 from pufledger.consensus import (
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
@@ -65,10 +66,10 @@ def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     pool = [random_challenge(cfg.bank_size, cfg.response_bits, pool_rng)
             for _ in range(pool_size)]
     seed_rng = np.random.default_rng([seed, 21])
-    read_seeds = seed_rng.integers(0, 1 << 63, size=(pool_size, policy.n_screen_reevals))
+    words = read_seeds(seed_rng.integers(0, 1 << 63, size=(pool_size, policy.n_screen_reevals)))
     survivors = []
     for i, challenge in enumerate(pool):
-        outcome = screen_challenge(device, challenge, policy, read_seeds[i].tolist())
+        outcome = screen_challenge(device, challenge, policy, words[i])
         if outcome.accepted:
             survivors.append((challenge, outcome.reference))
     return survivors
@@ -96,16 +97,16 @@ def test_c02_reliability_at_calibrated_and_zero_noise():
     screened = _screen_pool_against(device, cfg)
     challenges = [challenge for challenge, _ in screened]
     rel_rng = np.random.default_rng([42, 22])
-    read_seeds = rel_rng.integers(0, 1 << 63, size=(len(challenges), 11))
+    words = read_seeds(rel_rng.integers(0, 1 << 63, size=(len(challenges), 11)))
     noisy = float(np.mean([
-        fom.reliability(device, challenge, 11, read_seeds[i].tolist())
+        fom.reliability(device, challenge, 11, words[i])
         for i, challenge in enumerate(challenges)
     ]))
 
     quiet_device = manufacture(
         PufConfig(noise_sigma_mhz=0.0), device.device_id, 0)
     quiet = max(
-        fom.reliability(quiet_device, challenge, 11, read_seeds[i].tolist())
+        fom.reliability(quiet_device, challenge, 11, words[i])
         for i, challenge in enumerate(challenges)
     )
     elapsed = time.perf_counter() - started

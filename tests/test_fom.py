@@ -15,6 +15,7 @@ from pufledger import (
     random_challenge,
     reference_response,
 )
+from pufledger.puf import read_seeds
 from pufledger.fom import (
     FomReport,
     ScreeningPolicy,
@@ -91,7 +92,7 @@ def test_reliability_zero_noise_is_exactly_zero(default_config):
     cfg = PufConfig(noise_sigma_mhz=0.0)
     device = manufacture(cfg, 0x5, 0)
     ch = random_challenge(device.bank_size, 64, np.random.default_rng(0))
-    assert reliability(device, ch, 5, rng_seeds(1, 5)) == 0.0
+    assert reliability(device, ch, 5, read_seeds(rng_seeds(1, 5))) == 0.0
 
 
 def test_reliability_matches_gaussian_pair_model():
@@ -102,7 +103,7 @@ def test_reliability_matches_gaussian_pair_model():
     ch = identity_challenge(1)
     p1 = norm.cdf(0.1 / (0.245 * math.sqrt(2)))
     expected = 100.0 * 2 * p1 * (1 - p1)
-    measured = reliability(device, ch, 200, list(range(200)))
+    measured = reliability(device, ch, 200, read_seeds(list(range(200))))
     assert abs(measured - expected) < 5.0
 
 
@@ -110,7 +111,7 @@ def test_reliability_requires_two_reads(default_config):
     device = manufacture(default_config, 0x5, 0)
     ch = random_challenge(device.bank_size, 8, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        reliability(device, ch, 1, [0])
+        reliability(device, ch, 1, read_seeds([0]))
 
 
 # --- randomness -----------------------------------------------------------------
@@ -158,7 +159,7 @@ def test_correlation_skips_constant_vectors():
 def test_screening_accepts_balanced_stable_challenge():
     deltas = [5.0 if i % 2 else -5.0 for i in range(128)]
     device = gap_device(deltas, 0.245)
-    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), rng_seeds(2, 11))
+    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), read_seeds(rng_seeds(2, 11)))
     assert result.accepted
     assert result.reason is None
     assert result.worst_mismatch_bits == 0
@@ -167,7 +168,7 @@ def test_screening_accepts_balanced_stable_challenge():
 
 def test_screening_rejects_all_ones_response():
     device = gap_device([5.0] * 16, 0.245)
-    result = screen_challenge(device, identity_challenge(16), ScreeningPolicy(), rng_seeds(3, 11))
+    result = screen_challenge(device, identity_challenge(16), ScreeningPolicy(), read_seeds(rng_seeds(3, 11)))
     assert not result.accepted
     assert result.reason == "randomness"
     assert result.randomness_pct == 100.0
@@ -177,7 +178,7 @@ def test_screening_rejects_unstable_challenge():
     # jitter dwarfs every gap, so some read must flip more than allowed
     deltas = [0.01 if i % 2 else -0.01 for i in range(128)]
     device = gap_device(deltas, 50.0)
-    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), rng_seeds(4, 11))
+    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), read_seeds(rng_seeds(4, 11)))
     assert not result.accepted
     assert result.reason == "stability"
     assert result.worst_mismatch_bits > ScreeningPolicy().max_unreliable_bits
@@ -186,7 +187,7 @@ def test_screening_rejects_unstable_challenge():
 def test_screening_reference_is_noiseless(default_config):
     device = manufacture(default_config, 0x8, 2)
     ch = random_challenge(device.bank_size, 128, np.random.default_rng(7))
-    result = screen_challenge(device, ch, ScreeningPolicy(), rng_seeds(5, 11))
+    result = screen_challenge(device, ch, ScreeningPolicy(), read_seeds(rng_seeds(5, 11)))
     assert result.reference == reference_response(device, ch)
 
 
@@ -194,7 +195,7 @@ def test_screening_needs_enough_seeds(default_config):
     device = manufacture(default_config, 0x8, 2)
     ch = random_challenge(device.bank_size, 128, np.random.default_rng(7))
     with pytest.raises(ValueError):
-        screen_challenge(device, ch, ScreeningPolicy(), [1, 2, 3])
+        screen_challenge(device, ch, ScreeningPolicy(), read_seeds([1, 2, 3]))
 
 
 def test_screened_challenges_stay_reliable(default_config):
@@ -205,10 +206,10 @@ def test_screened_challenges_stay_reliable(default_config):
     accepted = []
     for k in range(300):
         ch = random_challenge(device.bank_size, 128, rng)
-        if screen_challenge(device, ch, policy, rng_seeds(100 + k, 11)).accepted:
+        if screen_challenge(device, ch, policy, read_seeds(rng_seeds(100 + k, 11))).accepted:
             accepted.append(ch)
     assert accepted
-    values = [reliability(device, ch, 5, rng_seeds(900 + i, 5))
+    values = [reliability(device, ch, 5, read_seeds(rng_seeds(900 + i, 5)))
               for i, ch in enumerate(accepted)]
     assert float(np.mean(values)) < 2.0
 

@@ -71,6 +71,10 @@ def test_config_text_parses_types_and_comments():
     ("demotion_threshold = -1", "demotion_threshold"),
     ("bench_trials = 0", "bench_trials"),
     ("puf_response_bits = 64", "puf_response_bits"),
+    ("puf_noise_sigma_mhz = nan", "puf_noise_sigma_mhz"),
+    ("cost_trusted_mean_ms = nan", "cost_trusted_mean_ms"),
+    ("cost_client_slow_sd_ms = inf", "cost_client_slow_sd_ms"),
+    ("puf_freq_sigma_mhz = nan", "puf_freq_sigma_mhz"),
 ])
 def test_bad_config_text_is_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -310,6 +310,15 @@ def test_inject_rejects_unknown_settings(sim_parts):
         inject(Adversary("fake-device", {}, (10 ** 9,)), scenario)  # beyond horizon
 
 
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_cost_model_rejects_negative_and_non_finite_values(index, value):
+    values = [6.0, 1.0, 50.0, 3.0]
+    values[index] = value
+    with pytest.raises(ScenarioError):
+        CostModel(*values)
+
+
 def test_run_rejects_unknown_adversary_kind(sim_parts):
     config, world = sim_parts
     scenario = Scenario(world=world, initiations=(), adversaries=(

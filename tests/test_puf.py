@@ -54,10 +54,20 @@ def test_default_config_shape():
     dict(noise_sigma_mhz=-0.1),
     dict(freq_mean_mhz=0.0),
     dict(n_oscillators=4, response_bits=5),  # more bits than distinct pairs
+    dict(freq_mean_mhz=math.inf),
+    dict(freq_sigma_mhz=math.nan),
+    dict(noise_sigma_mhz=math.nan),
+    dict(noise_sigma_mhz=math.inf),
 ])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         PufConfig(**bad)
+
+
+@pytest.mark.parametrize("f1, noise", [(math.nan, 0.1), (math.inf, 0.1), (250.0, math.nan), (250.0, math.inf)])
+def test_device_rejects_non_finite_values(f1, noise):
+    with pytest.raises(ConfigError):
+        single_pair_device(f1, 250.0, noise)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 48) - 1))

@@ -1,6 +1,6 @@
-"""The screening and reliability reads, challenge drawing and proof-of-work
-mining against straightforward reference loops: each fast path must give
-exactly what the plain per-read code gives."""
+"""The screening and reliability reads, their seed-word hash, challenge
+drawing and proof-of-work mining against straightforward reference loops:
+each fast path must give exactly what the plain per-read code gives."""
 
 import hashlib
 import json
@@ -19,10 +19,11 @@ from pufledger import (
     reference_response,
 )
 from pufledger.consensus import WireBlock, leading_zero_bits, pow_mine_baseline, wire_from_json, wire_to_json
-from pufledger.errors import ChallengeError
+from pufledger.errors import ChallengeError, ConfigError
 from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge
 from pufledger.ledger import AuthTag, BlockData, canonical_bytes
-from pufledger.registry import CrpRecord
+from pufledger.puf import _ReadSeed, noisy_bits, read_seeds
+from pufledger.registry import CrpRecord, Registry, enroll
 from conftest import rng_seeds
 
 
@@ -65,7 +66,7 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
         for k in range(120):
             challenge = random_challenge(device.bank_size, 128, rng)
             seeds = rng_seeds(1000 * d + k, policy.n_screen_reevals)
-            result = screen_challenge(device, challenge, policy, seeds)
+            result = screen_challenge(device, challenge, policy, read_seeds(seeds))
             expected = screen_by_evaluate(device, challenge, policy, seeds)
             got = (result.accepted, result.reason, result.randomness_pct,
                    result.worst_mismatch_bits, result.reference)
@@ -80,8 +81,8 @@ def test_reliability_matches_a_loop_over_evaluate():
         for k in range(20):
             challenge = random_challenge(device.bank_size, 128, rng)
             seeds = rng_seeds(100 * d + k, 11)
-            for n_reevals in (2, 11):
-                assert (reliability(device, challenge, n_reevals, seeds)
+            for n_reevals in (2, 3, 11):
+                assert (reliability(device, challenge, n_reevals, read_seeds(seeds))
                         == reliability_by_evaluate(device, challenge, n_reevals, seeds))
 
 
@@ -89,7 +90,115 @@ def test_reliability_range_checks_the_challenge():
     device = SCREEN_DEVICES[0]
     outside = Challenge.from_pairs([(device.bank_size, 0), (0, 1)])
     with pytest.raises(ChallengeError):
-        reliability(device, outside, 2, rng_seeds(0, 2))
+        reliability(device, outside, 2, read_seeds(rng_seeds(0, 2)))
+
+
+def test_reliability_is_zero_when_every_read_agrees():
+    # gaps of 5 MHz against 0.245 MHz jitter: all eleven reads equal the reference
+    device = manufacture(PufConfig(), 0x603, 3)
+    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(6))
+    f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+    keep = np.abs(f1 - f2) > 5.0
+    steady = Challenge(challenge.set1_idx[keep].copy(), challenge.set2_idx[keep].copy())
+    seeds = rng_seeds(7, 11)
+    ref = reference_response(device, steady)
+    assert all(evaluate(device, steady, s) == ref for s in seeds)
+    assert reliability(device, steady, 11, read_seeds(seeds)) == 0.0
+    assert reliability_by_evaluate(device, steady, 11, seeds) == 0.0
+
+
+READ_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def test_read_seeds_matches_seed_sequence_at_the_word_edges():
+    words = read_seeds(READ_SEED_EDGES)
+    assert words.shape == (len(READ_SEED_EDGES), 4) and words.dtype == np.uint64
+    for seed, row in zip(READ_SEED_EDGES, words):
+        assert np.array_equal(row, np.random.SeedSequence([seed]).generate_state(4, np.uint64))
+    for seed in READ_SEED_EDGES:
+        assert np.array_equal(read_seeds(seed), words[READ_SEED_EDGES.index(seed)])
+
+
+def test_read_seeds_matches_seed_sequence_on_random_seeds():
+    rng = np.random.default_rng(11)
+    full = rng.integers(0, 2**64, size=(80, 100), dtype=np.uint64)   # any 64-bit seed
+    low = rng.integers(0, 2**32, size=2_000, dtype=np.int64)         # one-word entropy
+    signed = rng.integers(0, 1 << 63, size=2_000)                   # what the simulator draws
+    for seeds in (full, low, signed):
+        words = read_seeds(seeds)
+        assert words.shape == seeds.shape + (4,)
+        for seed, row in zip(seeds.reshape(-1).tolist(), words.reshape(-1, 4)):
+            assert np.array_equal(row, np.random.SeedSequence([seed]).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("bad", [
+    -1, 2**64, [0, -1], [2**64 - 1, 2**64], np.array([5, -3]), np.array([-(2**63)]),
+    [1.5], np.array([2.0]), [True], "7", None,
+])
+def test_read_seeds_rejects_seeds_outside_64_bits(bad):
+    with pytest.raises(ConfigError):
+        read_seeds(bad)
+
+
+def test_evaluate_rejects_a_negative_seed():
+    device = SCREEN_DEVICES[0]
+    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(8))
+    with pytest.raises(ConfigError):
+        evaluate(device, challenge, -1)
+
+
+def test_read_seed_rows_draw_what_default_rng_draws_whatever_their_layout():
+    seeds = rng_seeds(12, 40) + READ_SEED_EDGES
+    words = read_seeds(seeds)
+    spread = np.zeros((len(seeds), 8), dtype=np.uint64)
+    spread[:, ::2] = words                       # every row strided
+    fortran = np.asfortranarray(words)           # every row non-contiguous
+    f1 = np.full(128, 250.0)
+    f2 = np.full(128, 250.0)
+    for k, seed in enumerate(seeds):
+        expected = np.random.default_rng([seed]).normal(0.0, 0.245, (2, 128))
+        for row in (words[k], spread[k, ::2], fortran[k]):
+            state = _ReadSeed(row).generate_state(4, np.uint64)
+            assert state.flags.c_contiguous and state.dtype == np.uint64
+            rng = np.random.Generator(np.random.PCG64(_ReadSeed(row)))
+            assert rng.normal(0.0, 0.245, (2, 128)).tobytes() == expected.tobytes()
+            assert np.array_equal(noisy_bits(f1, f2, 0.245, row),
+                                  (f1 + expected[0] > f2 + expected[1]).astype(np.uint8))
+
+
+def test_evaluate_reads_what_default_rng_draws():
+    device = SCREEN_DEVICES[2]
+    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(9))
+    f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+    for seed in rng_seeds(13, 200) + READ_SEED_EDGES:
+        jitter = np.random.default_rng([seed]).normal(0.0, device.noise_sigma_mhz, (2, 128))
+        expected = (f1 + jitter[0] > f2 + jitter[1]).astype(np.uint8)
+        assert np.array_equal(evaluate(device, challenge, seed).bits, expected)
+
+
+def enroll_by_candidate(device, n_candidates, policy, seed):
+    """enroll's screening spelled out one candidate at a time: draw the
+    challenge, then its read seeds, and screen it before drawing the next."""
+    rng = np.random.default_rng([seed])
+    kept = {}
+    for _ in range(n_candidates):
+        challenge = random_challenge(device.bank_size, 128, rng)
+        seeds = rng.integers(0, 1 << 63, size=policy.n_screen_reevals).tolist()
+        if challenge not in kept:
+            accepted, _, _, _, ref = screen_by_evaluate(device, challenge, policy, seeds)
+            if accepted:
+                kept[challenge] = ref
+    return list(kept.items())
+
+
+@pytest.mark.parametrize("n_candidates", [1, 63, 64, 65, 130])
+def test_enroll_in_blocks_matches_screening_one_candidate_at_a_time(n_candidates):
+    device = SCREEN_DEVICES[0]
+    policy = ScreeningPolicy()
+    expected = enroll_by_candidate(device, n_candidates, policy, 77)
+    assert expected  # seed 77 keeps the first candidate, so every size enrolls
+    record = enroll(Registry(), device, n_candidates, policy, 77)
+    assert list(record.pairs) == expected
 
 
 @pytest.mark.parametrize("value", [2, 255])

@@ -20,6 +20,7 @@ from pufledger.errors import (
     UnknownDeviceError,
 )
 from pufledger.fom import ScreeningPolicy, randomness, screen_challenge
+from pufledger.puf import read_seeds
 from pufledger.registry import CrpRecord, record_from_json_line, record_to_json_line
 from conftest import rng_seeds
 
@@ -81,7 +82,7 @@ def test_zero_noise_screening_reduces_to_randomness_band(policy):
     for k in range(200):
         challenge = random_challenge(device.bank_size, 128, rng)
         expected = low <= randomness(reference_response(device, challenge)) <= high
-        outcome = screen_challenge(device, challenge, strict, rng_seeds(k, 2))
+        outcome = screen_challenge(device, challenge, strict, read_seeds(rng_seeds(k, 2)))
         assert outcome.accepted == expected
 
 
