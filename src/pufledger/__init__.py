@@ -4,191 +4,13 @@ The package simulates hybrid oscillator arbiter PUFs, screens their
 challenges by figures of merit, enrolls challenge-response pairs into a
 registry guarded by a trusted-node list, and runs a proof-of-PUF consensus
 flow (initiate, authenticate, accept-validated) over an append-only
-hash-linked chain. A discrete-event simulator drives whole rosters through
+hash-linked chain. A discrete-event simulator drives whole networks through
 transaction schedules and adversarial injections, and a harness turns all
 of it into files and metrics.
 """
 
-from .errors import (
-    AccessDeniedError,
-    ChainFormatError,
-    ChallengeError,
-    ConfigError,
-    EnrollmentFailedError,
-    PayloadSizeError,
-    PufLedgerError,
-    RegistryConflictError,
-    ScenarioError,
-    UnknownDeviceError,
-)
-from .puf import (
-    Challenge,
-    PufConfig,
-    PufDevice,
-    Response,
-    evaluate,
-    format_device_id,
-    load_devices,
-    manufacture,
-    parse_device_id,
-    random_challenge,
-    reference_response,
-    save_devices,
-)
-from .fom import (
-    FomReport,
-    ScreeningPolicy,
-    ScreeningResult,
-    mean_abs_correlation,
-    randomness,
-    reliability,
-    screen_challenge,
-    uniqueness,
-)
-from .ledger import (
-    AuthTag,
-    BlockData,
-    Chain,
-    ChainEntry,
-    append,
-    canonical_bytes,
-    load_chain,
-    make_auth_tag,
-    save_chain,
-    verify,
-    verify_chain_bytes,
-    verify_chain_file,
-)
-from .registry import (
-    CrpRecord,
-    Registry,
-    TrustedView,
-    enroll,
-    load_registry,
-    lookup,
-    save_registry,
-    trusted_view,
-)
-from .consensus import (
-    AcceptResult,
-    AuthResult,
-    NodeState,
-    WireBlock,
-    accept_validated,
-    authenticate,
-    initiate,
-    pow_mine_baseline,
-    wire_from_json,
-    wire_to_json,
-)
-from .netsim import (
-    Adversary,
-    CostModel,
-    Initiation,
-    LatencyModel,
-    NodeSpec,
-    Scenario,
-    SimConfig,
-    SimResult,
-    World,
-    inject,
-    run,
-)
-from .harness import (
-    CSV_HEADER,
-    MetricsReport,
-    ScenarioConfig,
-    build_world,
-    load_config,
-    parse_config_text,
-    run_benchmark,
-    run_fom_calibration,
-    run_scenario,
-    timings_csv_lines,
-)
+from .harness import ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CSV_HEADER",
-    "AcceptResult",
-    "AccessDeniedError",
-    "Adversary",
-    "AuthResult",
-    "AuthTag",
-    "BlockData",
-    "Chain",
-    "ChainEntry",
-    "ChainFormatError",
-    "Challenge",
-    "ChallengeError",
-    "ConfigError",
-    "CostModel",
-    "CrpRecord",
-    "EnrollmentFailedError",
-    "FomReport",
-    "Initiation",
-    "LatencyModel",
-    "MetricsReport",
-    "NodeSpec",
-    "NodeState",
-    "PayloadSizeError",
-    "PufConfig",
-    "PufDevice",
-    "PufLedgerError",
-    "Registry",
-    "RegistryConflictError",
-    "Response",
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioError",
-    "ScreeningPolicy",
-    "ScreeningResult",
-    "SimConfig",
-    "SimResult",
-    "TrustedView",
-    "UnknownDeviceError",
-    "WireBlock",
-    "World",
-    "accept_validated",
-    "append",
-    "authenticate",
-    "build_world",
-    "canonical_bytes",
-    "enroll",
-    "evaluate",
-    "format_device_id",
-    "initiate",
-    "inject",
-    "load_chain",
-    "load_config",
-    "load_devices",
-    "load_registry",
-    "lookup",
-    "make_auth_tag",
-    "manufacture",
-    "mean_abs_correlation",
-    "parse_config_text",
-    "parse_device_id",
-    "pow_mine_baseline",
-    "random_challenge",
-    "randomness",
-    "reference_response",
-    "reliability",
-    "run",
-    "run_benchmark",
-    "run_fom_calibration",
-    "run_scenario",
-    "save_chain",
-    "save_devices",
-    "save_registry",
-    "screen_challenge",
-    "timings_csv_lines",
-    "trusted_view",
-    "uniqueness",
-    "verify",
-    "verify_chain_bytes",
-    "verify_chain_file",
-    "wire_from_json",
-    "wire_to_json",
-]
+__all__ = ["ScenarioConfig", "run_scenario"]

@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     except PufLedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

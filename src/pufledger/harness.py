@@ -35,7 +35,6 @@ from .netsim import (
     CostModel,
     Initiation,
     LatencyModel,
-    NodeSpec,
     Scenario,
     SimConfig,
     SimResult,
@@ -86,7 +85,6 @@ class ScenarioConfig:
     pow_difficulty_bits: int = 20
     bench_trials: int = 100
     puf_n_oscillators: int = 512
-    puf_response_bits: int = 128
     puf_freq_mean_mhz: float = 250.0
     puf_freq_sigma_mhz: float = 5.0
     puf_noise_sigma_mhz: float = 0.245
@@ -132,13 +130,19 @@ class ScenarioConfig:
             raise ConfigError("demotion_threshold must be >= 0 (0 disables)")
         if self.bench_trials < 1:
             raise ConfigError("bench_trials must be >= 1")
-        if self.puf_response_bits != ledger.RESPONSE_BITS:
-            raise ConfigError(f"puf_response_bits must be {ledger.RESPONSE_BITS}, the width auth tags bind")
+        if not 0 <= self.pow_difficulty_bits <= 32:
+            raise ConfigError("pow_difficulty_bits must be in [0, 32]")
+        if self.fom_n_devices < 2:
+            raise ConfigError("fom_n_devices must be >= 2")
+        if self.fom_n_challenges < 1:
+            raise ConfigError("fom_n_challenges must be >= 1")
+        if self.fom_n_reevals < 2:
+            raise ConfigError("fom_n_reevals must be >= 2")
 
     def puf_config(self) -> PufConfig:
         return PufConfig(
             n_oscillators=self.puf_n_oscillators,
-            response_bits=self.puf_response_bits,
+            response_bits=ledger.RESPONSE_BITS,
             freq_mean_mhz=self.puf_freq_mean_mhz,
             freq_sigma_mhz=self.puf_freq_sigma_mhz,
             noise_sigma_mhz=self.puf_noise_sigma_mhz,
@@ -183,7 +187,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_config_text(text)
 
 
 # --- world construction -----------------------------------------------------
@@ -192,7 +200,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 class BuiltWorld:
     sim_config: SimConfig
     scenario: Scenario
-    node_ids: tuple[int, ...]  # trusted first, then clients in roster order
+    node_ids: tuple[int, ...]  # trusted first, then clients in world order
     records: dict[int, registry_mod.CrpRecord]
 
 
@@ -209,12 +217,11 @@ def _draw_node_ids(seed: int, count: int) -> list[int]:
 
 
 def build_world(cfg: ScenarioConfig) -> BuiltWorld:
-    """Manufacture, enroll and wire up the roster described by the config.
+    """Manufacture, enroll and wire up the nodes described by the config.
 
     Derivations from the seed: node ids from substream 10; enrollment
-    randomness from substream 11 (one child seed per node, in roster
-    order); transaction payloads from substream 12. Device seeds are
-    roster indices.
+    randomness from substream 11 (one child seed per node, in node order);
+    transaction payloads from substream 12. Device seeds are node indices.
     """
     puf_config = cfg.puf_config()
     policy = cfg.screening_policy()
@@ -229,9 +236,7 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
     for device in devices:
         enroll_seed = int(enroll_rng.integers(0, 1 << 63))
         records[device.device_id] = enroll(
-            reg, device, cfg.n_candidates, policy, enroll_seed,
-            enrolled_at=0, response_bits=cfg.puf_response_bits,
-        )
+            reg, device, cfg.n_candidates, policy, enroll_seed, enrolled_at=0)
 
     trusted_cost = CostModel(cfg.cost_init_mean_ms, cfg.cost_init_sd_ms,
                              cfg.cost_trusted_mean_ms, cfg.cost_trusted_sd_ms)
@@ -239,22 +244,21 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
                           cfg.cost_client_fast_mean_ms, cfg.cost_client_fast_sd_ms)
     slow_cost = CostModel(cfg.cost_init_mean_ms, cfg.cost_init_sd_ms,
                           cfg.cost_client_slow_mean_ms, cfg.cost_client_slow_sd_ms)
-    roster = [NodeSpec(trusted_id, ROLE_TRUSTED, "default", trusted_cost)]
+    costs = {trusted_id: trusted_cost}
     nodes = [NodeState(trusted_id, ROLE_TRUSTED, devices[0],
                        records[trusted_id].challenges)]
     for i in range(cfg.n_clients):
         node_id = node_ids[1 + i]
-        cost = fast_cost if i < cfg.n_fast_clients else slow_cost
-        roster.append(NodeSpec(node_id, ROLE_CLIENT, "default", cost))
+        costs[node_id] = fast_cost if i < cfg.n_fast_clients else slow_cost
         nodes.append(NodeState(node_id, ROLE_CLIENT, devices[1 + i],
                                records[node_id].challenges))
 
     sim_config = SimConfig(
         seed=cfg.seed,
-        latency={"default": LatencyModel(cfg.latency_base_ms, cfg.latency_jitter_ms)},
+        latency=LatencyModel(cfg.latency_base_ms, cfg.latency_jitter_ms),
         drop_rate=cfg.drop_rate,
-        roster=tuple(roster),
-        demotion_threshold=cfg.demotion_threshold or None,
+        costs=costs,
+        demotion_threshold=cfg.demotion_threshold,
     )
 
     payload_rng = np.random.default_rng([cfg.seed, _STREAM_PAYLOAD])
@@ -287,8 +291,6 @@ def _apply_config_adversary(cfg: ScenarioConfig, scenario: Scenario) -> Scenario
     n_tx = len(scenario.initiations)
     after = (n_tx + 1) * cfg.tx_spacing_ms
     times = tuple(after + k * cfg.tx_spacing_ms for k in range(cfg.adversary_events))
-    horizon = times[-1] + 60_000 if times else None
-    scenario = replace(scenario, horizon_ms=horizon)
     if cfg.adversary == "tamper":
         if n_tx == 0:
             raise ConfigError("tamper adversary needs transactions to tamper with")
@@ -301,7 +303,7 @@ def _apply_config_adversary(cfg: ScenarioConfig, scenario: Scenario) -> Scenario
     elif cfg.adversary == "fake-device":
         adv = Adversary("fake-device", {}, times)
     else:
-        adv = Adversary("forge-validator", {"claim": "trusted"}, times)
+        adv = Adversary("forge-validator", {}, times)
     return inject(adv, scenario)
 
 
@@ -333,8 +335,10 @@ def _stats(values: list[int | float]) -> dict[str, float]:
     return {"mean": mean, "sd": sd, "n": len(values)}
 
 
-def build_metrics(result: SimResult, roster: tuple[NodeSpec, ...]) -> MetricsReport:
-    trusted_ids = [spec.node_id for spec in roster if spec.role == ROLE_TRUSTED]
+def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsReport:
+    """Metrics of one run; nodes are the world's initial node states, whose
+    roles (before any demotion) label the per-node rows."""
+    trusted_ids = [node.node_id for node in nodes if node.role == ROLE_TRUSTED]
     rejected: dict[str, int] = {}
     accepted = 0
     transactions = []
@@ -394,14 +398,14 @@ def build_metrics(result: SimResult, roster: tuple[NodeSpec, ...]) -> MetricsRep
             adv_rejected[outcome.reason] = adv_rejected.get(outcome.reason, 0) + 1
 
     per_node = {}
-    for spec in roster:
-        stats: dict[str, object] = {"role": spec.role}
-        if spec.node_id in per_node_sa:
-            stats["dt_sa_ms"] = _stats(per_node_sa[spec.node_id])
-        if spec.node_id in per_node_ca:
-            stats["dt_ca_ms"] = _stats(per_node_ca[spec.node_id])
-            stats["dt_tx_ms"] = _stats(per_node_tx[spec.node_id])
-        per_node[format_device_id(spec.node_id)] = stats
+    for node in nodes:
+        stats: dict[str, object] = {"role": node.role}
+        if node.node_id in per_node_sa:
+            stats["dt_sa_ms"] = _stats(per_node_sa[node.node_id])
+        if node.node_id in per_node_ca:
+            stats["dt_ca_ms"] = _stats(per_node_ca[node.node_id])
+            stats["dt_tx_ms"] = _stats(per_node_tx[node.node_id])
+        per_node[format_device_id(node.node_id)] = stats
 
     return MetricsReport(
         n_transactions=len(result.tx_records),
@@ -462,7 +466,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOut
     """
     built = build_world(cfg)
     result = netsim.run(built.sim_config, built.scenario)
-    report = build_metrics(result, built.sim_config.roster)
+    report = build_metrics(result, built.scenario.world.nodes)
     files: dict[str, Path] = {}
     if write_outputs:
         out = Path(cfg.out_dir)
@@ -496,8 +500,6 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     uniqueness comparing its responses to every other device's responses on
     that same set. The population rows average the per-device figures.
     """
-    if cfg.fom_n_devices < 2:
-        raise ConfigError("fom_n_devices must be >= 2")
     puf_config = cfg.puf_config()
     policy = cfg.screening_policy()
     devices = [manufacture(puf_config, device_id, i)

@@ -65,7 +65,7 @@ _STREAM_ADVERSARY = 4
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-link latency: base_ms plus a uniform integer jitter in [0, jitter_ms]."""
+    """Latency of every link: base_ms plus a uniform integer jitter in [0, jitter_ms]."""
 
     base_ms: int
     jitter_ms: int
@@ -83,10 +83,10 @@ class CostModel:
     handle_* when it judges an incoming one.
     """
 
-    init_mean_ms: float = 6.0
-    init_sd_ms: float = 1.0
-    handle_mean_ms: float = 50.0
-    handle_sd_ms: float = 3.0
+    init_mean_ms: float
+    init_sd_ms: float
+    handle_mean_ms: float
+    handle_sd_ms: float
 
     def __post_init__(self) -> None:
         values = (self.init_mean_ms, self.init_sd_ms, self.handle_mean_ms, self.handle_sd_ms)
@@ -95,40 +95,23 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    node_id: int
-    role: str
-    link_class: str = "default"
-    cost: CostModel = CostModel()
-
-
-@dataclass(frozen=True)
 class SimConfig:
+    """Run settings. costs holds one CostModel per world node id; a
+    demotion_threshold of 0 disables demotion."""
+
     seed: int
-    latency: dict[str, LatencyModel]
+    latency: LatencyModel
     drop_rate: float
-    roster: tuple[NodeSpec, ...]
-    demotion_threshold: Optional[int] = 3
+    costs: dict[int, CostModel]
+    demotion_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ScenarioError("seed must be >= 0")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ScenarioError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if not self.roster:
-            raise ScenarioError("roster must not be empty")
-        ids = [spec.node_id for spec in self.roster]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("roster node ids must be unique")
-        if not any(spec.role == ROLE_TRUSTED for spec in self.roster):
-            raise ScenarioError("roster needs at least one trusted node")
-        for spec in self.roster:
-            if spec.role not in (ROLE_TRUSTED, ROLE_CLIENT):
-                raise ScenarioError(f"unknown role {spec.role!r}")
-            if spec.link_class not in self.latency:
-                raise ScenarioError(f"no latency model for link class {spec.link_class!r}")
-        if self.demotion_threshold is not None and self.demotion_threshold < 1:
-            raise ScenarioError("demotion_threshold must be >= 1 or None")
+        if self.demotion_threshold < 0:
+            raise ScenarioError("demotion_threshold must be >= 0 (0 disables)")
 
 
 @dataclass(frozen=True)
@@ -147,11 +130,15 @@ class Adversary:
     target: dict
     schedule: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in ADVERSARY_KINDS:
+            raise ScenarioError(f"unknown adversary kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class World:
-    """Initial node states plus the enrollment registry. run() never mutates
-    these; it works on copies."""
+    """Initial node states, in broadcast order, plus the enrollment
+    registry. run() never mutates these; it works on copies."""
 
     nodes: tuple[NodeState, ...]
     registry: Registry
@@ -162,24 +149,13 @@ class Scenario:
     world: World
     initiations: tuple[Initiation, ...]
     adversaries: tuple[Adversary, ...] = ()
-    horizon_ms: Optional[int] = None
-
-    def horizon(self) -> int:
-        if self.horizon_ms is not None:
-            return self.horizon_ms
-        latest = max((i.t_ms for i in self.initiations), default=0)
-        return latest + 60_000
 
 
 def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
     """Validate an adversary against the scenario and return the extended
     scenario. The original scenario is untouched."""
-    if adversary.kind not in ADVERSARY_KINDS:
-        raise ScenarioError(f"unknown adversary kind {adversary.kind!r}")
-    horizon = scenario.horizon()
-    for t in adversary.schedule:
-        if not 0 <= t <= horizon:
-            raise ScenarioError(f"adversary event time {t} outside scenario horizon {horizon}")
+    if any(t < 0 for t in adversary.schedule):
+        raise ScenarioError("adversary event times must be >= 0")
     n_tx = len(scenario.initiations)
     target = adversary.target
     if adversary.kind == "tamper":
@@ -198,9 +174,6 @@ def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
         if not adversary.schedule:
             raise ScenarioError("fake-device needs at least one scheduled time")
     elif adversary.kind == "forge-validator":
-        claim = target.get("claim", "trusted")
-        if claim != "trusted" and not isinstance(claim, int):
-            raise ScenarioError("forge-validator claim must be 'trusted' or a node id")
         if not adversary.schedule:
             raise ScenarioError("forge-validator needs at least one scheduled time")
     return replace(scenario, adversaries=scenario.adversaries + (adversary,))
@@ -294,24 +267,21 @@ class _Sim:
     def __init__(self, config: SimConfig, scenario: Scenario) -> None:
         self.config = config
         self.scenario = scenario
-        roster_ids = sorted(spec.node_id for spec in config.roster)
-        world_ids = sorted(node.node_id for node in scenario.world.nodes)
-        if roster_ids != world_ids:
-            raise ScenarioError("roster and world disagree on node ids")
-        self.spec_by_id = {spec.node_id: spec for spec in config.roster}
-        for node in scenario.world.nodes:
-            if node.role != self.spec_by_id[node.node_id].role:
-                raise ScenarioError(f"role mismatch for node {format_device_id(node.node_id)}")
+        world_nodes = scenario.world.nodes
+        self.order: list[int] = [node.node_id for node in world_nodes]
+        if sorted(self.order) != sorted(config.costs):
+            raise ScenarioError("cost models and world disagree on node ids")
+        self.trusted_live: list[int] = [
+            node.node_id for node in world_nodes if node.role == ROLE_TRUSTED
+        ]
+        if not self.trusted_live:
+            raise ScenarioError("world needs at least one trusted node")
         # run() works on private copies so a scenario can be re-run
         self.nodes: dict[int, NodeState] = {
-            node.node_id: copy.deepcopy(node) for node in scenario.world.nodes
+            node.node_id: copy.deepcopy(node) for node in world_nodes
         }
-        self.order: list[int] = [spec.node_id for spec in config.roster]
         self.registry: Registry = scenario.world.registry
         self.view: TrustedView = trusted_view(self.registry)
-        self.trusted_live: list[int] = [
-            spec.node_id for spec in config.roster if spec.role == ROLE_TRUSTED
-        ]
 
         self.rng_latency = np.random.default_rng([config.seed, _STREAM_LATENCY])
         self.rng_drop = np.random.default_rng([config.seed, _STREAM_DROP])
@@ -345,13 +315,13 @@ class _Sim:
     def log(self, t: int, kind: str, node: Optional[int], block_ref: str, detail: dict) -> None:
         self.events.append(LogEvent(t, kind, node, block_ref, detail))
 
-    def latency_to(self, receiver: int) -> int:
-        model = self.config.latency[self.spec_by_id[receiver].link_class]
+    def latency(self) -> int:
+        model = self.config.latency
         jitter = int(self.rng_latency.integers(0, model.jitter_ms + 1)) if model.jitter_ms else 0
         return model.base_ms + jitter
 
     def cost(self, node_id: int, which: str) -> int:
-        model = self.spec_by_id[node_id].cost
+        model = self.config.costs[node_id]
         if which == "init":
             mean, sd = model.init_mean_ms, model.init_sd_ms
         else:
@@ -379,7 +349,7 @@ class _Sim:
                     continue
             msg = _Message(self.msg_counter, block, sender, receiver, tx_id, provenance)
             self.msg_counter += 1
-            self.push(t_send + self.latency_to(receiver), ("deliver", msg))
+            self.push(t_send + self.latency(), ("deliver", msg))
 
     def peers_of(self, node_id: int) -> list[int]:
         return [other for other in self.order if other != node_id]
@@ -538,7 +508,7 @@ class _Sim:
             "penalties": self.penalties[trusted_id], "trust_value": node.trust_value,
         })
         threshold = self.config.demotion_threshold
-        if threshold is not None and self.penalties[trusted_id] >= threshold \
+        if threshold and self.penalties[trusted_id] >= threshold \
                 and trusted_id in self.trusted_live:
             self.trusted_live.remove(trusted_id)
             node.role = ROLE_CLIENT
@@ -569,11 +539,7 @@ class _Sim:
             })
             self.send(block, None, receivers, t, None, "fake-device", droppable=False)
         elif adv.kind == "forge-validator":
-            claim = adv.target.get("claim", "trusted")
-            if claim == "trusted":
-                claim_id = self.trusted_live[0] if self.trusted_live else self.order[0]
-            else:
-                claim_id = claim
+            claim_id = self.trusted_live[0] if self.trusted_live else self.order[0]
             victim = self.order[-1]  # an enrolled device id to put in the block
             data = BlockData(
                 device_id=victim,
@@ -628,9 +594,6 @@ class _Sim:
 def run(config: SimConfig, scenario: Scenario) -> SimResult:
     """Execute the scenario and return the full result; result.events is the
     event log and is a pure function of (config, scenario)."""
-    for adv in scenario.adversaries:
-        if adv.kind not in ADVERSARY_KINDS:
-            raise ScenarioError(f"unknown adversary kind {adv.kind!r}")
     for init in scenario.initiations:
         if init.t_ms < 0:
             raise ScenarioError("initiation times must be >= 0")

@@ -26,6 +26,7 @@ from .errors import (
     UnknownDeviceError,
 )
 from .fom import ScreeningPolicy, screen_pool
+from .ledger import RESPONSE_BITS
 from .puf import (
     Challenge,
     PufDevice,
@@ -102,9 +103,9 @@ def enroll(
     policy: ScreeningPolicy,
     seed: int,
     enrolled_at: int = 0,
-    response_bits: int = 128,
 ) -> CrpRecord:
-    """Screen n_candidates random challenges and store the survivors.
+    """Screen n_candidates random RESPONSE_BITS-bit challenges and store the
+    survivors.
 
     All randomness (candidate draws and screening re-read jitter) comes from
     one generator seeded by `seed`, consumed in a fixed order: for each
@@ -122,7 +123,7 @@ def enroll(
     def candidates():
         # read seed words are hashed a block of candidates at a time
         for start in range(0, n_candidates, _CANDIDATE_BLOCK):
-            block = [(random_challenge(device.bank_size, response_bits, rng),
+            block = [(random_challenge(device.bank_size, RESPONSE_BITS, rng),
                       rng.integers(0, _EVAL_SEED_BOUND, size=policy.n_screen_reevals))
                      for _ in range(min(_CANDIDATE_BLOCK, n_candidates - start))]
             words = read_seeds(np.stack([seeds for _, seeds in block]))

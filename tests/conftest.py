@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from pufledger import (
-    NodeState,
-    PufConfig,
-    Registry,
-    enroll,
-    manufacture,
-)
-from pufledger.consensus import ROLE_CLIENT, ROLE_TRUSTED
+from pufledger.consensus import NodeState, ROLE_CLIENT, ROLE_TRUSTED
+from pufledger.puf import PufConfig, manufacture
+from pufledger.registry import Registry, enroll
 from pufledger.fom import ScreeningPolicy
 
 

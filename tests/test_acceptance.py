@@ -12,31 +12,21 @@ from dataclasses import replace
 
 import numpy as np
 
-from pufledger import (
+from pufledger.ledger import (
     BlockData,
     Chain,
-    PufConfig,
-    Registry,
-    ScenarioConfig,
-    ScreeningPolicy,
     append,
-    enroll,
     make_auth_tag,
-    manufacture,
-    random_challenge,
-    reference_response,
-    run_benchmark,
-    run_scenario,
     save_chain,
-    screen_challenge,
-    timings_csv_lines,
-    uniqueness,
     verify_chain_bytes,
-    wire_to_json,
 )
-from pufledger import consensus, fom
-from pufledger.puf import read_seeds
+from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response, read_seeds
+from pufledger.registry import Registry, enroll
+from pufledger import ScenarioConfig, run_scenario
+from pufledger.fom import ScreeningPolicy, screen_challenge, uniqueness
+from pufledger.harness import run_benchmark, timings_csv_lines
 from pufledger.consensus import (
+    wire_to_json,
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
     REASON_REPLAY,
@@ -44,6 +34,7 @@ from pufledger.consensus import (
     ROLE_CLIENT,
     ROLE_TRUSTED,
 )
+from pufledger import consensus, fom
 from pufledger.netsim import event_to_json_line
 
 

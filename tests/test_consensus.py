@@ -4,21 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from pufledger import (
-    AuthTag,
-    BlockData,
+from pufledger.ledger import AuthTag, BlockData, canonical_bytes, make_auth_tag
+from pufledger.consensus import (
     NodeState,
     WireBlock,
     accept_validated,
     authenticate,
-    canonical_bytes,
     initiate,
-    make_auth_tag,
     pow_mine_baseline,
-    reference_response,
-    trusted_view,
-)
-from pufledger.consensus import (
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
     REASON_REPLAY,
@@ -28,6 +21,8 @@ from pufledger.consensus import (
     wire_from_json,
     wire_to_json,
 )
+from pufledger.puf import reference_response
+from pufledger.registry import trusted_view
 
 
 def pipeline(registry, nodes, payload=b"demo", challenge_index=0, now=100):

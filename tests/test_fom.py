@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from pufledger import (
+from pufledger.puf import (
     Challenge,
     PufConfig,
     PufDevice,
@@ -14,8 +14,8 @@ from pufledger import (
     manufacture,
     random_challenge,
     reference_response,
+    read_seeds,
 )
-from pufledger.puf import read_seeds
 from pufledger.fom import (
     FomReport,
     ScreeningPolicy,

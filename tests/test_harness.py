@@ -3,21 +3,19 @@ from dataclasses import replace
 
 import pytest
 
-from pufledger import (
+from pufledger.harness import (
     CSV_HEADER,
-    ConfigError,
-    ScenarioConfig,
     build_world,
-    load_chain,
     load_config,
-    load_registry,
     parse_config_text,
     run_benchmark,
     run_fom_calibration,
-    run_scenario,
     timings_csv_lines,
-    verify,
 )
+from pufledger.errors import ConfigError
+from pufledger import ScenarioConfig, run_scenario
+from pufledger.ledger import load_chain, verify
+from pufledger.registry import load_registry
 from pufledger.cli import main
 from pufledger.consensus import ROLE_CLIENT, ROLE_TRUSTED
 
@@ -75,6 +73,10 @@ def test_config_text_parses_types_and_comments():
     ("cost_trusted_mean_ms = nan", "cost_trusted_mean_ms"),
     ("cost_client_slow_sd_ms = inf", "cost_client_slow_sd_ms"),
     ("puf_freq_sigma_mhz = nan", "puf_freq_sigma_mhz"),
+    ("fom_n_devices = 1", "fom_n_devices"),
+    ("fom_n_reevals = 1", "fom_n_reevals"),
+    ("fom_n_challenges = 0", "fom_n_challenges"),
+    ("pow_difficulty_bits = 33", "pow_difficulty_bits"),
 ])
 def test_bad_config_text_is_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -89,6 +91,15 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.n_transactions == 5
 
 
+def test_config_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("seed = 7  # r\xe9glage\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)
+    assert main(["scenario", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # --- world construction ------------------------------------------------------------
 
 def test_build_world_shape():
@@ -97,10 +108,11 @@ def test_build_world_shape():
     assert len(built.node_ids) == 1 + cfg.n_clients
     assert len(set(built.node_ids)) == len(built.node_ids)
 
-    roster = built.sim_config.roster
-    assert roster[0].role == ROLE_TRUSTED
-    assert all(spec.role == ROLE_CLIENT for spec in roster[1:])
-    assert [spec.node_id for spec in roster] == list(built.node_ids)
+    nodes = built.scenario.world.nodes
+    assert nodes[0].role == ROLE_TRUSTED
+    assert all(node.role == ROLE_CLIENT for node in nodes[1:])
+    assert [node.node_id for node in nodes] == list(built.node_ids)
+    assert list(built.sim_config.costs) == list(built.node_ids)
 
     for node in built.scenario.world.nodes:
         assert node.device.device_id == node.node_id
@@ -108,7 +120,8 @@ def test_build_world_shape():
     assert built.scenario.world.registry.trusted_node_ids == frozenset({built.node_ids[0]})
 
     # one fast client then slow ones: handle cost means differ
-    handle_means = [spec.cost.handle_mean_ms for spec in roster[1:]]
+    handle_means = [built.sim_config.costs[node_id].handle_mean_ms
+                    for node_id in built.node_ids[1:]]
     assert handle_means[0] == cfg.cost_client_fast_mean_ms
     assert set(handle_means[1:]) == {cfg.cost_client_slow_mean_ms}
 
@@ -130,7 +143,7 @@ def test_build_world_schedules_round_robin():
 
 def test_build_world_zero_threshold_disables_demotion():
     built = build_world(small_config(demotion_threshold=0))
-    assert built.sim_config.demotion_threshold is None
+    assert built.sim_config.demotion_threshold == 0
 
 
 def test_config_adversary_is_scheduled_after_traffic():
@@ -141,7 +154,6 @@ def test_config_adversary_is_scheduled_after_traffic():
     last_tx = max(i.t_ms for i in built.scenario.initiations)
     assert len(adv.schedule) == 3
     assert min(adv.schedule) > last_tx
-    assert built.scenario.horizon() >= max(adv.schedule)
 
 
 # --- scenario runs ------------------------------------------------------------------
@@ -322,6 +334,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
 
 def test_cli_missing_chain_exits_2(tmp_path, capsys):
     assert main(["verify-chain", str(tmp_path / "nope.ndjson")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify-chain", "{dir}"],
+                                  ["scenario", "--config", "{dir}"]])
+def test_cli_directory_path_exits_2(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufledger import (
+from pufledger.ledger import (
     AuthTag,
     BlockData,
     Chain,
@@ -19,9 +19,6 @@ from pufledger import (
     verify,
     verify_chain_bytes,
     verify_chain_file,
-)
-from pufledger.errors import ChainFormatError, ConfigError, PayloadSizeError
-from pufledger.ledger import (
     GENESIS_PREV_HASH,
     ChainEntry,
     entry_from_json_line,
@@ -30,6 +27,7 @@ from pufledger.ledger import (
     parse_canonical,
     sha256,
 )
+from pufledger.errors import ChainFormatError, ConfigError, PayloadSizeError
 from pufledger.puf import Response
 from sha256_oracle import sha256_pure
 

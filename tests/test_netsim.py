@@ -4,23 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pufledger import (
+from pufledger.netsim import (
     Adversary,
     CostModel,
     Initiation,
     LatencyModel,
-    NodeSpec,
-    NodeState,
     Scenario,
     SimConfig,
     World,
-    initiate,
-    authenticate,
     inject,
     run,
-    verify,
+    event_to_json_line,
 )
 from pufledger.consensus import (
+    NodeState,
+    initiate,
+    authenticate,
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
     REASON_REPLAY,
@@ -28,26 +27,23 @@ from pufledger.consensus import (
     ROLE_CLIENT,
     ROLE_TRUSTED,
 )
+from pufledger.ledger import verify
 from pufledger.errors import ScenarioError
-from pufledger.netsim import event_to_json_line
 
 
 @pytest.fixture()
 def sim_parts(devices, enrolled):
     registry, records = enrolled
-    roster = []
     nodes = []
     for i, device in enumerate(devices):
         role = ROLE_TRUSTED if i == 0 else ROLE_CLIENT
-        roster.append(NodeSpec(device.device_id, role, "default",
-                               CostModel(6.0, 1.0, 50.0, 3.0)))
         nodes.append(NodeState(device.device_id, role, device,
                                records[device.device_id].challenges))
     config = SimConfig(
         seed=9,
-        latency={"default": LatencyModel(4, 2)},
+        latency=LatencyModel(4, 2),
         drop_rate=0.0,
-        roster=tuple(roster),
+        costs={device.device_id: CostModel(6.0, 1.0, 50.0, 3.0) for device in devices},
     )
     world = World(nodes=tuple(nodes), registry=registry)
     return config, world
@@ -245,10 +241,9 @@ def test_fake_device_adversary_is_unknown(sim_parts):
 
 def test_forged_validator_blocks_never_stick(sim_parts):
     config, world = sim_parts
-    scenario = Scenario(world=world, initiations=make_initiations(world, 3),
-                        horizon_ms=10_000)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 3))
     schedule = (2000, 2400, 2800, 3200)
-    scenario = inject(Adversary("forge-validator", {"claim": "trusted"}, schedule), scenario)
+    scenario = inject(Adversary("forge-validator", {}, schedule), scenario)
     result = run(config, scenario)
 
     forged = [o for o in result.adversarial if o.kind == "forge-validator"]
@@ -271,10 +266,9 @@ def test_forged_validator_blocks_never_stick(sim_parts):
 
 def test_demotion_threshold_can_be_disabled(sim_parts):
     config, world = sim_parts
-    config = replace(config, demotion_threshold=None)
-    scenario = Scenario(world=world, initiations=make_initiations(world, 2),
-                        horizon_ms=10_000)
-    scenario = inject(Adversary("forge-validator", {"claim": "trusted"}, (1500, 2500)), scenario)
+    config = replace(config, demotion_threshold=0)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 2))
+    scenario = inject(Adversary("forge-validator", {}, (1500, 2500)), scenario)
     result = run(config, scenario)
     forged = [o for o in result.adversarial if o.kind == "forge-validator"]
     assert all(o.reason == REASON_NO_MATCH for o in forged)
@@ -284,9 +278,8 @@ def test_demotion_threshold_can_be_disabled(sim_parts):
 
 def test_trust_values_track_accepts_and_penalties(sim_parts):
     config, world = sim_parts
-    scenario = Scenario(world=world, initiations=make_initiations(world, 6),
-                        horizon_ms=10_000)
-    scenario = inject(Adversary("forge-validator", {"claim": "trusted"}, (3000,)), scenario)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 6))
+    scenario = inject(Adversary("forge-validator", {}, (3000,)), scenario)
     result = run(config, scenario)
     trusted = result.nodes[world.nodes[0].node_id]
     # six accepted blocks, five clients each catching one forged tag
@@ -307,7 +300,7 @@ def test_inject_rejects_unknown_settings(sim_parts):
     with pytest.raises(ScenarioError):
         inject(Adversary("replay", {"tx_id": 0}, ()), scenario)
     with pytest.raises(ScenarioError):
-        inject(Adversary("fake-device", {}, (10 ** 9,)), scenario)  # beyond horizon
+        inject(Adversary("fake-device", {}, (100, -1)), scenario)
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -319,9 +312,31 @@ def test_cost_model_rejects_negative_and_non_finite_values(index, value):
         CostModel(*values)
 
 
-def test_run_rejects_unknown_adversary_kind(sim_parts):
+def test_adversary_rejects_unknown_kind():
+    with pytest.raises(ScenarioError, match="unknown adversary kind"):
+        Adversary("meddle", {}, (5,))
+
+
+def test_run_rejects_costs_that_do_not_match_the_world(sim_parts):
     config, world = sim_parts
-    scenario = Scenario(world=world, initiations=(), adversaries=(
-        Adversary("meddle", {}, (5,)),))
-    with pytest.raises(ScenarioError):
+    scenario = Scenario(world=world, initiations=())
+    ids = list(config.costs)
+    missing = {node_id: config.costs[node_id] for node_id in ids[1:]}
+    extra = {**config.costs, max(ids) + 1: config.costs[ids[0]]}
+    for costs in (missing, extra):
+        with pytest.raises(ScenarioError, match="disagree on node ids"):
+            run(replace(config, costs=costs), scenario)
+
+
+def test_run_rejects_a_world_without_a_trusted_node(sim_parts):
+    config, world = sim_parts
+    clients = tuple(replace(node, role=ROLE_CLIENT) for node in world.nodes)
+    scenario = Scenario(world=replace(world, nodes=clients), initiations=())
+    with pytest.raises(ScenarioError, match="trusted node"):
         run(config, scenario)
+
+
+def test_demotion_threshold_must_not_be_negative(sim_parts):
+    config, _ = sim_parts
+    with pytest.raises(ScenarioError, match="demotion_threshold"):
+        replace(config, demotion_threshold=-1)

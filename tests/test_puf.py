@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from pufledger import (
+from pufledger.puf import (
     Challenge,
     PufConfig,
     PufDevice,
@@ -20,9 +20,10 @@ from pufledger import (
     random_challenge,
     reference_response,
     save_devices,
+    device_from_json_line,
+    device_to_json_line,
 )
 from pufledger.errors import ChallengeError, ConfigError
-from pufledger.puf import device_from_json_line, device_to_json_line
 
 
 def single_pair_device(f1: float, f2: float, noise: float) -> PufDevice:

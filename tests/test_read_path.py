@@ -8,22 +8,23 @@ import json
 import numpy as np
 import pytest
 
-from pufledger import (
+from pufledger.puf import (
     Challenge,
     PufConfig,
     Response,
     evaluate,
-    load_registry,
     manufacture,
     random_challenge,
     reference_response,
+    _ReadSeed,
+    noisy_bits,
+    read_seeds,
 )
+from pufledger.registry import load_registry, CrpRecord, Registry, enroll
 from pufledger.consensus import WireBlock, leading_zero_bits, pow_mine_baseline, wire_from_json, wire_to_json
 from pufledger.errors import ChallengeError, ConfigError
 from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge
 from pufledger.ledger import AuthTag, BlockData, canonical_bytes
-from pufledger.puf import _ReadSeed, noisy_bits, read_seeds
-from pufledger.registry import CrpRecord, Registry, enroll
 from conftest import rng_seeds
 
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from pufledger import (
-    PufConfig,
+from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response, read_seeds
+from pufledger.registry import (
     Registry,
     enroll,
     load_registry,
     lookup,
-    manufacture,
-    random_challenge,
-    reference_response,
     save_registry,
     trusted_view,
+    CrpRecord,
+    record_from_json_line,
+    record_to_json_line,
 )
 from pufledger.errors import (
     AccessDeniedError,
@@ -20,8 +20,6 @@ from pufledger.errors import (
     UnknownDeviceError,
 )
 from pufledger.fom import ScreeningPolicy, randomness, screen_challenge
-from pufledger.puf import read_seeds
-from pufledger.registry import CrpRecord, record_from_json_line, record_to_json_line
 from conftest import rng_seeds
 
 
