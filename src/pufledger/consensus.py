@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import UnknownDeviceError
 from .ledger import (
@@ -34,8 +34,8 @@ from .ledger import (
     make_entry,
     sha256,
 )
-from .puf import Challenge, PufDevice, format_device_id, parse_device_id, reference_response
-from .registry import Registry, TrustedView, lookup
+from .puf import Challenge, PufDevice, Response, format_device_id, parse_device_id, reference_response
+from .registry import Registry, lookup
 
 ROLE_TRUSTED = "trusted"
 ROLE_CLIENT = "client"
@@ -140,24 +140,15 @@ class NodeState:
 
 
 @dataclass(frozen=True)
-class AuthResult:
-    """Outcome of a trusted node judging one origin block."""
-
-    accepted: bool
-    reason: Optional[str]
-    entry: Optional[ChainEntry]
-    rebroadcast: Optional[WireBlock]
-    hashes_tried: int
-
-
-@dataclass(frozen=True)
-class AcceptResult:
-    """Outcome of a client judging one validated block."""
+class Verdict:
+    """Outcome of one node judging one block. Only a trusted node's accept
+    carries a rebroadcast."""
 
     accepted: bool
     reason: Optional[str]
     entry: Optional[ChainEntry]
     hashes_tried: int
+    rebroadcast: Optional[WireBlock] = None
 
 
 def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) -> WireBlock:
@@ -192,7 +183,7 @@ def _first_match(prefix: bytes, stored, target: bytes) -> tuple[bool, int]:
     return False, hashes
 
 
-def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> AuthResult:
+def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> Verdict:
     """Judge an origin block: scan the device's stored responses for one
     whose recomputed tag matches, guard against stale sequence numbers,
     then append and rebroadcast with this node's validation tag.
@@ -205,16 +196,16 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
     try:
         stored = lookup(registry, trusted.node_id, block.data.device_id)
     except UnknownDeviceError:
-        return AuthResult(False, REASON_UNKNOWN_DEVICE, None, None, 0)
+        return Verdict(False, REASON_UNKNOWN_DEVICE, None, 0)
 
     # make_auth_tag's digest, with the block encoded once for the whole scan
     matched, hashes = _first_match(canonical_bytes(block.data), stored, block.auth_tag.h)
     if not matched:
-        return AuthResult(False, REASON_NO_MATCH, None, None, hashes)
+        return Verdict(False, REASON_NO_MATCH, None, hashes)
 
     last = trusted.last_seq_accepted.get(block.data.device_id)
     if last is not None and block.data.seq <= last:
-        return AuthResult(False, REASON_REPLAY, None, None, hashes)
+        return Verdict(False, REASON_REPLAY, None, hashes)
 
     trusted.chain = append(trusted.chain, block.data, block.auth_tag, trusted.node_id, now)
     entry = trusted.chain.entries[-1]
@@ -233,10 +224,11 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
         t_validated=now,
         validation_tag=_validation_tag(entry.entry_hash, own_response),
     )
-    return AuthResult(True, None, entry, rebroadcast, hashes)
+    return Verdict(True, None, entry, hashes, rebroadcast)
 
 
-def accept_validated(client: NodeState, block: WireBlock, view: TrustedView, now: int) -> AcceptResult:
+def accept_validated(client: NodeState, block: WireBlock,
+                     view: Mapping[int, tuple[Response, ...]], now: int) -> Verdict:
     """Judge a rebroadcast: check it names a trusted node, guard against
     replays, then recompute the validation tag against that trusted node's
     stored responses. On success the appended entry is bit-identical to
@@ -244,14 +236,14 @@ def accept_validated(client: NodeState, block: WireBlock, view: TrustedView, now
     if client.role != ROLE_CLIENT:
         raise ValueError("accept_validated requires a client node")
     if not block.is_validated:
-        return AcceptResult(False, REASON_NOT_FROM_TRUSTED, None, 0)
-    stored = view.responses_for(block.validated_by)
+        return Verdict(False, REASON_NOT_FROM_TRUSTED, None, 0)
+    stored = view.get(block.validated_by)
     if stored is None:
-        return AcceptResult(False, REASON_NOT_FROM_TRUSTED, None, 0)
+        return Verdict(False, REASON_NOT_FROM_TRUSTED, None, 0)
 
     last = client.last_seq_accepted.get(block.data.device_id)
     if last is not None and block.data.seq <= last:
-        return AcceptResult(False, REASON_REPLAY, None, 0)
+        return Verdict(False, REASON_REPLAY, None, 0)
 
     candidate = make_entry(
         height=len(client.chain),
@@ -263,10 +255,10 @@ def accept_validated(client: NodeState, block: WireBlock, view: TrustedView, now
     )
     matched, hashes = _first_match(candidate.entry_hash, stored, block.validation_tag)
     if not matched:
-        return AcceptResult(False, REASON_NO_MATCH, None, hashes)
+        return Verdict(False, REASON_NO_MATCH, None, hashes)
     client.chain = Chain(client.chain.entries + (candidate,))
     client.last_seq_accepted[block.data.device_id] = block.data.seq
-    return AcceptResult(True, None, candidate, hashes)
+    return Verdict(True, None, candidate, hashes)
 
 
 def leading_zero_bits(digest: bytes) -> int:

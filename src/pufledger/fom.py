@@ -53,32 +53,6 @@ class ScreeningResult:
     reference: Response
 
 
-@dataclass(frozen=True)
-class FomReport:
-    """Flat summary of the three figures of merit for one measurement run."""
-
-    uniqueness_pct: float
-    reliability_pct: float
-    randomness_pct: float
-    n_devices: int
-    n_challenges: int
-    n_reevaluations: int
-    correlation_abs_mean: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "uniqueness_pct": self.uniqueness_pct,
-            "reliability_pct": self.reliability_pct,
-            "randomness_pct": self.randomness_pct,
-            "n_devices": self.n_devices,
-            "n_challenges": self.n_challenges,
-            "n_reevaluations": self.n_reevaluations,
-        }
-        if self.correlation_abs_mean is not None:
-            out["correlation_abs_mean"] = self.correlation_abs_mean
-        return out
-
-
 def _response_matrix(responses_by_device: Sequence[Sequence[Response]]) -> np.ndarray:
     if len(responses_by_device) < 2:
         raise ValueError("uniqueness needs at least two devices")

@@ -28,7 +28,7 @@ import numpy as np
 from . import consensus, fom, ledger, netsim, registry as registry_mod
 from .consensus import ROLE_CLIENT, ROLE_TRUSTED, NodeState
 from .errors import ConfigError, ScenarioError
-from .fom import FomReport, ScreeningPolicy
+from .fom import ScreeningPolicy
 from .ledger import BlockData
 from .netsim import (
     Adversary,
@@ -61,6 +61,35 @@ _STREAM_FOM_SCREEN = 21
 _STREAM_FOM_RELIABILITY = 22
 
 _ADVERSARY_CHOICES = ("none",) + netsim.ADVERSARY_KINDS
+
+# inclusive (low, high) of each range-checked ScenarioConfig field; seed,
+# puf_* and screen_* are checked by PufConfig and ScreeningPolicy
+_BOUNDS: dict[str, tuple[float, float]] = {
+    "n_transactions": (0, math.inf),
+    "n_clients": (1, math.inf),
+    "n_fast_clients": (0, math.inf),  # and at most n_clients
+    "n_candidates": (1, math.inf),
+    "tx_spacing_ms": (1, math.inf),
+    "payload_bytes": (0, ledger.MAX_PAYLOAD_BYTES),
+    "drop_rate": (0.0, math.nextafter(1.0, 0.0)),  # [0, 1)
+    "latency_base_ms": (0, math.inf),
+    "latency_jitter_ms": (0, math.inf),
+    "demotion_threshold": (0, math.inf),
+    "pow_difficulty_bits": (0, 32),
+    "bench_trials": (1, math.inf),
+    "fom_n_devices": (2, math.inf),
+    "fom_n_challenges": (1, math.inf),
+    "fom_pool_size": (1, math.inf),
+    "fom_n_reevals": (2, math.inf),
+    "cost_trusted_mean_ms": (0.0, math.inf),
+    "cost_trusted_sd_ms": (0.0, math.inf),
+    "cost_client_fast_mean_ms": (0.0, math.inf),
+    "cost_client_fast_sd_ms": (0.0, math.inf),
+    "cost_client_slow_mean_ms": (0.0, math.inf),
+    "cost_client_slow_sd_ms": (0.0, math.inf),
+    "cost_init_mean_ms": (0.0, math.inf),
+    "cost_init_sd_ms": (0.0, math.inf),
+}
 
 CSV_HEADER = "tx,seq,device_id,dt_sa_ms,dt_ca_ms,dt_tx_ms,result,reason"
 
@@ -108,36 +137,21 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.n_transactions < 0:
-            raise ConfigError("n_transactions must be >= 0")
-        if self.n_clients < 1:
-            raise ConfigError("n_clients must be >= 1")
-        if not 0 <= self.n_fast_clients <= self.n_clients:
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.name in _BOUNDS:
+                low, high = _BOUNDS[f.name]
+                if not low <= value <= high:
+                    raise ConfigError(f"{f.name} must be in [{low}, {high}], got {value}")
+        if self.n_fast_clients > self.n_clients:
             raise ConfigError("n_fast_clients must be in [0, n_clients]")
-        if self.n_candidates < 1:
-            raise ConfigError("n_candidates must be >= 1")
-        if self.tx_spacing_ms < 1:
-            raise ConfigError("tx_spacing_ms must be >= 1")
-        if self.payload_bytes < 0 or self.payload_bytes > ledger.MAX_PAYLOAD_BYTES:
-            raise ConfigError("payload_bytes out of range")
         if self.adversary not in _ADVERSARY_CHOICES:
             raise ConfigError(f"adversary must be one of {_ADVERSARY_CHOICES}")
         if self.adversary != "none" and self.adversary_events < 1:
             raise ConfigError("adversary_events must be >= 1 when an adversary is set")
-        if self.demotion_threshold < 0:
-            raise ConfigError("demotion_threshold must be >= 0 (0 disables)")
-        if self.bench_trials < 1:
-            raise ConfigError("bench_trials must be >= 1")
-        if not 0 <= self.pow_difficulty_bits <= 32:
-            raise ConfigError("pow_difficulty_bits must be in [0, 32]")
-        if self.fom_n_devices < 2:
-            raise ConfigError("fom_n_devices must be >= 2")
-        if self.fom_n_challenges < 1:
-            raise ConfigError("fom_n_challenges must be >= 1")
-        if self.fom_n_reevals < 2:
-            raise ConfigError("fom_n_reevals must be >= 2")
+        if self.adversary in ("tamper", "replay") and self.n_transactions == 0:
+            raise ConfigError(f"a {self.adversary} adversary needs n_transactions >= 1")
 
     def puf_config(self) -> PufConfig:
         return PufConfig(
@@ -173,6 +187,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         kind = _FIELD_TYPES[key]
         try:
             if kind == "int":
@@ -235,8 +251,7 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
     records = {}
     for device in devices:
         enroll_seed = int(enroll_rng.integers(0, 1 << 63))
-        records[device.device_id] = enroll(
-            reg, device, cfg.n_candidates, policy, enroll_seed, enrolled_at=0)
+        records[device.device_id] = enroll(reg, device, cfg.n_candidates, policy, enroll_seed)
 
     trusted_cost = CostModel(cfg.cost_init_mean_ms, cfg.cost_init_sd_ms,
                              cfg.cost_trusted_mean_ms, cfg.cost_trusted_sd_ms)
@@ -292,13 +307,9 @@ def _apply_config_adversary(cfg: ScenarioConfig, scenario: Scenario) -> Scenario
     after = (n_tx + 1) * cfg.tx_spacing_ms
     times = tuple(after + k * cfg.tx_spacing_ms for k in range(cfg.adversary_events))
     if cfg.adversary == "tamper":
-        if n_tx == 0:
-            raise ConfigError("tamper adversary needs transactions to tamper with")
         tx_ids = list(range(min(cfg.adversary_events, n_tx)))
         adv = Adversary("tamper", {"tx_ids": tx_ids, "field": "payload"})
     elif cfg.adversary == "replay":
-        if n_tx == 0:
-            raise ConfigError("replay adversary needs a transaction to replay")
         adv = Adversary("replay", {"tx_id": 0}, times)
     elif cfg.adversary == "fake-device":
         adv = Adversary("fake-device", {}, times)
@@ -476,7 +487,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOut
             ledger.save_chain(path, result.nodes[node_id].chain)
             files[f"chain_{format_device_id(node_id)}"] = path
         files["registry"] = out / "registry.ndjson"
-        registry_mod.save_registry(files["registry"], result.registry)
+        registry_mod.save_registry(files["registry"], built.scenario.world.registry)
         files["events"] = out / "events.ndjson"
         netsim.save_events(files["events"], result.events)
         files["metrics"] = out / "metrics.json"
@@ -546,21 +557,27 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         all_uni.append(uni)
         all_rel.append(rel)
         all_rnd.append(rnd)
-        report = FomReport(uni, rel, rnd, len(devices), len(challenges), cfg.fom_n_reevals)
-        per_device.append({"device_id": device.device_id_hex, **report.to_dict()})
+        per_device.append({
+            "device_id": device.device_id_hex,
+            "uniqueness_pct": uni,
+            "reliability_pct": rel,
+            "randomness_pct": rnd,
+            "n_devices": len(devices),
+            "n_challenges": len(challenges),
+            "n_reevaluations": cfg.fom_n_reevals,
+        })
 
-    correlation = fom.mean_abs_correlation(common_matrix)
-    population = FomReport(
-        uniqueness_pct=float(np.mean(all_uni)),
-        reliability_pct=float(np.mean(all_rel)),
-        randomness_pct=float(np.mean(all_rnd)),
-        n_devices=len(devices),
-        n_challenges=int(round(float(np.mean([min(c, cfg.fom_n_challenges) for c in accepted_counts])))),
-        n_reevaluations=cfg.fom_n_reevals,
-        correlation_abs_mean=correlation,
-    )
+    population = {
+        "uniqueness_pct": float(np.mean(all_uni)),
+        "reliability_pct": float(np.mean(all_rel)),
+        "randomness_pct": float(np.mean(all_rnd)),
+        "n_devices": len(devices),
+        "n_challenges": int(round(float(np.mean([min(c, cfg.fom_n_challenges) for c in accepted_counts])))),
+        "n_reevaluations": cfg.fom_n_reevals,
+        "correlation_abs_mean": fom.mean_abs_correlation(common_matrix),
+    }
     return {
-        "population": population.to_dict(),
+        "population": population,
         "per_device": per_device,
         "screening": {
             "pool_size": cfg.fom_pool_size,

@@ -43,15 +43,14 @@ from .consensus import (
     ROLE_TRUSTED,
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
-    AcceptResult,
-    AuthResult,
     NodeState,
+    Verdict,
     WireBlock,
 )
 from .errors import ScenarioError
 from .ledger import AuthTag, BlockData, HASH_BYTES
 from .puf import DEVICE_ID_BITS, format_device_id
-from .registry import Registry, TrustedView, trusted_view
+from .registry import Registry, trusted_view
 
 ADVERSARY_KINDS = ("tamper", "replay", "fake-device", "forge-validator")
 _TAMPER_FIELDS = ("payload", "auth_tag", "device_id")
@@ -247,10 +246,8 @@ class AdvOutcome:
 class SimResult:
     events: tuple[LogEvent, ...]
     nodes: dict[int, NodeState]
-    registry: Registry
     tx_records: tuple[TxRecord, ...]
     adversarial: tuple[AdvOutcome, ...]
-    final_time_ms: int
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ class _Sim:
             node.node_id: copy.deepcopy(node) for node in world_nodes
         }
         self.registry: Registry = scenario.world.registry
-        self.view: TrustedView = trusted_view(self.registry)
+        self.view = trusted_view(self.registry)
 
         self.rng_latency = np.random.default_rng([config.seed, _STREAM_LATENCY])
         self.rng_drop = np.random.default_rng([config.seed, _STREAM_DROP])
@@ -453,7 +450,7 @@ class _Sim:
         self.record_verdict(done, msg, result, arrival)
 
     def record_verdict(self, t: int, msg: _Message,
-                       result: Optional[AuthResult | AcceptResult],
+                       result: Optional[Verdict],
                        arrival: Optional[int] = None) -> None:
         """Log one node's verdict on one delivery and account for it.
 
@@ -564,10 +561,8 @@ class _Sim:
         for adv_index, adv in enumerate(self.scenario.adversaries):
             for t in adv.schedule:
                 self.push(t, ("inject", adv_index))
-        final_time = 0
         while self.heap:
             t, _, item = heapq.heappop(self.heap)
-            final_time = max(final_time, t)
             if item[0] == "init":
                 self.handle_initiation(t, item[1])
             elif item[0] == "deliver":
@@ -576,18 +571,14 @@ class _Sim:
                 self.handle_judgment(t, item[1], item[2])
             else:
                 self.handle_injection(t, item[1])
-        if self.events:
-            final_time = max(final_time, max(e.t_ms for e in self.events))
         # a stable sort puts the log in simulated-time order; entries sharing
         # a timestamp keep their processing order
         self.events.sort(key=lambda event: event.t_ms)
         return SimResult(
             events=tuple(self.events),
             nodes=self.nodes,
-            registry=self.registry,
             tx_records=tuple(self.tx_records),
             adversarial=tuple(self.adversarial),
-            final_time_ms=final_time,
         )
 
 

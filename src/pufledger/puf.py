@@ -8,18 +8,17 @@ arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
 disagree on bits whose frequency gap is small.
 
-Frequencies are in MHz and are quantized to 1e-6 MHz at manufacture so that
-a device round-trips exactly through its on-disk representation.
+Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
+manufacture. The rounding is part of what a seed manufactures: every stored
+reference response, and so every artifact built from one, depends on it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -397,45 +396,3 @@ def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> C
     codes = np.array(list(chosen), dtype=np.int64)
     return Challenge(codes // bank_size, codes % bank_size)
 
-
-def _format_freqs(freqs: np.ndarray) -> str:
-    return "[" + ",".join(f"{x:.{FREQ_DECIMALS}f}" for x in freqs.tolist()) + "]"
-
-
-def device_to_json_line(device: PufDevice) -> str:
-    """One-line JSON with frequencies rendered at fixed 1e-6 MHz precision."""
-    return (
-        '{"device_id":"' + device.device_id_hex + '"'
-        + ',"set1_freqs":' + _format_freqs(device.set1_freqs)
-        + ',"set2_freqs":' + _format_freqs(device.set2_freqs)
-        + ',"noise_sigma":' + repr(float(device.noise_sigma_mhz))
-        + "}"
-    )
-
-
-def device_from_json_line(line: str) -> PufDevice:
-    obj = json.loads(line)
-    expected = {"device_id", "set1_freqs", "set2_freqs", "noise_sigma"}
-    if set(obj) != expected:
-        raise ValueError(f"device record must have exactly the keys {sorted(expected)}")
-    return PufDevice(
-        device_id=parse_device_id(obj["device_id"]),
-        set1_freqs=np.asarray(obj["set1_freqs"], dtype=np.float64),
-        set2_freqs=np.asarray(obj["set2_freqs"], dtype=np.float64),
-        noise_sigma_mhz=float(obj["noise_sigma"]),
-    )
-
-
-def save_devices(path: str | Path, devices: Sequence[PufDevice]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for device in devices:
-            fh.write(device_to_json_line(device) + "\n")
-
-
-def load_devices(path: str | Path) -> list[PufDevice]:
-    devices = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
-                devices.append(device_from_json_line(line))
-    return devices

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class Registry:
     def has_device(self, device_id: int) -> bool:
         return device_id in self._records
 
-    def record_for_enrollee(self, device_id: int) -> CrpRecord:
-        """The enrollee's own copy of its record (it owns the device anyway)."""
-        if device_id not in self._records:
-            raise UnknownDeviceError(device_id)
-        return self._records[device_id]
-
     def _store(self, record: CrpRecord) -> None:
         if record.device_id in self._records:
             raise RegistryConflictError(
@@ -102,7 +96,6 @@ def enroll(
     n_candidates: int,
     policy: ScreeningPolicy,
     seed: int,
-    enrolled_at: int = 0,
 ) -> CrpRecord:
     """Screen n_candidates random RESPONSE_BITS-bit challenges and store the
     survivors.
@@ -135,7 +128,7 @@ def enroll(
             f"screening rejected all {n_candidates} candidates for device "
             f"{format_device_id(device.device_id)}"
         )
-    record = CrpRecord(device_id=device.device_id, pairs=tuple(pairs), enrolled_at=enrolled_at)
+    record = CrpRecord(device_id=device.device_id, pairs=tuple(pairs), enrolled_at=0)
     registry._store(record)
     return record
 
@@ -155,25 +148,15 @@ def lookup(registry: Registry, requester_node_id: int, device_id: int) -> tuple[
     return registry._records[device_id].responses
 
 
-@dataclass(frozen=True)
-class TrustedView:
+def trusted_view(registry: Registry) -> dict[int, tuple[Response, ...]]:
     """The one slice of the registry every client may read: the stored
-    responses of the trusted nodes themselves, used to check that a
-    validated block really came from a trusted node."""
-
-    responses_by_node: Mapping[int, tuple[Response, ...]]
-
-    def responses_for(self, node_id: int) -> Optional[tuple[Response, ...]]:
-        return self.responses_by_node.get(node_id)
-
-
-def trusted_view(registry: Registry) -> TrustedView:
-    view = {
+    responses of each enrolled trusted node, by node id, used to check that
+    a validated block really came from a trusted node."""
+    return {
         node_id: registry._records[node_id].responses
         for node_id in sorted(registry.trusted_node_ids)
         if registry.has_device(node_id)
     }
-    return TrustedView(responses_by_node=view)
 
 
 # --- persistence -----------------------------------------------------------
@@ -223,9 +206,8 @@ def save_registry(path: str | Path, registry: Registry) -> None:
             fh.write(record_to_json_line(registry._records[device_id]) + "\n")
 
 
-def load_registry(path: str | Path, trusted_node_ids: Optional[Iterable[int]] = None) -> Registry:
-    """Reload a saved registry. The file's own ACL header applies unless the
-    caller explicitly passes a replacement list."""
+def load_registry(path: str | Path) -> Registry:
+    """Reload a saved registry under the ACL of its own header line."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -233,9 +215,7 @@ def load_registry(path: str | Path, trusted_node_ids: Optional[Iterable[int]] = 
     header = json.loads(lines[0])
     if not isinstance(header, dict) or tuple(header.keys()) != ("trusted_node_ids",):
         raise ValueError("registry file must start with a trusted_node_ids header line")
-    if trusted_node_ids is None:
-        trusted_node_ids = [parse_device_id(i) for i in header["trusted_node_ids"]]
-    registry = Registry(trusted_node_ids)
+    registry = Registry(parse_device_id(i) for i in header["trusted_node_ids"])
     for line in lines[1:]:
         if line:
             registry._store(record_from_json_line(line))

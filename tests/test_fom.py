@@ -17,7 +17,6 @@ from pufledger.puf import (
     read_seeds,
 )
 from pufledger.fom import (
-    FomReport,
     ScreeningPolicy,
     mean_abs_correlation,
     randomness,
@@ -222,14 +221,3 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         ScreeningPolicy(n_screen_reevals=0)
 
-
-def test_fom_report_serializes():
-    report = FomReport(49.5, 1.8, 50.2, 6, 100, 11, correlation_abs_mean=0.02)
-    doc = report.to_dict()
-    assert doc["uniqueness_pct"] == 49.5
-    assert doc["reliability_pct"] == 1.8
-    assert doc["randomness_pct"] == 50.2
-    assert doc["n_devices"] == 6
-    assert doc["n_challenges"] == 100
-    assert doc["n_reevaluations"] == 11
-    assert doc["correlation_abs_mean"] == 0.02

@@ -72,7 +72,6 @@ def test_empty_scenario_runs(sim_parts):
     result = run(config, Scenario(world=world, initiations=()))
     assert result.events == ()
     assert result.tx_records == ()
-    assert result.final_time_ms == 0
 
 
 def test_all_transactions_replicate(sim_parts):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,14 +13,10 @@ from pufledger.puf import (
     Response,
     evaluate,
     format_device_id,
-    load_devices,
     manufacture,
     parse_device_id,
     random_challenge,
     reference_response,
-    save_devices,
-    device_from_json_line,
-    device_to_json_line,
 )
 from pufledger.errors import ChallengeError, ConfigError
 
@@ -260,33 +255,3 @@ def test_noise_errors_grow_with_sigma():
         flips_loud += l
     assert flips_loud > flips_quiet
 
-
-# --- persistence --------------------------------------------------------------
-
-def test_device_json_round_trip(default_config):
-    device = manufacture(default_config, 0xABCDEF, 5)
-    line = device_to_json_line(device)
-    parsed = device_from_json_line(line)
-    assert parsed.device_id == device.device_id
-    assert np.array_equal(parsed.set1_freqs, device.set1_freqs)
-    assert np.array_equal(parsed.set2_freqs, device.set2_freqs)
-    assert parsed.noise_sigma_mhz == device.noise_sigma_mhz
-
-
-def test_device_json_rejects_extra_keys(default_config):
-    device = manufacture(default_config, 0xABCDEF, 5)
-    obj = json.loads(device_to_json_line(device))
-    obj["extra"] = 1
-    with pytest.raises(ValueError):
-        device_from_json_line(json.dumps(obj))
-
-
-def test_save_load_devices(tmp_path, default_config):
-    devices = [manufacture(default_config, i + 1, i) for i in range(3)]
-    path = tmp_path / "devices.ndjson"
-    save_devices(path, devices)
-    loaded = load_devices(path)
-    assert len(loaded) == 3
-    for original, copy in zip(devices, loaded):
-        assert copy.device_id == original.device_id
-        assert np.array_equal(copy.set1_freqs, original.set1_freqs)
