@@ -4,10 +4,12 @@ A device initiates a transaction by hashing its block data together with
 one of its enrolled responses; only the hash travels. A trusted node
 authenticates by linearly scanning the device's stored responses and
 recomputing the tag for each until one matches, then appends the block to
-its chain and rebroadcasts it with a validation tag of its own. Clients
-drop anything not validated by a trusted node, recompute the trusted
-node's validation tag against that node's stored responses, and append an
-entry identical to the trusted node's.
+its chain and rebroadcasts it with a validation tag of its own, made with
+its stored response at index `height % len(challenges)`. Clients drop
+anything not validated by a trusted node, rebuild the entry at their own
+height and tip, recompute the validation tag once with the trusted node's
+stored response at that same index, and append an entry identical to the
+trusted node's.
 
 No response ever crosses the network in any direction: origin blocks carry
 the authentication tag, rebroadcasts add a validation tag, both are
@@ -25,7 +27,6 @@ from .errors import UnknownDeviceError
 from .ledger import (
     AuthTag,
     BlockData,
-    Chain,
     ChainEntry,
     HASH_BYTES,
     append,
@@ -33,6 +34,7 @@ from .ledger import (
     make_auth_tag,
     make_entry,
     sha256,
+    tip_hash,
 )
 from .puf import Challenge, PufDevice, Response, format_device_id, parse_device_id, reference_response
 from .registry import Registry, lookup
@@ -56,7 +58,6 @@ class WireBlock:
 
     data: BlockData
     auth_tag: AuthTag
-    origin: int
     validated_by: Optional[int] = None
     t_validated: Optional[int] = None
     validation_tag: Optional[bytes] = None
@@ -83,7 +84,6 @@ def wire_to_json(block: WireBlock) -> str:
         "t_init": block.data.t_init,
         "payload": block.data.payload.hex(),
         "auth_tag": block.auth_tag.hex(),
-        "origin": format_device_id(block.origin),
     }
     if block.is_validated:
         obj["validated_by"] = format_device_id(block.validated_by)
@@ -94,7 +94,7 @@ def wire_to_json(block: WireBlock) -> str:
 
 def wire_from_json(line: str) -> WireBlock:
     obj = json.loads(line)
-    base = ("device_id", "seq", "t_init", "payload", "auth_tag", "origin")
+    base = ("device_id", "seq", "t_init", "payload", "auth_tag")
     extra = ("validated_by", "t_validated", "validation_tag")
     keys = tuple(obj.keys())
     if keys != base and keys != base + extra:
@@ -115,7 +115,6 @@ def wire_from_json(line: str) -> WireBlock:
     return WireBlock(
         data=data,
         auth_tag=AuthTag(bytes.fromhex(obj["auth_tag"])),
-        origin=parse_device_id(obj["origin"]),
         **kwargs,
     )
 
@@ -129,7 +128,7 @@ class NodeState:
     role: str
     device: PufDevice
     challenges: tuple[Challenge, ...]
-    chain: Chain = field(default_factory=Chain)
+    chain: list[ChainEntry] = field(default_factory=list)
     next_seq: int = 0
     trust_value: int = 0
     last_seq_accepted: dict[int, int] = field(default_factory=dict)
@@ -165,22 +164,11 @@ def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) ->
     response = reference_response(node.device, node.challenges[challenge_index])
     tag = make_auth_tag(data, response)
     node.next_seq += 1
-    return WireBlock(data=data, auth_tag=tag, origin=node.node_id)
+    return WireBlock(data=data, auth_tag=tag)
 
 
 def _validation_tag(entry_hash: bytes, response) -> bytes:
     return sha256(entry_hash + response.packed())
-
-
-def _first_match(prefix: bytes, stored, target: bytes) -> tuple[bool, int]:
-    """Hash prefix || each stored response in order until a digest equals
-    target. Returns (matched, hashes tried)."""
-    hashes = 0
-    for response in stored:
-        hashes += 1
-        if sha256(prefix + response.packed()) == target:
-            return True, hashes
-    return False, hashes
 
 
 def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> Verdict:
@@ -188,38 +176,40 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
     whose recomputed tag matches, guard against stale sequence numbers,
     then append and rebroadcast with this node's validation tag.
 
-    Work is bounded by one tag recomputation per stored response."""
+    Work is bounded by one tag recomputation per stored response. Every
+    check that can raise runs before the node's state changes."""
     if trusted.role != ROLE_TRUSTED:
         raise ValueError("authenticate requires a trusted node")
     if block.is_validated:
         raise ValueError("authenticate judges origin blocks, not rebroadcasts")
+    if not trusted.challenges:
+        raise ValueError("trusted node has no enrolled challenges to validate with")
     try:
         stored = lookup(registry, trusted.node_id, block.data.device_id)
     except UnknownDeviceError:
         return Verdict(False, REASON_UNKNOWN_DEVICE, None, 0)
 
     # make_auth_tag's digest, with the block encoded once for the whole scan
-    matched, hashes = _first_match(canonical_bytes(block.data), stored, block.auth_tag.h)
-    if not matched:
-        return Verdict(False, REASON_NO_MATCH, None, hashes)
+    prefix = canonical_bytes(block.data)
+    for hashes, response in enumerate(stored, start=1):
+        if sha256(prefix + response.packed()) == block.auth_tag.h:
+            break
+    else:
+        return Verdict(False, REASON_NO_MATCH, None, len(stored))
 
     last = trusted.last_seq_accepted.get(block.data.device_id)
     if last is not None and block.data.seq <= last:
         return Verdict(False, REASON_REPLAY, None, hashes)
 
-    trusted.chain = append(trusted.chain, block.data, block.auth_tag, trusted.node_id, now)
-    entry = trusted.chain.entries[-1]
+    entry = append(trusted.chain, block.data, block.auth_tag, trusted.node_id, now)
     trusted.last_seq_accepted[block.data.device_id] = block.data.seq
     trusted.trust_value += 1
 
-    if not trusted.challenges:
-        raise ValueError("trusted node has no enrolled challenges to validate with")
     pick = entry.height % len(trusted.challenges)
     own_response = reference_response(trusted.device, trusted.challenges[pick])
     rebroadcast = WireBlock(
         data=block.data,
         auth_tag=block.auth_tag,
-        origin=trusted.node_id,
         validated_by=trusted.node_id,
         t_validated=now,
         validation_tag=_validation_tag(entry.entry_hash, own_response),
@@ -230,9 +220,10 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
 def accept_validated(client: NodeState, block: WireBlock,
                      view: Mapping[int, tuple[Response, ...]], now: int) -> Verdict:
     """Judge a rebroadcast: check it names a trusted node, guard against
-    replays, then recompute the validation tag against that trusted node's
-    stored responses. On success the appended entry is bit-identical to
-    the trusted node's entry."""
+    replays, then recompute the validation tag once, with the trusted
+    node's stored response at the index it used for this height. On
+    success the appended entry is bit-identical to the trusted node's
+    entry."""
     if client.role != ROLE_CLIENT:
         raise ValueError("accept_validated requires a client node")
     if not block.is_validated:
@@ -247,18 +238,20 @@ def accept_validated(client: NodeState, block: WireBlock,
 
     candidate = make_entry(
         height=len(client.chain),
-        prev_hash=client.chain.tip_hash,
+        prev_hash=tip_hash(client.chain),
         data=block.data,
         auth_tag=block.auth_tag,
         trusted_node_id=block.validated_by,
         t_validated=block.t_validated,
     )
-    matched, hashes = _first_match(candidate.entry_hash, stored, block.validation_tag)
-    if not matched:
-        return Verdict(False, REASON_NO_MATCH, None, hashes)
-    client.chain = Chain(client.chain.entries + (candidate,))
+    # a candidate at another height or tip than the validator's has another
+    # entry hash, so no stored response could match it
+    expected = _validation_tag(candidate.entry_hash, stored[candidate.height % len(stored)])
+    if expected != block.validation_tag:
+        return Verdict(False, REASON_NO_MATCH, None, 1)
+    client.chain.append(candidate)
     client.last_seq_accepted[block.data.device_id] = block.data.seq
-    return Verdict(True, None, candidate, hashes)
+    return Verdict(True, None, candidate, 1)
 
 
 def leading_zero_bits(digest: bytes) -> int:

@@ -62,33 +62,39 @@ _STREAM_FOM_RELIABILITY = 22
 
 _ADVERSARY_CHOICES = ("none",) + netsim.ADVERSARY_KINDS
 
+# keep simulated times inside the ledger's 64-bit fields: 2**25 jobs per node,
+# each at most 41 * 2**31 ms (40 sd above the mean), end below 2**62 ms
+_MAX_MS = 2**31
+_MAX_COUNT = 2**24
+
 # inclusive (low, high) of each range-checked ScenarioConfig field; seed,
 # puf_* and screen_* are checked by PufConfig and ScreeningPolicy
 _BOUNDS: dict[str, tuple[float, float]] = {
-    "n_transactions": (0, math.inf),
+    "n_transactions": (0, _MAX_COUNT),
     "n_clients": (1, math.inf),
     "n_fast_clients": (0, math.inf),  # and at most n_clients
     "n_candidates": (1, math.inf),
-    "tx_spacing_ms": (1, math.inf),
+    "tx_spacing_ms": (1, _MAX_MS),
     "payload_bytes": (0, ledger.MAX_PAYLOAD_BYTES),
     "drop_rate": (0.0, math.nextafter(1.0, 0.0)),  # [0, 1)
-    "latency_base_ms": (0, math.inf),
-    "latency_jitter_ms": (0, math.inf),
+    "latency_base_ms": (0, _MAX_MS),
+    "latency_jitter_ms": (0, _MAX_MS),
     "demotion_threshold": (0, math.inf),
+    "adversary_events": (0, _MAX_COUNT),
     "pow_difficulty_bits": (0, 32),
     "bench_trials": (1, math.inf),
     "fom_n_devices": (2, math.inf),
     "fom_n_challenges": (1, math.inf),
     "fom_pool_size": (1, math.inf),
     "fom_n_reevals": (2, math.inf),
-    "cost_trusted_mean_ms": (0.0, math.inf),
-    "cost_trusted_sd_ms": (0.0, math.inf),
-    "cost_client_fast_mean_ms": (0.0, math.inf),
-    "cost_client_fast_sd_ms": (0.0, math.inf),
-    "cost_client_slow_mean_ms": (0.0, math.inf),
-    "cost_client_slow_sd_ms": (0.0, math.inf),
-    "cost_init_mean_ms": (0.0, math.inf),
-    "cost_init_sd_ms": (0.0, math.inf),
+    "cost_trusted_mean_ms": (0.0, _MAX_MS),
+    "cost_trusted_sd_ms": (0.0, _MAX_MS),
+    "cost_client_fast_mean_ms": (0.0, _MAX_MS),
+    "cost_client_fast_sd_ms": (0.0, _MAX_MS),
+    "cost_client_slow_mean_ms": (0.0, _MAX_MS),
+    "cost_client_slow_sd_ms": (0.0, _MAX_MS),
+    "cost_init_mean_ms": (0.0, _MAX_MS),
+    "cost_init_sd_ms": (0.0, _MAX_MS),
 }
 
 CSV_HEADER = "tx,seq,device_id,dt_sa_ms,dt_ca_ms,dt_tx_ms,result,reason"
@@ -334,7 +340,6 @@ class MetricsReport:
     dt_ca_ms: dict[str, float]
     dt_tx_ms: dict[str, float]
     per_node: dict[str, dict]
-    pop_pow_ratio: Optional[float]
     transactions: list[dict]
 
 
@@ -429,7 +434,6 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
         dt_ca_ms=_stats(dt_ca_all),
         dt_tx_ms=_stats(dt_tx_all),
         per_node=per_node,
-        pop_pow_ratio=None,
         transactions=transactions,
     )
 

@@ -6,6 +6,8 @@ packed 128-bit response. The response itself never appears in a block or
 on disk; holders of the enrolled response can recompute the tag, nobody
 else can forge it.
 
+A chain is a plain list of entries that `append` extends in place; each
+replica owns its list, so an append adds one entry and copies nothing.
 Entries link by hash. Verification walks the chain from the first entry
 and reports the lowest height at which anything disagrees: a broken hash,
 a broken link, a malformed field. Malformed entries are verification
@@ -143,18 +145,9 @@ def _entry_preimage(
     )
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Immutable sequence of entries; append returns a new chain."""
-
-    entries: tuple[ChainEntry, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def tip_hash(self) -> bytes:
-        return self.entries[-1].entry_hash if self.entries else GENESIS_PREV_HASH
+def tip_hash(chain: list[ChainEntry]) -> bytes:
+    """Hash the next entry links to: the last entry's, or all zeros."""
+    return chain[-1].entry_hash if chain else GENESIS_PREV_HASH
 
 
 def make_entry(
@@ -178,22 +171,24 @@ def make_entry(
 
 
 def append(
-    chain: Chain,
+    chain: list[ChainEntry],
     data: BlockData,
     auth_tag: AuthTag,
     trusted_node_id: int,
     t_validated: int,
-) -> Chain:
-    """Extend the chain by one entry; the first entry links to all zeros."""
+) -> ChainEntry:
+    """Extend the chain in place by one entry and return it; the first
+    entry links to all zeros."""
     if not 0 <= trusted_node_id < (1 << DEVICE_ID_BITS):
         raise ConfigError(f"trusted_node_id out of 48-bit range: {trusted_node_id}")
     if not 0 <= t_validated <= _U64_MAX:
         raise ConfigError(f"t_validated out of 64-bit range: {t_validated}")
-    entry = make_entry(len(chain), chain.tip_hash, data, auth_tag, trusted_node_id, t_validated)
-    return Chain(chain.entries + (entry,))
+    entry = make_entry(len(chain), tip_hash(chain), data, auth_tag, trusted_node_id, t_validated)
+    chain.append(entry)
+    return entry
 
 
-def verify(chain: Chain) -> Optional[int]:
+def verify(chain: list[ChainEntry]) -> Optional[int]:
     """Return None for a sound chain, else the lowest failing height.
 
     An entry fails when any field is structurally wrong, when its stored
@@ -201,7 +196,7 @@ def verify(chain: Chain) -> Optional[int]:
     predecessor (the first entry must link to 32 zero bytes).
     """
     prev = GENESIS_PREV_HASH
-    for index, entry in enumerate(chain.entries):
+    for index, entry in enumerate(chain):
         if not _entry_well_formed(entry):
             return index
         if entry.height != index:
@@ -308,9 +303,9 @@ def entry_from_json_line(line: str) -> ChainEntry:
     return entry
 
 
-def save_chain(path: str | Path, chain: Chain) -> None:
+def save_chain(path: str | Path, chain: list[ChainEntry]) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        for entry in chain.entries:
+        for entry in chain:
             fh.write(entry_to_json_line(entry) + "\n")
 
 
@@ -328,9 +323,9 @@ def _parse_entries(raw: bytes) -> Iterator[ChainEntry]:
         yield entry
 
 
-def load_chain(path: str | Path) -> Chain:
+def load_chain(path: str | Path) -> list[ChainEntry]:
     """Load a chain file, raising ChainFormatError naming the first bad line."""
-    return Chain(tuple(_parse_entries(Path(path).read_bytes())))
+    return list(_parse_entries(Path(path).read_bytes()))
 
 
 def verify_chain_bytes(raw: bytes) -> Optional[int]:
@@ -343,7 +338,7 @@ def verify_chain_bytes(raw: bytes) -> Optional[int]:
             entries.append(entry)
     except ChainFormatError:
         return len(entries)
-    return verify(Chain(tuple(entries)))
+    return verify(entries)
 
 
 def verify_chain_file(path: str | Path) -> Optional[int]:

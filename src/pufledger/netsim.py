@@ -529,7 +529,7 @@ class _Sim:
                 payload=bytes(self.rng_adv.bytes(8)),
             )
             self.fake_seq += 1
-            block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()), origin=data.device_id)
+            block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()))
             receivers = list(self.trusted_live) or [self.order[0]]
             self.log(t, "inject", None, "", {
                 "kind": adv.kind, "device_id": format_device_id(data.device_id),
@@ -546,7 +546,7 @@ class _Sim:
             )
             self.fake_seq += 1
             block = WireBlock(
-                data=data, auth_tag=AuthTag(self.random_tag()), origin=claim_id,
+                data=data, auth_tag=AuthTag(self.random_tag()),
                 validated_by=claim_id, t_validated=t, validation_tag=self.random_tag(),
             )
             clients = [n for n in self.order if self.role_of(n) == ROLE_CLIENT]

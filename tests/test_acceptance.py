@@ -14,7 +14,6 @@ import numpy as np
 
 from pufledger.ledger import (
     BlockData,
-    Chain,
     append,
     make_auth_tag,
     save_chain,
@@ -186,14 +185,14 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
     cfg = PufConfig()
     device = manufacture(cfg, 0x300000, 3)
     rng = np.random.default_rng(77)
-    chain = Chain()
+    chain = []
     for height in range(10):
         challenge = random_challenge(cfg.bank_size, cfg.response_bits, rng)
         response = reference_response(device, challenge)
         data = BlockData(device_id=device.device_id, seq=height,
                          t_init=1000 + height, payload=bytes(rng.bytes(16)))
-        chain = append(chain, data, make_auth_tag(data, response),
-                       trusted_node_id=0x300001, t_validated=2000 + height)
+        append(chain, data, make_auth_tag(data, response),
+               trusted_node_id=0x300001, t_validated=2000 + height)
     path = tmp_path / "chain.ndjson"
     save_chain(path, chain)
     raw = path.read_bytes()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ def test_initiate_builds_tag_from_enrolled_response(fresh_nodes, enrolled):
     assert block.auth_tag == expected
     assert block.data.device_id == client.node_id
     assert block.data.t_init == 7
-    assert block.origin == client.node_id
     assert not block.is_validated
 
 
@@ -98,8 +98,7 @@ def test_wire_block_validation_trio_is_all_or_none(fresh_nodes):
     registry, nodes = fresh_nodes
     block, _ = pipeline(registry, nodes)
     with pytest.raises(ValueError):
-        WireBlock(data=block.data, auth_tag=block.auth_tag, origin=block.origin,
-                  validated_by=nodes[0].node_id)
+        WireBlock(data=block.data, auth_tag=block.auth_tag, validated_by=nodes[0].node_id)
 
 
 # --- authenticate ----------------------------------------------------------------
@@ -110,7 +109,7 @@ def test_authenticate_accepts_and_appends(fresh_nodes):
     block, result = pipeline(registry, nodes)
     assert result.accepted and result.reason is None
     assert len(trusted.chain) == 1
-    entry = trusted.chain.entries[0]
+    entry = trusted.chain[0]
     assert entry is result.entry
     assert entry.height == 0
     assert entry.data == block.data
@@ -162,7 +161,7 @@ def test_authenticate_matches_brute_force_oracle(fresh_nodes, enrolled):
                                    t_init=trial, payload=b"tampered")
             tag = make_auth_tag(wrong_data, stored[0])
         expected = any(make_auth_tag(data, r) == tag for r in stored)
-        block = WireBlock(data=data, auth_tag=tag, origin=client.node_id)
+        block = WireBlock(data=data, auth_tag=tag)
         result = authenticate(trusted, block, registry, now=trial)
         assert result.accepted == expected
         if not expected:
@@ -185,7 +184,7 @@ def test_authenticate_rejects_unknown_device(fresh_nodes):
     registry, nodes = fresh_nodes
     trusted = nodes[0]
     data = BlockData(device_id=0xFFFFFFFFFFFF, seq=0, t_init=0)
-    block = WireBlock(data=data, auth_tag=AuthTag(b"\x11" * 32), origin=data.device_id)
+    block = WireBlock(data=data, auth_tag=AuthTag(b"\x11" * 32))
     result = authenticate(trusted, block, registry, now=0)
     assert not result.accepted
     assert result.reason == REASON_UNKNOWN_DEVICE
@@ -202,6 +201,28 @@ def test_authenticate_requires_trusted_role_and_origin_block(fresh_nodes):
         authenticate(trusted, result.rebroadcast, registry, now=0)
 
 
+def test_authenticate_without_challenges_raises_before_changing_state(fresh_nodes):
+    registry, nodes = fresh_nodes
+    trusted = nodes[0]
+    block = initiate(nodes[1], b"retry", 0, now=1)
+    bare = replace(trusted, challenges=())  # shares trusted's chain and bookkeeping
+    with pytest.raises(ValueError, match="no enrolled challenges"):
+        authenticate(bare, block, registry, now=2)
+    assert bare.chain == [] and bare.trust_value == 0 and bare.last_seq_accepted == {}
+    # the block is still new, so a retry by a node that can validate succeeds
+    assert authenticate(trusted, block, registry, now=3).accepted
+
+
+def test_judging_appends_to_the_same_list(fresh_nodes):
+    registry, nodes = fresh_nodes
+    trusted, client = nodes[0], nodes[2]
+    trusted_chain, client_chain = trusted.chain, client.chain
+    _, result = pipeline(registry, nodes)
+    assert accept_validated(client, result.rebroadcast, trusted_view(registry), now=200).accepted
+    assert trusted.chain is trusted_chain and client.chain is client_chain
+    assert trusted_chain == client_chain == [result.entry]
+
+
 # --- accept_validated ---------------------------------------------------------------
 
 def test_clients_replicate_the_exact_entry(fresh_nodes, enrolled):
@@ -213,7 +234,7 @@ def test_clients_replicate_the_exact_entry(fresh_nodes, enrolled):
         outcome = accept_validated(client, result.rebroadcast, view, now=200)
         assert outcome.accepted
         assert outcome.entry == result.entry
-        assert client.chain.entries[-1] == trusted.chain.entries[-1]
+        assert client.chain[-1] == trusted.chain[-1]
 
 
 def test_accept_rejects_unvalidated_block(fresh_nodes):
@@ -229,9 +250,7 @@ def test_accept_rejects_untrusted_validator(fresh_nodes):
     impostor = nodes[3]
     block, result = pipeline(registry, nodes)
     rb = result.rebroadcast
-    forged = WireBlock(data=rb.data, auth_tag=rb.auth_tag, origin=impostor.node_id,
-                       validated_by=impostor.node_id, t_validated=rb.t_validated,
-                       validation_tag=rb.validation_tag)
+    forged = replace(rb, validated_by=impostor.node_id)
     outcome = accept_validated(nodes[2], forged, trusted_view(registry), now=200)
     assert not outcome.accepted
     assert outcome.reason == REASON_NOT_FROM_TRUSTED
@@ -241,13 +260,29 @@ def test_accept_rejects_wrong_validation_tag(fresh_nodes):
     registry, nodes = fresh_nodes
     block, result = pipeline(registry, nodes)
     rb = result.rebroadcast
-    forged = WireBlock(data=rb.data, auth_tag=rb.auth_tag, origin=rb.origin,
-                       validated_by=rb.validated_by, t_validated=rb.t_validated,
-                       validation_tag=b"\x42" * 32)
+    forged = replace(rb, validation_tag=b"\x42" * 32)
     outcome = accept_validated(nodes[2], forged, trusted_view(registry), now=200)
     assert not outcome.accepted
     assert outcome.reason == REASON_NO_MATCH
-    assert outcome.hashes_tried > 0
+    assert outcome.hashes_tried == 1
+
+
+def test_accept_rejects_tag_made_with_another_stored_response(fresh_nodes):
+    """The validator signs height 0 with its stored response 0; a tag made
+    with any other of its stored responses is not the one it used."""
+    registry, nodes = fresh_nodes
+    _, result = pipeline(registry, nodes)
+    rb = result.rebroadcast
+    stored = trusted_view(registry)[rb.validated_by]
+    assert result.entry.height % len(stored) == 0
+    other = hashlib.sha256(result.entry.entry_hash + stored[1].packed()).digest()
+    client = nodes[2]
+    outcome = accept_validated(client, replace(rb, validation_tag=other),
+                               trusted_view(registry), now=200)
+    assert not outcome.accepted
+    assert outcome.reason == REASON_NO_MATCH
+    assert outcome.hashes_tried == 1
+    assert client.chain == []
 
 
 def test_accept_rejects_replay(fresh_nodes):
@@ -283,7 +318,7 @@ def test_chains_stay_identical_over_many_transactions(fresh_nodes):
         for client in clients:
             assert accept_validated(client, result.rebroadcast, view, now=now + 9).accepted
         now += 100
-    tips = {node.chain.tip_hash for node in nodes}
+    tips = {node.chain[-1].entry_hash for node in nodes}
     assert len(tips) == 1
     assert len(trusted.chain) == 12
 

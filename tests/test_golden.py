@@ -34,9 +34,9 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
         "events.ndjson":
-            "5e854f6098b17945f4a442c729c0db8085fbd5ce1e67cdfa05e3120c7a27659b",
+            "c8c225ccc5f7aeb31ae1128adf05c734a2e7992ade699e2c38d03b3c933a2895",
         "metrics.json":
-            "f0d2de7133975c9bd3feb40f00a46069230cf72523be3824844fec5b69acb869",
+            "11bca74f701958692460b60ac8f15a69fd0da7e05f6d46d8c7c84ce85e8ec7ea",
         "registry.ndjson":
             "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
         "timings.csv":
@@ -52,9 +52,9 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "94757447d2b2e20df7a91e9b8e081de80957224864cd4750a23ae532cf33720f",
         "events.ndjson":
-            "b27415a1002c80405ebed9e08fdf6a30e6a6f49f0c351e946317fb9afff827a9",
+            "d3b6507fd17cb79f33d069247cedfed9daee4257f87b5857b4bbdc34abedf3f0",
         "metrics.json":
-            "1f33d019b2b28ece34ffce74053796e9b871036a7f7cd8b760968175badb6db2",
+            "9ea5d420f0d5433a3798eb10ba99e84833198ca02ad06ff31d1f1e545f860c61",
         "registry.ndjson":
             "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
         "timings.csv":
@@ -70,9 +70,9 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
         "events.ndjson":
-            "b02304e1d65a7e44d701b7b8a003e6915eecfe2b2fddb787f5b18b5301636346",
+            "bd9c88980fd2de0a5a556ee6787f3952e185a9697d2228ff426c635135355fff",
         "metrics.json":
-            "ac0f8c5fca76da4e1c9f68547e78b0c7d3925fccd8807d465d301a1b6ebd195c",
+            "eb1b0cb56a8bc7df23e156c8b8ed9ca92d5400bb477e55032286244a4f6f0e18",
         "registry.ndjson":
             "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
         "timings.csv":
@@ -88,9 +88,9 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
         "events.ndjson":
-            "bc265726c91b8b183e29230dd19bde42360db35eef7d50cda921c17e0db10aea",
+            "03e47ce30beb9bfd265c6f497f80d6d7ab798e1db438f890af720a2f49dccd8c",
         "metrics.json":
-            "cb3530d01a5ffa03e79fc27c07bf619910191a56e3675eea0fdb11f985ea8bdd",
+            "5092902f215c71e5cacb66f79566cc915942784c09bd1189760798777ceea949",
         "registry.ndjson":
             "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
         "timings.csv":
@@ -106,9 +106,9 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "c2fcc49fd80b1ed93e96132c480bf5ea8587f7ac3c44dc0fe1a7bcf71f08b060",
         "events.ndjson":
-            "91e9d14618e3c89c993b89eb5baadfac4582a3c9bb4da0518419e026f53276fe",
+            "8a8f83d19b976fa78d8dd95003701e2d06d35fed72a2023c0ceec6da1db706b9",
         "metrics.json":
-            "5ccaf3bc74f34903f427ca32076e8a6d0f9d4ab0f78825ed8c394810ff5cff42",
+            "9b5d62b70debfd22104bcd22ee60d334ef2fc63ab86277adca2e1287e7497b35",
         "registry.ndjson":
             "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
         "timings.csv":
@@ -132,6 +132,20 @@ def test_scenario_artifacts_match_golden_digests(name, tmp_path):
     run_scenario(ScenarioConfig(**SMALL, **overrides, out_dir=str(tmp_path)))
     actual = {path.name: sha256_hex(path.read_bytes()) for path in tmp_path.iterdir()}
     assert actual == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_client_judgments_hash_once(name, tmp_path):
+    """A client checks the one stored response the validator used, so every
+    client accept or reject that spent validation work records one hash."""
+    overrides, _ = GOLDEN_SCENARIOS[name]
+    output = run_scenario(ScenarioConfig(**SMALL, **overrides), write_outputs=False)
+    clients = {node_id for node_id, node in output.result.nodes.items()
+               if node_id not in output.built.scenario.world.registry.trusted_node_ids}
+    judged = [event.detail["hashes"] for event in output.result.events
+              if event.kind in ("accept", "reject") and event.node in clients
+              and "hashes" in event.detail]
+    assert judged and set(judged) == {1}
 
 
 def test_fom_report_matches_golden_digest():

@@ -85,6 +85,14 @@ def test_config_text_parses_types_and_comments():
     ("adversary = tamper\nadversary_events = 1\nn_transactions = 0", "n_transactions"),
     ("adversary = replay\nadversary_events = 1\nn_transactions = 0", "n_transactions"),
     ("seed = 1\nseed = 2", "line 2: duplicate config key 'seed'"),
+    # simulated times must stay inside the ledger's 64-bit time fields
+    ("latency_jitter_ms = 10000000000000000000", "latency_jitter_ms"),
+    ("latency_base_ms = 100000000000000000000", "latency_base_ms"),
+    ("cost_trusted_mean_ms = 1e300", "cost_trusted_mean_ms"),
+    ("cost_init_sd_ms = 2147483648.5", "cost_init_sd_ms"),
+    ("tx_spacing_ms = 2147483649", "tx_spacing_ms"),
+    ("n_transactions = 16777217", "n_transactions"),
+    ("adversary = replay\nadversary_events = 100000000000000000000", "adversary_events"),
 ])
 def test_bad_config_text_is_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -104,11 +112,8 @@ def test_minus_one_is_rejected_for_every_numeric_field(name):
         with pytest.raises(ConfigError):
             cfg.screening_policy() if name.startswith("screen_") else cfg.puf_config()
         return
-    values = {name: -1}
-    if name == "adversary_events":
-        values["adversary"] = "replay"  # unused, so unchecked, while adversary = none
     with pytest.raises(ConfigError, match=name):
-        ScenarioConfig(**values)
+        ScenarioConfig(**{name: -1})
 
 
 def test_load_config_round_trip(tmp_path):
@@ -347,6 +352,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("keys", [
     dict(fom_pool_size=-1), dict(drop_rate=1.5), dict(latency_base_ms=-1),
     dict(cost_trusted_mean_ms=-1), dict(adversary="tamper", adversary_events=1, n_transactions=0),
+    dict(latency_jitter_ms=10**19), dict(latency_base_ms=10**20), dict(cost_trusted_mean_ms=1e300),
+    dict(adversary="replay", adversary_events=10**20),
 ])
 def test_cli_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, keys):
     monkeypatch.chdir(tmp_path)  # nothing may be written, not even to ./out

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pufledger.ledger import (
     AuthTag,
     BlockData,
-    Chain,
     append,
     canonical_bytes,
     load_chain,
@@ -41,9 +40,9 @@ R1 = response_from_int(0x0123456789ABCDEF0123456789ABCDEF)
 R2 = response_from_int(0xFEDCBA9876543210FEDCBA9876543210)
 
 
-def sample_chain(n: int, payload_bytes: int = 5) -> Chain:
+def sample_chain(n: int, payload_bytes: int = 5) -> list[ChainEntry]:
     rng = np.random.default_rng(77)
-    chain = Chain()
+    chain: list[ChainEntry] = []
     for k in range(n):
         data = BlockData(
             device_id=0x00DEADBEEF00 + k,
@@ -52,7 +51,7 @@ def sample_chain(n: int, payload_bytes: int = 5) -> Chain:
             payload=bytes(rng.bytes(payload_bytes)),
         )
         tag = make_auth_tag(data, R1 if k % 2 == 0 else R2)
-        chain = append(chain, data, tag, trusted_node_id=0xAA55AA55AA55, t_validated=2_000 + 7 * k)
+        append(chain, data, tag, trusted_node_id=0xAA55AA55AA55, t_validated=2_000 + 7 * k)
     return chain
 
 
@@ -181,13 +180,13 @@ def test_auth_tag_wrapper_rejects_wrong_width():
 
 def test_genesis_links_to_zero_hash():
     chain = sample_chain(1)
-    assert chain.entries[0].prev_hash == GENESIS_PREV_HASH
-    assert chain.entries[0].height == 0
+    assert chain[0].prev_hash == GENESIS_PREV_HASH
+    assert chain[0].height == 0
 
 
 def test_entry_hash_recomputable():
     chain = sample_chain(3)
-    e = chain.entries[1]
+    e = chain[1]
     preimage = (
         e.height.to_bytes(8, "big")
         + e.prev_hash
@@ -200,95 +199,103 @@ def test_entry_hash_recomputable():
 
 
 def test_verify_accepts_well_formed_chains():
-    assert verify(Chain()) is None
+    assert verify([]) is None
     for n in (1, 2, 7):
         assert verify(sample_chain(n)) is None
 
 
 def test_entries_link_by_hash():
     chain = sample_chain(4)
-    for later, earlier in zip(chain.entries[1:], chain.entries[:-1]):
+    for later, earlier in zip(chain[1:], chain[:-1]):
         assert later.prev_hash == earlier.entry_hash
 
 
 @pytest.mark.parametrize("height", [0, 2, 4])
 def test_verify_flags_payload_tampering_at_height(height):
     chain = sample_chain(5)
-    e = chain.entries[height]
+    e = chain[height]
     tampered_data = BlockData(e.data.device_id, e.data.seq, e.data.t_init, b"evil")
-    entries = list(chain.entries)
-    entries[height] = ChainEntry(
+    chain[height] = ChainEntry(
         e.height, e.prev_hash, tampered_data, e.auth_tag,
         e.trusted_node_id, e.t_validated, e.entry_hash)
-    assert verify(Chain(tuple(entries))) == height
+    assert verify(chain) == height
 
 
 def test_verify_flags_broken_link():
     chain = sample_chain(4)
-    e = chain.entries[2]
-    entries = list(chain.entries)
-    entries[2] = ChainEntry(
+    e = chain[2]
+    chain[2] = ChainEntry(
         e.height, b"\x01" * 32, e.data, e.auth_tag,
         e.trusted_node_id, e.t_validated, e.entry_hash)
-    assert verify(Chain(tuple(entries))) == 2
+    assert verify(chain) == 2
 
 
 def test_verify_flags_recomputed_hash_rewrite():
     # an attacker who rewrites an entry and its hash still breaks the next link
     chain = sample_chain(4)
-    e = chain.entries[1]
+    e = chain[1]
     forged_data = BlockData(e.data.device_id, e.data.seq, e.data.t_init, b"forged")
     forged = make_entry(e.height, e.prev_hash, forged_data, e.auth_tag,
                         e.trusted_node_id, e.t_validated)
-    entries = list(chain.entries)
-    entries[1] = forged
-    assert verify(Chain(tuple(entries))) == 2
+    chain[1] = forged
+    assert verify(chain) == 2
 
 
 def test_verify_flags_wrong_height_numbering():
     chain = sample_chain(3)
-    e = chain.entries[2]
-    entries = list(chain.entries)
-    entries[2] = make_entry(5, e.prev_hash, e.data, e.auth_tag,
-                            e.trusted_node_id, e.t_validated)
-    assert verify(Chain(tuple(entries))) == 2
+    e = chain[2]
+    chain[2] = make_entry(5, e.prev_hash, e.data, e.auth_tag,
+                          e.trusted_node_id, e.t_validated)
+    assert verify(chain) == 2
 
 
 def test_verify_flags_spliced_chains():
     a = sample_chain(4)
     rng = np.random.default_rng(123)
-    b = Chain()
+    b = []
     for k in range(4):
         data = BlockData(device_id=42, seq=k, t_init=k, payload=bytes(rng.bytes(3)))
-        b = append(b, data, make_auth_tag(data, R2), 0xBB, k)
-    spliced = Chain(a.entries[:2] + b.entries[2:])
+        append(b, data, make_auth_tag(data, R2), 0xBB, k)
+    spliced = a[:2] + b[2:]
     assert verify(spliced) == 2
 
 
 def test_append_validates_trusted_fields():
     data = BlockData(device_id=1, seq=0, t_init=0)
     tag = make_auth_tag(data, R1)
+    chain = []
     with pytest.raises(ConfigError):
-        append(Chain(), data, tag, trusted_node_id=1 << 48, t_validated=0)
+        append(chain, data, tag, trusted_node_id=1 << 48, t_validated=0)
     with pytest.raises(ConfigError):
-        append(Chain(), data, tag, trusted_node_id=1, t_validated=-5)
+        append(chain, data, tag, trusted_node_id=1, t_validated=-5)
+    assert chain == []
+
+
+def test_append_extends_in_place_and_returns_the_new_entry():
+    chain = sample_chain(2)
+    data = BlockData(device_id=9, seq=0, t_init=3, payload=b"x")
+    tag = make_auth_tag(data, R2)
+    entry = append(chain, data, tag, trusted_node_id=0xBB, t_validated=4)
+    assert len(chain) == 3 and chain[-1] is entry
+    assert entry == make_entry(2, chain[1].entry_hash, data, tag, 0xBB, 4)
+    assert verify(chain) is None
 
 
 # --- persistence ---------------------------------------------------------------------
 
 def test_entry_line_is_strict_json():
     chain = sample_chain(2)
-    line = entry_to_json_line(chain.entries[0])
+    line = entry_to_json_line(chain[0])
     obj = json.loads(line)
     assert list(obj.keys()) == [
         "height", "prev_hash", "device_id", "seq", "t_init",
         "payload", "auth_tag", "trusted_node_id", "t_validated", "entry_hash",
     ]
-    assert entry_from_json_line(line) == chain.entries[0]
+    assert entry_from_json_line(line) == chain[0]
 
 
 def test_entry_line_rejects_reordered_keys():
-    line = entry_to_json_line(sample_chain(1).entries[0])
+    line = entry_to_json_line(sample_chain(1)[0])
     obj = json.loads(line)
     reordered = json.dumps({k: obj[k] for k in reversed(list(obj))},
                            separators=(",", ":"))
@@ -297,7 +304,7 @@ def test_entry_line_rejects_reordered_keys():
 
 
 def test_entry_line_rejects_uppercase_hex():
-    line = entry_to_json_line(sample_chain(1).entries[0])
+    line = entry_to_json_line(sample_chain(1)[0])
     obj = json.loads(line)
     obj["entry_hash"] = obj["entry_hash"].upper()
     with pytest.raises(ValueError):
@@ -305,7 +312,7 @@ def test_entry_line_rejects_uppercase_hex():
 
 
 def test_entry_line_rejects_float_and_bool_fields():
-    line = entry_to_json_line(sample_chain(1).entries[0])
+    line = entry_to_json_line(sample_chain(1)[0])
     obj = json.loads(line)
     for key, value in [("height", 0.0), ("seq", False),
                        ("device_id", 7), ("device_id", None),
@@ -316,7 +323,7 @@ def test_entry_line_rejects_float_and_bool_fields():
 
 
 def test_entry_line_rejects_extra_whitespace():
-    line = entry_to_json_line(sample_chain(1).entries[0])
+    line = entry_to_json_line(sample_chain(1)[0])
     with pytest.raises(ValueError):
         entry_from_json_line(line.replace(":", ": ", 1))
 
@@ -326,14 +333,14 @@ def test_chain_file_round_trip(tmp_path):
     path = tmp_path / "chain.ndjson"
     save_chain(path, chain)
     loaded = load_chain(path)
-    assert loaded.entries == chain.entries
+    assert loaded == chain
     assert verify_chain_file(path) is None
 
 
 def test_empty_chain_file_round_trip(tmp_path):
     path = tmp_path / "chain.ndjson"
-    save_chain(path, Chain())
-    assert load_chain(path).entries == ()
+    save_chain(path, [])
+    assert load_chain(path) == []
     assert verify_chain_file(path) is None
 
 
@@ -366,7 +373,7 @@ def test_verify_chain_bytes_spot_mutations(tmp_path):
 
 
 def test_verify_chain_bytes_reports_non_string_device_id_at_its_height():
-    lines = [json.loads(entry_to_json_line(entry)) for entry in sample_chain(3).entries]
+    lines = [json.loads(entry_to_json_line(entry)) for entry in sample_chain(3)]
     lines[2]["device_id"] = 12345
     lines[1]["trusted_node_id"] = None
     raw = b"".join(json.dumps(obj, separators=(",", ":")).encode() + b"\n" for obj in lines)

@@ -78,7 +78,7 @@ def test_all_transactions_replicate(sim_parts):
     config, world = sim_parts
     result = run(config, Scenario(world=world, initiations=make_initiations(world, 10)))
     assert all(r.accepted for r in result.tx_records)
-    tips = {node.chain.tip_hash for node in result.nodes.values()}
+    tips = {node.chain[-1].entry_hash for node in result.nodes.values()}
     assert len(tips) == 1
     for node in result.nodes.values():
         assert len(node.chain) == 10
@@ -109,7 +109,7 @@ def test_simulation_matches_sequential_consensus_oracle(sim_parts, enrolled):
         expected.append((block.data, block.auth_tag))
 
     simulated_chain = result.nodes[trusted.node_id].chain
-    got = [(e.data, e.auth_tag) for e in simulated_chain.entries]
+    got = [(e.data, e.auth_tag) for e in simulated_chain]
     assert got == expected
 
 

@@ -292,9 +292,9 @@ def test_registry_acl_header_rejects_loose_device_ids(tmp_path, text):
 
 
 @pytest.mark.parametrize("text", LOOSE_IDS)
-@pytest.mark.parametrize("key", ["device_id", "origin", "validated_by"])
+@pytest.mark.parametrize("key", ["device_id", "validated_by"])
 def test_wire_from_json_rejects_loose_device_ids(text, key):
-    block = WireBlock(data=BlockData(0xAB, 1, 2), auth_tag=AuthTag(bytes(32)), origin=0xAB,
+    block = WireBlock(data=BlockData(0xAB, 1, 2), auth_tag=AuthTag(bytes(32)),
                       validated_by=0xCD, t_validated=3, validation_tag=bytes(32))
     line = wire_to_json(block)
     assert wire_from_json(line) == block
