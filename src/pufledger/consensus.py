@@ -36,7 +36,7 @@ from .ledger import (
     sha256,
     tip_hash,
 )
-from .puf import Challenge, PufDevice, Response, format_device_id, parse_device_id, reference_response
+from .puf import Challenge, PufDevice, Response, format_device_id, reference_response
 from .registry import Registry, lookup
 
 ROLE_TRUSTED = "trusted"
@@ -90,33 +90,6 @@ def wire_to_json(block: WireBlock) -> str:
         obj["t_validated"] = block.t_validated
         obj["validation_tag"] = block.validation_tag.hex()
     return json.dumps(obj, separators=(",", ":"))
-
-
-def wire_from_json(line: str) -> WireBlock:
-    obj = json.loads(line)
-    base = ("device_id", "seq", "t_init", "payload", "auth_tag")
-    extra = ("validated_by", "t_validated", "validation_tag")
-    keys = tuple(obj.keys())
-    if keys != base and keys != base + extra:
-        raise ValueError("wire block has an unexpected key set")
-    data = BlockData(
-        device_id=parse_device_id(obj["device_id"]),
-        seq=int(obj["seq"]),
-        t_init=int(obj["t_init"]),
-        payload=bytes.fromhex(obj["payload"]),
-    )
-    kwargs = {}
-    if len(keys) == len(base) + len(extra):
-        kwargs = {
-            "validated_by": parse_device_id(obj["validated_by"]),
-            "t_validated": int(obj["t_validated"]),
-            "validation_tag": bytes.fromhex(obj["validation_tag"]),
-        }
-    return WireBlock(
-        data=data,
-        auth_tag=AuthTag(bytes.fromhex(obj["auth_tag"])),
-        **kwargs,
-    )
 
 
 @dataclass

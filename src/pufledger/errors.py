@@ -21,10 +21,6 @@ class PayloadSizeError(PufLedgerError, ValueError):
     """A block payload exceeds the maximum encodable length."""
 
 
-class ChainFormatError(PufLedgerError, ValueError):
-    """A persisted chain file cannot be parsed back into entries."""
-
-
 class RegistryConflictError(PufLedgerError):
     """Attempted to enroll a device that already has a registry record."""
 

@@ -43,6 +43,7 @@ from .netsim import (
 )
 from .puf import (
     DEVICE_ID_BITS,
+    RESPONSE_BITS,
     PufConfig,
     format_device_id,
     manufacture,
@@ -63,7 +64,8 @@ _STREAM_FOM_RELIABILITY = 22
 _ADVERSARY_CHOICES = ("none",) + netsim.ADVERSARY_KINDS
 
 # keep simulated times inside the ledger's 64-bit fields: 2**25 jobs per node,
-# each at most 41 * 2**31 ms (40 sd above the mean), end below 2**62 ms
+# each at most 41 * 2**31 ms (40 sd above the mean), end below 2**62 ms; node
+# counts stay far below the 2**48 device ids that _draw_node_ids draws from
 _MAX_MS = 2**31
 _MAX_COUNT = 2**24
 
@@ -71,7 +73,7 @@ _MAX_COUNT = 2**24
 # puf_* and screen_* are checked by PufConfig and ScreeningPolicy
 _BOUNDS: dict[str, tuple[float, float]] = {
     "n_transactions": (0, _MAX_COUNT),
-    "n_clients": (1, math.inf),
+    "n_clients": (1, _MAX_COUNT),
     "n_fast_clients": (0, math.inf),  # and at most n_clients
     "n_candidates": (1, math.inf),
     "tx_spacing_ms": (1, _MAX_MS),
@@ -83,7 +85,7 @@ _BOUNDS: dict[str, tuple[float, float]] = {
     "adversary_events": (0, _MAX_COUNT),
     "pow_difficulty_bits": (0, 32),
     "bench_trials": (1, math.inf),
-    "fom_n_devices": (2, math.inf),
+    "fom_n_devices": (2, _MAX_COUNT),
     "fom_n_challenges": (1, math.inf),
     "fom_pool_size": (1, math.inf),
     "fom_n_reevals": (2, math.inf),
@@ -162,7 +164,6 @@ class ScenarioConfig:
     def puf_config(self) -> PufConfig:
         return PufConfig(
             n_oscillators=self.puf_n_oscillators,
-            response_bits=ledger.RESPONSE_BITS,
             freq_mean_mhz=self.puf_freq_mean_mhz,
             freq_sigma_mhz=self.puf_freq_sigma_mhz,
             noise_sigma_mhz=self.puf_noise_sigma_mhz,
@@ -521,7 +522,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                for i, device_id in enumerate(_draw_node_ids(cfg.seed, cfg.fom_n_devices))]
 
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
-    pool = [random_challenge(puf_config.bank_size, puf_config.response_bits, pool_rng)
+    pool = [random_challenge(puf_config.bank_size, RESPONSE_BITS, pool_rng)
             for _ in range(cfg.fom_pool_size)]
     screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN])
     screen_words = read_seeds(

@@ -20,14 +20,12 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
-from .errors import ChainFormatError, ConfigError, PayloadSizeError
-from .puf import DEVICE_ID_BITS, Response, format_device_id, parse_device_id
+from .errors import ConfigError, PayloadSizeError
+from .puf import DEVICE_ID_BITS, RESPONSE_BITS, Response, format_device_id, parse_device_id
 
 MAX_PAYLOAD_BYTES = 64 * 1024
-RESPONSE_BITS = 128
-RESPONSE_BYTES = RESPONSE_BITS // 8
 HASH_BYTES = 32
 GENESIS_PREV_HASH = bytes(HASH_BYTES)
 
@@ -74,22 +72,6 @@ def canonical_bytes(data: BlockData) -> bytes:
         + len(data.payload).to_bytes(4, "big")
         + data.payload
     )
-
-
-def parse_canonical(buf: bytes) -> BlockData:
-    """Inverse of canonical_bytes; rejects truncated or over-long buffers."""
-    header = _DEVICE_ID_BYTES + 8 + 8 + 4
-    if len(buf) < header:
-        raise ValueError(f"canonical block needs at least {header} bytes, got {len(buf)}")
-    device_id = int.from_bytes(buf[:6], "big")
-    seq = int.from_bytes(buf[6:14], "big")
-    t_init = int.from_bytes(buf[14:22], "big")
-    payload_len = int.from_bytes(buf[22:26], "big")
-    if len(buf) != header + payload_len:
-        raise ValueError(
-            f"length prefix says {payload_len} payload bytes but buffer has {len(buf) - header}"
-        )
-    return BlockData(device_id=device_id, seq=seq, t_init=t_init, payload=buf[26:])
 
 
 @dataclass(frozen=True)
@@ -309,35 +291,19 @@ def save_chain(path: str | Path, chain: list[ChainEntry]) -> None:
             fh.write(entry_to_json_line(entry) + "\n")
 
 
-def _parse_entries(raw: bytes) -> Iterator[ChainEntry]:
-    """Yield the entries of serialized chain bytes in order, raising
-    ChainFormatError naming the first line that does not parse."""
-    if not raw:
-        return
-    body = raw[:-1] if raw.endswith(b"\n") else raw
-    for index, segment in enumerate(body.split(b"\n")):
-        try:
-            entry = entry_from_json_line(segment.decode("ascii"))
-        except (ValueError, KeyError) as exc:
-            raise ChainFormatError(f"line {index}: {exc}") from exc
-        yield entry
-
-
-def load_chain(path: str | Path) -> list[ChainEntry]:
-    """Load a chain file, raising ChainFormatError naming the first bad line."""
-    return list(_parse_entries(Path(path).read_bytes()))
-
-
 def verify_chain_bytes(raw: bytes) -> Optional[int]:
-    """Verify a serialized chain; returns None when sound, else the first
+    """Verify a serialized chain; returns None when sound, else the lowest
     failing position (line index, which equals height for a well-formed
-    file). Parse failures count as verification failures at their line."""
+    file). A line that does not parse fails at its own index, unless an
+    entry below it already fails verification."""
     entries: list[ChainEntry] = []
-    try:
-        for entry in _parse_entries(raw):
-            entries.append(entry)
-    except ChainFormatError:
-        return len(entries)
+    body = raw[:-1] if raw.endswith(b"\n") else raw
+    for index, segment in enumerate(body.split(b"\n") if raw else ()):
+        try:
+            entries.append(entry_from_json_line(segment.decode("ascii")))
+        except (ValueError, KeyError, RecursionError):  # RecursionError: deeply nested JSON
+            bad = verify(entries)
+            return index if bad is None else bad
     return verify(entries)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .errors import ChallengeError, ConfigError
 
 DEVICE_ID_BITS = 48
 DEVICE_ID_HEX_DIGITS = DEVICE_ID_BITS // 4
+RESPONSE_BITS = 128  # bits of every enrolled response, and so of every auth tag's key
 FREQ_DECIMALS = 6
 _DEVICE_ID_RE = re.compile(f"[0-9a-f]{{{DEVICE_ID_HEX_DIGITS}}}")
 
@@ -56,7 +56,6 @@ class PufConfig:
     """
 
     n_oscillators: int = 512
-    response_bits: int = 128
     freq_mean_mhz: float = 250.0
     freq_sigma_mhz: float = 5.0
     noise_sigma_mhz: float = 0.245
@@ -65,8 +64,6 @@ class PufConfig:
     def __post_init__(self) -> None:
         if self.n_oscillators < 2 or self.n_oscillators % 2 != 0:
             raise ConfigError(f"n_oscillators must be even and >= 2, got {self.n_oscillators}")
-        if self.response_bits < 1:
-            raise ConfigError(f"response_bits must be >= 1, got {self.response_bits}")
         if not (math.isfinite(self.freq_mean_mhz) and self.freq_mean_mhz > 0):
             raise ConfigError(f"freq_mean_mhz must be finite and positive, got {self.freq_mean_mhz}")
         if not (math.isfinite(self.freq_sigma_mhz) and self.freq_sigma_mhz > 0):
@@ -76,10 +73,10 @@ class PufConfig:
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         bank = self.n_oscillators // 2
-        if self.response_bits > bank * bank:
+        if RESPONSE_BITS > bank * bank:
             raise ConfigError(
-                f"response_bits {self.response_bits} exceeds the {bank * bank} "
-                f"distinct oscillator pairs of a {bank}-per-bank device"
+                f"a {bank}-per-bank device has {bank * bank} distinct oscillator "
+                f"pairs, fewer than the {RESPONSE_BITS} bits of a response"
             )
 
     @property
@@ -109,22 +106,9 @@ class Challenge:
         if len(pairs) != len(self.set1_idx):
             raise ChallengeError("challenge repeats an oscillator pair")
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Challenge":
-        seq = list(pairs)
-        if not seq:
-            raise ChallengeError("challenge must select at least one oscillator pair")
-        arr = np.asarray(seq, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ChallengeError("pairs must be (set1_index, set2_index) tuples")
-        return cls(arr[:, 0].copy(), arr[:, 1].copy())
-
     @property
     def n_bits(self) -> int:
         return len(self.set1_idx)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.set1_idx.tolist(), self.set2_idx.tolist()))
 
     def __eq__(self, other: object) -> bool:
         """Equal when both select the same pairs in the same order (both
@@ -165,21 +149,6 @@ class Response:
 
     def hex(self) -> str:
         return self.packed().hex()
-
-    @classmethod
-    def from_packed(cls, raw: bytes, n_bits: int) -> "Response":
-        if len(raw) != (n_bits + 7) // 8:
-            raise ValueError(f"need {(n_bits + 7) // 8} bytes for {n_bits} bits, got {len(raw)}")
-        unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        if unpacked[n_bits:].any():
-            raise ValueError("padding bits past the response length must be zero")
-        return cls(unpacked[:n_bits].copy())
-
-    @classmethod
-    def from_hex(cls, text: str, n_bits: int) -> "Response":
-        if text != text.lower():
-            raise ValueError("response hex must be lowercase")
-        return cls.from_packed(bytes.fromhex(text), n_bits)
 
     def hamming(self, other: "Response") -> int:
         if self.n_bits != other.n_bits:

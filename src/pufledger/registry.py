@@ -26,13 +26,12 @@ from .errors import (
     UnknownDeviceError,
 )
 from .fom import ScreeningPolicy, screen_pool
-from .ledger import RESPONSE_BITS
 from .puf import (
+    RESPONSE_BITS,
     Challenge,
     PufDevice,
     Response,
     format_device_id,
-    parse_device_id,
     random_challenge,
     read_seeds,
 )
@@ -82,13 +81,6 @@ class Registry:
     def has_device(self, device_id: int) -> bool:
         return device_id in self._records
 
-    def _store(self, record: CrpRecord) -> None:
-        if record.device_id in self._records:
-            raise RegistryConflictError(
-                f"device {format_device_id(record.device_id)} is already enrolled"
-            )
-        self._records[record.device_id] = record
-
 
 def enroll(
     registry: Registry,
@@ -129,7 +121,7 @@ def enroll(
             f"{format_device_id(device.device_id)}"
         )
     record = CrpRecord(device_id=device.device_id, pairs=tuple(pairs), enrolled_at=0)
-    registry._store(record)
+    registry._records[device.device_id] = record
     return record
 
 
@@ -174,26 +166,6 @@ def record_to_json_line(record: CrpRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def record_from_json_line(line: str) -> CrpRecord:
-    obj = json.loads(line)
-    expected = ("device_id", "enrolled_at", "pairs")
-    if not isinstance(obj, dict) or tuple(obj.keys()) != expected:
-        raise ValueError(f"registry record must have exactly the keys {list(expected)} in order")
-    pairs = []
-    for item in obj["pairs"]:
-        challenge = Challenge.from_pairs([(int(i), int(j)) for i, j in item["challenge"]])
-        n_bits = len(item["challenge"])
-        pairs.append((challenge, Response.from_hex(item["response"], n_bits)))
-    record = CrpRecord(
-        device_id=parse_device_id(obj["device_id"]),
-        pairs=tuple(pairs),
-        enrolled_at=int(obj["enrolled_at"]),
-    )
-    if record_to_json_line(record) != line:
-        raise ValueError("registry record is not in canonical form")
-    return record
-
-
 def save_registry(path: str | Path, registry: Registry) -> None:
     """Write the ACL header line, then one canonical record line per device."""
     header = json.dumps(
@@ -204,19 +176,3 @@ def save_registry(path: str | Path, registry: Registry) -> None:
         fh.write(header + "\n")
         for device_id in registry.device_ids:
             fh.write(record_to_json_line(registry._records[device_id]) + "\n")
-
-
-def load_registry(path: str | Path) -> Registry:
-    """Reload a saved registry under the ACL of its own header line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("registry file is empty; expected an ACL header line")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or tuple(header.keys()) != ("trusted_node_ids",):
-        raise ValueError("registry file must start with a trusted_node_ids header line")
-    registry = Registry(parse_device_id(i) for i in header["trusted_node_ids"])
-    for line in lines[1:]:
-        if line:
-            registry._store(record_from_json_line(line))
-    return registry

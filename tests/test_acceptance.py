@@ -19,7 +19,7 @@ from pufledger.ledger import (
     save_chain,
     verify_chain_bytes,
 )
-from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response, read_seeds
+from pufledger.puf import RESPONSE_BITS, PufConfig, manufacture, random_challenge, reference_response, read_seeds
 from pufledger.registry import Registry, enroll
 from pufledger import ScenarioConfig, run_scenario
 from pufledger.fom import ScreeningPolicy, screen_challenge, uniqueness
@@ -53,7 +53,7 @@ def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     passes, with their noiseless references."""
     policy = ScreeningPolicy()
     pool_rng = np.random.default_rng([seed, 20])
-    pool = [random_challenge(cfg.bank_size, cfg.response_bits, pool_rng)
+    pool = [random_challenge(cfg.bank_size, RESPONSE_BITS, pool_rng)
             for _ in range(pool_size)]
     seed_rng = np.random.default_rng([seed, 21])
     words = read_seeds(seed_rng.integers(0, 1 << 63, size=(pool_size, policy.n_screen_reevals)))
@@ -187,7 +187,7 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
     rng = np.random.default_rng(77)
     chain = []
     for height in range(10):
-        challenge = random_challenge(cfg.bank_size, cfg.response_bits, rng)
+        challenge = random_challenge(cfg.bank_size, RESPONSE_BITS, rng)
         response = reference_response(device, challenge)
         data = BlockData(device_id=device.device_id, seq=height,
                          t_init=1000 + height, payload=bytes(rng.bytes(16)))

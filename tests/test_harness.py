@@ -14,8 +14,7 @@ from pufledger.harness import (
 )
 from pufledger.errors import ConfigError
 from pufledger import ScenarioConfig, run_scenario
-from pufledger.ledger import load_chain, verify
-from pufledger.registry import load_registry
+from pufledger.ledger import verify_chain_file
 from pufledger.cli import main
 from pufledger.consensus import ROLE_CLIENT, ROLE_TRUSTED
 
@@ -205,13 +204,14 @@ def test_run_scenario_writes_consistent_artifacts(tmp_path):
         + ["registry.ndjson", "events.ndjson", "metrics.json", "timings.csv"]
     )
 
-    chains = [load_chain(output.files[f"chain_{nid:012x}"]) for nid in built_ids(output)]
-    assert all(verify(chain) is None for chain in chains)
-    raws = {output.files[f"chain_{nid:012x}"].read_bytes() for nid in built_ids(output)}
+    chain_paths = [output.files[f"chain_{nid:012x}"] for nid in built_ids(output)]
+    assert all(verify_chain_file(path) is None for path in chain_paths)
+    raws = {path.read_bytes() for path in chain_paths}
     assert len(raws) == 1  # every replica wrote the same bytes
 
-    reg = load_registry(output.files["registry"])
-    assert reg.trusted_node_ids == output.built.scenario.world.registry.trusted_node_ids
+    header = json.loads(output.files["registry"].read_text(encoding="ascii").splitlines()[0])
+    trusted = output.built.scenario.world.registry.trusted_node_ids
+    assert header == {"trusted_node_ids": [f"{i:012x}" for i in sorted(trusted)]}
 
     metrics = json.loads(output.files["metrics"].read_text())
     assert metrics["accepted"] == report.accepted
@@ -354,12 +354,22 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     dict(cost_trusted_mean_ms=-1), dict(adversary="tamper", adversary_events=1, n_transactions=0),
     dict(latency_jitter_ms=10**19), dict(latency_base_ms=10**20), dict(cost_trusted_mean_ms=1e300),
     dict(adversary="replay", adversary_events=10**20),
+    # only 2**48 device ids exist to draw node ids from
+    dict(n_clients=2**48), dict(fom_n_devices=2**48),
+    # arrays of more than 2**47 bytes, which no allocator can grant
+    dict(puf_n_oscillators=10**15), dict(screen_n_reevals=10**15),
 ])
 def test_cli_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, keys):
     monkeypatch.chdir(tmp_path)  # nothing may be written, not even to ./out
     assert main([command, "--config", write_cfg(tmp_path, **keys)]) == 2
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cli.cfg"]
+
+
+def test_cli_fom_with_impossible_read_count_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, fom_n_devices=2, fom_pool_size=40, fom_n_reevals=10**15)
+    assert main(["fom", "--config", cfg]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_missing_chain_exits_2(tmp_path, capsys):

@@ -12,7 +12,6 @@ from pufledger.ledger import (
     BlockData,
     append,
     canonical_bytes,
-    load_chain,
     make_auth_tag,
     save_chain,
     verify,
@@ -23,17 +22,17 @@ from pufledger.ledger import (
     entry_from_json_line,
     entry_to_json_line,
     make_entry,
-    parse_canonical,
     sha256,
 )
-from pufledger.errors import ChainFormatError, ConfigError, PayloadSizeError
+from pufledger.cli import main
+from pufledger.errors import ConfigError, PayloadSizeError
 from pufledger.puf import Response
 from sha256_oracle import sha256_pure
 
 
 def response_from_int(value: int) -> Response:
     raw = value.to_bytes(16, "big")
-    return Response.from_packed(raw, 128)
+    return Response(np.unpackbits(np.frombuffer(raw, dtype=np.uint8)))
 
 
 R1 = response_from_int(0x0123456789ABCDEF0123456789ABCDEF)
@@ -116,17 +115,14 @@ def test_canonical_bytes_layout_with_payload():
 )
 @settings(max_examples=60, deadline=None)
 def test_canonical_round_trip(device_id, seq, t_init, payload):
-    data = BlockData(device_id=device_id, seq=seq, t_init=t_init, payload=payload)
-    assert parse_canonical(canonical_bytes(data)) == data
-
-
-def test_parse_canonical_rejects_truncation_and_padding():
-    data = BlockData(device_id=1, seq=2, t_init=3, payload=b"xy")
-    buf = canonical_bytes(data)
-    with pytest.raises(ValueError):
-        parse_canonical(buf[:-1])
-    with pytest.raises(ValueError):
-        parse_canonical(buf + b"\x00")
+    # fixed-width fields and a length prefix give every field back, so no
+    # two blocks share an encoding
+    buf = canonical_bytes(BlockData(device_id=device_id, seq=seq, t_init=t_init, payload=payload))
+    assert int.from_bytes(buf[:6], "big") == device_id
+    assert int.from_bytes(buf[6:14], "big") == seq
+    assert int.from_bytes(buf[14:22], "big") == t_init
+    assert int.from_bytes(buf[22:26], "big") == len(payload)
+    assert buf[26:] == payload
 
 
 def test_block_data_validation():
@@ -332,7 +328,7 @@ def test_chain_file_round_trip(tmp_path):
     chain = sample_chain(6)
     path = tmp_path / "chain.ndjson"
     save_chain(path, chain)
-    loaded = load_chain(path)
+    loaded = [entry_from_json_line(line) for line in path.read_text(encoding="ascii").splitlines()]
     assert loaded == chain
     assert verify_chain_file(path) is None
 
@@ -340,19 +336,46 @@ def test_chain_file_round_trip(tmp_path):
 def test_empty_chain_file_round_trip(tmp_path):
     path = tmp_path / "chain.ndjson"
     save_chain(path, [])
-    assert load_chain(path) == []
+    assert path.read_bytes() == b""
     assert verify_chain_file(path) is None
 
 
-def test_load_chain_names_the_bad_line(tmp_path):
+def test_verify_chain_file_reports_the_line_that_does_not_parse(tmp_path):
     chain = sample_chain(3)
     path = tmp_path / "chain.ndjson"
     save_chain(path, chain)
     raw = path.read_bytes().split(b"\n")
     raw[1] = raw[1][:-2] + b"}}"
     path.write_bytes(b"\n".join(raw))
-    with pytest.raises(ChainFormatError, match="line 1"):
-        load_chain(path)
+    assert verify_chain_file(path) == 1
+
+
+def test_verify_chain_bytes_reports_a_bad_entry_below_an_unparsable_line(tmp_path, capsys):
+    # entry 0 still parses but its hash no longer matches; line 2 does not parse
+    lines = [entry_to_json_line(entry).encode() for entry in sample_chain(3)]
+    at = lines[0].index(b'"payload":"') + len(b'"payload":"')
+    digit = b"1" if lines[0][at:at + 1] == b"0" else b"0"
+    lines[0] = lines[0][:at] + digit + lines[0][at + 1:]
+    lines[2] = b"garbage"
+    raw = b"\n".join(lines) + b"\n"
+    assert verify_chain_bytes(raw) == 0
+    path = tmp_path / "chain.ndjson"
+    path.write_bytes(raw)
+    assert main(["verify-chain", str(path)]) == 1
+    assert capsys.readouterr().out == f"{path}: invalid at height 0\n"
+
+
+def test_verify_chain_bytes_counts_deep_nesting_as_a_parse_failure(tmp_path, capsys):
+    lines = [entry_to_json_line(entry).encode() for entry in sample_chain(3)]
+    lines[1] = b"[" * 100_000 + b"]" * 100_000
+    raw = b"\n".join(lines) + b"\n"
+    assert verify_chain_bytes(raw) == 1
+    path = tmp_path / "chain.ndjson"
+    path.write_bytes(raw)
+    assert main(["verify-chain", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{path}: invalid at height 1\n"
+    assert captured.err == ""
 
 
 def test_verify_chain_bytes_spot_mutations(tmp_path):

@@ -1,14 +1,25 @@
 """The README's library example runs, it shows the whole root surface, and
-its command line synopsis lists exactly the options the parser defines."""
+its command line synopsis lists exactly the options the parser defines; the
+package defines nothing that only tests use, beyond three named oracles."""
 
 import argparse
+import ast
+import importlib
 import re
 from pathlib import Path
 
 import pufledger
 from pufledger.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+# definitions only tests call, each kept on purpose
+TEST_ONLY = {
+    "wire_to_json",  # c08 renders wire blocks with it to show no response is on the wire
+    "leading_zero_bits",  # the proof-of-work tests' oracle for pow_mine_baseline
+    "Response.hamming",  # the screening and evaluation tests' bit-error oracle
+}
 
 
 def test_readme_python_block_runs_and_root_exports_only_it(tmp_path, monkeypatch):
@@ -34,3 +45,44 @@ def test_readme_command_line_block_lists_every_option():
         for command, parser in subparsers.choices.items()
     }
     assert listed == defined
+
+
+def definitions(path: Path):
+    """(qualified name, name) of each module-level function and class, and of
+    each method that is neither a dunder, a property nor an override (which
+    callers reach through the base class, as numpy does generate_state)."""
+    module = importlib.import_module(f"pufledger.{path.stem}")
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.FunctionDef):
+            continue
+        bases = getattr(module, node.name).__mro__[1:]
+        for item in node.body:
+            if (isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and not any(isinstance(d, ast.Name) and d.id == "property"
+                                for d in item.decorator_list)
+                    and not any(item.name in vars(base) for base in bases)):
+                yield f"{node.name}.{item.name}", item.name
+
+
+def references(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            yield node.value  # a getattr lookup by name, as in perfbench's span table
+
+
+def test_package_defines_nothing_only_tests_use():
+    src = sorted((ROOT / "src" / "pufledger").glob("*.py"))
+    bench = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+             if not path.name.startswith("test_")]
+    referenced = {name for path in src + bench for name in references(path)}
+    unused = {qualified for path in src for qualified, name in definitions(path)
+              if name not in referenced}
+    assert unused == TEST_ONLY
