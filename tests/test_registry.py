@@ -8,6 +8,7 @@ from pufledger.registry import (
     Registry,
     enroll,
     lookup,
+    record_to_json_line,
     save_registry,
     trusted_view,
     CrpRecord,
@@ -120,6 +121,23 @@ def test_crp_record_validation(default_config, policy):
     duplicated = (record.pairs[0], record.pairs[0])
     with pytest.raises(ValueError):
         CrpRecord(device_id=device.device_id, pairs=duplicated, enrolled_at=0)
+
+
+def test_record_line_round_trip(enrolled, devices):
+    # one record line reads back, with plain json.loads, to every field of the
+    # record, and is already in compact canonical form
+    _, records = enrolled
+    record = records[devices[4].device_id]
+    line = record_to_json_line(record)
+    obj = json.loads(line)
+    assert json.dumps(obj, separators=(",", ":")) == line
+    assert obj["device_id"] == f"{record.device_id:012x}"
+    assert obj["enrolled_at"] == record.enrolled_at
+    assert [pair["challenge"] for pair in obj["pairs"]] == [
+        [[i, j] for i, j in zip(c.set1_idx.tolist(), c.set2_idx.tolist())]
+        for c in record.challenges
+    ]
+    assert [pair["response"] for pair in obj["pairs"]] == [r.hex() for r in record.responses]
 
 
 def test_registry_file_round_trip(tmp_path, enrolled):
