@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .puf import Challenge, PufDevice, Response, noisy_bits, reference_response, selected_freqs
+from .puf import Challenge, PufDevice, Response, arbiter_bits, noisy_bits, selected_freqs
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ def reliability(device: PufDevice, challenge: Challenge, n_reevals: int, words: 
 
 def randomness(response: Response) -> float:
     """Percentage of 1-bits in the response."""
-    return 100.0 * float(response.bits.mean())
+    # the same float as 100 * bits.mean(): a float64 sum of 0/1 bits is exact
+    return 100.0 * (np.count_nonzero(response.bits) / response.n_bits)
 
 
 def mean_abs_correlation(responses_by_device: Sequence[Sequence[Response]]) -> float:
@@ -150,12 +151,12 @@ def screen_challenge(
     """
     if len(words) < policy.n_screen_reevals:
         raise ValueError(f"need {policy.n_screen_reevals} read seeds, got {len(words)}")
-    ref = reference_response(device, challenge)
+    f1, f2 = selected_freqs(device, challenge)
+    ref = Response(arbiter_bits(f1, f2))  # reference_response, from the one gather
     rnd = randomness(ref)
     low, high = policy.randomness_band
     if not (low <= rnd <= high):
         return ScreeningResult(False, "randomness", rnd, 0, ref)
-    f1, f2 = selected_freqs(device, challenge)
     sigma = device.noise_sigma_mhz
     worst = 0
     for k in range(policy.n_screen_reevals):

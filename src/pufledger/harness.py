@@ -65,7 +65,8 @@ _ADVERSARY_CHOICES = ("none",) + netsim.ADVERSARY_KINDS
 
 # keep simulated times inside the ledger's 64-bit fields: 2**25 jobs per node,
 # each at most 41 * 2**31 ms (40 sd above the mean), end below 2**62 ms; node
-# counts stay far below the 2**48 device ids that _draw_node_ids draws from
+# counts stay far below the 2**48 device ids that _draw_node_ids draws from,
+# and candidate, pool and trial counts cannot ask for unbounded work
 _MAX_MS = 2**31
 _MAX_COUNT = 2**24
 
@@ -75,7 +76,7 @@ _BOUNDS: dict[str, tuple[float, float]] = {
     "n_transactions": (0, _MAX_COUNT),
     "n_clients": (1, _MAX_COUNT),
     "n_fast_clients": (0, math.inf),  # and at most n_clients
-    "n_candidates": (1, math.inf),
+    "n_candidates": (1, _MAX_COUNT),
     "tx_spacing_ms": (1, _MAX_MS),
     "payload_bytes": (0, ledger.MAX_PAYLOAD_BYTES),
     "drop_rate": (0.0, math.nextafter(1.0, 0.0)),  # [0, 1)
@@ -84,10 +85,10 @@ _BOUNDS: dict[str, tuple[float, float]] = {
     "demotion_threshold": (0, math.inf),
     "adversary_events": (0, _MAX_COUNT),
     "pow_difficulty_bits": (0, 32),
-    "bench_trials": (1, math.inf),
+    "bench_trials": (1, _MAX_COUNT),
     "fom_n_devices": (2, _MAX_COUNT),
     "fom_n_challenges": (1, math.inf),
-    "fom_pool_size": (1, math.inf),
+    "fom_pool_size": (1, _MAX_COUNT),
     "fom_n_reevals": (2, math.inf),
     "cost_trusted_mean_ms": (0.0, _MAX_MS),
     "cost_trusted_sd_ms": (0.0, _MAX_MS),

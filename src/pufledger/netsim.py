@@ -60,6 +60,7 @@ _STREAM_LATENCY = 1
 _STREAM_DROP = 2
 _STREAM_COST = 3
 _STREAM_ADVERSARY = 4
+_LATENCY_CHUNK = 256  # jitter draws per numpy call: the scalar draws' values, in order
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,7 @@ class _Sim:
         self.view = trusted_view(self.registry)
 
         self.rng_latency = np.random.default_rng([config.seed, _STREAM_LATENCY])
+        self.jitter_left: list[int] = []  # the current chunk's undrawn values, last first
         self.rng_drop = np.random.default_rng([config.seed, _STREAM_DROP])
         self.rng_cost = np.random.default_rng([config.seed, _STREAM_COST])
         self.rng_adv = np.random.default_rng([config.seed, _STREAM_ADVERSARY])
@@ -314,8 +316,10 @@ class _Sim:
 
     def latency(self) -> int:
         model = self.config.latency
-        jitter = int(self.rng_latency.integers(0, model.jitter_ms + 1)) if model.jitter_ms else 0
-        return model.base_ms + jitter
+        if model.jitter_ms and not self.jitter_left:
+            chunk = self.rng_latency.integers(0, model.jitter_ms + 1, size=_LATENCY_CHUNK)
+            self.jitter_left = chunk.tolist()[::-1]
+        return model.base_ms + (self.jitter_left.pop() if model.jitter_ms else 0)
 
     def cost(self, node_id: int, which: str) -> int:
         model = self.config.costs[node_id]

@@ -15,6 +15,7 @@ reference response, and so every artifact built from one, depends on it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -90,6 +91,7 @@ class Challenge:
 
     set1_idx: np.ndarray
     set2_idx: np.ndarray
+    _max_idx: int = field(init=False, repr=False)  # largest index in either array
 
     def __post_init__(self) -> None:
         for arr in (self.set1_idx, self.set2_idx):
@@ -102,9 +104,12 @@ class Challenge:
             raise ChallengeError("challenge must select at least one oscillator pair")
         if int(self.set1_idx.min()) < 0 or int(self.set2_idx.min()) < 0:
             raise ChallengeError("selector indices must be non-negative")
-        pairs = set(zip(self.set1_idx.tolist(), self.set2_idx.tolist()))
-        if len(pairs) != len(self.set1_idx):
+        # sorted by (set1, set2), equal pairs are neighbours; no index arithmetic, so exact
+        order = np.lexsort((self.set2_idx, self.set1_idx))
+        s1, s2 = self.set1_idx[order], self.set2_idx[order]
+        if ((s1[1:] == s1[:-1]) & (s2[1:] == s2[:-1])).any():
             raise ChallengeError("challenge repeats an oscillator pair")
+        object.__setattr__(self, "_max_idx", max(int(s1[-1]), int(self.set2_idx.max())))
 
     @property
     def n_bits(self) -> int:
@@ -224,21 +229,25 @@ def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevic
 def selected_freqs(device: PufDevice, challenge: Challenge) -> tuple[np.ndarray, np.ndarray]:
     """The frequencies the challenge races, bit by bit: (set1, set2).
     Raises ChallengeError when it selects past the device's banks."""
-    if int(challenge.set1_idx.max()) >= device.bank_size or int(challenge.set2_idx.max()) >= device.bank_size:
+    if challenge._max_idx >= device.bank_size:
         raise ChallengeError(
             f"challenge selects oscillators past bank size {device.bank_size}"
         )
     return device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
 
 
-def reference_response(device: PufDevice, challenge: Challenge) -> Response:
-    """Noiseless evaluation: a pure function of the device and the challenge.
+def arbiter_bits(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """The arbiter's uint8 bit per race of f1 against f2.
 
     Ties (exactly equal frequencies) resolve to 0; an arbiter needs a strict
     win by the first bank to emit 1.
     """
-    f1, f2 = selected_freqs(device, challenge)
-    return Response((f1 > f2).astype(np.uint8))
+    return (f1 > f2).astype(np.uint8)
+
+
+def reference_response(device: PufDevice, challenge: Challenge) -> Response:
+    """Noiseless evaluation: a pure function of the device and the challenge."""
+    return Response(arbiter_bits(*selected_freqs(device, challenge)))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -337,10 +346,11 @@ def noisy_bits(f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float, words: np
     """
     if noise_sigma_mhz > 0:
         rng = np.random.Generator(np.random.PCG64(_ReadSeed(words)))
-        jitter = rng.normal(0.0, noise_sigma_mhz, size=(2, len(f1)))
-        f1 = f1 + jitter[0]
-        f2 = f2 + jitter[1]
-    return (f1 > f2).astype(np.uint8)
+        n = len(f1)
+        jitter = rng.normal(0.0, noise_sigma_mhz, size=2 * n)  # a (2, n) draw's values, flat
+        f1 = f1 + jitter[:n]
+        f2 = f2 + jitter[n:]
+    return arbiter_bits(f1, f2)
 
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
@@ -359,8 +369,12 @@ def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> C
     chosen: dict[int, None] = {}  # pair (i, j) coded as i * bank_size + j, in draw order
     while len(chosen) < n_bits:
         need = n_bits - len(chosen)
-        i = rng.integers(0, bank_size, size=need)
-        j = rng.integers(0, bank_size, size=need)
+        # i then j: the stream of two calls of `need`, as 32-bit draws share a cached half-word
+        ij = rng.integers(0, bank_size, size=2 * need)
+        i, j = ij[:need], ij[need:]
+        if not chosen:
+            with contextlib.suppress(ChallengeError):  # else a repeated pair: dedupe below
+                return Challenge(i, j)
         chosen.update(dict.fromkeys((i * bank_size + j).tolist()))
     codes = np.array(list(chosen), dtype=np.int64)
     return Challenge(codes // bank_size, codes % bank_size)

@@ -36,7 +36,6 @@ from .puf import (
     read_seeds,
 )
 
-_EVAL_SEED_BOUND = 1 << 63
 _CANDIDATE_BLOCK = 64
 
 
@@ -106,10 +105,11 @@ def enroll(
     rng = np.random.default_rng([seed])
 
     def candidates():
-        # read seed words are hashed a block of candidates at a time
+        # read seed words are hashed a block of candidates at a time; each eval seed is
+        # integers(0, 2**63)'s draw, a raw 64-bit word >> 1 (Lemire never rejects at 2**63)
         for start in range(0, n_candidates, _CANDIDATE_BLOCK):
             block = [(random_challenge(device.bank_size, RESPONSE_BITS, rng),
-                      rng.integers(0, _EVAL_SEED_BOUND, size=policy.n_screen_reevals))
+                      rng.bit_generator.random_raw(policy.n_screen_reevals) >> 1)
                      for _ in range(min(_CANDIDATE_BLOCK, n_candidates - start))]
             words = read_seeds(np.stack([seeds for _, seeds in block]))
             yield from zip([challenge for challenge, _ in block], words)

@@ -16,6 +16,8 @@ from pufledger.puf import (
     reference_response,
     read_seeds,
 )
+from pufledger import ScenarioConfig, fom, registry
+from pufledger.harness import run_fom_calibration
 from pufledger.fom import (
     ScreeningPolicy,
     mean_abs_correlation,
@@ -221,3 +223,57 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         ScreeningPolicy(n_screen_reevals=0)
 
+
+# The benchmark's traced run reconciles fom.screen_challenge calls with the
+# candidates screened, so screening must stay one call per candidate.
+
+@pytest.fixture()
+def screen_calls(monkeypatch):
+    """Every fom.screen_challenge call, as (challenge, accepted), in order."""
+    calls = []
+    real = fom.screen_challenge
+
+    def counted(device, challenge, policy, words):
+        result = real(device, challenge, policy, words)
+        calls.append((challenge, result.accepted))
+        return result
+
+    monkeypatch.setattr(fom, "screen_challenge", counted)
+    return calls
+
+
+def test_enroll_screens_every_candidate_not_already_kept_once(default_config, screen_calls,
+                                                              monkeypatch):
+    device = manufacture(default_config, 0x8, 4)
+    drawn = []
+    real_draw = registry.random_challenge
+
+    def draw_each_twice(bank_size, n_bits, rng):
+        if len(drawn) % 2 == 0:
+            drawn.append(real_draw(bank_size, n_bits, rng))
+        else:
+            drawn.append(drawn[-1])  # a repeat of the candidate before it
+        return drawn[-1]
+
+    monkeypatch.setattr(registry, "random_challenge", draw_each_twice)
+    record = registry.enroll(registry.Registry(), device, 120, ScreeningPolicy(), seed=5)
+    assert len(drawn) == 120
+    kept, calls = set(), iter(screen_calls)
+    for challenge in drawn:
+        if challenge not in kept:
+            screened, accepted = next(calls)
+            assert screened is challenge
+            if accepted:
+                kept.add(challenge)
+    assert next(calls, None) is None
+    assert len(screen_calls) < 120  # some repeats of kept candidates went unscreened
+    assert sum(accepted for _, accepted in screen_calls) == len(record.pairs) == len(kept)
+
+
+def test_fom_calibration_screens_the_pool_once_per_device(screen_calls):
+    cfg = ScenarioConfig(seed=3, fom_n_devices=3, fom_pool_size=60, fom_n_challenges=20,
+                         fom_n_reevals=5)
+    doc = run_fom_calibration(cfg)
+    assert len(screen_calls) == cfg.fom_pool_size * cfg.fom_n_devices
+    assert sum(accepted for _, accepted in screen_calls) == sum(
+        doc["screening"]["accepted_by_device"])

@@ -358,6 +358,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     dict(n_clients=2**48), dict(fom_n_devices=2**48),
     # arrays of more than 2**47 bytes, which no allocator can grant
     dict(puf_n_oscillators=10**15), dict(screen_n_reevals=10**15),
+    # counts of work, each capped at 2**24
+    dict(n_candidates=2**24 + 1), dict(fom_pool_size=2**24 + 1), dict(bench_trials=2**24 + 1),
 ])
 def test_cli_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, keys):
     monkeypatch.chdir(tmp_path)  # nothing may be written, not even to ./out

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pufledger import netsim
 from pufledger.netsim import (
     Adversary,
     CostModel,
@@ -65,6 +66,17 @@ def make_initiations(world, count, spacing=200):
         ))
         per_client[node_id] = used + 1
     return tuple(out)
+
+
+@pytest.mark.parametrize("jitter", [0, 1, 2, 3, 150, 999, 2**31 - 1, 2**31])
+def test_chunked_latency_draws_are_the_scalar_draws(sim_parts, jitter):
+    config, world = sim_parts
+    config = replace(config, latency=LatencyModel(4, jitter))
+    sim = netsim._Sim(config, Scenario(world=world, initiations=()))
+    scalar = np.random.default_rng([config.seed, netsim._STREAM_LATENCY])
+    for _ in range(3 * netsim._LATENCY_CHUNK + 5):
+        expected = 4 + (int(scalar.integers(0, jitter + 1)) if jitter else 0)
+        assert sim.latency() == expected
 
 
 def test_empty_scenario_runs(sim_parts):

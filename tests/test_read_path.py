@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufledger.puf import (
     Challenge,
@@ -15,6 +17,7 @@ from pufledger.puf import (
     manufacture,
     random_challenge,
     reference_response,
+    selected_freqs,
     _ReadSeed,
     noisy_bits,
     read_seeds,
@@ -199,6 +202,65 @@ def test_enroll_in_blocks_matches_screening_one_candidate_at_a_time(n_candidates
     assert expected  # seed 77 keeps the first candidate, so every size enrolls
     record = enroll(Registry(), device, n_candidates, policy, 77)
     assert list(record.pairs) == expected
+
+
+@pytest.mark.parametrize("cached", [0, 1, 3, 127])
+def test_raw_eval_seeds_equal_bounded_draws_below_2_63(cached):
+    for seed in range(40):
+        raw_rng, bounded_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
+        # an odd count of 32-bit bounded draws leaves half a 64-bit word cached
+        assert np.array_equal(raw_rng.integers(0, 256, size=cached),
+                              bounded_rng.integers(0, 256, size=cached))
+        assert raw_rng.bit_generator.state["has_uint32"] == cached % 2
+        for n in (1, 11, 64):
+            assert np.array_equal(raw_rng.bit_generator.random_raw(n) >> 1,
+                                  bounded_rng.integers(0, 1 << 63, size=n))
+        # both left the cached half-word to the next bounded draw
+        assert raw_rng.bit_generator.state == bounded_rng.bit_generator.state
+        assert np.array_equal(raw_rng.integers(0, 256, size=5), bounded_rng.integers(0, 256, size=5))
+
+
+INDEX = st.one_of(st.integers(0, 3), st.integers(0, 300),
+                  st.integers(2**62 - 2, 2**62 + 2), st.integers(2**63 - 4, 2**63 - 1))
+
+
+@given(st.lists(st.tuples(INDEX, INDEX), min_size=1, max_size=40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_challenge_pair_check_matches_a_set_of_tuples(pairs, data):
+    if data.draw(st.booleans(), label="plant a repeat"):
+        repeat = data.draw(st.sampled_from(pairs), label="repeated pair")
+        at = data.draw(st.integers(0, len(pairs)), label="at")
+        pairs = pairs[:at] + [repeat] + pairs[at:]
+    set1 = np.array([i for i, _ in pairs], dtype=np.int64)
+    set2 = np.array([j for _, j in pairs], dtype=np.int64)
+    if len(set(pairs)) == len(pairs):
+        assert pairs_of(Challenge(set1, set2)) == pairs
+    else:
+        with pytest.raises(ChallengeError, match="repeats an oscillator pair"):
+            Challenge(set1, set2)
+
+
+@pytest.mark.parametrize("bank", [0, 1])
+def test_selected_freqs_rejects_one_past_either_bank(bank):
+    device = SCREEN_DEVICES[0]
+    last = device.bank_size - 1
+    inside = [np.array([0, last]), np.array([last, 0])]
+    f1, f2 = selected_freqs(device, Challenge(*inside))
+    assert f1.tolist() == [device.set1_freqs[0], device.set1_freqs[last]]
+    assert f2.tolist() == [device.set2_freqs[last], device.set2_freqs[0]]
+    outside = list(inside)
+    outside[bank] = np.array([0, last + 1])
+    with pytest.raises(ChallengeError, match="past bank size"):
+        selected_freqs(device, Challenge(*outside))
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 7, 100, 127, 128, 129, 1000])
+def test_randomness_is_100_times_the_mean_bit_for_every_ones_count(n_bits):
+    rng = np.random.default_rng(n_bits)
+    for ones in range(n_bits + 1):
+        bits = np.zeros(n_bits, dtype=np.uint8)
+        bits[rng.choice(n_bits, size=ones, replace=False)] = 1
+        assert randomness(Response(bits)) == 100.0 * float(bits.mean())
 
 
 @pytest.mark.parametrize("value", [2, 255])
