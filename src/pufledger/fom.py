@@ -16,7 +16,7 @@ within a small Hamming distance of that noiseless reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -53,31 +53,27 @@ class ScreeningResult:
     reference: Response
 
 
-def _response_matrix(responses_by_device: Sequence[Sequence[Response]]) -> np.ndarray:
-    if len(responses_by_device) < 2:
+def _check_matrix(mat: np.ndarray) -> None:
+    if not (isinstance(mat, np.ndarray) and mat.ndim == 3 and mat.dtype == np.uint8):
+        raise ValueError("responses must be a uint8 array of shape (devices, challenges, bits)")
+    if mat.shape[0] < 2:
         raise ValueError("uniqueness needs at least two devices")
-    n_challenges = len(responses_by_device[0])
-    if n_challenges == 0:
+    if mat.shape[1] == 0:
         raise ValueError("uniqueness needs at least one challenge per device")
-    n_bits = responses_by_device[0][0].n_bits
-    rows = []
-    for device_responses in responses_by_device:
-        if len(device_responses) != n_challenges:
-            raise ValueError("every device must supply the same number of responses")
-        for resp in device_responses:
-            if resp.n_bits != n_bits:
-                raise ValueError("all responses must have the same bit width")
-        rows.append(np.stack([resp.bits for resp in device_responses]))
-    return np.stack(rows)  # shape (devices, challenges, bits)
+    if mat.shape[2] == 0:
+        raise ValueError("responses must contain at least one bit")
+    if mat.max() > 1:
+        raise ValueError("response bits must be 0 or 1")
 
 
-def uniqueness(responses_by_device: Sequence[Sequence[Response]]) -> float:
+def uniqueness(mat: np.ndarray) -> float:
     """Mean pairwise inter-device Hamming distance, as a percentage of bits.
 
-    Averages over all unordered device pairs and all challenges; every pair
-    and challenge gets equal weight.
+    mat[d, c] holds device d's response bits on challenge c. Averages over
+    all unordered device pairs and all challenges; every pair and challenge
+    gets equal weight.
     """
-    mat = _response_matrix(responses_by_device)
+    _check_matrix(mat)
     n_devices = mat.shape[0]
     total = 0.0
     n_pairs = 0
@@ -114,14 +110,15 @@ def randomness(response: Response) -> float:
     return 100.0 * (np.count_nonzero(response.bits) / response.n_bits)
 
 
-def mean_abs_correlation(responses_by_device: Sequence[Sequence[Response]]) -> float:
+def mean_abs_correlation(mat: np.ndarray) -> float:
     """Mean absolute pairwise bit correlation between devices.
 
-    Each device's responses are flattened to one long ±1 vector; the value
-    is the average |Pearson correlation| over unordered device pairs. Near
-    zero for an ideal population.
+    mat[d, c] holds device d's response bits on challenge c. Each device's
+    responses are flattened to one long ±1 vector; the value is the average
+    |Pearson correlation| over unordered device pairs. Near zero for an
+    ideal population.
     """
-    mat = _response_matrix(responses_by_device)
+    _check_matrix(mat)
     flat = mat.reshape(mat.shape[0], -1).astype(np.float64) * 2.0 - 1.0
     n_devices = flat.shape[0]
     vals = []

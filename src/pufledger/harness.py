@@ -45,11 +45,11 @@ from .puf import (
     DEVICE_ID_BITS,
     RESPONSE_BITS,
     PufConfig,
+    arbiter_bits,
     format_device_id,
     manufacture,
     random_challenge,
     read_seeds,
-    reference_response,
 )
 from .registry import Registry, enroll
 
@@ -543,13 +543,12 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         screened = screened[: cfg.fom_n_challenges]
         challenges = [challenge for challenge, _ in screened]
         refs = [ref for _, ref in screened]
-        # responses of every device on this device's screened set
-        matrix = []
-        for other in devices:
-            if other is device:
-                matrix.append(refs)
-            else:
-                matrix.append([reference_response(other, challenge) for challenge in challenges])
+        # every device's reference bits on this device's screened set, one
+        # gather per device: shape (devices, challenges, bits)
+        set1_idx = np.stack([challenge.set1_idx for challenge in challenges])
+        set2_idx = np.stack([challenge.set2_idx for challenge in challenges])
+        matrix = np.stack([arbiter_bits(other.set1_freqs[set1_idx], other.set2_freqs[set2_idx])
+                           for other in devices])
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)

@@ -27,7 +27,6 @@ once per receiver.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 import math
@@ -274,9 +273,13 @@ class _Sim:
         ]
         if not self.trusted_live:
             raise ScenarioError("world needs at least one trusted node")
-        # run() works on private copies so a scenario can be re-run
+        # run() works on private copies so a scenario can be re-run; a run
+        # mutates only a node's chain list, seq dict and scalar fields (its
+        # device, challenges and chain entries are immutable and shared)
         self.nodes: dict[int, NodeState] = {
-            node.node_id: copy.deepcopy(node) for node in world_nodes
+            node.node_id: replace(node, chain=list(node.chain),
+                                  last_seq_accepted=dict(node.last_seq_accepted))
+            for node in world_nodes
         }
         self.registry: Registry = scenario.world.registry
         self.view = trusted_view(self.registry)

@@ -15,7 +15,6 @@ reference response, and so every artifact built from one, depends on it.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -360,8 +359,29 @@ def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Respons
     return Response(noisy_bits(f1, f2, device.noise_sigma_mhz, read_seeds(eval_seed)))
 
 
+# largest bank random_challenge draws from: pair codes i * bank_size + j stay
+# below 2**62, exact in int64 (one such bank is 2**31 float64s, 16 GiB)
+_MAX_DRAW_BANK = 1 << 31
+
+
+def _drawn_challenge(set1_idx: np.ndarray, set2_idx: np.ndarray, max_idx: int) -> Challenge:
+    """A Challenge from random_challenge's draw, without __post_init__'s checks:
+    the selectors are int64 values in [0, bank_size) of equal length >= 1 whose
+    pairs are already known not to repeat, and max_idx is their largest value."""
+    challenge = object.__new__(Challenge)
+    for name, arr in (("set1_idx", set1_idx), ("set2_idx", set2_idx)):
+        arr.setflags(write=False)
+        object.__setattr__(challenge, name, arr)
+    object.__setattr__(challenge, "_max_idx", max_idx)
+    return challenge
+
+
 def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> Challenge:
     """Draw n_bits distinct oscillator pairs uniformly from bank_size^2 choices."""
+    if n_bits < 1:
+        raise ChallengeError("challenge must select at least one oscillator pair")
+    if bank_size > _MAX_DRAW_BANK:
+        raise ChallengeError(f"cannot draw from banks larger than {_MAX_DRAW_BANK}, got {bank_size}")
     if n_bits > bank_size * bank_size:
         raise ChallengeError(
             f"cannot pick {n_bits} distinct pairs from {bank_size}x{bank_size} choices"
@@ -372,10 +392,12 @@ def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> C
         # i then j: the stream of two calls of `need`, as 32-bit draws share a cached half-word
         ij = rng.integers(0, bank_size, size=2 * need)
         i, j = ij[:need], ij[need:]
+        codes = i * bank_size + j
         if not chosen:
-            with contextlib.suppress(ChallengeError):  # else a repeated pair: dedupe below
-                return Challenge(i, j)
-        chosen.update(dict.fromkeys((i * bank_size + j).tolist()))
+            ordered = np.sort(codes)
+            if not (ordered[1:] == ordered[:-1]).any():
+                return _drawn_challenge(i, j, int(ij.max()))
+        chosen.update(dict.fromkeys(codes.tolist()))  # a pair repeats: keep first draws
     codes = np.array(list(chosen), dtype=np.int64)
-    return Challenge(codes // bank_size, codes % bank_size)
-
+    set1_idx, set2_idx = codes // bank_size, codes % bank_size
+    return _drawn_challenge(set1_idx, set2_idx, max(int(set1_idx.max()), int(set2_idx.max())))

@@ -71,8 +71,8 @@ def test_c01_uniqueness_across_population():
     screened = _screen_pool_against(devices[0], cfg)[:100]
     assert len(screened) == 100
     challenges = [challenge for challenge, _ in screened]
-    matrix = [[reference_response(device, challenge) for challenge in challenges]
-              for device in devices]
+    matrix = np.array([[reference_response(device, challenge).bits for challenge in challenges]
+                       for device in devices])
     value = uniqueness(matrix)
     elapsed = time.perf_counter() - started
     ok = 47.0 <= value <= 53.0 and elapsed < 10.0

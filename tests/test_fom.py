@@ -48,17 +48,22 @@ def bits(values):
     return Response(np.asarray(values, dtype=np.uint8))
 
 
+def stack(rows):
+    """The (devices, challenges, bits) array of each device's row of Responses."""
+    return np.array([[response.bits for response in row] for row in rows])
+
+
 # --- uniqueness ---------------------------------------------------------------
 
 def test_uniqueness_identical_devices_is_zero():
     r = [bits([0, 1, 1, 0])]
-    assert uniqueness([r, list(r)]) == 0.0
+    assert uniqueness(stack([r, list(r)])) == 0.0
 
 
 def test_uniqueness_complementary_devices_is_hundred():
     a = [bits([0, 1, 1, 0])]
     b = [bits([1, 0, 0, 1])]
-    assert uniqueness([a, b]) == 100.0
+    assert uniqueness(stack([a, b])) == 100.0
 
 
 def test_uniqueness_counts_every_unordered_pair():
@@ -66,7 +71,7 @@ def test_uniqueness_counts_every_unordered_pair():
     b = [bits([1, 1, 1, 1])]
     c = [bits([0, 0, 1, 1])]
     # pairs: a-b 100%, a-c 50%, b-c 50% -> mean 200/3
-    assert uniqueness([a, b, c]) == pytest.approx(200.0 / 3.0)
+    assert uniqueness(stack([a, b, c])) == pytest.approx(200.0 / 3.0)
 
 
 @given(st.permutations(range(4)))
@@ -74,17 +79,24 @@ def test_uniqueness_counts_every_unordered_pair():
 def test_uniqueness_invariant_under_device_order(perm):
     rng = np.random.default_rng(11)
     matrix = [[bits(rng.integers(0, 2, size=16)) for _ in range(3)] for _ in range(4)]
-    baseline = uniqueness(matrix)
+    baseline = uniqueness(stack(matrix))
     shuffled = [matrix[i] for i in perm]
-    assert uniqueness(shuffled) == pytest.approx(baseline)
+    assert uniqueness(stack(shuffled)) == pytest.approx(baseline)
 
 
 def test_uniqueness_rejects_single_device_or_ragged():
     r = [bits([0, 1])]
     with pytest.raises(ValueError):
-        uniqueness([r])
+        uniqueness(stack([r]))
+    # ragged rows cannot stack; uniqueness takes only the stacked array
     with pytest.raises(ValueError):
         uniqueness([r, [bits([0, 1]), bits([1, 0])]])
+    for bad in (stack([r, r])[:, 0], stack([r, r]).astype(np.int64), stack([r, r])[:, :0],
+                stack([r, r])[:, :, :0], stack([r, r]) * 2):
+        with pytest.raises(ValueError):
+            uniqueness(bad)
+        with pytest.raises(ValueError):
+            mean_abs_correlation(bad)
 
 
 # --- reliability ----------------------------------------------------------------
@@ -137,8 +149,8 @@ def test_correlation_identical_and_complementary_are_one():
     rng = np.random.default_rng(3)
     r = [bits(rng.integers(0, 2, size=32)) for _ in range(4)]
     mirrored = [bits(1 - resp.bits) for resp in r]
-    assert mean_abs_correlation([r, r]) == pytest.approx(1.0)
-    assert mean_abs_correlation([r, mirrored]) == pytest.approx(1.0)
+    assert mean_abs_correlation(stack([r, r])) == pytest.approx(1.0)
+    assert mean_abs_correlation(stack([r, mirrored])) == pytest.approx(1.0)
 
 
 def test_correlation_independent_devices_near_zero(default_config):
@@ -146,13 +158,13 @@ def test_correlation_independent_devices_near_zero(default_config):
     rng = np.random.default_rng(9)
     challenges = [random_challenge(default_config.bank_size, 128, rng) for _ in range(8)]
     matrix = [[reference_response(d, ch) for ch in challenges] for d in devices]
-    assert mean_abs_correlation(matrix) < 0.1
+    assert mean_abs_correlation(stack(matrix)) < 0.1
 
 
 def test_correlation_skips_constant_vectors():
     flat = [bits([1, 1, 1, 1])]
     varied = [bits([0, 1, 0, 1])]
-    assert mean_abs_correlation([flat, varied]) == 0.0
+    assert mean_abs_correlation(stack([flat, varied])) == 0.0
 
 
 # --- screening -------------------------------------------------------------------

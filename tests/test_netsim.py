@@ -138,6 +138,27 @@ def test_identical_runs_are_identical(sim_parts):
     assert chains_a == chains_b
 
 
+def test_runs_leave_the_world_untouched(sim_parts):
+    # a run copies only what it mutates; the forged validations demote the
+    # trusted node, which must not reach the world's nodes or the next run
+    config, world = sim_parts
+    roles = [node.role for node in world.nodes]
+    scenario = Scenario(world=world, initiations=make_initiations(world, 4))
+    scenario = inject(Adversary("forge-validator", {}, (2000, 2400, 2800)), scenario)
+    first = run(config, scenario)
+    second = run(config, scenario)
+    assert any(e.kind == "demote" for e in first.events)
+    assert [event_to_json_line(e) for e in first.events] == \
+           [event_to_json_line(e) for e in second.events]
+    assert first.tx_records == second.tx_records and first.adversarial == second.adversarial
+    assert first.nodes == second.nodes
+    assert all(first.nodes[n.node_id] is not n for n in world.nodes)
+    for node, role in zip(world.nodes, roles):
+        assert node.role == role
+        assert node.chain == [] and node.next_seq == 0 and node.trust_value == 0
+        assert node.last_seq_accepted == {}
+
+
 def test_seed_changes_the_timeline(sim_parts):
     config, world = sim_parts
     scenario = Scenario(world=world, initiations=make_initiations(world, 8))

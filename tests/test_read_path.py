@@ -295,13 +295,33 @@ def random_challenge_by_pairs(bank_size, n_bits, rng):
     return list(chosen)
 
 
-@pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (16, 200), (4, 16), (3, 9), (1, 1)])
+@pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (200, 128), (1000, 128), (2**31, 128),
+                                               (16, 200), (4, 16), (3, 9), (1, 1)])
 def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
+    # dense banks (3, 4, 16) repeat a pair on most first rounds and take the dedupe path
     for seed in range(100):
         fast_rng, loop_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
         challenge = random_challenge(bank_size, n_bits, fast_rng)
         assert pairs_of(challenge) == random_challenge_by_pairs(bank_size, n_bits, loop_rng)
         assert fast_rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
+        # the draw skips the public constructor; it must build what the constructor builds
+        checked = Challenge(challenge.set1_idx.copy(), challenge.set2_idx.copy())
+        assert pairs_of(checked) == pairs_of(challenge)
+        assert checked == challenge and hash(checked) == hash(challenge)
+        assert checked._max_idx == challenge._max_idx
+        assert not (challenge.set1_idx.flags.writeable or challenge.set2_idx.flags.writeable)
+        assert challenge.set1_idx.dtype == challenge.set2_idx.dtype == np.int64
+
+
+@pytest.mark.parametrize("bank_size, n_bits", [(2**31 + 1, 128), (2**62, 1), (16, 0), (16, -1),
+                                               (4, 17), (1, 2)])
+def test_random_challenge_rejects_what_it_cannot_draw_exactly(bank_size, n_bits):
+    # above 2**31 per bank the pair codes i * bank_size + j could pass 2**63
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ChallengeError):
+        random_challenge(bank_size, n_bits, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_challenge_equality_is_by_pairs_in_order():
