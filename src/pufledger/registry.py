@@ -153,17 +153,24 @@ def trusted_view(registry: Registry) -> dict[int, tuple[Response, ...]]:
 
 # --- persistence -----------------------------------------------------------
 
+# decimal spellings of the default bank's indices, fixed at import so that a bank
+# near 2**31 allocates nothing more; an index past the end is spelled by str()
+_INDEX_STRS = tuple(map(str, range(256)))
+
+
 def record_to_json_line(record: CrpRecord) -> str:
-    obj = {
-        "device_id": format_device_id(record.device_id),
-        "enrolled_at": record.enrolled_at,
-        "pairs": [
-            {"challenge": np.column_stack((challenge.set1_idx, challenge.set2_idx)).tolist(),
-             "response": response.hex()}
-            for challenge, response in record.pairs
-        ],
-    }
-    return json.dumps(obj, separators=(",", ":"))
+    """The record as one compact JSON object, byte-equal to json.dumps with
+    separators=(",", ":"): each challenge is its list of [set1, set2] index
+    pairs, next to its response's hex."""
+    n = len(_INDEX_STRS)
+    pairs = []
+    for challenge, response in record.pairs:
+        set1 = [_INDEX_STRS[i] if i < n else str(i) for i in challenge.set1_idx.tolist()]
+        set2 = [_INDEX_STRS[i] if i < n else str(i) for i in challenge.set2_idx.tolist()]
+        pairs.append(f'{{"challenge":[[{"],[".join(map(",".join, zip(set1, set2)))}]],'
+                     f'"response":"{response.hex()}"}}')
+    return (f'{{"device_id":"{format_device_id(record.device_id)}",'
+            f'"enrolled_at":{record.enrolled_at},"pairs":[{",".join(pairs)}]}}')
 
 
 def save_registry(path: str | Path, registry: Registry) -> None:
@@ -172,7 +179,7 @@ def save_registry(path: str | Path, registry: Registry) -> None:
         {"trusted_node_ids": [format_device_id(i) for i in sorted(registry.trusted_node_ids)]},
         separators=(",", ":"),
     )
+    lines = [header] + [record_to_json_line(registry._records[device_id])
+                        for device_id in registry.device_ids]
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(header + "\n")
-        for device_id in registry.device_ids:
-            fh.write(record_to_json_line(registry._records[device_id]) + "\n")
+        fh.write("".join([line + "\n" for line in lines]))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -322,6 +323,34 @@ def test_entry_line_rejects_extra_whitespace():
     line = entry_to_json_line(sample_chain(1)[0])
     with pytest.raises(ValueError):
         entry_from_json_line(line.replace(":", ": ", 1))
+
+
+def escape_first_char(value: str) -> str:
+    """A JSON string literal respelled with its first character as a \\u escape."""
+    return f'"\\u{ord(value[1]):04x}{value[2:]}'
+
+
+# (line, key, respelling): json.loads reads each respelled value as the value
+# written, so only the canonical re-serialization can catch it
+NON_CANONICAL = [
+    (1, "payload", escape_first_char),
+    (2, "device_id", escape_first_char),
+    (2, "entry_hash", escape_first_char),
+    (0, "height", lambda value: "-" + value),
+    (1, "seq", lambda value: value + "E0"),
+]
+
+
+@pytest.mark.parametrize("index, key, respell", NON_CANONICAL)
+def test_non_canonical_spellings_of_the_same_value_fail_at_their_line(index, key, respell):
+    lines = [entry_to_json_line(entry) for entry in sample_chain(3)]
+    match = re.search(f'"{key}":("[^"]*"|[0-9]+)', lines[index])
+    bad = lines[index][:match.start(1)] + respell(match.group(1)) + lines[index][match.end(1):]
+    assert json.loads(bad)[key] == json.loads(lines[index])[key]
+    with pytest.raises(ValueError):
+        entry_from_json_line(bad)
+    lines[index] = bad
+    assert verify_chain_bytes("".join(line + "\n" for line in lines).encode("ascii")) == index
 
 
 def test_chain_file_round_trip(tmp_path):

@@ -1,8 +1,10 @@
 """The screening and reliability reads, their seed-word hash, challenge
-drawing and proof-of-work mining against straightforward reference loops:
-each fast path must give exactly what the plain per-read code gives."""
+drawing, proof-of-work mining and the artifact line writers against
+straightforward references: each fast path must give exactly what the
+plain per-read code, or json.dumps, gives."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -22,11 +24,30 @@ from pufledger.puf import (
     noisy_bits,
     read_seeds,
 )
-from pufledger.registry import CrpRecord, Registry, enroll
+from pufledger.registry import (
+    _INDEX_STRS,
+    CrpRecord,
+    Registry,
+    enroll,
+    record_to_json_line,
+    save_registry,
+)
 from pufledger.consensus import leading_zero_bits, pow_mine_baseline
 from pufledger.errors import ChallengeError, ConfigError
 from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge
-from pufledger.ledger import BlockData, canonical_bytes
+from pufledger.ledger import (
+    AuthTag,
+    BlockData,
+    ChainEntry,
+    append,
+    canonical_bytes,
+    entry_from_json_line,
+    entry_to_json_line,
+    save_chain,
+    sha256,
+)
+from pufledger.netsim import LogEvent, event_to_json_line, save_events
+from pufledger.puf import format_device_id
 from conftest import rng_seeds
 
 
@@ -360,3 +381,183 @@ def test_pow_mine_baseline_matches_the_plain_loop(difficulty):
         data = BlockData(device_id=0xABC + k, seq=k, t_init=7 * k, payload=bytes([k]) * k)
         assert pow_mine_baseline(data, difficulty) == pow_by_plain_loop(data, difficulty)
 
+
+
+# --- artifact lines against json.dumps -------------------------------------------
+#
+# Each oracle is the writer's body before it was formatted by hand: json.dumps
+# of the same dict with compact separators.
+
+def dumps(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def entry_line_by_json_dumps(entry):
+    return dumps({
+        "height": entry.height,
+        "prev_hash": entry.prev_hash.hex(),
+        "device_id": format_device_id(entry.data.device_id),
+        "seq": entry.data.seq,
+        "t_init": entry.data.t_init,
+        "payload": entry.data.payload.hex(),
+        "auth_tag": entry.auth_tag.hex(),
+        "trusted_node_id": format_device_id(entry.trusted_node_id),
+        "t_validated": entry.t_validated,
+        "entry_hash": entry.entry_hash.hex(),
+    })
+
+
+def record_line_by_json_dumps(record):
+    return dumps({
+        "device_id": format_device_id(record.device_id),
+        "enrolled_at": record.enrolled_at,
+        "pairs": [
+            {"challenge": np.column_stack((challenge.set1_idx, challenge.set2_idx)).tolist(),
+             "response": response.hex()}
+            for challenge, response in record.pairs
+        ],
+    })
+
+
+def event_line_by_json_dumps(event):
+    return dumps({
+        "t_ms": event.t_ms,
+        "kind": event.kind,
+        "node": format_device_id(event.node) if event.node is not None else "",
+        "block_ref": event.block_ref,
+        "detail": event.detail,
+    })
+
+
+U64 = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1), st.just(2**64 - 1))
+DEVICE_ID = st.one_of(st.just(0), st.just(2**48 - 1), st.integers(0, 2**48 - 1))
+HASH = st.binary(min_size=32, max_size=32)
+PAYLOAD = st.one_of(st.just(b""), st.just(bytes(range(256)) * 256), st.binary(max_size=64))
+
+
+@given(height=U64, prev_hash=HASH, device_id=DEVICE_ID, seq=U64, t_init=U64, payload=PAYLOAD,
+       auth_tag=HASH, trusted_node_id=DEVICE_ID, t_validated=U64, entry_hash=HASH)
+@settings(max_examples=300, deadline=None)
+def test_entry_line_is_json_dumps_of_its_fields(height, prev_hash, device_id, seq, t_init,
+                                                payload, auth_tag, trusted_node_id,
+                                                t_validated, entry_hash):
+    entry = ChainEntry(height, prev_hash, BlockData(device_id, seq, t_init, payload),
+                       AuthTag(auth_tag), trusted_node_id, t_validated, entry_hash)
+    line = entry_to_json_line(entry)
+    assert line == entry_line_by_json_dumps(entry)
+    assert entry_from_json_line(line) == entry
+
+
+# indices on both sides of the int-string table's end, up to random_challenge's largest bank
+RECORD_INDEX = st.one_of(st.integers(0, len(_INDEX_STRS) + 3),
+                         st.integers(len(_INDEX_STRS) - 3, 2**31 - 1), st.just(2**31 - 1))
+
+
+def challenge_of(pairs):
+    return Challenge(np.array([i for i, _ in pairs], dtype=np.int64),
+                     np.array([j for _, j in pairs], dtype=np.int64))
+
+
+@given(st.lists(st.lists(st.tuples(RECORD_INDEX, RECORD_INDEX), min_size=1, max_size=20,
+                         unique=True),
+                min_size=1, max_size=8, unique_by=tuple),
+       DEVICE_ID, U64, st.data())
+@settings(max_examples=200, deadline=None)
+def test_record_line_is_json_dumps_of_its_fields(challenges, device_id, enrolled_at, data):
+    pairs = tuple(
+        (challenge_of(pairs), Response(np.array(
+            data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=130)), dtype=np.uint8)))
+        for pairs in challenges
+    )
+    record = CrpRecord(device_id=device_id, pairs=pairs, enrolled_at=enrolled_at)
+    assert record_to_json_line(record) == record_line_by_json_dumps(record)
+
+
+def test_record_line_spells_indices_past_the_table_with_str():
+    top = 2**31 - 1  # the largest index random_challenge can draw
+    challenge = challenge_of([(0, top), (255, 256), (256, 255), (top, 0)])
+    record = CrpRecord(device_id=7, enrolled_at=0,
+                       pairs=((challenge, Response(np.array([1, 0, 1, 1], dtype=np.uint8))),))
+    line = record_to_json_line(record)
+    assert line == record_line_by_json_dumps(record)
+    assert f'"challenge":[[0,{top}],[255,256],[256,255],[{top},0]]' in line
+    assert len(_INDEX_STRS) == 256  # fixed at import, never grown to the largest index
+
+
+# every detail shape netsim logs, by event kind
+DETAIL_SHAPES = (
+    ("lose", ("tx", "from")),
+    ("initiate", ("tx", "seq", "device_id", "challenge_index")),
+    ("tamper", ("tx", "field")),
+    ("deliver", ("msg", "tx", "from", "validated", "adv")),
+    ("ignore", ("msg",)),
+    ("accept", ("tx", "seq", "height", "role", "hashes", "adv")),
+    ("rebroadcast", ("tx",)),
+    ("reject", ("msg", "tx", "reason", "hashes", "adv")),
+    ("reject", ("msg", "tx", "reason", "adv")),
+    ("penalize", ("penalties", "trust_value")),
+    ("demote", ("trust_value",)),
+    ("inject-noop", ("kind", "tx")),
+    ("inject", ("kind", "tx")),
+    ("inject", ("kind", "device_id")),
+    ("inject", ("kind", "claim")),
+)
+# quotes, backslashes, control characters, DEL, non-ASCII, a line separator,
+# a lone surrogate and a character outside the BMP, next to everything else
+SPECIAL = '"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=12)
+DETAIL_VALUE = st.one_of(st.integers(-1, 3), st.integers(-2**63, 2**64), st.booleans(), TEXT)
+
+
+@given(st.sampled_from(DETAIL_SHAPES), st.data())
+@settings(max_examples=500, deadline=None)
+def test_event_line_is_json_dumps_of_its_fields(shape, data):
+    kind, keys = shape
+    event = LogEvent(
+        t_ms=data.draw(st.one_of(st.integers(0, 10**6), U64), label="t_ms"),
+        kind=data.draw(st.one_of(st.just(kind), TEXT), label="kind"),
+        node=data.draw(st.one_of(st.none(), DEVICE_ID), label="node"),
+        block_ref=data.draw(st.one_of(st.just(""), HASH.map(bytes.hex), TEXT), label="block_ref"),
+        detail={key: data.draw(DETAIL_VALUE, label=key) for key in keys},
+    )
+    assert event_to_json_line(event) == event_line_by_json_dumps(event)
+
+
+@pytest.mark.parametrize("value", [None, 1.5, [1], {"tx": 1}])
+def test_event_line_refuses_a_detail_value_it_does_not_spell(value):
+    with pytest.raises(TypeError):
+        event_to_json_line(LogEvent(0, "ignore", None, "", {"msg": value}))
+
+
+def saved_text(save, path, objects):
+    save(path, objects)
+    return path.read_bytes().decode("ascii")
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_saved_chain_is_its_encoded_lines(tmp_path, n):
+    chain = []
+    for k in range(n):
+        data = BlockData(device_id=k, seq=k, t_init=k, payload=bytes([k]) * k)
+        append(chain, data, AuthTag(sha256(bytes([k]))), 2**48 - 1, k)
+    text = saved_text(save_chain, tmp_path / "chain.ndjson", chain)
+    assert text == "".join(entry_to_json_line(entry) + "\n" for entry in chain)
+
+
+def test_saved_registry_is_its_header_then_its_encoded_records(tmp_path, enrolled):
+    registry, records = enrolled
+    for reg in (Registry(trusted_node_ids=[2**48 - 1, 5]), registry):
+        header = dumps({"trusted_node_ids": [format_device_id(i)
+                                             for i in sorted(reg.trusted_node_ids)]})
+        lines = [header] + [record_to_json_line(records[i]) for i in reg.device_ids]
+        text = saved_text(save_registry, tmp_path / "registry.ndjson", reg)
+        assert text == "".join(line + "\n" for line in lines)
+    assert text.count("\n") == 1 + len(records)
+
+
+@pytest.mark.parametrize("n", [0, 1, len(DETAIL_SHAPES)])
+def test_saved_events_are_their_encoded_lines(tmp_path, n):
+    events = tuple(LogEvent(k, kind, k if k % 2 else None, "", {key: k for key in keys})
+                   for k, (kind, keys) in enumerate(DETAIL_SHAPES[:n]))
+    text = saved_text(save_events, tmp_path / "events.ndjson", events)
+    assert text == "".join(event_to_json_line(event) + "\n" for event in events)
