@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .puf import Challenge, PufDevice, Response, arbiter_bits, noisy_bits, selected_freqs
+from .puf import Challenge, NoisyRace, PufDevice, Response, selected_freqs
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,18 @@ def uniqueness(mat: np.ndarray) -> float:
     return 100.0 * total / n_pairs
 
 
-def reliability(device: PufDevice, challenge: Challenge, n_reevals: int, words: np.ndarray) -> float:
+def reliability(device: PufDevice, challenge: Challenge, n_reevals: int,
+                rng: np.random.Generator) -> float:
     """Mean pairwise Hamming distance among repeated noisy reads, in percent.
 
-    words holds one row of read_seeds words per read. A bit read as 1 in k
-    of n reads disagrees in k * (n - k) of the read pairs, so the sum of
+    The n_reevals reads are drawn from rng in one call. A bit read as 1 in
+    k of n reads disagrees in k * (n - k) of the read pairs, so the sum of
     that over bits is the pairwise distance total.
     """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
-    if len(words) < n_reevals:
-        raise ValueError(f"need {n_reevals} read seeds, got {len(words)}")
-    f1, f2 = selected_freqs(device, challenge)
-    sigma = device.noise_sigma_mhz
-    reads = np.stack([noisy_bits(f1, f2, sigma, words[k]) for k in range(n_reevals)])
-    ones = reads.sum(axis=0, dtype=np.int64)
+    race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
+    ones = race.read(rng, n_reevals).sum(axis=0, dtype=np.int64)
     total = int((ones * (n_reevals - ones)).sum())
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.n_bits)
@@ -136,28 +133,27 @@ def screen_challenge(
     device: PufDevice,
     challenge: Challenge,
     policy: ScreeningPolicy,
-    words: np.ndarray,
+    rng: np.random.Generator,
 ) -> ScreeningResult:
     """Decide whether a challenge is stable and balanced enough to enroll.
 
     The noiseless response is the stored reference; the challenge passes
     when that reference's randomness sits inside the policy band and each
     of n_screen_reevals noisy reads differs from the reference by at most
-    max_unreliable_bits bits. Read k draws its jitter from words[k], one
-    row of read_seeds words. Stops at the first failing read.
+    max_unreliable_bits bits. The randomness check comes first and draws
+    nothing; then reads 0, 1, ... are drawn from rng one at a time, and
+    screening stops at the first failing read, so a rejected challenge
+    leaves the rest of its reads undrawn.
     """
-    if len(words) < policy.n_screen_reevals:
-        raise ValueError(f"need {policy.n_screen_reevals} read seeds, got {len(words)}")
-    f1, f2 = selected_freqs(device, challenge)
-    ref = Response(arbiter_bits(f1, f2))  # reference_response, from the one gather
+    race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
+    ref = Response(race.reference_bits)
     rnd = randomness(ref)
     low, high = policy.randomness_band
     if not (low <= rnd <= high):
         return ScreeningResult(False, "randomness", rnd, 0, ref)
-    sigma = device.noise_sigma_mhz
     worst = 0
-    for k in range(policy.n_screen_reevals):
-        mismatch = int(np.count_nonzero(noisy_bits(f1, f2, sigma, words[k]) != ref.bits))
+    for _ in range(policy.n_screen_reevals):
+        mismatch = int(np.count_nonzero(race.read(rng) != ref.bits))
         worst = max(worst, mismatch)
         if mismatch > policy.max_unreliable_bits:
             return ScreeningResult(False, "stability", rnd, worst, ref)
@@ -166,17 +162,19 @@ def screen_challenge(
 
 def screen_pool(
     device: PufDevice,
-    candidates: Iterable[tuple[Challenge, np.ndarray]],
+    candidates: Iterable[Challenge],
     policy: ScreeningPolicy,
+    rng: np.random.Generator,
 ) -> list[tuple[Challenge, Response]]:
-    """Screen (challenge, read seed words) candidates in order and return
+    """Screen candidate challenges in order, reading from rng, and return
     the survivors with their reference responses. A challenge equal to one
     already kept is skipped unscreened: an exact duplicate never enrolls
-    twice."""
+    twice. The candidates are taken one at a time, each after the one
+    before it is screened, so they may be drawn lazily from rng too."""
     kept: dict[Challenge, Response] = {}
-    for challenge, words in candidates:
+    for challenge in candidates:
         if challenge not in kept:
-            result = screen_challenge(device, challenge, policy, words)
+            result = screen_challenge(device, challenge, policy, rng)
             if result.accepted:
                 kept[challenge] = result.reference
     return list(kept.items())

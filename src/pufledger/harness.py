@@ -49,7 +49,6 @@ from .puf import (
     format_device_id,
     manufacture,
     random_challenge,
-    read_seeds,
 )
 from .registry import Registry, enroll
 
@@ -516,6 +515,11 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     over its own accepted challenges (capped at fom_n_challenges), with
     uniqueness comparing its responses to every other device's responses on
     that same set. The population rows average the per-device figures.
+
+    Derivations from the seed: device ids from substream 10, the pool from
+    substream 20, device d's screening reads from substream (21, d), and
+    every reliability read from substream 22, device by device and
+    challenge by challenge.
     """
     puf_config = cfg.puf_config()
     policy = cfg.screening_policy()
@@ -525,9 +529,6 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
     pool = [random_challenge(puf_config.bank_size, RESPONSE_BITS, pool_rng)
             for _ in range(cfg.fom_pool_size)]
-    screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN])
-    screen_words = read_seeds(
-        screen_rng.integers(0, 1 << 63, size=(cfg.fom_pool_size, policy.n_screen_reevals)))
     rel_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_RELIABILITY])
 
     per_device = []
@@ -535,7 +536,8 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     all_uni, all_rel, all_rnd = [], [], []
     common_matrix = None
     for d, device in enumerate(devices):
-        screened = fom.screen_pool(device, zip(pool, screen_words), policy)
+        screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN, d])
+        screened = fom.screen_pool(device, pool, policy, screen_rng)
         accepted_counts.append(len(screened))
         if not screened:
             raise ScenarioError(
@@ -552,12 +554,8 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)
-        rel_words = read_seeds(
-            rel_rng.integers(0, 1 << 63, size=(len(challenges), cfg.fom_n_reevals)))
-        rel = float(np.mean([
-            fom.reliability(device, challenge, cfg.fom_n_reevals, rel_words[i])
-            for i, challenge in enumerate(challenges)
-        ]))
+        rel = float(np.mean([fom.reliability(device, challenge, cfg.fom_n_reevals, rel_rng)
+                             for challenge in challenges]))
         rnd = float(np.mean([fom.randomness(ref) for ref in refs]))
         all_uni.append(uni)
         all_rel.append(rel)

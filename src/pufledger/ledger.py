@@ -47,6 +47,10 @@ class BlockData:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
+        # a bool would pass the range checks as 0 or 1, but save as true or false
+        for name in ("device_id", "seq", "t_init"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be an integer, not a bool")
         if not 0 <= self.device_id < (1 << DEVICE_ID_BITS):
             raise ConfigError(f"device_id out of 48-bit range: {self.device_id}")
         if not 0 <= self.seq <= _U64_MAX:

@@ -6,7 +6,9 @@ from a normal distribution. A challenge names one oscillator from each bank
 per response bit; evaluating the challenge races the two oscillators and an
 arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
-disagree on bits whose frequency gap is small.
+disagree on bits whose frequency gap is small. A noisy read draws one
+standard normal per bit from its caller's generator (see NoisyRace), so a
+caller that reads in a fixed order from one generator fixes every read.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -249,114 +251,47 @@ def reference_response(device: PufDevice, challenge: Challenge) -> Response:
     return Response(arbiter_bits(*selected_freqs(device, challenge)))
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_SS_MIX_MULT_R = np.uint32(0x4973F715)
-_SS_XSHIFT = np.uint32(16)
-_SS_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_SEED_LIMIT = 1 << 64
+class NoisyRace:
+    """The races one challenge selects on one device, read with thermal jitter.
 
-
-def read_seeds(eval_seeds) -> np.ndarray:
-    """The PCG64 seed words of the noisy read named by each eval seed.
-
-    Row k of the result (shape eval_seeds.shape + (4,), uint64) equals
-    np.random.SeedSequence([s]).generate_state(4, np.uint64) for the seed s
-    at k: the SeedSequence hash with pool size 4, run over every seed at
-    once in uint32 array arithmetic. Its entropy is the seed's low and high
-    32-bit words; a seed below 2**32 hashes as one word, and a missing word
-    hashes like a zero word, so two words serve every seed in [0, 2**64).
-    Raises ConfigError for a seed outside that range.
+    Both oscillators of a race get independent N(0, sigma^2) jitter, so
+    f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
+    standard normal, exceeds (f2 - f1) / (sigma * sqrt 2). A noisy read
+    therefore draws one standard normal per bit and compares it with that
+    threshold, which is computed once per race. A noiseless device draws
+    nothing: each of its reads is its reference.
     """
-    # Python ints stay exact as objects (a list mixing seeds past 2**63 with
-    # small ones would otherwise become float64)
-    seeds = eval_seeds if isinstance(eval_seeds, np.ndarray) else np.array(eval_seeds, dtype=object)
-    if seeds.dtype == object:
-        valid = all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                    and 0 <= s < _SEED_LIMIT for s in seeds.flat)
-    else:
-        valid = seeds.dtype.kind == "u" or (seeds.dtype.kind == "i" and (seeds.size == 0 or seeds.min() >= 0))
-    if not valid:
-        raise ConfigError("eval seeds must be integers in [0, 2**64)")
-    flat = seeds.reshape(-1).astype(np.uint64)
-    entropy = [(flat & np.uint64(_MASK32)).astype(np.uint32),
-               (flat >> np.uint64(32)).astype(np.uint32)]
-    hash_const = _SS_INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _SS_XSHIFT)
+    __slots__ = ("reference_bits", "_threshold")
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _SS_MIX_MULT_L * x - _SS_MIX_MULT_R * y
-        return result ^ (result >> _SS_XSHIFT)
+    def __init__(self, f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float) -> None:
+        self.reference_bits = arbiter_bits(f1, f2)
+        self._threshold = None
+        if noise_sigma_mhz > 0:
+            # a gap too large for a subnormal sigma becomes a threshold of +-inf: a certain bit
+            with np.errstate(over="ignore"):
+                self._threshold = (f2 - f1) / (noise_sigma_mhz * math.sqrt(2))
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_SS_POOL_SIZE)]
-    for i_src in range(_SS_POOL_SIZE):
-        for i_dst in range(_SS_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    # generate_state(4, uint64): eight uint32 words cycled from the pool,
-    # paired little-endian into four uint64 words
-    hash_const = _SS_INIT_B
-    state = []
-    for i_dst in range(2 * _SS_POOL_SIZE):
-        value = pool[i_dst % _SS_POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> _SS_XSHIFT))
-    words = np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
-    return words.reshape(seeds.shape + (4,))
-
-
-class _ReadSeed(np.random.bit_generator.ISeedSequence):
-    """Hands one row of read_seeds words to PCG64 as its seeded state."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words: np.ndarray) -> None:
-        self._words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a read seed holds exactly four uint64 words")
-        # PCG64 reads the raw buffer, so it must be four contiguous uint64s
-        return np.ascontiguousarray(self._words, dtype=np.uint64)
-
-
-def noisy_bits(f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float, words: np.ndarray) -> np.ndarray:
-    """One noisy race of the selected oscillator frequencies f1 against f2.
-
-    Every race gets fresh jitter on both oscillators. The jitter stream is a
-    deterministic function of the read's seed words (one row of read_seeds)
-    alone, and is the stream np.random.default_rng([eval_seed]) gives for
-    the seed they came from. The same frequencies and words always
-    reproduce the same bits, and distinct seeds give independent jitter.
-    Returns the uint8 bit vector.
-    """
-    if noise_sigma_mhz > 0:
-        rng = np.random.Generator(np.random.PCG64(_ReadSeed(words)))
-        n = len(f1)
-        jitter = rng.normal(0.0, noise_sigma_mhz, size=2 * n)  # a (2, n) draw's values, flat
-        f1 = f1 + jitter[:n]
-        f2 = f2 + jitter[n:]
-    return arbiter_bits(f1, f2)
+    def read(self, rng: np.random.Generator, n_reads: int | None = None) -> np.ndarray:
+        """One noisy read as an (n_bits,) uint8 array, or n_reads of them as
+        an (n_reads, n_bits) array, from one standard_normal draw of rng of
+        that shape: bit k of a read is 1 when its normal exceeds bit k's
+        threshold. Reads are drawn in order, so n reads in one call are the
+        n reads of n calls."""
+        bits = self.reference_bits
+        shape = bits.shape if n_reads is None else (n_reads,) + bits.shape
+        if self._threshold is None:
+            return np.broadcast_to(bits, shape)
+        return (rng.standard_normal(shape) > self._threshold).astype(np.uint8)
 
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
-    """Noisy evaluation of a challenge on a device (see noisy_bits); eval_seed
-    must lie in [0, 2**64)."""
-    f1, f2 = selected_freqs(device, challenge)
-    return Response(noisy_bits(f1, f2, device.noise_sigma_mhz, read_seeds(eval_seed)))
+    """One noisy read of a challenge on a device (see NoisyRace), drawn from
+    np.random.default_rng([eval_seed]); eval_seed must be >= 0."""
+    if eval_seed < 0:
+        raise ConfigError(f"eval_seed must be >= 0, got {eval_seed}")
+    race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
+    return Response(race.read(np.random.default_rng([eval_seed])))
 
 
 # largest bank random_challenge draws from: pair codes i * bank_size + j stay

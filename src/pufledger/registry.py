@@ -33,10 +33,7 @@ from .puf import (
     Response,
     format_device_id,
     random_challenge,
-    read_seeds,
 )
-
-_CANDIDATE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,13 @@ def enroll(
     """Screen n_candidates random RESPONSE_BITS-bit challenges and store the
     survivors.
 
-    All randomness (candidate draws and screening re-read jitter) comes from
+    All randomness (candidate draws and screening read jitter) comes from
     one generator seeded by `seed`, consumed in a fixed order: for each
-    candidate, first the challenge, then its n_screen_reevals read seeds.
-    Raises when the device already has a record or when nothing survives.
+    candidate, first the challenge, then its noisy reads (one
+    standard_normal(RESPONSE_BITS) each) up to the first failing read. A
+    candidate rejected for randomness or equal to one already kept, or any
+    candidate of a noiseless device, draws no reads. Raises when the device already has a record or when nothing
+    survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -103,18 +103,9 @@ def enroll(
             f"device {format_device_id(device.device_id)} is already enrolled"
         )
     rng = np.random.default_rng([seed])
-
-    def candidates():
-        # read seed words are hashed a block of candidates at a time; each eval seed is
-        # integers(0, 2**63)'s draw, a raw 64-bit word >> 1 (Lemire never rejects at 2**63)
-        for start in range(0, n_candidates, _CANDIDATE_BLOCK):
-            block = [(random_challenge(device.bank_size, RESPONSE_BITS, rng),
-                      rng.bit_generator.random_raw(policy.n_screen_reevals) >> 1)
-                     for _ in range(min(_CANDIDATE_BLOCK, n_candidates - start))]
-            words = read_seeds(np.stack([seeds for _, seeds in block]))
-            yield from zip([challenge for challenge, _ in block], words)
-
-    pairs = screen_pool(device, candidates(), policy)
+    # lazy: each challenge is drawn after the candidate before it is screened
+    candidates = (random_challenge(device.bank_size, RESPONSE_BITS, rng) for _ in range(n_candidates))
+    pairs = screen_pool(device, candidates, policy, rng)
     if not pairs:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "

@@ -19,7 +19,7 @@ from pufledger.ledger import (
     save_chain,
     verify_chain_bytes,
 )
-from pufledger.puf import RESPONSE_BITS, PufConfig, manufacture, random_challenge, reference_response, read_seeds
+from pufledger.puf import RESPONSE_BITS, PufConfig, manufacture, random_challenge, reference_response
 from pufledger.registry import Registry, enroll
 from pufledger import ScenarioConfig, run_scenario
 from pufledger.fom import ScreeningPolicy, screen_challenge, uniqueness
@@ -55,11 +55,10 @@ def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     pool_rng = np.random.default_rng([seed, 20])
     pool = [random_challenge(cfg.bank_size, RESPONSE_BITS, pool_rng)
             for _ in range(pool_size)]
-    seed_rng = np.random.default_rng([seed, 21])
-    words = read_seeds(seed_rng.integers(0, 1 << 63, size=(pool_size, policy.n_screen_reevals)))
+    read_rng = np.random.default_rng([seed, 21])
     survivors = []
-    for i, challenge in enumerate(pool):
-        outcome = screen_challenge(device, challenge, policy, words[i])
+    for challenge in pool:
+        outcome = screen_challenge(device, challenge, policy, read_rng)
         if outcome.accepted:
             survivors.append((challenge, outcome.reference))
     return survivors
@@ -87,17 +86,16 @@ def test_c02_reliability_at_calibrated_and_zero_noise():
     screened = _screen_pool_against(device, cfg)
     challenges = [challenge for challenge, _ in screened]
     rel_rng = np.random.default_rng([42, 22])
-    words = read_seeds(rel_rng.integers(0, 1 << 63, size=(len(challenges), 11)))
     noisy = float(np.mean([
-        fom.reliability(device, challenge, 11, words[i])
-        for i, challenge in enumerate(challenges)
+        fom.reliability(device, challenge, 11, rel_rng)
+        for challenge in challenges
     ]))
 
     quiet_device = manufacture(
         PufConfig(noise_sigma_mhz=0.0), device.device_id, 0)
     quiet = max(
-        fom.reliability(quiet_device, challenge, 11, words[i])
-        for i, challenge in enumerate(challenges)
+        fom.reliability(quiet_device, challenge, 11, rel_rng)
+        for challenge in challenges
     )
     elapsed = time.perf_counter() - started
     ok = 1.0 <= noisy <= 5.0 and quiet == 0.0 and elapsed < 10.0

@@ -9,12 +9,20 @@ Between them the five scenarios reach every verdict the simulator records
 except `ignore` (which needs two trusted nodes): accepts at the trusted
 node and at clients, structural rejects at clients, trusted-node
 `no-match`, `replay` and `unknown-device`, client `no-match` followed by
-`penalize` and `demote`, and rejects of blocks queued at a validator that
-was demoted before it judged them (the drop scenario).
+`penalize` and `demote`, and rejects at the demoted validator of the blocks
+that reach it after its demotion (the drop scenario).
+test_golden_scenarios_reach_every_listed_verdict counts them, so a
+re-recorded digest cannot hide a lost verdict.
+
+`PYTHONPATH=src python tests/test_golden.py` prints the current digests in
+the layout of GOLDEN_SCENARIOS and GOLDEN_FOM below, for re-recording.
 """
 
 import hashlib
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,91 +34,91 @@ SMALL = dict(n_candidates=100, n_transactions=40, n_clients=3, n_fast_clients=1)
 GOLDEN_SCENARIOS = {
     "forge-validator": (dict(adversary="forge-validator", adversary_events=3), {
         "chain_5ca2a75fd86b.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_d6c96bde225a.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_f2124f8c592d.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_f22904f78d4a.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "events.ndjson":
-            "c8c225ccc5f7aeb31ae1128adf05c734a2e7992ade699e2c38d03b3c933a2895",
+            "a8b214af99a48badc18e28563d21bf12f8e119ed333edc592ebae6e3aafea68a",
         "metrics.json":
             "11bca74f701958692460b60ac8f15a69fd0da7e05f6d46d8c7c84ce85e8ec7ea",
         "registry.ndjson":
-            "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
+            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "tamper": (dict(adversary="tamper", adversary_events=4), {
         "chain_5ca2a75fd86b.ndjson":
-            "94757447d2b2e20df7a91e9b8e081de80957224864cd4750a23ae532cf33720f",
+            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
         "chain_d6c96bde225a.ndjson":
-            "94757447d2b2e20df7a91e9b8e081de80957224864cd4750a23ae532cf33720f",
+            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
         "chain_f2124f8c592d.ndjson":
-            "94757447d2b2e20df7a91e9b8e081de80957224864cd4750a23ae532cf33720f",
+            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
         "chain_f22904f78d4a.ndjson":
-            "94757447d2b2e20df7a91e9b8e081de80957224864cd4750a23ae532cf33720f",
+            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
         "events.ndjson":
-            "d3b6507fd17cb79f33d069247cedfed9daee4257f87b5857b4bbdc34abedf3f0",
+            "4d9b3ed50ea4a3451035af3cb9b36de89d7a7791c9758617e31ba4e0e3eb16a4",
         "metrics.json":
             "9ea5d420f0d5433a3798eb10ba99e84833198ca02ad06ff31d1f1e545f860c61",
         "registry.ndjson":
-            "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
+            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
         "timings.csv":
             "9ae4d340d86e59a4ae19a2584b3645446310f97bfa44691e17dfcc024c02a573",
     }),
     "replay": (dict(adversary="replay", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_d6c96bde225a.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_f2124f8c592d.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_f22904f78d4a.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "events.ndjson":
-            "bd9c88980fd2de0a5a556ee6787f3952e185a9697d2228ff426c635135355fff",
+            "eb77eb4bc2c0ab0e82adcc3378d383745d304378ade848f9422cf635f72c5fac",
         "metrics.json":
             "eb1b0cb56a8bc7df23e156c8b8ed9ca92d5400bb477e55032286244a4f6f0e18",
         "registry.ndjson":
-            "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
+            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "fake-device": (dict(adversary="fake-device", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_d6c96bde225a.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_f2124f8c592d.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "chain_f22904f78d4a.ndjson":
-            "5eee2a3560f02e51169646be3b816156bd69e7f49bcc21683e7a3bf469faac1b",
+            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
         "events.ndjson":
-            "03e47ce30beb9bfd265c6f497f80d6d7ab798e1db438f890af720a2f49dccd8c",
+            "47dc8eb9b6bddcd7aa821d5d7a9b03c0e97550fd7144f5475daf41e8e670342d",
         "metrics.json":
             "5092902f215c71e5cacb66f79566cc915942784c09bd1189760798777ceea949",
         "registry.ndjson":
-            "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
+            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "drop": (dict(drop_rate=0.05), {
         "chain_5ca2a75fd86b.ndjson":
-            "c2fcc49fd80b1ed93e96132c480bf5ea8587f7ac3c44dc0fe1a7bcf71f08b060",
+            "4abda628b5963ceeeaffb3720f58fccbaa65609970958287283f5b39a6d8b169",
         "chain_d6c96bde225a.ndjson":
-            "c2fcc49fd80b1ed93e96132c480bf5ea8587f7ac3c44dc0fe1a7bcf71f08b060",
+            "4abda628b5963ceeeaffb3720f58fccbaa65609970958287283f5b39a6d8b169",
         "chain_f2124f8c592d.ndjson":
-            "6d5433aa092c41a9da19e05da2c75b54542da409e42fca69fb2dc590d4a6f303",
+            "8505ca38cc6b052d94a259e2b59b53c1e3d706aaac11748efdb539570ce9c3c6",
         "chain_f22904f78d4a.ndjson":
-            "c2fcc49fd80b1ed93e96132c480bf5ea8587f7ac3c44dc0fe1a7bcf71f08b060",
+            "4abda628b5963ceeeaffb3720f58fccbaa65609970958287283f5b39a6d8b169",
         "events.ndjson":
-            "8a8f83d19b976fa78d8dd95003701e2d06d35fed72a2023c0ceec6da1db706b9",
+            "b85881694098ce85b36c1059583c0a6254385fc2c894896190433ce05ffc2ec7",
         "metrics.json":
             "9b5d62b70debfd22104bcd22ee60d334ef2fc63ab86277adca2e1287e7497b35",
         "registry.ndjson":
-            "1c6b3e11eedd7689d3336d43584e7ae101967ee8fbdb5de3c92327c7fb99f094",
+            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
         "timings.csv":
             "81a4a0c256746021c30e6ac575c7a395f2681f8d3ea13986e286c43801ec53fb",
     }),
@@ -118,7 +126,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_FOM = (
     dict(fom_n_devices=3, fom_pool_size=60, fom_n_challenges=20, fom_n_reevals=5),
-    "ad9b77585b4d6e0ba7c582d3591cea3f2157c2506c283d0f5bf0ac2afa7a9bb6",
+    "c6bd009c37dbb251da0f8fb1ea6588afc6bc2ffb997d8ccd0339269be68d3c8d",
 )
 
 
@@ -152,3 +160,73 @@ def test_fom_report_matches_golden_digest():
     overrides, expected = GOLDEN_FOM
     doc = run_fom_calibration(ScenarioConfig(**overrides))
     assert sha256_hex(json.dumps(doc, indent=2).encode()) == expected
+
+
+# the verdicts the module docstring lists, as verdict_counts names them
+LISTED_VERDICTS = {
+    "accept at trusted", "accept at client", "structural reject at client",
+    "no-match at trusted", "replay at trusted", "unknown-device at trusted",
+    "no-match at client", "penalize after client no-match", "demote after penalize",
+    "reject at demoted validator",
+}
+
+
+def verdict_counts(output) -> Counter:
+    """Count a run's verdicts by kind, where they landed and what came before."""
+    trusted = output.built.scenario.world.registry.trusted_node_ids
+    events = output.result.events
+    demoted_at = {e.node: e.t_ms for e in events if e.kind == "demote"}
+    counts = Counter()
+    for prev, e in zip((None,) + events[:-1], events):
+        if e.kind == "accept":
+            counts[f"accept at {e.detail['role']}"] += 1
+        elif e.kind == "reject" and e.node in demoted_at and e.t_ms >= demoted_at[e.node]:
+            counts["reject at demoted validator"] += 1
+        elif e.kind == "reject" and e.node in trusted:
+            counts[f"{e.detail['reason']} at trusted"] += 1
+        elif e.kind == "reject":
+            # a client spends validation work, and records its hashes, only on validated blocks
+            counts[f"{e.detail['reason']} at client" if "hashes" in e.detail
+                   else "structural reject at client"] += 1
+        elif e.kind == "penalize":
+            after = (prev.kind == "reject" and prev.node not in trusted
+                     and prev.detail["reason"] == "no-match")
+            counts["penalize after client no-match" if after else "penalize"] += 1
+        elif e.kind == "demote":
+            counts["demote after penalize" if prev.kind == "penalize" else "demote"] += 1
+    return counts
+
+
+def test_golden_scenarios_reach_every_listed_verdict():
+    reached = Counter()
+    for overrides, _ in GOLDEN_SCENARIOS.values():
+        reached += verdict_counts(run_scenario(ScenarioConfig(**SMALL, **overrides),
+                                               write_outputs=False))
+    assert set(reached) == LISTED_VERDICTS
+
+
+def _spell(overrides: dict) -> str:
+    return "dict(" + ", ".join(f"{key}={json.dumps(value)}" for key, value in overrides.items()) + ")"
+
+
+def print_golden_digests() -> None:
+    """Print GOLDEN_SCENARIOS and GOLDEN_FOM as recorded from the current build."""
+    print("GOLDEN_SCENARIOS = {")
+    for name, (overrides, _) in GOLDEN_SCENARIOS.items():
+        with tempfile.TemporaryDirectory() as out_dir:
+            run_scenario(ScenarioConfig(**SMALL, **overrides, out_dir=out_dir))
+            digests = {path.name: sha256_hex(path.read_bytes())
+                       for path in sorted(Path(out_dir).iterdir())}
+        print(f'    "{name}": ({_spell(overrides)}, {{')
+        for file_name, digest in digests.items():
+            print(f'        "{file_name}":\n            "{digest}",')
+        print("    }),")
+    print("}")
+    overrides, _ = GOLDEN_FOM
+    doc = run_fom_calibration(ScenarioConfig(**overrides))
+    print(f"\nGOLDEN_FOM = (\n    {_spell(overrides)},\n"
+          f'    "{sha256_hex(json.dumps(doc, indent=2).encode())}",\n)')
+
+
+if __name__ == "__main__":
+    print_golden_digests()

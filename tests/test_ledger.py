@@ -135,6 +135,17 @@ def test_block_data_validation():
         BlockData(device_id=0, seq=0, t_init=0, payload=b"x" * (64 * 1024 + 1))
 
 
+@pytest.mark.parametrize("field", ["device_id", "seq", "t_init"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_block_data_rejects_a_bool_in_each_integer_field(field, flag):
+    # a bool passes a range check as 0 or 1, so verify() would pass the chain in
+    # memory while its saved line, with true or false in place of an integer, fails
+    fields = dict(device_id=1, seq=0, t_init=0)
+    BlockData(**fields)
+    with pytest.raises(ConfigError, match=field):
+        BlockData(**{**fields, field: flag})
+
+
 # --- authentication tags ----------------------------------------------------------
 
 def test_auth_tag_is_hash_of_canonical_and_packed_response():

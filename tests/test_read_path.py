@@ -1,7 +1,7 @@
-"""The screening and reliability reads, their seed-word hash, challenge
-drawing, proof-of-work mining and the artifact line writers against
-straightforward references: each fast path must give exactly what the
-plain per-read code, or json.dumps, gives."""
+"""The screening and reliability reads, challenge drawing, proof-of-work
+mining and the artifact line writers against straightforward references:
+each fast path must give exactly what the plain read-by-read code, or
+json.dumps, gives."""
 
 import hashlib
 import json
@@ -14,15 +14,13 @@ from hypothesis import strategies as st
 from pufledger.puf import (
     Challenge,
     PufConfig,
+    PufDevice,
     Response,
     evaluate,
     manufacture,
     random_challenge,
     reference_response,
     selected_freqs,
-    _ReadSeed,
-    noisy_bits,
-    read_seeds,
 )
 from pufledger.registry import (
     _INDEX_STRS,
@@ -51,24 +49,36 @@ from pufledger.puf import format_device_id
 from conftest import rng_seeds
 
 
-def screen_by_evaluate(device, challenge, policy, seeds):
-    """screen_challenge spelled out with one evaluate() Response per read."""
+def read_by_normals(device, challenge, rng):
+    """One noisy read spelled out: a standard normal per bit, drawn from rng,
+    against the threshold (f2 - f1) / (sigma sqrt 2); no noise, no draw."""
+    f1 = device.set1_freqs[challenge.set1_idx]
+    f2 = device.set2_freqs[challenge.set2_idx]
+    if device.noise_sigma_mhz == 0:
+        return (f1 > f2).astype(np.uint8)
+    z = rng.standard_normal(challenge.n_bits)
+    return (z > (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))).astype(np.uint8)
+
+
+def screen_by_reads(device, challenge, policy, rng):
+    """screen_challenge spelled out: the randomness check, then one read at
+    a time from rng, up to the first failing read."""
     ref = reference_response(device, challenge)
     rnd = randomness(ref)
     low, high = policy.randomness_band
     if not low <= rnd <= high:
         return False, "randomness", rnd, 0, ref
     worst = 0
-    for k in range(policy.n_screen_reevals):
-        mismatch = evaluate(device, challenge, int(seeds[k])).hamming(ref)
+    for _ in range(policy.n_screen_reevals):
+        mismatch = Response(read_by_normals(device, challenge, rng)).hamming(ref)
         worst = max(worst, mismatch)
         if mismatch > policy.max_unreliable_bits:
             return False, "stability", rnd, worst, ref
     return True, None, rnd, worst, ref
 
 
-def reliability_by_evaluate(device, challenge, n_reevals, seeds):
-    reads = [evaluate(device, challenge, int(seeds[k])) for k in range(n_reevals)]
+def reliability_by_reads(device, challenge, n_reevals, rng):
+    reads = [Response(read_by_normals(device, challenge, rng)) for _ in range(n_reevals)]
     total = sum(reads[a].hamming(reads[b])
                 for a in range(n_reevals) for b in range(a + 1, n_reevals))
     n_pairs = n_reevals * (n_reevals - 1) // 2
@@ -83,85 +93,83 @@ SCREEN_DEVICES = [
 
 
 @pytest.mark.parametrize("policy", [ScreeningPolicy(), ScreeningPolicy(max_unreliable_bits=0)])
-def test_screen_challenge_matches_a_loop_over_evaluate(policy):
+def test_screen_challenge_matches_a_loop_over_reads(policy):
     reasons = set()
     for d, device in enumerate(SCREEN_DEVICES):
-        rng = np.random.default_rng([d, 31])
-        for k in range(120):
-            challenge = random_challenge(device.bank_size, 128, rng)
-            seeds = rng_seeds(1000 * d + k, policy.n_screen_reevals)
-            result = screen_challenge(device, challenge, policy, read_seeds(seeds))
-            expected = screen_by_evaluate(device, challenge, policy, seeds)
+        draw_rng = np.random.default_rng([d, 31])
+        rng, oracle_rng = np.random.default_rng([d, 32]), np.random.default_rng([d, 32])
+        for _ in range(120):
+            challenge = random_challenge(device.bank_size, 128, draw_rng)
+            result = screen_challenge(device, challenge, policy, rng)
+            expected = screen_by_reads(device, challenge, policy, oracle_rng)
             got = (result.accepted, result.reason, result.randomness_pct,
                    result.worst_mismatch_bits, result.reference)
             assert got == expected
+            # the same draws, no more: the next candidate reads what the oracle's would
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
             reasons.add(result.reason)
     assert reasons == {None, "randomness", "stability"}
 
 
-def test_reliability_matches_a_loop_over_evaluate():
-    rng = np.random.default_rng(5)
+def test_reliability_matches_a_loop_over_reads():
+    draw_rng = np.random.default_rng(5)
     for d, device in enumerate(SCREEN_DEVICES):
-        for k in range(20):
-            challenge = random_challenge(device.bank_size, 128, rng)
-            seeds = rng_seeds(100 * d + k, 11)
+        rng, oracle_rng = np.random.default_rng([d, 33]), np.random.default_rng([d, 33])
+        for _ in range(20):
+            challenge = random_challenge(device.bank_size, 128, draw_rng)
             for n_reevals in (2, 3, 11):
-                assert (reliability(device, challenge, n_reevals, read_seeds(seeds))
-                        == reliability_by_evaluate(device, challenge, n_reevals, seeds))
+                assert (reliability(device, challenge, n_reevals, rng)
+                        == reliability_by_reads(device, challenge, n_reevals, oracle_rng))
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_reliability_range_checks_the_challenge():
     device = SCREEN_DEVICES[0]
     outside = Challenge(np.array([device.bank_size, 0]), np.array([0, 1]))
     with pytest.raises(ChallengeError):
-        reliability(device, outside, 2, read_seeds(rng_seeds(0, 2)))
+        reliability(device, outside, 2, np.random.default_rng(0))
 
 
 def test_reliability_is_zero_when_every_read_agrees():
-    # gaps of 5 MHz against 0.245 MHz jitter: all eleven reads equal the reference
-    device = manufacture(PufConfig(), 0x603, 3)
-    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(6))
-    f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
-    keep = np.abs(f1 - f2) > 5.0
-    steady = Challenge(challenge.set1_idx[keep].copy(), challenge.set2_idx[keep].copy())
-    seeds = rng_seeds(7, 11)
-    ref = reference_response(device, steady)
-    assert all(evaluate(device, steady, s) == ref for s in seeds)
-    assert reliability(device, steady, 11, read_seeds(seeds)) == 0.0
-    assert reliability_by_evaluate(device, steady, 11, seeds) == 0.0
+    # every gap is +-5 MHz, 14 standard deviations of the 0.245 MHz race noise
+    deltas = np.where(np.arange(128) % 3 == 0, 5.0, -5.0)
+    device = PufDevice(0x603, 250.0 + deltas, np.full(128, 250.0), 0.245)
+    challenge = Challenge(np.arange(128), np.arange(128))
+    ref = reference_response(device, challenge)
+    assert all(evaluate(device, challenge, s) == ref for s in rng_seeds(7, 11))
+    assert reliability(device, challenge, 11, np.random.default_rng(7)) == 0.0
+    assert reliability_by_reads(device, challenge, 11, np.random.default_rng(7)) == 0.0
 
 
-READ_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
+    device = SCREEN_DEVICES[1]
+    rng = np.random.default_rng(14)
+    untouched = rng.bit_generator.state
+    draw_rng = np.random.default_rng(15)
+    accepted = 0
+    for _ in range(40):
+        challenge = random_challenge(device.bank_size, 128, draw_rng)
+        ref = reference_response(device, challenge)
+        assert evaluate(device, challenge, 3) == ref
+        assert reliability(device, challenge, 11, rng) == 0.0
+        result = screen_challenge(device, challenge, ScreeningPolicy(max_unreliable_bits=0), rng)
+        assert result.worst_mismatch_bits == 0 and result.reason != "stability"
+        accepted += result.accepted
+    assert accepted and rng.bit_generator.state == untouched
+    # enrollment then draws challenges only: the pool of one generator, screened in order
+    record = enroll(Registry(), device, 60, ScreeningPolicy(), 16)
+    pool_rng = np.random.default_rng([16])
+    pool = [random_challenge(device.bank_size, 128, pool_rng) for _ in range(60)]
+    expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c)) <= 55.0]
+    assert list(record.challenges) == expected
 
 
-def test_read_seeds_matches_seed_sequence_at_the_word_edges():
-    words = read_seeds(READ_SEED_EDGES)
-    assert words.shape == (len(READ_SEED_EDGES), 4) and words.dtype == np.uint64
-    for seed, row in zip(READ_SEED_EDGES, words):
-        assert np.array_equal(row, np.random.SeedSequence([seed]).generate_state(4, np.uint64))
-    for seed in READ_SEED_EDGES:
-        assert np.array_equal(read_seeds(seed), words[READ_SEED_EDGES.index(seed)])
-
-
-def test_read_seeds_matches_seed_sequence_on_random_seeds():
-    rng = np.random.default_rng(11)
-    full = rng.integers(0, 2**64, size=(80, 100), dtype=np.uint64)   # any 64-bit seed
-    low = rng.integers(0, 2**32, size=2_000, dtype=np.int64)         # one-word entropy
-    signed = rng.integers(0, 1 << 63, size=2_000)                   # what the simulator draws
-    for seeds in (full, low, signed):
-        words = read_seeds(seeds)
-        assert words.shape == seeds.shape + (4,)
-        for seed, row in zip(seeds.reshape(-1).tolist(), words.reshape(-1, 4)):
-            assert np.array_equal(row, np.random.SeedSequence([seed]).generate_state(4, np.uint64))
-
-
-@pytest.mark.parametrize("bad", [
-    -1, 2**64, [0, -1], [2**64 - 1, 2**64], np.array([5, -3]), np.array([-(2**63)]),
-    [1.5], np.array([2.0]), [True], "7", None,
-])
-def test_read_seeds_rejects_seeds_outside_64_bits(bad):
-    with pytest.raises(ConfigError):
-        read_seeds(bad)
+def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
+    # the threshold of every unequal race overflows to +-inf: a certain bit
+    device = manufacture(PufConfig(noise_sigma_mhz=5e-324), 0x604, 4)
+    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(10))
+    assert evaluate(device, challenge, 1) == reference_response(device, challenge)
+    assert reliability(device, challenge, 3, np.random.default_rng(10)) == 0.0
 
 
 def test_evaluate_rejects_a_negative_seed():
@@ -171,74 +179,41 @@ def test_evaluate_rejects_a_negative_seed():
         evaluate(device, challenge, -1)
 
 
-def test_read_seed_rows_draw_what_default_rng_draws_whatever_their_layout():
-    seeds = rng_seeds(12, 40) + READ_SEED_EDGES
-    words = read_seeds(seeds)
-    spread = np.zeros((len(seeds), 8), dtype=np.uint64)
-    spread[:, ::2] = words                       # every row strided
-    fortran = np.asfortranarray(words)           # every row non-contiguous
-    f1 = np.full(128, 250.0)
-    f2 = np.full(128, 250.0)
-    for k, seed in enumerate(seeds):
-        expected = np.random.default_rng([seed]).normal(0.0, 0.245, (2, 128))
-        for row in (words[k], spread[k, ::2], fortran[k]):
-            state = _ReadSeed(row).generate_state(4, np.uint64)
-            assert state.flags.c_contiguous and state.dtype == np.uint64
-            rng = np.random.Generator(np.random.PCG64(_ReadSeed(row)))
-            assert rng.normal(0.0, 0.245, (2, 128)).tobytes() == expected.tobytes()
-            assert np.array_equal(noisy_bits(f1, f2, 0.245, row),
-                                  (f1 + expected[0] > f2 + expected[1]).astype(np.uint8))
+EVAL_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 
 
 def test_evaluate_reads_what_default_rng_draws():
     device = SCREEN_DEVICES[2]
     challenge = random_challenge(device.bank_size, 128, np.random.default_rng(9))
     f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
-    for seed in rng_seeds(13, 200) + READ_SEED_EDGES:
-        jitter = np.random.default_rng([seed]).normal(0.0, device.noise_sigma_mhz, (2, 128))
-        expected = (f1 + jitter[0] > f2 + jitter[1]).astype(np.uint8)
+    for seed in rng_seeds(13, 200) + EVAL_SEED_EDGES:
+        z = np.random.default_rng([seed]).standard_normal(128)
+        expected = (z > (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))).astype(np.uint8)
         assert np.array_equal(evaluate(device, challenge, seed).bits, expected)
 
 
 def enroll_by_candidate(device, n_candidates, policy, seed):
-    """enroll's screening spelled out one candidate at a time: draw the
-    challenge, then its read seeds, and screen it before drawing the next."""
+    """enroll spelled out over one default_rng([seed]): draw a challenge,
+    then screen it read by read, before drawing the next."""
     rng = np.random.default_rng([seed])
     kept = {}
     for _ in range(n_candidates):
         challenge = random_challenge(device.bank_size, 128, rng)
-        seeds = rng.integers(0, 1 << 63, size=policy.n_screen_reevals).tolist()
         if challenge not in kept:
-            accepted, _, _, _, ref = screen_by_evaluate(device, challenge, policy, seeds)
+            accepted, _, _, _, ref = screen_by_reads(device, challenge, policy, rng)
             if accepted:
                 kept[challenge] = ref
     return list(kept.items())
 
 
-@pytest.mark.parametrize("n_candidates", [1, 63, 64, 65, 130])
-def test_enroll_in_blocks_matches_screening_one_candidate_at_a_time(n_candidates):
+@pytest.mark.parametrize("n_candidates", [1, 2, 130])
+def test_enroll_matches_a_loop_over_one_generator(n_candidates):
     device = SCREEN_DEVICES[0]
     policy = ScreeningPolicy()
     expected = enroll_by_candidate(device, n_candidates, policy, 77)
     assert expected  # seed 77 keeps the first candidate, so every size enrolls
     record = enroll(Registry(), device, n_candidates, policy, 77)
     assert list(record.pairs) == expected
-
-
-@pytest.mark.parametrize("cached", [0, 1, 3, 127])
-def test_raw_eval_seeds_equal_bounded_draws_below_2_63(cached):
-    for seed in range(40):
-        raw_rng, bounded_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
-        # an odd count of 32-bit bounded draws leaves half a 64-bit word cached
-        assert np.array_equal(raw_rng.integers(0, 256, size=cached),
-                              bounded_rng.integers(0, 256, size=cached))
-        assert raw_rng.bit_generator.state["has_uint32"] == cached % 2
-        for n in (1, 11, 64):
-            assert np.array_equal(raw_rng.bit_generator.random_raw(n) >> 1,
-                                  bounded_rng.integers(0, 1 << 63, size=n))
-        # both left the cached half-word to the next bounded draw
-        assert raw_rng.bit_generator.state == bounded_rng.bit_generator.state
-        assert np.array_equal(raw_rng.integers(0, 256, size=5), bounded_rng.integers(0, 256, size=5))
 
 
 INDEX = st.one_of(st.integers(0, 3), st.integers(0, 300),

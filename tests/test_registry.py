@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response, read_seeds
+from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response
 from pufledger.registry import (
     Registry,
     enroll,
@@ -20,7 +20,6 @@ from pufledger.errors import (
     UnknownDeviceError,
 )
 from pufledger.fom import ScreeningPolicy, randomness, screen_challenge
-from conftest import rng_seeds
 
 
 def test_enroll_is_deterministic(default_config, policy):
@@ -80,7 +79,7 @@ def test_zero_noise_screening_reduces_to_randomness_band(policy):
     for k in range(200):
         challenge = random_challenge(device.bank_size, 128, rng)
         expected = low <= randomness(reference_response(device, challenge)) <= high
-        outcome = screen_challenge(device, challenge, strict, read_seeds(rng_seeds(k, 2)))
+        outcome = screen_challenge(device, challenge, strict, np.random.default_rng([k]))
         assert outcome.accepted == expected
 
 
