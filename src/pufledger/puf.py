@@ -287,9 +287,11 @@ class NoisyRace:
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
     """One noisy read of a challenge on a device (see NoisyRace), drawn from
-    np.random.default_rng([eval_seed]); eval_seed must be >= 0."""
-    if eval_seed < 0:
-        raise ConfigError(f"eval_seed must be >= 0, got {eval_seed}")
+    np.random.default_rng([eval_seed]); eval_seed must be an integer in
+    [0, 2**64)."""
+    if (isinstance(eval_seed, bool) or not isinstance(eval_seed, (int, np.integer))
+            or not 0 <= eval_seed < 1 << 64):
+        raise ConfigError(f"eval_seed must be an integer in [0, 2**64), got {eval_seed!r}")
     race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
     return Response(race.read(np.random.default_rng([eval_seed])))
 

@@ -123,6 +123,81 @@ def test_reliability_matches_a_loop_over_reads():
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+class EvalSeedReads:
+    """Stands in for the generator a screening or reliability read draws
+    from: the k-th read it serves is the normals evaluate() draws for
+    seeds[k], so the reads made from it are a loop over evaluate()."""
+
+    def __init__(self, seeds):
+        self.seeds = seeds
+        self.served = 0
+
+    def standard_normal(self, shape):
+        n_reads = shape[0] if len(shape) == 2 else 1
+        seeds = self.seeds[self.served:self.served + n_reads]
+        assert len(seeds) == n_reads, "more reads than seeds"
+        self.served += n_reads
+        rows = [np.random.default_rng([s]).standard_normal(shape[-1]) for s in seeds]
+        return np.stack(rows).reshape(shape)
+
+
+def screen_by_evaluate(device, challenge, policy, seeds):
+    """screen_challenge spelled out with one evaluate() Response per read;
+    also returns the number of reads made."""
+    ref = reference_response(device, challenge)
+    rnd = randomness(ref)
+    low, high = policy.randomness_band
+    if not low <= rnd <= high:
+        return (False, "randomness", rnd, 0, ref), 0
+    worst = 0
+    for k in range(policy.n_screen_reevals):
+        mismatch = evaluate(device, challenge, seeds[k]).hamming(ref)
+        worst = max(worst, mismatch)
+        if mismatch > policy.max_unreliable_bits:
+            return (False, "stability", rnd, worst, ref), k + 1
+    return (True, None, rnd, worst, ref), policy.n_screen_reevals
+
+
+def reliability_by_evaluate(device, challenge, n_reevals, seeds):
+    reads = [evaluate(device, challenge, seeds[k]) for k in range(n_reevals)]
+    total = sum(reads[a].hamming(reads[b])
+                for a in range(n_reevals) for b in range(a + 1, n_reevals))
+    n_pairs = n_reevals * (n_reevals - 1) // 2
+    return 100.0 * total / (n_pairs * challenge.n_bits)
+
+
+@pytest.mark.parametrize("policy", [ScreeningPolicy(), ScreeningPolicy(max_unreliable_bits=0)])
+def test_screen_challenge_matches_a_loop_over_evaluate(policy):
+    # screening reads with evaluate()'s arbiter rule, one read per draw, in order
+    reasons = set()
+    for d, device in enumerate(SCREEN_DEVICES):
+        rng = np.random.default_rng([d, 34])
+        for k in range(120):
+            challenge = random_challenge(device.bank_size, 128, rng)
+            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals))
+            result = screen_challenge(device, challenge, policy, reads)
+            expected, n_read = screen_by_evaluate(device, challenge, policy, reads.seeds)
+            got = (result.accepted, result.reason, result.randomness_pct,
+                   result.worst_mismatch_bits, result.reference)
+            assert got == expected
+            # the early stop: no read past the first failing one; a noiseless device draws none
+            assert reads.served == (n_read if device.noise_sigma_mhz else 0)
+            reasons.add(result.reason)
+    assert reasons == {None, "randomness", "stability"}
+
+
+def test_reliability_matches_a_loop_over_evaluate():
+    rng = np.random.default_rng(6)
+    for d, device in enumerate(SCREEN_DEVICES):
+        for k in range(20):
+            challenge = random_challenge(device.bank_size, 128, rng)
+            for n_reevals in (2, 3, 11):
+                reads = EvalSeedReads(rng_seeds(100 * d + k, n_reevals))
+                assert (reliability(device, challenge, n_reevals, reads)
+                        == reliability_by_evaluate(device, challenge, n_reevals, reads.seeds))
+                assert reads.served == (n_reevals if device.noise_sigma_mhz else 0)
+
+
 def test_reliability_range_checks_the_challenge():
     device = SCREEN_DEVICES[0]
     outside = Challenge(np.array([device.bank_size, 0]), np.array([0, 1]))
@@ -177,6 +252,18 @@ def test_evaluate_rejects_a_negative_seed():
     challenge = random_challenge(device.bank_size, 128, np.random.default_rng(8))
     with pytest.raises(ConfigError):
         evaluate(device, challenge, -1)
+
+
+@pytest.mark.parametrize("bad", [
+    -1, 2**64, [0, -1], [2**64 - 1, 2**64], np.array([5, -3]), np.array([-(2**63)]),
+    [1.5], np.array([2.0]), [True], "7", None,
+])
+def test_read_seeds_rejects_seeds_outside_64_bits(bad):
+    # a read's seed is evaluate()'s eval_seed: one integer in [0, 2**64), nothing else
+    device = SCREEN_DEVICES[0]
+    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(8))
+    with pytest.raises(ConfigError):
+        evaluate(device, challenge, bad)
 
 
 EVAL_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
