@@ -8,33 +8,44 @@ else can forge it.
 
 A chain is a plain list of entries that `append` extends in place; each
 replica owns its list, so an append adds one entry and copies nothing.
-Entries link by hash. Verification walks the chain from the first entry
-and reports the lowest height at which anything disagrees: a broken hash,
-a broken link, a malformed field. Malformed entries are verification
-failures, never exceptions.
+Entries link by hash. A malformed entry cannot be built: every field is
+checked when a ChainEntry is constructed. Verification walks the chain
+from the first entry and reports the lowest height at which anything
+disagrees: a wrong height, a broken link, a broken hash. In a chain file a
+malformed line is one more verification failure, never an exception.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, PayloadSizeError
-from .puf import DEVICE_ID_BITS, RESPONSE_BITS, Response, format_device_id, parse_device_id
+from .puf import DEVICE_ID_BITS, DEVICE_ID_HEX_DIGITS, RESPONSE_BITS, Response, format_device_id
 
 MAX_PAYLOAD_BYTES = 64 * 1024
 HASH_BYTES = 32
 GENESIS_PREV_HASH = bytes(HASH_BYTES)
 
 _DEVICE_ID_BYTES = DEVICE_ID_BITS // 8
-_U64_MAX = (1 << 64) - 1
 
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def _check_uint(name: str, value: object, bits: int) -> None:
+    # a bool would pass the range check as 0 or 1, but save as true or false
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < (1 << bits):
+        raise ConfigError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+
+
+def _check_hash(name: str, value: object) -> None:
+    if not isinstance(value, bytes) or len(value) != HASH_BYTES:
+        raise ConfigError(f"{name} must be exactly {HASH_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -47,16 +58,9 @@ class BlockData:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        # a bool would pass the range checks as 0 or 1, but save as true or false
-        for name in ("device_id", "seq", "t_init"):
-            if isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be an integer, not a bool")
-        if not 0 <= self.device_id < (1 << DEVICE_ID_BITS):
-            raise ConfigError(f"device_id out of 48-bit range: {self.device_id}")
-        if not 0 <= self.seq <= _U64_MAX:
-            raise ConfigError(f"seq out of 64-bit range: {self.seq}")
-        if not 0 <= self.t_init <= _U64_MAX:
-            raise ConfigError(f"t_init out of 64-bit range: {self.t_init}")
+        _check_uint("device_id", self.device_id, DEVICE_ID_BITS)
+        _check_uint("seq", self.seq, 64)
+        _check_uint("t_init", self.t_init, 64)
         if len(self.payload) > MAX_PAYLOAD_BYTES:
             raise PayloadSizeError(
                 f"payload is {len(self.payload)} bytes, maximum is {MAX_PAYLOAD_BYTES}"
@@ -85,8 +89,7 @@ class AuthTag:
     h: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.h, bytes) or len(self.h) != HASH_BYTES:
-            raise ValueError(f"auth tag must be exactly {HASH_BYTES} bytes")
+        _check_hash("auth_tag", self.h)
 
     def hex(self) -> str:
         return self.h.hex()
@@ -100,9 +103,10 @@ def make_auth_tag(data: BlockData, response: Response) -> AuthTag:
 
 @dataclass(frozen=True)
 class ChainEntry:
-    """One validated block in position. Deliberately unvalidated at
-    construction so that verification, not construction, judges malformed
-    values."""
+    """One validated block in position. Every field is checked here, and
+    the entry hash is computed here: left out, `entry_hash` is that hash;
+    given, it is kept as the stored hash, and verify() fails the entry when
+    the two differ."""
 
     height: int
     prev_hash: bytes
@@ -110,25 +114,28 @@ class ChainEntry:
     auth_tag: AuthTag
     trusted_node_id: int
     t_validated: int
-    entry_hash: bytes
+    entry_hash: Optional[bytes] = None
+    _hash_matches: bool = field(init=False, repr=False, compare=False)
 
-
-def _entry_preimage(
-    height: int,
-    prev_hash: bytes,
-    data: BlockData,
-    auth_tag: AuthTag,
-    trusted_node_id: int,
-    t_validated: int,
-) -> bytes:
-    return (
-        height.to_bytes(8, "big")
-        + prev_hash
-        + canonical_bytes(data)
-        + auth_tag.h
-        + trusted_node_id.to_bytes(_DEVICE_ID_BYTES, "big")
-        + t_validated.to_bytes(8, "big")
-    )
+    def __post_init__(self) -> None:
+        _check_uint("height", self.height, 64)
+        _check_hash("prev_hash", self.prev_hash)
+        if not isinstance(self.data, BlockData) or not isinstance(self.auth_tag, AuthTag):
+            raise ConfigError("data must be a BlockData and auth_tag an AuthTag")
+        _check_uint("trusted_node_id", self.trusted_node_id, DEVICE_ID_BITS)
+        _check_uint("t_validated", self.t_validated, 64)
+        computed = sha256(
+            self.height.to_bytes(8, "big")
+            + self.prev_hash
+            + canonical_bytes(self.data)
+            + self.auth_tag.h
+            + self.trusted_node_id.to_bytes(_DEVICE_ID_BYTES, "big")
+            + self.t_validated.to_bytes(8, "big")
+        )
+        if self.entry_hash is None:
+            object.__setattr__(self, "entry_hash", computed)
+        _check_hash("entry_hash", self.entry_hash)
+        object.__setattr__(self, "_hash_matches", self.entry_hash == computed)
 
 
 def tip_hash(chain: list[ChainEntry]) -> bytes:
@@ -144,16 +151,7 @@ def make_entry(
     trusted_node_id: int,
     t_validated: int,
 ) -> ChainEntry:
-    preimage = _entry_preimage(height, prev_hash, data, auth_tag, trusted_node_id, t_validated)
-    return ChainEntry(
-        height=height,
-        prev_hash=prev_hash,
-        data=data,
-        auth_tag=auth_tag,
-        trusted_node_id=trusted_node_id,
-        t_validated=t_validated,
-        entry_hash=sha256(preimage),
-    )
+    return ChainEntry(height, prev_hash, data, auth_tag, trusted_node_id, t_validated)
 
 
 def append(
@@ -165,10 +163,6 @@ def append(
 ) -> ChainEntry:
     """Extend the chain in place by one entry and return it; the first
     entry links to all zeros."""
-    if not 0 <= trusted_node_id < (1 << DEVICE_ID_BITS):
-        raise ConfigError(f"trusted_node_id out of 48-bit range: {trusted_node_id}")
-    if not 0 <= t_validated <= _U64_MAX:
-        raise ConfigError(f"t_validated out of 64-bit range: {t_validated}")
     entry = make_entry(len(chain), tip_hash(chain), data, auth_tag, trusted_node_id, t_validated)
     chain.append(entry)
     return entry
@@ -177,58 +171,32 @@ def append(
 def verify(chain: list[ChainEntry]) -> Optional[int]:
     """Return None for a sound chain, else the lowest failing height.
 
-    An entry fails when any field is structurally wrong, when its stored
-    hash does not match a recomputation, or when it does not link to its
-    predecessor (the first entry must link to 32 zero bytes).
+    An entry fails when its height is not its position, when it does not
+    link to its predecessor (the first entry must link to 32 zero bytes),
+    or when its stored hash is not the hash of its fields.
     """
     prev = GENESIS_PREV_HASH
     for index, entry in enumerate(chain):
-        if not _entry_well_formed(entry):
-            return index
-        if entry.height != index:
-            return index
-        if entry.prev_hash != prev:
-            return index
-        preimage = _entry_preimage(
-            entry.height, entry.prev_hash, entry.data, entry.auth_tag,
-            entry.trusted_node_id, entry.t_validated,
-        )
-        if sha256(preimage) != entry.entry_hash:
+        if entry.height != index or entry.prev_hash != prev or not entry._hash_matches:
             return index
         prev = entry.entry_hash
     return None
 
 
-def _entry_well_formed(entry: ChainEntry) -> bool:
-    if not isinstance(entry.height, int) or isinstance(entry.height, bool) or entry.height < 0:
-        return False
-    if not isinstance(entry.prev_hash, bytes) or len(entry.prev_hash) != HASH_BYTES:
-        return False
-    if not isinstance(entry.entry_hash, bytes) or len(entry.entry_hash) != HASH_BYTES:
-        return False
-    if not isinstance(entry.data, BlockData) or not isinstance(entry.auth_tag, AuthTag):
-        return False
-    if not isinstance(entry.trusted_node_id, int) or isinstance(entry.trusted_node_id, bool):
-        return False
-    if not 0 <= entry.trusted_node_id < (1 << DEVICE_ID_BITS):
-        return False
-    if not isinstance(entry.t_validated, int) or isinstance(entry.t_validated, bool):
-        return False
-    if not 0 <= entry.t_validated <= _U64_MAX:
-        return False
-    return True
-
-
 # --- persistence -----------------------------------------------------------
 #
 # One JSON object per line, keys in a fixed order, integers bare, binary
-# fields as lowercase hex. Loading is strict: a line must reproduce its
-# exact bytes when re-serialized, which rules out every non-canonical
+# fields as lowercase hex. Loading is strict: a line must match _ENTRY_LINE,
+# the exact grammar entry_to_json_line writes, which rules out every other
 # spelling of the same values.
 
-_ENTRY_KEYS = (
-    "height", "prev_hash", "device_id", "seq", "t_init",
-    "payload", "auth_tag", "trusted_node_id", "t_validated", "entry_hash",
+_UINT = "(0|[1-9][0-9]{0,19})"  # 20 digits hold every 64-bit value; ChainEntry checks the range
+_HASH = f"([0-9a-f]{{{2 * HASH_BYTES}}})"
+_ID = f"([0-9a-f]{{{DEVICE_ID_HEX_DIGITS}}})"
+_ENTRY_LINE = re.compile(
+    f'{{"height":{_UINT},"prev_hash":"{_HASH}","device_id":"{_ID}","seq":{_UINT},'
+    f'"t_init":{_UINT},"payload":"((?:[0-9a-f]{{2}})*)","auth_tag":"{_HASH}",'
+    f'"trusted_node_id":"{_ID}","t_validated":{_UINT},"entry_hash":"{_HASH}"}}'
 )
 
 
@@ -246,45 +214,18 @@ def entry_to_json_line(entry: ChainEntry) -> str:
     )
 
 
-def _require_int(value: object, name: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return value
-
-
-def _require_hex(value: object, name: str, n_bytes: Optional[int] = None) -> bytes:
-    if not isinstance(value, str) or value != value.lower():
-        raise ValueError(f"{name} must be a lowercase hex string")
-    raw = bytes.fromhex(value)
-    if n_bytes is not None and len(raw) != n_bytes:
-        raise ValueError(f"{name} must encode exactly {n_bytes} bytes")
-    return raw
-
-
 def entry_from_json_line(line: str) -> ChainEntry:
     """Strictly parse one persisted entry; raises ValueError on any deviation."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict) or tuple(obj.keys()) != _ENTRY_KEYS:
-        raise ValueError(f"entry record must have exactly the keys {list(_ENTRY_KEYS)} in order")
-    entry = ChainEntry(
-        height=_require_int(obj["height"], "height"),
-        prev_hash=_require_hex(obj["prev_hash"], "prev_hash", HASH_BYTES),
-        data=BlockData(
-            device_id=parse_device_id(obj["device_id"]),
-            seq=_require_int(obj["seq"], "seq"),
-            t_init=_require_int(obj["t_init"], "t_init"),
-            payload=_require_hex(obj["payload"], "payload"),
-        ),
-        auth_tag=AuthTag(_require_hex(obj["auth_tag"], "auth_tag", HASH_BYTES)),
-        trusted_node_id=parse_device_id(obj["trusted_node_id"]),
-        t_validated=_require_int(obj["t_validated"], "t_validated"),
-        entry_hash=_require_hex(obj["entry_hash"], "entry_hash", HASH_BYTES),
-    )
-    if entry_to_json_line(entry) != line:
+    match = _ENTRY_LINE.fullmatch(line)
+    if match is None:
         raise ValueError("entry record is not in canonical form")
-    return entry
+    height, prev_hash, device_id, seq, t_init, payload, tag, node, t_validated, entry_hash = (
+        match.groups())
+    return ChainEntry(
+        int(height), bytes.fromhex(prev_hash),
+        BlockData(int(device_id, 16), int(seq), int(t_init), bytes.fromhex(payload)),
+        AuthTag(bytes.fromhex(tag)), int(node, 16), int(t_validated), bytes.fromhex(entry_hash),
+    )
 
 
 def save_chain(path: str | Path, chain: list[ChainEntry]) -> None:
@@ -302,7 +243,7 @@ def verify_chain_bytes(raw: bytes) -> Optional[int]:
     for index, segment in enumerate(body.split(b"\n") if raw else ()):
         try:
             entries.append(entry_from_json_line(segment.decode("ascii")))
-        except (ValueError, KeyError, RecursionError):  # RecursionError: deeply nested JSON
+        except ValueError:
             bad = verify(entries)
             return index if bad is None else bad
     return verify(entries)

@@ -307,11 +307,11 @@ class _Sim:
         self.penalties: dict[int, int] = {}
         self.fake_seq = 0
 
-        tamper_by_tx: dict[int, tuple[str, Adversary]] = {}
+        tamper_by_tx: dict[int, str] = {}
         for adv in scenario.adversaries:
             if adv.kind == "tamper":
                 for tx in adv.target["tx_ids"]:
-                    tamper_by_tx[tx] = (adv.target.get("field", "payload"), adv)
+                    tamper_by_tx[tx] = adv.target.get("field", "payload")
         self.tamper_by_tx = tamper_by_tx
 
     # -- plumbing ------------------------------------------------------------
@@ -416,7 +416,7 @@ class _Sim:
         provenance = "normal"
         out_block = block
         if tx_id in self.tamper_by_tx:
-            fld, _adv = self.tamper_by_tx[tx_id]
+            fld = self.tamper_by_tx[tx_id]
             out_block = self.tampered_copy(block, fld)
             provenance = "tamper"
             self.log(t_send, "tamper", None, "", {"tx": tx_id, "field": fld})

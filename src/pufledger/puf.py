@@ -18,7 +18,6 @@ reference response, and so every artifact built from one, depends on it.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ DEVICE_ID_BITS = 48
 DEVICE_ID_HEX_DIGITS = DEVICE_ID_BITS // 4
 RESPONSE_BITS = 128  # bits of every enrolled response, and so of every auth tag's key
 FREQ_DECIMALS = 6
-_DEVICE_ID_RE = re.compile(f"[0-9a-f]{{{DEVICE_ID_HEX_DIGITS}}}")
 
 
 def format_device_id(device_id: int) -> str:
@@ -37,13 +35,6 @@ def format_device_id(device_id: int) -> str:
     if not 0 <= device_id < (1 << DEVICE_ID_BITS):
         raise ValueError(f"device_id out of 48-bit range: {device_id}")
     return format(device_id, f"0{DEVICE_ID_HEX_DIGITS}x")
-
-
-def parse_device_id(text: str) -> int:
-    """Inverse of format_device_id; accepts nothing else (no sign, prefix or underscore)."""
-    if not isinstance(text, str) or _DEVICE_ID_RE.fullmatch(text) is None:
-        raise ValueError(f"device id must be {DEVICE_ID_HEX_DIGITS} lowercase hex digits: {text!r}")
-    return int(text, 16)
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,22 @@ def test_append_validates_trusted_fields():
     assert chain == []
 
 
+ENTRY_FIELDS = dict(height=0, prev_hash=bytes(32), data=BlockData(1, 0, 0),
+                    auth_tag=AuthTag(bytes(32)), trusted_node_id=1, t_validated=0)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("height", -1), ("height", 2**64), ("height", True), ("height", 1.0),
+    ("prev_hash", bytes(31)), ("prev_hash", "00" * 32), ("data", None), ("auth_tag", bytes(32)),
+    ("trusted_node_id", 1 << 48), ("trusted_node_id", False), ("t_validated", -5),
+    ("t_validated", 2**64), ("entry_hash", bytes(33)),
+])
+def test_chain_entry_rejects_each_malformed_field(field, bad):
+    ChainEntry(**ENTRY_FIELDS)
+    with pytest.raises(ConfigError, match=field):
+        ChainEntry(**{**ENTRY_FIELDS, field: bad})
+
+
 def test_append_extends_in_place_and_returns_the_new_entry():
     chain = sample_chain(2)
     data = BlockData(device_id=9, seq=0, t_init=3, payload=b"x")
@@ -441,6 +457,20 @@ def test_verify_chain_bytes_reports_non_string_device_id_at_its_height():
     lines[1]["trusted_node_id"] = None
     raw = b"".join(json.dumps(obj, separators=(",", ":")).encode() + b"\n" for obj in lines)
     assert verify_chain_bytes(raw) == 1
+
+
+@pytest.mark.parametrize("bad", ["", "abc", "ABCDEF012345", "0123456789ag", "0" * 13,
+                                 "0x00000000ab", "+0000000000a", "0000_000000a", " 0000000000a",
+                                 "\uff1000000000001"])  # a fullwidth digit int() would take
+def test_device_id_rejects_malformed(bad):
+    # an id is exactly 12 lowercase hex digits, in either id field of a chain line
+    for key in ("device_id", "trusted_node_id"):
+        lines = [entry_to_json_line(entry) for entry in sample_chain(3)]
+        lines[1], n = re.subn(f'"{key}":"[0-9a-f]{{12}}"', lambda m: f'"{key}":"{bad}"', lines[1])
+        assert n == 1
+        with pytest.raises(ValueError):
+            entry_from_json_line(lines[1])
+        assert verify_chain_bytes("".join(line + "\n" for line in lines).encode("utf-8")) == 1
 
 
 def test_verify_chain_bytes_newline_mutation_reports_merged_line(tmp_path):

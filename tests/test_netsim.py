@@ -30,6 +30,7 @@ from pufledger.consensus import (
 )
 from pufledger.ledger import verify
 from pufledger.errors import ScenarioError
+from pufledger.harness import ScenarioConfig, build_world
 
 
 @pytest.fixture()
@@ -294,6 +295,32 @@ def test_forged_validator_blocks_never_stick(sim_parts):
     for r in result.tx_records:
         assert r.accepted
     assert all(len(result.nodes[n.node_id].chain) == 3 for n in world.nodes)
+
+
+def test_a_block_queued_at_a_validator_demoted_before_judging_it_stays_lost():
+    # one block every 20 ms against about 120 ms of work per block: blocks
+    # wait in the trusted node's queue, and the forged validations demote it
+    # while they wait
+    cfg = ScenarioConfig(n_candidates=100, n_transactions=40, n_clients=3,
+                         n_fast_clients=1, tx_spacing_ms=20)
+    built = build_world(cfg)
+    scenario = inject(Adversary("forge-validator", {}, (300, 310, 320)), built.scenario)
+    result = run(built.sim_config, scenario)
+    trusted_id = built.node_ids[0]
+    (demoted_at,) = [e.t_ms for e in result.events if e.kind == "demote"]
+    assert demoted_at == 417
+    delivered_at = {e.detail["msg"]: e.t_ms for e in result.events
+                    if e.kind == "deliver" and e.node == trusted_id}
+    queued = [e for e in result.events if e.kind == "reject" and e.node == trusted_id
+              and delivered_at[e.detail["msg"]] < demoted_at]
+    assert queued
+    for event in queued:
+        # judged with no validation work: no hashes tried, nothing recorded
+        assert event.t_ms > demoted_at
+        assert event.detail == {"msg": event.detail["msg"], "tx": event.detail["tx"],
+                                "reason": REASON_NOT_FROM_TRUSTED, "adv": "normal"}
+        record = result.tx_records[event.detail["tx"]]
+        assert (record.accepted, record.reason, record.t_recv_trusted) == (None, None, None)
 
 
 def test_demotion_threshold_can_be_disabled(sim_parts):

@@ -5,6 +5,7 @@ json.dumps, gives."""
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from pufledger.ledger import (
     entry_to_json_line,
     save_chain,
     sha256,
+    verify_chain_bytes,
 )
 from pufledger.netsim import LogEvent, event_to_json_line, save_events
 from pufledger.puf import format_device_id
@@ -623,3 +625,207 @@ def test_saved_events_are_their_encoded_lines(tmp_path, n):
                    for k, (kind, keys) in enumerate(DETAIL_SHAPES[:n]))
     text = saved_text(save_events, tmp_path / "events.ndjson", events)
     assert text == "".join(event_to_json_line(event) + "\n" for event in events)
+
+
+# --- chain files against the json.loads parser -----------------------------------
+#
+# The oracle is the strict parser the line pattern replaced: json.loads, the
+# fixed key order, integer and lowercase hex checks, and the re-encoded line
+# equal to the input; then a verify that rehashes every entry. Like that
+# parser, it builds each entry with ChainEntry, so a value out of range fails
+# in both.
+
+ENTRY_KEYS = ("height", "prev_hash", "device_id", "seq", "t_init",
+              "payload", "auth_tag", "trusted_node_id", "t_validated", "entry_hash")
+
+
+def entry_by_json_loads(line):
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or tuple(obj.keys()) != ENTRY_KEYS:
+        raise ValueError("entry record must have exactly the entry keys in order")
+
+    def uint(key):
+        if type(obj[key]) is not int or obj[key] < 0:
+            raise ValueError(f"{key} must be an integer >= 0")
+        return obj[key]
+
+    def hex_bytes(key, n_bytes=None):
+        value = obj[key]
+        if not isinstance(value, str) or value != value.lower():
+            raise ValueError(f"{key} must be a lowercase hex string")
+        raw = bytes.fromhex(value)
+        if n_bytes is not None and len(raw) != n_bytes:
+            raise ValueError(f"{key} must encode exactly {n_bytes} bytes")
+        return raw
+
+    def device_id(key):
+        value = obj[key]
+        if not isinstance(value, str) or re.fullmatch("[0-9a-f]{12}", value) is None:
+            raise ValueError(f"{key} must be 12 lowercase hex digits")
+        return int(value, 16)
+
+    entry = ChainEntry(
+        height=uint("height"),
+        prev_hash=hex_bytes("prev_hash", 32),
+        data=BlockData(device_id("device_id"), uint("seq"), uint("t_init"), hex_bytes("payload")),
+        auth_tag=AuthTag(hex_bytes("auth_tag", 32)),
+        trusted_node_id=device_id("trusted_node_id"),
+        t_validated=uint("t_validated"),
+        entry_hash=hex_bytes("entry_hash", 32),
+    )
+    if entry_to_json_line(entry) != line:
+        raise ValueError("entry record is not in canonical form")
+    return entry
+
+
+def verify_by_rehashing(entries):
+    prev = bytes(32)
+    for index, e in enumerate(entries):
+        preimage = (e.height.to_bytes(8, "big") + e.prev_hash + canonical_bytes(e.data)
+                    + e.auth_tag.h + e.trusted_node_id.to_bytes(6, "big")
+                    + e.t_validated.to_bytes(8, "big"))
+        if e.height != index or e.prev_hash != prev or sha256(preimage) != e.entry_hash:
+            return index
+        prev = e.entry_hash
+    return None
+
+
+def verify_chain_bytes_by_json_loads(raw):
+    entries = []
+    body = raw[:-1] if raw.endswith(b"\n") else raw
+    for index, segment in enumerate(body.split(b"\n") if raw else ()):
+        try:
+            entries.append(entry_by_json_loads(segment.decode("ascii")))
+        except (ValueError, KeyError, RecursionError):  # RecursionError: deeply nested JSON
+            bad = verify_by_rehashing(entries)
+            return index if bad is None else bad
+    return verify_by_rehashing(entries)
+
+
+def parsed_or_none(parse, line):
+    try:
+        return True, parse(line)
+    except (ValueError, RecursionError):
+        return False, None
+
+
+# one value as written: a bare integer or a quoted string
+VALUE = '("[^"]*"|[0-9]+)'
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def escape_at(value, at):
+    """A string literal with its character at `at` respelled as a \\u escape."""
+    at = 1 + at % (len(value) - 2)
+    return f"{value[:at]}\\u{ord(value[at]):04X}{value[at + 1:]}"
+
+
+# a value as written -> its respelling; `k` is a drawn integer for the edits
+# that need one
+EITHER = {
+    "quoted": lambda v, k: f'"{v}"',
+    "true": lambda v, k: "true",
+    "null": lambda v, k: "null",
+    "nested": lambda v, k: NESTED,
+}
+INTEGER_RESPELLINGS = {
+    **EITHER,
+    "minus": lambda v, k: "-" + v,
+    "minus-zero": lambda v, k: "-0",
+    "exponent": lambda v, k: v + "E0",
+    "fraction": lambda v, k: v + ".0",
+    "leading-zero": lambda v, k: "0" + v,
+    "2**64-1": lambda v, k: str(2**64 - 1),
+    "2**64": lambda v, k: str(2**64),
+    "5000-digits": lambda v, k: "9" * 5000,
+    "other-integer": lambda v, k: str(k),
+}
+STRING_RESPELLINGS = {
+    **EITHER,
+    "upper": lambda v, k: v.upper() if v.upper() != v or len(v) == 2 else v[:-2] + 'A"',
+    "escape": lambda v, k: escape_at(v, k) if len(v) > 2 else v,
+    "odd-hex": lambda v, k: v[:-1] + "0" + v[-1:],
+    "padded": lambda v, k: f'" {v[2:]}' if len(v) > 2 else '" "',
+    "bare": lambda v, k: v[1:-1] or "0",
+    "other-id": lambda v, k: f'"{k % 2**48:012x}"',
+    "other-hash": lambda v, k: f'"{k % 2**256:064x}"',
+}
+
+
+@st.composite
+def mutated_chain_files(draw):
+    """A sound chain file of one to four entries, then up to three edits of
+    its lines' values and separators and up to two of its bytes."""
+    chain = []
+    for _ in range(draw(st.integers(1, 4))):
+        data = BlockData(draw(DEVICE_ID), draw(U64), draw(U64), draw(st.binary(max_size=8)))
+        append(chain, data, AuthTag(draw(HASH)), draw(DEVICE_ID), draw(U64))
+    lines = [entry_to_json_line(entry) for entry in chain]
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(0, len(lines) - 1))
+        line = lines[index]
+        edit = draw(st.sampled_from(["respell", "respell", "respell", "space", "nest-line"]))
+        if edit == "respell":
+            match = re.search(f'"{draw(st.sampled_from(ENTRY_KEYS))}":{VALUE}', line)
+            if match is not None:
+                value = match.group(1)
+                table = STRING_RESPELLINGS if value.startswith('"') else INTEGER_RESPELLINGS
+                respell = table[draw(st.sampled_from(sorted(table)))]
+                value = respell(value, draw(st.integers(0, 2**256)))
+                line = line[:match.start(1)] + value + line[match.end(1):]
+        elif edit == "space":
+            separators = [m.end() for m in re.finditer("[:,]", line)]
+            if separators:
+                at = draw(st.sampled_from(separators))
+                line = line[:at] + " " + line[at:]
+        else:
+            line = NESTED
+        lines[index] = line
+    raw = bytearray("".join(line + "\n" for line in lines).encode("utf-8"))
+    if draw(st.booleans()):
+        del raw[-1]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(raw)))
+        edit = draw(st.sampled_from(["flip", "insert", "delete"]))
+        if edit == "flip" and at < len(raw):
+            raw[at] ^= draw(st.integers(1, 255))
+        elif edit == "insert":
+            raw[at:at] = bytes([draw(st.integers(0, 255))])
+        elif edit == "delete":
+            del raw[at:at + draw(st.integers(1, 3))]
+    return bytes(raw)
+
+
+def assert_read_alike(raw):
+    """verify_chain_bytes gives the oracle's height, and each line parses
+    to the oracle's entry or fails as the oracle's does."""
+    assert verify_chain_bytes(raw) == verify_chain_bytes_by_json_loads(raw)
+    for segment in raw.split(b"\n"):
+        line = segment.decode("latin-1")  # every byte a character, so non-ASCII reaches both
+        assert (parsed_or_none(entry_from_json_line, line)
+                == parsed_or_none(entry_by_json_loads, line))
+
+
+@given(mutated_chain_files())
+@settings(max_examples=1000, deadline=None)
+def test_chain_files_read_as_the_json_loads_parser_reads_them(raw):
+    assert_read_alike(raw)
+
+
+def test_every_respelling_of_every_value_reads_as_the_json_loads_parser_reads_it():
+    chain = []
+    for k, payload in enumerate([b"", b"\xab\x01", bytes(range(250, 256))]):
+        data = BlockData(0xABCDEF012345 + k, 2**64 - 1 - k, 10**k, payload)
+        append(chain, data, AuthTag(sha256(payload)), 0xFEDCBA987654, 2**63 + k)
+    lines = [entry_to_json_line(entry) for entry in chain]
+    for index, line in enumerate(lines):
+        for key in ENTRY_KEYS:
+            match = re.search(f'"{key}":{VALUE}', line)
+            value = match.group(1)
+            table = STRING_RESPELLINGS if value.startswith('"') else INTEGER_RESPELLINGS
+            for name, respell in table.items():
+                for k in (0, 7, 2**200 + 0xABC):
+                    bad = line[:match.start(1)] + respell(value, k) + line[match.end(1):]
+                    assert_read_alike("".join(
+                        (bad if i == index else other) + "\n" for i, other in enumerate(lines)
+                    ).encode("ascii"))
