@@ -16,7 +16,7 @@ within a small Hamming distance of that noiseless reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,8 +42,7 @@ class ScreeningPolicy:
             raise ConfigError(f"n_screen_reevals must be >= 1, got {self.n_screen_reevals}")
 
 
-@dataclass(frozen=True)
-class ScreeningResult:
+class ScreeningResult(NamedTuple):
     """Outcome of screening one challenge against one device."""
 
     accepted: bool
@@ -146,18 +145,22 @@ def screen_challenge(
     leaves the rest of its reads undrawn.
     """
     race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
-    ref = Response(race.reference_bits)
-    rnd = randomness(ref)
+    ref = race.reference
+    # randomness(reference), from the bool bits: the same float
+    rnd = 100.0 * (np.count_nonzero(ref) / len(ref))
+    reference = Response(ref)
     low, high = policy.randomness_band
-    if not (low <= rnd <= high):
-        return ScreeningResult(False, "randomness", rnd, 0, ref)
+    if not low <= rnd <= high:
+        return ScreeningResult(False, "randomness", rnd, 0, reference)
     worst = 0
     for _ in range(policy.n_screen_reevals):
-        mismatch = int(np.count_nonzero(race.read(rng) != ref.bits))
-        worst = max(worst, mismatch)
-        if mismatch > policy.max_unreliable_bits:
-            return ScreeningResult(False, "stability", rnd, worst, ref)
-    return ScreeningResult(True, None, rnd, worst, ref)
+        mismatch = int(np.count_nonzero(race.read(rng) != ref))
+        if mismatch > worst:
+            # the first read past the limit is the worst so far: every read before it is within
+            if mismatch > policy.max_unreliable_bits:
+                return ScreeningResult(False, "stability", rnd, mismatch, reference)
+            worst = mismatch
+    return ScreeningResult(True, None, rnd, worst, reference)
 
 
 def screen_pool(

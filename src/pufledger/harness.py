@@ -70,12 +70,13 @@ _MAX_MS = 2**31
 _MAX_COUNT = 2**24
 
 # inclusive (low, high) of each range-checked ScenarioConfig field; seed,
-# puf_* and screen_* are checked by PufConfig and ScreeningPolicy
+# puf_* and the rest of screen_* are checked by PufConfig and ScreeningPolicy
 _BOUNDS: dict[str, tuple[float, float]] = {
     "n_transactions": (0, _MAX_COUNT),
     "n_clients": (1, _MAX_COUNT),
     "n_fast_clients": (0, math.inf),  # and at most n_clients
     "n_candidates": (1, _MAX_COUNT),
+    "screen_n_reevals": (1, _MAX_COUNT),
     "tx_spacing_ms": (1, _MAX_MS),
     "payload_bytes": (0, ledger.MAX_PAYLOAD_BYTES),
     "drop_rate": (0.0, math.nextafter(1.0, 0.0)),  # [0, 1)
@@ -550,7 +551,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         set1_idx = np.stack([challenge.set1_idx for challenge in challenges])
         set2_idx = np.stack([challenge.set2_idx for challenge in challenges])
         matrix = np.stack([arbiter_bits(other.set1_freqs[set1_idx], other.set2_freqs[set2_idx])
-                           for other in devices])
+                           for other in devices]).view(np.uint8)
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)

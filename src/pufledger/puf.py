@@ -83,7 +83,6 @@ class Challenge:
 
     set1_idx: np.ndarray
     set2_idx: np.ndarray
-    _max_idx: int = field(init=False, repr=False)  # largest index in either array
 
     def __post_init__(self) -> None:
         for arr in (self.set1_idx, self.set2_idx):
@@ -101,7 +100,6 @@ class Challenge:
         s1, s2 = self.set1_idx[order], self.set2_idx[order]
         if ((s1[1:] == s1[:-1]) & (s2[1:] == s2[:-1])).any():
             raise ChallengeError("challenge repeats an oscillator pair")
-        object.__setattr__(self, "_max_idx", max(int(s1[-1]), int(self.set2_idx.max())))
 
     @property
     def n_bits(self) -> int:
@@ -121,20 +119,26 @@ class Challenge:
 
 @dataclass(frozen=True, eq=False)
 class Response:
-    """An ordered bit vector produced by evaluating one challenge."""
+    """An ordered bit vector produced by evaluating one challenge.
+
+    bits is a one-dimensional uint8 array of 0s and 1s; a bool array, as
+    arbiter_bits and NoisyRace.read give, is taken as a uint8 copy."""
 
     bits: np.ndarray
     _packed: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.bits.ndim != 1 or self.bits.dtype != np.uint8:
-            raise ValueError("response bits must be a one-dimensional uint8 array")
-        if len(self.bits) == 0:
-            raise ValueError("response must contain at least one bit")
-        if self.bits.max() > 1:
-            raise ValueError("response bits must be 0 or 1")
-        self.bits.setflags(write=False)
-        object.__setattr__(self, "_packed", np.packbits(self.bits).tobytes())
+        bits = self.bits
+        if bits.ndim != 1 or len(bits) == 0:
+            raise ValueError("response bits must be a non-empty one-dimensional array")
+        if bits.dtype == np.bool_:
+            # 0 or 1 by type; a copy, as cheap as a view and without a base to keep alive
+            bits = bits.astype(np.uint8)
+            object.__setattr__(self, "bits", bits)
+        elif bits.dtype != np.uint8 or bits.max() > 1:
+            raise ValueError("response bits must be bool, or uint8 0 or 1")
+        bits.setflags(write=False)
+        object.__setattr__(self, "_packed", np.packbits(bits).tobytes())
 
     @property
     def n_bits(self) -> int:
@@ -221,20 +225,22 @@ def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevic
 def selected_freqs(device: PufDevice, challenge: Challenge) -> tuple[np.ndarray, np.ndarray]:
     """The frequencies the challenge races, bit by bit: (set1, set2).
     Raises ChallengeError when it selects past the device's banks."""
-    if challenge._max_idx >= device.bank_size:
+    # selectors are non-negative, so numpy's own bounds check is the range check
+    try:
+        return device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+    except IndexError:
         raise ChallengeError(
             f"challenge selects oscillators past bank size {device.bank_size}"
-        )
-    return device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+        ) from None
 
 
 def arbiter_bits(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """The arbiter's uint8 bit per race of f1 against f2.
+    """The arbiter's bit per race of f1 against f2, as a bool array.
 
     Ties (exactly equal frequencies) resolve to 0; an arbiter needs a strict
     win by the first bank to emit 1.
     """
-    return (f1 > f2).astype(np.uint8)
+    return f1 > f2
 
 
 def reference_response(device: PufDevice, challenge: Challenge) -> Response:
@@ -249,31 +255,36 @@ class NoisyRace:
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
     standard normal, exceeds (f2 - f1) / (sigma * sqrt 2). A noisy read
     therefore draws one standard normal per bit and compares it with that
-    threshold, which is computed once per race. A noiseless device draws
-    nothing: each of its reads is its reference.
+    threshold. The thresholds are computed at the race's first noisy read,
+    so a race that is never read (a screening candidate rejected for its
+    reference alone) computes none. A noiseless device draws nothing: each
+    of its reads is its reference.
     """
 
-    __slots__ = ("reference_bits", "_threshold")
+    __slots__ = ("reference", "_f1", "_f2", "_noise_sigma_mhz", "_threshold")
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float) -> None:
-        self.reference_bits = arbiter_bits(f1, f2)
+        self.reference = arbiter_bits(f1, f2)
+        self._f1, self._f2, self._noise_sigma_mhz = f1, f2, noise_sigma_mhz
         self._threshold = None
-        if noise_sigma_mhz > 0:
-            # a gap too large for a subnormal sigma becomes a threshold of +-inf: a certain bit
-            with np.errstate(over="ignore"):
-                self._threshold = (f2 - f1) / (noise_sigma_mhz * math.sqrt(2))
 
     def read(self, rng: np.random.Generator, n_reads: int | None = None) -> np.ndarray:
-        """One noisy read as an (n_bits,) uint8 array, or n_reads of them as
+        """One noisy read as an (n_bits,) bool array, or n_reads of them as
         an (n_reads, n_bits) array, from one standard_normal draw of rng of
-        that shape: bit k of a read is 1 when its normal exceeds bit k's
+        that shape: bit k of a read is True when its normal exceeds bit k's
         threshold. Reads are drawn in order, so n reads in one call are the
         n reads of n calls."""
-        bits = self.reference_bits
+        bits = self.reference
         shape = bits.shape if n_reads is None else (n_reads,) + bits.shape
-        if self._threshold is None:
-            return np.broadcast_to(bits, shape)
-        return (rng.standard_normal(shape) > self._threshold).astype(np.uint8)
+        threshold = self._threshold
+        if threshold is None:
+            if not self._noise_sigma_mhz > 0:
+                return np.broadcast_to(bits, shape)
+            # a gap too large for a subnormal sigma becomes a threshold of +-inf: a certain bit
+            with np.errstate(over="ignore"):
+                threshold = (self._f2 - self._f1) / (self._noise_sigma_mhz * math.sqrt(2))
+            self._threshold = threshold
+        return rng.standard_normal(shape) > threshold
 
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
@@ -292,15 +303,14 @@ def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Respons
 _MAX_DRAW_BANK = 1 << 31
 
 
-def _drawn_challenge(set1_idx: np.ndarray, set2_idx: np.ndarray, max_idx: int) -> Challenge:
+def _drawn_challenge(set1_idx: np.ndarray, set2_idx: np.ndarray) -> Challenge:
     """A Challenge from random_challenge's draw, without __post_init__'s checks:
     the selectors are int64 values in [0, bank_size) of equal length >= 1 whose
-    pairs are already known not to repeat, and max_idx is their largest value."""
+    pairs are already known not to repeat."""
     challenge = object.__new__(Challenge)
     for name, arr in (("set1_idx", set1_idx), ("set2_idx", set2_idx)):
         arr.setflags(write=False)
         object.__setattr__(challenge, name, arr)
-    object.__setattr__(challenge, "_max_idx", max_idx)
     return challenge
 
 
@@ -318,14 +328,14 @@ def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> C
     while len(chosen) < n_bits:
         need = n_bits - len(chosen)
         # i then j: the stream of two calls of `need`, as 32-bit draws share a cached half-word
-        ij = rng.integers(0, bank_size, size=2 * need)
+        ij = rng.integers(bank_size, size=2 * need)
         i, j = ij[:need], ij[need:]
         codes = i * bank_size + j
         if not chosen:
-            ordered = np.sort(codes)
-            if not (ordered[1:] == ordered[:-1]).any():
-                return _drawn_challenge(i, j, int(ij.max()))
+            ordered = codes.copy()
+            ordered.sort()
+            if not np.count_nonzero(ordered[1:] == ordered[:-1]):
+                return _drawn_challenge(i, j)
         chosen.update(dict.fromkeys(codes.tolist()))  # a pair repeats: keep first draws
     codes = np.array(list(chosen), dtype=np.int64)
-    set1_idx, set2_idx = codes // bank_size, codes % bank_size
-    return _drawn_challenge(set1_idx, set2_idx, max(int(set1_idx.max()), int(set2_idx.max())))
+    return _drawn_challenge(codes // bank_size, codes % bank_size)

@@ -105,8 +105,9 @@ NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type in ("int", "f
 def test_minus_one_is_rejected_for_every_numeric_field(name):
     """Keeps the bounds table complete: a new numeric field fails here until
     its range is checked when a config is built."""
-    if name == "seed" or name.startswith(("puf_", "screen_")):
-        # checked where they are used, by PufConfig and ScreeningPolicy
+    if (name == "seed" or name.startswith(("puf_", "screen_"))) and name != "screen_n_reevals":
+        # checked where they are used, by PufConfig and ScreeningPolicy; the
+        # read count is a count of work, capped in the bounds table
         cfg = ScenarioConfig(**{name: -1})
         with pytest.raises(ConfigError):
             cfg.screening_policy() if name.startswith("screen_") else cfg.puf_config()
@@ -357,9 +358,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     # only 2**48 device ids exist to draw node ids from
     dict(n_clients=2**48), dict(fom_n_devices=2**48),
     # arrays of more than 2**47 bytes, which no allocator can grant
-    dict(puf_n_oscillators=10**15), dict(screen_n_reevals=10**15),
+    dict(puf_n_oscillators=10**15),
     # counts of work, each capped at 2**24
     dict(n_candidates=2**24 + 1), dict(fom_pool_size=2**24 + 1), dict(bench_trials=2**24 + 1),
+    dict(screen_n_reevals=2**24 + 1), dict(screen_n_reevals=10**15),
+    # a nearly noiseless device passes every read, so each in-band candidate reads them all
+    dict(screen_n_reevals=10**15, puf_noise_sigma_mhz=0.0001, n_candidates=1, n_clients=1,
+         n_fast_clients=0, n_transactions=0),
 ])
 def test_cli_out_of_range_config_exits_2(tmp_path, capsys, monkeypatch, command, keys):
     monkeypatch.chdir(tmp_path)  # nothing may be written, not even to ./out
