@@ -21,7 +21,6 @@ import statistics
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -230,14 +229,10 @@ class BuiltWorld:
 
 def _draw_node_ids(seed: int, count: int) -> list[int]:
     rng = np.random.default_rng([seed, _STREAM_DEVICE_IDS])
-    ids: list[int] = []
-    seen: set[int] = set()
+    ids: dict[int, None] = {}  # insertion-ordered; a repeated draw changes nothing
     while len(ids) < count:
-        candidate = int(rng.integers(0, 1 << DEVICE_ID_BITS))
-        if candidate not in seen:
-            seen.add(candidate)
-            ids.append(candidate)
-    return ids
+        ids[int(rng.integers(0, 1 << DEVICE_ID_BITS))] = None
+    return list(ids)
 
 
 def build_world(cfg: ScenarioConfig) -> BuiltWorld:
@@ -286,19 +281,14 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
 
     payload_rng = np.random.default_rng([cfg.seed, _STREAM_PAYLOAD])
     initiations = []
-    used_per_client: dict[int, int] = {}
     for tx in range(cfg.n_transactions):
-        client_pos = tx % cfg.n_clients
-        node_id = node_ids[1 + client_pos]
-        n_enrolled = len(records[node_id].pairs)
-        used = used_per_client.get(node_id, 0)
+        node_id = node_ids[1 + tx % cfg.n_clients]
         initiations.append(Initiation(
             t_ms=(tx + 1) * cfg.tx_spacing_ms,
             node_id=node_id,
             payload=bytes(payload_rng.bytes(cfg.payload_bytes)),
-            challenge_index=used % n_enrolled,
+            challenge_index=tx // cfg.n_clients % len(records[node_id].pairs),
         ))
-        used_per_client[node_id] = used + 1
 
     scenario = Scenario(
         world=World(nodes=tuple(nodes), registry=reg),
@@ -312,18 +302,12 @@ def _apply_config_adversary(cfg: ScenarioConfig, scenario: Scenario) -> Scenario
     if cfg.adversary == "none":
         return scenario
     n_tx = len(scenario.initiations)
-    after = (n_tx + 1) * cfg.tx_spacing_ms
-    times = tuple(after + k * cfg.tx_spacing_ms for k in range(cfg.adversary_events))
+    times = tuple((n_tx + 1 + k) * cfg.tx_spacing_ms for k in range(cfg.adversary_events))
     if cfg.adversary == "tamper":
         tx_ids = list(range(min(cfg.adversary_events, n_tx)))
-        adv = Adversary("tamper", {"tx_ids": tx_ids, "field": "payload"})
-    elif cfg.adversary == "replay":
-        adv = Adversary("replay", {"tx_id": 0}, times)
-    elif cfg.adversary == "fake-device":
-        adv = Adversary("fake-device", {}, times)
-    else:
-        adv = Adversary("forge-validator", {}, times)
-    return inject(adv, scenario)
+        return inject(Adversary("tamper", {"tx_ids": tx_ids, "field": "payload"}), scenario)
+    target = {"tx_id": 0} if cfg.adversary == "replay" else {}
+    return inject(Adversary(cfg.adversary, target, times), scenario)
 
 
 # --- metrics ----------------------------------------------------------------
@@ -355,15 +339,11 @@ def _stats(values: list[int | float]) -> dict[str, float]:
 
 def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsReport:
     """Metrics of one run; nodes are the world's initial node states, whose
-    roles (before any demotion) label the per-node rows."""
-    trusted_ids = [node.node_id for node in nodes if node.role == ROLE_TRUSTED]
+    roles (before any demotion) label the per-node rows. The pooled client
+    figures pool the per-client lists: _stats is exact in any order."""
     rejected: dict[str, int] = {}
-    accepted = 0
     transactions = []
     dt_sa_all: list[int] = []
-    dt_ca_all: list[int] = []
-    dt_tx_all: list[int] = []
-    per_node_sa: dict[int, list[int]] = {}
     per_node_ca: dict[int, list[int]] = {}
     per_node_tx: dict[int, list[int]] = {}
 
@@ -385,10 +365,7 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
         if record.accepted is None:
             rejected["lost"] = rejected.get("lost", 0) + 1
         elif record.accepted:
-            accepted += 1
-            dt_sa = record.t_validated - record.t_recv_trusted
-            dt_sa_all.append(dt_sa)
-            per_node_sa.setdefault(trusted_ids[0], []).append(dt_sa)
+            dt_sa_all.append(record.t_validated - record.t_recv_trusted)
         else:
             rejected[record.reason] = rejected.get(record.reason, 0) + 1
         for node_id, outcome in record.client_outcomes.items():
@@ -399,27 +376,20 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
                 "reason": outcome.reason,
             }
             if outcome.accepted:
-                dt_ca = outcome.t_done - outcome.t_recv
-                dt_tx = outcome.t_done - record.t_init
-                dt_ca_all.append(dt_ca)
-                dt_tx_all.append(dt_tx)
-                per_node_ca.setdefault(node_id, []).append(dt_ca)
-                per_node_tx.setdefault(node_id, []).append(dt_tx)
+                per_node_ca.setdefault(node_id, []).append(outcome.t_done - outcome.t_recv)
+                per_node_tx.setdefault(node_id, []).append(outcome.t_done - record.t_init)
         transactions.append(entry)
 
-    adv_accepted = 0
     adv_rejected: dict[str, int] = {}
     for outcome in result.adversarial:
-        if outcome.accepted:
-            adv_accepted += 1
-        else:
+        if not outcome.accepted:
             adv_rejected[outcome.reason] = adv_rejected.get(outcome.reason, 0) + 1
 
     per_node = {}
     for node in nodes:
         stats: dict[str, object] = {"role": node.role}
-        if node.node_id in per_node_sa:
-            stats["dt_sa_ms"] = _stats(per_node_sa[node.node_id])
+        if node.role == ROLE_TRUSTED and dt_sa_all:
+            stats["dt_sa_ms"] = _stats(dt_sa_all)
         if node.node_id in per_node_ca:
             stats["dt_ca_ms"] = _stats(per_node_ca[node.node_id])
             stats["dt_tx_ms"] = _stats(per_node_tx[node.node_id])
@@ -428,13 +398,13 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
     return MetricsReport(
         n_transactions=len(result.tx_records),
         n_adversarial=len(result.adversarial),
-        accepted=accepted,
+        accepted=len(dt_sa_all),
         rejected_by_reason=rejected,
-        adversarial_accepted=adv_accepted,
+        adversarial_accepted=len(result.adversarial) - sum(adv_rejected.values()),
         adversarial_rejected_by_reason=adv_rejected,
         dt_sa_ms=_stats(dt_sa_all),
-        dt_ca_ms=_stats(dt_ca_all),
-        dt_tx_ms=_stats(dt_tx_all),
+        dt_ca_ms=_stats([dt for dts in per_node_ca.values() for dt in dts]),
+        dt_tx_ms=_stats([dt for dts in per_node_tx.values() for dt in dts]),
         per_node=per_node,
         transactions=transactions,
     )
@@ -442,22 +412,20 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
 
 def timings_csv_lines(report: MetricsReport) -> list[str]:
     """One row per transaction. Client-side columns reflect the last client
-    to finish replicating the block (the moment the transaction is fully
-    settled); rows for unaccepted transactions leave them blank."""
+    to finish replicating the block, when the transaction is fully settled,
+    and on a tie the first in client order; unaccepted rows leave them blank."""
     lines = [CSV_HEADER]
     for entry in report.transactions:
         dt_sa = ""
-        if entry["t_validated"] is not None and entry["t_recv_trusted"] is not None:
+        if entry["t_validated"] is not None:  # netsim sets t_recv_trusted with it
             dt_sa = str(entry["t_validated"] - entry["t_recv_trusted"])
         dt_ca = ""
         dt_tx = ""
-        best: Optional[tuple[int, int]] = None
-        for outcome in entry["clients"].values():
-            if outcome["accepted"] and (best is None or outcome["t_done"] > best[0]):
-                best = (outcome["t_done"], outcome["t_recv"])
-        if best is not None:
-            dt_ca = str(best[0] - best[1])
-            dt_tx = str(best[0] - entry["t_init"])
+        accepted = [outcome for outcome in entry["clients"].values() if outcome["accepted"]]
+        if accepted:
+            last = max(accepted, key=lambda outcome: outcome["t_done"])
+            dt_ca = str(last["t_done"] - last["t_recv"])
+            dt_tx = str(last["t_done"] - entry["t_init"])
         reason = entry["reason"] or ""
         lines.append(
             f'{entry["tx"]},{entry["seq"]},{entry["device_id"]},'
@@ -534,7 +502,6 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
 
     per_device = []
     accepted_counts = []
-    all_uni, all_rel, all_rnd = [], [], []
     common_matrix = None
     for d, device in enumerate(devices):
         screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN, d])
@@ -545,7 +512,6 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                 f"device {device.device_id_hex} accepted no challenges from the pool")
         screened = screened[: cfg.fom_n_challenges]
         challenges = [challenge for challenge, _ in screened]
-        refs = [ref for _, ref in screened]
         # every device's reference bits on this device's screened set, one
         # gather per device: shape (devices, challenges, bits)
         set1_idx = np.stack([challenge.set1_idx for challenge in challenges])
@@ -557,10 +523,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         uni = fom.uniqueness(matrix)
         rel = float(np.mean([fom.reliability(device, challenge, cfg.fom_n_reevals, rel_rng)
                              for challenge in challenges]))
-        rnd = float(np.mean([fom.randomness(ref) for ref in refs]))
-        all_uni.append(uni)
-        all_rel.append(rel)
-        all_rnd.append(rnd)
+        rnd = float(np.mean([fom.randomness(ref) for _, ref in screened]))
         per_device.append({
             "device_id": device.device_id_hex,
             "uniqueness_pct": uni,
@@ -571,12 +534,12 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
             "n_reevaluations": cfg.fom_n_reevals,
         })
 
-    population = {
-        "uniqueness_pct": float(np.mean(all_uni)),
-        "reliability_pct": float(np.mean(all_rel)),
-        "randomness_pct": float(np.mean(all_rnd)),
+    population = {  # the mean of the per-device rows
+        "uniqueness_pct": float(np.mean([row["uniqueness_pct"] for row in per_device])),
+        "reliability_pct": float(np.mean([row["reliability_pct"] for row in per_device])),
+        "randomness_pct": float(np.mean([row["randomness_pct"] for row in per_device])),
         "n_devices": len(devices),
-        "n_challenges": int(round(float(np.mean([min(c, cfg.fom_n_challenges) for c in accepted_counts])))),
+        "n_challenges": int(round(float(np.mean([row["n_challenges"] for row in per_device])))),
         "n_reevaluations": cfg.fom_n_reevals,
         "correlation_abs_mean": fom.mean_abs_correlation(common_matrix),
     }
@@ -600,13 +563,9 @@ def run_benchmark(cfg: ScenarioConfig) -> dict:
     small = replace(cfg, n_clients=1, n_fast_clients=0, n_transactions=0,
                     adversary="none", adversary_events=0)
     built = build_world(small)
-    trusted_id = built.node_ids[0]
-    client_id = built.node_ids[1]
-    world_nodes = {node.node_id: node for node in built.scenario.world.nodes}
-    trusted = world_nodes[trusted_id]
-    client = world_nodes[client_id]
+    trusted, client = built.scenario.world.nodes
     reg = built.scenario.world.registry
-    n_enrolled = len(built.records[client_id].pairs)
+    n_enrolled = len(built.records[client.node_id].pairs)
     payload_rng = np.random.default_rng([cfg.seed, _STREAM_PAYLOAD])
 
     auth_times = []
@@ -623,7 +582,7 @@ def run_benchmark(cfg: ScenarioConfig) -> dict:
     pow_times = []
     for trial in range(cfg.bench_trials):
         data = BlockData(
-            device_id=client_id, seq=trial, t_init=trial,
+            device_id=client.node_id, seq=trial, t_init=trial,
             payload=bytes(payload_rng.bytes(cfg.payload_bytes)))
         start = time.perf_counter()
         consensus.pow_mine_baseline(data, cfg.pow_difficulty_bits)

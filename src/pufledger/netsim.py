@@ -167,14 +167,8 @@ def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
         tx_id = target.get("tx_id")
         if tx_id is None or not 0 <= tx_id < n_tx:
             raise ScenarioError("replay target needs a valid tx_id")
-        if not adversary.schedule:
-            raise ScenarioError("replay needs at least one scheduled time")
-    elif adversary.kind == "fake-device":
-        if not adversary.schedule:
-            raise ScenarioError("fake-device needs at least one scheduled time")
-    elif adversary.kind == "forge-validator":
-        if not adversary.schedule:
-            raise ScenarioError("forge-validator needs at least one scheduled time")
+    if adversary.kind != "tamper" and not adversary.schedule:
+        raise ScenarioError(f"{adversary.kind} needs at least one scheduled time")
     return replace(scenario, adversaries=scenario.adversaries + (adversary,))
 
 

@@ -2,9 +2,13 @@ import json
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufledger.harness import (
     CSV_HEADER,
+    _stats,
+    build_metrics,
     build_world,
     load_config,
     parse_config_text,
@@ -17,6 +21,8 @@ from pufledger import ScenarioConfig, run_scenario
 from pufledger.ledger import verify_chain_file
 from pufledger.cli import main
 from pufledger.consensus import ROLE_CLIENT, ROLE_TRUSTED
+from pufledger.netsim import ClientOutcome, SimResult, TxRecord
+from pufledger.puf import format_device_id
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -159,19 +165,27 @@ def test_build_world_shape():
     assert set(handle_means[1:]) == {cfg.cost_client_slow_mean_ms}
 
 
-def test_build_world_schedules_round_robin():
-    cfg = small_config(n_transactions=8)
+@pytest.mark.parametrize("overrides,wraps", [
+    ({"n_transactions": 8}, False),
+    # 10 candidates leave each node at most 3 enrolled challenges, and each
+    # client initiates 4 transactions, so every client wraps
+    ({"n_transactions": 12, "n_candidates": 10}, True),
+], ids=["default", "wrap"])
+def test_build_world_schedules_round_robin(overrides, wraps):
+    cfg = small_config(**overrides)
+    n_tx = cfg.n_transactions
     built = build_world(cfg)
     inits = built.scenario.initiations
-    assert [i.t_ms for i in inits] == [(k + 1) * cfg.tx_spacing_ms for k in range(8)]
+    assert [i.t_ms for i in inits] == [(k + 1) * cfg.tx_spacing_ms for k in range(n_tx)]
     clients = built.node_ids[1:]
-    assert [i.node_id for i in inits] == [clients[k % len(clients)] for k in range(8)]
+    assert [i.node_id for i in inits] == [clients[k % len(clients)] for k in range(n_tx)]
     assert all(len(i.payload) == cfg.payload_bytes for i in inits)
     # challenge indices rotate within each client's enrolled list
     for node_id in clients:
         n_enrolled = len(built.records[node_id].pairs)
         own = [i.challenge_index for i in inits if i.node_id == node_id]
         assert own == [k % n_enrolled for k in range(len(own))]
+        assert (len(own) > n_enrolled) == wraps
 
 
 def test_build_world_zero_threshold_disables_demotion():
@@ -241,6 +255,31 @@ def test_csv_rows_match_metrics_timestamps(tmp_path):
         last = [c for c in entry["clients"].values() if c["t_done"] == last_done][0]
         assert int(dt_ca) == last["t_done"] - last["t_recv"]
         assert int(dt_tx) == last["t_done"] - entry["t_init"]
+
+
+def test_csv_row_takes_the_first_client_in_order_on_a_t_done_tie():
+    record = TxRecord(tx_id=0, origin=1, device_id=1, seq=0, t_init=0, t_send=5,
+                      t_recv_trusted=10, t_validated=130, accepted=True, client_outcomes={
+                          2: ClientOutcome(t_recv=145, t_done=190, accepted=True, reason=None),
+                          3: ClientOutcome(t_recv=140, t_done=200, accepted=True, reason=None),
+                          4: ClientOutcome(t_recv=150, t_done=200, accepted=True, reason=None),
+                          5: ClientOutcome(t_recv=160, t_done=260, accepted=False,
+                                           reason="no-match"),
+                      })
+    report = build_metrics(SimResult(events=(), nodes={}, tx_records=(record,),
+                                     adversarial=()), nodes=())
+    # client 3 and client 4 both finish last at 200; client 3 comes first
+    assert timings_csv_lines(report)[1:] == [f"0,0,{format_device_id(1)},120,60,200,accepted,"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**62, 2**62), max_size=40).flatmap(
+    lambda values: st.tuples(st.just(values), st.permutations(values))))
+def test_stats_is_the_same_for_every_order_of_its_values(values_and_permutation):
+    # build_metrics pools the per-client lists client by client, not in the
+    # order the transactions ran; the metrics bytes rely on this
+    values, permuted = values_and_permutation
+    assert _stats(permuted) == _stats(values)
 
 
 def test_run_scenario_is_reproducible(tmp_path):

@@ -356,8 +356,9 @@ def test_inject_rejects_unknown_settings(sim_parts):
         inject(Adversary("tamper", {"tx_ids": [99]}, ()), scenario)
     with pytest.raises(ScenarioError):
         inject(Adversary("tamper", {"tx_ids": [0], "field": "entry_hash"}, ()), scenario)
-    with pytest.raises(ScenarioError):
-        inject(Adversary("replay", {"tx_id": 0}, ()), scenario)
+    for kind, target in [("replay", {"tx_id": 0}), ("fake-device", {}), ("forge-validator", {})]:
+        with pytest.raises(ScenarioError, match=f"^{kind} needs at least one scheduled time$"):
+            inject(Adversary(kind, target, ()), scenario)
     with pytest.raises(ScenarioError):
         inject(Adversary("fake-device", {}, (100, -1)), scenario)
 
