@@ -19,7 +19,6 @@ SHA-256 outputs.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -36,7 +35,7 @@ from .ledger import (
     sha256,
     tip_hash,
 )
-from .puf import Challenge, PufDevice, Response, format_device_id, reference_response
+from .puf import Challenge, PufDevice, Response, reference_response
 from .registry import Registry, lookup
 
 ROLE_TRUSTED = "trusted"
@@ -75,21 +74,6 @@ class WireBlock:
     @property
     def is_validated(self) -> bool:
         return self.validated_by is not None
-
-
-def wire_to_json(block: WireBlock) -> str:
-    obj = {
-        "device_id": format_device_id(block.data.device_id),
-        "seq": block.data.seq,
-        "t_init": block.data.t_init,
-        "payload": block.data.payload.hex(),
-        "auth_tag": block.auth_tag.hex(),
-    }
-    if block.is_validated:
-        obj["validated_by"] = format_device_id(block.validated_by)
-        obj["t_validated"] = block.t_validated
-        obj["validation_tag"] = block.validation_tag.hex()
-    return json.dumps(obj, separators=(",", ":"))
 
 
 @dataclass
@@ -225,11 +209,6 @@ def accept_validated(client: NodeState, block: WireBlock,
     client.chain.append(candidate)
     client.last_seq_accepted[block.data.device_id] = block.data.seq
     return Verdict(True, None, candidate, 1)
-
-
-def leading_zero_bits(digest: bytes) -> int:
-    value = int.from_bytes(digest, "big")
-    return len(digest) * 8 - value.bit_length()
 
 
 def pow_mine_baseline(data: BlockData, difficulty_bits: int) -> tuple[int, bytes]:

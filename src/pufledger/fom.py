@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .puf import Challenge, NoisyRace, PufDevice, Response, selected_freqs
+from .puf import Challenge, NoisyRace, PufDevice, Response
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class ScreeningResult(NamedTuple):
     accepted: bool
     reason: Optional[str]  # None when accepted, else "randomness" or "stability"
     randomness_pct: float
-    worst_mismatch_bits: int
-    reference: Response
+    reference: np.ndarray  # the noiseless bits, as a bool array
 
 
 def _check_matrix(mat: np.ndarray) -> None:
@@ -93,8 +92,7 @@ def reliability(device: PufDevice, challenge: Challenge, n_reevals: int,
     """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
-    race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
-    ones = race.read(rng, n_reevals).sum(axis=0, dtype=np.int64)
+    ones = NoisyRace(device, challenge).read(rng, n_reevals).sum(axis=0, dtype=np.int64)
     total = int((ones * (n_reevals - ones)).sum())
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.n_bits)
@@ -136,31 +134,26 @@ def screen_challenge(
 ) -> ScreeningResult:
     """Decide whether a challenge is stable and balanced enough to enroll.
 
-    The noiseless response is the stored reference; the challenge passes
-    when that reference's randomness sits inside the policy band and each
-    of n_screen_reevals noisy reads differs from the reference by at most
-    max_unreliable_bits bits. The randomness check comes first and draws
-    nothing; then reads 0, 1, ... are drawn from rng one at a time, and
-    screening stops at the first failing read, so a rejected challenge
-    leaves the rest of its reads undrawn.
+    The noiseless bits are the reference (a bool array; screen_pool stores
+    a survivor's as its Response); the challenge passes when their
+    randomness sits inside the policy band and each of n_screen_reevals
+    noisy reads differs from the reference by at most max_unreliable_bits
+    bits. The randomness check comes first and draws nothing; then reads
+    0, 1, ... are drawn from rng one at a time, and screening stops at the
+    first failing read, so a rejected challenge leaves the rest of its
+    reads undrawn.
     """
-    race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
+    race = NoisyRace(device, challenge)
     ref = race.reference
     # randomness(reference), from the bool bits: the same float
     rnd = 100.0 * (np.count_nonzero(ref) / len(ref))
-    reference = Response(ref)
     low, high = policy.randomness_band
     if not low <= rnd <= high:
-        return ScreeningResult(False, "randomness", rnd, 0, reference)
-    worst = 0
+        return ScreeningResult(False, "randomness", rnd, ref)
     for _ in range(policy.n_screen_reevals):
-        mismatch = int(np.count_nonzero(race.read(rng) != ref))
-        if mismatch > worst:
-            # the first read past the limit is the worst so far: every read before it is within
-            if mismatch > policy.max_unreliable_bits:
-                return ScreeningResult(False, "stability", rnd, mismatch, reference)
-            worst = mismatch
-    return ScreeningResult(True, None, rnd, worst, reference)
+        if np.count_nonzero(race.read(rng) != ref) > policy.max_unreliable_bits:
+            return ScreeningResult(False, "stability", rnd, ref)
+    return ScreeningResult(True, None, rnd, ref)
 
 
 def screen_pool(
@@ -170,14 +163,16 @@ def screen_pool(
     rng: np.random.Generator,
 ) -> list[tuple[Challenge, Response]]:
     """Screen candidate challenges in order, reading from rng, and return
-    the survivors with their reference responses. A challenge equal to one
-    already kept is skipped unscreened: an exact duplicate never enrolls
-    twice. The candidates are taken one at a time, each after the one
-    before it is screened, so they may be drawn lazily from rng too."""
-    kept: dict[Challenge, Response] = {}
+    the survivors with their reference responses; only a survivor's bits
+    become a Response. A challenge equal to one already kept is skipped
+    unscreened: an exact duplicate never enrolls twice. Each candidate is
+    taken from the iterable after the one before it is screened, so the
+    candidates may be drawn lazily from rng too, as registry.enroll draws
+    them a chunk at a time."""
+    kept: dict[Challenge, np.ndarray] = {}
     for challenge in candidates:
         if challenge not in kept:
             result = screen_challenge(device, challenge, policy, rng)
             if result.accepted:
                 kept[challenge] = result.reference
-    return list(kept.items())
+    return [(challenge, Response(bits)) for challenge, bits in kept.items()]

@@ -45,9 +45,9 @@ from .puf import (
     RESPONSE_BITS,
     PufConfig,
     arbiter_bits,
+    draw_challenges,
     format_device_id,
     manufacture,
-    random_challenge,
 )
 from .registry import Registry, enroll
 
@@ -496,8 +496,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                for i, device_id in enumerate(_draw_node_ids(cfg.seed, cfg.fom_n_devices))]
 
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
-    pool = [random_challenge(puf_config.bank_size, RESPONSE_BITS, pool_rng)
-            for _ in range(cfg.fom_pool_size)]
+    pool = list(draw_challenges(puf_config.bank_size, RESPONSE_BITS, cfg.fom_pool_size, pool_rng))
     rel_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_RELIABILITY])
 
     per_device = []

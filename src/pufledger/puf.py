@@ -18,7 +18,10 @@ reference response, and so every artifact built from one, depends on it.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,11 +154,6 @@ class Response:
     def hex(self) -> str:
         return self.packed().hex()
 
-    def hamming(self, other: "Response") -> int:
-        if self.n_bits != other.n_bits:
-            raise ValueError("responses differ in length")
-        return int(np.count_nonzero(self.bits != other.bits))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Response):
             return NotImplemented
@@ -195,6 +193,11 @@ class PufDevice:
     @property
     def device_id_hex(self) -> str:
         return format_device_id(self.device_id)
+
+    @cached_property
+    def max_freq_mhz(self) -> float:
+        """The fastest oscillator: every race's gap |f2 - f1| is below it."""
+        return float(max(self.set1_freqs.max(), self.set2_freqs.max()))
 
 
 def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevice:
@@ -258,14 +261,16 @@ class NoisyRace:
     threshold. The thresholds are computed at the race's first noisy read,
     so a race that is never read (a screening candidate rejected for its
     reference alone) computes none. A noiseless device draws nothing: each
-    of its reads is its reference.
+    of its reads is its reference. Raises ChallengeError when the challenge
+    selects past the device's banks.
     """
 
-    __slots__ = ("reference", "_f1", "_f2", "_noise_sigma_mhz", "_threshold")
+    __slots__ = ("reference", "_device", "_f1", "_f2", "_threshold")
 
-    def __init__(self, f1: np.ndarray, f2: np.ndarray, noise_sigma_mhz: float) -> None:
-        self.reference = arbiter_bits(f1, f2)
-        self._f1, self._f2, self._noise_sigma_mhz = f1, f2, noise_sigma_mhz
+    def __init__(self, device: PufDevice, challenge: Challenge) -> None:
+        self._f1, self._f2 = selected_freqs(device, challenge)
+        self.reference = arbiter_bits(self._f1, self._f2)
+        self._device = device
         self._threshold = None
 
     def read(self, rng: np.random.Generator, n_reads: int | None = None) -> np.ndarray:
@@ -278,11 +283,15 @@ class NoisyRace:
         shape = bits.shape if n_reads is None else (n_reads,) + bits.shape
         threshold = self._threshold
         if threshold is None:
-            if not self._noise_sigma_mhz > 0:
+            device = self._device
+            if not device.noise_sigma_mhz > 0:
                 return np.broadcast_to(bits, shape)
-            # a gap too large for a subnormal sigma becomes a threshold of +-inf: a certain bit
-            with np.errstate(over="ignore"):
-                threshold = (self._f2 - self._f1) / (self._noise_sigma_mhz * math.sqrt(2))
+            scale = device.noise_sigma_mhz * math.sqrt(2)
+            if device.max_freq_mhz < scale * (sys.float_info.max / 2):  # no quotient overflows
+                threshold = (self._f2 - self._f1) / scale
+            else:  # a gap too large for a subnormal sigma becomes +-inf: a certain bit
+                with np.errstate(over="ignore"):
+                    threshold = (self._f2 - self._f1) / scale
             self._threshold = threshold
         return rng.standard_normal(shape) > threshold
 
@@ -294,28 +303,25 @@ def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Respons
     if (isinstance(eval_seed, bool) or not isinstance(eval_seed, (int, np.integer))
             or not 0 <= eval_seed < 1 << 64):
         raise ConfigError(f"eval_seed must be an integer in [0, 2**64), got {eval_seed!r}")
-    race = NoisyRace(*selected_freqs(device, challenge), device.noise_sigma_mhz)
-    return Response(race.read(np.random.default_rng([eval_seed])))
+    return Response(NoisyRace(device, challenge).read(np.random.default_rng([eval_seed])))
 
 
 # largest bank random_challenge draws from: pair codes i * bank_size + j stay
 # below 2**62, exact in int64 (one such bank is 2**31 float64s, 16 GiB)
 _MAX_DRAW_BANK = 1 << 31
+# challenges per random_challenge call in draw_challenges: at most this many
+# unscreened enrollment candidates are alive at once
+_DRAW_CHUNK = 64
 
 
-def _drawn_challenge(set1_idx: np.ndarray, set2_idx: np.ndarray) -> Challenge:
-    """A Challenge from random_challenge's draw, without __post_init__'s checks:
-    the selectors are int64 values in [0, bank_size) of equal length >= 1 whose
-    pairs are already known not to repeat."""
-    challenge = object.__new__(Challenge)
-    for name, arr in (("set1_idx", set1_idx), ("set2_idx", set2_idx)):
-        arr.setflags(write=False)
-        object.__setattr__(challenge, name, arr)
-    return challenge
-
-
-def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> Challenge:
-    """Draw n_bits distinct oscillator pairs uniformly from bank_size^2 choices."""
+def random_challenge(bank_size: int, n_bits: int, count: int,
+                     rng: np.random.Generator) -> list[Challenge]:
+    """Draw count challenges of n_bits distinct oscillator pairs, each uniform
+    over bank_size^2 choices, in one integers(bank_size, size=(count, 2, n_bits))
+    draw: row r's set1 selectors, then its set2 selectors. A row that repeats
+    a pair keeps its first occurrences and, after the batch and in row order,
+    is refilled from rng, need set1 then need set2 selectors a round. So each
+    challenge is the first n_bits distinct pairs of an iid stream of pairs."""
     if n_bits < 1:
         raise ChallengeError("challenge must select at least one oscillator pair")
     if bank_size > _MAX_DRAW_BANK:
@@ -324,18 +330,38 @@ def random_challenge(bank_size: int, n_bits: int, rng: np.random.Generator) -> C
         raise ChallengeError(
             f"cannot pick {n_bits} distinct pairs from {bank_size}x{bank_size} choices"
         )
-    chosen: dict[int, None] = {}  # pair (i, j) coded as i * bank_size + j, in draw order
-    while len(chosen) < n_bits:
-        need = n_bits - len(chosen)
-        # i then j: the stream of two calls of `need`, as 32-bit draws share a cached half-word
-        ij = rng.integers(bank_size, size=2 * need)
-        i, j = ij[:need], ij[need:]
-        codes = i * bank_size + j
-        if not chosen:
-            ordered = codes.copy()
-            ordered.sort()
-            if not np.count_nonzero(ordered[1:] == ordered[:-1]):
-                return _drawn_challenge(i, j)
-        chosen.update(dict.fromkeys(codes.tolist()))  # a pair repeats: keep first draws
-    codes = np.array(list(chosen), dtype=np.int64)
-    return _drawn_challenge(codes // bank_size, codes % bank_size)
+    batch = rng.integers(bank_size, size=(count, 2, n_bits))
+    codes = batch[:, 0] * bank_size  # pair (i, j) coded as i * bank_size + j
+    codes += batch[:, 1]
+    codes.sort(axis=1)
+    # the bool sum fom.reliability also uses: any() would page in one more reduction loop
+    repeats = (codes[:, 1:] == codes[:, :-1]).sum(axis=1, dtype=np.int64).tolist()
+    challenges = []
+    for row, repeat in zip(batch, repeats):
+        if repeat:  # keep first occurrences, in draw order, and refill
+            chosen = dict.fromkeys((row[0] * bank_size + row[1]).tolist())
+            while len(chosen) < n_bits:
+                need = n_bits - len(chosen)
+                ij = rng.integers(bank_size, size=2 * need)
+                chosen.update(dict.fromkeys((ij[:need] * bank_size + ij[need:]).tolist()))
+            pairs = np.array(list(chosen), dtype=np.int64)
+            set1, set2 = pairs // bank_size, pairs % bank_size
+        else:  # copies, so that a kept challenge holds no chunk's draw alive
+            set1, set2 = row[0].copy(), row[1].copy()
+        # int64 selectors in [0, bank_size) whose pairs do not repeat: built
+        # without __post_init__, whose checks they already pass
+        challenge = object.__new__(Challenge)
+        for name, arr in (("set1_idx", set1), ("set2_idx", set2)):
+            arr.setflags(write=False)
+            object.__setattr__(challenge, name, arr)
+        challenges.append(challenge)
+    return challenges
+
+
+def draw_challenges(bank_size: int, n_bits: int, count: int,
+                    rng: np.random.Generator) -> Iterator[Challenge]:
+    """count challenges from random_challenge, drawn _DRAW_CHUNK at a time as
+    they are consumed: a caller that reads from rng between challenges reads
+    after each chunk's draw."""
+    for start in range(0, count, _DRAW_CHUNK):
+        yield from random_challenge(bank_size, n_bits, min(_DRAW_CHUNK, count - start), rng)

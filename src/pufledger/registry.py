@@ -31,8 +31,8 @@ from .puf import (
     Challenge,
     PufDevice,
     Response,
+    draw_challenges,
     format_device_id,
-    random_challenge,
 )
 
 
@@ -89,12 +89,13 @@ def enroll(
     survivors.
 
     All randomness (candidate draws and screening read jitter) comes from
-    one generator seeded by `seed`, consumed in a fixed order: for each
-    candidate, first the challenge, then its noisy reads (one
-    standard_normal(RESPONSE_BITS) each) up to the first failing read. A
-    candidate rejected for randomness or equal to one already kept, or any
-    candidate of a noiseless device, draws no reads. Raises when the device already has a record or when nothing
-    survives.
+    one generator seeded by `seed`, consumed in a fixed order: a chunk of
+    candidates (puf.draw_challenges), then, candidate by candidate, its
+    noisy reads (one standard_normal(RESPONSE_BITS) each) up to the first
+    failing read, then the next chunk. A candidate rejected for randomness
+    or equal to one already kept, or any candidate of a noiseless device,
+    draws no reads. Raises when the device already has a record or when
+    nothing survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -103,9 +104,9 @@ def enroll(
             f"device {format_device_id(device.device_id)} is already enrolled"
         )
     rng = np.random.default_rng([seed])
-    # lazy: each challenge is drawn after the candidate before it is screened
-    candidates = (random_challenge(device.bank_size, RESPONSE_BITS, rng) for _ in range(n_candidates))
-    pairs = screen_pool(device, candidates, policy, rng)
+    # lazy: each chunk is drawn after every candidate before it is screened
+    pairs = screen_pool(device, draw_challenges(device.bank_size, RESPONSE_BITS, n_candidates, rng),
+                        policy, rng)
     if not pairs:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "

@@ -19,13 +19,19 @@ from pufledger.ledger import (
     save_chain,
     verify_chain_bytes,
 )
-from pufledger.puf import RESPONSE_BITS, PufConfig, manufacture, random_challenge, reference_response
+from pufledger.puf import (
+    RESPONSE_BITS,
+    PufConfig,
+    draw_challenges,
+    manufacture,
+    random_challenge,
+    reference_response,
+)
 from pufledger.registry import Registry, enroll
 from pufledger import ScenarioConfig, run_scenario
-from pufledger.fom import ScreeningPolicy, screen_challenge, uniqueness
+from pufledger.fom import ScreeningPolicy, screen_pool, uniqueness
 from pufledger.harness import run_benchmark, timings_csv_lines
 from pufledger.consensus import (
-    wire_to_json,
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
     REASON_REPLAY,
@@ -35,6 +41,7 @@ from pufledger.consensus import (
 )
 from pufledger import consensus, fom
 from pufledger.netsim import event_to_json_line
+from oracles import wire_to_json
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -51,17 +58,9 @@ def _device_population(n_devices: int):
 def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     """Draw a shared candidate pool and keep the challenges this device
     passes, with their noiseless references."""
-    policy = ScreeningPolicy()
     pool_rng = np.random.default_rng([seed, 20])
-    pool = [random_challenge(cfg.bank_size, RESPONSE_BITS, pool_rng)
-            for _ in range(pool_size)]
-    read_rng = np.random.default_rng([seed, 21])
-    survivors = []
-    for challenge in pool:
-        outcome = screen_challenge(device, challenge, policy, read_rng)
-        if outcome.accepted:
-            survivors.append((challenge, outcome.reference))
-    return survivors
+    pool = draw_challenges(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng)
+    return screen_pool(device, pool, ScreeningPolicy(), np.random.default_rng([seed, 21]))
 
 
 def test_c01_uniqueness_across_population():
@@ -185,7 +184,7 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
     rng = np.random.default_rng(77)
     chain = []
     for height in range(10):
-        challenge = random_challenge(cfg.bank_size, RESPONSE_BITS, rng)
+        challenge = random_challenge(cfg.bank_size, RESPONSE_BITS, 1, rng)[0]
         response = reference_response(device, challenge)
         data = BlockData(device_id=device.device_id, seq=height,
                          t_init=1000 + height, payload=bytes(rng.bytes(16)))

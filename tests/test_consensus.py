@@ -18,11 +18,10 @@ from pufledger.consensus import (
     REASON_REPLAY,
     REASON_UNKNOWN_DEVICE,
     ROLE_CLIENT,
-    leading_zero_bits,
-    wire_to_json,
 )
 from pufledger.puf import reference_response
 from pufledger.registry import trusted_view
+from oracles import leading_zero_bits, wire_to_json
 
 
 def pipeline(registry, nodes, payload=b"demo", challenge_index=0, now=100):

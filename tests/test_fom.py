@@ -15,7 +15,7 @@ from pufledger.puf import (
     random_challenge,
     reference_response,
 )
-from pufledger import ScenarioConfig, fom, harness, registry
+from pufledger import ScenarioConfig, fom, harness, puf, registry
 from pufledger.harness import run_fom_calibration
 from pufledger.fom import (
     ScreeningPolicy,
@@ -102,7 +102,7 @@ def test_uniqueness_rejects_single_device_or_ragged():
 def test_reliability_zero_noise_is_exactly_zero(default_config):
     cfg = PufConfig(noise_sigma_mhz=0.0)
     device = manufacture(cfg, 0x5, 0)
-    ch = random_challenge(device.bank_size, 64, np.random.default_rng(0))
+    ch = random_challenge(device.bank_size, 64, 1, np.random.default_rng(0))[0]
     assert reliability(device, ch, 5, np.random.default_rng([1])) == 0.0
 
 
@@ -120,7 +120,7 @@ def test_reliability_matches_gaussian_pair_model():
 
 def test_reliability_requires_two_reads(default_config):
     device = manufacture(default_config, 0x5, 0)
-    ch = random_challenge(device.bank_size, 8, np.random.default_rng(0))
+    ch = random_challenge(device.bank_size, 8, 1, np.random.default_rng(0))[0]
     with pytest.raises(ValueError):
         reliability(device, ch, 1, np.random.default_rng(0))
 
@@ -154,7 +154,7 @@ def test_correlation_identical_and_complementary_are_one():
 def test_correlation_independent_devices_near_zero(default_config):
     devices = [manufacture(default_config, i, 20 + i) for i in range(4)]
     rng = np.random.default_rng(9)
-    challenges = [random_challenge(default_config.bank_size, 128, rng) for _ in range(8)]
+    challenges = random_challenge(default_config.bank_size, 128, 8, rng)
     matrix = [[reference_response(d, ch) for ch in challenges] for d in devices]
     assert mean_abs_correlation(stack(matrix)) < 0.1
 
@@ -173,7 +173,6 @@ def test_screening_accepts_balanced_stable_challenge():
     result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), np.random.default_rng([2]))
     assert result.accepted
     assert result.reason is None
-    assert result.worst_mismatch_bits == 0
     assert result.randomness_pct == 50.0
 
 
@@ -192,14 +191,13 @@ def test_screening_rejects_unstable_challenge():
     result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), np.random.default_rng([4]))
     assert not result.accepted
     assert result.reason == "stability"
-    assert result.worst_mismatch_bits > ScreeningPolicy().max_unreliable_bits
 
 
 def test_screening_reference_is_noiseless(default_config):
     device = manufacture(default_config, 0x8, 2)
-    ch = random_challenge(device.bank_size, 128, np.random.default_rng(7))
+    ch = random_challenge(device.bank_size, 128, 1, np.random.default_rng(7))[0]
     result = screen_challenge(device, ch, ScreeningPolicy(), np.random.default_rng([5]))
-    assert result.reference == reference_response(device, ch)
+    assert Response(result.reference) == reference_response(device, ch)
 
 
 def test_screened_challenges_stay_reliable(default_config):
@@ -209,7 +207,7 @@ def test_screened_challenges_stay_reliable(default_config):
     policy = ScreeningPolicy()
     accepted = []
     for k in range(300):
-        ch = random_challenge(device.bank_size, 128, rng)
+        ch = random_challenge(device.bank_size, 128, 1, rng)[0]
         if screen_challenge(device, ch, policy, np.random.default_rng([100 + k])).accepted:
             accepted.append(ch)
     assert accepted
@@ -249,18 +247,17 @@ def test_enroll_screens_every_candidate_not_already_kept_once(default_config, sc
                                                               monkeypatch):
     device = manufacture(default_config, 0x8, 4)
     drawn = []
-    real_draw = registry.random_challenge
+    real_draw = puf.random_challenge
 
-    def draw_each_twice(bank_size, n_bits, rng):
-        if len(drawn) % 2 == 0:
-            drawn.append(real_draw(bank_size, n_bits, rng))
-        else:
-            drawn.append(drawn[-1])  # a repeat of the candidate before it
-        return drawn[-1]
+    def draw_each_twice(bank_size, n_bits, count, rng):
+        chunk = real_draw(bank_size, n_bits, count, rng)
+        chunk[1::2] = chunk[:count - 1:2]  # each odd candidate repeats the one before it
+        drawn.extend(chunk)
+        return chunk
 
-    monkeypatch.setattr(registry, "random_challenge", draw_each_twice)
-    record = registry.enroll(registry.Registry(), device, 120, ScreeningPolicy(), seed=5)
-    assert len(drawn) == 120
+    monkeypatch.setattr(puf, "random_challenge", draw_each_twice)
+    record = registry.enroll(registry.Registry(), device, 150, ScreeningPolicy(), seed=5)
+    assert len(drawn) == 150  # three chunks, the last one short
     kept, calls = set(), iter(screen_calls)
     for challenge in drawn:
         if challenge not in kept:
@@ -269,7 +266,7 @@ def test_enroll_screens_every_candidate_not_already_kept_once(default_config, sc
             if accepted:
                 kept.add(challenge)
     assert next(calls, None) is None
-    assert len(screen_calls) < 120  # some repeats of kept candidates went unscreened
+    assert len(screen_calls) < 150  # some repeats of kept candidates went unscreened
     assert sum(accepted for _, accepted in screen_calls) == len(record.pairs) == len(kept)
 
 
@@ -297,8 +294,9 @@ def two_normal_jitter(eval_seed, sigma, n_bits):
 
 def calibration_by_seeded_reads(cfg):
     """run_fom_calibration's per-device accepted counts and reliability_pct
-    with every read drawn by two_normal_jitter: the same devices and pool,
-    and one eval seed per read. Screening read k of candidate i uses the
+    with every read drawn by two_normal_jitter: the same devices, a pool
+    from the same substream drawn one challenge per call (as the earlier
+    per-candidate draw took it), and one eval seed per read. Screening read k of candidate i uses the
     same seed on every device, so its jitter is drawn once and shared;
     reliability seeds are drawn device by device."""
     policy = cfg.screening_policy()
@@ -306,7 +304,7 @@ def calibration_by_seeded_reads(cfg):
     devices = [manufacture(cfg.puf_config(), device_id, i) for i, device_id
                in enumerate(harness._draw_node_ids(cfg.seed, cfg.fom_n_devices))]
     pool_rng = np.random.default_rng([cfg.seed, harness._STREAM_FOM_POOL])
-    pool = [random_challenge(cfg.puf_config().bank_size, 128, pool_rng)
+    pool = [random_challenge(cfg.puf_config().bank_size, 128, 1, pool_rng)[0]
             for _ in range(cfg.fom_pool_size)]
     screen_seeds = np.random.default_rng([cfg.seed, harness._STREAM_FOM_SCREEN]).integers(
         0, 1 << 63, size=(len(pool), policy.n_screen_reevals)).tolist()

@@ -34,91 +34,91 @@ SMALL = dict(n_candidates=100, n_transactions=40, n_clients=3, n_fast_clients=1)
 GOLDEN_SCENARIOS = {
     "forge-validator": (dict(adversary="forge-validator", adversary_events=3), {
         "chain_5ca2a75fd86b.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_d6c96bde225a.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_f2124f8c592d.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_f22904f78d4a.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "events.ndjson":
-            "a8b214af99a48badc18e28563d21bf12f8e119ed333edc592ebae6e3aafea68a",
+            "6c30720a70bd5d1099a1cecf143accd186f790d97b88830a622f7d387670b1d4",
         "metrics.json":
             "11bca74f701958692460b60ac8f15a69fd0da7e05f6d46d8c7c84ce85e8ec7ea",
         "registry.ndjson":
-            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
+            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "tamper": (dict(adversary="tamper", adversary_events=4), {
         "chain_5ca2a75fd86b.ndjson":
-            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
+            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
         "chain_d6c96bde225a.ndjson":
-            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
+            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
         "chain_f2124f8c592d.ndjson":
-            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
+            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
         "chain_f22904f78d4a.ndjson":
-            "340a544a333260002a3cb7ffa2882a3083a739bb8b5ed960a4fed361d3423c35",
+            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
         "events.ndjson":
-            "4d9b3ed50ea4a3451035af3cb9b36de89d7a7791c9758617e31ba4e0e3eb16a4",
+            "4022a83140aa1c5fc5dc93baa6ba1708cd451770c83f61588579cb3b4700228a",
         "metrics.json":
             "9ea5d420f0d5433a3798eb10ba99e84833198ca02ad06ff31d1f1e545f860c61",
         "registry.ndjson":
-            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
+            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
         "timings.csv":
             "9ae4d340d86e59a4ae19a2584b3645446310f97bfa44691e17dfcc024c02a573",
     }),
     "replay": (dict(adversary="replay", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_d6c96bde225a.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_f2124f8c592d.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_f22904f78d4a.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "events.ndjson":
-            "eb77eb4bc2c0ab0e82adcc3378d383745d304378ade848f9422cf635f72c5fac",
+            "d39fc772032942dc9e7ca4826e52c18426a0b1dc3f3fe24646e5384b89578ba2",
         "metrics.json":
             "eb1b0cb56a8bc7df23e156c8b8ed9ca92d5400bb477e55032286244a4f6f0e18",
         "registry.ndjson":
-            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
+            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "fake-device": (dict(adversary="fake-device", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_d6c96bde225a.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_f2124f8c592d.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "chain_f22904f78d4a.ndjson":
-            "4fee906834988ef00cdfd253cac3a4ba8ddc2c69bfb41bee51b2fd2bfdd27481",
+            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
         "events.ndjson":
-            "47dc8eb9b6bddcd7aa821d5d7a9b03c0e97550fd7144f5475daf41e8e670342d",
+            "148acd9579b7ae6707170bcdf3546fbdc7e6be446cac9223f7ab919c83d26a51",
         "metrics.json":
             "5092902f215c71e5cacb66f79566cc915942784c09bd1189760798777ceea949",
         "registry.ndjson":
-            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
+            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "drop": (dict(drop_rate=0.05), {
         "chain_5ca2a75fd86b.ndjson":
-            "4abda628b5963ceeeaffb3720f58fccbaa65609970958287283f5b39a6d8b169",
+            "95d1578412584b1fb0ac549260564d646227bb87707806e29a48eda4a458e811",
         "chain_d6c96bde225a.ndjson":
-            "4abda628b5963ceeeaffb3720f58fccbaa65609970958287283f5b39a6d8b169",
+            "95d1578412584b1fb0ac549260564d646227bb87707806e29a48eda4a458e811",
         "chain_f2124f8c592d.ndjson":
-            "8505ca38cc6b052d94a259e2b59b53c1e3d706aaac11748efdb539570ce9c3c6",
+            "73a7b892819b1d498e3c18252ec610c26d4f55a5381bd27a1d6df7569f8b55f2",
         "chain_f22904f78d4a.ndjson":
-            "4abda628b5963ceeeaffb3720f58fccbaa65609970958287283f5b39a6d8b169",
+            "95d1578412584b1fb0ac549260564d646227bb87707806e29a48eda4a458e811",
         "events.ndjson":
-            "b85881694098ce85b36c1059583c0a6254385fc2c894896190433ce05ffc2ec7",
+            "35557eea4af5b12cfa97a5390f0d302c0a212b738b2e28f49783aa6a70049a19",
         "metrics.json":
             "9b5d62b70debfd22104bcd22ee60d334ef2fc63ab86277adca2e1287e7497b35",
         "registry.ndjson":
-            "35f3cd4376396873e1fbdf8586293ecdac74a035b1fadfe9fbeb71375f6ac241",
+            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
         "timings.csv":
             "81a4a0c256746021c30e6ac575c7a395f2681f8d3ea13986e286c43801ec53fb",
     }),
@@ -126,7 +126,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_FOM = (
     dict(fom_n_devices=3, fom_pool_size=60, fom_n_challenges=20, fom_n_reevals=5),
-    "c6bd009c37dbb251da0f8fb1ea6588afc6bc2ffb997d8ccd0339269be68d3c8d",
+    "94807165ef32363a4087af317597ac17955408a186a8b341e712c6fdb5b7a11c",
 )
 
 

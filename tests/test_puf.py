@@ -18,6 +18,7 @@ from pufledger.puf import (
     reference_response,
 )
 from pufledger.errors import ChallengeError, ConfigError
+from oracles import hamming
 
 
 def single_pair_device(f1: float, f2: float, noise: float) -> PufDevice:
@@ -128,11 +129,11 @@ def test_challenge_out_of_range_for_device(default_config):
 def test_random_challenge_properties(bank_size, seed):
     n_bits = min(8, bank_size * bank_size)
     rng = np.random.default_rng(seed)
-    ch = random_challenge(bank_size, n_bits, rng)
-    assert ch.n_bits == n_bits
-    pairs = list(zip(ch.set1_idx.tolist(), ch.set2_idx.tolist()))
-    assert len(set(pairs)) == len(pairs)
-    assert all(0 <= i < bank_size and 0 <= j < bank_size for i, j in pairs)
+    for ch in random_challenge(bank_size, n_bits, 3, rng):
+        assert ch.n_bits == n_bits
+        pairs = list(zip(ch.set1_idx.tolist(), ch.set2_idx.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert all(0 <= i < bank_size and 0 <= j < bank_size for i, j in pairs)
 
 
 def test_response_pack_round_trip():
@@ -154,8 +155,8 @@ def test_response_pack_msb_first():
 def test_response_hamming_counts_differing_bits():
     a = Response(np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=np.uint8))
     b = Response(np.array([1, 1, 0, 0, 1, 0, 0, 1], dtype=np.uint8))
-    assert a.hamming(b) == 3
-    assert a.hamming(a) == 0
+    assert hamming(a, b) == 3
+    assert hamming(a, a) == 0
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -175,14 +176,14 @@ def test_reference_response_compares_pairs():
 def test_evaluate_deterministic_per_seed(default_config):
     device = manufacture(default_config, 0x3, 0)
     rng = np.random.default_rng(1)
-    ch = random_challenge(device.bank_size, 128, rng)
+    ch = random_challenge(device.bank_size, 128, 1, rng)[0]
     assert evaluate(device, ch, 77) == evaluate(device, ch, 77)
 
 
 def test_evaluate_varies_across_seeds(default_config):
     device = manufacture(default_config, 0x3, 0)
     rng = np.random.default_rng(2)
-    ch = random_challenge(device.bank_size, 128, rng)
+    ch = random_challenge(device.bank_size, 128, 1, rng)[0]
     ref = reference_response(device, ch)
     assert any(evaluate(device, ch, seed) != ref for seed in range(20))
 
@@ -191,7 +192,7 @@ def test_zero_noise_evaluation_equals_reference(default_config):
     cfg = PufConfig(noise_sigma_mhz=0.0)
     device = manufacture(cfg, 0x4, 0)
     rng = np.random.default_rng(3)
-    ch = random_challenge(device.bank_size, 128, rng)
+    ch = random_challenge(device.bank_size, 128, 1, rng)[0]
     ref = reference_response(device, ch)
     assert all(evaluate(device, ch, seed) == ref for seed in range(10))
 
@@ -216,8 +217,8 @@ def test_inter_device_distance_near_half(default_config):
     total_bits = 0
     differing = 0
     for _ in range(50):
-        ch = random_challenge(default_config.bank_size, 128, rng)
-        differing += reference_response(a, ch).hamming(reference_response(b, ch))
+        ch = random_challenge(default_config.bank_size, 128, 1, rng)[0]
+        differing += hamming(reference_response(a, ch), reference_response(b, ch))
         total_bits += 128
     fraction = differing / total_bits
     assert abs(fraction - 0.5) < 0.03

@@ -6,17 +6,20 @@ json.dumps, gives."""
 import hashlib
 import json
 import re
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import mannwhitneyu
 
 from pufledger.puf import (
     Challenge,
     PufConfig,
     PufDevice,
     Response,
+    draw_challenges,
     evaluate,
     manufacture,
     random_challenge,
@@ -31,8 +34,10 @@ from pufledger.registry import (
     record_to_json_line,
     save_registry,
 )
-from pufledger.consensus import leading_zero_bits, pow_mine_baseline
-from pufledger.errors import ChallengeError, ConfigError
+from pufledger.consensus import pow_mine_baseline
+from pufledger.errors import ChallengeError, ConfigError, EnrollmentFailedError
+from pufledger import harness
+from pufledger.harness import ScenarioConfig, build_world, run_fom_calibration
 from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge
 from pufledger.ledger import (
     AuthTag,
@@ -49,6 +54,7 @@ from pufledger.ledger import (
 from pufledger.netsim import LogEvent, event_to_json_line, save_events
 from pufledger.puf import format_device_id
 from conftest import rng_seeds
+from oracles import hamming, leading_zero_bits
 
 
 def read_by_normals(device, challenge, rng):
@@ -69,19 +75,16 @@ def screen_by_reads(device, challenge, policy, rng):
     rnd = randomness(ref)
     low, high = policy.randomness_band
     if not low <= rnd <= high:
-        return False, "randomness", rnd, 0, ref
-    worst = 0
+        return False, "randomness", rnd, ref
     for _ in range(policy.n_screen_reevals):
-        mismatch = Response(read_by_normals(device, challenge, rng)).hamming(ref)
-        worst = max(worst, mismatch)
-        if mismatch > policy.max_unreliable_bits:
-            return False, "stability", rnd, worst, ref
-    return True, None, rnd, worst, ref
+        if hamming(Response(read_by_normals(device, challenge, rng)), ref) > policy.max_unreliable_bits:
+            return False, "stability", rnd, ref
+    return True, None, rnd, ref
 
 
 def reliability_by_reads(device, challenge, n_reevals, rng):
     reads = [Response(read_by_normals(device, challenge, rng)) for _ in range(n_reevals)]
-    total = sum(reads[a].hamming(reads[b])
+    total = sum(hamming(reads[a], reads[b])
                 for a in range(n_reevals) for b in range(a + 1, n_reevals))
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.n_bits)
@@ -106,11 +109,11 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
         draw_rng = np.random.default_rng([d, 31])
         rng, oracle_rng = np.random.default_rng([d, 32]), np.random.default_rng([d, 32])
         for _ in range(120):
-            challenge = random_challenge(device.bank_size, 128, draw_rng)
+            challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
             result = screen_challenge(device, challenge, policy, rng)
             expected = screen_by_reads(device, challenge, policy, oracle_rng)
             got = (result.accepted, result.reason, result.randomness_pct,
-                   result.worst_mismatch_bits, result.reference)
+                   Response(result.reference))
             assert got == expected
             # the same draws, no more: the next candidate reads what the oracle's would
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -123,7 +126,7 @@ def test_reliability_matches_a_loop_over_reads():
     for d, device in enumerate(SCREEN_DEVICES):
         rng, oracle_rng = np.random.default_rng([d, 33]), np.random.default_rng([d, 33])
         for _ in range(20):
-            challenge = random_challenge(device.bank_size, 128, draw_rng)
+            challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
             for n_reevals in (2, 3, 11):
                 assert (reliability(device, challenge, n_reevals, rng)
                         == reliability_by_reads(device, challenge, n_reevals, oracle_rng))
@@ -155,19 +158,16 @@ def screen_by_evaluate(device, challenge, policy, seeds):
     rnd = randomness(ref)
     low, high = policy.randomness_band
     if not low <= rnd <= high:
-        return (False, "randomness", rnd, 0, ref), 0
-    worst = 0
+        return (False, "randomness", rnd, ref), 0
     for k in range(policy.n_screen_reevals):
-        mismatch = evaluate(device, challenge, seeds[k]).hamming(ref)
-        worst = max(worst, mismatch)
-        if mismatch > policy.max_unreliable_bits:
-            return (False, "stability", rnd, worst, ref), k + 1
-    return (True, None, rnd, worst, ref), policy.n_screen_reevals
+        if hamming(evaluate(device, challenge, seeds[k]), ref) > policy.max_unreliable_bits:
+            return (False, "stability", rnd, ref), k + 1
+    return (True, None, rnd, ref), policy.n_screen_reevals
 
 
 def reliability_by_evaluate(device, challenge, n_reevals, seeds):
     reads = [evaluate(device, challenge, seeds[k]) for k in range(n_reevals)]
-    total = sum(reads[a].hamming(reads[b])
+    total = sum(hamming(reads[a], reads[b])
                 for a in range(n_reevals) for b in range(a + 1, n_reevals))
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.n_bits)
@@ -180,12 +180,12 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
     for d, device in enumerate(SCREEN_DEVICES):
         rng = np.random.default_rng([d, 34])
         for k in range(120):
-            challenge = random_challenge(device.bank_size, 128, rng)
+            challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
             reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals))
             result = screen_challenge(device, challenge, policy, reads)
             expected, n_read = screen_by_evaluate(device, challenge, policy, reads.seeds)
             got = (result.accepted, result.reason, result.randomness_pct,
-                   result.worst_mismatch_bits, result.reference)
+                   Response(result.reference))
             assert got == expected
             # the early stop: no read past the first failing one; a noiseless device draws none
             assert reads.served == (n_read if device.noise_sigma_mhz else 0)
@@ -197,7 +197,7 @@ def test_reliability_matches_a_loop_over_evaluate():
     rng = np.random.default_rng(6)
     for d, device in enumerate(SCREEN_DEVICES):
         for k in range(20):
-            challenge = random_challenge(device.bank_size, 128, rng)
+            challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
             for n_reevals in (2, 3, 11):
                 reads = EvalSeedReads(rng_seeds(100 * d + k, n_reevals))
                 assert (reliability(device, challenge, n_reevals, reads)
@@ -230,18 +230,18 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
     draw_rng = np.random.default_rng(15)
     accepted = 0
     for _ in range(40):
-        challenge = random_challenge(device.bank_size, 128, draw_rng)
+        challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
         ref = reference_response(device, challenge)
         assert evaluate(device, challenge, 3) == ref
         assert reliability(device, challenge, 11, rng) == 0.0
         result = screen_challenge(device, challenge, ScreeningPolicy(max_unreliable_bits=0), rng)
-        assert result.worst_mismatch_bits == 0 and result.reason != "stability"
+        assert result.reason != "stability"
         accepted += result.accepted
     assert accepted and rng.bit_generator.state == untouched
     # enrollment then draws challenges only: the pool of one generator, screened in order
     record = enroll(Registry(), device, 60, ScreeningPolicy(), 16)
     pool_rng = np.random.default_rng([16])
-    pool = [random_challenge(device.bank_size, 128, pool_rng) for _ in range(60)]
+    pool = list(draw_challenges(device.bank_size, 128, 60, pool_rng))
     expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c)) <= 55.0]
     assert list(record.challenges) == expected
 
@@ -249,14 +249,14 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
 def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
     # the threshold of every unequal race overflows to +-inf: a certain bit
     device = manufacture(PufConfig(noise_sigma_mhz=5e-324), 0x604, 4)
-    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(10))
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(10))[0]
     assert evaluate(device, challenge, 1) == reference_response(device, challenge)
     assert reliability(device, challenge, 3, np.random.default_rng(10)) == 0.0
 
 
 def test_evaluate_rejects_a_negative_seed():
     device = SCREEN_DEVICES[0]
-    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(8))
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
     with pytest.raises(ConfigError):
         evaluate(device, challenge, -1)
 
@@ -268,7 +268,7 @@ def test_evaluate_rejects_a_negative_seed():
 def test_read_seeds_rejects_seeds_outside_64_bits(bad):
     # a read's seed is evaluate()'s eval_seed: one integer in [0, 2**64), nothing else
     device = SCREEN_DEVICES[0]
-    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(8))
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
     with pytest.raises(ConfigError):
         evaluate(device, challenge, bad)
 
@@ -278,7 +278,7 @@ EVAL_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 
 def test_evaluate_reads_what_default_rng_draws():
     device = SCREEN_DEVICES[2]
-    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(9))
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(9))[0]
     f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
     for seed in rng_seeds(13, 200) + EVAL_SEED_EDGES:
         z = np.random.default_rng([seed]).standard_normal(128)
@@ -287,20 +287,21 @@ def test_evaluate_reads_what_default_rng_draws():
 
 
 def enroll_by_candidate(device, n_candidates, policy, seed):
-    """enroll spelled out over one default_rng([seed]): draw a challenge,
-    then screen it read by read, before drawing the next."""
+    """enroll spelled out over one default_rng([seed]): draw a chunk of 64
+    challenges in one random_challenge call, then screen them in order,
+    read by read, before drawing the next chunk."""
     rng = np.random.default_rng([seed])
     kept = {}
-    for _ in range(n_candidates):
-        challenge = random_challenge(device.bank_size, 128, rng)
-        if challenge not in kept:
-            accepted, _, _, _, ref = screen_by_reads(device, challenge, policy, rng)
-            if accepted:
-                kept[challenge] = ref
+    for start in range(0, n_candidates, 64):
+        for challenge in random_challenge(device.bank_size, 128, min(64, n_candidates - start), rng):
+            if challenge not in kept:
+                accepted, _, _, ref = screen_by_reads(device, challenge, policy, rng)
+                if accepted:
+                    kept[challenge] = ref
     return list(kept.items())
 
 
-@pytest.mark.parametrize("n_candidates", [1, 2, 130])
+@pytest.mark.parametrize("n_candidates", [1, 2, 63, 64, 65, 130])
 def test_enroll_matches_a_loop_over_one_generator(n_candidates):
     device = SCREEN_DEVICES[0]
     policy = ScreeningPolicy()
@@ -373,33 +374,111 @@ def pairs_of(challenge):
     return list(zip(challenge.set1_idx.tolist(), challenge.set2_idx.tolist()))
 
 
-def random_challenge_by_pairs(bank_size, n_bits, rng):
-    """random_challenge as a loop over (i, j) tuples, keeping first draws."""
-    chosen = {}
-    while len(chosen) < n_bits:
-        need = n_bits - len(chosen)
-        i = rng.integers(0, bank_size, size=need)
-        j = rng.integers(0, bank_size, size=need)
-        for pair in zip(i.tolist(), j.tolist()):
-            chosen.setdefault(pair, None)
-    return list(chosen)
+def random_challenge_by_pairs(bank_size, n_bits, count, rng):
+    """random_challenge as loops over (i, j) tuples: count rows, each n_bits
+    set1 draws then n_bits set2 draws; then, in row order, each row keeps its
+    first draws of every pair and, while short, draws need set1 and need set2
+    indices more."""
+    rows = []
+    for _ in range(count):
+        i = rng.integers(0, bank_size, size=n_bits)
+        j = rng.integers(0, bank_size, size=n_bits)
+        rows.append(list(zip(i.tolist(), j.tolist())))
+    challenges = []
+    for row in rows:
+        chosen = dict.fromkeys(row)
+        while len(chosen) < n_bits:
+            need = n_bits - len(chosen)
+            i = rng.integers(0, bank_size, size=need)
+            j = rng.integers(0, bank_size, size=need)
+            for pair in zip(i.tolist(), j.tolist()):
+                chosen.setdefault(pair, None)
+        challenges.append(list(chosen))
+    return challenges
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (200, 128), (1000, 128), (2**31, 128),
                                                (16, 200), (4, 16), (3, 9), (1, 1)])
 def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
-    # dense banks (3, 4, 16) repeat a pair on most first rounds and take the dedupe path
-    for seed in range(100):
-        fast_rng, loop_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
-        challenge = random_challenge(bank_size, n_bits, fast_rng)
-        assert pairs_of(challenge) == random_challenge_by_pairs(bank_size, n_bits, loop_rng)
-        assert fast_rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
-        # the draw skips the public constructor; it must build what the constructor builds
-        checked = Challenge(challenge.set1_idx.copy(), challenge.set2_idx.copy())
-        assert pairs_of(checked) == pairs_of(challenge)
-        assert checked == challenge and hash(checked) == hash(challenge)
-        assert not (challenge.set1_idx.flags.writeable or challenge.set2_idx.flags.writeable)
-        assert challenge.set1_idx.dtype == challenge.set2_idx.dtype == np.int64
+    # dense banks (3, 4, 16) repeat a pair in most rows, which are refilled after the batch
+    for count, n_seeds in ((1, 100), (63, 4), (64, 4), (65, 4), (130, 4)):
+        for seed in range(n_seeds):
+            fast_rng, loop_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
+            challenges = random_challenge(bank_size, n_bits, count, fast_rng)
+            expected = random_challenge_by_pairs(bank_size, n_bits, count, loop_rng)
+            assert [pairs_of(challenge) for challenge in challenges] == expected
+            assert fast_rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
+            for challenge in challenges:
+                # the draw skips the public constructor; it must build what the constructor builds
+                checked = Challenge(challenge.set1_idx.copy(), challenge.set2_idx.copy())
+                assert pairs_of(checked) == pairs_of(challenge)
+                assert checked == challenge and hash(checked) == hash(challenge)
+                assert not (challenge.set1_idx.flags.writeable or challenge.set2_idx.flags.writeable)
+                assert challenge.set1_idx.dtype == challenge.set2_idx.dtype == np.int64
+
+
+@pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (4, 16)])
+def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits):
+    # each challenge owns its selectors, so a kept one holds no chunk's draw alive;
+    # at bank 4 every row is refilled, at 256 about one in eight
+    for challenge in random_challenge(bank_size, n_bits, 64, np.random.default_rng(12)):
+        for selectors in (challenge.set1_idx, challenge.set2_idx):
+            assert selectors.base is None and selectors.flags.owndata
+
+
+def _out_of_time(signum, frame):
+    raise AssertionError("enrollment did not end within its time bound")
+
+
+def test_a_24_oscillator_world_enrolls_in_bounded_time():
+    # a 12-per-bank device races 128 of its 144 pairs: every drawn row repeats a
+    # pair, and a row redrawn whole would be repeat-free with probability 1.4e-40
+    cfg = ScenarioConfig(puf_n_oscillators=24)
+    challenges = list(draw_challenges(12, 128, 500, np.random.default_rng(24)))
+    assert len(challenges) == 500
+    assert all(len(set(pairs_of(challenge))) == 128 for challenge in challenges)
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 60.0)
+    try:
+        build_world(cfg)
+    except EnrollmentFailedError:
+        pass  # screening may reject every candidate of so dense a device; it must still end
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Fixed before the comparison was first run: the two-sided Mann-Whitney U
+# test fails the comparison when p falls below this.
+MANN_WHITNEY_ALPHA = 0.01
+
+
+def per_candidate_draws(bank_size, n_bits, count, rng):
+    """The pool as the earlier draw took it: one random_challenge call per
+    challenge, so a row that repeats a pair is refilled before the next
+    row is drawn."""
+    for _ in range(count):
+        yield from random_challenge(bank_size, n_bits, 1, rng)
+
+
+def calibration_figures(seeds):
+    """run_fom_calibration's per-device accepted counts and reliability_pct
+    at the defaults, over the given seeds."""
+    counts, reliabilities = [], []
+    for seed in seeds:
+        doc = run_fom_calibration(ScenarioConfig(seed=seed))
+        counts += doc["screening"]["accepted_by_device"]
+        reliabilities += [device["reliability_pct"] for device in doc["per_device"]]
+    return counts, reliabilities
+
+
+def test_chunked_pool_draws_calibrate_like_per_candidate_draws(monkeypatch):
+    new = calibration_figures(range(1, 21))
+    monkeypatch.setattr(harness, "draw_challenges", per_candidate_draws)
+    old = calibration_figures(range(1, 21))
+    for name, new_values, old_values in zip(("accepted counts", "reliability_pct"), new, old):
+        p = mannwhitneyu(new_values, old_values, alternative="two-sided").pvalue
+        assert p >= MANN_WHITNEY_ALPHA, (name, p, np.median(new_values), np.median(old_values))
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(2**31 + 1, 128), (2**62, 1), (16, 0), (16, -1),
@@ -409,12 +488,12 @@ def test_random_challenge_rejects_what_it_cannot_draw_exactly(bank_size, n_bits)
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     with pytest.raises(ChallengeError):
-        random_challenge(bank_size, n_bits, rng)
+        random_challenge(bank_size, n_bits, 64, rng)
     assert rng.bit_generator.state == before
 
 
 def test_challenge_equality_is_by_pairs_in_order():
-    challenge = random_challenge(256, 128, np.random.default_rng(3))
+    challenge = random_challenge(256, 128, 1, np.random.default_rng(3))[0]
     set1, set2 = challenge.set1_idx, challenge.set2_idx
     copy = Challenge(set1.copy(), set2.copy())
     assert copy == challenge and hash(copy) == hash(challenge)
@@ -425,7 +504,7 @@ def test_challenge_equality_is_by_pairs_in_order():
 
 def test_crp_record_rejects_an_equal_copy_of_a_challenge():
     device = SCREEN_DEVICES[0]
-    challenge = random_challenge(device.bank_size, 128, np.random.default_rng(4))
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(4))[0]
     response = reference_response(device, challenge)
     copy = Challenge(challenge.set1_idx.copy(), challenge.set2_idx.copy())
     with pytest.raises(ValueError, match="repeat a challenge"):

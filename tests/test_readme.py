@@ -1,6 +1,6 @@
 """The README's library example runs, it shows the whole root surface, and
 its command line synopsis lists exactly the options the parser defines; the
-package defines nothing that only tests use, beyond three named oracles."""
+package defines nothing that only tests use."""
 
 import argparse
 import ast
@@ -13,14 +13,6 @@ from pufledger.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-
-# definitions only tests call, each kept on purpose
-TEST_ONLY = {
-    "wire_to_json",  # c08 renders wire blocks with it to show no response is on the wire
-    "leading_zero_bits",  # the proof-of-work tests' oracle for pow_mine_baseline
-    "Response.hamming",  # the screening and evaluation tests' bit-error oracle
-}
-
 
 def test_readme_python_block_runs_and_root_exports_only_it(tmp_path, monkeypatch):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
@@ -85,4 +77,4 @@ def test_package_defines_nothing_only_tests_use():
     referenced = {name for path in src + bench for name in references(path)}
     unused = {qualified for path in src for qualified, name in definitions(path)
               if name not in referenced}
-    assert unused == TEST_ONLY
+    assert unused == set()

@@ -77,7 +77,7 @@ def test_zero_noise_screening_reduces_to_randomness_band(policy):
     rng = np.random.default_rng(17)
     low, high = strict.randomness_band
     for k in range(200):
-        challenge = random_challenge(device.bank_size, 128, rng)
+        challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
         expected = low <= randomness(reference_response(device, challenge)) <= high
         outcome = screen_challenge(device, challenge, strict, np.random.default_rng([k]))
         assert outcome.accepted == expected
