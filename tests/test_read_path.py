@@ -430,7 +430,7 @@ def _out_of_time(signum, frame):
     raise AssertionError("enrollment did not end within its time bound")
 
 
-def test_a_24_oscillator_world_enrolls_in_bounded_time():
+def test_a_24_oscillator_world_ends_enrollment_in_bounded_time():
     # a 12-per-bank device races 128 of its 144 pairs: every drawn row repeats a
     # pair, and a row redrawn whole would be repeat-free with probability 1.4e-40
     cfg = ScenarioConfig(puf_n_oscillators=24)
