@@ -16,7 +16,7 @@ within a small Hamming distance of that noiseless reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class ScreeningResult(NamedTuple):
     """Outcome of screening one challenge against one device."""
 
     accepted: bool
-    reason: Optional[str]  # None when accepted, else "randomness" or "stability"
-    randomness_pct: float
     reference: np.ndarray  # the noiseless bits, as a bool array
 
 
@@ -149,11 +147,11 @@ def screen_challenge(
     rnd = 100.0 * (np.count_nonzero(ref) / len(ref))
     low, high = policy.randomness_band
     if not low <= rnd <= high:
-        return ScreeningResult(False, "randomness", rnd, ref)
+        return ScreeningResult(False, ref)
     for _ in range(policy.n_screen_reevals):
         if np.count_nonzero(race.read(rng) != ref) > policy.max_unreliable_bits:
-            return ScreeningResult(False, "stability", rnd, ref)
-    return ScreeningResult(True, None, rnd, ref)
+            return ScreeningResult(False, ref)
+    return ScreeningResult(True, ref)
 
 
 def screen_pool(
@@ -162,17 +160,15 @@ def screen_pool(
     policy: ScreeningPolicy,
     rng: np.random.Generator,
 ) -> list[tuple[Challenge, Response]]:
-    """Screen candidate challenges in order, reading from rng, and return
-    the survivors with their reference responses; only a survivor's bits
-    become a Response. A challenge equal to one already kept is skipped
-    unscreened: an exact duplicate never enrolls twice. Each candidate is
-    taken from the iterable after the one before it is screened, so the
-    candidates may be drawn lazily from rng too, as registry.enroll draws
-    them a chunk at a time."""
-    kept: dict[Challenge, np.ndarray] = {}
+    """Screen every candidate challenge once, in order, reading from rng,
+    and return the survivors with their reference responses; only a
+    survivor's bits become a Response. Each candidate is taken from the
+    iterable after the one before it is screened, so the candidates may be
+    drawn lazily from rng too, as registry.enroll draws them a chunk at a
+    time."""
+    pairs = []
     for challenge in candidates:
-        if challenge not in kept:
-            result = screen_challenge(device, challenge, policy, rng)
-            if result.accepted:
-                kept[challenge] = result.reference
-    return [(challenge, Response(bits)) for challenge, bits in kept.items()]
+        result = screen_challenge(device, challenge, policy, rng)
+        if result.accepted:
+            pairs.append((challenge, Response(result.reference)))
+    return pairs

@@ -508,7 +508,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         accepted_counts.append(len(screened))
         if not screened:
             raise ScenarioError(
-                f"device {device.device_id_hex} accepted no challenges from the pool")
+                f"device {format_device_id(device.device_id)} accepted no challenges from the pool")
         screened = screened[: cfg.fom_n_challenges]
         challenges = [challenge for challenge, _ in screened]
         # every device's reference bits on this device's screened set, one
@@ -524,7 +524,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                              for challenge in challenges]))
         rnd = float(np.mean([fom.randomness(ref) for _, ref in screened]))
         per_device.append({
-            "device_id": device.device_id_hex,
+            "device_id": format_device_id(device.device_id),
             "uniqueness_pct": uni,
             "reliability_pct": rel,
             "randomness_pct": rnd,

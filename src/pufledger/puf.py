@@ -108,17 +108,6 @@ class Challenge:
     def n_bits(self) -> int:
         return len(self.set1_idx)
 
-    def __eq__(self, other: object) -> bool:
-        """Equal when both select the same pairs in the same order (both
-        selector arrays are int64, so equal bytes mean equal indices)."""
-        if not isinstance(other, Challenge):
-            return NotImplemented
-        return (self.set1_idx.tobytes() == other.set1_idx.tobytes()
-                and self.set2_idx.tobytes() == other.set2_idx.tobytes())
-
-    def __hash__(self) -> int:
-        return hash((self.set1_idx.tobytes(), self.set2_idx.tobytes()))
-
 
 @dataclass(frozen=True, eq=False)
 class Response:
@@ -154,14 +143,6 @@ class Response:
     def hex(self) -> str:
         return self.packed().hex()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Response):
-            return NotImplemented
-        return self.n_bits == other.n_bits and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self) -> int:
-        return hash(self.packed())
-
 
 @dataclass(frozen=True, eq=False)
 class PufDevice:
@@ -189,10 +170,6 @@ class PufDevice:
     @property
     def bank_size(self) -> int:
         return len(self.set1_freqs)
-
-    @property
-    def device_id_hex(self) -> str:
-        return format_device_id(self.device_id)
 
     @cached_property
     def max_freq_mhz(self) -> float:

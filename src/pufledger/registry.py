@@ -42,13 +42,10 @@ class CrpRecord:
 
     device_id: int
     pairs: tuple[tuple[Challenge, Response], ...]
-    enrolled_at: int
 
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("a record must hold at least one challenge/response pair")
-        if len(set(self.challenges)) != len(self.pairs):
-            raise ValueError("a record must not repeat a challenge")
 
     @property
     def challenges(self) -> tuple[Challenge, ...]:
@@ -92,10 +89,10 @@ def enroll(
     one generator seeded by `seed`, consumed in a fixed order: a chunk of
     candidates (puf.draw_challenges), then, candidate by candidate, its
     noisy reads (one standard_normal(RESPONSE_BITS) each) up to the first
-    failing read, then the next chunk. A candidate rejected for randomness
-    or equal to one already kept, or any candidate of a noiseless device,
-    draws no reads. Raises when the device already has a record or when
-    nothing survives.
+    failing read, then the next chunk. Every candidate is screened once; one
+    rejected for randomness, or any candidate of a noiseless device, draws
+    no reads. Raises when the device already has a record or when nothing
+    survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -112,7 +109,7 @@ def enroll(
             f"screening rejected all {n_candidates} candidates for device "
             f"{format_device_id(device.device_id)}"
         )
-    record = CrpRecord(device_id=device.device_id, pairs=tuple(pairs), enrolled_at=0)
+    record = CrpRecord(device_id=device.device_id, pairs=tuple(pairs))
     registry._records[device.device_id] = record
     return record
 
@@ -153,7 +150,7 @@ _INDEX_STRS = tuple(map(str, range(256)))
 def record_to_json_line(record: CrpRecord) -> str:
     """The record as one compact JSON object, byte-equal to json.dumps with
     separators=(",", ":"): each challenge is its list of [set1, set2] index
-    pairs, next to its response's hex."""
+    pairs, next to its response's hex; "enrolled_at" is always 0."""
     n = len(_INDEX_STRS)
     pairs = []
     for challenge, response in record.pairs:
@@ -162,7 +159,7 @@ def record_to_json_line(record: CrpRecord) -> str:
         pairs.append(f'{{"challenge":[[{"],[".join(map(",".join, zip(set1, set2)))}]],'
                      f'"response":"{response.hex()}"}}')
     return (f'{{"device_id":"{format_device_id(record.device_id)}",'
-            f'"enrolled_at":{record.enrolled_at},"pairs":[{",".join(pairs)}]}}')
+            f'"enrolled_at":0,"pairs":[{",".join(pairs)}]}}')
 
 
 def save_registry(path: str | Path, registry: Registry) -> None:

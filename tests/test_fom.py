@@ -172,32 +172,38 @@ def test_screening_accepts_balanced_stable_challenge():
     device = gap_device(deltas, 0.245)
     result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), np.random.default_rng([2]))
     assert result.accepted
-    assert result.reason is None
-    assert result.randomness_pct == 50.0
+    assert np.count_nonzero(result.reference) == 64
 
 
 def test_screening_rejects_all_ones_response():
     device = gap_device([5.0] * 16, 0.245)
-    result = screen_challenge(device, identity_challenge(16), ScreeningPolicy(), np.random.default_rng([3]))
+    rng = np.random.default_rng([3])
+    untouched = rng.bit_generator.state
+    result = screen_challenge(device, identity_challenge(16), ScreeningPolicy(), rng)
     assert not result.accepted
-    assert result.reason == "randomness"
-    assert result.randomness_pct == 100.0
+    assert result.reference.all()
+    # rejected for randomness, before any read
+    assert rng.bit_generator.state == untouched
 
 
 def test_screening_rejects_unstable_challenge():
     # jitter dwarfs every gap, so some read must flip more than allowed
     deltas = [0.01 if i % 2 else -0.01 for i in range(128)]
     device = gap_device(deltas, 50.0)
-    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), np.random.default_rng([4]))
+    rng = np.random.default_rng([4])
+    untouched = rng.bit_generator.state
+    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), rng)
     assert not result.accepted
-    assert result.reason == "stability"
+    # balanced, so rejected for stability, after at least one read
+    assert np.count_nonzero(result.reference) == 64
+    assert rng.bit_generator.state != untouched
 
 
 def test_screening_reference_is_noiseless(default_config):
     device = manufacture(default_config, 0x8, 2)
     ch = random_challenge(device.bank_size, 128, 1, np.random.default_rng(7))[0]
     result = screen_challenge(device, ch, ScreeningPolicy(), np.random.default_rng([5]))
-    assert Response(result.reference) == reference_response(device, ch)
+    assert Response(result.reference).packed() == reference_response(device, ch).packed()
 
 
 def test_screened_challenges_stay_reliable(default_config):
@@ -226,7 +232,8 @@ def test_policy_validation():
 
 
 # The benchmark's traced run reconciles fom.screen_challenge calls with the
-# candidates screened, so screening must stay one call per candidate.
+# candidates screened, so screening must stay one call per candidate, even
+# for a candidate drawn twice.
 
 @pytest.fixture()
 def screen_calls(monkeypatch):
@@ -243,8 +250,7 @@ def screen_calls(monkeypatch):
     return calls
 
 
-def test_enroll_screens_every_candidate_not_already_kept_once(default_config, screen_calls,
-                                                              monkeypatch):
+def test_enroll_screens_every_candidate_once(default_config, screen_calls, monkeypatch):
     device = manufacture(default_config, 0x8, 4)
     drawn = []
     real_draw = puf.random_challenge
@@ -258,16 +264,9 @@ def test_enroll_screens_every_candidate_not_already_kept_once(default_config, sc
     monkeypatch.setattr(puf, "random_challenge", draw_each_twice)
     record = registry.enroll(registry.Registry(), device, 150, ScreeningPolicy(), seed=5)
     assert len(drawn) == 150  # three chunks, the last one short
-    kept, calls = set(), iter(screen_calls)
-    for challenge in drawn:
-        if challenge not in kept:
-            screened, accepted = next(calls)
-            assert screened is challenge
-            if accepted:
-                kept.add(challenge)
-    assert next(calls, None) is None
-    assert len(screen_calls) < 150  # some repeats of kept candidates went unscreened
-    assert sum(accepted for _, accepted in screen_calls) == len(record.pairs) == len(kept)
+    assert len(screen_calls) == 150
+    assert all(screened is challenge for (screened, _), challenge in zip(screen_calls, drawn))
+    assert sum(accepted for _, accepted in screen_calls) == len(record.pairs)
 
 
 def test_fom_calibration_screens_the_pool_once_per_device(screen_calls):
