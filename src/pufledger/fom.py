@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .puf import Challenge, NoisyRace, PufDevice, Response
+from .puf import Challenge, NoisyRace, PufDevice, ReadAhead, Response
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def screen_challenge(
     device: PufDevice,
     challenge: Challenge,
     policy: ScreeningPolicy,
-    rng: np.random.Generator,
+    rng: np.random.Generator | ReadAhead,
 ) -> ScreeningResult:
     """Decide whether a challenge is stable and balanced enough to enroll.
 
@@ -136,10 +136,12 @@ def screen_challenge(
     a survivor's as its Response); the challenge passes when their
     randomness sits inside the policy band and each of n_screen_reevals
     noisy reads differs from the reference by at most max_unreliable_bits
-    bits. The randomness check comes first and draws nothing; then reads
-    0, 1, ... are drawn from rng one at a time, and screening stops at the
-    first failing read, so a rejected challenge leaves the rest of its
-    reads undrawn.
+    bits. The randomness check comes first and draws nothing, nor does any
+    read of a noiseless device. Reads 0, 1, ... are judged up to a block
+    at a time (puf.ReadAhead) and used up to the first failing read, so rng
+    ends where drawing them one at a time and stopping there leaves it: a
+    Generator is settled before this returns, a ReadAhead is left to its
+    owner to settle.
     """
     race = NoisyRace(device, challenge)
     ref = race.reference
@@ -148,10 +150,24 @@ def screen_challenge(
     low, high = policy.randomness_band
     if not low <= rnd <= high:
         return ScreeningResult(False, ref)
-    for _ in range(policy.n_screen_reevals):
-        if np.count_nonzero(race.read(rng) != ref) > policy.max_unreliable_bits:
-            return ScreeningResult(False, ref)
-    return ScreeningResult(True, ref)
+    if not race.noisy:
+        return ScreeningResult(True, ref)
+    reads = rng if isinstance(rng, ReadAhead) else ReadAhead(rng)
+    accepted = True
+    left = policy.n_screen_reevals
+    while left:
+        # bits each read flips, for a block of reads at once; a list, scanned cheaper than an array
+        flips = (race.bits(reads.peek(left, len(ref))) != ref).sum(axis=1).tolist()
+        failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
+        if failed:
+            reads.use(failed[0] + 1)
+            accepted = False
+            break
+        reads.use(len(flips))
+        left -= len(flips)
+    if reads is not rng:
+        reads.settle()
+    return ScreeningResult(accepted, ref)
 
 
 def screen_pool(
@@ -160,15 +176,18 @@ def screen_pool(
     policy: ScreeningPolicy,
     rng: np.random.Generator,
 ) -> list[tuple[Challenge, Response]]:
-    """Screen every candidate challenge once, in order, reading from rng,
-    and return the survivors with their reference responses; only a
-    survivor's bits become a Response. Each candidate is taken from the
-    iterable after the one before it is screened, so the candidates may be
-    drawn lazily from rng too, as registry.enroll draws them a chunk at a
-    time."""
+    """Screen every candidate challenge once, in order, reading from rng
+    through one puf.ReadAhead, and return the survivors with their
+    reference responses; only a survivor's bits become a Response. The
+    reads are settled when this returns, so rng stands where reading
+    candidate by candidate, one read at a time, leaves it; until then
+    nothing else may draw from rng, so the candidates must not be drawn
+    from it lazily (registry.enroll screens a chunk a call)."""
+    reads = ReadAhead(rng)
     pairs = []
     for challenge in candidates:
-        result = screen_challenge(device, challenge, policy, rng)
+        result = screen_challenge(device, challenge, policy, reads)
         if result.accepted:
             pairs.append((challenge, Response(result.reference)))
+    reads.settle()
     return pairs

@@ -45,7 +45,7 @@ from .puf import (
     RESPONSE_BITS,
     PufConfig,
     arbiter_bits,
-    draw_challenges,
+    challenge_chunks,
     format_device_id,
     manufacture,
 )
@@ -496,7 +496,9 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                for i, device_id in enumerate(_draw_node_ids(cfg.seed, cfg.fom_n_devices))]
 
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
-    pool = list(draw_challenges(puf_config.bank_size, RESPONSE_BITS, cfg.fom_pool_size, pool_rng))
+    pool = [challenge for chunk in challenge_chunks(puf_config.bank_size, RESPONSE_BITS,
+                                                    cfg.fom_pool_size, pool_rng)
+            for challenge in chunk]
     rel_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_RELIABILITY])
 
     per_device = []

@@ -8,7 +8,9 @@ arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
 disagree on bits whose frequency gap is small. A noisy read draws one
 standard normal per bit from its caller's generator (see NoisyRace), so a
-caller that reads in a fixed order from one generator fixes every read.
+caller that reads in a fixed order from one generator fixes every read;
+ReadAhead draws reads ahead in blocks and gives back what it does not use,
+so the generator ends where reading one at a time leaves it.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -235,34 +237,29 @@ class NoisyRace:
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
     standard normal, exceeds (f2 - f1) / (sigma * sqrt 2). A noisy read
     therefore draws one standard normal per bit and compares it with that
-    threshold. The thresholds are computed at the race's first noisy read,
-    so a race that is never read (a screening candidate rejected for its
-    reference alone) computes none. A noiseless device draws nothing: each
-    of its reads is its reference. Raises ChallengeError when the challenge
-    selects past the device's banks.
+    threshold (bits). The thresholds are computed at the race's first noisy
+    read, so a race that is never read (a screening candidate rejected for
+    its reference alone) computes none. A noiseless device draws nothing:
+    each of its reads is its reference. Raises ChallengeError when the
+    challenge selects past the device's banks.
     """
 
-    __slots__ = ("reference", "_device", "_f1", "_f2", "_threshold")
+    __slots__ = ("reference", "noisy", "_device", "_f1", "_f2", "_threshold")
 
     def __init__(self, device: PufDevice, challenge: Challenge) -> None:
         self._f1, self._f2 = selected_freqs(device, challenge)
         self.reference = arbiter_bits(self._f1, self._f2)
+        self.noisy = device.noise_sigma_mhz > 0
         self._device = device
         self._threshold = None
 
-    def read(self, rng: np.random.Generator, n_reads: int | None = None) -> np.ndarray:
-        """One noisy read as an (n_bits,) bool array, or n_reads of them as
-        an (n_reads, n_bits) array, from one standard_normal draw of rng of
-        that shape: bit k of a read is True when its normal exceeds bit k's
-        threshold. Reads are drawn in order, so n reads in one call are the
-        n reads of n calls."""
-        bits = self.reference
-        shape = bits.shape if n_reads is None else (n_reads,) + bits.shape
+    def bits(self, normals: np.ndarray) -> np.ndarray:
+        """The reads these normals make, as a bool array of their shape: bit
+        k of a read is True when its normal exceeds bit k's threshold. The
+        one rule of every noisy read, for a noisy race only."""
         threshold = self._threshold
         if threshold is None:
             device = self._device
-            if not device.noise_sigma_mhz > 0:
-                return np.broadcast_to(bits, shape)
             scale = device.noise_sigma_mhz * math.sqrt(2)
             if device.max_freq_mhz < scale * (sys.float_info.max / 2):  # no quotient overflows
                 threshold = (self._f2 - self._f1) / scale
@@ -270,7 +267,78 @@ class NoisyRace:
                 with np.errstate(over="ignore"):
                     threshold = (self._f2 - self._f1) / scale
             self._threshold = threshold
-        return rng.standard_normal(shape) > threshold
+        return normals > threshold
+
+    def read(self, rng: np.random.Generator, n_reads: int | None = None) -> np.ndarray:
+        """One noisy read as an (n_bits,) bool array, or n_reads of them as
+        an (n_reads, n_bits) array, from one standard_normal draw of rng of
+        that shape. Reads are drawn in order, so n reads in one call are the
+        n reads of n calls."""
+        bits = self.reference
+        shape = bits.shape if n_reads is None else (n_reads,) + bits.shape
+        if not self.noisy:
+            return np.broadcast_to(bits, shape)
+        return self.bits(rng.standard_normal(shape))
+
+
+# reads a ReadAhead draws at a time, and the most it serves at once; enrollment
+# timed no faster with blocks of 12, 24, 32 or 64
+_READ_BLOCK = 16
+
+
+class ReadAhead:
+    """Noisy-read normals drawn from rng ahead of their use, _READ_BLOCK
+    reads of n_bits normals a block, and handed out in order.
+
+    peek(n, n_bits) gives the next n unused reads' normals, at most a
+    block's, drawing a block when the held ones fall short, so it holds at
+    most the older block's unused tail and the newest block; use(k) marks
+    the first k peeked reads used. The generator's state is kept from
+    before each block, so settle() can give every unused read back: it
+    restores the state from before the block that holds the first unused
+    read and redraws the reads already used from it. rng then stands
+    exactly where drawing the used reads one standard_normal(n_bits) at a
+    time leaves it. Nothing else may draw from rng between a peek and the
+    settle after it. A peek of another width settles the held reads first.
+    """
+
+    __slots__ = ("_rng", "_n_bits", "_blocks", "_used")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._n_bits = 0
+        self._blocks: list[tuple[dict, np.ndarray]] = []  # (state before, block); two at most
+        self._used = 0  # reads used from the first held block, always fewer than all
+
+    def peek(self, n: int, n_bits: int) -> np.ndarray:
+        """The next min(n, _READ_BLOCK) unused reads as rows of n_bits normals; n >= 1."""
+        if n_bits != self._n_bits:
+            self.settle()
+            self._n_bits = n_bits
+        n = min(n, _READ_BLOCK)
+        blocks, start = self._blocks, self._used
+        if len(blocks) * _READ_BLOCK - start < n:
+            rng = self._rng
+            blocks.append((rng.bit_generator.state, rng.standard_normal((_READ_BLOCK, n_bits))))
+        first = blocks[0][1]
+        if start + n <= _READ_BLOCK:
+            return first[start:start + n]
+        return np.concatenate((first[start:], blocks[1][1][:start + n - _READ_BLOCK]))
+
+    def use(self, k: int) -> None:
+        """Mark the first k reads of the last peek used."""
+        spent, self._used = divmod(self._used + k, _READ_BLOCK)
+        del self._blocks[:spent]
+
+    def settle(self) -> None:
+        """Give back every unused read drawn ahead, and hold none."""
+        if self._blocks:
+            rng = self._rng
+            rng.bit_generator.state = self._blocks[0][0]
+            if self._used:
+                rng.standard_normal((self._used, self._n_bits))
+            self._blocks.clear()
+            self._used = 0
 
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
@@ -286,7 +354,7 @@ def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Respons
 # largest bank random_challenge draws from: pair codes i * bank_size + j stay
 # below 2**62, exact in int64 (one such bank is 2**31 float64s, 16 GiB)
 _MAX_DRAW_BANK = 1 << 31
-# challenges per random_challenge call in draw_challenges: at most this many
+# challenges per random_challenge call in challenge_chunks: at most this many
 # unscreened enrollment candidates are alive at once
 _DRAW_CHUNK = 64
 
@@ -335,10 +403,11 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
     return challenges
 
 
-def draw_challenges(bank_size: int, n_bits: int, count: int,
-                    rng: np.random.Generator) -> Iterator[Challenge]:
-    """count challenges from random_challenge, drawn _DRAW_CHUNK at a time as
-    they are consumed: a caller that reads from rng between challenges reads
-    after each chunk's draw."""
+def challenge_chunks(bank_size: int, n_bits: int, count: int,
+                     rng: np.random.Generator) -> Iterator[list[Challenge]]:
+    """count challenges from random_challenge, _DRAW_CHUNK a call, each
+    chunk drawn when it is asked for: a caller that reads from rng between
+    chunks reads after one chunk's draw and before the next's."""
     for start in range(0, count, _DRAW_CHUNK):
-        yield from random_challenge(bank_size, n_bits, min(_DRAW_CHUNK, count - start), rng)
+        yield random_challenge(bank_size, n_bits, min(_DRAW_CHUNK, count - start), rng)
+

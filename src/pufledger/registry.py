@@ -31,7 +31,7 @@ from .puf import (
     Challenge,
     PufDevice,
     Response,
-    draw_challenges,
+    challenge_chunks,
     format_device_id,
 )
 
@@ -87,12 +87,14 @@ def enroll(
 
     All randomness (candidate draws and screening read jitter) comes from
     one generator seeded by `seed`, consumed in a fixed order: a chunk of
-    candidates (puf.draw_challenges), then, candidate by candidate, its
+    candidates (puf.challenge_chunks), then, candidate by candidate, its
     noisy reads (one standard_normal(RESPONSE_BITS) each) up to the first
-    failing read, then the next chunk. Every candidate is screened once; one
-    rejected for randomness, or any candidate of a noiseless device, draws
-    no reads. Raises when the device already has a record or when nothing
-    survives.
+    failing read, then the next chunk. fom.screen_pool screens each chunk
+    and judges the reads drawn ahead in blocks, but it settles them before
+    it returns, so the next chunk is drawn where that order puts it. Every
+    candidate is screened once; one rejected for randomness, or any
+    candidate of a noiseless device, draws no reads. Raises when the device
+    already has a record or when nothing survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -101,9 +103,9 @@ def enroll(
             f"device {format_device_id(device.device_id)} is already enrolled"
         )
     rng = np.random.default_rng([seed])
-    # lazy: each chunk is drawn after every candidate before it is screened
-    pairs = screen_pool(device, draw_challenges(device.bank_size, RESPONSE_BITS, n_candidates, rng),
-                        policy, rng)
+    pairs = []
+    for chunk in challenge_chunks(device.bank_size, RESPONSE_BITS, n_candidates, rng):
+        pairs += screen_pool(device, chunk, policy, rng)
     if not pairs:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "

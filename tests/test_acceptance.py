@@ -22,7 +22,7 @@ from pufledger.ledger import (
 from pufledger.puf import (
     RESPONSE_BITS,
     PufConfig,
-    draw_challenges,
+    challenge_chunks,
     manufacture,
     random_challenge,
     reference_response,
@@ -59,7 +59,8 @@ def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     """Draw a shared candidate pool and keep the challenges this device
     passes, with their noiseless references."""
     pool_rng = np.random.default_rng([seed, 20])
-    pool = draw_challenges(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng)
+    pool = [c for chunk in challenge_chunks(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng)
+            for c in chunk]
     return screen_pool(device, pool, ScreeningPolicy(), np.random.default_rng([seed, 21]))
 
 

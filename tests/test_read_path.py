@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from pufledger.puf import (
+    _READ_BLOCK,
     Challenge,
     PufConfig,
     PufDevice,
+    ReadAhead,
     Response,
-    draw_challenges,
+    challenge_chunks,
     evaluate,
     manufacture,
     random_challenge,
@@ -38,7 +41,7 @@ from pufledger.consensus import pow_mine_baseline
 from pufledger.errors import ChallengeError, ConfigError, EnrollmentFailedError
 from pufledger import harness
 from pufledger.harness import ScenarioConfig, build_world, run_fom_calibration
-from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge
+from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge, screen_pool
 from pufledger.ledger import (
     AuthTag,
     BlockData,
@@ -108,6 +111,11 @@ SCREEN_DEVICES = [
 ]
 
 
+# reads per candidate below, at and past one ReadAhead block, and far past it
+SCREEN_POLICIES = [ScreeningPolicy(n_screen_reevals=n)
+                   for n in (1, 11, _READ_BLOCK + 5, 150)] + [ScreeningPolicy(max_unreliable_bits=0)]
+
+
 @pytest.mark.parametrize("policy", [ScreeningPolicy(), ScreeningPolicy(max_unreliable_bits=0)])
 def test_screen_challenge_matches_a_loop_over_reads(policy):
     reasons = set()
@@ -129,6 +137,100 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
     assert reasons == {None, "randomness", "stability"}
 
 
+@pytest.mark.parametrize("policy", SCREEN_POLICIES)
+def test_screen_pool_matches_a_loop_over_reads(policy):
+    for d, device in enumerate(SCREEN_DEVICES):
+        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
+        rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
+        before = rng.bit_generator.state
+        pairs = screen_pool(device, pool, policy, rng)
+        expected = []
+        for challenge in pool:
+            accepted, _, ref = screen_by_reads(device, challenge, policy, oracle_rng)
+            if accepted:
+                expected.append((challenge, ref))
+        assert pairs_and_bits(pairs) == pairs_and_bits(expected)
+        # settled on return: the reads drawn ahead and not used are given back
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert (rng.bit_generator.state == before) == (device.noise_sigma_mhz == 0)
+
+
+def read_ahead_schedule(rng):
+    """A random use of one ReadAhead: up to 12 requests, each of 1 to
+    _READ_BLOCK reads, mostly 128 bits wide, of which 0 to all are used;
+    now and then a settle (None) before or between them, and one at the
+    end."""
+    schedule = [None] if rng.random() < 0.1 else []
+    for _ in range(rng.integers(13)):
+        n = int(rng.integers(1, _READ_BLOCK + 1))
+        n_bits = 128 if rng.random() < 0.9 else 5
+        schedule.append((n, n_bits, int(rng.integers(n + 1))))
+        if rng.random() < 0.2:
+            schedule.append(None)
+    return schedule + [None]
+
+
+def test_read_ahead_settles_where_one_read_at_a_time_ends():
+    # after settle(), the generator stands where one that drew exactly the used reads,
+    # one standard_normal(n_bits) at a time, stands; every peek gives those reads' normals
+    schedules = np.random.default_rng(18)
+    seen = set()
+    for trial in range(3000):
+        rng, oracle = np.random.default_rng([trial]), np.random.default_rng([trial])
+        reads = ReadAhead(rng)
+        used = drawn = n_bits_held = 0  # since the last settle, in reads
+        refilled = False
+        for step in read_ahead_schedule(schedules):
+            if step is None:
+                seen.add("settle after a refill" if refilled else
+                         "settle with nothing drawn" if not drawn else "settle")
+                reads.settle()
+                assert rng.bit_generator.state == oracle.bit_generator.state
+                used = drawn = 0
+                refilled = False
+                continue
+            n, n_bits, k = step
+            if n_bits != n_bits_held:  # another width settles what is held
+                used = drawn = 0
+                n_bits_held = n_bits
+            ahead = np.random.Generator(np.random.PCG64())
+            ahead.bit_generator.state = oracle.bit_generator.state
+            expected = np.array([ahead.standard_normal(n_bits) for _ in range(n)])
+            assert np.array_equal(reads.peek(n, n_bits), expected)
+            refilled = used + n > drawn
+            if refilled:
+                drawn += _READ_BLOCK
+            if used % _READ_BLOCK + n > _READ_BLOCK:
+                seen.add("straddle")
+            reads.use(k)
+            for _ in range(k):
+                oracle.standard_normal(n_bits)
+            used += k
+        assert rng.integers(1 << 62) == oracle.integers(1 << 62)
+    assert seen == {"settle", "settle after a refill", "settle with nothing drawn", "straddle"}
+
+
+def test_screening_reads_a_block_at_a_time_in_bounded_memory():
+    # every gap is +-5 MHz, 14 standard deviations of the 0.245 MHz race noise, so none
+    # of the 20,000 reads fails; all of them at once would be 20 MB of normals
+    deltas = np.where(np.arange(128) % 2 == 0, 5.0, -5.0)
+    device = PufDevice(0x606, 250.0 + deltas, np.full(128, 250.0), 0.245)
+    challenge = Challenge(np.arange(128), np.arange(128))
+    policy = ScreeningPolicy(n_screen_reevals=20_000)
+    rng, oracle = np.random.default_rng(19), np.random.default_rng(19)
+    tracemalloc.start()
+    try:
+        result = screen_challenge(device, challenge, policy, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.accepted
+    assert peak < 1 << 20
+    for _ in range(20):
+        oracle.standard_normal((1000, 128))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def test_reliability_matches_a_loop_over_reads():
     draw_rng = np.random.default_rng(5)
     for d, device in enumerate(SCREEN_DEVICES):
@@ -144,11 +246,22 @@ def test_reliability_matches_a_loop_over_reads():
 class EvalSeedReads:
     """Stands in for the generator a screening or reliability read draws
     from: the k-th read it serves is the normals evaluate() draws for
-    seeds[k], so the reads made from it are a loop over evaluate()."""
+    seeds[k], so the reads made from it are a loop over evaluate(). It is
+    its own bit_generator, whose state is the number of reads served: a
+    ReadAhead that restores it gives back every read served after it."""
 
     def __init__(self, seeds):
         self.seeds = seeds
         self.served = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.served
+
+    @state.setter
+    def state(self, served):
+        self.served = served
 
     def standard_normal(self, shape):
         n_reads = shape[0] if len(shape) == 2 else 1
@@ -188,13 +301,15 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
         rng = np.random.default_rng([d, 34])
         for k in range(120):
             challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
-            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals))
+            # seeds for the block a ReadAhead draws past the last read too
+            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals + _READ_BLOCK))
             result = screen_challenge(device, challenge, policy, reads)
             (accepted, reason, ref), n_read = screen_by_evaluate(device, challenge, policy,
                                                                  reads.seeds)
             assert outcome(result) == (accepted, ref.packed())
-            # the early stop: no read past the first failing one (none for a randomness
-            # reject, at least one for a stability reject); a noiseless device draws none
+            # the early stop, once settled: no read past the first failing one (none for a
+            # randomness reject, at least one for a stability reject); a noiseless device
+            # draws none
             assert reads.served == (n_read if device.noise_sigma_mhz else 0)
             reasons.add(reason)
     assert reasons == {None, "randomness", "stability"}
@@ -249,7 +364,7 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
     # enrollment then draws challenges only: the pool of one generator, screened in order
     record = enroll(Registry(), device, 60, ScreeningPolicy(), 16)
     pool_rng = np.random.default_rng([16])
-    pool = list(draw_challenges(device.bank_size, 128, 60, pool_rng))
+    pool = drawn_pool(device.bank_size, 128, 60, pool_rng)
     expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c)) <= 55.0]
     assert [pairs_of(c) for c in record.challenges] == [pairs_of(c) for c in expected]
 
@@ -315,12 +430,19 @@ def pairs_and_bits(pairs):
 
 @pytest.mark.parametrize("n_candidates", [1, 2, 63, 64, 65, 130])
 def test_enroll_matches_a_loop_over_one_generator(n_candidates):
-    device = SCREEN_DEVICES[0]
-    policy = ScreeningPolicy()
-    expected = enroll_by_candidate(device, n_candidates, policy, 77)
-    assert expected  # seed 77 keeps the first candidate, so every size enrolls
-    record = enroll(Registry(), device, n_candidates, policy, 77)
-    assert pairs_and_bits(record.pairs) == pairs_and_bits(expected)
+    enrolled = 0
+    for device in SCREEN_DEVICES:
+        for policy in SCREEN_POLICIES:
+            expected = enroll_by_candidate(device, n_candidates, policy, 77)
+            if not expected:
+                with pytest.raises(EnrollmentFailedError):
+                    enroll(Registry(), device, n_candidates, policy, 77)
+                continue
+            record = enroll(Registry(), device, n_candidates, policy, 77)
+            assert pairs_and_bits(record.pairs) == pairs_and_bits(expected)
+            enrolled += 1
+    # seed 77 keeps the first candidate at the defaults, so every size enrolls somewhere
+    assert enrolled
 
 
 INDEX = st.one_of(st.integers(0, 3), st.integers(0, 300),
@@ -385,6 +507,11 @@ def pairs_of(challenge):
     return list(zip(challenge.set1_idx.tolist(), challenge.set2_idx.tolist()))
 
 
+def drawn_pool(bank_size, n_bits, count, rng):
+    """Every challenge challenge_chunks draws, in order."""
+    return [c for chunk in challenge_chunks(bank_size, n_bits, count, rng) for c in chunk]
+
+
 def random_challenge_by_pairs(bank_size, n_bits, count, rng):
     """random_challenge as loops over (i, j) tuples: count rows, each n_bits
     set1 draws then n_bits set2 draws; then, in row order, each row keeps its
@@ -444,7 +571,7 @@ def test_a_24_oscillator_world_ends_enrollment_in_bounded_time():
     # a 12-per-bank device races 128 of its 144 pairs: every drawn row repeats a
     # pair, and a row redrawn whole would be repeat-free with probability 1.4e-40
     cfg = ScenarioConfig(puf_n_oscillators=24)
-    challenges = list(draw_challenges(12, 128, 500, np.random.default_rng(24)))
+    challenges = drawn_pool(12, 128, 500, np.random.default_rng(24))
     assert len(challenges) == 500
     assert all(len(set(pairs_of(challenge))) == 128 for challenge in challenges)
     previous = signal.signal(signal.SIGALRM, _out_of_time)
@@ -468,7 +595,7 @@ def per_candidate_draws(bank_size, n_bits, count, rng):
     challenge, so a row that repeats a pair is refilled before the next
     row is drawn."""
     for _ in range(count):
-        yield from random_challenge(bank_size, n_bits, 1, rng)
+        yield random_challenge(bank_size, n_bits, 1, rng)
 
 
 def calibration_figures(seeds):
@@ -484,7 +611,7 @@ def calibration_figures(seeds):
 
 def test_chunked_pool_draws_calibrate_like_per_candidate_draws(monkeypatch):
     new = calibration_figures(range(1, 21))
-    monkeypatch.setattr(harness, "draw_challenges", per_candidate_draws)
+    monkeypatch.setattr(harness, "challenge_chunks", per_candidate_draws)
     old = calibration_figures(range(1, 21))
     for name, new_values, old_values in zip(("accepted counts", "reliability_pct"), new, old):
         p = mannwhitneyu(new_values, old_values, alternative="two-sided").pvalue
