@@ -10,18 +10,21 @@ as a fingerprint source:
 
 Screening applies the enrollment filter: a challenge is kept only when its
 noiseless response is reasonably balanced and repeated noisy reads stay
-within a small Hamming distance of that noiseless reference.
+within a small Hamming distance of that noiseless reference. A chunk of
+candidates is screened as arrays, up to each candidate's reads, which are
+judged candidate by candidate in draw order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .puf import Challenge, NoisyRace, PufDevice, ReadAhead, Response
+from .puf import (Challenge, PufDevice, ReadAhead, arbiter_bits, noisy_reads, read_thresholds,
+                  selected_freqs)
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class ScreeningResult(NamedTuple):
     """Outcome of screening one challenge against one device."""
 
     accepted: bool
-    reference: np.ndarray  # the noiseless bits, as a bool array
 
 
 def _check_matrix(mat: np.ndarray) -> None:
@@ -90,16 +92,17 @@ def reliability(device: PufDevice, challenge: Challenge, n_reevals: int,
     """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
-    ones = NoisyRace(device, challenge).read(rng, n_reevals).sum(axis=0, dtype=np.int64)
+    ones = noisy_reads(device, challenge, rng, n_reevals).sum(axis=0, dtype=np.int64)
     total = int((ones * (n_reevals - ones)).sum())
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.n_bits)
 
 
-def randomness(response: Response) -> float:
-    """Percentage of 1-bits in the response."""
+def randomness(bits: np.ndarray) -> float | np.ndarray:
+    """Percentage of 1-bits in a response's bits, or in each row of a
+    (responses, n_bits) array of them."""
     # the same float as 100 * bits.mean(): a float64 sum of 0/1 bits is exact
-    return 100.0 * (np.count_nonzero(response.bits) / response.n_bits)
+    return 100.0 * (np.count_nonzero(bits, axis=-1) / bits.shape[-1])
 
 
 def mean_abs_correlation(mat: np.ndarray) -> float:
@@ -124,70 +127,61 @@ def mean_abs_correlation(mat: np.ndarray) -> float:
     return float(np.mean(vals)) if vals else 0.0
 
 
-def screen_challenge(
-    device: PufDevice,
-    challenge: Challenge,
-    policy: ScreeningPolicy,
-    rng: np.random.Generator | ReadAhead,
-) -> ScreeningResult:
-    """Decide whether a challenge is stable and balanced enough to enroll.
-
-    The noiseless bits are the reference (a bool array; screen_pool stores
-    a survivor's as its Response); the challenge passes when their
-    randomness sits inside the policy band and each of n_screen_reevals
-    noisy reads differs from the reference by at most max_unreliable_bits
-    bits. The randomness check comes first and draws nothing, nor does any
-    read of a noiseless device. Reads 0, 1, ... are judged up to a block
-    at a time (puf.ReadAhead) and used up to the first failing read, so rng
-    ends where drawing them one at a time and stopping there leaves it: a
-    Generator is settled before this returns, a ReadAhead is left to its
-    owner to settle.
+def screen_challenge(reference: np.ndarray, in_band: bool, threshold: np.ndarray | None,
+                     policy: ScreeningPolicy, reads: ReadAhead) -> ScreeningResult:
+    """The verdict on one candidate of a chunk screen_pool screens: its
+    noiseless bits (a bool array), whether their randomness is inside the
+    policy band, and its read thresholds (None on a noiseless device). A
+    band reject, and any candidate of a noiseless device, is judged without
+    a read. Otherwise the candidate passes when each of n_screen_reevals
+    noisy reads from reads differs from the reference by at most
+    max_unreliable_bits bits. Reads are judged up to a block at a time and
+    used up to the first failing read, so once reads is settled its
+    generator stands where reading one at a time and stopping there leaves it.
     """
-    race = NoisyRace(device, challenge)
-    ref = race.reference
-    # randomness(reference), from the bool bits: the same float
-    rnd = 100.0 * (np.count_nonzero(ref) / len(ref))
-    low, high = policy.randomness_band
-    if not low <= rnd <= high:
-        return ScreeningResult(False, ref)
-    if not race.noisy:
-        return ScreeningResult(True, ref)
-    reads = rng if isinstance(rng, ReadAhead) else ReadAhead(rng)
-    accepted = True
+    if not in_band or threshold is None:
+        return ScreeningResult(in_band)
     left = policy.n_screen_reevals
     while left:
         # bits each read flips, for a block of reads at once; a list, scanned cheaper than an array
-        flips = (race.bits(reads.peek(left, len(ref))) != ref).sum(axis=1).tolist()
+        flips = ((reads.peek(left, len(reference)) > threshold) != reference).sum(axis=1).tolist()
         failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
         if failed:
             reads.use(failed[0] + 1)
-            accepted = False
-            break
+            return ScreeningResult(False)
         reads.use(len(flips))
         left -= len(flips)
-    if reads is not rng:
-        reads.settle()
-    return ScreeningResult(accepted, ref)
+    return ScreeningResult(True)
 
 
-def screen_pool(
-    device: PufDevice,
-    candidates: Iterable[Challenge],
-    policy: ScreeningPolicy,
-    rng: np.random.Generator,
-) -> list[tuple[Challenge, Response]]:
-    """Screen every candidate challenge once, in order, reading from rng
-    through one puf.ReadAhead, and return the survivors with their
-    reference responses; only a survivor's bits become a Response. The
-    reads are settled when this returns, so rng stands where reading
-    candidate by candidate, one read at a time, leaves it; until then
-    nothing else may draw from rng, so the candidates must not be drawn
-    from it lazily (registry.enroll screens a chunk a call)."""
+def screen_pool(device: PufDevice, set1: np.ndarray, set2: np.ndarray, policy: ScreeningPolicy,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Screen a chunk of candidates, the rows of two (count, n_bits)
+    non-negative selector arrays, each once and in order, and return the
+    kept row indices and their reference bits, a (kept, n_bits) bool array.
+
+    The chunk is judged as arrays: one gather per bank (ChallengeError past
+    a bank), the reference bits in one compare, the randomness band in one
+    compare of each row's randomness(), and the in-band rows' thresholds in
+    one division. screen_challenge then judges each row, band rejects
+    included, reading from rng through one puf.ReadAhead that is settled
+    when this returns, so rng stands where reading one read at a time
+    leaves it. Gathers are the chunk's size: a large pool is screened
+    puf.CHUNK_ROWS rows a call.
+    """
+    f1, f2 = selected_freqs(device, set1, set2)
+    refs = arbiter_bits(f1, f2)
+    rnd = randomness(refs)
+    low, high = policy.randomness_band
+    in_band = (low <= rnd) & (rnd <= high)
+    thresholds = read_thresholds(device, f1[in_band], f2[in_band])
+    in_band_thresholds = iter(() if thresholds is None else thresholds)
     reads = ReadAhead(rng)
-    pairs = []
-    for challenge in candidates:
-        result = screen_challenge(device, challenge, policy, reads)
-        if result.accepted:
-            pairs.append((challenge, Response(result.reference)))
+    kept = []
+    for r, ok in enumerate(in_band.tolist()):
+        threshold = next(in_band_thresholds, None) if ok else None
+        if screen_challenge(refs[r], ok, threshold, policy, reads).accepted:
+            kept.append(r)
     reads.settle()
-    return pairs
+    kept = np.array(kept, dtype=np.intp)
+    return kept, refs[kept]

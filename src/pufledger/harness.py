@@ -41,11 +41,13 @@ from .netsim import (
     inject,
 )
 from .puf import (
+    CHUNK_ROWS,
     DEVICE_ID_BITS,
     RESPONSE_BITS,
     PufConfig,
     arbiter_bits,
     challenge_chunks,
+    challenges_of,
     format_device_id,
     manufacture,
 )
@@ -496,35 +498,40 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                for i, device_id in enumerate(_draw_node_ids(cfg.seed, cfg.fom_n_devices))]
 
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
-    pool = [challenge for chunk in challenge_chunks(puf_config.bank_size, RESPONSE_BITS,
-                                                    cfg.fom_pool_size, pool_rng)
-            for challenge in chunk]
+    # set1 and set2 rows; selectors stay below random_challenge's largest bank,
+    # 2**31, so int32 holds them in half the memory
+    pool = np.empty((2, cfg.fom_pool_size, RESPONSE_BITS), dtype=np.int32)
+    chunks = challenge_chunks(puf_config.bank_size, RESPONSE_BITS, cfg.fom_pool_size, pool_rng)
+    for start, chunk in zip(range(0, cfg.fom_pool_size, CHUNK_ROWS), chunks):
+        pool[:, start:start + CHUNK_ROWS] = chunk
     rel_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_RELIABILITY])
 
     per_device = []
     accepted_counts = []
     common_matrix = None
     for d, device in enumerate(devices):
+        # a chunk a call, gathering what enrollment does; settling between calls moves no read
         screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN, d])
-        screened = fom.screen_pool(device, pool, policy, screen_rng)
-        accepted_counts.append(len(screened))
-        if not screened:
+        kept = np.concatenate([
+            start + fom.screen_pool(device, pool[0, start:start + CHUNK_ROWS],
+                                    pool[1, start:start + CHUNK_ROWS], policy, screen_rng)[0]
+            for start in range(0, cfg.fom_pool_size, CHUNK_ROWS)])
+        accepted_counts.append(len(kept))
+        if not len(kept):
             raise ScenarioError(
                 f"device {format_device_id(device.device_id)} accepted no challenges from the pool")
-        screened = screened[: cfg.fom_n_challenges]
-        challenges = [challenge for challenge, _ in screened]
-        # every device's reference bits on this device's screened set, one
-        # gather per device: shape (devices, challenges, bits)
-        set1_idx = np.stack([challenge.set1_idx for challenge in challenges])
-        set2_idx = np.stack([challenge.set2_idx for challenge in challenges])
+        # the screened set's selectors in one row gather, then every device's
+        # reference bits on it, one gather per device: shape (devices, challenges, bits)
+        set1_idx, set2_idx = pool[:, kept[: cfg.fom_n_challenges]].astype(np.int64)
         matrix = np.stack([arbiter_bits(other.set1_freqs[set1_idx], other.set2_freqs[set2_idx])
                            for other in devices]).view(np.uint8)
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
+        challenges = challenges_of(set1_idx, set2_idx)
         uni = fom.uniqueness(matrix)
         rel = float(np.mean([fom.reliability(device, challenge, cfg.fom_n_reevals, rel_rng)
                              for challenge in challenges]))
-        rnd = float(np.mean([fom.randomness(ref) for _, ref in screened]))
+        rnd = float(np.mean(fom.randomness(matrix[d])))  # this device's own reference bits
         per_device.append({
             "device_id": format_device_id(device.device_id),
             "uniqueness_pct": uni,

@@ -7,10 +7,12 @@ per response bit; evaluating the challenge races the two oscillators and an
 arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
 disagree on bits whose frequency gap is small. A noisy read draws one
-standard normal per bit from its caller's generator (see NoisyRace), so a
+standard normal per bit from its caller's generator (see noisy_reads), so a
 caller that reads in a fixed order from one generator fixes every read;
 ReadAhead draws reads ahead in blocks and gives back what it does not use,
-so the generator ends where reading one at a time leaves it.
+so the generator ends where reading one at a time leaves it. Challenges
+are drawn a chunk at a time as selector arrays (random_challenge), and
+only the rows a caller keeps become Challenge objects (challenges_of).
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -116,7 +118,7 @@ class Response:
     """An ordered bit vector produced by evaluating one challenge.
 
     bits is a one-dimensional uint8 array of 0s and 1s; a bool array, as
-    arbiter_bits and NoisyRace.read give, is taken as a uint8 copy."""
+    arbiter_bits and noisy_reads give, is taken as a uint8 copy."""
 
     bits: np.ndarray
     _packed: bytes = field(init=False, repr=False)
@@ -204,12 +206,14 @@ def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevic
     )
 
 
-def selected_freqs(device: PufDevice, challenge: Challenge) -> tuple[np.ndarray, np.ndarray]:
-    """The frequencies the challenge races, bit by bit: (set1, set2).
-    Raises ChallengeError when it selects past the device's banks."""
+def selected_freqs(device: PufDevice, set1_idx: np.ndarray,
+                   set2_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies non-negative selectors race, one gather per bank:
+    (set1, set2), of the selectors' shape, so a challenge or a chunk of
+    them. Raises ChallengeError when they select past the device's banks."""
     # selectors are non-negative, so numpy's own bounds check is the range check
     try:
-        return device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+        return device.set1_freqs[set1_idx], device.set2_freqs[set2_idx]
     except IndexError:
         raise ChallengeError(
             f"challenge selects oscillators past bank size {device.bank_size}"
@@ -227,58 +231,43 @@ def arbiter_bits(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 
 def reference_response(device: PufDevice, challenge: Challenge) -> Response:
     """Noiseless evaluation: a pure function of the device and the challenge."""
-    return Response(arbiter_bits(*selected_freqs(device, challenge)))
+    return Response(arbiter_bits(*selected_freqs(device, challenge.set1_idx, challenge.set2_idx)))
 
 
-class NoisyRace:
-    """The races one challenge selects on one device, read with thermal jitter.
+def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.ndarray | None:
+    """Each race's noisy-read threshold (f2 - f1) / (sigma * sqrt 2), in one
+    division of the raced frequencies' shape; None for a noiseless device,
+    whose reads draw nothing. A gap too large for a subnormal sigma becomes
+    +-inf, a certain bit, without an overflow warning."""
+    if device.noise_sigma_mhz == 0:
+        return None
+    scale = device.noise_sigma_mhz * math.sqrt(2)
+    if device.max_freq_mhz < scale * (sys.float_info.max / 2):  # no quotient overflows
+        return (f2 - f1) / scale
+    with np.errstate(over="ignore"):
+        return (f2 - f1) / scale
+
+
+def noisy_reads(device: PufDevice, challenge: Challenge, rng: np.random.Generator,
+                n_reads: int | None = None) -> np.ndarray:
+    """One noisy read of the challenge's races as an (n_bits,) bool array,
+    or n_reads of them as an (n_reads, n_bits) array.
 
     Both oscillators of a race get independent N(0, sigma^2) jitter, so
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
-    standard normal, exceeds (f2 - f1) / (sigma * sqrt 2). A noisy read
-    therefore draws one standard normal per bit and compares it with that
-    threshold (bits). The thresholds are computed at the race's first noisy
-    read, so a race that is never read (a screening candidate rejected for
-    its reference alone) computes none. A noiseless device draws nothing:
-    each of its reads is its reference. Raises ChallengeError when the
-    challenge selects past the device's banks.
+    standard normal, exceeds the race's read_thresholds. A read therefore
+    draws one standard normal per bit from rng, all of them in one draw of
+    that shape, so n reads in one call are the n reads of n calls; screening
+    compares its chunk's reads with the same thresholds. A noiseless device
+    draws nothing: each of its reads is its reference. Raises
+    ChallengeError when the challenge selects past the device's banks.
     """
-
-    __slots__ = ("reference", "noisy", "_device", "_f1", "_f2", "_threshold")
-
-    def __init__(self, device: PufDevice, challenge: Challenge) -> None:
-        self._f1, self._f2 = selected_freqs(device, challenge)
-        self.reference = arbiter_bits(self._f1, self._f2)
-        self.noisy = device.noise_sigma_mhz > 0
-        self._device = device
-        self._threshold = None
-
-    def bits(self, normals: np.ndarray) -> np.ndarray:
-        """The reads these normals make, as a bool array of their shape: bit
-        k of a read is True when its normal exceeds bit k's threshold. The
-        one rule of every noisy read, for a noisy race only."""
-        threshold = self._threshold
-        if threshold is None:
-            device = self._device
-            scale = device.noise_sigma_mhz * math.sqrt(2)
-            if device.max_freq_mhz < scale * (sys.float_info.max / 2):  # no quotient overflows
-                threshold = (self._f2 - self._f1) / scale
-            else:  # a gap too large for a subnormal sigma becomes +-inf: a certain bit
-                with np.errstate(over="ignore"):
-                    threshold = (self._f2 - self._f1) / scale
-            self._threshold = threshold
-        return normals > threshold
-
-    def read(self, rng: np.random.Generator, n_reads: int | None = None) -> np.ndarray:
-        """One noisy read as an (n_bits,) bool array, or n_reads of them as
-        an (n_reads, n_bits) array, from one standard_normal draw of rng of
-        that shape. Reads are drawn in order, so n reads in one call are the
-        n reads of n calls."""
-        bits = self.reference
-        shape = bits.shape if n_reads is None else (n_reads,) + bits.shape
-        if not self.noisy:
-            return np.broadcast_to(bits, shape)
-        return self.bits(rng.standard_normal(shape))
+    f1, f2 = selected_freqs(device, challenge.set1_idx, challenge.set2_idx)
+    threshold = read_thresholds(device, f1, f2)
+    shape = f1.shape if n_reads is None else (n_reads,) + f1.shape
+    if threshold is None:
+        return np.broadcast_to(arbiter_bits(f1, f2), shape)
+    return rng.standard_normal(shape) > threshold
 
 
 # reads a ReadAhead draws at a time, and the most it serves at once; enrollment
@@ -342,31 +331,33 @@ class ReadAhead:
 
 
 def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
-    """One noisy read of a challenge on a device (see NoisyRace), drawn from
+    """One noisy read of a challenge on a device (see noisy_reads), drawn from
     np.random.default_rng([eval_seed]); eval_seed must be an integer in
     [0, 2**64)."""
     if (isinstance(eval_seed, bool) or not isinstance(eval_seed, (int, np.integer))
             or not 0 <= eval_seed < 1 << 64):
         raise ConfigError(f"eval_seed must be an integer in [0, 2**64), got {eval_seed!r}")
-    return Response(NoisyRace(device, challenge).read(np.random.default_rng([eval_seed])))
+    return Response(noisy_reads(device, challenge, np.random.default_rng([eval_seed])))
 
 
 # largest bank random_challenge draws from: pair codes i * bank_size + j stay
 # below 2**62, exact in int64 (one such bank is 2**31 float64s, 16 GiB)
 _MAX_DRAW_BANK = 1 << 31
-# challenges per random_challenge call in challenge_chunks: at most this many
-# unscreened enrollment candidates are alive at once
-_DRAW_CHUNK = 64
+# challenges per random_challenge call in challenge_chunks, and rows per
+# screening gather: at most this many unscreened candidates are alive at once
+CHUNK_ROWS = 64
 
 
 def random_challenge(bank_size: int, n_bits: int, count: int,
-                     rng: np.random.Generator) -> list[Challenge]:
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw count challenges of n_bits distinct oscillator pairs, each uniform
     over bank_size^2 choices, in one integers(bank_size, size=(count, 2, n_bits))
-    draw: row r's set1 selectors, then its set2 selectors. A row that repeats
-    a pair keeps its first occurrences and, after the batch and in row order,
-    is refilled from rng, need set1 then need set2 selectors a round. So each
-    challenge is the first n_bits distinct pairs of an iid stream of pairs."""
+    draw: row r's set1 selectors, then its set2 selectors. Returns them as
+    (set1, set2), two (count, n_bits) int64 views of that draw; builds no
+    Challenge. A row that repeats a pair keeps its first occurrences and,
+    after the batch and in row order, is refilled in place from rng, need
+    set1 then need set2 selectors a round. So each challenge is the first
+    n_bits distinct pairs of an iid stream of pairs."""
     if n_bits < 1:
         raise ChallengeError("challenge must select at least one oscillator pair")
     if bank_size > _MAX_DRAW_BANK:
@@ -380,34 +371,37 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
     codes += batch[:, 1]
     codes.sort(axis=1)
     # the bool sum fom.reliability also uses: any() would page in one more reduction loop
-    repeats = (codes[:, 1:] == codes[:, :-1]).sum(axis=1, dtype=np.int64).tolist()
-    challenges = []
-    for row, repeat in zip(batch, repeats):
-        if repeat:  # keep first occurrences, in draw order, and refill
-            chosen = dict.fromkeys((row[0] * bank_size + row[1]).tolist())
-            while len(chosen) < n_bits:
-                need = n_bits - len(chosen)
-                ij = rng.integers(bank_size, size=2 * need)
-                chosen.update(dict.fromkeys((ij[:need] * bank_size + ij[need:]).tolist()))
-            pairs = np.array(list(chosen), dtype=np.int64)
-            set1, set2 = pairs // bank_size, pairs % bank_size
-        else:  # copies, so that a kept challenge holds no chunk's draw alive
-            set1, set2 = row[0].copy(), row[1].copy()
-        # int64 selectors in [0, bank_size) whose pairs do not repeat: built
-        # without __post_init__, whose checks they already pass
-        challenge = object.__new__(Challenge)
-        for name, arr in (("set1_idx", set1), ("set2_idx", set2)):
-            arr.setflags(write=False)
-            object.__setattr__(challenge, name, arr)
-        challenges.append(challenge)
-    return challenges
+    repeats = (codes[:, 1:] == codes[:, :-1]).sum(axis=1, dtype=np.int64)
+    for r in repeats.nonzero()[0].tolist():  # keep first occurrences, in draw order, and refill
+        row = batch[r]
+        chosen = dict.fromkeys((row[0] * bank_size + row[1]).tolist())
+        while len(chosen) < n_bits:
+            need = n_bits - len(chosen)  # most often 1: Python ints beat numpy calls
+            ij = rng.integers(bank_size, size=2 * need).tolist()
+            chosen.update(dict.fromkeys([i * bank_size + j for i, j in zip(ij[:need], ij[need:])]))
+        np.divmod(np.fromiter(chosen, np.int64, n_bits), bank_size, out=(row[0], row[1]))
+    return batch[:, 0], batch[:, 1]
 
 
 def challenge_chunks(bank_size: int, n_bits: int, count: int,
-                     rng: np.random.Generator) -> Iterator[list[Challenge]]:
-    """count challenges from random_challenge, _DRAW_CHUNK a call, each
+                     rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """count challenges from random_challenge, CHUNK_ROWS a call, each
     chunk drawn when it is asked for: a caller that reads from rng between
     chunks reads after one chunk's draw and before the next's."""
-    for start in range(0, count, _DRAW_CHUNK):
-        yield random_challenge(bank_size, n_bits, min(_DRAW_CHUNK, count - start), rng)
+    for start in range(0, count, CHUNK_ROWS):
+        yield random_challenge(bank_size, n_bits, min(CHUNK_ROWS, count - start), rng)
 
+
+def challenges_of(set1: np.ndarray, set2: np.ndarray) -> list[Challenge]:
+    """A Challenge per row of two (count, n_bits) selector arrays as
+    random_challenge draws them (int64, in [0, bank_size), no repeated
+    pair), built without the constructor's checks, which they pass. The
+    arrays are made read-only, and each challenge's selectors are views of
+    its rows, so the caller hands over copies of only the rows it keeps."""
+    set1.setflags(write=False)
+    set2.setflags(write=False)
+    challenges = [object.__new__(Challenge) for _ in range(len(set1))]
+    for challenge, row1, row2 in zip(challenges, set1, set2):
+        object.__setattr__(challenge, "set1_idx", row1)
+        object.__setattr__(challenge, "set2_idx", row2)
+    return challenges

@@ -32,6 +32,7 @@ from .puf import (
     PufDevice,
     Response,
     challenge_chunks,
+    challenges_of,
     format_device_id,
 )
 
@@ -90,11 +91,12 @@ def enroll(
     candidates (puf.challenge_chunks), then, candidate by candidate, its
     noisy reads (one standard_normal(RESPONSE_BITS) each) up to the first
     failing read, then the next chunk. fom.screen_pool screens each chunk
-    and judges the reads drawn ahead in blocks, but it settles them before
-    it returns, so the next chunk is drawn where that order puts it. Every
-    candidate is screened once; one rejected for randomness, or any
-    candidate of a noiseless device, draws no reads. Raises when the device
-    already has a record or when nothing survives.
+    as arrays and judges the reads drawn ahead in blocks, but it settles
+    them before it returns, so the next chunk is drawn where that order
+    puts it. Every candidate is screened once; one rejected for randomness,
+    or any candidate of a noiseless device, draws no reads. Only a kept row,
+    copied once per chunk, becomes a Challenge and a Response. Raises when
+    the device already has a record or when nothing survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -104,8 +106,9 @@ def enroll(
         )
     rng = np.random.default_rng([seed])
     pairs = []
-    for chunk in challenge_chunks(device.bank_size, RESPONSE_BITS, n_candidates, rng):
-        pairs += screen_pool(device, chunk, policy, rng)
+    for set1, set2 in challenge_chunks(device.bank_size, RESPONSE_BITS, n_candidates, rng):
+        kept, refs = screen_pool(device, set1, set2, policy, rng)
+        pairs += zip(challenges_of(set1[kept], set2[kept]), map(Response, refs))
     if not pairs:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "

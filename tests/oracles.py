@@ -1,14 +1,17 @@
 """Small reference functions that only the tests need: the wire rendering
 c08 scans for leaked responses, the leading-zero count the proof-of-work
-tests check digests with, and the Hamming distance the screening and
-evaluation tests count bit errors with."""
+tests check digests with, the Hamming distance the screening and
+evaluation tests count bit errors with, and drawing and screening one
+challenge at a time as Challenge objects."""
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
 from pufledger.consensus import WireBlock
-from pufledger.puf import Response, format_device_id
+from pufledger.fom import screen_pool
+from pufledger.puf import Challenge, Response, format_device_id, random_challenge, reference_response
 
 
 def wire_to_json(block: WireBlock) -> str:
@@ -37,3 +40,26 @@ def hamming(a: Response, b: Response) -> int:
     if a.n_bits != b.n_bits:
         raise ValueError("responses differ in length")
     return int(np.count_nonzero(a.bits != b.bits))
+
+
+def draw_challenges(bank_size, n_bits, count, rng):
+    """The rows of one random_challenge call, each built into a Challenge
+    by its checked constructor."""
+    return [Challenge(set1, set2)
+            for set1, set2 in zip(*random_challenge(bank_size, n_bits, count, rng))]
+
+
+class Screened(NamedTuple):
+    accepted: bool
+    reference: np.ndarray  # the noiseless bits, as a bool array
+
+
+def screen_one(device, challenge, policy, rng):
+    """screen_pool on the one-row chunk of a challenge: whether it was
+    kept, and its noiseless bits (which screen_pool returns for a kept row,
+    and must return right)."""
+    kept, refs = screen_pool(device, challenge.set1_idx[None], challenge.set2_idx[None],
+                             policy, rng)
+    reference = reference_response(device, challenge).bits.astype(bool)
+    assert all(np.array_equal(bits, reference) for bits in refs)
+    return Screened(len(kept) == 1, reference)

@@ -22,9 +22,10 @@ from pufledger.ledger import (
 from pufledger.puf import (
     RESPONSE_BITS,
     PufConfig,
+    Response,
     challenge_chunks,
+    challenges_of,
     manufacture,
-    random_challenge,
     reference_response,
 )
 from pufledger.registry import Registry, enroll
@@ -41,7 +42,7 @@ from pufledger.consensus import (
 )
 from pufledger import consensus, fom
 from pufledger.netsim import event_to_json_line
-from oracles import wire_to_json
+from oracles import draw_challenges, wire_to_json
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -59,9 +60,12 @@ def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     """Draw a shared candidate pool and keep the challenges this device
     passes, with their noiseless references."""
     pool_rng = np.random.default_rng([seed, 20])
-    pool = [c for chunk in challenge_chunks(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng)
-            for c in chunk]
-    return screen_pool(device, pool, ScreeningPolicy(), np.random.default_rng([seed, 21]))
+    screen_rng = np.random.default_rng([seed, 21])
+    screened = []
+    for set1, set2 in challenge_chunks(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng):
+        kept, refs = screen_pool(device, set1, set2, ScreeningPolicy(), screen_rng)
+        screened += zip(challenges_of(set1[kept], set2[kept]), map(Response, refs))
+    return screened
 
 
 def test_c01_uniqueness_across_population():
@@ -107,7 +111,7 @@ def test_c02_reliability_at_calibrated_and_zero_noise():
 def test_c03_randomness_of_screened_responses():
     cfg, devices = _device_population(1)
     screened = _screen_pool_against(devices[0], cfg)
-    value = float(np.mean([fom.randomness(reference) for _, reference in screened]))
+    value = float(np.mean([fom.randomness(reference.bits) for _, reference in screened]))
     ok = 45.0 <= value <= 55.0
     _report(3, ok, f"mean one-bit fraction {value:.3f}% over {len(screened)} "
                    f"screened responses (bounds [45, 55])")
@@ -185,7 +189,7 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
     rng = np.random.default_rng(77)
     chain = []
     for height in range(10):
-        challenge = random_challenge(cfg.bank_size, RESPONSE_BITS, 1, rng)[0]
+        challenge = draw_challenges(cfg.bank_size, RESPONSE_BITS, 1, rng)[0]
         response = reference_response(device, challenge)
         data = BlockData(device_id=device.device_id, seq=height,
                          t_init=1000 + height, payload=bytes(rng.bytes(16)))

@@ -12,7 +12,6 @@ from pufledger.puf import (
     PufDevice,
     Response,
     manufacture,
-    random_challenge,
     reference_response,
 )
 from pufledger import ScenarioConfig, fom, harness, puf, registry
@@ -22,9 +21,9 @@ from pufledger.fom import (
     mean_abs_correlation,
     randomness,
     reliability,
-    screen_challenge,
     uniqueness,
 )
+from oracles import draw_challenges, screen_one
 
 
 def gap_device(deltas, noise):
@@ -102,7 +101,7 @@ def test_uniqueness_rejects_single_device_or_ragged():
 def test_reliability_zero_noise_is_exactly_zero(default_config):
     cfg = PufConfig(noise_sigma_mhz=0.0)
     device = manufacture(cfg, 0x5, 0)
-    ch = random_challenge(device.bank_size, 64, 1, np.random.default_rng(0))[0]
+    ch = draw_challenges(device.bank_size, 64, 1, np.random.default_rng(0))[0]
     assert reliability(device, ch, 5, np.random.default_rng([1])) == 0.0
 
 
@@ -120,7 +119,7 @@ def test_reliability_matches_gaussian_pair_model():
 
 def test_reliability_requires_two_reads(default_config):
     device = manufacture(default_config, 0x5, 0)
-    ch = random_challenge(device.bank_size, 8, 1, np.random.default_rng(0))[0]
+    ch = draw_challenges(device.bank_size, 8, 1, np.random.default_rng(0))[0]
     with pytest.raises(ValueError):
         reliability(device, ch, 1, np.random.default_rng(0))
 
@@ -128,9 +127,9 @@ def test_reliability_requires_two_reads(default_config):
 # --- randomness -----------------------------------------------------------------
 
 def test_randomness_extremes():
-    assert randomness(bits([1, 1, 1, 1])) == 100.0
-    assert randomness(bits([0, 0, 0, 0])) == 0.0
-    assert randomness(bits([0, 1, 0, 1])) == 50.0
+    assert randomness(bits([1, 1, 1, 1]).bits) == 100.0
+    assert randomness(bits([0, 0, 0, 0]).bits) == 0.0
+    assert randomness(bits([0, 1, 0, 1]).bits) == 50.0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64))
@@ -138,7 +137,7 @@ def test_randomness_extremes():
 def test_randomness_complement_sums_to_hundred(raw):
     r = bits(raw)
     flipped = bits([1 - b for b in raw])
-    assert randomness(r) + randomness(flipped) == pytest.approx(100.0)
+    assert randomness(r.bits) + randomness(flipped.bits) == pytest.approx(100.0)
 
 
 # --- correlation -----------------------------------------------------------------
@@ -154,7 +153,7 @@ def test_correlation_identical_and_complementary_are_one():
 def test_correlation_independent_devices_near_zero(default_config):
     devices = [manufacture(default_config, i, 20 + i) for i in range(4)]
     rng = np.random.default_rng(9)
-    challenges = random_challenge(default_config.bank_size, 128, 8, rng)
+    challenges = draw_challenges(default_config.bank_size, 128, 8, rng)
     matrix = [[reference_response(d, ch) for ch in challenges] for d in devices]
     assert mean_abs_correlation(stack(matrix)) < 0.1
 
@@ -170,7 +169,7 @@ def test_correlation_skips_constant_vectors():
 def test_screening_accepts_balanced_stable_challenge():
     deltas = [5.0 if i % 2 else -5.0 for i in range(128)]
     device = gap_device(deltas, 0.245)
-    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), np.random.default_rng([2]))
+    result = screen_one(device, identity_challenge(128), ScreeningPolicy(), np.random.default_rng([2]))
     assert result.accepted
     assert np.count_nonzero(result.reference) == 64
 
@@ -179,7 +178,7 @@ def test_screening_rejects_all_ones_response():
     device = gap_device([5.0] * 16, 0.245)
     rng = np.random.default_rng([3])
     untouched = rng.bit_generator.state
-    result = screen_challenge(device, identity_challenge(16), ScreeningPolicy(), rng)
+    result = screen_one(device, identity_challenge(16), ScreeningPolicy(), rng)
     assert not result.accepted
     assert result.reference.all()
     # rejected for randomness, before any read
@@ -192,7 +191,7 @@ def test_screening_rejects_unstable_challenge():
     device = gap_device(deltas, 50.0)
     rng = np.random.default_rng([4])
     untouched = rng.bit_generator.state
-    result = screen_challenge(device, identity_challenge(128), ScreeningPolicy(), rng)
+    result = screen_one(device, identity_challenge(128), ScreeningPolicy(), rng)
     assert not result.accepted
     # balanced, so rejected for stability, after at least one read
     assert np.count_nonzero(result.reference) == 64
@@ -201,8 +200,8 @@ def test_screening_rejects_unstable_challenge():
 
 def test_screening_reference_is_noiseless(default_config):
     device = manufacture(default_config, 0x8, 2)
-    ch = random_challenge(device.bank_size, 128, 1, np.random.default_rng(7))[0]
-    result = screen_challenge(device, ch, ScreeningPolicy(), np.random.default_rng([5]))
+    ch = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(7))[0]
+    result = screen_one(device, ch, ScreeningPolicy(), np.random.default_rng([5]))
     assert Response(result.reference).packed() == reference_response(device, ch).packed()
 
 
@@ -213,8 +212,8 @@ def test_screened_challenges_stay_reliable(default_config):
     policy = ScreeningPolicy()
     accepted = []
     for k in range(300):
-        ch = random_challenge(device.bank_size, 128, 1, rng)[0]
-        if screen_challenge(device, ch, policy, np.random.default_rng([100 + k])).accepted:
+        ch = draw_challenges(device.bank_size, 128, 1, rng)[0]
+        if screen_one(device, ch, policy, np.random.default_rng([100 + k])).accepted:
             accepted.append(ch)
     assert accepted
     values = [reliability(device, ch, 5, np.random.default_rng([900 + i]))
@@ -237,13 +236,13 @@ def test_policy_validation():
 
 @pytest.fixture()
 def screen_calls(monkeypatch):
-    """Every fom.screen_challenge call, as (challenge, accepted), in order."""
+    """Every fom.screen_challenge call, as (reference bits, accepted), in order."""
     calls = []
     real = fom.screen_challenge
 
-    def counted(device, challenge, policy, rng):
-        result = real(device, challenge, policy, rng)
-        calls.append((challenge, result.accepted))
+    def counted(reference, in_band, threshold, policy, reads):
+        result = real(reference, in_band, threshold, policy, reads)
+        calls.append((reference.tolist(), result.accepted))
         return result
 
     monkeypatch.setattr(fom, "screen_challenge", counted)
@@ -256,16 +255,18 @@ def test_enroll_screens_every_candidate_once(default_config, screen_calls, monke
     real_draw = puf.random_challenge
 
     def draw_each_twice(bank_size, n_bits, count, rng):
-        chunk = real_draw(bank_size, n_bits, count, rng)
-        chunk[1::2] = chunk[:count - 1:2]  # each odd candidate repeats the one before it
-        drawn.extend(chunk)
-        return chunk
+        set1, set2 = real_draw(bank_size, n_bits, count, rng)
+        for selectors in (set1, set2):
+            selectors[1::2] = selectors[:count - 1:2]  # each odd row repeats the one before it
+        drawn.extend(zip(set1.tolist(), set2.tolist()))
+        return set1, set2
 
     monkeypatch.setattr(puf, "random_challenge", draw_each_twice)
     record = registry.enroll(registry.Registry(), device, 150, ScreeningPolicy(), seed=5)
     assert len(drawn) == 150  # three chunks, the last one short
     assert len(screen_calls) == 150
-    assert all(screened is challenge for (screened, _), challenge in zip(screen_calls, drawn))
+    assert [reference for reference, _ in screen_calls] == [
+        (device.set1_freqs[set1] > device.set2_freqs[set2]).tolist() for set1, set2 in drawn]
     assert sum(accepted for _, accepted in screen_calls) == len(record.pairs)
 
 
@@ -303,7 +304,7 @@ def calibration_by_seeded_reads(cfg):
     devices = [manufacture(cfg.puf_config(), device_id, i) for i, device_id
                in enumerate(harness._draw_node_ids(cfg.seed, cfg.fom_n_devices))]
     pool_rng = np.random.default_rng([cfg.seed, harness._STREAM_FOM_POOL])
-    pool = [random_challenge(cfg.puf_config().bank_size, 128, 1, pool_rng)[0]
+    pool = [draw_challenges(cfg.puf_config().bank_size, 128, 1, pool_rng)[0]
             for _ in range(cfg.fom_pool_size)]
     screen_seeds = np.random.default_rng([cfg.seed, harness._STREAM_FOM_SCREEN]).integers(
         0, 1 << 63, size=(len(pool), policy.n_screen_reevals)).tolist()

@@ -14,11 +14,10 @@ from pufledger.puf import (
     evaluate,
     format_device_id,
     manufacture,
-    random_challenge,
     reference_response,
 )
 from pufledger.errors import ChallengeError, ConfigError
-from oracles import hamming
+from oracles import draw_challenges, hamming
 
 
 def single_pair_device(f1: float, f2: float, noise: float) -> PufDevice:
@@ -129,7 +128,7 @@ def test_challenge_out_of_range_for_device(default_config):
 def test_random_challenge_properties(bank_size, seed):
     n_bits = min(8, bank_size * bank_size)
     rng = np.random.default_rng(seed)
-    for ch in random_challenge(bank_size, n_bits, 3, rng):
+    for ch in draw_challenges(bank_size, n_bits, 3, rng):
         assert ch.n_bits == n_bits
         pairs = list(zip(ch.set1_idx.tolist(), ch.set2_idx.tolist()))
         assert len(set(pairs)) == len(pairs)
@@ -176,14 +175,14 @@ def test_reference_response_compares_pairs():
 def test_evaluate_deterministic_per_seed(default_config):
     device = manufacture(default_config, 0x3, 0)
     rng = np.random.default_rng(1)
-    ch = random_challenge(device.bank_size, 128, 1, rng)[0]
+    ch = draw_challenges(device.bank_size, 128, 1, rng)[0]
     assert evaluate(device, ch, 77).packed() == evaluate(device, ch, 77).packed()
 
 
 def test_evaluate_varies_across_seeds(default_config):
     device = manufacture(default_config, 0x3, 0)
     rng = np.random.default_rng(2)
-    ch = random_challenge(device.bank_size, 128, 1, rng)[0]
+    ch = draw_challenges(device.bank_size, 128, 1, rng)[0]
     ref = reference_response(device, ch)
     assert any(evaluate(device, ch, seed).packed() != ref.packed() for seed in range(20))
 
@@ -192,7 +191,7 @@ def test_zero_noise_evaluation_equals_reference(default_config):
     cfg = PufConfig(noise_sigma_mhz=0.0)
     device = manufacture(cfg, 0x4, 0)
     rng = np.random.default_rng(3)
-    ch = random_challenge(device.bank_size, 128, 1, rng)[0]
+    ch = draw_challenges(device.bank_size, 128, 1, rng)[0]
     ref = reference_response(device, ch)
     assert all(evaluate(device, ch, seed).packed() == ref.packed() for seed in range(10))
 
@@ -217,7 +216,7 @@ def test_inter_device_distance_near_half(default_config):
     total_bits = 0
     differing = 0
     for _ in range(50):
-        ch = random_challenge(default_config.bank_size, 128, 1, rng)[0]
+        ch = draw_challenges(default_config.bank_size, 128, 1, rng)[0]
         differing += hamming(reference_response(a, ch), reference_response(b, ch))
         total_bits += 128
     fraction = differing / total_bits

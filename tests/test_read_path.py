@@ -23,6 +23,7 @@ from pufledger.puf import (
     ReadAhead,
     Response,
     challenge_chunks,
+    challenges_of,
     evaluate,
     manufacture,
     random_challenge,
@@ -39,9 +40,9 @@ from pufledger.registry import (
 )
 from pufledger.consensus import pow_mine_baseline
 from pufledger.errors import ChallengeError, ConfigError, EnrollmentFailedError
-from pufledger import harness
+from pufledger import harness, puf, registry
 from pufledger.harness import ScenarioConfig, build_world, run_fom_calibration
-from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_challenge, screen_pool
+from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_pool
 from pufledger.ledger import (
     AuthTag,
     BlockData,
@@ -57,7 +58,7 @@ from pufledger.ledger import (
 from pufledger.netsim import LogEvent, event_to_json_line, save_events
 from pufledger.puf import format_device_id
 from conftest import rng_seeds
-from oracles import hamming, leading_zero_bits
+from oracles import draw_challenges, hamming, leading_zero_bits, screen_one
 
 
 def read_by_normals(device, challenge, rng):
@@ -78,7 +79,7 @@ def screen_by_reads(device, challenge, policy, rng):
     passed) and its reference."""
     ref = reference_response(device, challenge)
     low, high = policy.randomness_band
-    if not low <= randomness(ref) <= high:
+    if not low <= randomness(ref.bits) <= high:
         return False, "randomness", ref
     for _ in range(policy.n_screen_reevals):
         if hamming(Response(read_by_normals(device, challenge, rng)), ref) > policy.max_unreliable_bits:
@@ -87,7 +88,7 @@ def screen_by_reads(device, challenge, policy, rng):
 
 
 def outcome(result):
-    """A ScreeningResult by value: accepted, and the reference's packed bits."""
+    """A screen_one result by value: accepted, and the reference's packed bits."""
     return result.accepted, Response(result.reference).packed()
 
 
@@ -123,9 +124,9 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
         draw_rng = np.random.default_rng([d, 31])
         rng, oracle_rng = np.random.default_rng([d, 32]), np.random.default_rng([d, 32])
         for _ in range(120):
-            challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
+            challenge = draw_challenges(device.bank_size, 128, 1, draw_rng)[0]
             before = rng.bit_generator.state
-            result = screen_challenge(device, challenge, policy, rng)
+            result = screen_one(device, challenge, policy, rng)
             accepted, reason, ref = screen_by_reads(device, challenge, policy, oracle_rng)
             assert outcome(result) == (accepted, ref.packed())
             # the same draws, no more: the next candidate reads what the oracle's would
@@ -140,19 +141,82 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
 @pytest.mark.parametrize("policy", SCREEN_POLICIES)
 def test_screen_pool_matches_a_loop_over_reads(policy):
     for d, device in enumerate(SCREEN_DEVICES):
-        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
+        set1, set2 = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
         rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
         before = rng.bit_generator.state
-        pairs = screen_pool(device, pool, policy, rng)
+        kept, refs = screen_pool(device, set1, set2, policy, rng)
         expected = []
-        for challenge in pool:
-            accepted, _, ref = screen_by_reads(device, challenge, policy, oracle_rng)
+        for r, (row1, row2) in enumerate(zip(set1, set2)):
+            accepted, _, ref = screen_by_reads(device, Challenge(row1, row2), policy, oracle_rng)
             if accepted:
-                expected.append((challenge, ref))
-        assert pairs_and_bits(pairs) == pairs_and_bits(expected)
+                expected.append((r, ref.packed()))
+        assert [(r, Response(bits).packed()) for r, bits in zip(kept.tolist(), refs)] == expected
         # settled on return: the reads drawn ahead and not used are given back
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert (rng.bit_generator.state == before) == (device.noise_sigma_mhz == 0)
+
+
+def screen_by_read_ahead(device, challenge, policy, reads):
+    """The per-candidate screener that chunked screening replaced, kept as a
+    reference: one candidate's gather, reference, band check and thresholds,
+    then its reads from a ReadAhead, judged up to a block at a time and used
+    up to the first failing read. Gives whether it passed and its reference
+    bits."""
+    f1 = device.set1_freqs[challenge.set1_idx]
+    f2 = device.set2_freqs[challenge.set2_idx]
+    ref = f1 > f2
+    low, high = policy.randomness_band
+    if not low <= 100.0 * (np.count_nonzero(ref) / len(ref)) <= high:
+        return False, ref
+    if device.noise_sigma_mhz == 0:
+        return True, ref
+    threshold = (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))
+    left = policy.n_screen_reevals
+    while left:
+        flips = ((reads.peek(left, len(ref)) > threshold) != ref).sum(axis=1).tolist()
+        failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
+        if failed:
+            reads.use(failed[0] + 1)
+            return False, ref
+        reads.use(len(flips))
+        left -= len(flips)
+    return True, ref
+
+
+@pytest.mark.parametrize("policy", SCREEN_POLICIES)
+def test_screen_pool_chunks_match_a_loop_over_the_per_candidate_screener(policy):
+    # enrollment's pattern, 64-row chunks screened in turn on one generator, against one
+    # ReadAhead carried through every candidate and settled once at the end
+    for d, device in enumerate(SCREEN_DEVICES):
+        set1, set2 = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 37]))
+        rng, oracle_rng = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
+        kept, refs = [], []
+        for start in range(0, 150, 64):
+            rows, bits = screen_pool(device, set1[start:start + 64], set2[start:start + 64],
+                                     policy, rng)
+            kept += (start + rows).tolist()
+            refs += bits.tolist()
+        reads = ReadAhead(oracle_rng)
+        expected = [(r, ref.tolist()) for r, (row1, row2) in enumerate(zip(set1, set2))
+                    for accepted, ref in [screen_by_read_ahead(device, Challenge(row1, row2),
+                                                               policy, reads)]
+                    if accepted]
+        reads.settle()
+        assert list(zip(kept, refs)) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bank", [0, 1])
+def test_screen_pool_rejects_a_selector_past_either_bank_of_a_chunk(bank):
+    device = SCREEN_DEVICES[0]
+    chunk = [selectors.copy() for selectors in
+             random_challenge(device.bank_size, 128, 64, np.random.default_rng(20))]
+    chunk[bank][63, 127] = device.bank_size  # the last selector of the last row
+    rng = np.random.default_rng(21)
+    before = rng.bit_generator.state
+    with pytest.raises(ChallengeError, match="past bank size"):
+        screen_pool(device, *chunk, ScreeningPolicy(), rng)
+    assert rng.bit_generator.state == before
 
 
 def read_ahead_schedule(rng):
@@ -220,7 +284,7 @@ def test_screening_reads_a_block_at_a_time_in_bounded_memory():
     rng, oracle = np.random.default_rng(19), np.random.default_rng(19)
     tracemalloc.start()
     try:
-        result = screen_challenge(device, challenge, policy, rng)
+        result = screen_one(device, challenge, policy, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -236,7 +300,7 @@ def test_reliability_matches_a_loop_over_reads():
     for d, device in enumerate(SCREEN_DEVICES):
         rng, oracle_rng = np.random.default_rng([d, 33]), np.random.default_rng([d, 33])
         for _ in range(20):
-            challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
+            challenge = draw_challenges(device.bank_size, 128, 1, draw_rng)[0]
             for n_reevals in (2, 3, 11):
                 assert (reliability(device, challenge, n_reevals, rng)
                         == reliability_by_reads(device, challenge, n_reevals, oracle_rng))
@@ -277,7 +341,7 @@ def screen_by_evaluate(device, challenge, policy, seeds):
     also returns the number of reads made."""
     ref = reference_response(device, challenge)
     low, high = policy.randomness_band
-    if not low <= randomness(ref) <= high:
+    if not low <= randomness(ref.bits) <= high:
         return (False, "randomness", ref), 0
     for k in range(policy.n_screen_reevals):
         if hamming(evaluate(device, challenge, seeds[k]), ref) > policy.max_unreliable_bits:
@@ -300,10 +364,10 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
     for d, device in enumerate(SCREEN_DEVICES):
         rng = np.random.default_rng([d, 34])
         for k in range(120):
-            challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
+            challenge = draw_challenges(device.bank_size, 128, 1, rng)[0]
             # seeds for the block a ReadAhead draws past the last read too
             reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals + _READ_BLOCK))
-            result = screen_challenge(device, challenge, policy, reads)
+            result = screen_one(device, challenge, policy, reads)
             (accepted, reason, ref), n_read = screen_by_evaluate(device, challenge, policy,
                                                                  reads.seeds)
             assert outcome(result) == (accepted, ref.packed())
@@ -319,7 +383,7 @@ def test_reliability_matches_a_loop_over_evaluate():
     rng = np.random.default_rng(6)
     for d, device in enumerate(SCREEN_DEVICES):
         for k in range(20):
-            challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
+            challenge = draw_challenges(device.bank_size, 128, 1, rng)[0]
             for n_reevals in (2, 3, 11):
                 reads = EvalSeedReads(rng_seeds(100 * d + k, n_reevals))
                 assert (reliability(device, challenge, n_reevals, reads)
@@ -352,34 +416,43 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
     draw_rng = np.random.default_rng(15)
     accepted = 0
     for _ in range(40):
-        challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
+        challenge = draw_challenges(device.bank_size, 128, 1, draw_rng)[0]
         ref = reference_response(device, challenge)
         assert evaluate(device, challenge, 3).packed() == ref.packed()
         assert reliability(device, challenge, 11, rng) == 0.0
-        result = screen_challenge(device, challenge, ScreeningPolicy(max_unreliable_bits=0), rng)
+        result = screen_one(device, challenge, ScreeningPolicy(max_unreliable_bits=0), rng)
         # no stability reject: the band alone decides
-        assert result.accepted == (45.0 <= randomness(ref) <= 55.0)
+        assert result.accepted == (45.0 <= randomness(ref.bits) <= 55.0)
         accepted += result.accepted
     assert accepted and rng.bit_generator.state == untouched
     # enrollment then draws challenges only: the pool of one generator, screened in order
     record = enroll(Registry(), device, 60, ScreeningPolicy(), 16)
     pool_rng = np.random.default_rng([16])
     pool = drawn_pool(device.bank_size, 128, 60, pool_rng)
-    expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c)) <= 55.0]
+    expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c).bits) <= 55.0]
     assert [pairs_of(c) for c in record.challenges] == [pairs_of(c) for c in expected]
 
 
 def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
     # the threshold of every unequal race overflows to +-inf: a certain bit
     device = manufacture(PufConfig(noise_sigma_mhz=5e-324), 0x604, 4)
-    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(10))[0]
+    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(10))[0]
     assert evaluate(device, challenge, 1).packed() == reference_response(device, challenge).packed()
     assert reliability(device, challenge, 3, np.random.default_rng(10)) == 0.0
+    # the chunk kernel divides every in-band row at once; with no tie every read is
+    # certain, so the band alone decides
+    set1, set2 = random_challenge(device.bank_size, 128, 64, np.random.default_rng(11))
+    f1, f2 = device.set1_freqs[set1], device.set2_freqs[set2]
+    assert (f1 != f2).all()
+    kept, _ = screen_pool(device, set1, set2, ScreeningPolicy(), np.random.default_rng(12))
+    ones = np.count_nonzero(f1 > f2, axis=1)
+    assert 0 < len(kept) < 64
+    assert kept.tolist() == np.flatnonzero((58 <= ones) & (ones <= 70)).tolist()
 
 
 def test_evaluate_rejects_a_negative_seed():
     device = SCREEN_DEVICES[0]
-    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
+    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(8))[0]
     with pytest.raises(ConfigError):
         evaluate(device, challenge, -1)
 
@@ -391,7 +464,7 @@ def test_evaluate_rejects_a_negative_seed():
 def test_read_seeds_rejects_seeds_outside_64_bits(bad):
     # a read's seed is evaluate()'s eval_seed: one integer in [0, 2**64), nothing else
     device = SCREEN_DEVICES[0]
-    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
+    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(8))[0]
     with pytest.raises(ConfigError):
         evaluate(device, challenge, bad)
 
@@ -401,7 +474,7 @@ EVAL_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 
 def test_evaluate_reads_what_default_rng_draws():
     device = SCREEN_DEVICES[2]
-    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(9))[0]
+    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(9))[0]
     f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
     for seed in rng_seeds(13, 200) + EVAL_SEED_EDGES:
         z = np.random.default_rng([seed]).standard_normal(128)
@@ -416,7 +489,7 @@ def enroll_by_candidate(device, n_candidates, policy, seed):
     rng = np.random.default_rng([seed])
     kept = []
     for start in range(0, n_candidates, 64):
-        for challenge in random_challenge(device.bank_size, 128, min(64, n_candidates - start), rng):
+        for challenge in draw_challenges(device.bank_size, 128, min(64, n_candidates - start), rng):
             accepted, _, ref = screen_by_reads(device, challenge, policy, rng)
             if accepted:
                 kept.append((challenge, ref))
@@ -470,22 +543,27 @@ def test_selected_freqs_rejects_one_past_either_bank(bank):
     device = SCREEN_DEVICES[0]
     last = device.bank_size - 1
     inside = [np.array([0, last]), np.array([last, 0])]
-    f1, f2 = selected_freqs(device, Challenge(*inside))
+    f1, f2 = selected_freqs(device, *inside)
     assert f1.tolist() == [device.set1_freqs[0], device.set1_freqs[last]]
     assert f2.tolist() == [device.set2_freqs[last], device.set2_freqs[0]]
     outside = list(inside)
     outside[bank] = np.array([0, last + 1])
     with pytest.raises(ChallengeError, match="past bank size"):
-        selected_freqs(device, Challenge(*outside))
+        selected_freqs(device, *outside)
 
 
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 7, 100, 127, 128, 129, 1000])
 def test_randomness_is_100_times_the_mean_bit_for_every_ones_count(n_bits):
     rng = np.random.default_rng(n_bits)
+    rows = []
     for ones in range(n_bits + 1):
         bits = np.zeros(n_bits, dtype=np.uint8)
         bits[rng.choice(n_bits, size=ones, replace=False)] = 1
-        assert randomness(Response(bits)) == 100.0 * float(bits.mean())
+        assert randomness(bits) == 100.0 * float(bits.mean())
+        rows.append(bits)
+    # rows at once, as screening's band and the calibration figure take them, and as bools
+    assert randomness(np.array(rows)).tolist() == [randomness(bits) for bits in rows]
+    assert randomness(np.array(rows, dtype=bool)).tolist() == [randomness(bits) for bits in rows]
 
 
 @pytest.mark.parametrize("value", [2, 255])
@@ -508,8 +586,10 @@ def pairs_of(challenge):
 
 
 def drawn_pool(bank_size, n_bits, count, rng):
-    """Every challenge challenge_chunks draws, in order."""
-    return [c for chunk in challenge_chunks(bank_size, n_bits, count, rng) for c in chunk]
+    """Every challenge challenge_chunks draws, in order, each built by the
+    checked constructor."""
+    return [Challenge(row1, row2) for set1, set2 in challenge_chunks(bank_size, n_bits, count, rng)
+            for row1, row2 in zip(set1, set2)]
 
 
 def random_challenge_by_pairs(bank_size, n_bits, count, rng):
@@ -542,25 +622,49 @@ def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
     for count, n_seeds in ((1, 100), (63, 4), (64, 4), (65, 4), (130, 4)):
         for seed in range(n_seeds):
             fast_rng, loop_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
-            challenges = random_challenge(bank_size, n_bits, count, fast_rng)
+            set1, set2 = random_challenge(bank_size, n_bits, count, fast_rng)
             expected = random_challenge_by_pairs(bank_size, n_bits, count, loop_rng)
-            assert [pairs_of(challenge) for challenge in challenges] == expected
+            assert set1.shape == set2.shape == (count, n_bits)
+            assert set1.dtype == set2.dtype == np.int64
+            assert [list(zip(row1, row2)) for row1, row2 in zip(set1.tolist(), set2.tolist())] == expected
             assert fast_rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
-            for challenge in challenges:
-                # the draw skips the public constructor; it must build what the constructor builds
+            # challenges_of skips the public constructor; every row must pass its checks
+            for challenge in challenges_of(set1.copy(), set2.copy()):
                 checked = Challenge(challenge.set1_idx.copy(), challenge.set2_idx.copy())
                 assert pairs_of(checked) == pairs_of(challenge)
                 assert not (challenge.set1_idx.flags.writeable or challenge.set2_idx.flags.writeable)
-                assert challenge.set1_idx.dtype == challenge.set2_idx.dtype == np.int64
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (4, 16)])
-def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits):
-    # each challenge owns its selectors, so a kept one holds no chunk's draw alive;
-    # at bank 4 every row is refilled, at 256 about one in eight
-    for challenge in random_challenge(bank_size, n_bits, 64, np.random.default_rng(12)):
+def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypatch):
+    # enrollment copies each chunk's kept rows once, so a kept challenge holds those
+    # rows alive and no 64-row chunk; at bank 4 every row is refilled, at 256 about one
+    # in eight
+    chunks = []
+    real_draw = puf.random_challenge
+
+    def recorded(*args):
+        chunks.append(real_draw(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(puf, "random_challenge", recorded)
+    monkeypatch.setattr(registry, "RESPONSE_BITS", n_bits)
+    # half the first bank beats the whole second, by 4.5 MHz or more: every race is
+    # stable, and a bank-4 challenge, which races all 16 pairs, reads 8 ones
+    device = PufDevice(0x607, np.resize([240.0, 245.0, 255.0, 260.0], bank_size),
+                       np.resize([250.0, 250.5, 249.5, 251.0], bank_size), 0.245)
+    record = enroll(Registry(), device, 192, ScreeningPolicy(), 12)
+    assert len(chunks) == 3 and record.pairs
+    owners = {}
+    for challenge in record.challenges:
         for selectors in (challenge.set1_idx, challenge.set2_idx):
-            assert selectors.base is None and selectors.flags.owndata
+            assert selectors.shape == (n_bits,) and not selectors.flags.writeable
+            assert not any(np.shares_memory(selectors, drawn) for chunk in chunks for drawn in chunk)
+            owners.setdefault(id(selectors.base), [selectors.base, 0])[1] += 1
+    # each copy holds exactly the rows kept from its chunk: one copy a bank and a chunk
+    assert all(owner.base is None and owner.shape == (n_kept, n_bits)
+               for owner, n_kept in owners.values())
+    assert len(owners) <= 2 * len(chunks)
 
 
 def _out_of_time(signum, frame):
@@ -593,9 +697,11 @@ MANN_WHITNEY_ALPHA = 0.01
 def per_candidate_draws(bank_size, n_bits, count, rng):
     """The pool as the earlier draw took it: one random_challenge call per
     challenge, so a row that repeats a pair is refilled before the next
-    row is drawn."""
-    for _ in range(count):
-        yield random_challenge(bank_size, n_bits, 1, rng)
+    row is drawn; the rows come in chunks of 64, as challenge_chunks gives
+    them."""
+    for start in range(0, count, 64):
+        rows = [random_challenge(bank_size, n_bits, 1, rng) for _ in range(min(64, count - start))]
+        yield tuple(np.concatenate(bank) for bank in zip(*rows))
 
 
 def calibration_figures(seeds):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response
+from pufledger.puf import PufConfig, manufacture, reference_response
 from pufledger.registry import (
     Registry,
     enroll,
@@ -19,7 +19,8 @@ from pufledger.errors import (
     RegistryConflictError,
     UnknownDeviceError,
 )
-from pufledger.fom import ScreeningPolicy, randomness, screen_challenge
+from pufledger.fom import ScreeningPolicy, randomness
+from oracles import draw_challenges, screen_one
 
 
 def selectors(record):
@@ -55,7 +56,7 @@ def test_enrolled_responses_sit_in_randomness_band(enrolled, policy):
     low, high = policy.randomness_band
     for record in records.values():
         for response in record.responses:
-            assert low <= randomness(response) <= high
+            assert low <= randomness(response.bits) <= high
 
 
 def test_enroll_twice_conflicts(default_config, policy):
@@ -82,9 +83,9 @@ def test_zero_noise_screening_reduces_to_randomness_band(policy):
     rng = np.random.default_rng(17)
     low, high = strict.randomness_band
     for k in range(200):
-        challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
-        expected = low <= randomness(reference_response(device, challenge)) <= high
-        outcome = screen_challenge(device, challenge, strict, np.random.default_rng([k]))
+        challenge = draw_challenges(device.bank_size, 128, 1, rng)[0]
+        expected = low <= randomness(reference_response(device, challenge).bits) <= high
+        outcome = screen_one(device, challenge, strict, np.random.default_rng([k]))
         assert outcome.accepted == expected
 
 
