@@ -1,15 +1,17 @@
 """Authentication-based consensus over PUF-backed blocks.
 
 A device initiates a transaction by hashing its block data together with
-one of its enrolled responses; only the hash travels. A trusted node
-authenticates by linearly scanning the device's stored responses and
-recomputing the tag for each until one matches, then appends the block to
-its chain and rebroadcasts it with a validation tag of its own, made with
-its stored response at index `height % len(challenges)`. Clients drop
-anything not validated by a trusted node, rebuild the entry at their own
-height and tip, recompute the validation tag once with the trusted node's
-stored response at that same index, and append an entry identical to the
-trusted node's.
+one of its enrolled responses; only the hash travels. A node holds its
+enrolled challenges as its registry record does, one (k, 2, n_bits)
+selector array with a row per challenge, and its device re-derives a
+response from a row noiselessly. A trusted node authenticates by linearly
+scanning the device's stored responses and recomputing the tag for each
+until one matches, then appends the block to its chain and rebroadcasts
+it with a validation tag of its own, made with its stored response at
+index `height % len(challenges)`. Clients drop anything not validated by a
+trusted node, rebuild the entry at their own height and tip, recompute the
+validation tag once with the trusted node's stored response at that same
+index, and append an entry identical to the trusted node's.
 
 No response ever crosses the network in any direction: origin blocks carry
 the authentication tag, rebroadcasts add a validation tag, both are
@@ -21,6 +23,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
+
+import numpy as np
 
 from .errors import UnknownDeviceError
 from .ledger import (
@@ -35,7 +39,7 @@ from .ledger import (
     sha256,
     tip_hash,
 )
-from .puf import Challenge, PufDevice, Response, reference_response
+from .puf import PufDevice, Response, reference_response
 from .registry import Registry, lookup
 
 ROLE_TRUSTED = "trusted"
@@ -79,12 +83,13 @@ class WireBlock:
 @dataclass
 class NodeState:
     """Everything one network participant owns: its device, its enrolled
-    challenge list, its replica of the chain, and its bookkeeping."""
+    challenges (its registry record's selector array), its replica of the
+    chain, and its bookkeeping."""
 
     node_id: int
     role: str
     device: PufDevice
-    challenges: tuple[Challenge, ...]
+    challenges: np.ndarray
     chain: list[ChainEntry] = field(default_factory=list)
     next_seq: int = 0
     trust_value: int = 0
@@ -139,7 +144,7 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
         raise ValueError("authenticate requires a trusted node")
     if block.is_validated:
         raise ValueError("authenticate judges origin blocks, not rebroadcasts")
-    if not trusted.challenges:
+    if len(trusted.challenges) == 0:
         raise ValueError("trusted node has no enrolled challenges to validate with")
     try:
         stored = lookup(registry, trusted.node_id, block.data.device_id)

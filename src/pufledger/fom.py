@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .puf import (Challenge, PufDevice, ReadAhead, arbiter_bits, noisy_reads, read_thresholds,
-                  selected_freqs)
+from .puf import PufDevice, ReadAhead, arbiter_bits, noisy_reads, read_thresholds, selected_freqs
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,10 @@ def uniqueness(mat: np.ndarray) -> float:
     return 100.0 * total / n_pairs
 
 
-def reliability(device: PufDevice, challenge: Challenge, n_reevals: int,
+def reliability(device: PufDevice, challenge: np.ndarray, n_reevals: int,
                 rng: np.random.Generator) -> float:
-    """Mean pairwise Hamming distance among repeated noisy reads, in percent.
+    """Mean pairwise Hamming distance among repeated noisy reads of one
+    (2, n_bits) challenge row, in percent.
 
     The n_reevals reads are drawn from rng in one call. A bit read as 1 in
     k of n reads disagrees in k * (n - k) of the read pairs, so the sum of
@@ -95,7 +95,7 @@ def reliability(device: PufDevice, challenge: Challenge, n_reevals: int,
     ones = noisy_reads(device, challenge, rng, n_reevals).sum(axis=0, dtype=np.int64)
     total = int((ones * (n_reevals - ones)).sum())
     n_pairs = n_reevals * (n_reevals - 1) // 2
-    return 100.0 * total / (n_pairs * challenge.n_bits)
+    return 100.0 * total / (n_pairs * challenge.shape[-1])
 
 
 def randomness(bits: np.ndarray) -> float | np.ndarray:
@@ -144,7 +144,7 @@ def screen_challenge(reference: np.ndarray, in_band: bool, threshold: np.ndarray
     left = policy.n_screen_reevals
     while left:
         # bits each read flips, for a block of reads at once; a list, scanned cheaper than an array
-        flips = ((reads.peek(left, len(reference)) > threshold) != reference).sum(axis=1).tolist()
+        flips = ((reads.peek(left) > threshold) != reference).sum(axis=1).tolist()
         failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
         if failed:
             reads.use(failed[0] + 1)
@@ -154,10 +154,10 @@ def screen_challenge(reference: np.ndarray, in_band: bool, threshold: np.ndarray
     return ScreeningResult(True)
 
 
-def screen_pool(device: PufDevice, set1: np.ndarray, set2: np.ndarray, policy: ScreeningPolicy,
+def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Screen a chunk of candidates, the rows of two (count, n_bits)
-    non-negative selector arrays, each once and in order, and return the
+    """Screen a chunk of candidates, the rows of a (count, 2, n_bits)
+    non-negative selector array, each once and in order, and return the
     kept row indices and their reference bits, a (kept, n_bits) bool array.
 
     The chunk is judged as arrays: one gather per bank (ChallengeError past
@@ -169,14 +169,14 @@ def screen_pool(device: PufDevice, set1: np.ndarray, set2: np.ndarray, policy: S
     leaves it. Gathers are the chunk's size: a large pool is screened
     puf.CHUNK_ROWS rows a call.
     """
-    f1, f2 = selected_freqs(device, set1, set2)
+    f1, f2 = selected_freqs(device, chunk)
     refs = arbiter_bits(f1, f2)
     rnd = randomness(refs)
     low, high = policy.randomness_band
     in_band = (low <= rnd) & (rnd <= high)
     thresholds = read_thresholds(device, f1[in_band], f2[in_band])
     in_band_thresholds = iter(() if thresholds is None else thresholds)
-    reads = ReadAhead(rng)
+    reads = ReadAhead(rng, chunk.shape[-1])
     kept = []
     for r, ok in enumerate(in_band.tolist()):
         threshold = next(in_band_thresholds, None) if ok else None

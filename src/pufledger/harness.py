@@ -47,9 +47,9 @@ from .puf import (
     PufConfig,
     arbiter_bits,
     challenge_chunks,
-    challenges_of,
     format_device_id,
     manufacture,
+    selected_freqs,
 )
 from .registry import Registry, enroll
 
@@ -289,7 +289,7 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
             t_ms=(tx + 1) * cfg.tx_spacing_ms,
             node_id=node_id,
             payload=bytes(payload_rng.bytes(cfg.payload_bytes)),
-            challenge_index=tx // cfg.n_clients % len(records[node_id].pairs),
+            challenge_index=tx // cfg.n_clients % len(records[node_id].responses),
         ))
 
     scenario = Scenario(
@@ -498,12 +498,12 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                for i, device_id in enumerate(_draw_node_ids(cfg.seed, cfg.fom_n_devices))]
 
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
-    # set1 and set2 rows; selectors stay below random_challenge's largest bank,
-    # 2**31, so int32 holds them in half the memory
-    pool = np.empty((2, cfg.fom_pool_size, RESPONSE_BITS), dtype=np.int32)
+    # selectors stay below random_challenge's largest bank, 2**31, so int32
+    # holds them in half the memory
+    pool = np.empty((cfg.fom_pool_size, 2, RESPONSE_BITS), dtype=np.int32)
     chunks = challenge_chunks(puf_config.bank_size, RESPONSE_BITS, cfg.fom_pool_size, pool_rng)
     for start, chunk in zip(range(0, cfg.fom_pool_size, CHUNK_ROWS), chunks):
-        pool[:, start:start + CHUNK_ROWS] = chunk
+        pool[start:start + CHUNK_ROWS] = chunk
     rel_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_RELIABILITY])
 
     per_device = []
@@ -513,21 +513,19 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         # a chunk a call, gathering what enrollment does; settling between calls moves no read
         screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN, d])
         kept = np.concatenate([
-            start + fom.screen_pool(device, pool[0, start:start + CHUNK_ROWS],
-                                    pool[1, start:start + CHUNK_ROWS], policy, screen_rng)[0]
+            start + fom.screen_pool(device, pool[start:start + CHUNK_ROWS], policy, screen_rng)[0]
             for start in range(0, cfg.fom_pool_size, CHUNK_ROWS)])
         accepted_counts.append(len(kept))
         if not len(kept):
             raise ScenarioError(
                 f"device {format_device_id(device.device_id)} accepted no challenges from the pool")
-        # the screened set's selectors in one row gather, then every device's
-        # reference bits on it, one gather per device: shape (devices, challenges, bits)
-        set1_idx, set2_idx = pool[:, kept[: cfg.fom_n_challenges]].astype(np.int64)
-        matrix = np.stack([arbiter_bits(other.set1_freqs[set1_idx], other.set2_freqs[set2_idx])
+        # the screened set in one row gather, then every device's reference
+        # bits on it, one gather per device: shape (devices, challenges, bits)
+        challenges = pool[kept[: cfg.fom_n_challenges]].astype(np.int64)
+        matrix = np.stack([arbiter_bits(*selected_freqs(other, challenges))
                            for other in devices]).view(np.uint8)
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
-        challenges = challenges_of(set1_idx, set2_idx)
         uni = fom.uniqueness(matrix)
         rel = float(np.mean([fom.reliability(device, challenge, cfg.fom_n_reevals, rel_rng)
                              for challenge in challenges]))
@@ -573,7 +571,7 @@ def run_benchmark(cfg: ScenarioConfig) -> dict:
     built = build_world(small)
     trusted, client = built.scenario.world.nodes
     reg = built.scenario.world.registry
-    n_enrolled = len(built.records[client.node_id].pairs)
+    n_enrolled = len(built.records[client.node_id].responses)
     payload_rng = np.random.default_rng([cfg.seed, _STREAM_PAYLOAD])
 
     auth_times = []

@@ -463,14 +463,19 @@ class _Sim:
 
         A result of None is a not-from-trusted reject that spent no
         validation work. Adversarial deliveries become AdvOutcomes; honest
-        ones update their TxRecord. A trusted accept is rebroadcast, and a
-        client's no-match penalizes the validator the block names."""
+        ones update their TxRecord. So does an accepted replay that overtook
+        its transaction's origin copy: it carries exactly the block the
+        origin sent, and the origin copy's replay reject that follows leaves
+        the record alone. A trusted accept is rebroadcast, and a client's
+        no-match penalizes the validator the block names."""
         receiver = msg.receiver
         role = self.role_of(receiver)
         accepted = result is not None and result.accepted
         reason = result.reason if result is not None else REASON_NOT_FROM_TRUSTED
         tx = msg.tx_id if msg.tx_id is not None else -1
-        if msg.provenance != "normal":
+        overtook = (msg.provenance == "replay" and accepted
+                    and self.tx_records[msg.tx_id].accepted is None)
+        if msg.provenance != "normal" and not overtook:
             self.adversarial.append(AdvOutcome(
                 kind=msg.provenance, msg_id=msg.msg_id, receiver=receiver,
                 receiver_role=role, t_ms=t, accepted=accepted, reason=reason,

@@ -10,9 +10,11 @@ disagree on bits whose frequency gap is small. A noisy read draws one
 standard normal per bit from its caller's generator (see noisy_reads), so a
 caller that reads in a fixed order from one generator fixes every read;
 ReadAhead draws reads ahead in blocks and gives back what it does not use,
-so the generator ends where reading one at a time leaves it. Challenges
-are drawn a chunk at a time as selector arrays (random_challenge), and
-only the rows a caller keeps become Challenge objects (challenges_of).
+so the generator ends where reading one at a time leaves it. A challenge
+is one (2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
+set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
+(count, 2, n_bits) array, and every function here that takes selectors
+takes a row or any stack of rows.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -82,35 +84,6 @@ class PufConfig:
     @property
     def bank_size(self) -> int:
         return self.n_oscillators // 2
-
-
-@dataclass(frozen=True, eq=False)
-class Challenge:
-    """Per-bit oscillator selectors: bit k races set1[set1_idx[k]] vs set2[set2_idx[k]]."""
-
-    set1_idx: np.ndarray
-    set2_idx: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.set1_idx, self.set2_idx):
-            if arr.ndim != 1 or arr.dtype != np.int64:
-                raise ChallengeError("selector arrays must be one-dimensional int64")
-            arr.setflags(write=False)
-        if len(self.set1_idx) != len(self.set2_idx):
-            raise ChallengeError("selector arrays must have equal length")
-        if len(self.set1_idx) == 0:
-            raise ChallengeError("challenge must select at least one oscillator pair")
-        if int(self.set1_idx.min()) < 0 or int(self.set2_idx.min()) < 0:
-            raise ChallengeError("selector indices must be non-negative")
-        # sorted by (set1, set2), equal pairs are neighbours; no index arithmetic, so exact
-        order = np.lexsort((self.set2_idx, self.set1_idx))
-        s1, s2 = self.set1_idx[order], self.set2_idx[order]
-        if ((s1[1:] == s1[:-1]) & (s2[1:] == s2[:-1])).any():
-            raise ChallengeError("challenge repeats an oscillator pair")
-
-    @property
-    def n_bits(self) -> int:
-        return len(self.set1_idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +179,14 @@ def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevic
     )
 
 
-def selected_freqs(device: PufDevice, set1_idx: np.ndarray,
-                   set2_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def selected_freqs(device: PufDevice, selectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frequencies non-negative selectors race, one gather per bank:
-    (set1, set2), of the selectors' shape, so a challenge or a chunk of
-    them. Raises ChallengeError when they select past the device's banks."""
+    (set1, set2), each of the selectors' shape less its bank axis, so for a
+    (2, n_bits) row, a (count, 2, n_bits) chunk or any stack of rows.
+    Raises ChallengeError when they select past the device's banks."""
     # selectors are non-negative, so numpy's own bounds check is the range check
     try:
-        return device.set1_freqs[set1_idx], device.set2_freqs[set2_idx]
+        return device.set1_freqs[selectors[..., 0, :]], device.set2_freqs[selectors[..., 1, :]]
     except IndexError:
         raise ChallengeError(
             f"challenge selects oscillators past bank size {device.bank_size}"
@@ -229,9 +202,9 @@ def arbiter_bits(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return f1 > f2
 
 
-def reference_response(device: PufDevice, challenge: Challenge) -> Response:
-    """Noiseless evaluation: a pure function of the device and the challenge."""
-    return Response(arbiter_bits(*selected_freqs(device, challenge.set1_idx, challenge.set2_idx)))
+def reference_response(device: PufDevice, challenge: np.ndarray) -> Response:
+    """Noiseless evaluation: a pure function of the device and the challenge row."""
+    return Response(arbiter_bits(*selected_freqs(device, challenge)))
 
 
 def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.ndarray | None:
@@ -248,9 +221,9 @@ def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.nda
         return (f2 - f1) / scale
 
 
-def noisy_reads(device: PufDevice, challenge: Challenge, rng: np.random.Generator,
+def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generator,
                 n_reads: int | None = None) -> np.ndarray:
-    """One noisy read of the challenge's races as an (n_bits,) bool array,
+    """One noisy read of a challenge row's races as an (n_bits,) bool array,
     or n_reads of them as an (n_reads, n_bits) array.
 
     Both oscillators of a race get independent N(0, sigma^2) jitter, so
@@ -262,7 +235,7 @@ def noisy_reads(device: PufDevice, challenge: Challenge, rng: np.random.Generato
     draws nothing: each of its reads is its reference. Raises
     ChallengeError when the challenge selects past the device's banks.
     """
-    f1, f2 = selected_freqs(device, challenge.set1_idx, challenge.set2_idx)
+    f1, f2 = selected_freqs(device, challenge)
     threshold = read_thresholds(device, f1, f2)
     shape = f1.shape if n_reads is None else (n_reads,) + f1.shape
     if threshold is None:
@@ -279,36 +252,33 @@ class ReadAhead:
     """Noisy-read normals drawn from rng ahead of their use, _READ_BLOCK
     reads of n_bits normals a block, and handed out in order.
 
-    peek(n, n_bits) gives the next n unused reads' normals, at most a
-    block's, drawing a block when the held ones fall short, so it holds at
-    most the older block's unused tail and the newest block; use(k) marks
-    the first k peeked reads used. The generator's state is kept from
-    before each block, so settle() can give every unused read back: it
-    restores the state from before the block that holds the first unused
-    read and redraws the reads already used from it. rng then stands
-    exactly where drawing the used reads one standard_normal(n_bits) at a
-    time leaves it. Nothing else may draw from rng between a peek and the
-    settle after it. A peek of another width settles the held reads first.
+    peek(n) gives the next n unused reads' normals, at most a block's,
+    drawing a block when the held ones fall short, so it holds at most the
+    older block's unused tail and the newest block; use(k) marks the first
+    k peeked reads used. The generator's state is kept from before each
+    block, so settle() can give every unused read back: it restores the
+    state from before the block that holds the first unused read and
+    redraws the reads already used from it. rng then stands exactly where
+    drawing the used reads one standard_normal(n_bits) at a time leaves it.
+    Nothing else may draw from rng between a peek and the settle after it.
     """
 
     __slots__ = ("_rng", "_n_bits", "_blocks", "_used")
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    def __init__(self, rng: np.random.Generator, n_bits: int) -> None:
         self._rng = rng
-        self._n_bits = 0
+        self._n_bits = n_bits
         self._blocks: list[tuple[dict, np.ndarray]] = []  # (state before, block); two at most
         self._used = 0  # reads used from the first held block, always fewer than all
 
-    def peek(self, n: int, n_bits: int) -> np.ndarray:
+    def peek(self, n: int) -> np.ndarray:
         """The next min(n, _READ_BLOCK) unused reads as rows of n_bits normals; n >= 1."""
-        if n_bits != self._n_bits:
-            self.settle()
-            self._n_bits = n_bits
         n = min(n, _READ_BLOCK)
         blocks, start = self._blocks, self._used
         if len(blocks) * _READ_BLOCK - start < n:
             rng = self._rng
-            blocks.append((rng.bit_generator.state, rng.standard_normal((_READ_BLOCK, n_bits))))
+            blocks.append((rng.bit_generator.state,
+                           rng.standard_normal((_READ_BLOCK, self._n_bits))))
         first = blocks[0][1]
         if start + n <= _READ_BLOCK:
             return first[start:start + n]
@@ -330,8 +300,8 @@ class ReadAhead:
             self._used = 0
 
 
-def evaluate(device: PufDevice, challenge: Challenge, eval_seed: int) -> Response:
-    """One noisy read of a challenge on a device (see noisy_reads), drawn from
+def evaluate(device: PufDevice, challenge: np.ndarray, eval_seed: int) -> Response:
+    """One noisy read of a challenge row on a device (see noisy_reads), drawn from
     np.random.default_rng([eval_seed]); eval_seed must be an integer in
     [0, 2**64)."""
     if (isinstance(eval_seed, bool) or not isinstance(eval_seed, (int, np.integer))
@@ -349,15 +319,14 @@ CHUNK_ROWS = 64
 
 
 def random_challenge(bank_size: int, n_bits: int, count: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                     rng: np.random.Generator) -> np.ndarray:
     """Draw count challenges of n_bits distinct oscillator pairs, each uniform
     over bank_size^2 choices, in one integers(bank_size, size=(count, 2, n_bits))
-    draw: row r's set1 selectors, then its set2 selectors. Returns them as
-    (set1, set2), two (count, n_bits) int64 views of that draw; builds no
-    Challenge. A row that repeats a pair keeps its first occurrences and,
-    after the batch and in row order, is refilled in place from rng, need
-    set1 then need set2 selectors a round. So each challenge is the first
-    n_bits distinct pairs of an iid stream of pairs."""
+    draw, returned as it is: row r's set1 selectors, then its set2
+    selectors, int64. A row that repeats a pair keeps its first occurrences
+    and, after the batch and in row order, is refilled in place from rng,
+    need set1 then need set2 selectors a round. So each challenge is the
+    first n_bits distinct pairs of an iid stream of pairs."""
     if n_bits < 1:
         raise ChallengeError("challenge must select at least one oscillator pair")
     if bank_size > _MAX_DRAW_BANK:
@@ -380,28 +349,13 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
             ij = rng.integers(bank_size, size=2 * need).tolist()
             chosen.update(dict.fromkeys([i * bank_size + j for i, j in zip(ij[:need], ij[need:])]))
         np.divmod(np.fromiter(chosen, np.int64, n_bits), bank_size, out=(row[0], row[1]))
-    return batch[:, 0], batch[:, 1]
+    return batch
 
 
 def challenge_chunks(bank_size: int, n_bits: int, count: int,
-                     rng: np.random.Generator) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                     rng: np.random.Generator) -> Iterator[np.ndarray]:
     """count challenges from random_challenge, CHUNK_ROWS a call, each
     chunk drawn when it is asked for: a caller that reads from rng between
     chunks reads after one chunk's draw and before the next's."""
     for start in range(0, count, CHUNK_ROWS):
         yield random_challenge(bank_size, n_bits, min(CHUNK_ROWS, count - start), rng)
-
-
-def challenges_of(set1: np.ndarray, set2: np.ndarray) -> list[Challenge]:
-    """A Challenge per row of two (count, n_bits) selector arrays as
-    random_challenge draws them (int64, in [0, bank_size), no repeated
-    pair), built without the constructor's checks, which they pass. The
-    arrays are made read-only, and each challenge's selectors are views of
-    its rows, so the caller hands over copies of only the rows it keeps."""
-    set1.setflags(write=False)
-    set2.setflags(write=False)
-    challenges = [object.__new__(Challenge) for _ in range(len(set1))]
-    for challenge, row1, row2 in zip(challenges, set1, set2):
-        object.__setattr__(challenge, "set1_idx", row1)
-        object.__setattr__(challenge, "set2_idx", row2)
-    return challenges

@@ -1,8 +1,11 @@
-"""Challenge-response registry: the network's secure enrollment database.
+"""The challenge-response registry: the network's secure enrollment database.
 
 At enrollment a device's candidate challenges are screened and the noiseless
-reference response of every survivor is stored. Records are append-only:
-a device enrolls once and its record never changes afterwards.
+reference response of every survivor is stored. A record holds its
+challenges as one read-only (k, 2, n_bits) selector array, a row per
+challenge as puf.random_challenge draws them, next to a tuple of k
+responses. Records are append-only: a device enrolls once and its record
+never changes afterwards.
 
 Reads are gated. Trusted nodes may fetch any device's stored responses
 (never the challenges). Ordinary clients get no general read access; they
@@ -26,35 +29,26 @@ from .errors import (
     UnknownDeviceError,
 )
 from .fom import ScreeningPolicy, screen_pool
-from .puf import (
-    RESPONSE_BITS,
-    Challenge,
-    PufDevice,
-    Response,
-    challenge_chunks,
-    challenges_of,
-    format_device_id,
-)
+from .puf import RESPONSE_BITS, PufDevice, Response, challenge_chunks, format_device_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrpRecord:
-    """All enrolled challenge/response pairs for one device, in screening order."""
+    """All enrolled challenge/response pairs for one device, in screening
+    order: challenges[i], a (2, n_bits) selector row, and responses[i]."""
 
     device_id: int
-    pairs: tuple[tuple[Challenge, Response], ...]
+    challenges: np.ndarray
+    responses: tuple[Response, ...]
 
     def __post_init__(self) -> None:
-        if not self.pairs:
+        if not self.responses:
             raise ValueError("a record must hold at least one challenge/response pair")
 
     @property
-    def challenges(self) -> tuple[Challenge, ...]:
-        return tuple(challenge for challenge, _ in self.pairs)
-
-    @property
-    def responses(self) -> tuple[Response, ...]:
-        return tuple(response for _, response in self.pairs)
+    def pairs(self) -> tuple[tuple[np.ndarray, Response], ...]:
+        """(challenge row, response) pairs, rebuilt per call; perfbench counts them."""
+        return tuple(zip(self.challenges, self.responses))
 
 
 class Registry:
@@ -94,9 +88,11 @@ def enroll(
     as arrays and judges the reads drawn ahead in blocks, but it settles
     them before it returns, so the next chunk is drawn where that order
     puts it. Every candidate is screened once; one rejected for randomness,
-    or any candidate of a noiseless device, draws no reads. Only a kept row,
-    copied once per chunk, becomes a Challenge and a Response. Raises when
-    the device already has a record or when nothing survives.
+    or any candidate of a noiseless device, draws no reads. The kept rows
+    of every chunk are concatenated into the record's one read-only
+    challenge array, which shares no memory with a drawn chunk, and only a
+    kept row gets a Response. Raises when the device already has a record
+    or when nothing survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -105,16 +101,19 @@ def enroll(
             f"device {format_device_id(device.device_id)} is already enrolled"
         )
     rng = np.random.default_rng([seed])
-    pairs = []
-    for set1, set2 in challenge_chunks(device.bank_size, RESPONSE_BITS, n_candidates, rng):
-        kept, refs = screen_pool(device, set1, set2, policy, rng)
-        pairs += zip(challenges_of(set1[kept], set2[kept]), map(Response, refs))
-    if not pairs:
+    kept_rows, responses = [], []
+    for chunk in challenge_chunks(device.bank_size, RESPONSE_BITS, n_candidates, rng):
+        kept, refs = screen_pool(device, chunk, policy, rng)
+        kept_rows.append(chunk[kept])
+        responses += map(Response, refs)
+    if not responses:
         raise EnrollmentFailedError(
             f"screening rejected all {n_candidates} candidates for device "
             f"{format_device_id(device.device_id)}"
         )
-    record = CrpRecord(device_id=device.device_id, pairs=tuple(pairs))
+    challenges = np.concatenate(kept_rows)
+    challenges.setflags(write=False)
+    record = CrpRecord(device.device_id, challenges, tuple(responses))
     registry._records[device.device_id] = record
     return record
 
@@ -158,9 +157,9 @@ def record_to_json_line(record: CrpRecord) -> str:
     pairs, next to its response's hex; "enrolled_at" is always 0."""
     n = len(_INDEX_STRS)
     pairs = []
-    for challenge, response in record.pairs:
-        set1 = [_INDEX_STRS[i] if i < n else str(i) for i in challenge.set1_idx.tolist()]
-        set2 = [_INDEX_STRS[i] if i < n else str(i) for i in challenge.set2_idx.tolist()]
+    for (set1, set2), response in zip(record.challenges.tolist(), record.responses):
+        set1 = [_INDEX_STRS[i] if i < n else str(i) for i in set1]
+        set2 = [_INDEX_STRS[i] if i < n else str(i) for i in set2]
         pairs.append(f'{{"challenge":[[{"],[".join(map(",".join, zip(set1, set2)))}]],'
                      f'"response":"{response.hex()}"}}')
     return (f'{{"device_id":"{format_device_id(record.device_id)}",'

@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from pufledger.ledger import (
     BlockData,
@@ -24,8 +25,8 @@ from pufledger.puf import (
     PufConfig,
     Response,
     challenge_chunks,
-    challenges_of,
     manufacture,
+    random_challenge,
     reference_response,
 )
 from pufledger.registry import Registry, enroll
@@ -42,7 +43,7 @@ from pufledger.consensus import (
 )
 from pufledger import consensus, fom
 from pufledger.netsim import event_to_json_line
-from oracles import draw_challenges, wire_to_json
+from oracles import wire_to_json
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -62,9 +63,9 @@ def _screen_pool_against(device, cfg, pool_size=500, seed=42):
     pool_rng = np.random.default_rng([seed, 20])
     screen_rng = np.random.default_rng([seed, 21])
     screened = []
-    for set1, set2 in challenge_chunks(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng):
-        kept, refs = screen_pool(device, set1, set2, ScreeningPolicy(), screen_rng)
-        screened += zip(challenges_of(set1[kept], set2[kept]), map(Response, refs))
+    for chunk in challenge_chunks(cfg.bank_size, RESPONSE_BITS, pool_size, pool_rng):
+        kept, refs = screen_pool(device, chunk, ScreeningPolicy(), screen_rng)
+        screened += zip(chunk[kept], map(Response, refs))
     return screened
 
 
@@ -120,7 +121,7 @@ def test_c03_randomness_of_screened_responses():
 def test_c04_screening_yield_at_defaults():
     device = manufacture(PufConfig(), 0xABCDEF012345, 0)
     record = enroll(Registry(), device, 500, ScreeningPolicy(), 42)
-    n_accepted = len(record.pairs)
+    n_accepted = len(record.responses)
     ok = 90 <= n_accepted <= 170
     _report(4, ok, f"{n_accepted} of 500 candidate challenges accepted (bounds [90, 170])")
 
@@ -189,7 +190,7 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
     rng = np.random.default_rng(77)
     chain = []
     for height in range(10):
-        challenge = draw_challenges(cfg.bank_size, RESPONSE_BITS, 1, rng)[0]
+        challenge = random_challenge(cfg.bank_size, RESPONSE_BITS, 1, rng)[0]
         response = reference_response(device, challenge)
         data = BlockData(device_id=device.device_id, seq=height,
                          t_init=1000 + height, payload=bytes(rng.bytes(16)))
@@ -214,6 +215,7 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
                    f"detected at the mutated height ({len(missed)} missed)")
 
 
+@pytest.mark.slow
 def test_c08_no_enrolled_response_leaks_onto_the_wire():
     cfg = ScenarioConfig(n_transactions=10_000, n_candidates=150)
     output = run_scenario(cfg, write_outputs=False)
@@ -248,6 +250,7 @@ def test_c08_no_enrolled_response_leaks_onto_the_wire():
                    f"event logs across 10000 transactions")
 
 
+@pytest.mark.slow
 def test_c09_authentication_beats_proof_of_work():
     doc = run_benchmark(ScenarioConfig())
     ratio = doc["pop_pow_ratio"]

@@ -140,7 +140,7 @@ def test_authenticate_scan_stops_at_matching_response(fresh_nodes, enrolled):
     result = authenticate(trusted, block, registry, now=2)
     assert result.accepted
     assert result.hashes_tried == k + 1
-    assert result.hashes_tried <= len(records[client.node_id].pairs)
+    assert result.hashes_tried <= len(records[client.node_id].responses)
 
 
 def test_authenticate_matches_brute_force_oracle(fresh_nodes, enrolled):

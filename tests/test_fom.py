@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu, norm
 
 from pufledger.puf import (
-    Challenge,
     PufConfig,
     PufDevice,
     Response,
     manufacture,
+    random_challenge,
     reference_response,
 )
 from pufledger import ScenarioConfig, fom, harness, puf, registry
@@ -23,7 +23,7 @@ from pufledger.fom import (
     reliability,
     uniqueness,
 )
-from oracles import draw_challenges, screen_one
+from oracles import screen_one
 
 
 def gap_device(deltas, noise):
@@ -38,7 +38,7 @@ def gap_device(deltas, noise):
 
 
 def identity_challenge(n):
-    return Challenge(np.arange(n), np.arange(n))
+    return np.array([np.arange(n), np.arange(n)])
 
 
 def bits(values):
@@ -101,7 +101,7 @@ def test_uniqueness_rejects_single_device_or_ragged():
 def test_reliability_zero_noise_is_exactly_zero(default_config):
     cfg = PufConfig(noise_sigma_mhz=0.0)
     device = manufacture(cfg, 0x5, 0)
-    ch = draw_challenges(device.bank_size, 64, 1, np.random.default_rng(0))[0]
+    ch = random_challenge(device.bank_size, 64, 1, np.random.default_rng(0))[0]
     assert reliability(device, ch, 5, np.random.default_rng([1])) == 0.0
 
 
@@ -119,7 +119,7 @@ def test_reliability_matches_gaussian_pair_model():
 
 def test_reliability_requires_two_reads(default_config):
     device = manufacture(default_config, 0x5, 0)
-    ch = draw_challenges(device.bank_size, 8, 1, np.random.default_rng(0))[0]
+    ch = random_challenge(device.bank_size, 8, 1, np.random.default_rng(0))[0]
     with pytest.raises(ValueError):
         reliability(device, ch, 1, np.random.default_rng(0))
 
@@ -153,7 +153,7 @@ def test_correlation_identical_and_complementary_are_one():
 def test_correlation_independent_devices_near_zero(default_config):
     devices = [manufacture(default_config, i, 20 + i) for i in range(4)]
     rng = np.random.default_rng(9)
-    challenges = draw_challenges(default_config.bank_size, 128, 8, rng)
+    challenges = random_challenge(default_config.bank_size, 128, 8, rng)
     matrix = [[reference_response(d, ch) for ch in challenges] for d in devices]
     assert mean_abs_correlation(stack(matrix)) < 0.1
 
@@ -200,7 +200,7 @@ def test_screening_rejects_unstable_challenge():
 
 def test_screening_reference_is_noiseless(default_config):
     device = manufacture(default_config, 0x8, 2)
-    ch = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(7))[0]
+    ch = random_challenge(device.bank_size, 128, 1, np.random.default_rng(7))[0]
     result = screen_one(device, ch, ScreeningPolicy(), np.random.default_rng([5]))
     assert Response(result.reference).packed() == reference_response(device, ch).packed()
 
@@ -212,7 +212,7 @@ def test_screened_challenges_stay_reliable(default_config):
     policy = ScreeningPolicy()
     accepted = []
     for k in range(300):
-        ch = draw_challenges(device.bank_size, 128, 1, rng)[0]
+        ch = random_challenge(device.bank_size, 128, 1, rng)[0]
         if screen_one(device, ch, policy, np.random.default_rng([100 + k])).accepted:
             accepted.append(ch)
     assert accepted
@@ -255,11 +255,10 @@ def test_enroll_screens_every_candidate_once(default_config, screen_calls, monke
     real_draw = puf.random_challenge
 
     def draw_each_twice(bank_size, n_bits, count, rng):
-        set1, set2 = real_draw(bank_size, n_bits, count, rng)
-        for selectors in (set1, set2):
-            selectors[1::2] = selectors[:count - 1:2]  # each odd row repeats the one before it
-        drawn.extend(zip(set1.tolist(), set2.tolist()))
-        return set1, set2
+        chunk = real_draw(bank_size, n_bits, count, rng)
+        chunk[1::2] = chunk[:count - 1:2]  # each odd row repeats the one before it
+        drawn.extend(chunk.tolist())
+        return chunk
 
     monkeypatch.setattr(puf, "random_challenge", draw_each_twice)
     record = registry.enroll(registry.Registry(), device, 150, ScreeningPolicy(), seed=5)
@@ -267,7 +266,7 @@ def test_enroll_screens_every_candidate_once(default_config, screen_calls, monke
     assert len(screen_calls) == 150
     assert [reference for reference, _ in screen_calls] == [
         (device.set1_freqs[set1] > device.set2_freqs[set2]).tolist() for set1, set2 in drawn]
-    assert sum(accepted for _, accepted in screen_calls) == len(record.pairs)
+    assert sum(accepted for _, accepted in screen_calls) == len(record.responses)
 
 
 def test_fom_calibration_screens_the_pool_once_per_device(screen_calls):
@@ -304,7 +303,7 @@ def calibration_by_seeded_reads(cfg):
     devices = [manufacture(cfg.puf_config(), device_id, i) for i, device_id
                in enumerate(harness._draw_node_ids(cfg.seed, cfg.fom_n_devices))]
     pool_rng = np.random.default_rng([cfg.seed, harness._STREAM_FOM_POOL])
-    pool = [draw_challenges(cfg.puf_config().bank_size, 128, 1, pool_rng)[0]
+    pool = [random_challenge(cfg.puf_config().bank_size, 128, 1, pool_rng)[0]
             for _ in range(cfg.fom_pool_size)]
     screen_seeds = np.random.default_rng([cfg.seed, harness._STREAM_FOM_SCREEN]).integers(
         0, 1 << 63, size=(len(pool), policy.n_screen_reevals)).tolist()
@@ -318,29 +317,29 @@ def calibration_by_seeded_reads(cfg):
         return (f1 + jitter[0] > f2 + jitter[1]).astype(np.uint8)
 
     for device in devices:
-        kept = {}
+        kept = []
         for challenge, seeds in zip(pool, screen_seeds):
-            f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+            f1, f2 = device.set1_freqs[challenge[0]], device.set2_freqs[challenge[1]]
             ref = (f1 > f2).astype(np.uint8)
-            if challenge in kept or not low <= 100.0 * ref.mean() <= high:
+            if not low <= 100.0 * ref.mean() <= high:
                 continue
             for s in seeds:
                 if s not in screen_jitter:
-                    screen_jitter[s] = two_normal_jitter(s, sigma, challenge.n_bits)
+                    screen_jitter[s] = two_normal_jitter(s, sigma, len(ref))
                 if np.count_nonzero(read(f1, f2, screen_jitter[s]) != ref) > policy.max_unreliable_bits:
                     break
             else:
-                kept[challenge] = ref
+                kept.append(challenge)
         accepted.append(len(kept))
-        chosen = list(kept)[: cfg.fom_n_challenges]
+        chosen = kept[: cfg.fom_n_challenges]
         rel_seeds = rel_rng.integers(0, 1 << 63, size=(len(chosen), n)).tolist()
         per_challenge = []
         for challenge, seeds in zip(chosen, rel_seeds):
-            f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
-            ones = sum(read(f1, f2, two_normal_jitter(s, sigma, challenge.n_bits)).astype(np.int64)
+            f1, f2 = device.set1_freqs[challenge[0]], device.set2_freqs[challenge[1]]
+            ones = sum(read(f1, f2, two_normal_jitter(s, sigma, len(f1))).astype(np.int64)
                        for s in seeds)
             per_challenge.append(100.0 * int((ones * (n - ones)).sum())
-                                 / (n * (n - 1) // 2 * challenge.n_bits))
+                                 / (n * (n - 1) // 2 * len(f1)))
         reliabilities.append(float(np.mean(per_challenge)))
     return accepted, reliabilities
 

@@ -155,7 +155,7 @@ def test_build_world_shape():
 
     for node in built.scenario.world.nodes:
         assert node.device.device_id == node.node_id
-        assert node.challenges == built.records[node.node_id].challenges
+        assert node.challenges is built.records[node.node_id].challenges
     assert built.scenario.world.registry.trusted_node_ids == frozenset({built.node_ids[0]})
 
     # one fast client then slow ones: handle cost means differ
@@ -182,7 +182,7 @@ def test_build_world_schedules_round_robin(overrides, wraps):
     assert all(len(i.payload) == cfg.payload_bytes for i in inits)
     # challenge indices rotate within each client's enrolled list
     for node_id in clients:
-        n_enrolled = len(built.records[node_id].pairs)
+        n_enrolled = len(built.records[node_id].responses)
         own = [i.challenge_index for i in inits if i.node_id == node_id]
         assert own == [k % n_enrolled for k in range(len(own))]
         assert (len(own) > n_enrolled) == wraps

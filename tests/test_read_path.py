@@ -17,13 +17,11 @@ from scipy.stats import mannwhitneyu
 
 from pufledger.puf import (
     _READ_BLOCK,
-    Challenge,
     PufConfig,
     PufDevice,
     ReadAhead,
     Response,
     challenge_chunks,
-    challenges_of,
     evaluate,
     manufacture,
     random_challenge,
@@ -58,17 +56,17 @@ from pufledger.ledger import (
 from pufledger.netsim import LogEvent, event_to_json_line, save_events
 from pufledger.puf import format_device_id
 from conftest import rng_seeds
-from oracles import draw_challenges, hamming, leading_zero_bits, screen_one
+from oracles import hamming, leading_zero_bits, screen_one
 
 
 def read_by_normals(device, challenge, rng):
     """One noisy read spelled out: a standard normal per bit, drawn from rng,
     against the threshold (f2 - f1) / (sigma sqrt 2); no noise, no draw."""
-    f1 = device.set1_freqs[challenge.set1_idx]
-    f2 = device.set2_freqs[challenge.set2_idx]
+    f1 = device.set1_freqs[challenge[0]]
+    f2 = device.set2_freqs[challenge[1]]
     if device.noise_sigma_mhz == 0:
         return (f1 > f2).astype(np.uint8)
-    z = rng.standard_normal(challenge.n_bits)
+    z = rng.standard_normal(len(f1))
     return (z > (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))).astype(np.uint8)
 
 
@@ -97,7 +95,7 @@ def reliability_by_reads(device, challenge, n_reevals, rng):
     total = sum(hamming(reads[a], reads[b])
                 for a in range(n_reevals) for b in range(a + 1, n_reevals))
     n_pairs = n_reevals * (n_reevals - 1) // 2
-    return 100.0 * total / (n_pairs * challenge.n_bits)
+    return 100.0 * total / (n_pairs * challenge.shape[-1])
 
 
 SCREEN_DEVICES = [
@@ -124,7 +122,7 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
         draw_rng = np.random.default_rng([d, 31])
         rng, oracle_rng = np.random.default_rng([d, 32]), np.random.default_rng([d, 32])
         for _ in range(120):
-            challenge = draw_challenges(device.bank_size, 128, 1, draw_rng)[0]
+            challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
             before = rng.bit_generator.state
             result = screen_one(device, challenge, policy, rng)
             accepted, reason, ref = screen_by_reads(device, challenge, policy, oracle_rng)
@@ -141,13 +139,13 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
 @pytest.mark.parametrize("policy", SCREEN_POLICIES)
 def test_screen_pool_matches_a_loop_over_reads(policy):
     for d, device in enumerate(SCREEN_DEVICES):
-        set1, set2 = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
+        chunk = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
         rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
         before = rng.bit_generator.state
-        kept, refs = screen_pool(device, set1, set2, policy, rng)
+        kept, refs = screen_pool(device, chunk, policy, rng)
         expected = []
-        for r, (row1, row2) in enumerate(zip(set1, set2)):
-            accepted, _, ref = screen_by_reads(device, Challenge(row1, row2), policy, oracle_rng)
+        for r, challenge in enumerate(chunk):
+            accepted, _, ref = screen_by_reads(device, challenge, policy, oracle_rng)
             if accepted:
                 expected.append((r, ref.packed()))
         assert [(r, Response(bits).packed()) for r, bits in zip(kept.tolist(), refs)] == expected
@@ -162,8 +160,8 @@ def screen_by_read_ahead(device, challenge, policy, reads):
     then its reads from a ReadAhead, judged up to a block at a time and used
     up to the first failing read. Gives whether it passed and its reference
     bits."""
-    f1 = device.set1_freqs[challenge.set1_idx]
-    f2 = device.set2_freqs[challenge.set2_idx]
+    f1 = device.set1_freqs[challenge[0]]
+    f2 = device.set2_freqs[challenge[1]]
     ref = f1 > f2
     low, high = policy.randomness_band
     if not low <= 100.0 * (np.count_nonzero(ref) / len(ref)) <= high:
@@ -173,7 +171,7 @@ def screen_by_read_ahead(device, challenge, policy, reads):
     threshold = (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))
     left = policy.n_screen_reevals
     while left:
-        flips = ((reads.peek(left, len(ref)) > threshold) != ref).sum(axis=1).tolist()
+        flips = ((reads.peek(left) > threshold) != ref).sum(axis=1).tolist()
         failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
         if failed:
             reads.use(failed[0] + 1)
@@ -188,18 +186,16 @@ def test_screen_pool_chunks_match_a_loop_over_the_per_candidate_screener(policy)
     # enrollment's pattern, 64-row chunks screened in turn on one generator, against one
     # ReadAhead carried through every candidate and settled once at the end
     for d, device in enumerate(SCREEN_DEVICES):
-        set1, set2 = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 37]))
+        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 37]))
         rng, oracle_rng = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
         kept, refs = [], []
         for start in range(0, 150, 64):
-            rows, bits = screen_pool(device, set1[start:start + 64], set2[start:start + 64],
-                                     policy, rng)
+            rows, bits = screen_pool(device, pool[start:start + 64], policy, rng)
             kept += (start + rows).tolist()
             refs += bits.tolist()
-        reads = ReadAhead(oracle_rng)
-        expected = [(r, ref.tolist()) for r, (row1, row2) in enumerate(zip(set1, set2))
-                    for accepted, ref in [screen_by_read_ahead(device, Challenge(row1, row2),
-                                                               policy, reads)]
+        reads = ReadAhead(oracle_rng, 128)
+        expected = [(r, ref.tolist()) for r, challenge in enumerate(pool)
+                    for accepted, ref in [screen_by_read_ahead(device, challenge, policy, reads)]
                     if accepted]
         reads.settle()
         assert list(zip(kept, refs)) == expected
@@ -209,26 +205,23 @@ def test_screen_pool_chunks_match_a_loop_over_the_per_candidate_screener(policy)
 @pytest.mark.parametrize("bank", [0, 1])
 def test_screen_pool_rejects_a_selector_past_either_bank_of_a_chunk(bank):
     device = SCREEN_DEVICES[0]
-    chunk = [selectors.copy() for selectors in
-             random_challenge(device.bank_size, 128, 64, np.random.default_rng(20))]
-    chunk[bank][63, 127] = device.bank_size  # the last selector of the last row
+    chunk = random_challenge(device.bank_size, 128, 64, np.random.default_rng(20))
+    chunk[63, bank, 127] = device.bank_size  # the last selector of the last row
     rng = np.random.default_rng(21)
     before = rng.bit_generator.state
     with pytest.raises(ChallengeError, match="past bank size"):
-        screen_pool(device, *chunk, ScreeningPolicy(), rng)
+        screen_pool(device, chunk, ScreeningPolicy(), rng)
     assert rng.bit_generator.state == before
 
 
 def read_ahead_schedule(rng):
     """A random use of one ReadAhead: up to 12 requests, each of 1 to
-    _READ_BLOCK reads, mostly 128 bits wide, of which 0 to all are used;
-    now and then a settle (None) before or between them, and one at the
-    end."""
+    _READ_BLOCK reads, of which 0 to all are used; now and then a settle
+    (None) before or between them, and one at the end."""
     schedule = [None] if rng.random() < 0.1 else []
     for _ in range(rng.integers(13)):
         n = int(rng.integers(1, _READ_BLOCK + 1))
-        n_bits = 128 if rng.random() < 0.9 else 5
-        schedule.append((n, n_bits, int(rng.integers(n + 1))))
+        schedule.append((n, int(rng.integers(n + 1))))
         if rng.random() < 0.2:
             schedule.append(None)
     return schedule + [None]
@@ -241,8 +234,9 @@ def test_read_ahead_settles_where_one_read_at_a_time_ends():
     seen = set()
     for trial in range(3000):
         rng, oracle = np.random.default_rng([trial]), np.random.default_rng([trial])
-        reads = ReadAhead(rng)
-        used = drawn = n_bits_held = 0  # since the last settle, in reads
+        n_bits = 128 if schedules.random() < 0.9 else 5
+        reads = ReadAhead(rng, n_bits)
+        used = drawn = 0  # since the last settle, in reads
         refilled = False
         for step in read_ahead_schedule(schedules):
             if step is None:
@@ -253,14 +247,11 @@ def test_read_ahead_settles_where_one_read_at_a_time_ends():
                 used = drawn = 0
                 refilled = False
                 continue
-            n, n_bits, k = step
-            if n_bits != n_bits_held:  # another width settles what is held
-                used = drawn = 0
-                n_bits_held = n_bits
+            n, k = step
             ahead = np.random.Generator(np.random.PCG64())
             ahead.bit_generator.state = oracle.bit_generator.state
             expected = np.array([ahead.standard_normal(n_bits) for _ in range(n)])
-            assert np.array_equal(reads.peek(n, n_bits), expected)
+            assert np.array_equal(reads.peek(n), expected)
             refilled = used + n > drawn
             if refilled:
                 drawn += _READ_BLOCK
@@ -279,7 +270,7 @@ def test_screening_reads_a_block_at_a_time_in_bounded_memory():
     # of the 20,000 reads fails; all of them at once would be 20 MB of normals
     deltas = np.where(np.arange(128) % 2 == 0, 5.0, -5.0)
     device = PufDevice(0x606, 250.0 + deltas, np.full(128, 250.0), 0.245)
-    challenge = Challenge(np.arange(128), np.arange(128))
+    challenge = np.array([np.arange(128), np.arange(128)])
     policy = ScreeningPolicy(n_screen_reevals=20_000)
     rng, oracle = np.random.default_rng(19), np.random.default_rng(19)
     tracemalloc.start()
@@ -300,7 +291,7 @@ def test_reliability_matches_a_loop_over_reads():
     for d, device in enumerate(SCREEN_DEVICES):
         rng, oracle_rng = np.random.default_rng([d, 33]), np.random.default_rng([d, 33])
         for _ in range(20):
-            challenge = draw_challenges(device.bank_size, 128, 1, draw_rng)[0]
+            challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
             for n_reevals in (2, 3, 11):
                 assert (reliability(device, challenge, n_reevals, rng)
                         == reliability_by_reads(device, challenge, n_reevals, oracle_rng))
@@ -354,7 +345,7 @@ def reliability_by_evaluate(device, challenge, n_reevals, seeds):
     total = sum(hamming(reads[a], reads[b])
                 for a in range(n_reevals) for b in range(a + 1, n_reevals))
     n_pairs = n_reevals * (n_reevals - 1) // 2
-    return 100.0 * total / (n_pairs * challenge.n_bits)
+    return 100.0 * total / (n_pairs * challenge.shape[-1])
 
 
 @pytest.mark.parametrize("policy", [ScreeningPolicy(), ScreeningPolicy(max_unreliable_bits=0)])
@@ -364,7 +355,7 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
     for d, device in enumerate(SCREEN_DEVICES):
         rng = np.random.default_rng([d, 34])
         for k in range(120):
-            challenge = draw_challenges(device.bank_size, 128, 1, rng)[0]
+            challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
             # seeds for the block a ReadAhead draws past the last read too
             reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals + _READ_BLOCK))
             result = screen_one(device, challenge, policy, reads)
@@ -383,7 +374,7 @@ def test_reliability_matches_a_loop_over_evaluate():
     rng = np.random.default_rng(6)
     for d, device in enumerate(SCREEN_DEVICES):
         for k in range(20):
-            challenge = draw_challenges(device.bank_size, 128, 1, rng)[0]
+            challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
             for n_reevals in (2, 3, 11):
                 reads = EvalSeedReads(rng_seeds(100 * d + k, n_reevals))
                 assert (reliability(device, challenge, n_reevals, reads)
@@ -393,7 +384,7 @@ def test_reliability_matches_a_loop_over_evaluate():
 
 def test_reliability_range_checks_the_challenge():
     device = SCREEN_DEVICES[0]
-    outside = Challenge(np.array([device.bank_size, 0]), np.array([0, 1]))
+    outside = np.array([[device.bank_size, 0], [0, 1]])
     with pytest.raises(ChallengeError):
         reliability(device, outside, 2, np.random.default_rng(0))
 
@@ -402,7 +393,7 @@ def test_reliability_is_zero_when_every_read_agrees():
     # every gap is +-5 MHz, 14 standard deviations of the 0.245 MHz race noise
     deltas = np.where(np.arange(128) % 3 == 0, 5.0, -5.0)
     device = PufDevice(0x603, 250.0 + deltas, np.full(128, 250.0), 0.245)
-    challenge = Challenge(np.arange(128), np.arange(128))
+    challenge = np.array([np.arange(128), np.arange(128)])
     ref = reference_response(device, challenge)
     assert all(evaluate(device, challenge, s).packed() == ref.packed() for s in rng_seeds(7, 11))
     assert reliability(device, challenge, 11, np.random.default_rng(7)) == 0.0
@@ -416,7 +407,7 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
     draw_rng = np.random.default_rng(15)
     accepted = 0
     for _ in range(40):
-        challenge = draw_challenges(device.bank_size, 128, 1, draw_rng)[0]
+        challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
         ref = reference_response(device, challenge)
         assert evaluate(device, challenge, 3).packed() == ref.packed()
         assert reliability(device, challenge, 11, rng) == 0.0
@@ -430,21 +421,21 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
     pool_rng = np.random.default_rng([16])
     pool = drawn_pool(device.bank_size, 128, 60, pool_rng)
     expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c).bits) <= 55.0]
-    assert [pairs_of(c) for c in record.challenges] == [pairs_of(c) for c in expected]
+    assert record.challenges.tolist() == [c.tolist() for c in expected]
 
 
 def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
     # the threshold of every unequal race overflows to +-inf: a certain bit
     device = manufacture(PufConfig(noise_sigma_mhz=5e-324), 0x604, 4)
-    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(10))[0]
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(10))[0]
     assert evaluate(device, challenge, 1).packed() == reference_response(device, challenge).packed()
     assert reliability(device, challenge, 3, np.random.default_rng(10)) == 0.0
     # the chunk kernel divides every in-band row at once; with no tie every read is
     # certain, so the band alone decides
-    set1, set2 = random_challenge(device.bank_size, 128, 64, np.random.default_rng(11))
-    f1, f2 = device.set1_freqs[set1], device.set2_freqs[set2]
+    chunk = random_challenge(device.bank_size, 128, 64, np.random.default_rng(11))
+    f1, f2 = device.set1_freqs[chunk[:, 0]], device.set2_freqs[chunk[:, 1]]
     assert (f1 != f2).all()
-    kept, _ = screen_pool(device, set1, set2, ScreeningPolicy(), np.random.default_rng(12))
+    kept, _ = screen_pool(device, chunk, ScreeningPolicy(), np.random.default_rng(12))
     ones = np.count_nonzero(f1 > f2, axis=1)
     assert 0 < len(kept) < 64
     assert kept.tolist() == np.flatnonzero((58 <= ones) & (ones <= 70)).tolist()
@@ -452,7 +443,7 @@ def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
 
 def test_evaluate_rejects_a_negative_seed():
     device = SCREEN_DEVICES[0]
-    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(8))[0]
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
     with pytest.raises(ConfigError):
         evaluate(device, challenge, -1)
 
@@ -464,7 +455,7 @@ def test_evaluate_rejects_a_negative_seed():
 def test_read_seeds_rejects_seeds_outside_64_bits(bad):
     # a read's seed is evaluate()'s eval_seed: one integer in [0, 2**64), nothing else
     device = SCREEN_DEVICES[0]
-    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(8))[0]
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
     with pytest.raises(ConfigError):
         evaluate(device, challenge, bad)
 
@@ -474,8 +465,8 @@ EVAL_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 
 def test_evaluate_reads_what_default_rng_draws():
     device = SCREEN_DEVICES[2]
-    challenge = draw_challenges(device.bank_size, 128, 1, np.random.default_rng(9))[0]
-    f1, f2 = device.set1_freqs[challenge.set1_idx], device.set2_freqs[challenge.set2_idx]
+    challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(9))[0]
+    f1, f2 = device.set1_freqs[challenge[0]], device.set2_freqs[challenge[1]]
     for seed in rng_seeds(13, 200) + EVAL_SEED_EDGES:
         z = np.random.default_rng([seed]).standard_normal(128)
         expected = (z > (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))).astype(np.uint8)
@@ -489,7 +480,7 @@ def enroll_by_candidate(device, n_candidates, policy, seed):
     rng = np.random.default_rng([seed])
     kept = []
     for start in range(0, n_candidates, 64):
-        for challenge in draw_challenges(device.bank_size, 128, min(64, n_candidates - start), rng):
+        for challenge in random_challenge(device.bank_size, 128, min(64, n_candidates - start), rng):
             accepted, _, ref = screen_by_reads(device, challenge, policy, rng)
             if accepted:
                 kept.append((challenge, ref))
@@ -497,8 +488,8 @@ def enroll_by_candidate(device, n_candidates, policy, seed):
 
 
 def pairs_and_bits(pairs):
-    """(challenge, response) pairs by value: selector pairs and packed bits."""
-    return [(pairs_of(challenge), response.packed()) for challenge, response in pairs]
+    """(challenge, response) pairs by value: selector rows and packed bits."""
+    return [(challenge.tolist(), response.packed()) for challenge, response in pairs]
 
 
 @pytest.mark.parametrize("n_candidates", [1, 2, 63, 64, 65, 130])
@@ -518,38 +509,18 @@ def test_enroll_matches_a_loop_over_one_generator(n_candidates):
     assert enrolled
 
 
-INDEX = st.one_of(st.integers(0, 3), st.integers(0, 300),
-                  st.integers(2**62 - 2, 2**62 + 2), st.integers(2**63 - 4, 2**63 - 1))
-
-
-@given(st.lists(st.tuples(INDEX, INDEX), min_size=1, max_size=40), st.data())
-@settings(max_examples=300, deadline=None)
-def test_challenge_pair_check_matches_a_set_of_tuples(pairs, data):
-    if data.draw(st.booleans(), label="plant a repeat"):
-        repeat = data.draw(st.sampled_from(pairs), label="repeated pair")
-        at = data.draw(st.integers(0, len(pairs)), label="at")
-        pairs = pairs[:at] + [repeat] + pairs[at:]
-    set1 = np.array([i for i, _ in pairs], dtype=np.int64)
-    set2 = np.array([j for _, j in pairs], dtype=np.int64)
-    if len(set(pairs)) == len(pairs):
-        assert pairs_of(Challenge(set1, set2)) == pairs
-    else:
-        with pytest.raises(ChallengeError, match="repeats an oscillator pair"):
-            Challenge(set1, set2)
-
-
 @pytest.mark.parametrize("bank", [0, 1])
 def test_selected_freqs_rejects_one_past_either_bank(bank):
     device = SCREEN_DEVICES[0]
     last = device.bank_size - 1
-    inside = [np.array([0, last]), np.array([last, 0])]
-    f1, f2 = selected_freqs(device, *inside)
+    inside = np.array([[0, last], [last, 0]])
+    f1, f2 = selected_freqs(device, inside)
     assert f1.tolist() == [device.set1_freqs[0], device.set1_freqs[last]]
     assert f2.tolist() == [device.set2_freqs[last], device.set2_freqs[0]]
-    outside = list(inside)
-    outside[bank] = np.array([0, last + 1])
+    outside = inside.copy()
+    outside[bank] = [0, last + 1]
     with pytest.raises(ChallengeError, match="past bank size"):
-        selected_freqs(device, *outside)
+        selected_freqs(device, outside)
 
 
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 7, 100, 127, 128, 129, 1000])
@@ -582,14 +553,12 @@ def test_packed_matches_packbits_for_ragged_lengths(n_bits):
 
 
 def pairs_of(challenge):
-    return list(zip(challenge.set1_idx.tolist(), challenge.set2_idx.tolist()))
+    return list(zip(*challenge.tolist()))
 
 
 def drawn_pool(bank_size, n_bits, count, rng):
-    """Every challenge challenge_chunks draws, in order, each built by the
-    checked constructor."""
-    return [Challenge(row1, row2) for set1, set2 in challenge_chunks(bank_size, n_bits, count, rng)
-            for row1, row2 in zip(set1, set2)]
+    """Every challenge challenge_chunks draws, in order, as one array."""
+    return np.concatenate(list(challenge_chunks(bank_size, n_bits, count, rng)))
 
 
 def random_challenge_by_pairs(bank_size, n_bits, count, rng):
@@ -622,24 +591,17 @@ def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
     for count, n_seeds in ((1, 100), (63, 4), (64, 4), (65, 4), (130, 4)):
         for seed in range(n_seeds):
             fast_rng, loop_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
-            set1, set2 = random_challenge(bank_size, n_bits, count, fast_rng)
+            chunk = random_challenge(bank_size, n_bits, count, fast_rng)
             expected = random_challenge_by_pairs(bank_size, n_bits, count, loop_rng)
-            assert set1.shape == set2.shape == (count, n_bits)
-            assert set1.dtype == set2.dtype == np.int64
-            assert [list(zip(row1, row2)) for row1, row2 in zip(set1.tolist(), set2.tolist())] == expected
+            assert chunk.shape == (count, 2, n_bits) and chunk.dtype == np.int64
+            assert [pairs_of(challenge) for challenge in chunk] == expected
             assert fast_rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
-            # challenges_of skips the public constructor; every row must pass its checks
-            for challenge in challenges_of(set1.copy(), set2.copy()):
-                checked = Challenge(challenge.set1_idx.copy(), challenge.set2_idx.copy())
-                assert pairs_of(checked) == pairs_of(challenge)
-                assert not (challenge.set1_idx.flags.writeable or challenge.set2_idx.flags.writeable)
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (4, 16)])
 def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypatch):
-    # enrollment copies each chunk's kept rows once, so a kept challenge holds those
-    # rows alive and no 64-row chunk; at bank 4 every row is refilled, at 256 about one
-    # in eight
+    # enrollment concatenates each chunk's kept rows into one array, so a record holds
+    # no 64-row chunk alive; at bank 4 every row is refilled, at 256 about one in eight
     chunks = []
     real_draw = puf.random_challenge
 
@@ -654,17 +616,14 @@ def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypat
     device = PufDevice(0x607, np.resize([240.0, 245.0, 255.0, 260.0], bank_size),
                        np.resize([250.0, 250.5, 249.5, 251.0], bank_size), 0.245)
     record = enroll(Registry(), device, 192, ScreeningPolicy(), 12)
-    assert len(chunks) == 3 and record.pairs
-    owners = {}
-    for challenge in record.challenges:
-        for selectors in (challenge.set1_idx, challenge.set2_idx):
-            assert selectors.shape == (n_bits,) and not selectors.flags.writeable
-            assert not any(np.shares_memory(selectors, drawn) for chunk in chunks for drawn in chunk)
-            owners.setdefault(id(selectors.base), [selectors.base, 0])[1] += 1
-    # each copy holds exactly the rows kept from its chunk: one copy a bank and a chunk
-    assert all(owner.base is None and owner.shape == (n_kept, n_bits)
-               for owner, n_kept in owners.values())
-    assert len(owners) <= 2 * len(chunks)
+    challenges = record.challenges
+    assert len(chunks) == 3 and len(challenges) == len(record.responses) > 0
+    assert challenges.shape[1:] == (2, n_bits) and challenges.dtype == np.int64
+    assert challenges.base is None and not challenges.flags.writeable
+    assert not any(np.shares_memory(challenges, chunk) for chunk in chunks)
+    # exactly kept rows: the stored rows are drawn rows, in draw order
+    drawn = iter(row for chunk in chunks for row in chunk.tolist())
+    assert all(row in drawn for row in challenges.tolist())
 
 
 def _out_of_time(signum, frame):
@@ -700,8 +659,8 @@ def per_candidate_draws(bank_size, n_bits, count, rng):
     row is drawn; the rows come in chunks of 64, as challenge_chunks gives
     them."""
     for start in range(0, count, 64):
-        rows = [random_challenge(bank_size, n_bits, 1, rng) for _ in range(min(64, count - start))]
-        yield tuple(np.concatenate(bank) for bank in zip(*rows))
+        yield np.concatenate([random_challenge(bank_size, n_bits, 1, rng)
+                              for _ in range(min(64, count - start))])
 
 
 def calibration_figures(seeds):
@@ -782,9 +741,8 @@ def record_line_by_json_dumps(record):
         "device_id": format_device_id(record.device_id),
         "enrolled_at": 0,
         "pairs": [
-            {"challenge": np.column_stack((challenge.set1_idx, challenge.set2_idx)).tolist(),
-             "response": response.hex()}
-            for challenge, response in record.pairs
+            {"challenge": challenge.T.tolist(), "response": response.hex()}
+            for challenge, response in zip(record.challenges, record.responses)
         ],
     })
 
@@ -824,30 +782,33 @@ RECORD_INDEX = st.one_of(st.integers(0, len(_INDEX_STRS) + 3),
 
 
 def challenge_of(pairs):
-    return Challenge(np.array([i for i, _ in pairs], dtype=np.int64),
-                     np.array([j for _, j in pairs], dtype=np.int64))
+    """The (2, n_bits) selector row of a list of (set1, set2) index pairs."""
+    return np.array([[i for i, _ in pairs], [j for _, j in pairs]], dtype=np.int64)
 
 
-@given(st.lists(st.lists(st.tuples(RECORD_INDEX, RECORD_INDEX), min_size=1, max_size=20,
-                         unique=True),
-                min_size=1, max_size=8, unique_by=tuple),
-       DEVICE_ID, st.data())
+# a record's challenges share one width: 1 to 8 of them, each of n_bits distinct pairs
+RECORD_CHALLENGES = st.integers(1, 20).flatmap(lambda n_bits: st.lists(
+    st.lists(st.tuples(RECORD_INDEX, RECORD_INDEX), min_size=n_bits, max_size=n_bits, unique=True),
+    min_size=1, max_size=8, unique_by=tuple))
+
+
+@given(RECORD_CHALLENGES, DEVICE_ID, st.data())
 @settings(max_examples=200, deadline=None)
 def test_record_line_is_json_dumps_of_its_fields(challenges, device_id, data):
-    pairs = tuple(
-        (challenge_of(pairs), Response(np.array(
-            data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=130)), dtype=np.uint8)))
-        for pairs in challenges
+    responses = tuple(
+        Response(np.array(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=130)),
+                          dtype=np.uint8))
+        for _ in challenges
     )
-    record = CrpRecord(device_id=device_id, pairs=pairs)
+    record = CrpRecord(device_id, np.array([challenge_of(pairs) for pairs in challenges]),
+                       responses)
     assert record_to_json_line(record) == record_line_by_json_dumps(record)
 
 
 def test_record_line_spells_indices_past_the_table_with_str():
     top = 2**31 - 1  # the largest index random_challenge can draw
     challenge = challenge_of([(0, top), (255, 256), (256, 255), (top, 0)])
-    record = CrpRecord(device_id=7,
-                       pairs=((challenge, Response(np.array([1, 0, 1, 1], dtype=np.uint8))),))
+    record = CrpRecord(7, challenge[None], (Response(np.array([1, 0, 1, 1], dtype=np.uint8)),))
     line = record_to_json_line(record)
     assert line == record_line_by_json_dumps(record)
     assert f'"challenge":[[0,{top}],[255,256],[256,255],[{top},0]]' in line

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pufledger.puf import PufConfig, manufacture, reference_response
+from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response
 from pufledger.registry import (
     Registry,
     enroll,
@@ -20,12 +20,12 @@ from pufledger.errors import (
     UnknownDeviceError,
 )
 from pufledger.fom import ScreeningPolicy, randomness
-from oracles import draw_challenges, screen_one
+from oracles import screen_one
 
 
 def selectors(record):
     """A record's challenges by value: each one's set1 then set2 selectors."""
-    return [(c.set1_idx.tolist(), c.set2_idx.tolist()) for c in record.challenges]
+    return record.challenges.tolist()
 
 
 def test_enroll_is_deterministic(default_config, policy):
@@ -47,7 +47,7 @@ def test_enrolled_responses_are_noiseless_references(devices, enrolled):
     registry, records = enrolled
     device = devices[1]
     record = records[device.device_id]
-    for challenge, response in record.pairs[:10]:
+    for challenge, response in zip(record.challenges[:10], record.responses):
         assert response.packed() == reference_response(device, challenge).packed()
 
 
@@ -83,7 +83,7 @@ def test_zero_noise_screening_reduces_to_randomness_band(policy):
     rng = np.random.default_rng(17)
     low, high = strict.randomness_band
     for k in range(200):
-        challenge = draw_challenges(device.bank_size, 128, 1, rng)[0]
+        challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
         expected = low <= randomness(reference_response(device, challenge).bits) <= high
         outcome = screen_one(device, challenge, strict, np.random.default_rng([k]))
         assert outcome.accepted == expected
@@ -118,10 +118,20 @@ def test_trusted_view_exposes_only_trusted_nodes(devices, enrolled):
     assert view == {trusted_id: records[trusted_id].responses}
 
 
+def test_lookup_and_trusted_view_return_the_stored_responses_tuple(devices, enrolled):
+    # the record's own tuple, not one rebuilt per call
+    registry, records = enrolled
+    trusted_id = devices[0].device_id
+    for device in devices:
+        stored = records[device.device_id].responses
+        assert lookup(registry, trusted_id, device.device_id) is stored
+    assert trusted_view(registry)[trusted_id] is records[trusted_id].responses
+
+
 def test_crp_record_validation(default_config):
     device = manufacture(default_config, 0x555, 4)
     with pytest.raises(ValueError):
-        CrpRecord(device_id=device.device_id, pairs=())
+        CrpRecord(device.device_id, np.empty((0, 2, 128), dtype=np.int64), ())
 
 
 def test_record_line_round_trip(enrolled, devices):
@@ -135,8 +145,7 @@ def test_record_line_round_trip(enrolled, devices):
     assert obj["device_id"] == f"{record.device_id:012x}"
     assert obj["enrolled_at"] == 0
     assert [pair["challenge"] for pair in obj["pairs"]] == [
-        [[i, j] for i, j in zip(c.set1_idx.tolist(), c.set2_idx.tolist())]
-        for c in record.challenges
+        [[i, j] for i, j in zip(set1, set2)] for set1, set2 in record.challenges.tolist()
     ]
     assert [pair["response"] for pair in obj["pairs"]] == [r.hex() for r in record.responses]
 
@@ -153,7 +162,6 @@ def test_registry_file_round_trip(tmp_path, enrolled):
     for obj in lines:
         record = records[int(obj["device_id"], 16)]
         assert [pair["challenge"] for pair in obj["pairs"]] == [
-            [[i, j] for i, j in zip(c.set1_idx.tolist(), c.set2_idx.tolist())]
-            for c in record.challenges
+            [[i, j] for i, j in zip(set1, set2)] for set1, set2 in record.challenges.tolist()
         ]
         assert [pair["response"] for pair in obj["pairs"]] == [r.hex() for r in record.responses]
