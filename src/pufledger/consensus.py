@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,13 +66,12 @@ class WireBlock:
     validation_tag: Optional[bytes] = None
 
     def __post_init__(self) -> None:
-        fields = (self.validated_by, self.t_validated, self.validation_tag)
-        present = [f is not None for f in fields]
-        if any(present) and not all(present):
+        tag = self.validation_tag
+        if not (self.validated_by is None) == (self.t_validated is None) == (tag is None):
             raise ValueError(
                 "validated_by, t_validated and validation_tag must appear together"
             )
-        if self.validation_tag is not None and len(self.validation_tag) != HASH_BYTES:
+        if tag is not None and len(tag) != HASH_BYTES:
             raise ValueError(f"validation_tag must be {HASH_BYTES} bytes")
 
     @property
@@ -100,8 +99,7 @@ class NodeState:
             raise ValueError(f"role must be {ROLE_TRUSTED!r} or {ROLE_CLIENT!r}, got {self.role!r}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one node judging one block. Only a trusted node's accept
     carries a rebroadcast."""
 

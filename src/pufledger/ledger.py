@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -66,20 +67,23 @@ class BlockData:
                 f"payload is {len(self.payload)} bytes, maximum is {MAX_PAYLOAD_BYTES}"
             )
 
+    @cached_property
+    def encoded(self) -> bytes:
+        """Fixed-layout encoding: id(6) || seq(8) || t_init(8) || len(4) || payload.
+
+        All integers are big-endian. The length prefix makes the encoding
+        injective: no two distinct BlockData values share an encoding. It is
+        built once per block: the block's tag, its scan at the trusted node
+        and every entry that holds it read the same bytes.
+        """
+        return (self.device_id.to_bytes(_DEVICE_ID_BYTES, "big") + self.seq.to_bytes(8, "big")
+                + self.t_init.to_bytes(8, "big") + len(self.payload).to_bytes(4, "big")
+                + self.payload)
+
 
 def canonical_bytes(data: BlockData) -> bytes:
-    """Fixed-layout encoding: id(6) || seq(8) || t_init(8) || len(4) || payload.
-
-    All integers are big-endian. The length prefix makes the encoding
-    injective: no two distinct BlockData values share an encoding.
-    """
-    return (
-        data.device_id.to_bytes(_DEVICE_ID_BYTES, "big")
-        + data.seq.to_bytes(8, "big")
-        + data.t_init.to_bytes(8, "big")
-        + len(data.payload).to_bytes(4, "big")
-        + data.payload
-    )
+    """The block's fixed-layout encoding, BlockData.encoded."""
+    return data.encoded
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class ChainEntry:
         computed = sha256(
             self.height.to_bytes(8, "big")
             + self.prev_hash
-            + canonical_bytes(self.data)
+            + self.data.encoded
             + self.auth_tag.h
             + self.trusted_node_id.to_bytes(_DEVICE_ID_BYTES, "big")
             + self.t_validated.to_bytes(8, "big")

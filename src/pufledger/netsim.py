@@ -4,6 +4,11 @@ Time is an integer millisecond counter. Every message send samples a link
 latency, every handler charges a processing cost, and all draws come from
 named generator streams derived from the single simulation seed, so one
 (config, scenario) pair always produces one event log, byte for byte.
+Jitter and costs are drawn _LATENCY_CHUNK values at a time, in the order
+scalar draws would take them: jitter as integers, costs as standard
+normals z that each node scales to mean + sd * z, which is numpy's
+normal(mean, sd) for the same draw. Nodes with different cost models share
+a chunk, and a cost with sd 0 draws nothing.
 
 Broadcast is unicast fan-out: the sender schedules one delivery per peer.
 There are no sockets and no wall-clock reads anywhere in this module.
@@ -32,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's own string escape
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,7 +64,7 @@ _STREAM_LATENCY = 1
 _STREAM_DROP = 2
 _STREAM_COST = 3
 _STREAM_ADVERSARY = 4
-_LATENCY_CHUNK = 256  # jitter draws per numpy call: the scalar draws' values, in order
+_LATENCY_CHUNK = 256  # jitter and cost draws per numpy call: the scalar draws' values, in order
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,7 @@ def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
     return replace(scenario, adversaries=scenario.adversaries + (adversary,))
 
 
-@dataclass(frozen=True)
-class LogEvent:
+class LogEvent(NamedTuple):
     t_ms: int
     kind: str
     node: Optional[int]
@@ -250,8 +254,7 @@ class SimResult:
     adversarial: tuple[AdvOutcome, ...]
 
 
-@dataclass(frozen=True)
-class _Message:
+class _Message(NamedTuple):
     msg_id: int
     block: WireBlock
     sender: Optional[int]
@@ -288,6 +291,7 @@ class _Sim:
         self.jitter_left: list[int] = []  # the current chunk's undrawn values, last first
         self.rng_drop = np.random.default_rng([config.seed, _STREAM_DROP])
         self.rng_cost = np.random.default_rng([config.seed, _STREAM_COST])
+        self.normals_left: list[float] = []  # as jitter_left, for the cost draws
         self.rng_adv = np.random.default_rng([config.seed, _STREAM_ADVERSARY])
 
         self.heap: list[tuple[int, int, tuple]] = []
@@ -332,7 +336,10 @@ class _Sim:
             mean, sd = model.handle_mean_ms, model.handle_sd_ms
         if sd == 0:
             return max(0, int(round(mean)))
-        return max(0, int(round(self.rng_cost.normal(mean, sd))))
+        # normal(mean, sd) is mean + sd * standard_normal(): the same value
+        if not self.normals_left:
+            self.normals_left = self.rng_cost.standard_normal(_LATENCY_CHUNK).tolist()[::-1]
+        return max(0, int(round(mean + sd * self.normals_left.pop())))
 
     def occupy(self, node_id: int, arrival: int, cost_ms: int) -> int:
         start = max(arrival, self.free_at[node_id])
@@ -357,9 +364,6 @@ class _Sim:
 
     def peers_of(self, node_id: int) -> list[int]:
         return [other for other in self.order if other != node_id]
-
-    def role_of(self, node_id: int) -> str:
-        return self.nodes[node_id].role
 
     # -- adversary helpers -----------------------------------------------------
 
@@ -419,7 +423,7 @@ class _Sim:
 
     def handle_delivery(self, t: int, msg: _Message) -> None:
         receiver = msg.receiver
-        role = self.role_of(receiver)
+        role = self.nodes[receiver].role
         self.log(t, "deliver", receiver, "", {
             "msg": msg.msg_id,
             "tx": msg.tx_id if msg.tx_id is not None else -1,
@@ -469,7 +473,7 @@ class _Sim:
         the record alone. A trusted accept is rebroadcast, and a client's
         no-match penalizes the validator the block names."""
         receiver = msg.receiver
-        role = self.role_of(receiver)
+        role = self.nodes[receiver].role
         accepted = result is not None and result.accepted
         reason = result.reason if result is not None else REASON_NOT_FROM_TRUSTED
         tx = msg.tx_id if msg.tx_id is not None else -1
@@ -561,7 +565,7 @@ class _Sim:
                 data=data, auth_tag=AuthTag(self.random_tag()),
                 validated_by=claim_id, t_validated=t, validation_tag=self.random_tag(),
             )
-            clients = [n for n in self.order if self.role_of(n) == ROLE_CLIENT]
+            clients = [n for n in self.order if self.nodes[n].role == ROLE_CLIENT]
             self.log(t, "inject", None, "", {
                 "kind": adv.kind, "claim": format_device_id(claim_id),
             })

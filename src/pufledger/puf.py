@@ -27,7 +27,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +39,7 @@ RESPONSE_BITS = 128  # bits of every enrolled response, and so of every auth tag
 FREQ_DECIMALS = 6
 
 
+@lru_cache(maxsize=256, typed=True)  # a run's writers name its few node ids thousands of times
 def format_device_id(device_id: int) -> str:
     """Render a 48-bit device id as 12 lowercase hex digits."""
     if not 0 <= device_id < (1 << DEVICE_ID_BITS):
@@ -183,7 +184,13 @@ def selected_freqs(device: PufDevice, selectors: np.ndarray) -> tuple[np.ndarray
     """The frequencies non-negative selectors race, one gather per bank:
     (set1, set2), each of the selectors' shape less its bank axis, so for a
     (2, n_bits) row, a (count, 2, n_bits) chunk or any stack of rows.
-    Raises ChallengeError when they select past the device's banks."""
+    Raises ChallengeError when they select past the device's banks.
+
+    Precondition, not checked: every selector is >= 0. Every row in this
+    package comes from random_challenge, which draws in [0, bank_size); a
+    negative selector would read from the bank's end, as numpy indexing
+    does. reference_response and fom.reliability gather through here
+    hundreds of times a run, so no call pays for a sign check."""
     # selectors are non-negative, so numpy's own bounds check is the range check
     try:
         return device.set1_freqs[selectors[..., 0, :]], device.set2_freqs[selectors[..., 1, :]]

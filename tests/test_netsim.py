@@ -80,6 +80,33 @@ def test_chunked_latency_draws_are_the_scalar_draws(sim_parts, jitter):
         assert sim.latency() == expected
 
 
+def test_chunked_cost_draws_are_the_scalar_draws(sim_parts):
+    # nodes with different (mean, sd) share one cost stream, so a chunk drawn
+    # with one node's parameters would be wrong for the others; sd == 0 draws nothing
+    config, world = sim_parts
+    params = [(6.0, 1.0, 50.0, 3.0), (0.0, 2.0**31, 7.0, 0.0), (1e9, 1e6, 120.03, 3.44),
+              (3.0, 0.0, 72.27, 18.07), (2.0**40, 2.0**20, 0.0, 0.0), (46.5, 2.66, 0.5, 0.0)]
+    costs = {node.node_id: CostModel(*p) for node, p in zip(world.nodes, params)}
+    sim = netsim._Sim(replace(config, costs=costs), Scenario(world=world, initiations=()))
+    scalar = np.random.default_rng([config.seed, netsim._STREAM_COST])
+    calls = np.random.default_rng(3)
+    draws = 0
+    while draws <= 4 * netsim._LATENCY_CHUNK:
+        node_id = world.nodes[int(calls.integers(len(world.nodes)))].node_id
+        which = ("init", "handle")[int(calls.integers(2))]
+        model = costs[node_id]
+        mean, sd = ((model.init_mean_ms, model.init_sd_ms) if which == "init"
+                    else (model.handle_mean_ms, model.handle_sd_ms))
+        value = scalar.normal(mean, sd) if sd else mean
+        draws += sd > 0
+        assert sim.cost(node_id, which) == max(0, int(round(value)))
+    # before rounding too: mean + sd * z is the scalar normal(mean, sd), bit for bit
+    z = np.random.default_rng(7).standard_normal(1000).tolist()
+    for mean, sd in {(p[k], p[k + 1]) for p in params for k in (0, 2) if p[k + 1]}:
+        scalar = np.random.default_rng(7)
+        assert [mean + sd * v for v in z] == [float(scalar.normal(mean, sd)) for _ in z]
+
+
 def test_empty_scenario_runs(sim_parts):
     config, world = sim_parts
     result = run(config, Scenario(world=world, initiations=()))

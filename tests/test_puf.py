@@ -125,6 +125,18 @@ def test_random_challenge_properties(bank_size, seed):
         assert all(0 <= i < bank_size and 0 <= j < bank_size for i, j in pairs)
 
 
+@pytest.mark.parametrize("bank_size, n_bits", [(1, 1), (2, 4), (3, 9), (256, 128), (2**31, 128)])
+def test_random_challenge_never_draws_a_negative_selector(bank_size, n_bits):
+    # selected_freqs relies on this instead of checking signs: a negative
+    # selector would read from the bank's end. (2, 4) and (3, 9) must draw
+    # every pair, so nearly every row goes through the refill path.
+    rng = np.random.default_rng(bank_size)
+    for _ in range(3):
+        chunk = random_challenge(bank_size, n_bits, 64, rng)
+        assert chunk.dtype == np.int64 and chunk.shape == (64, 2, n_bits)
+        assert chunk.min() >= 0 and chunk.max() < bank_size
+
+
 def test_response_pack_round_trip():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=128).astype(np.uint8)

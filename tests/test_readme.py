@@ -4,8 +4,10 @@ package defines nothing that only tests use."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import re
+import textwrap
 from pathlib import Path
 
 import pufledger
@@ -39,20 +41,33 @@ def test_readme_command_line_block_lists_every_option():
     assert listed == defined
 
 
-def definitions(path: Path):
-    """(qualified name, name) of each module-level function and class, and of
-    each method that is neither a dunder, a property nor an override (which
-    callers reach through the base class, as numpy does generate_state)."""
-    module = importlib.import_module(f"pufledger.{path.stem}")
+def record_fields(cls: type) -> set[str]:
+    """The fields of a dataclass or NamedTuple; none for any other class."""
+    if dataclasses.is_dataclass(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+    return set(cls._fields) if issubclass(cls, tuple) and hasattr(cls, "_fields") else set()
+
+
+def definitions(path: Path, package: str = "pufledger"):
+    """(qualified name, name) of each module-level function and class, of
+    each annotated field of a dataclass or NamedTuple, and of each method
+    that is neither a dunder, a property nor an override (which callers
+    reach through the base class, as numpy does generate_state)."""
+    module = importlib.import_module(f"{package}.{path.stem}")
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node.name, node.name
         if isinstance(node, ast.FunctionDef):
             continue
-        bases = getattr(module, node.name).__mro__[1:]
+        cls = getattr(module, node.name)
+        bases = cls.__mro__[1:]
+        fields = record_fields(cls)
         for item in node.body:
-            if (isinstance(item, ast.FunctionDef)
+            if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and item.target.id in fields):
+                yield f"{node.name}.{item.target.id}", item.target.id
+            elif (isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                     and not any(isinstance(d, ast.Name) and d.id == "property"
                                 for d in item.decorator_list)
@@ -61,20 +76,61 @@ def definitions(path: Path):
 
 
 def references(path: Path):
+    """Every name the file uses. A field is used when it is named anywhere
+    but in its own annotation: read, or written by keyword, as metrics.json's
+    fields are before run_scenario writes them whole through vars()."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             yield node.value  # a getattr lookup by name, as in perfbench's span table
+
+
+def unread(src: list[Path], readers: list[Path], package: str = "pufledger") -> set[str]:
+    """What src defines that neither src nor readers name."""
+    referenced = {name for path in src + readers for name in references(path)}
+    return {qualified for path in src for qualified, name in definitions(path, package)
+            if name not in referenced}
 
 
 def test_package_defines_nothing_only_tests_use():
     src = sorted((ROOT / "src" / "pufledger").glob("*.py"))
     bench = [path for path in sorted((ROOT / "perfbench").glob("*.py"))
              if not path.name.startswith("test_")]
-    referenced = {name for path in src + bench for name in references(path)}
-    unused = {qualified for path in src for qualified, name in definitions(path)
-              if name not in referenced}
-    assert unused == set()
+    assert unread(src, bench) == set()
+
+
+def test_the_check_flags_a_field_nothing_reads(tmp_path, monkeypatch):
+    package = tmp_path / "planted"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "records.py").write_text(textwrap.dedent("""
+        from dataclasses import dataclass
+        from typing import NamedTuple
+
+
+        @dataclass(frozen=True)
+        class Record:
+            read: int
+            planted_unread: int
+
+
+        class Pair(NamedTuple):
+            left: int
+            also_unread: int
+
+
+        class Plain:
+            annotated_only: int
+
+
+        def total(record: Record, pair: Pair, plain: Plain) -> int:
+            return record.read + pair.left
+    """))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert unread([package / "records.py"], [], "planted") == {
+        "total", "Record.planted_unread", "Pair.also_unread"}
