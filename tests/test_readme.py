@@ -45,7 +45,7 @@ def record_fields(cls: type) -> set[str]:
     """The fields of a dataclass or NamedTuple; none for any other class."""
     if dataclasses.is_dataclass(cls):
         return {f.name for f in dataclasses.fields(cls)}
-    return set(cls._fields) if issubclass(cls, tuple) and hasattr(cls, "_fields") else set()
+    return set(getattr(cls, "_fields", ()))
 
 
 def definitions(path: Path, package: str = "pufledger"):
