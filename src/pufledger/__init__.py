@@ -2,7 +2,7 @@
 
 The package simulates hybrid oscillator arbiter PUFs, screens their
 challenges by figures of merit, enrolls challenge-response pairs into a
-registry guarded by a trusted-node list, and runs a proof-of-PUF consensus
+registry only its one trusted node may read, and runs a proof-of-PUF consensus
 flow (initiate, authenticate, accept-validated) over an append-only
 hash-linked chain. A discrete-event simulator drives whole networks through
 transaction schedules and adversarial injections, and a harness turns all

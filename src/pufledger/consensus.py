@@ -8,10 +8,10 @@ response from a row noiselessly. A trusted node authenticates by linearly
 scanning the device's stored responses and recomputing the tag for each
 until one matches, then appends the block to its chain and rebroadcasts
 it with a validation tag of its own, made with its stored response at
-index `height % len(challenges)`. Clients drop anything not validated by a
-trusted node, rebuild the entry at their own height and tip, recompute the
-validation tag once with the trusted node's stored response at that same
-index, and append an entry identical to the trusted node's.
+index `height % len(challenges)`. Clients drop anything not validated by
+the trusted node, rebuild the entry at their own height and tip, recompute
+the validation tag once with the trusted node's stored response at that
+same index, and append an entry identical to the trusted node's.
 
 No response ever crosses the network in any direction: origin blocks carry
 the authentication tag, rebroadcasts add a validation tag, both are
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .ledger import (
     ChainEntry,
     HASH_BYTES,
     append,
-    canonical_bytes,
     make_auth_tag,
     make_entry,
     sha256,
@@ -150,7 +149,7 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
         return Verdict(False, REASON_UNKNOWN_DEVICE, None, 0)
 
     # make_auth_tag's digest, with the block encoded once for the whole scan
-    prefix = canonical_bytes(block.data)
+    prefix = block.data.encoded
     for hashes, response in enumerate(stored, start=1):
         if sha256(prefix + response.packed()) == block.auth_tag.h:
             break
@@ -178,18 +177,17 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
 
 
 def accept_validated(client: NodeState, block: WireBlock,
-                     view: Mapping[int, tuple[Response, ...]], now: int) -> Verdict:
-    """Judge a rebroadcast: check it names a trusted node, guard against
+                     view: tuple[int, tuple[Response, ...]], now: int) -> Verdict:
+    """Judge a rebroadcast against registry.trusted_view's (trusted id,
+    stored responses) pair: check it names the trusted node, guard against
     replays, then recompute the validation tag once, with the trusted
     node's stored response at the index it used for this height. On
     success the appended entry is bit-identical to the trusted node's
     entry."""
     if client.role != ROLE_CLIENT:
         raise ValueError("accept_validated requires a client node")
-    if not block.is_validated:
-        return Verdict(False, REASON_NOT_FROM_TRUSTED, None, 0)
-    stored = view.get(block.validated_by)
-    if stored is None:
+    trusted_id, stored = view
+    if block.validated_by != trusted_id:  # also None: an unvalidated block
         return Verdict(False, REASON_NOT_FROM_TRUSTED, None, 0)
 
     last = client.last_seq_accepted.get(block.data.device_id)
@@ -215,12 +213,12 @@ def accept_validated(client: NodeState, block: WireBlock,
 
 
 def pow_mine_baseline(data: BlockData, difficulty_bits: int) -> tuple[int, bytes]:
-    """Find the smallest nonce whose SHA-256(canonical || nonce) starts with
+    """Find the smallest nonce whose SHA-256(data.encoded || nonce) starts with
     difficulty_bits zero bits. The throwaway work against which
     authentication is benchmarked."""
     if not 0 <= difficulty_bits <= 32:
         raise ValueError(f"difficulty_bits must be in [0, 32], got {difficulty_bits}")
-    prefixed = hashlib.sha256(canonical_bytes(data))  # hashed once, copied per nonce
+    prefixed = hashlib.sha256(data.encoded)  # hashed once, copied per nonce
     n_zero_bytes, rem = divmod(difficulty_bits, 8)
     zero_prefix = bytes(n_zero_bytes)
     limit = 1 << (8 - rem) if rem else 0x100

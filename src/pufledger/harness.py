@@ -251,7 +251,7 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
     trusted_id = node_ids[0]
 
     devices = [manufacture(puf_config, node_ids[i], i) for i in range(n_nodes)]
-    reg = Registry(trusted_node_ids=[trusted_id])
+    reg = Registry(trusted_id)
     enroll_rng = np.random.default_rng([cfg.seed, _STREAM_ENROLL])
     records = {}
     for device in devices:

@@ -81,11 +81,6 @@ class BlockData:
                 + self.payload)
 
 
-def canonical_bytes(data: BlockData) -> bytes:
-    """The block's fixed-layout encoding, BlockData.encoded."""
-    return data.encoded
-
-
 @dataclass(frozen=True)
 class AuthTag:
     """SHA-256 binding a block's canonical bytes to a device response."""
@@ -102,7 +97,7 @@ class AuthTag:
 def make_auth_tag(data: BlockData, response: Response) -> AuthTag:
     if response.n_bits != RESPONSE_BITS:
         raise ValueError(f"auth tags require {RESPONSE_BITS}-bit responses, got {response.n_bits}")
-    return AuthTag(sha256(canonical_bytes(data) + response.packed()))
+    return AuthTag(sha256(data.encoded + response.packed()))
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ Adversaries are part of the scenario. Four kinds are understood:
                     trusted node at scheduled times,
 * fake-device     - fabricates blocks claiming a device id that was never
                     enrolled and sends them to the trusted node,
-* forge-validator - fabricates blocks that merely claim a validator id,
-                    with a made-up validation tag, and sends them to every
-                    client.
+* forge-validator - fabricates blocks that merely claim the trusted node
+                    as validator, with a made-up validation tag, and sends
+                    them to every client.
 
 Adversarial sends use the normal latency model but are never dropped, so
 each injection is judged by its target and shows up in the result exactly
@@ -142,7 +142,8 @@ class Adversary:
 @dataclass(frozen=True)
 class World:
     """Initial node states, in broadcast order, plus the enrollment
-    registry. run() never mutates these; it works on copies."""
+    registry. Exactly one node is trusted; it is the registry's trusted id
+    and is enrolled. run() never mutates these; it works on copies."""
 
     nodes: tuple[NodeState, ...]
     registry: Registry
@@ -240,7 +241,6 @@ class AdvOutcome:
     kind: str
     msg_id: int
     receiver: int
-    receiver_role: str
     t_ms: int
     accepted: bool
     reason: Optional[str]
@@ -271,11 +271,16 @@ class _Sim:
         self.order: list[int] = [node.node_id for node in world_nodes]
         if sorted(self.order) != sorted(config.costs):
             raise ScenarioError("cost models and world disagree on node ids")
-        self.trusted_live: list[int] = [
-            node.node_id for node in world_nodes if node.role == ROLE_TRUSTED
-        ]
-        if not self.trusted_live:
-            raise ScenarioError("world needs at least one trusted node")
+        trusted = [node.node_id for node in world_nodes if node.role == ROLE_TRUSTED]
+        if len(trusted) != 1:
+            raise ScenarioError(f"world needs exactly one trusted node, has {len(trusted)}")
+        self.trusted_id: int = trusted[0]
+        self.registry: Registry = scenario.world.registry
+        if self.registry.trusted_id != self.trusted_id:
+            raise ScenarioError("the registry's trusted id is not the world's trusted node")
+        if not self.registry.has_device(self.trusted_id):
+            raise ScenarioError("the trusted node is not enrolled")
+        self.view = trusted_view(self.registry)
         # run() works on private copies so a scenario can be re-run; a run
         # mutates only a node's chain list, seq dict and scalar fields (its
         # device, challenges and chain entries are immutable and shared)
@@ -284,8 +289,6 @@ class _Sim:
                                   last_seq_accepted=dict(node.last_seq_accepted))
             for node in world_nodes
         }
-        self.registry: Registry = scenario.world.registry
-        self.view = trusted_view(self.registry)
 
         self.rng_latency = np.random.default_rng([config.seed, _STREAM_LATENCY])
         self.jitter_left: list[int] = []  # the current chunk's undrawn values, last first
@@ -302,7 +305,7 @@ class _Sim:
         self.tx_records: list[TxRecord] = []
         self.adversarial: list[AdvOutcome] = []
         self.captured_origin: dict[int, WireBlock] = {}
-        self.penalties: dict[int, int] = {}
+        self.penalties = 0  # the trusted node's, one per client no-match
         self.fake_seq = 0
 
         tamper_by_tx: dict[int, str] = {}
@@ -432,15 +435,12 @@ class _Sim:
             "adv": msg.provenance,
         })
         if msg.block.is_validated:
-            if role == ROLE_TRUSTED:
-                # a trusted node replicates nothing; it already holds its own entry
-                self.log(t, "ignore", receiver, "", {"msg": msg.msg_id})
-                return
-            # structural drop at arrival when the header names nobody trusted:
-            # no validation work is spent on it
-            judged = msg.block.validated_by in self.trusted_live
+            # structural drop at arrival unless the header names the trusted
+            # node and it is not demoted: no validation work is spent on it
+            judged = (msg.block.validated_by == self.trusted_id
+                      and self.nodes[self.trusted_id].role == ROLE_TRUSTED)
         else:
-            # clients act only on blocks a trusted node has validated
+            # clients act only on blocks the trusted node has validated
             judged = role == ROLE_TRUSTED
         if not judged:
             self.record_verdict(t, msg, None)
@@ -471,7 +471,7 @@ class _Sim:
         its transaction's origin copy: it carries exactly the block the
         origin sent, and the origin copy's replay reject that follows leaves
         the record alone. A trusted accept is rebroadcast, and a client's
-        no-match penalizes the validator the block names."""
+        no-match penalizes the trusted node."""
         receiver = msg.receiver
         role = self.nodes[receiver].role
         accepted = result is not None and result.accepted
@@ -482,7 +482,7 @@ class _Sim:
         if msg.provenance != "normal" and not overtook:
             self.adversarial.append(AdvOutcome(
                 kind=msg.provenance, msg_id=msg.msg_id, receiver=receiver,
-                receiver_role=role, t_ms=t, accepted=accepted, reason=reason,
+                t_ms=t, accepted=accepted, reason=reason,
             ))
         elif msg.tx_id is not None and result is not None:
             record = self.tx_records[msg.tx_id]
@@ -510,22 +510,21 @@ class _Sim:
         detail["adv"] = msg.provenance
         self.log(t, "reject", receiver, "", detail)
         if msg.block.is_validated and reason == REASON_NO_MATCH:
-            self.penalize(t, msg.block.validated_by)
+            self.penalize(t)
 
-    def penalize(self, t: int, trusted_id: int) -> None:
-        """A client caught a bad validation under this trusted node's name."""
-        self.penalties[trusted_id] = self.penalties.get(trusted_id, 0) + 1
-        node = self.nodes[trusted_id]
+    def penalize(self, t: int) -> None:
+        """A client caught a bad validation under the trusted node's name;
+        at the threshold the node is demoted to a client."""
+        self.penalties += 1
+        node = self.nodes[self.trusted_id]
         node.trust_value -= 1
-        self.log(t, "penalize", trusted_id, "", {
-            "penalties": self.penalties[trusted_id], "trust_value": node.trust_value,
+        self.log(t, "penalize", self.trusted_id, "", {
+            "penalties": self.penalties, "trust_value": node.trust_value,
         })
         threshold = self.config.demotion_threshold
-        if threshold and self.penalties[trusted_id] >= threshold \
-                and trusted_id in self.trusted_live:
-            self.trusted_live.remove(trusted_id)
+        if threshold and self.penalties >= threshold and node.role == ROLE_TRUSTED:
             node.role = ROLE_CLIENT
-            self.log(t, "demote", trusted_id, "", {"trust_value": node.trust_value})
+            self.log(t, "demote", self.trusted_id, "", {"trust_value": node.trust_value})
 
     def handle_injection(self, t: int, adv_index: int) -> None:
         adv = self.scenario.adversaries[adv_index]
@@ -535,9 +534,8 @@ class _Sim:
             if block is None:
                 self.log(t, "inject-noop", None, "", {"kind": adv.kind, "tx": tx_id})
                 return
-            receivers = list(self.trusted_live) or [self.order[0]]
             self.log(t, "inject", None, "", {"kind": adv.kind, "tx": tx_id})
-            self.send(block, None, receivers, t, tx_id, "replay", droppable=False)
+            self.send(block, None, [self.trusted_id], t, tx_id, "replay", droppable=False)
         elif adv.kind == "fake-device":
             data = BlockData(
                 device_id=self.unenrolled_device_id(),
@@ -546,13 +544,11 @@ class _Sim:
             )
             self.fake_seq += 1
             block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()))
-            receivers = list(self.trusted_live) or [self.order[0]]
             self.log(t, "inject", None, "", {
                 "kind": adv.kind, "device_id": format_device_id(data.device_id),
             })
-            self.send(block, None, receivers, t, None, "fake-device", droppable=False)
+            self.send(block, None, [self.trusted_id], t, None, "fake-device", droppable=False)
         elif adv.kind == "forge-validator":
-            claim_id = self.trusted_live[0] if self.trusted_live else self.order[0]
             victim = self.order[-1]  # an enrolled device id to put in the block
             data = BlockData(
                 device_id=victim,
@@ -563,11 +559,11 @@ class _Sim:
             self.fake_seq += 1
             block = WireBlock(
                 data=data, auth_tag=AuthTag(self.random_tag()),
-                validated_by=claim_id, t_validated=t, validation_tag=self.random_tag(),
+                validated_by=self.trusted_id, t_validated=t, validation_tag=self.random_tag(),
             )
             clients = [n for n in self.order if self.nodes[n].role == ROLE_CLIENT]
             self.log(t, "inject", None, "", {
-                "kind": adv.kind, "claim": format_device_id(claim_id),
+                "kind": adv.kind, "claim": format_device_id(self.trusted_id),
             })
             self.send(block, None, clients, t, None, "forge-validator", droppable=False)
 

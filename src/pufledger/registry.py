@@ -7,10 +7,10 @@ challenge as puf.random_challenge draws them, next to a tuple of k
 responses. Records are append-only: a device enrolls once and its record
 never changes afterwards.
 
-Reads are gated. Trusted nodes may fetch any device's stored responses
-(never the challenges). Ordinary clients get no general read access; they
-only receive the narrow view needed to check a trusted node's identity,
-via trusted_view().
+Reads are gated. The one trusted node may fetch any device's stored
+responses (never the challenges). Ordinary clients get no general read
+access; they only receive the narrow view needed to check the trusted
+node's validations, via trusted_view().
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Optional
 
 import numpy as np
 
@@ -52,15 +52,12 @@ class CrpRecord:
 
 
 class Registry:
-    """Records keyed by device id plus the ACL of trusted node ids."""
+    """Records keyed by device id plus the id of the one node with read
+    access, if any."""
 
-    def __init__(self, trusted_node_ids: Iterable[int] = ()) -> None:
+    def __init__(self, trusted_id: Optional[int] = None) -> None:
         self._records: dict[int, CrpRecord] = {}
-        self._trusted: frozenset[int] = frozenset(trusted_node_ids)
-
-    @property
-    def trusted_node_ids(self) -> frozenset[int]:
-        return self._trusted
+        self.trusted_id = trusted_id
 
     @property
     def device_ids(self) -> tuple[int, ...]:
@@ -124,7 +121,7 @@ def lookup(registry: Registry, requester_node_id: int, device_id: int) -> tuple[
     Challenges are never returned: a reader can check tags, not mint new
     enrollments.
     """
-    if requester_node_id not in registry.trusted_node_ids:
+    if requester_node_id != registry.trusted_id:
         raise AccessDeniedError(
             f"node {format_device_id(requester_node_id)} has no registry read access"
         )
@@ -133,15 +130,14 @@ def lookup(registry: Registry, requester_node_id: int, device_id: int) -> tuple[
     return registry._records[device_id].responses
 
 
-def trusted_view(registry: Registry) -> dict[int, tuple[Response, ...]]:
-    """The one slice of the registry every client may read: the stored
-    responses of each enrolled trusted node, by node id, used to check that
-    a validated block really came from a trusted node."""
-    return {
-        node_id: registry._records[node_id].responses
-        for node_id in sorted(registry.trusted_node_ids)
-        if registry.has_device(node_id)
-    }
+def trusted_view(registry: Registry) -> tuple[int, tuple[Response, ...]]:
+    """The one slice of the registry every client may read: the trusted
+    node's id and its stored responses, used to check that a validated
+    block really came from it. Raises when that node is not enrolled."""
+    trusted_id = registry.trusted_id
+    if not registry.has_device(trusted_id):  # also None: no trusted node
+        raise UnknownDeviceError(trusted_id)
+    return trusted_id, registry._records[trusted_id].responses
 
 
 # --- persistence -----------------------------------------------------------
@@ -168,10 +164,8 @@ def record_to_json_line(record: CrpRecord) -> str:
 
 def save_registry(path: str | Path, registry: Registry) -> None:
     """Write the ACL header line, then one canonical record line per device."""
-    header = json.dumps(
-        {"trusted_node_ids": [format_device_id(i) for i in sorted(registry.trusted_node_ids)]},
-        separators=(",", ":"),
-    )
+    trusted = [] if registry.trusted_id is None else [format_device_id(registry.trusted_id)]
+    header = json.dumps({"trusted_node_ids": trusted}, separators=(",", ":"))
     lines = [header] + [record_to_json_line(registry._records[device_id])
                         for device_id in registry.device_ids]
     with open(path, "w", encoding="ascii", newline="") as fh:

@@ -30,7 +30,7 @@ def enrolled(devices, policy):
     Session-scoped because enrollment is the slow part; tests must treat
     the registry and records as read-only.
     """
-    registry = Registry(trusted_node_ids=[devices[0].device_id])
+    registry = Registry(devices[0].device_id)
     records = {}
     for i, device in enumerate(devices):
         records[device.device_id] = enroll(

@@ -39,7 +39,6 @@ from pufledger.consensus import (
     REASON_REPLAY,
     REASON_UNKNOWN_DEVICE,
     ROLE_CLIENT,
-    ROLE_TRUSTED,
 )
 from pufledger import consensus, fom
 from pufledger.netsim import event_to_json_line
@@ -161,12 +160,14 @@ def test_c06_protocol_soundness():
     false_accepts = 0
     wrong_reasons = []
     for kind, cfg in runs.items():
-        outcomes = run_scenario(cfg, write_outputs=False).result.adversarial
+        output = run_scenario(cfg, write_outputs=False)
+        outcomes = output.result.adversarial
+        trusted_id = output.built.scenario.world.registry.trusted_id
         total += len(outcomes)
         false_accepts += sum(outcome.accepted for outcome in outcomes)
         for position, outcome in enumerate(outcomes):
             if kind == "tamper":
-                expected = (REASON_NO_MATCH if outcome.receiver_role == ROLE_TRUSTED
+                expected = (REASON_NO_MATCH if outcome.receiver == trusted_id
                             else REASON_NOT_FROM_TRUSTED)
             elif kind == "replay":
                 expected = REASON_REPLAY

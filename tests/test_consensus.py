@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pufledger.ledger import AuthTag, BlockData, canonical_bytes, make_auth_tag
+from pufledger.ledger import AuthTag, BlockData, make_auth_tag
 from pufledger.consensus import (
     NodeState,
     WireBlock,
@@ -273,7 +273,8 @@ def test_accept_rejects_tag_made_with_another_stored_response(fresh_nodes):
     registry, nodes = fresh_nodes
     _, result = pipeline(registry, nodes)
     rb = result.rebroadcast
-    stored = trusted_view(registry)[rb.validated_by]
+    trusted_id, stored = trusted_view(registry)
+    assert rb.validated_by == trusted_id
     assert result.entry.height % len(stored) == 0
     other = hashlib.sha256(result.entry.entry_hash + stored[1].packed()).digest()
     client = nodes[2]
@@ -335,14 +336,14 @@ def test_leading_zero_bits_oracle():
 def test_pow_difficulty_zero_returns_first_nonce():
     nonce, digest = pow_mine_baseline(BlockData(1, 2, 3), 0)
     assert nonce == 0
-    assert digest == hashlib.sha256(canonical_bytes(BlockData(1, 2, 3)) + bytes(8)).digest()
+    assert digest == hashlib.sha256(BlockData(1, 2, 3).encoded + bytes(8)).digest()
 
 
 def test_pow_digest_meets_difficulty_and_nonce_is_minimal():
     data = BlockData(device_id=9, seq=4, t_init=5, payload=b"work")
     difficulty = 10
     nonce, digest = pow_mine_baseline(data, difficulty)
-    prefix = canonical_bytes(data)
+    prefix = data.encoded
     assert digest == hashlib.sha256(prefix + nonce.to_bytes(8, "big")).digest()
     assert leading_zero_bits(digest) >= difficulty
     for earlier in range(nonce):

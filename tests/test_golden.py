@@ -5,9 +5,8 @@ build. A change that is meant to keep behaviour must leave every digest
 unchanged. A change that alters artifact bytes on purpose updates the
 digests here and names the change in CHANGES.md.
 
-Between them the five scenarios reach every verdict the simulator records
-except `ignore` (which needs two trusted nodes): accepts at the trusted
-node and at clients, structural rejects at clients, trusted-node
+Between them the five scenarios reach every verdict the simulator
+records: accepts at the trusted node and at clients, structural rejects at clients, trusted-node
 `no-match`, `replay` and `unknown-device`, client `no-match` followed by
 `penalize` and `demote`, and rejects at the demoted validator of the blocks
 that reach it after its demotion (the drop scenario).
@@ -149,7 +148,7 @@ def test_client_judgments_hash_once(name, tmp_path):
     overrides, _ = GOLDEN_SCENARIOS[name]
     output = run_scenario(ScenarioConfig(**SMALL, **overrides), write_outputs=False)
     clients = {node_id for node_id, node in output.result.nodes.items()
-               if node_id not in output.built.scenario.world.registry.trusted_node_ids}
+               if node_id != output.built.scenario.world.registry.trusted_id}
     judged = [event.detail["hashes"] for event in output.result.events
               if event.kind in ("accept", "reject") and event.node in clients
               and "hashes" in event.detail]
@@ -173,7 +172,7 @@ LISTED_VERDICTS = {
 
 def verdict_counts(output) -> Counter:
     """Count a run's verdicts by kind, where they landed and what came before."""
-    trusted = output.built.scenario.world.registry.trusted_node_ids
+    trusted = output.built.scenario.world.registry.trusted_id
     events = output.result.events
     demoted_at = {e.node: e.t_ms for e in events if e.kind == "demote"}
     counts = Counter()
@@ -182,14 +181,14 @@ def verdict_counts(output) -> Counter:
             counts[f"accept at {e.detail['role']}"] += 1
         elif e.kind == "reject" and e.node in demoted_at and e.t_ms >= demoted_at[e.node]:
             counts["reject at demoted validator"] += 1
-        elif e.kind == "reject" and e.node in trusted:
+        elif e.kind == "reject" and e.node == trusted:
             counts[f"{e.detail['reason']} at trusted"] += 1
         elif e.kind == "reject":
             # a client spends validation work, and records its hashes, only on validated blocks
             counts[f"{e.detail['reason']} at client" if "hashes" in e.detail
                    else "structural reject at client"] += 1
         elif e.kind == "penalize":
-            after = (prev.kind == "reject" and prev.node not in trusted
+            after = (prev.kind == "reject" and prev.node != trusted
                      and prev.detail["reason"] == "no-match")
             counts["penalize after client no-match" if after else "penalize"] += 1
         elif e.kind == "demote":

@@ -156,7 +156,7 @@ def test_build_world_shape():
     for node in built.scenario.world.nodes:
         assert node.device.device_id == node.node_id
         assert node.challenges is built.records[node.node_id].challenges
-    assert built.scenario.world.registry.trusted_node_ids == frozenset({built.node_ids[0]})
+    assert built.scenario.world.registry.trusted_id == built.node_ids[0]
 
     # one fast client then slow ones: handle cost means differ
     handle_means = [built.sim_config.costs[node_id].handle_mean_ms
@@ -225,8 +225,8 @@ def test_run_scenario_writes_consistent_artifacts(tmp_path):
     assert len(raws) == 1  # every replica wrote the same bytes
 
     header = json.loads(output.files["registry"].read_text(encoding="ascii").splitlines()[0])
-    trusted = output.built.scenario.world.registry.trusted_node_ids
-    assert header == {"trusted_node_ids": [f"{i:012x}" for i in sorted(trusted)]}
+    trusted = output.built.scenario.world.registry.trusted_id
+    assert header == {"trusted_node_ids": [f"{trusted:012x}"]}
 
     metrics = json.loads(output.files["metrics"].read_text())
     assert metrics["accepted"] == report.accepted

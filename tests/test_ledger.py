@@ -12,7 +12,6 @@ from pufledger.ledger import (
     AuthTag,
     BlockData,
     append,
-    canonical_bytes,
     make_auth_tag,
     save_chain,
     verify,
@@ -93,14 +92,14 @@ def test_sha256_avalanche():
 def test_canonical_bytes_layout_empty_payload():
     data = BlockData(device_id=0x0000DEADBEEF, seq=1, t_init=1000)
     expected = struct.pack(">HI", 0x0000, 0xDEADBEEF) + struct.pack(">QQI", 1, 1000, 0)
-    got = canonical_bytes(data)
+    got = data.encoded
     assert got == expected
     assert len(got) == 26
 
 
 def test_canonical_bytes_layout_with_payload():
     data = BlockData(device_id=1, seq=2, t_init=3, payload=b"hi")
-    got = canonical_bytes(data)
+    got = data.encoded
     assert got[:6] == b"\x00\x00\x00\x00\x00\x01"
     assert got[6:14] == (2).to_bytes(8, "big")
     assert got[14:22] == (3).to_bytes(8, "big")
@@ -118,7 +117,7 @@ def test_canonical_bytes_layout_with_payload():
 def test_canonical_round_trip(device_id, seq, t_init, payload):
     # fixed-width fields and a length prefix give every field back, so no
     # two blocks share an encoding
-    buf = canonical_bytes(BlockData(device_id=device_id, seq=seq, t_init=t_init, payload=payload))
+    buf = BlockData(device_id=device_id, seq=seq, t_init=t_init, payload=payload).encoded
     assert int.from_bytes(buf[:6], "big") == device_id
     assert int.from_bytes(buf[6:14], "big") == seq
     assert int.from_bytes(buf[14:22], "big") == t_init
@@ -150,7 +149,7 @@ def test_block_data_rejects_a_bool_in_each_integer_field(field, flag):
 
 def test_auth_tag_is_hash_of_canonical_and_packed_response():
     data = BlockData(device_id=5, seq=9, t_init=100, payload=b"p")
-    expected = hashlib.sha256(canonical_bytes(data) + R1.packed()).digest()
+    expected = hashlib.sha256(data.encoded + R1.packed()).digest()
     assert make_auth_tag(data, R1).h == expected
 
 
@@ -198,7 +197,7 @@ def test_entry_hash_recomputable():
     preimage = (
         e.height.to_bytes(8, "big")
         + e.prev_hash
-        + canonical_bytes(e.data)
+        + e.data.encoded
         + e.auth_tag.h
         + e.trusted_node_id.to_bytes(6, "big")
         + e.t_validated.to_bytes(8, "big")

@@ -30,6 +30,7 @@ from pufledger.consensus import (
 )
 from pufledger.ledger import verify
 from pufledger.errors import ScenarioError
+from pufledger.registry import Registry
 from pufledger.harness import ScenarioConfig, build_world
 
 
@@ -258,7 +259,8 @@ def test_tamper_adversary_is_always_rejected(sim_parts):
     by_role = {}
     for o in result.adversarial:
         assert o.kind == "tamper"
-        by_role.setdefault(o.receiver_role, []).append(o.reason)
+        role = ROLE_TRUSTED if o.receiver == world.registry.trusted_id else ROLE_CLIENT
+        by_role.setdefault(role, []).append(o.reason)
     assert set(by_role[ROLE_TRUSTED]) <= {REASON_NO_MATCH, REASON_UNKNOWN_DEVICE}
     assert set(by_role[ROLE_CLIENT]) == {REASON_NOT_FROM_TRUSTED}
     # four tampered messages reach the trusted node, each judged once
@@ -283,7 +285,7 @@ def test_replay_adversary_is_rejected_or_noop(sim_parts):
     for o in replays:
         assert not o.accepted
         assert o.reason == REASON_REPLAY
-        assert o.receiver_role == ROLE_TRUSTED
+        assert o.receiver == world.registry.trusted_id
     assert any(e.kind == "inject-noop" for e in result.events)
 
 
@@ -415,12 +417,22 @@ def test_run_rejects_costs_that_do_not_match_the_world(sim_parts):
             run(replace(config, costs=costs), scenario)
 
 
-def test_run_rejects_a_world_without_a_trusted_node(sim_parts):
+def test_run_rejects_a_world_without_a_trusted_node(sim_parts, monkeypatch):
+    # nor one with two, one the registry does not name, or one not enrolled
     config, world = sim_parts
-    clients = tuple(replace(node, role=ROLE_CLIENT) for node in world.nodes)
-    scenario = Scenario(world=replace(world, nodes=clients), initiations=())
-    with pytest.raises(ScenarioError, match="trusted node"):
-        run(config, scenario)
+    first, second, *rest = world.nodes
+    as_client, as_trusted = replace(first, role=ROLE_CLIENT), replace(second, role=ROLE_TRUSTED)
+    worlds = (
+        replace(world, nodes=(as_client, replace(second, role=ROLE_CLIENT), *rest)),
+        replace(world, nodes=(first, as_trusted, *rest)),
+        replace(world, nodes=(as_client, as_trusted, *rest)),
+        replace(world, registry=Registry(first.node_id)),
+    )
+    monkeypatch.setattr(netsim._Sim, "log", lambda *args: pytest.fail("an event was logged"))
+    for bad in worlds:
+        scenario = Scenario(world=bad, initiations=make_initiations(world, 3))
+        with pytest.raises(ScenarioError, match="trusted node"):
+            run(config, scenario)
 
 
 def test_demotion_threshold_must_not_be_negative(sim_parts):

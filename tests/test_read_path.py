@@ -3,6 +3,7 @@ mining and the artifact line writers against straightforward references:
 each fast path must give exactly what the plain read-by-read code, or
 json.dumps, gives."""
 
+import ast
 import hashlib
 import json
 import re
@@ -38,7 +39,7 @@ from pufledger.registry import (
 )
 from pufledger.consensus import pow_mine_baseline
 from pufledger.errors import ChallengeError, ConfigError, EnrollmentFailedError
-from pufledger import harness, puf, registry
+from pufledger import harness, netsim, puf, registry
 from pufledger.harness import ScenarioConfig, build_world, run_fom_calibration
 from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_pool
 from pufledger.ledger import (
@@ -46,7 +47,6 @@ from pufledger.ledger import (
     BlockData,
     ChainEntry,
     append,
-    canonical_bytes,
     entry_from_json_line,
     entry_to_json_line,
     save_chain,
@@ -695,7 +695,7 @@ def test_random_challenge_rejects_what_it_cannot_draw_exactly(bank_size, n_bits)
 
 
 def pow_by_plain_loop(data, difficulty_bits):
-    prefix = canonical_bytes(data)
+    prefix = data.encoded
     nonce = 0
     while True:
         digest = hashlib.sha256(prefix + nonce.to_bytes(8, "big")).digest()
@@ -821,7 +821,6 @@ DETAIL_SHAPES = (
     ("initiate", ("tx", "seq", "device_id", "challenge_index")),
     ("tamper", ("tx", "field")),
     ("deliver", ("msg", "tx", "from", "validated", "adv")),
-    ("ignore", ("msg",)),
     ("accept", ("tx", "seq", "height", "role", "hashes", "adv")),
     ("rebroadcast", ("tx",)),
     ("reject", ("msg", "tx", "reason", "hashes", "adv")),
@@ -833,6 +832,31 @@ DETAIL_SHAPES = (
     ("inject", ("kind", "device_id")),
     ("inject", ("kind", "claim")),
 )
+
+
+def logged_shapes():
+    """(kind, detail keys) of every self.log call in netsim's source; the
+    keys are None where the detail is not a dict literal."""
+    with open(netsim.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) \
+                and call.func.attr == "log":
+            kind, detail = call.args[1], call.args[4]
+            assert isinstance(kind, ast.Constant), ast.unparse(call)
+            keys = (tuple(key.value for key in detail.keys)
+                    if isinstance(detail, ast.Dict) else None)
+            yield kind.value, keys
+
+
+def test_detail_shapes_are_the_shapes_netsim_logs():
+    # a kind netsim stops or starts logging cannot leave DETAIL_SHAPES stale
+    logged = list(logged_shapes())
+    assert {kind for kind, _ in logged} == {kind for kind, _ in DETAIL_SHAPES}
+    for kind, keys in logged:
+        assert keys is None or (kind, keys) in DETAIL_SHAPES
+
+
 # quotes, backslashes, control characters, DEL, non-ASCII, a line separator,
 # a lone surrogate and a character outside the BMP, next to everything else
 SPECIAL = '"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
@@ -857,7 +881,7 @@ def test_event_line_is_json_dumps_of_its_fields(shape, data):
 @pytest.mark.parametrize("value", [None, 1.5, [1], {"tx": 1}])
 def test_event_line_refuses_a_detail_value_it_does_not_spell(value):
     with pytest.raises(TypeError):
-        event_to_json_line(LogEvent(0, "ignore", None, "", {"msg": value}))
+        event_to_json_line(LogEvent(0, "rebroadcast", None, "", {"tx": value}))
 
 
 def saved_text(save, path, objects):
@@ -877,9 +901,9 @@ def test_saved_chain_is_its_encoded_lines(tmp_path, n):
 
 def test_saved_registry_is_its_header_then_its_encoded_records(tmp_path, enrolled):
     registry, records = enrolled
-    for reg in (Registry(trusted_node_ids=[2**48 - 1, 5]), registry):
-        header = dumps({"trusted_node_ids": [format_device_id(i)
-                                             for i in sorted(reg.trusted_node_ids)]})
+    for reg, ids in ((Registry(2**48 - 1), ["ffffffffffff"]), (Registry(), []),
+                     (registry, [format_device_id(registry.trusted_id)])):
+        header = dumps({"trusted_node_ids": ids})
         lines = [header] + [record_to_json_line(records[i]) for i in reg.device_ids]
         text = saved_text(save_registry, tmp_path / "registry.ndjson", reg)
         assert text == "".join(line + "\n" for line in lines)
@@ -948,7 +972,7 @@ def entry_by_json_loads(line):
 def verify_by_rehashing(entries):
     prev = bytes(32)
     for index, e in enumerate(entries):
-        preimage = (e.height.to_bytes(8, "big") + e.prev_hash + canonical_bytes(e.data)
+        preimage = (e.height.to_bytes(8, "big") + e.prev_hash + e.data.encoded
                     + e.auth_tag.h + e.trusted_node_id.to_bytes(6, "big")
                     + e.t_validated.to_bytes(8, "big"))
         if e.height != index or e.prev_hash != prev or sha256(preimage) != e.entry_hash:

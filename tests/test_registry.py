@@ -30,16 +30,16 @@ def selectors(record):
 
 def test_enroll_is_deterministic(default_config, policy):
     device = manufacture(default_config, 0x111, 0)
-    first = enroll(Registry([0x1]), device, 80, policy, seed=5)
-    second = enroll(Registry([0x1]), device, 80, policy, seed=5)
+    first = enroll(Registry(0x1), device, 80, policy, seed=5)
+    second = enroll(Registry(0x1), device, 80, policy, seed=5)
     assert selectors(first) == selectors(second)
     assert [r.hex() for r in first.responses] == [r.hex() for r in second.responses]
 
 
 def test_enroll_seed_changes_selection(default_config, policy):
     device = manufacture(default_config, 0x111, 0)
-    first = enroll(Registry([0x1]), device, 80, policy, seed=5)
-    second = enroll(Registry([0x1]), device, 80, policy, seed=6)
+    first = enroll(Registry(0x1), device, 80, policy, seed=5)
+    second = enroll(Registry(0x1), device, 80, policy, seed=6)
     assert selectors(first) != selectors(second)
 
 
@@ -60,7 +60,7 @@ def test_enrolled_responses_sit_in_randomness_band(enrolled, policy):
 
 
 def test_enroll_twice_conflicts(default_config, policy):
-    registry = Registry([0x1])
+    registry = Registry(0x1)
     device = manufacture(default_config, 0x222, 1)
     enroll(registry, device, 60, policy, seed=9)
     with pytest.raises(RegistryConflictError):
@@ -71,7 +71,7 @@ def test_enroll_fails_when_nothing_survives(default_config):
     impossible = ScreeningPolicy(randomness_band=(0.0, 0.1))
     device = manufacture(default_config, 0x333, 2)
     with pytest.raises(EnrollmentFailedError):
-        enroll(Registry([0x1]), device, 3, impossible, seed=1)
+        enroll(Registry(0x1), device, 3, impossible, seed=1)
 
 
 def test_zero_noise_screening_reduces_to_randomness_band(policy):
@@ -115,7 +115,10 @@ def test_trusted_view_exposes_only_trusted_nodes(devices, enrolled):
     registry, records = enrolled
     view = trusted_view(registry)
     trusted_id = devices[0].device_id
-    assert view == {trusted_id: records[trusted_id].responses}
+    assert view == (trusted_id, records[trusted_id].responses)
+    for bare in (Registry(), Registry(trusted_id)):  # no trusted id, or not enrolled
+        with pytest.raises(UnknownDeviceError):
+            trusted_view(bare)
 
 
 def test_lookup_and_trusted_view_return_the_stored_responses_tuple(devices, enrolled):
@@ -125,7 +128,7 @@ def test_lookup_and_trusted_view_return_the_stored_responses_tuple(devices, enro
     for device in devices:
         stored = records[device.device_id].responses
         assert lookup(registry, trusted_id, device.device_id) is stored
-    assert trusted_view(registry)[trusted_id] is records[trusted_id].responses
+    assert trusted_view(registry)[1] is records[trusted_id].responses
 
 
 def test_crp_record_validation(default_config):
@@ -157,7 +160,7 @@ def test_registry_file_round_trip(tmp_path, enrolled):
     path = tmp_path / "registry.ndjson"
     save_registry(path, registry)
     header, *lines = [json.loads(line) for line in path.read_text(encoding="ascii").splitlines()]
-    assert header == {"trusted_node_ids": [f"{i:012x}" for i in sorted(registry.trusted_node_ids)]}
+    assert header == {"trusted_node_ids": [f"{registry.trusted_id:012x}"]}
     assert [obj["device_id"] for obj in lines] == [f"{i:012x}" for i in registry.device_ids]
     for obj in lines:
         record = records[int(obj["device_id"], 16)]
