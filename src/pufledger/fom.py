@@ -82,18 +82,18 @@ def uniqueness(mat: np.ndarray) -> float:
 
 
 def reliability(device: PufDevice, challenge: np.ndarray, n_reevals: int,
-                rng: np.random.Generator) -> float:
+                rng: np.random.Generator) -> float | np.ndarray:
     """Mean pairwise Hamming distance among repeated noisy reads of one
-    (2, n_bits) challenge row, in percent.
+    (2, n_bits) challenge row, in percent, or of each row of a stack of them.
 
-    The n_reevals reads are drawn from rng in one call. A bit read as 1 in
-    k of n reads disagrees in k * (n - k) of the read pairs, so the sum of
-    that over bits is the pairwise distance total.
+    Every row's n_reevals reads are drawn from rng in one call, row by row.
+    A bit read as 1 in k of n reads disagrees in k * (n - k) of the read
+    pairs, so the sum of that over bits is the pairwise distance total.
     """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
-    ones = noisy_reads(device, challenge, rng, n_reevals).sum(axis=0, dtype=np.int64)
-    total = int((ones * (n_reevals - ones)).sum())
+    ones = noisy_reads(device, challenge, rng, n_reevals).sum(axis=-2, dtype=np.int64)
+    total = (ones * (n_reevals - ones)).sum(axis=-1)
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.shape[-1])
 

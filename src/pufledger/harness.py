@@ -527,8 +527,10 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)
-        rel = float(np.mean([fom.reliability(device, challenge, cfg.fom_n_reevals, rel_rng)
-                             for challenge in challenges]))
+        # a chunk of rows a draw: every row's reads, in the order one row a call draws them
+        rel = float(np.mean(np.concatenate([
+            fom.reliability(device, challenges[start:start + CHUNK_ROWS], cfg.fom_n_reevals, rel_rng)
+            for start in range(0, len(challenges), CHUNK_ROWS)])))
         rnd = float(np.mean(fom.randomness(matrix[d])))  # this device's own reference bits
         per_device.append({
             "device_id": format_device_id(device.device_id),

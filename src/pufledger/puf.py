@@ -231,20 +231,25 @@ def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.nda
 def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generator,
                 n_reads: int | None = None) -> np.ndarray:
     """One noisy read of a challenge row's races as an (n_bits,) bool array,
-    or n_reads of them as an (n_reads, n_bits) array.
+    or n_reads of them as an (n_reads, n_bits) array; for a stack of rows,
+    the same per row, (..., n_bits) or (..., n_reads, n_bits).
 
     Both oscillators of a race get independent N(0, sigma^2) jitter, so
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
     standard normal, exceeds the race's read_thresholds. A read therefore
     draws one standard normal per bit from rng, all of them in one draw of
-    that shape, so n reads in one call are the n reads of n calls; screening
-    compares its chunk's reads with the same thresholds. A noiseless device
+    that shape, so n reads of m rows in one call are the reads of m calls
+    of n, row by row; screening compares its chunk's reads with the same
+    thresholds. A noiseless device
     draws nothing: each of its reads is its reference. Raises
     ChallengeError when the challenge selects past the device's banks.
     """
     f1, f2 = selected_freqs(device, challenge)
+    shape = f1.shape
+    if n_reads is not None:  # a reads axis before each row's bits
+        f1, f2 = f1[..., None, :], f2[..., None, :]
+        shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
     threshold = read_thresholds(device, f1, f2)
-    shape = f1.shape if n_reads is None else (n_reads,) + f1.shape
     if threshold is None:
         return np.broadcast_to(arbiter_bits(f1, f2), shape)
     return rng.standard_normal(shape) > threshold

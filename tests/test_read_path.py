@@ -6,6 +6,7 @@ json.dumps, gives."""
 import ast
 import hashlib
 import json
+import math
 import re
 import signal
 import tracemalloc
@@ -296,6 +297,14 @@ def test_reliability_matches_a_loop_over_reads():
                 assert (reliability(device, challenge, n_reevals, rng)
                         == reliability_by_reads(device, challenge, n_reevals, oracle_rng))
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # a stack of rows reads each row's reads in one draw, row by row
+        for count in (1, 2, 7):
+            stack = random_challenge(device.bank_size, 128, count, draw_rng)
+            for n_reevals in (2, 11):
+                assert (reliability(device, stack, n_reevals, rng).tolist()
+                        == [reliability_by_reads(device, challenge, n_reevals, oracle_rng)
+                            for challenge in stack])
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class EvalSeedReads:
@@ -319,7 +328,7 @@ class EvalSeedReads:
         self.served = served
 
     def standard_normal(self, shape):
-        n_reads = shape[0] if len(shape) == 2 else 1
+        n_reads = math.prod(shape[:-1])
         seeds = self.seeds[self.served:self.served + n_reads]
         assert len(seeds) == n_reads, "more reads than seeds"
         self.served += n_reads
@@ -380,6 +389,12 @@ def test_reliability_matches_a_loop_over_evaluate():
                 assert (reliability(device, challenge, n_reevals, reads)
                         == reliability_by_evaluate(device, challenge, n_reevals, reads.seeds))
                 assert reads.served == (n_reevals if device.noise_sigma_mhz else 0)
+        stack = random_challenge(device.bank_size, 128, 5, rng)
+        reads = EvalSeedReads(rng_seeds(100 * d + 99, 5 * 11))
+        assert reliability(device, stack, 11, reads).tolist() == [
+            reliability_by_evaluate(device, challenge, 11, reads.seeds[11 * r:])
+            for r, challenge in enumerate(stack)]
+        assert reads.served == (5 * 11 if device.noise_sigma_mhz else 0)
 
 
 def test_reliability_range_checks_the_challenge():
