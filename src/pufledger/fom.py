@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .puf import PufDevice, ReadAhead, arbiter_bits, noisy_reads, read_thresholds, selected_freqs
+from .puf import PufDevice, arbiter_bits, noisy_reads, read_thresholds, selected_freqs
 
 
 @dataclass(frozen=True)
@@ -127,61 +127,53 @@ def mean_abs_correlation(mat: np.ndarray) -> float:
     return float(np.mean(vals)) if vals else 0.0
 
 
-def screen_challenge(reference: np.ndarray, in_band: bool, threshold: np.ndarray | None,
-                     policy: ScreeningPolicy, reads: ReadAhead) -> ScreeningResult:
-    """The verdict on one candidate of a chunk screen_pool screens: its
-    noiseless bits (a bool array), whether their randomness is inside the
-    policy band, and its read thresholds (None on a noiseless device). A
-    band reject, and any candidate of a noiseless device, is judged without
-    a read. Otherwise the candidate passes when each of n_screen_reevals
-    noisy reads from reads differs from the reference by at most
-    max_unreliable_bits bits. Reads are judged up to a block at a time and
-    used up to the first failing read, so once reads is settled its
-    generator stands where reading one at a time and stopping there leaves it.
-    """
-    if not in_band or threshold is None:
-        return ScreeningResult(in_band)
-    left = policy.n_screen_reevals
-    while left:
-        # bits each read flips, for a block of reads at once; a list, scanned cheaper than an array
-        flips = ((reads.peek(left) > threshold) != reference).sum(axis=1).tolist()
-        failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
-        if failed:
-            reads.use(failed[0] + 1)
-            return ScreeningResult(False)
-        reads.use(len(flips))
-        left -= len(flips)
-    return ScreeningResult(True)
+def screen_challenge(in_band: bool, worst_flips: int, policy: ScreeningPolicy) -> ScreeningResult:
+    """The verdict on one candidate of a chunk screen_pool screens, from what
+    screen_pool measured: whether the randomness of its noiseless bits is
+    inside the policy band, and the most bits any of its noisy reads flipped
+    (0 when it drew none). It passes when it is in band and no read flipped
+    more than max_unreliable_bits bits."""
+    return ScreeningResult(in_band and worst_flips <= policy.max_unreliable_bits)
 
 
 def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Screen a chunk of candidates, the rows of a (count, 2, n_bits)
-    non-negative selector array, each once and in order, and return the
-    kept row indices and their reference bits, a (kept, n_bits) bool array.
+    non-negative selector array, and return the kept row indices and their
+    reference bits, a (kept, n_bits) bool array.
 
     The chunk is judged as arrays: one gather per bank (ChallengeError past
     a bank), the reference bits in one compare, the randomness band in one
     compare of each row's randomness(), and the in-band rows' thresholds in
-    one division. screen_challenge then judges each row, band rejects
-    included, reading from rng through one puf.ReadAhead that is settled
-    when this returns, so rng stands where reading one read at a time
-    leaves it. Gathers are the chunk's size: a large pool is screened
-    puf.CHUNK_ROWS rows a call.
+    one division. The reads then come in rounds: each round draws one read
+    for every in-band row still alive, in row order, as one
+    standard_normal((alive, n_bits)) draw from rng, and a row drops out at
+    its first read that flips more than max_unreliable_bits bits. The rounds
+    end after n_screen_reevals or when no row is left, so a row draws no
+    read past its first failing one, and a band reject, or any row of a
+    noiseless device, draws none. screen_challenge then gives each row's
+    verdict, band rejects included. A round holds at most the chunk's rows:
+    a large pool is screened puf.CHUNK_ROWS rows a call.
     """
     f1, f2 = selected_freqs(device, chunk)
     refs = arbiter_bits(f1, f2)
     rnd = randomness(refs)
     low, high = policy.randomness_band
     in_band = (low <= rnd) & (rnd <= high)
-    thresholds = read_thresholds(device, f1[in_band], f2[in_band])
-    in_band_thresholds = iter(() if thresholds is None else thresholds)
-    reads = ReadAhead(rng, chunk.shape[-1])
-    kept = []
-    for r, ok in enumerate(in_band.tolist()):
-        threshold = next(in_band_thresholds, None) if ok else None
-        if screen_challenge(refs[r], ok, threshold, policy, reads).accepted:
-            kept.append(r)
-    reads.settle()
+    worst = np.zeros(len(chunk), dtype=np.int64)
+    live = in_band.nonzero()[0]
+    thresholds = read_thresholds(device, f1[live], f2[live])
+    if thresholds is not None:
+        live_refs = refs[live]
+        for _ in range(policy.n_screen_reevals):
+            if not len(live):
+                break
+            flips = ((rng.standard_normal(thresholds.shape) > thresholds) != live_refs).sum(axis=1)
+            worst[live] = np.maximum(worst[live], flips)
+            alive = flips <= policy.max_unreliable_bits
+            if not alive.all():
+                live, thresholds, live_refs = live[alive], thresholds[alive], live_refs[alive]
+    kept = [r for r, (ok, flips) in enumerate(zip(in_band.tolist(), worst.tolist()))
+            if screen_challenge(ok, flips, policy).accepted]
     kept = np.array(kept, dtype=np.intp)
     return kept, refs[kept]

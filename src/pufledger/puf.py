@@ -8,13 +8,11 @@ arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
 disagree on bits whose frequency gap is small. A noisy read draws one
 standard normal per bit from its caller's generator (see noisy_reads), so a
-caller that reads in a fixed order from one generator fixes every read;
-ReadAhead draws reads ahead in blocks and gives back what it does not use,
-so the generator ends where reading one at a time leaves it. A challenge
-is one (2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
-set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
-(count, 2, n_bits) array, and every function here that takes selectors
-takes a row or any stack of rows.
+caller that reads in a fixed order from one generator fixes every read. A
+challenge is one (2, n_bits) int64 selector row: bit k races
+set1[row[0, k]] against set2[row[1, k]]. random_challenge draws them a
+chunk at a time, as one (count, 2, n_bits) array, and every function here
+that takes selectors takes a row or any stack of rows.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -253,63 +251,6 @@ def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generat
     if threshold is None:
         return np.broadcast_to(arbiter_bits(f1, f2), shape)
     return rng.standard_normal(shape) > threshold
-
-
-# reads a ReadAhead draws at a time, and the most it serves at once; enrollment
-# timed no faster with blocks of 12, 24, 32 or 64
-_READ_BLOCK = 16
-
-
-class ReadAhead:
-    """Noisy-read normals drawn from rng ahead of their use, _READ_BLOCK
-    reads of n_bits normals a block, and handed out in order.
-
-    peek(n) gives the next n unused reads' normals, at most a block's,
-    drawing a block when the held ones fall short, so it holds at most the
-    older block's unused tail and the newest block; use(k) marks the first
-    k peeked reads used. The generator's state is kept from before each
-    block, so settle() can give every unused read back: it restores the
-    state from before the block that holds the first unused read and
-    redraws the reads already used from it. rng then stands exactly where
-    drawing the used reads one standard_normal(n_bits) at a time leaves it.
-    Nothing else may draw from rng between a peek and the settle after it.
-    """
-
-    __slots__ = ("_rng", "_n_bits", "_blocks", "_used")
-
-    def __init__(self, rng: np.random.Generator, n_bits: int) -> None:
-        self._rng = rng
-        self._n_bits = n_bits
-        self._blocks: list[tuple[dict, np.ndarray]] = []  # (state before, block); two at most
-        self._used = 0  # reads used from the first held block, always fewer than all
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next min(n, _READ_BLOCK) unused reads as rows of n_bits normals; n >= 1."""
-        n = min(n, _READ_BLOCK)
-        blocks, start = self._blocks, self._used
-        if len(blocks) * _READ_BLOCK - start < n:
-            rng = self._rng
-            blocks.append((rng.bit_generator.state,
-                           rng.standard_normal((_READ_BLOCK, self._n_bits))))
-        first = blocks[0][1]
-        if start + n <= _READ_BLOCK:
-            return first[start:start + n]
-        return np.concatenate((first[start:], blocks[1][1][:start + n - _READ_BLOCK]))
-
-    def use(self, k: int) -> None:
-        """Mark the first k reads of the last peek used."""
-        spent, self._used = divmod(self._used + k, _READ_BLOCK)
-        del self._blocks[:spent]
-
-    def settle(self) -> None:
-        """Give back every unused read drawn ahead, and hold none."""
-        if self._blocks:
-            rng = self._rng
-            rng.bit_generator.state = self._blocks[0][0]
-            if self._used:
-                rng.standard_normal((self._used, self._n_bits))
-            self._blocks.clear()
-            self._used = 0
 
 
 def evaluate(device: PufDevice, challenge: np.ndarray, eval_seed: int) -> Response:

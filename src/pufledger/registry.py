@@ -79,13 +79,13 @@ def enroll(
 
     All randomness (candidate draws and screening read jitter) comes from
     one generator seeded by `seed`, consumed in a fixed order: a chunk of
-    candidates (puf.challenge_chunks), then, candidate by candidate, its
-    noisy reads (one standard_normal(RESPONSE_BITS) each) up to the first
-    failing read, then the next chunk. fom.screen_pool screens each chunk
-    as arrays and judges the reads drawn ahead in blocks, but it settles
-    them before it returns, so the next chunk is drawn where that order
-    puts it. Every candidate is screened once; one rejected for randomness,
-    or any candidate of a noiseless device, draws no reads. The kept rows
+    candidates (puf.challenge_chunks), then that chunk's noisy reads in
+    rounds (fom.screen_pool), each round one read of RESPONSE_BITS normals
+    for every candidate still alive, in row order, until each has read
+    n_screen_reevals times or failed, then the next chunk. Every candidate
+    is screened once and reads up to its first failing read; one rejected
+    for randomness, or any candidate of a noiseless device, draws no reads.
+    The kept rows
     of every chunk are concatenated into the record's one read-only
     challenge array, which shares no memory with a drawn chunk, and only a
     kept row gets a Response. Raises when the device already has a record

@@ -236,13 +236,13 @@ def test_policy_validation():
 
 @pytest.fixture()
 def screen_calls(monkeypatch):
-    """Every fom.screen_challenge call, as (reference bits, accepted), in order."""
+    """Every fom.screen_challenge call, as (in band, accepted), in order."""
     calls = []
     real = fom.screen_challenge
 
-    def counted(reference, in_band, threshold, policy, reads):
-        result = real(reference, in_band, threshold, policy, reads)
-        calls.append((reference.tolist(), result.accepted))
+    def counted(in_band, worst_flips, policy):
+        result = real(in_band, worst_flips, policy)
+        calls.append((in_band, result.accepted))
         return result
 
     monkeypatch.setattr(fom, "screen_challenge", counted)
@@ -264,8 +264,12 @@ def test_enroll_screens_every_candidate_once(default_config, screen_calls, monke
     record = registry.enroll(registry.Registry(), device, 150, ScreeningPolicy(), seed=5)
     assert len(drawn) == 150  # three chunks, the last one short
     assert len(screen_calls) == 150
-    assert [reference for reference, _ in screen_calls] == [
-        (device.set1_freqs[set1] > device.set2_freqs[set2]).tolist() for set1, set2 in drawn]
+    # call k judges drawn row k: its band, and the kept rows in draw order are the record's
+    assert [in_band for in_band, _ in screen_calls] == [
+        45.0 <= randomness(device.set1_freqs[set1] > device.set2_freqs[set2]) <= 55.0
+        for set1, set2 in drawn]
+    assert [row for row, (_, accepted) in zip(drawn, screen_calls) if accepted] == (
+        record.challenges.tolist())
     assert sum(accepted for _, accepted in screen_calls) == len(record.responses)
 
 

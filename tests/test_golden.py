@@ -33,91 +33,91 @@ SMALL = dict(n_candidates=100, n_transactions=40, n_clients=3, n_fast_clients=1)
 GOLDEN_SCENARIOS = {
     "forge-validator": (dict(adversary="forge-validator", adversary_events=3), {
         "chain_5ca2a75fd86b.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_d6c96bde225a.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_f2124f8c592d.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_f22904f78d4a.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "events.ndjson":
-            "6c30720a70bd5d1099a1cecf143accd186f790d97b88830a622f7d387670b1d4",
+            "a5f99502fdd39aef39cbd379e1655000cbf4e6177e0f029a91ae38c770b37e93",
         "metrics.json":
             "11bca74f701958692460b60ac8f15a69fd0da7e05f6d46d8c7c84ce85e8ec7ea",
         "registry.ndjson":
-            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
+            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "tamper": (dict(adversary="tamper", adversary_events=4), {
         "chain_5ca2a75fd86b.ndjson":
-            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
+            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
         "chain_d6c96bde225a.ndjson":
-            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
+            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
         "chain_f2124f8c592d.ndjson":
-            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
+            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
         "chain_f22904f78d4a.ndjson":
-            "300f60a061e1a361a6a3d3e766712c7a3436d12ecc11bfde7d3387e8b71ea429",
+            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
         "events.ndjson":
-            "4022a83140aa1c5fc5dc93baa6ba1708cd451770c83f61588579cb3b4700228a",
+            "33962363d24bc683e434ba350e606c2aa1436e4192b6d19f0e836c0312b4c64a",
         "metrics.json":
             "9ea5d420f0d5433a3798eb10ba99e84833198ca02ad06ff31d1f1e545f860c61",
         "registry.ndjson":
-            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
+            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
         "timings.csv":
             "9ae4d340d86e59a4ae19a2584b3645446310f97bfa44691e17dfcc024c02a573",
     }),
     "replay": (dict(adversary="replay", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_d6c96bde225a.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_f2124f8c592d.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_f22904f78d4a.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "events.ndjson":
-            "d39fc772032942dc9e7ca4826e52c18426a0b1dc3f3fe24646e5384b89578ba2",
+            "27748cb4c220da95e35633702cea00241732ecac471f025015c2011a6a6314df",
         "metrics.json":
             "eb1b0cb56a8bc7df23e156c8b8ed9ca92d5400bb477e55032286244a4f6f0e18",
         "registry.ndjson":
-            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
+            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "fake-device": (dict(adversary="fake-device", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_d6c96bde225a.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_f2124f8c592d.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "chain_f22904f78d4a.ndjson":
-            "ff3fe2d2a725d96c445b777df8bb2cf5dc260595dddd6f21dc4f3915825c862f",
+            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
         "events.ndjson":
-            "148acd9579b7ae6707170bcdf3546fbdc7e6be446cac9223f7ab919c83d26a51",
+            "9ab98ad6afabb2fddf3d6a135586aee1200a4825cac9dbeaba5b6bf24b849da5",
         "metrics.json":
             "5092902f215c71e5cacb66f79566cc915942784c09bd1189760798777ceea949",
         "registry.ndjson":
-            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
+            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "drop": (dict(drop_rate=0.05), {
         "chain_5ca2a75fd86b.ndjson":
-            "95d1578412584b1fb0ac549260564d646227bb87707806e29a48eda4a458e811",
+            "1e4ab1252bbeee7fd8145f4a5ecd8c25bbbac24a20fe905c5f46ebdcbb9548d3",
         "chain_d6c96bde225a.ndjson":
-            "95d1578412584b1fb0ac549260564d646227bb87707806e29a48eda4a458e811",
+            "1e4ab1252bbeee7fd8145f4a5ecd8c25bbbac24a20fe905c5f46ebdcbb9548d3",
         "chain_f2124f8c592d.ndjson":
-            "73a7b892819b1d498e3c18252ec610c26d4f55a5381bd27a1d6df7569f8b55f2",
+            "5433d577f21ac7f0dbba5884d313501ffea22fa3fac3365c4973f918cc861bdd",
         "chain_f22904f78d4a.ndjson":
-            "95d1578412584b1fb0ac549260564d646227bb87707806e29a48eda4a458e811",
+            "1e4ab1252bbeee7fd8145f4a5ecd8c25bbbac24a20fe905c5f46ebdcbb9548d3",
         "events.ndjson":
-            "35557eea4af5b12cfa97a5390f0d302c0a212b738b2e28f49783aa6a70049a19",
+            "74e90b993156480ad5afc0122ea4730ceeb0e76e62a5194bc846ed714b818a35",
         "metrics.json":
             "9b5d62b70debfd22104bcd22ee60d334ef2fc63ab86277adca2e1287e7497b35",
         "registry.ndjson":
-            "06418dc45e3b57774c84969215b348a4758cec347b7c33e544cda15baecb6019",
+            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
         "timings.csv":
             "81a4a0c256746021c30e6ac575c7a395f2681f8d3ea13986e286c43801ec53fb",
     }),
@@ -125,7 +125,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_FOM = (
     dict(fom_n_devices=3, fom_pool_size=60, fom_n_challenges=20, fom_n_reevals=5),
-    "94807165ef32363a4087af317597ac17955408a186a8b341e712c6fdb5b7a11c",
+    "bcffd0566442b569b79f5004a3107aab6d78894c968c86b9c067c1e13d416a41",
 )
 
 

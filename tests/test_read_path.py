@@ -18,10 +18,8 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from pufledger.puf import (
-    _READ_BLOCK,
     PufConfig,
     PufDevice,
-    ReadAhead,
     Response,
     challenge_chunks,
     evaluate,
@@ -86,6 +84,21 @@ def screen_by_reads(device, challenge, policy, rng):
     return True, None, ref
 
 
+def screen_by_rounds(device, chunk, policy, rng):
+    """screen_pool spelled out: each row's reference and randomness check,
+    then n_screen_reevals rounds, each making one read per in-band row still
+    alive, in row order, from rng; a row leaves at its first read that flips
+    more than max_unreliable_bits bits, so it reads nothing more. Gives the
+    kept rows as (index, packed reference) pairs."""
+    refs = [reference_response(device, challenge) for challenge in chunk]
+    low, high = policy.randomness_band
+    live = [r for r, ref in enumerate(refs) if low <= randomness(ref.bits) <= high]
+    for _ in range(policy.n_screen_reevals):
+        live = [r for r in live if hamming(Response(read_by_normals(device, chunk[r], rng)),
+                                           refs[r]) <= policy.max_unreliable_bits]
+    return [(r, refs[r].packed()) for r in live]
+
+
 def outcome(result):
     """A screen_one result by value: accepted, and the reference's packed bits."""
     return result.accepted, Response(result.reference).packed()
@@ -111,9 +124,9 @@ SCREEN_DEVICES = [
 ]
 
 
-# reads per candidate below, at and past one ReadAhead block, and far past it
+# rounds of reads: one, the default, more, and enough that every noisy candidate fails
 SCREEN_POLICIES = [ScreeningPolicy(n_screen_reevals=n)
-                   for n in (1, 11, _READ_BLOCK + 5, 150)] + [ScreeningPolicy(max_unreliable_bits=0)]
+                   for n in (1, 11, 21, 150)] + [ScreeningPolicy(max_unreliable_bits=0)]
 
 
 @pytest.mark.parametrize("policy", [ScreeningPolicy(), ScreeningPolicy(max_unreliable_bits=0)])
@@ -139,68 +152,24 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
 
 @pytest.mark.parametrize("policy", SCREEN_POLICIES)
 def test_screen_pool_matches_a_loop_over_reads(policy):
+    # one 150-row call, then enrollment's pattern: 64-row chunks in turn on one generator
     for d, device in enumerate(SCREEN_DEVICES):
-        chunk = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
-        rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
-        before = rng.bit_generator.state
-        kept, refs = screen_pool(device, chunk, policy, rng)
-        expected = []
-        for r, challenge in enumerate(chunk):
-            accepted, _, ref = screen_by_reads(device, challenge, policy, oracle_rng)
-            if accepted:
-                expected.append((r, ref.packed()))
-        assert [(r, Response(bits).packed()) for r, bits in zip(kept.tolist(), refs)] == expected
-        # settled on return: the reads drawn ahead and not used are given back
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        assert (rng.bit_generator.state == before) == (device.noise_sigma_mhz == 0)
-
-
-def screen_by_read_ahead(device, challenge, policy, reads):
-    """The per-candidate screener that chunked screening replaced, kept as a
-    reference: one candidate's gather, reference, band check and thresholds,
-    then its reads from a ReadAhead, judged up to a block at a time and used
-    up to the first failing read. Gives whether it passed and its reference
-    bits."""
-    f1 = device.set1_freqs[challenge[0]]
-    f2 = device.set2_freqs[challenge[1]]
-    ref = f1 > f2
-    low, high = policy.randomness_band
-    if not low <= 100.0 * (np.count_nonzero(ref) / len(ref)) <= high:
-        return False, ref
-    if device.noise_sigma_mhz == 0:
-        return True, ref
-    threshold = (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))
-    left = policy.n_screen_reevals
-    while left:
-        flips = ((reads.peek(left) > threshold) != ref).sum(axis=1).tolist()
-        failed = [k for k, n in enumerate(flips) if n > policy.max_unreliable_bits]
-        if failed:
-            reads.use(failed[0] + 1)
-            return False, ref
-        reads.use(len(flips))
-        left -= len(flips)
-    return True, ref
-
-
-@pytest.mark.parametrize("policy", SCREEN_POLICIES)
-def test_screen_pool_chunks_match_a_loop_over_the_per_candidate_screener(policy):
-    # enrollment's pattern, 64-row chunks screened in turn on one generator, against one
-    # ReadAhead carried through every candidate and settled once at the end
-    for d, device in enumerate(SCREEN_DEVICES):
-        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 37]))
-        rng, oracle_rng = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
-        kept, refs = [], []
-        for start in range(0, 150, 64):
-            rows, bits = screen_pool(device, pool[start:start + 64], policy, rng)
-            kept += (start + rows).tolist()
-            refs += bits.tolist()
-        reads = ReadAhead(oracle_rng, 128)
-        expected = [(r, ref.tolist()) for r, challenge in enumerate(pool)
-                    for accepted, ref in [screen_by_read_ahead(device, challenge, policy, reads)]
-                    if accepted]
-        reads.settle()
-        assert list(zip(kept, refs)) == expected
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
+        for rows in (150, 64):
+            rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
+            before = rng.bit_generator.state
+            kept, expected = [], []
+            for start in range(0, 150, rows):
+                chunk = pool[start:start + rows]
+                indices, refs = screen_pool(device, chunk, policy, rng)
+                kept += [(start + r, Response(bits).packed()) for r, bits in zip(indices.tolist(), refs)]
+                expected += [(start + r, ref) for r, ref in screen_by_rounds(device, chunk, policy,
+                                                                             oracle_rng)]
+            assert kept == expected
+            # the same draws, no more: no read past a row's first failing one, none for a
+            # band reject, and none at all on a noiseless device
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert (rng.bit_generator.state == before) == (device.noise_sigma_mhz == 0)
 
 
 @pytest.mark.parametrize("bank", [0, 1])
@@ -215,60 +184,9 @@ def test_screen_pool_rejects_a_selector_past_either_bank_of_a_chunk(bank):
     assert rng.bit_generator.state == before
 
 
-def read_ahead_schedule(rng):
-    """A random use of one ReadAhead: up to 12 requests, each of 1 to
-    _READ_BLOCK reads, of which 0 to all are used; now and then a settle
-    (None) before or between them, and one at the end."""
-    schedule = [None] if rng.random() < 0.1 else []
-    for _ in range(rng.integers(13)):
-        n = int(rng.integers(1, _READ_BLOCK + 1))
-        schedule.append((n, int(rng.integers(n + 1))))
-        if rng.random() < 0.2:
-            schedule.append(None)
-    return schedule + [None]
-
-
-def test_read_ahead_settles_where_one_read_at_a_time_ends():
-    # after settle(), the generator stands where one that drew exactly the used reads,
-    # one standard_normal(n_bits) at a time, stands; every peek gives those reads' normals
-    schedules = np.random.default_rng(18)
-    seen = set()
-    for trial in range(3000):
-        rng, oracle = np.random.default_rng([trial]), np.random.default_rng([trial])
-        n_bits = 128 if schedules.random() < 0.9 else 5
-        reads = ReadAhead(rng, n_bits)
-        used = drawn = 0  # since the last settle, in reads
-        refilled = False
-        for step in read_ahead_schedule(schedules):
-            if step is None:
-                seen.add("settle after a refill" if refilled else
-                         "settle with nothing drawn" if not drawn else "settle")
-                reads.settle()
-                assert rng.bit_generator.state == oracle.bit_generator.state
-                used = drawn = 0
-                refilled = False
-                continue
-            n, k = step
-            ahead = np.random.Generator(np.random.PCG64())
-            ahead.bit_generator.state = oracle.bit_generator.state
-            expected = np.array([ahead.standard_normal(n_bits) for _ in range(n)])
-            assert np.array_equal(reads.peek(n), expected)
-            refilled = used + n > drawn
-            if refilled:
-                drawn += _READ_BLOCK
-            if used % _READ_BLOCK + n > _READ_BLOCK:
-                seen.add("straddle")
-            reads.use(k)
-            for _ in range(k):
-                oracle.standard_normal(n_bits)
-            used += k
-        assert rng.integers(1 << 62) == oracle.integers(1 << 62)
-    assert seen == {"settle", "settle after a refill", "settle with nothing drawn", "straddle"}
-
-
 def test_screening_reads_a_block_at_a_time_in_bounded_memory():
     # every gap is +-5 MHz, 14 standard deviations of the 0.245 MHz race noise, so none
-    # of the 20,000 reads fails; all of them at once would be 20 MB of normals
+    # of the 20,000 rounds fails; all of them at once would be 20 MB of normals
     deltas = np.where(np.arange(128) % 2 == 0, 5.0, -5.0)
     device = PufDevice(0x606, 250.0 + deltas, np.full(128, 250.0), 0.245)
     challenge = np.array([np.arange(128), np.arange(128)])
@@ -310,22 +228,11 @@ def test_reliability_matches_a_loop_over_reads():
 class EvalSeedReads:
     """Stands in for the generator a screening or reliability read draws
     from: the k-th read it serves is the normals evaluate() draws for
-    seeds[k], so the reads made from it are a loop over evaluate(). It is
-    its own bit_generator, whose state is the number of reads served: a
-    ReadAhead that restores it gives back every read served after it."""
+    seeds[k], so the reads made from it are a loop over evaluate()."""
 
     def __init__(self, seeds):
         self.seeds = seeds
         self.served = 0
-        self.bit_generator = self
-
-    @property
-    def state(self):
-        return self.served
-
-    @state.setter
-    def state(self, served):
-        self.served = served
 
     def standard_normal(self, shape):
         n_reads = math.prod(shape[:-1])
@@ -365,15 +272,13 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
         rng = np.random.default_rng([d, 34])
         for k in range(120):
             challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
-            # seeds for the block a ReadAhead draws past the last read too
-            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals + _READ_BLOCK))
+            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals))
             result = screen_one(device, challenge, policy, reads)
             (accepted, reason, ref), n_read = screen_by_evaluate(device, challenge, policy,
                                                                  reads.seeds)
             assert outcome(result) == (accepted, ref.packed())
-            # the early stop, once settled: no read past the first failing one (none for a
-            # randomness reject, at least one for a stability reject); a noiseless device
-            # draws none
+            # the early stop: no read past the first failing one (none for a randomness
+            # reject, at least one for a stability reject); a noiseless device draws none
             assert reads.served == (n_read if device.noise_sigma_mhz else 0)
             reasons.add(reason)
     assert reasons == {None, "randomness", "stability"}
@@ -488,17 +393,16 @@ def test_evaluate_reads_what_default_rng_draws():
         assert np.array_equal(evaluate(device, challenge, seed).bits, expected)
 
 
-def enroll_by_candidate(device, n_candidates, policy, seed):
+def enroll_by_rounds(device, n_candidates, policy, seed):
     """enroll spelled out over one default_rng([seed]): draw a chunk of 64
-    challenges in one random_challenge call, then screen them in order,
-    read by read, before drawing the next chunk."""
+    challenges in one random_challenge call, then screen it round by round,
+    read by read, before drawing the next chunk. Gives the kept (challenge
+    row, packed reference) pairs."""
     rng = np.random.default_rng([seed])
     kept = []
     for start in range(0, n_candidates, 64):
-        for challenge in random_challenge(device.bank_size, 128, min(64, n_candidates - start), rng):
-            accepted, _, ref = screen_by_reads(device, challenge, policy, rng)
-            if accepted:
-                kept.append((challenge, ref))
+        chunk = random_challenge(device.bank_size, 128, min(64, n_candidates - start), rng)
+        kept += [(chunk[r].tolist(), ref) for r, ref in screen_by_rounds(device, chunk, policy, rng)]
     return kept
 
 
@@ -512,13 +416,13 @@ def test_enroll_matches_a_loop_over_one_generator(n_candidates):
     enrolled = 0
     for device in SCREEN_DEVICES:
         for policy in SCREEN_POLICIES:
-            expected = enroll_by_candidate(device, n_candidates, policy, 77)
+            expected = enroll_by_rounds(device, n_candidates, policy, 77)
             if not expected:
                 with pytest.raises(EnrollmentFailedError):
                     enroll(Registry(), device, n_candidates, policy, 77)
                 continue
             record = enroll(Registry(), device, n_candidates, policy, 77)
-            assert pairs_and_bits(record.pairs) == pairs_and_bits(expected)
+            assert pairs_and_bits(record.pairs) == expected
             enrolled += 1
     # seed 77 keeps the first candidate at the defaults, so every size enrolls somewhere
     assert enrolled
@@ -694,6 +598,43 @@ def test_chunked_pool_draws_calibrate_like_per_candidate_draws(monkeypatch):
     monkeypatch.setattr(harness, "challenge_chunks", per_candidate_draws)
     old = calibration_figures(range(1, 21))
     for name, new_values, old_values in zip(("accepted counts", "reliability_pct"), new, old):
+        p = mannwhitneyu(new_values, old_values, alternative="two-sided").pvalue
+        assert p >= MANN_WHITNEY_ALPHA, (name, p, np.median(new_values), np.median(old_values))
+
+
+def screen_pool_by_candidate(device, chunk, policy, rng):
+    """screen_pool in the read order before rounds: candidate by candidate,
+    in row order, each reading from rng one read at a time up to its first
+    failing read."""
+    f1, f2 = device.set1_freqs[chunk[:, 0]], device.set2_freqs[chunk[:, 1]]
+    refs = f1 > f2
+    thresholds = (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))
+    low, high = policy.randomness_band
+    kept = [r for r, (ref, threshold) in enumerate(zip(refs, thresholds))
+            if low <= randomness(ref) <= high and not (device.noise_sigma_mhz and any(
+                np.count_nonzero((rng.standard_normal(len(ref)) > threshold) != ref)
+                > policy.max_unreliable_bits for _ in range(policy.n_screen_reevals)))]
+    return np.array(kept, dtype=np.intp), refs[kept]
+
+
+def screening_figures(seeds):
+    """run_fom_calibration's per-device accepted counts and reliability_pct,
+    then build_world's responses enrolled per device, at the defaults, over
+    the given seeds."""
+    counts, reliabilities = calibration_figures(seeds)
+    enrolled = [len(record.responses) for seed in seeds
+                for record in build_world(ScenarioConfig(seed=seed)).records.values()]
+    return counts, reliabilities, enrolled
+
+
+def test_rounds_of_reads_screen_like_candidate_by_candidate_reads(monkeypatch):
+    # the same reads per candidate, drawn in another order: only the draws each gets differ
+    new = screening_figures(range(1, 21))
+    monkeypatch.setattr(harness.fom, "screen_pool", screen_pool_by_candidate)
+    monkeypatch.setattr(registry, "screen_pool", screen_pool_by_candidate)
+    old = screening_figures(range(1, 21))
+    names = ("accepted counts", "reliability_pct", "enrolled responses")
+    for name, new_values, old_values in zip(names, new, old):
         p = mannwhitneyu(new_values, old_values, alternative="two-sided").pvalue
         assert p >= MANN_WHITNEY_ALPHA, (name, p, np.median(new_values), np.median(old_values))
 
