@@ -510,7 +510,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
     accepted_counts = []
     common_matrix = None
     for d, device in enumerate(devices):
-        # a chunk a call, gathering what enrollment does; settling between calls moves no read
+        # a chunk a call, gathering and reading in rounds as enrollment does
         screen_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_SCREEN, d])
         kept = np.concatenate([
             start + fom.screen_pool(device, pool[start:start + CHUNK_ROWS], policy, screen_rng)[0]
@@ -529,7 +529,8 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         uni = fom.uniqueness(matrix)
         # a chunk of rows a draw: every row's reads, in the order one row a call draws them
         rel = float(np.mean(np.concatenate([
-            fom.reliability(device, challenges[start:start + CHUNK_ROWS], cfg.fom_n_reevals, rel_rng)
+            fom.reliability(device, challenges[start:start + CHUNK_ROWS], cfg.fom_n_reevals,
+                            rel_rng)
             for start in range(0, len(challenges), CHUNK_ROWS)])))
         rnd = float(np.mean(fom.randomness(matrix[d])))  # this device's own reference bits
         per_device.append({

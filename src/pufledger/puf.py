@@ -238,9 +238,9 @@ def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generat
     draws one standard normal per bit from rng, all of them in one draw of
     that shape, so n reads of m rows in one call are the reads of m calls
     of n, row by row; screening compares its chunk's reads with the same
-    thresholds. A noiseless device
-    draws nothing: each of its reads is its reference. Raises
-    ChallengeError when the challenge selects past the device's banks.
+    thresholds. A noiseless device draws nothing: each of its reads is its
+    reference. Raises ChallengeError when the challenge selects past the
+    device's banks.
     """
     f1, f2 = selected_freqs(device, challenge)
     shape = f1.shape

@@ -38,7 +38,7 @@ from pufledger.registry import (
 )
 from pufledger.consensus import pow_mine_baseline
 from pufledger.errors import ChallengeError, ConfigError, EnrollmentFailedError
-from pufledger import harness, netsim, puf, registry
+from pufledger import fom, harness, netsim, puf, registry
 from pufledger.harness import ScenarioConfig, build_world, run_fom_calibration
 from pufledger.fom import ScreeningPolicy, randomness, reliability, screen_pool
 from pufledger.ledger import (
@@ -162,9 +162,10 @@ def test_screen_pool_matches_a_loop_over_reads(policy):
             for start in range(0, 150, rows):
                 chunk = pool[start:start + rows]
                 indices, refs = screen_pool(device, chunk, policy, rng)
-                kept += [(start + r, Response(bits).packed()) for r, bits in zip(indices.tolist(), refs)]
-                expected += [(start + r, ref) for r, ref in screen_by_rounds(device, chunk, policy,
-                                                                             oracle_rng)]
+                kept += [(start + r, Response(bits).packed())
+                         for r, bits in zip(indices.tolist(), refs)]
+                expected += [(start + r, ref)
+                             for r, ref in screen_by_rounds(device, chunk, policy, oracle_rng)]
             assert kept == expected
             # the same draws, no more: no read past a row's first failing one, none for a
             # band reject, and none at all on a noiseless device
@@ -402,7 +403,8 @@ def enroll_by_rounds(device, n_candidates, policy, seed):
     kept = []
     for start in range(0, n_candidates, 64):
         chunk = random_challenge(device.bank_size, 128, min(64, n_candidates - start), rng)
-        kept += [(chunk[r].tolist(), ref) for r, ref in screen_by_rounds(device, chunk, policy, rng)]
+        kept += [(chunk[r].tolist(), ref)
+                 for r, ref in screen_by_rounds(device, chunk, policy, rng)]
     return kept
 
 
@@ -605,7 +607,8 @@ def test_chunked_pool_draws_calibrate_like_per_candidate_draws(monkeypatch):
 def screen_pool_by_candidate(device, chunk, policy, rng):
     """screen_pool in the read order before rounds: candidate by candidate,
     in row order, each reading from rng one read at a time up to its first
-    failing read."""
+    failing read. screen_by_reads in array form, fast enough for 40 runs;
+    for a noisy device only."""
     f1, f2 = device.set1_freqs[chunk[:, 0]], device.set2_freqs[chunk[:, 1]]
     refs = f1 > f2
     thresholds = (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))
@@ -628,9 +631,10 @@ def screening_figures(seeds):
 
 
 def test_rounds_of_reads_screen_like_candidate_by_candidate_reads(monkeypatch):
-    # the same reads per candidate, drawn in another order: only the draws each gets differ
+    # both read each candidate by the same rule up to its first failing read; only which
+    # normals of the generator each read gets differs
     new = screening_figures(range(1, 21))
-    monkeypatch.setattr(harness.fom, "screen_pool", screen_pool_by_candidate)
+    monkeypatch.setattr(fom, "screen_pool", screen_pool_by_candidate)
     monkeypatch.setattr(registry, "screen_pool", screen_pool_by_candidate)
     old = screening_figures(range(1, 21))
     names = ("accepted counts", "reliability_pct", "enrolled responses")
