@@ -152,25 +152,58 @@ def test_screen_challenge_matches_a_loop_over_reads(policy):
 
 @pytest.mark.parametrize("policy", SCREEN_POLICIES)
 def test_screen_pool_matches_a_loop_over_reads(policy):
-    # one 150-row call, then enrollment's pattern: 64-row chunks in turn on one generator
+    # one 150-row call against the round-by-round reference
     for d, device in enumerate(SCREEN_DEVICES):
-        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
-        for rows in (150, 64):
-            rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
-            before = rng.bit_generator.state
-            kept, expected = [], []
-            for start in range(0, 150, rows):
-                chunk = pool[start:start + rows]
-                indices, refs = screen_pool(device, chunk, policy, rng)
-                kept += [(start + r, Response(bits).packed())
-                         for r, bits in zip(indices.tolist(), refs)]
-                expected += [(start + r, ref)
-                             for r, ref in screen_by_rounds(device, chunk, policy, oracle_rng)]
-            assert kept == expected
-            # the same draws, no more: no read past a row's first failing one, none for a
-            # band reject, and none at all on a noiseless device
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-            assert (rng.bit_generator.state == before) == (device.noise_sigma_mhz == 0)
+        chunk = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 35]))
+        rng, oracle_rng = np.random.default_rng([d, 36]), np.random.default_rng([d, 36])
+        before = rng.bit_generator.state
+        indices, refs = screen_pool(device, chunk, policy, rng)
+        kept = [(r, Response(bits).packed()) for r, bits in zip(indices.tolist(), refs)]
+        assert kept == screen_by_rounds(device, chunk, policy, oracle_rng)
+        # the same draws, no more: no read past a row's first failing one, none for a
+        # band reject, and none at all on a noiseless device
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert (rng.bit_generator.state == before) == (device.noise_sigma_mhz == 0)
+
+
+def worst_flips_by_rounds(device, chunk, policy, rng):
+    """What screen_pool measures, spelled out: each row's reference, whether
+    it is in the randomness band, and the most bits any of its reads flipped
+    (0 when it drew none), the reads made round by round from rng as in
+    screen_by_rounds."""
+    refs = [reference_response(device, challenge) for challenge in chunk]
+    low, high = policy.randomness_band
+    in_band = [low <= randomness(ref.bits) <= high for ref in refs]
+    worst = [0] * len(chunk)
+    live = [r for r, ok in enumerate(in_band) if ok]
+    for _ in range(policy.n_screen_reevals):
+        alive = []
+        for r in live:
+            flips = hamming(Response(read_by_normals(device, chunk[r], rng)), refs[r])
+            worst[r] = max(worst[r], flips)
+            if flips <= policy.max_unreliable_bits:
+                alive.append(r)
+        live = alive
+    return refs, in_band, worst
+
+
+@pytest.mark.parametrize("policy", SCREEN_POLICIES)
+def test_screen_pool_chunks_match_a_loop_over_the_per_candidate_screener(policy):
+    # enrollment's pattern, 64-row chunks screened in turn on one generator, against
+    # fom.screen_challenge called once per candidate on what the reads measured
+    for d, device in enumerate(SCREEN_DEVICES):
+        pool = random_challenge(device.bank_size, 128, 150, np.random.default_rng([d, 37]))
+        rng, oracle_rng = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
+        kept, expected = [], []
+        for start in range(0, 150, 64):
+            chunk = pool[start:start + 64]
+            rows, bits = screen_pool(device, chunk, policy, rng)
+            kept += [(start + r, Response(ref).packed()) for r, ref in zip(rows.tolist(), bits)]
+            refs, in_band, worst = worst_flips_by_rounds(device, chunk, policy, oracle_rng)
+            expected += [(start + r, refs[r].packed()) for r in range(len(chunk))
+                         if fom.screen_challenge(in_band[r], worst[r], policy).accepted]
+        assert kept == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("bank", [0, 1])
