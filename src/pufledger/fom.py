@@ -11,8 +11,10 @@ as a fingerprint source:
 Screening applies the enrollment filter: a challenge is kept only when its
 noiseless response is reasonably balanced and repeated noisy reads stay
 within a small Hamming distance of that noiseless reference. A chunk of
-candidates is screened as arrays, up to each candidate's reads, which are
-judged candidate by candidate in draw order.
+candidates is screened as arrays: its reads come in rounds, one read of
+every live candidate a round, each round one draw for the chunk's uncertain
+races (puf.uncertain_races); screen_challenge then judges candidate by
+candidate in draw order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .puf import PufDevice, arbiter_bits, noisy_reads, read_thresholds, selected_freqs
+from .puf import (PufDevice, arbiter_bits, noisy_reads, read_thresholds, selected_freqs,
+                  uncertain_races)
 
 
 @dataclass(frozen=True)
@@ -145,15 +148,18 @@ def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
     The chunk is judged as arrays: one gather per bank (ChallengeError past
     a bank), the reference bits in one compare, the randomness band in one
     compare of each row's randomness(), and the in-band rows' thresholds in
-    one division. The reads then come in rounds: each round draws one read
-    for every in-band row still alive, in row order, as one
-    standard_normal((alive, n_bits)) draw from rng, and a row drops out at
-    its first read that flips more than max_unreliable_bits bits. The rounds
-    end after n_screen_reevals or when no row is left, so a row draws no
-    read past its first failing one, and a band reject, or any row of a
-    noiseless device, draws none. screen_challenge then gives each row's
-    verdict, band rejects included. A round holds at most the chunk's rows:
-    a large pool is screened puf.CHUNK_ROWS rows a call.
+    one division. Their uncertain_races are flattened once, row by row, in
+    bit order; every other race reads its reference bit and never flips.
+    The reads then come in rounds: each round draws one read for every
+    in-band row still alive, in row order, as one standard_normal(races)
+    draw from rng for the live rows' uncertain races, and counts each row's
+    flips with one bincount. A row drops out at its first read that flips
+    more than max_unreliable_bits bits, and its races leave the flat
+    arrays. The rounds end after n_screen_reevals or when no row is left,
+    so a row draws no read past its first failing one, and a band reject,
+    or any row of a noiseless device, draws none. screen_challenge then
+    gives each row's verdict, band rejects included. A round holds at most
+    the chunk's races: a large pool is screened puf.CHUNK_ROWS rows a call.
     """
     f1, f2 = selected_freqs(device, chunk)
     refs = arbiter_bits(f1, f2)
@@ -164,15 +170,20 @@ def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
     live = in_band.nonzero()[0]
     thresholds = read_thresholds(device, f1[live], f2[live])
     if thresholds is not None:
-        live_refs = refs[live]
+        uncertain = uncertain_races(thresholds)
+        row = uncertain.nonzero()[0]  # each uncertain race's row among the live ones
+        thresholds, race_refs = thresholds[uncertain], refs[live][uncertain]
         for _ in range(policy.n_screen_reevals):
             if not len(live):
                 break
-            flips = ((rng.standard_normal(thresholds.shape) > thresholds) != live_refs).sum(axis=1)
+            flipped = (rng.standard_normal(len(thresholds)) > thresholds) != race_refs
+            flips = np.bincount(row[flipped], minlength=len(live))
             worst[live] = np.maximum(worst[live], flips)
             alive = flips <= policy.max_unreliable_bits
             if not alive.all():
-                live, thresholds, live_refs = live[alive], thresholds[alive], live_refs[alive]
+                stays = alive[row]
+                row = (alive.cumsum() - 1)[row[stays]]
+                thresholds, race_refs, live = thresholds[stays], race_refs[stays], live[alive]
     kept = [r for r, (ok, flips) in enumerate(zip(in_band.tolist(), worst.tolist()))
             if screen_challenge(ok, flips, policy).accepted]
     kept = np.array(kept, dtype=np.intp)

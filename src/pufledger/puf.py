@@ -7,12 +7,14 @@ per response bit; evaluating the challenge races the two oscillators and an
 arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
 disagree on bits whose frequency gap is small. A noisy read draws one
-standard normal per bit from its caller's generator (see noisy_reads), so a
-caller that reads in a fixed order from one generator fixes every read. A
-challenge is one (2, n_bits) int64 selector row: bit k races
-set1[row[0, k]] against set2[row[1, k]]. random_challenge draws them a
-chunk at a time, as one (count, 2, n_bits) array, and every function here
-that takes selectors takes a row or any stack of rows.
+standard normal from its caller's generator for each uncertain race, one
+within CERTAIN_SD standard deviations of flipping (see uncertain_races), and
+reads every other race as its reference bit; so a caller that reads in a
+fixed order from one generator fixes every read. A challenge is one
+(2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
+set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
+(count, 2, n_bits) array, and every function here that takes selectors
+takes a row or any stack of rows.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -35,6 +37,10 @@ DEVICE_ID_BITS = 48
 DEVICE_ID_HEX_DIGITS = DEVICE_ID_BITS // 4
 RESPONSE_BITS = 128  # bits of every enrolled response, and so of every auth tag's key
 FREQ_DECIMALS = 6
+# a race whose read threshold is this many standard deviations from 0 reads its
+# reference bit without a draw: it would flip with probability below
+# Phi(-8) ~ 6.2e-16
+CERTAIN_SD = 8.0
 
 
 @lru_cache(maxsize=256, typed=True)  # a run's writers name its few node ids thousands of times
@@ -226,6 +232,13 @@ def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.nda
         return (f2 - f1) / scale
 
 
+def uncertain_races(threshold: np.ndarray) -> np.ndarray:
+    """Which races of a read_thresholds array a noisy read draws a normal
+    for, as a bool array of its shape: those with |threshold| < CERTAIN_SD.
+    Every other race, +-inf included, reads its reference bit."""
+    return np.abs(threshold) < CERTAIN_SD
+
+
 def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generator,
                 n_reads: int | None = None) -> np.ndarray:
     """One noisy read of a challenge row's races as an (n_bits,) bool array,
@@ -234,23 +247,29 @@ def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generat
 
     Both oscillators of a race get independent N(0, sigma^2) jitter, so
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
-    standard normal, exceeds the race's read_thresholds. A read therefore
-    draws one standard normal per bit from rng, all of them in one draw of
-    that shape, so n reads of m rows in one call are the reads of m calls
-    of n, row by row; screening compares its chunk's reads with the same
-    thresholds. A noiseless device draws nothing: each of its reads is its
-    reference. Raises ChallengeError when the challenge selects past the
-    device's banks.
+    standard normal, exceeds the race's read_thresholds. A read draws z
+    from rng only for its uncertain_races and reads every other race as its
+    reference bit, all in one draw of standard_normal(count): row by row,
+    then read by read, then the row's uncertain races in bit order. So n
+    reads of m rows in one call are the reads of m calls of n, row by row;
+    screening draws for the same races. A noiseless device draws nothing:
+    each of its reads is its reference. Raises ChallengeError when the
+    challenge selects past the device's banks.
     """
     f1, f2 = selected_freqs(device, challenge)
     shape = f1.shape
     if n_reads is not None:  # a reads axis before each row's bits
         f1, f2 = f1[..., None, :], f2[..., None, :]
         shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
+    reads = np.broadcast_to(arbiter_bits(f1, f2), shape)
     threshold = read_thresholds(device, f1, f2)
     if threshold is None:
-        return np.broadcast_to(arbiter_bits(f1, f2), shape)
-    return rng.standard_normal(shape) > threshold
+        return reads
+    reads = reads.copy()  # first: a shape too large to hold fails here, before any scan
+    uncertain = np.broadcast_to(uncertain_races(threshold), shape)
+    threshold = np.broadcast_to(threshold, shape)[uncertain]
+    reads[uncertain] = rng.standard_normal(len(threshold)) > threshold
+    return reads
 
 
 def evaluate(device: PufDevice, challenge: np.ndarray, eval_seed: int) -> Response:

@@ -80,16 +80,16 @@ def enroll(
     All randomness (candidate draws and screening read jitter) comes from
     one generator seeded by `seed`, consumed in a fixed order: a chunk of
     candidates (puf.challenge_chunks), then that chunk's noisy reads in
-    rounds (fom.screen_pool), each round one read of RESPONSE_BITS normals
-    for every candidate still alive, in row order, until each has read
-    n_screen_reevals times or failed, then the next chunk. Every candidate
-    is screened once and reads up to its first failing read; one rejected
-    for randomness, or any candidate of a noiseless device, draws no reads.
-    The kept rows
-    of every chunk are concatenated into the record's one read-only
-    challenge array, which shares no memory with a drawn chunk, and only a
-    kept row gets a Response. Raises when the device already has a record
-    or when nothing survives.
+    rounds (fom.screen_pool), each round one read of every candidate still
+    alive, in row order, one normal for each of its puf.uncertain_races,
+    until each has read n_screen_reevals times or failed, then the next
+    chunk. Every candidate is screened once and reads up to its first
+    failing read; one rejected for randomness, or any candidate of a
+    noiseless device, draws no reads. The kept rows of every chunk are
+    concatenated into the record's one read-only challenge array, which
+    shares no memory with a drawn chunk, and only a kept row gets a
+    Response. Raises when the device already has a record or when nothing
+    survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")

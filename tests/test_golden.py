@@ -33,91 +33,91 @@ SMALL = dict(n_candidates=100, n_transactions=40, n_clients=3, n_fast_clients=1)
 GOLDEN_SCENARIOS = {
     "forge-validator": (dict(adversary="forge-validator", adversary_events=3), {
         "chain_5ca2a75fd86b.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_d6c96bde225a.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_f2124f8c592d.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_f22904f78d4a.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "events.ndjson":
-            "a5f99502fdd39aef39cbd379e1655000cbf4e6177e0f029a91ae38c770b37e93",
+            "cfc39a936f1dc20ff538b98622da0214a422d1e98799ff8954365a9cdc526ec3",
         "metrics.json":
             "11bca74f701958692460b60ac8f15a69fd0da7e05f6d46d8c7c84ce85e8ec7ea",
         "registry.ndjson":
-            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
+            "9140972062b319bab73cd43071b6f2a8e56d0b7d429d6365e02eb335fca1c808",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "tamper": (dict(adversary="tamper", adversary_events=4), {
         "chain_5ca2a75fd86b.ndjson":
-            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
+            "bb2d1ac428eb216a6121edb86f1fc508160914ca4ca4640583891d6e00ee6491",
         "chain_d6c96bde225a.ndjson":
-            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
+            "bb2d1ac428eb216a6121edb86f1fc508160914ca4ca4640583891d6e00ee6491",
         "chain_f2124f8c592d.ndjson":
-            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
+            "bb2d1ac428eb216a6121edb86f1fc508160914ca4ca4640583891d6e00ee6491",
         "chain_f22904f78d4a.ndjson":
-            "e8b3f284635e809569fd11aa0f03e41b45bc27194786b10ce1fccd88d72105e8",
+            "bb2d1ac428eb216a6121edb86f1fc508160914ca4ca4640583891d6e00ee6491",
         "events.ndjson":
-            "33962363d24bc683e434ba350e606c2aa1436e4192b6d19f0e836c0312b4c64a",
+            "84e1d50880f362ff900c663761363f3d7868390ca176dfcd5c7f598bd823dfa0",
         "metrics.json":
             "9ea5d420f0d5433a3798eb10ba99e84833198ca02ad06ff31d1f1e545f860c61",
         "registry.ndjson":
-            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
+            "9140972062b319bab73cd43071b6f2a8e56d0b7d429d6365e02eb335fca1c808",
         "timings.csv":
             "9ae4d340d86e59a4ae19a2584b3645446310f97bfa44691e17dfcc024c02a573",
     }),
     "replay": (dict(adversary="replay", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_d6c96bde225a.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_f2124f8c592d.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_f22904f78d4a.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "events.ndjson":
-            "27748cb4c220da95e35633702cea00241732ecac471f025015c2011a6a6314df",
+            "c2f520eb25108bbe1666efc8d5a0652bd8ff12f3158adf84fec1a38a764be30a",
         "metrics.json":
             "eb1b0cb56a8bc7df23e156c8b8ed9ca92d5400bb477e55032286244a4f6f0e18",
         "registry.ndjson":
-            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
+            "9140972062b319bab73cd43071b6f2a8e56d0b7d429d6365e02eb335fca1c808",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "fake-device": (dict(adversary="fake-device", adversary_events=2), {
         "chain_5ca2a75fd86b.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_d6c96bde225a.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_f2124f8c592d.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "chain_f22904f78d4a.ndjson":
-            "8cb18cb2bc36b537f71d44164fdeb78584dcf0445e5955af79488d3d7c129957",
+            "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "events.ndjson":
-            "9ab98ad6afabb2fddf3d6a135586aee1200a4825cac9dbeaba5b6bf24b849da5",
+            "17c8864c07a48c5e3ad3981be9ce614ae3541e18bde4cb70af8eebec205d02bb",
         "metrics.json":
             "5092902f215c71e5cacb66f79566cc915942784c09bd1189760798777ceea949",
         "registry.ndjson":
-            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
+            "9140972062b319bab73cd43071b6f2a8e56d0b7d429d6365e02eb335fca1c808",
         "timings.csv":
             "dd780e4e932d52ea35a642f21fc5dac7aaf5098e40cad38fcf05209380f90c7f",
     }),
     "drop": (dict(drop_rate=0.05), {
         "chain_5ca2a75fd86b.ndjson":
-            "1e4ab1252bbeee7fd8145f4a5ecd8c25bbbac24a20fe905c5f46ebdcbb9548d3",
+            "1452a97c26bdae42bf6beb10079fee336f8baef852fc152211734746aec91103",
         "chain_d6c96bde225a.ndjson":
-            "1e4ab1252bbeee7fd8145f4a5ecd8c25bbbac24a20fe905c5f46ebdcbb9548d3",
+            "1452a97c26bdae42bf6beb10079fee336f8baef852fc152211734746aec91103",
         "chain_f2124f8c592d.ndjson":
-            "5433d577f21ac7f0dbba5884d313501ffea22fa3fac3365c4973f918cc861bdd",
+            "8f6e8fe91c0a9958d647d78a93a8bdfe9f2fc5e3b53566aef97c5699b93e2f0b",
         "chain_f22904f78d4a.ndjson":
-            "1e4ab1252bbeee7fd8145f4a5ecd8c25bbbac24a20fe905c5f46ebdcbb9548d3",
+            "1452a97c26bdae42bf6beb10079fee336f8baef852fc152211734746aec91103",
         "events.ndjson":
-            "74e90b993156480ad5afc0122ea4730ceeb0e76e62a5194bc846ed714b818a35",
+            "80bb2cf64e1c14b7ded9019e3a81f972af8ceaf215a87a08550bd1a7c846f900",
         "metrics.json":
             "9b5d62b70debfd22104bcd22ee60d334ef2fc63ab86277adca2e1287e7497b35",
         "registry.ndjson":
-            "866343e086bcac23ab5c4b592584b0dd913e68adc4434de4a476747b87b6217b",
+            "9140972062b319bab73cd43071b6f2a8e56d0b7d429d6365e02eb335fca1c808",
         "timings.csv":
             "81a4a0c256746021c30e6ac575c7a395f2681f8d3ea13986e286c43801ec53fb",
     }),
@@ -125,7 +125,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_FOM = (
     dict(fom_n_devices=3, fom_pool_size=60, fom_n_challenges=20, fom_n_reevals=5),
-    "bcffd0566442b569b79f5004a3107aab6d78894c968c86b9c067c1e13d416a41",
+    "d2d83836f0dd1e5aa9a0db704db3fa839d71b80d560b91121069d133251c9b3d",
 )
 
 

@@ -167,9 +167,9 @@ def test_build_world_shape():
 
 @pytest.mark.parametrize("overrides,wraps", [
     ({"n_transactions": 8}, False),
-    # 10 candidates leave each node at most 3 enrolled challenges, and each
-    # client initiates 4 transactions, so every client wraps
-    ({"n_transactions": 12, "n_candidates": 10}, True),
+    # 10 candidates leave each node at most 10 enrolled challenges, and each
+    # client initiates 11 transactions, so every client wraps
+    ({"n_transactions": 33, "n_candidates": 10}, True),
 ], ids=["default", "wrap"])
 def test_build_world_schedules_round_robin(overrides, wraps):
     cfg = small_config(**overrides)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from pufledger.puf import (
+    CERTAIN_SD,
     PufConfig,
     PufDevice,
     Response,
@@ -58,15 +59,34 @@ from conftest import rng_seeds
 from oracles import hamming, leading_zero_bits, screen_one
 
 
-def read_by_normals(device, challenge, rng):
-    """One noisy read spelled out: a standard normal per bit, drawn from rng,
-    against the threshold (f2 - f1) / (sigma sqrt 2); no noise, no draw."""
+def race_thresholds(device, challenge):
+    """Each race's threshold (f2 - f1) / (sigma sqrt 2); +-inf where a
+    subnormal sigma overflows it."""
     f1 = device.set1_freqs[challenge[0]]
     f2 = device.set2_freqs[challenge[1]]
+    with np.errstate(over="ignore"):
+        return (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))
+
+
+def read_by_normals(device, challenge, rng):
+    """One noisy read spelled out, race by race in bit order: a race within
+    CERTAIN_SD of its threshold draws one standard normal from rng and reads
+    1 when the normal exceeds the threshold; any other race reads its
+    reference bit. No noise, no draw."""
+    bits = reference_response(device, challenge).bits.copy()
     if device.noise_sigma_mhz == 0:
-        return (f1 > f2).astype(np.uint8)
-    z = rng.standard_normal(len(f1))
-    return (z > (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))).astype(np.uint8)
+        return bits
+    for k, threshold in enumerate(race_thresholds(device, challenge).tolist()):
+        if abs(threshold) < CERTAIN_SD:
+            bits[k] = rng.standard_normal() > threshold
+    return bits
+
+
+def uncertain_count(device, challenge):
+    """How many normals read_by_normals draws for one read of a challenge row."""
+    if device.noise_sigma_mhz == 0:
+        return 0
+    return sum(abs(t) < CERTAIN_SD for t in race_thresholds(device, challenge).tolist())
 
 
 def screen_by_reads(device, challenge, policy, rng):
@@ -218,12 +238,14 @@ def test_screen_pool_rejects_a_selector_past_either_bank_of_a_chunk(bank):
     assert rng.bit_generator.state == before
 
 
-def test_screening_reads_a_block_at_a_time_in_bounded_memory():
-    # every gap is +-5 MHz, 14 standard deviations of the 0.245 MHz race noise, so none
-    # of the 20,000 rounds fails; all of them at once would be 20 MB of normals
-    deltas = np.where(np.arange(128) % 2 == 0, 5.0, -5.0)
+def screen_20000_rounds_in_bounded_memory(gap_mhz, normals_per_round):
+    """Screen one candidate whose every gap is +-gap_mhz through 20,000 rounds
+    under tracemalloc: it passes, peaks below 1 MB, and draws
+    normals_per_round normals a round."""
+    deltas = np.where(np.arange(128) % 2 == 0, gap_mhz, -gap_mhz)
     device = PufDevice(0x606, 250.0 + deltas, np.full(128, 250.0), 0.245)
     challenge = np.array([np.arange(128), np.arange(128)])
+    assert uncertain_count(device, challenge) == normals_per_round
     policy = ScreeningPolicy(n_screen_reevals=20_000)
     rng, oracle = np.random.default_rng(19), np.random.default_rng(19)
     tracemalloc.start()
@@ -235,8 +257,21 @@ def test_screening_reads_a_block_at_a_time_in_bounded_memory():
     assert result.accepted
     assert peak < 1 << 20
     for _ in range(20):
-        oracle.standard_normal((1000, 128))
+        oracle.standard_normal((1000, normals_per_round))
     assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_screening_reads_a_block_at_a_time_in_bounded_memory():
+    # 5 MHz is 14 standard deviations of the 0.245 MHz race noise: every race is
+    # certain, so none of the rounds draws
+    screen_20000_rounds_in_bounded_memory(5.0, 0)
+
+
+def test_screening_draws_a_round_at_a_time_in_bounded_memory():
+    # 2.43 MHz is 7 standard deviations: every race is uncertain, so each round draws
+    # 128 normals, 20 MB of them in all; a race flips with probability 1.2e-12, so no
+    # round fails
+    screen_20000_rounds_in_bounded_memory(2.43, 128)
 
 
 def test_reliability_matches_a_loop_over_reads():
@@ -262,19 +297,26 @@ def test_reliability_matches_a_loop_over_reads():
 class EvalSeedReads:
     """Stands in for the generator a screening or reliability read draws
     from: the k-th read it serves is the normals evaluate() draws for
-    seeds[k], so the reads made from it are a loop over evaluate()."""
+    seeds[k], widths[k] of them (the uncertain races of the row it reads),
+    so the reads made from it are a loop over evaluate(). A draw must take
+    whole reads, each of at least one normal."""
 
-    def __init__(self, seeds):
-        self.seeds = seeds
+    def __init__(self, seeds, widths):
+        assert len(seeds) == len(widths)
+        self.seeds, self.widths = seeds, widths
         self.served = 0
 
-    def standard_normal(self, shape):
-        n_reads = math.prod(shape[:-1])
-        seeds = self.seeds[self.served:self.served + n_reads]
-        assert len(seeds) == n_reads, "more reads than seeds"
-        self.served += n_reads
-        rows = [np.random.default_rng([s]).standard_normal(shape[-1]) for s in seeds]
-        return np.stack(rows).reshape(shape)
+    def standard_normal(self, count):
+        reads = []
+        while count > 0:
+            assert self.served < len(self.seeds), "more reads than seeds"
+            width = self.widths[self.served]
+            assert width > 0, "a read that draws nothing"
+            reads.append(np.random.default_rng([self.seeds[self.served]]).standard_normal(width))
+            self.served += 1
+            count -= width
+        assert count == 0, "a draw that splits a read"
+        return np.concatenate(reads) if reads else np.empty(0)
 
 
 def screen_by_evaluate(device, challenge, policy, seeds):
@@ -306,7 +348,8 @@ def test_screen_challenge_matches_a_loop_over_evaluate(policy):
         rng = np.random.default_rng([d, 34])
         for k in range(120):
             challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
-            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals))
+            reads = EvalSeedReads(rng_seeds(1000 * d + k, policy.n_screen_reevals),
+                                  [uncertain_count(device, challenge)] * policy.n_screen_reevals)
             result = screen_one(device, challenge, policy, reads)
             (accepted, reason, ref), n_read = screen_by_evaluate(device, challenge, policy,
                                                                  reads.seeds)
@@ -324,12 +367,14 @@ def test_reliability_matches_a_loop_over_evaluate():
         for k in range(20):
             challenge = random_challenge(device.bank_size, 128, 1, rng)[0]
             for n_reevals in (2, 3, 11):
-                reads = EvalSeedReads(rng_seeds(100 * d + k, n_reevals))
+                reads = EvalSeedReads(rng_seeds(100 * d + k, n_reevals),
+                                      [uncertain_count(device, challenge)] * n_reevals)
                 assert (reliability(device, challenge, n_reevals, reads)
                         == reliability_by_evaluate(device, challenge, n_reevals, reads.seeds))
                 assert reads.served == (n_reevals if device.noise_sigma_mhz else 0)
         stack = random_challenge(device.bank_size, 128, 5, rng)
-        reads = EvalSeedReads(rng_seeds(100 * d + 99, 5 * 11))
+        reads = EvalSeedReads(rng_seeds(100 * d + 99, 5 * 11),
+                              [uncertain_count(device, row) for row in stack for _ in range(11)])
         assert reliability(device, stack, 11, reads).tolist() == [
             reliability_by_evaluate(device, challenge, 11, reads.seeds[11 * r:])
             for r, challenge in enumerate(stack)]
@@ -395,6 +440,114 @@ def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
     assert kept.tolist() == np.flatnonzero((58 <= ones) & (ones <= 70)).tolist()
 
 
+class CountingRng:
+    """A generator that passes its draws through and counts the normals."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def standard_normal(self, count):
+        self.normals += count
+        return self.rng.standard_normal(count)
+
+
+def edge_stacks():
+    """(name, device, stack of challenge rows) read from one call and from
+    one-row calls: a noiseless device, a subnormal sigma whose every
+    threshold is +-inf, an all-certain row (every gap +-5 MHz, 14 sd), and
+    a stack that mixes such rows with rows whose 128 races are all
+    uncertain (every gap +-0.3 MHz, under 1 sd)."""
+    draw_rng = np.random.default_rng(41)
+    noiseless, subnormal = (manufacture(PufConfig(noise_sigma_mhz=sigma), 0x608, 8)
+                            for sigma in (0.0, 5e-324))
+    certain = np.arange(128)
+    deltas = np.where(certain % 2 == 0, 5.0, -5.0)
+    device = PufDevice(0x609, np.concatenate([250.0 + deltas, 250.0 + deltas * 0.06]),
+                       np.full(256, 250.0), 0.245)
+    certain_row, uncertain_row = np.array([certain, certain]), np.array([certain + 128] * 2)
+    return [
+        ("noiseless", noiseless, random_challenge(256, 128, 5, draw_rng)),
+        ("subnormal sigma", subnormal, random_challenge(256, 128, 5, draw_rng)),
+        ("all-certain row", device, certain_row[None]),
+        ("mixed stack", device, np.array([certain_row, uncertain_row, uncertain_row,
+                                          certain_row, uncertain_row, certain_row])),
+    ]
+
+
+@pytest.mark.parametrize("name, device, stack", edge_stacks(), ids=[e[0] for e in edge_stacks()])
+def test_m_rows_in_one_read_call_read_as_m_one_row_calls(name, device, stack):
+    widths = [uncertain_count(device, row) for row in stack]
+    assert set(widths) == ({0, 128} if name == "mixed stack" else {0})
+    for n_reads in (None, 1, 3):
+        rng, oracle_rng = CountingRng(np.random.default_rng(42)), np.random.default_rng(42)
+        reads = puf.noisy_reads(device, stack, rng, n_reads)
+        assert reads.tolist() == [puf.noisy_reads(device, row, oracle_rng, n_reads).tolist()
+                                  for row in stack]
+        assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert rng.normals == sum(widths) * (n_reads or 1)
+        # a row that draws nothing reads its reference every time
+        refs = puf.arbiter_bits(*selected_freqs(device, stack))
+        certain_rows = [r for r, width in enumerate(widths) if not width]
+        expected = refs[certain_rows] if n_reads is None else refs[certain_rows, None]
+        assert (reads[certain_rows] == expected).all()
+
+
+def test_races_a_hair_inside_certain_sd_draw_and_a_hair_outside_do_not():
+    # sigma sqrt 2 is 1 to a rounding, so each threshold is its race's gap
+    hair = 1e-9
+    gaps = np.array([CERTAIN_SD - hair, -(CERTAIN_SD - hair), CERTAIN_SD + hair,
+                     -(CERTAIN_SD + hair)])
+    device = PufDevice(0x60A, np.full(4, 250.0), 250.0 + gaps, math.sqrt(0.5))
+    challenge = np.array([np.arange(4), np.arange(4)])
+    thresholds = puf.read_thresholds(device, *selected_freqs(device, challenge))
+    assert np.allclose(thresholds, gaps, rtol=0, atol=1e-12)
+    assert puf.uncertain_races(thresholds).tolist() == [True, True, False, False]
+    assert uncertain_count(device, challenge) == 2
+    rng = CountingRng(np.random.default_rng(43))
+    reads = puf.noisy_reads(device, challenge, rng, 5)
+    assert rng.normals == 5 * 2
+    assert (reads[:, 2:] == [False, True]).all()  # the reference bits, undrawn
+    kept, _ = screen_pool(device, challenge[None], ScreeningPolicy(randomness_band=(0, 100)), rng)
+    assert rng.normals == 5 * 2 + 11 * 2 and kept.tolist() == [0]
+
+
+def test_a_default_world_skips_only_race_reads_that_cannot_flip(monkeypatch):
+    # build_world at seed 42, its enrollments recorded and its screening normals counted
+    enrollments, counted = [], []
+    real_enroll, real_screen = harness.enroll, registry.screen_pool
+
+    def recorded_enroll(*args):
+        enrollments.append(args[1:])
+        return real_enroll(*args)
+
+    def counted_screen(device, chunk, policy, rng):
+        counted.append(CountingRng(rng))
+        return real_screen(device, chunk, policy, counted[-1])
+
+    monkeypatch.setattr(harness, "enroll", recorded_enroll)
+    monkeypatch.setattr(registry, "screen_pool", counted_screen)
+    records = build_world(ScenarioConfig(seed=42)).records
+    # the same enrollments by the round-by-round oracle, which tallies every race it reads
+    drawn, skipped = [], []
+    real_read = read_by_normals
+
+    def tallied_read(device, challenge, rng):
+        thresholds = np.abs(race_thresholds(device, challenge))
+        drawn.append(int(np.count_nonzero(thresholds < CERTAIN_SD)))
+        skipped.extend(thresholds[thresholds >= CERTAIN_SD].tolist())
+        return real_read(device, challenge, rng)
+
+    monkeypatch.setitem(globals(), "read_by_normals", tallied_read)
+    for device, n_candidates, policy, seed in enrollments:
+        expected = enroll_by_rounds(device, n_candidates, policy, seed)
+        assert pairs_and_bits(records[device.device_id].pairs) == expected
+    assert sum(rng.normals for rng in counted) == sum(drawn)
+    assert len(skipped) + sum(drawn) == 128 * len(drawn)
+    # about 70% of race-reads skipped, and the chance any of them would have flipped
+    assert 0.6 < len(skipped) / (128 * len(drawn)) < 0.8
+    assert sum(math.erfc(t / math.sqrt(2)) / 2 for t in skipped) < 1e-9
+
+
 def test_evaluate_rejects_a_negative_seed():
     device = SCREEN_DEVICES[0]
     challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(8))[0]
@@ -420,10 +573,8 @@ EVAL_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 def test_evaluate_reads_what_default_rng_draws():
     device = SCREEN_DEVICES[2]
     challenge = random_challenge(device.bank_size, 128, 1, np.random.default_rng(9))[0]
-    f1, f2 = device.set1_freqs[challenge[0]], device.set2_freqs[challenge[1]]
     for seed in rng_seeds(13, 200) + EVAL_SEED_EDGES:
-        z = np.random.default_rng([seed]).standard_normal(128)
-        expected = (z > (f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2))).astype(np.uint8)
+        expected = read_by_normals(device, challenge, np.random.default_rng([seed]))
         assert np.array_equal(evaluate(device, challenge, seed).bits, expected)
 
 
