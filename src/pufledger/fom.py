@@ -155,11 +155,12 @@ def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
     draw from rng for the live rows' uncertain races, and counts each row's
     flips with one bincount. A row drops out at its first read that flips
     more than max_unreliable_bits bits, and its races leave the flat
-    arrays. The rounds end after n_screen_reevals or when no row is left,
-    so a row draws no read past its first failing one, and a band reject,
-    or any row of a noiseless device, draws none. screen_challenge then
-    gives each row's verdict, band rejects included. A round holds at most
-    the chunk's races: a large pool is screened puf.CHUNK_ROWS rows a call.
+    arrays. The rounds end after n_screen_reevals or when no uncertain race
+    is left, so a row draws no read past its first failing one, and a band
+    reject, a row of certain races, or any row of a noiseless device, draws
+    none. screen_challenge then gives each row's verdict, band rejects
+    included. A round holds at most the chunk's races: a large pool is
+    screened puf.CHUNK_ROWS rows a call.
     """
     f1, f2 = selected_freqs(device, chunk)
     refs = arbiter_bits(f1, f2)
@@ -170,11 +171,11 @@ def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
     live = in_band.nonzero()[0]
     thresholds = read_thresholds(device, f1[live], f2[live])
     if thresholds is not None:
-        uncertain = uncertain_races(thresholds)
-        row = uncertain.nonzero()[0]  # each uncertain race's row among the live ones
-        thresholds, race_refs = thresholds[uncertain], refs[live][uncertain]
+        at = np.flatnonzero(uncertain_races(thresholds))
+        row = at // chunk.shape[-1]  # each uncertain race's row among the live ones
+        thresholds, race_refs = thresholds.ravel()[at], refs[live].ravel()[at]
         for _ in range(policy.n_screen_reevals):
-            if not len(live):
+            if not len(thresholds):
                 break
             flipped = (rng.standard_normal(len(thresholds)) > thresholds) != race_refs
             flips = np.bincount(row[flipped], minlength=len(live))

@@ -237,6 +237,15 @@ def _draw_node_ids(seed: int, count: int) -> list[int]:
     return list(ids)
 
 
+def _draw_payloads(rng: np.random.Generator, count: int, size: int) -> list[bytes]:
+    """count payloads of size bytes in one draw: the bytes, and the generator
+    state, of count calls of rng.bytes(size), which draws max(1, ceil(size / 4))
+    32-bit words a call, 0 bytes included, and writes them little-endian."""
+    words = max(1, -(-size // 4))
+    blob = rng.integers(0, 1 << 32, (count, words), dtype=np.uint32).astype("<u4").tobytes()
+    return [blob[start:start + size] for start in range(0, count * 4 * words, 4 * words)]
+
+
 def build_world(cfg: ScenarioConfig) -> BuiltWorld:
     """Manufacture, enroll and wire up the nodes described by the config.
 
@@ -281,14 +290,15 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
         demotion_threshold=cfg.demotion_threshold,
     )
 
-    payload_rng = np.random.default_rng([cfg.seed, _STREAM_PAYLOAD])
+    payloads = _draw_payloads(np.random.default_rng([cfg.seed, _STREAM_PAYLOAD]),
+                             cfg.n_transactions, cfg.payload_bytes)
     initiations = []
-    for tx in range(cfg.n_transactions):
+    for tx, payload in enumerate(payloads):
         node_id = node_ids[1 + tx % cfg.n_clients]
         initiations.append(Initiation(
             t_ms=(tx + 1) * cfg.tx_spacing_ms,
             node_id=node_id,
-            payload=bytes(payload_rng.bytes(cfg.payload_bytes)),
+            payload=payload,
             challenge_index=tx // cfg.n_clients % len(records[node_id].responses),
         ))
 

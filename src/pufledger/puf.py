@@ -13,8 +13,9 @@ reads every other race as its reference bit; so a caller that reads in a
 fixed order from one generator fixes every read. A challenge is one
 (2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
 set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
-(count, 2, n_bits) array, and every function here that takes selectors
-takes a row or any stack of rows.
+(count, 2, n_bits) array, and refills the rows that repeat a pair with one
+more draw for all of them; every function here that takes selectors takes
+a row or any stack of rows.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -192,12 +193,12 @@ def selected_freqs(device: PufDevice, selectors: np.ndarray) -> tuple[np.ndarray
 
     Precondition, not checked: every selector is >= 0. Every row in this
     package comes from random_challenge, which draws in [0, bank_size); a
-    negative selector would read from the bank's end, as numpy indexing
-    does. reference_response and fom.reliability gather through here
-    hundreds of times a run, so no call pays for a sign check."""
-    # selectors are non-negative, so numpy's own bounds check is the range check
+    negative one reads from the bank's end, as ndarray.take does (below
+    -bank_size it raises). reference_response and fom.reliability gather
+    through here hundreds of times a run, so no call pays for a sign check."""
+    # selectors are non-negative, so take's own bounds check is the range check
     try:
-        return device.set1_freqs[selectors[..., 0, :]], device.set2_freqs[selectors[..., 1, :]]
+        return device.set1_freqs.take(selectors[..., 0, :]), device.set2_freqs.take(selectors[..., 1, :])
     except IndexError:
         raise ChallengeError(
             f"challenge selects oscillators past bank size {device.bank_size}"
@@ -298,7 +299,11 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
     selectors, int64. A row that repeats a pair keeps its first occurrences
     and, after the batch and in row order, is refilled in place from rng,
     need set1 then need set2 selectors a round. So each challenge is the
-    first n_bits distinct pairs of an iid stream of pairs."""
+    first n_bits distinct pairs of an iid stream of pairs. All repeat rows'
+    first rounds come from one integers call, the stream of one call a row
+    (a draw below 2**32 takes one 32-bit word at a time); if a refill repeats
+    a pair, rng is rewound, redraws that call through the row, and draws one
+    round a call from there."""
     if n_bits < 1:
         raise ChallengeError("challenge must select at least one oscillator pair")
     if bank_size > _MAX_DRAW_BANK:
@@ -310,17 +315,30 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
     batch = rng.integers(bank_size, size=(count, 2, n_bits))
     codes = batch[:, 0] * bank_size  # pair (i, j) coded as i * bank_size + j
     codes += batch[:, 1]
-    codes.sort(axis=1)
-    # the bool sum fom.reliability also uses: any() would page in one more reduction loop
-    repeats = (codes[:, 1:] == codes[:, :-1]).sum(axis=1, dtype=np.int64)
-    for r in repeats.nonzero()[0].tolist():  # keep first occurrences, in draw order, and refill
-        row = batch[r]
-        chosen = dict.fromkeys((row[0] * bank_size + row[1]).tolist())
+    # g copies of a pair are g - 1 equal neighbours once sorted: a row's first refill
+    # need. A bool sum, as fom.reliability's: any() would page in one more reduction loop
+    ordered = np.sort(codes, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1, dtype=np.int64)
+    rows = repeats.nonzero()[0]
+    if not len(rows):
+        return batch
+    state = rng.bit_generator.state
+    batched = rng.integers(bank_size, size=2 * int(repeats[rows].sum())).tolist()
+    at, filled = 0, []
+    for chosen in map(dict.fromkeys, codes[rows].tolist()):  # first occurrences, in draw order
         while len(chosen) < n_bits:
             need = n_bits - len(chosen)  # most often 1: Python ints beat numpy calls
-            ij = rng.integers(bank_size, size=2 * need).tolist()
+            ij = (batched[at:at + 2 * need] if batched
+                  else rng.integers(bank_size, size=2 * need).tolist())
+            at += 2 * need
             chosen.update(dict.fromkeys([i * bank_size + j for i, j in zip(ij[:need], ij[need:])]))
-        np.divmod(np.fromiter(chosen, np.int64, n_bits), bank_size, out=(row[0], row[1]))
+            if batched and len(chosen) < n_bits:  # a refill repeated a pair: rewind, redraw
+                rng.bit_generator.state = state  # through this row, then draw a round a call
+                rng.integers(bank_size, size=at)
+                batched = []
+        filled.extend(chosen)
+    batch[rows, 0], batch[rows, 1] = np.divmod(
+        np.array(filled, dtype=np.int64).reshape(len(rows), n_bits), bank_size)
     return batch
 
 

@@ -1,12 +1,15 @@
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufledger.harness import (
+    _STREAM_PAYLOAD,
     CSV_HEADER,
+    _draw_payloads,
     _stats,
     build_metrics,
     build_world,
@@ -186,6 +189,23 @@ def test_build_world_schedules_round_robin(overrides, wraps):
         own = [i.challenge_index for i in inits if i.node_id == node_id]
         assert own == [k % n_enrolled for k in range(len(own))]
         assert (len(own) > n_enrolled) == wraps
+
+
+@pytest.mark.parametrize("n_transactions", [0, 1, 7])
+@pytest.mark.parametrize("payload_bytes", [0, 1, 3, 4, 5, 64])
+def test_payloads_are_the_bytes_of_one_rng_bytes_call_per_transaction(payload_bytes,
+                                                                       n_transactions):
+    # rng.bytes(n) draws ceil(n / 4) 32-bit words, and one for n = 0, so the one
+    # draw must end where the loop does for every length, not only multiples of 4
+    seed = [7, _STREAM_PAYLOAD]
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    payloads = _draw_payloads(rng, n_transactions, payload_bytes)
+    assert payloads == [loop_rng.bytes(payload_bytes) for _ in range(n_transactions)]
+    assert all(type(payload) is bytes for payload in payloads)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    # and build_world schedules exactly those payloads, in transaction order
+    cfg = small_config(seed=7, n_transactions=n_transactions, payload_bytes=payload_bytes)
+    assert [i.payload for i in build_world(cfg).scenario.initiations] == payloads
 
 
 def test_build_world_zero_threshold_disables_demotion():

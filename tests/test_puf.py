@@ -15,6 +15,7 @@ from pufledger.puf import (
     manufacture,
     random_challenge,
     reference_response,
+    selected_freqs,
 )
 from pufledger.errors import ChallengeError, ConfigError
 from oracles import hamming
@@ -111,6 +112,25 @@ def test_challenge_out_of_range_for_device(default_config):
     too_big = np.array([[device.bank_size], [0]])
     with pytest.raises(ChallengeError):
         reference_response(device, too_big)
+
+
+def test_a_negative_selector_reads_from_the_bank_end_until_it_passes_it(default_config):
+    # selected_freqs documents, rather than checks, that selectors are >= 0: a
+    # selector in [-bank, 0) reads from the bank's end, as numpy indexing does
+    device = manufacture(default_config, 0x9, 0)
+    bank = device.bank_size
+    f1, f2 = selected_freqs(device, np.array([[-1, -bank, 3], [-2, 0, -bank]]))
+    assert f1.tolist() == device.set1_freqs[[bank - 1, 0, 3]].tolist()
+    assert f2.tolist() == device.set2_freqs[[bank - 2, 0, 0]].tolist()
+    assert (reference_response(device, np.array([[-1], [-2]])).packed()
+            == reference_response(device, np.array([[bank - 1], [bank - 2]])).packed())
+    # one past either end, in either bank, is out of range
+    for bad in (bank, -bank - 1):
+        for side in (0, 1):
+            row = np.zeros((2, 3), dtype=np.int64)
+            row[side, 1] = bad
+            with pytest.raises(ChallengeError, match="past bank size"):
+                selected_freqs(device, row)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2 ** 31))

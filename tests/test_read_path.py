@@ -247,7 +247,7 @@ def screen_20000_rounds_in_bounded_memory(gap_mhz, normals_per_round):
     challenge = np.array([np.arange(128), np.arange(128)])
     assert uncertain_count(device, challenge) == normals_per_round
     policy = ScreeningPolicy(n_screen_reevals=20_000)
-    rng, oracle = np.random.default_rng(19), np.random.default_rng(19)
+    rng, oracle = CountingRng(np.random.default_rng(19)), np.random.default_rng(19)
     tracemalloc.start()
     try:
         result = screen_one(device, challenge, policy, rng)
@@ -256,9 +256,12 @@ def screen_20000_rounds_in_bounded_memory(gap_mhz, normals_per_round):
         tracemalloc.stop()
     assert result.accepted
     assert peak < 1 << 20
+    # a round with no uncertain race left would draw nothing, so none is run
+    assert rng.calls == (20_000 if normals_per_round else 0)
+    assert rng.normals == 20_000 * normals_per_round
     for _ in range(20):
         oracle.standard_normal((1000, normals_per_round))
-    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert rng.rng.bit_generator.state == oracle.bit_generator.state
 
 
 def test_screening_reads_a_block_at_a_time_in_bounded_memory():
@@ -441,12 +444,14 @@ def test_a_subnormal_noise_sigma_reads_without_an_overflow_warning():
 
 
 class CountingRng:
-    """A generator that passes its draws through and counts the normals."""
+    """A generator that passes its draws through and counts the calls and
+    the normals."""
 
     def __init__(self, rng):
-        self.rng, self.normals = rng, 0
+        self.rng, self.calls, self.normals = rng, 0, 0
 
     def standard_normal(self, count):
+        self.calls += 1
         self.normals += count
         return self.rng.standard_normal(count)
 
@@ -701,6 +706,63 @@ def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
             assert chunk.shape == (count, 2, n_bits) and chunk.dtype == np.int64
             assert [pairs_of(challenge) for challenge in chunk] == expected
             assert fast_rng.integers(0, 1 << 62) == loop_rng.integers(0, 1 << 62)
+
+
+class CountingDraws:
+    """A generator that passes its integers draws through and records the
+    size of each; random_challenge also saves and restores its state."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.sizes = rng, rng.bit_generator, []
+
+    def integers(self, *args, size):
+        self.sizes.append(math.prod(np.atleast_1d(size).tolist()))
+        return self.rng.integers(*args, size=size)
+
+
+def first_refill_needs(bank_size, n_bits, count, seed):
+    """Each repeat row's first refill need, in row order, from the batch
+    random_challenge draws first on default_rng([seed])."""
+    batch = np.random.default_rng([seed]).integers(bank_size, size=(count, 2, n_bits))
+    needs = [n_bits - len(set(pairs_of(row))) for row in batch]
+    return [need for need in needs if need]
+
+
+def test_a_bank_256_chunk_refills_every_repeat_row_from_one_draw():
+    for seed in range(10):
+        rng, loop_rng = CountingDraws(np.random.default_rng([seed])), CountingDraws(
+            np.random.default_rng([seed]))
+        chunk = random_challenge(256, 128, 64, rng)
+        assert [pairs_of(challenge) for challenge in chunk] == random_challenge_by_pairs(
+            256, 128, 64, loop_rng)
+        assert rng.rng.bit_generator.state == loop_rng.rng.bit_generator.state
+        needs = first_refill_needs(256, 128, 64, seed)
+        # the loop draws i and j apart: 2 calls a row, then 2 a refill round
+        refill_rounds = (len(loop_rng.sizes) - 2 * 64) // 2
+        assert needs and refill_rounds == len(needs)  # no refill repeated a pair
+        assert len(rng.sizes) <= 2
+        assert rng.sizes == [64 * 2 * 128, 2 * sum(needs)]
+
+
+def test_a_refill_that_repeats_a_pair_rewinds_and_refills_the_later_rows_one_by_one():
+    # at bank 16 a 40-pair row repeats a pair about 95% of the time, and a refilled
+    # pair repeats one of the row's own about 15% of the time
+    rewound_inside = 0
+    for seed in range(10):
+        rng, loop_rng = CountingDraws(np.random.default_rng([seed])), np.random.default_rng([seed])
+        chunk = random_challenge(16, 40, 64, rng)
+        assert [pairs_of(challenge) for challenge in chunk] == random_challenge_by_pairs(
+            16, 40, 64, loop_rng)
+        assert rng.rng.bit_generator.state == loop_rng.bit_generator.state
+        needs = first_refill_needs(16, 40, 64, seed)
+        assert rng.sizes[:2] == [64 * 2 * 40, 2 * sum(needs)]
+        if len(rng.sizes) > 2:  # rewound: the batch refill redrawn through the row
+            ends = np.cumsum([2 * need for need in needs]).tolist()
+            row = ends.index(rng.sizes[2])
+            rewound_inside += 0 < row < len(needs) - 1
+            # then a round a call: the rest of that row, then every later repeat row
+            assert len(rng.sizes) - 3 >= len(needs) - row
+    assert rewound_inside >= 5
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (4, 16)])
