@@ -4,7 +4,8 @@ Everything here is driven by one flat ScenarioConfig whose field names are
 exactly the keys accepted in a config file (one `key=value` per line, `#`
 comments). A scenario derives every random draw from the single seed
 through named substreams, so identical configs produce byte-identical
-chains, registries, event logs and metrics.
+chains, registries, event logs and metrics; metrics_json writes the report
+at the bytes of json.dumps(indent=1), its transactions from templates.
 
 The default cost model mirrors a small hardware testbed: one fast
 validator board around 120 ms per block add, two mid clients around 46.5
@@ -20,6 +21,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's own string escape
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +448,49 @@ def timings_csv_lines(report: MetricsReport) -> list[str]:
     return lines
 
 
+def _scalar(value: object) -> str:
+    """A transaction field as json.dumps writes it: int, str, None or bool."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    raise TypeError(f"transaction field is not int, str, None or bool: {value!r}")
+
+
+def _transaction_json(entry: dict) -> str:
+    """One build_metrics transaction as json.dumps writes it at indent=1, depth 2."""
+    s = _scalar
+    clients = "{}"
+    if entry["clients"]:
+        clients = "{\n" + ",\n".join([
+            f'    {_quote(node)}: {{\n     "t_recv": {s(c["t_recv"])},\n'
+            f'     "t_done": {s(c["t_done"])},\n     "accepted": {s(c["accepted"])},\n'
+            f'     "reason": {s(c["reason"])}\n    }}'
+            for node, c in entry["clients"].items()]) + "\n   }"
+    return (f'  {{\n   "tx": {s(entry["tx"])},\n   "seq": {s(entry["seq"])},\n'
+            f'   "device_id": {s(entry["device_id"])},\n   "origin": {s(entry["origin"])},\n'
+            f'   "t_init": {s(entry["t_init"])},\n   "t_send": {s(entry["t_send"])},\n'
+            f'   "t_recv_trusted": {s(entry["t_recv_trusted"])},\n'
+            f'   "t_validated": {s(entry["t_validated"])},\n'
+            f'   "result": {s(entry["result"])},\n   "reason": {s(entry["reason"])},\n'
+            f'   "clients": {clients}\n  }}')
+
+
+def metrics_json(report: MetricsReport) -> str:
+    """json.dumps(vars(report), indent=1) for transactions in build_metrics's
+    key order: the rest goes through json.dumps, each transaction and client
+    outcome through one template. A field not int, str, None or bool raises."""
+    head = json.dumps({key: value for key, value in vars(report).items()
+                       if key != "transactions"}, indent=1)
+    body = ",\n".join(map(_transaction_json, report.transactions))
+    body = f"[\n{body}\n ]" if body else "[]"
+    return f'{head[:-2]},\n "transactions": {body}\n}}'  # head[:-2] drops its closing "\n}"
+
+
 @dataclass
 class ScenarioOutput:
     config: ScenarioConfig
@@ -477,10 +522,7 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOut
         files["events"] = out / "events.ndjson"
         netsim.save_events(files["events"], result.events)
         files["metrics"] = out / "metrics.json"
-        # vars(), not asdict(): the report holds no nested dataclass, and
-        # asdict would deep-copy every transaction dict only to serialize it
-        files["metrics"].write_text(
-            json.dumps(vars(report), indent=1) + "\n", encoding="ascii")
+        files["metrics"].write_text(metrics_json(report) + "\n", encoding="ascii")
         files["timings"] = out / "timings.csv"
         files["timings"].write_text(
             "\n".join(timings_csv_lines(report)) + "\n", encoding="ascii")

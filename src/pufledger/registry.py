@@ -11,6 +11,9 @@ Reads are gated. The one trusted node may fetch any device's stored
 responses (never the challenges). Ordinary clients get no general read
 access; they only receive the narrow view needed to check the trusted
 node's validations, via trusted_view().
+
+save_registry writes each record as one compact json.dumps line, spelling
+a chunk of challenges per gather from a fixed table of digit-group tokens.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     UnknownDeviceError,
 )
 from .fom import ScreeningPolicy, screen_pool
-from .puf import RESPONSE_BITS, PufDevice, Response, challenge_chunks, format_device_id
+from .puf import CHUNK_ROWS, RESPONSE_BITS, PufDevice, Response, challenge_chunks, format_device_id
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,22 +145,47 @@ def trusted_view(registry: Registry) -> tuple[int, tuple[Response, ...]]:
 
 # --- persistence -----------------------------------------------------------
 
-# decimal spellings of the default bank's indices, fixed at import so that a bank
-# near 2**31 allocates nothing more; an index past the end is spelled by str()
-_INDEX_STRS = tuple(map(str, range(256)))
+# Fixed-width, NUL-padded tokens, one per base-1000 digit group of a selector,
+# at row kind * 1000 + group with kind = side * 4 + lead * 2 + last (side 0 is
+# set1). A lead group is unpadded and the others have 3 digits; set1's lead
+# opens its pair with "[" and its last group ends with ",", set2's last with
+# "],". Row 8000 is empty, the slots before a short selector's lead, and 8001
+# ends a challenge. One table of 8,002 rows serves every index.
+_TOKENS = np.array([
+    ("[" * lead * (side == 0) + (str(g) if lead else f"{g:03d}") + (",", "],")[side] * last)
+    .encode() for side in (0, 1) for lead in (0, 1) for last in (0, 1) for g in range(1000)
+] + [b"", b"|"], dtype="S5")
+_EMPTY, _ROW_END = 8000, 8001
+_SIDE = np.array([[0], [4000]])  # token rows of set1, set2 selectors
 
 
 def record_to_json_line(record: CrpRecord) -> str:
     """The record as one compact JSON object, byte-equal to json.dumps with
     separators=(",", ":"): each challenge is its list of [set1, set2] index
-    pairs, next to its response's hex; "enrolled_at" is always 0."""
-    n = len(_INDEX_STRS)
+    pairs, next to its response's hex; "enrolled_at" is always 0. Raises
+    ValueError on a negative selector, which no challenge can hold."""
     pairs = []
-    for (set1, set2), response in zip(record.challenges.tolist(), record.responses):
-        set1 = [_INDEX_STRS[i] if i < n else str(i) for i in set1]
-        set2 = [_INDEX_STRS[i] if i < n else str(i) for i in set2]
-        pairs.append(f'{{"challenge":[[{"],[".join(map(",".join, zip(set1, set2)))}]],'
-                     f'"response":"{response.hex()}"}}')
+    for start in range(0, len(record.challenges), CHUNK_ROWS):
+        chunk = record.challenges[start:start + CHUNK_ROWS]
+        if chunk.min() < 0:
+            raise ValueError(f"a selector is negative: {int(chunk.min())}")
+        n_groups = (len(str(int(chunk.max()))) + 2) // 3
+        tokens = np.empty((len(chunk), chunk[0].size * n_groups + 1), np.int64)
+        tokens[:, -1] = _ROW_END
+        # token slots in text order (row, pair, side, group), indexed like the chunk
+        slots = tokens[:, :-1].reshape(len(chunk), -1, 2, n_groups).transpose(0, 2, 1, 3)
+        above = chunk  # each selector down to the current group
+        for k in range(n_groups - 1, -1, -1):
+            higher = above // 1000 if k else 0  # n_groups leaves nothing above group 0
+            kind = _SIDE + 1000 * (k == n_groups - 1) + 2000 * (higher == 0)
+            np.add(kind, above - 1000 * higher, out=slots[..., k])
+            if k < n_groups - 1:
+                slots[..., k][above == 0] = _EMPTY
+            above = higher
+        # each challenge's "[a,b],…,[y,z]," between row ends
+        texts = _TOKENS.take(tokens).tobytes().replace(b"\0", b"").decode("ascii").split("|")
+        pairs += [f'{{"challenge":[{text[:-1]}],"response":"{response.hex()}"}}'
+                  for text, response in zip(texts, record.responses[start:start + CHUNK_ROWS])]
     return (f'{{"device_id":"{format_device_id(record.device_id)}",'
             f'"enrolled_at":0,"pairs":[{",".join(pairs)}]}}')
 

@@ -10,10 +10,12 @@ from pufledger.harness import (
     _STREAM_PAYLOAD,
     CSV_HEADER,
     _draw_payloads,
+    MetricsReport,
     _stats,
     build_metrics,
     build_world,
     load_config,
+    metrics_json,
     parse_config_text,
     run_benchmark,
     run_fom_calibration,
@@ -290,6 +292,55 @@ def test_csv_row_takes_the_first_client_in_order_on_a_t_done_tie():
                                      adversarial=()), nodes=())
     # client 3 and client 4 both finish last at 200; client 3 comes first
     assert timings_csv_lines(report)[1:] == [f"0,0,{format_device_id(1)},120,60,200,accepted,"]
+
+
+# any value json.dumps and metrics_json both write, in any field; the text has
+# quotes, control characters and non-ASCII
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+CLIENT_KEYS = ("t_recv", "t_done", "accepted", "reason")
+TX_KEYS = ("tx", "seq", "device_id", "origin", "t_init", "t_send", "t_recv_trusted",
+           "t_validated", "result", "reason")
+# dicts in build_metrics's key order
+CLIENT = st.tuples(*[SCALAR] * len(CLIENT_KEYS)).map(
+    lambda values: dict(zip(CLIENT_KEYS, values)))
+TRANSACTION = st.tuples(*[SCALAR] * len(TX_KEYS),
+                        st.dictionaries(st.text(), CLIENT, max_size=4)).map(
+    lambda values: dict(zip(TX_KEYS + ("clients",), values)))
+STATS = st.fixed_dictionaries({"mean": st.floats(), "sd": st.floats(), "n": st.integers()})
+REPORT = st.builds(
+    MetricsReport, n_transactions=st.integers(), n_adversarial=st.integers(),
+    accepted=st.integers(), rejected_by_reason=st.dictionaries(st.text(), st.integers()),
+    adversarial_accepted=st.integers(),
+    adversarial_rejected_by_reason=st.dictionaries(st.text(), st.integers()),
+    dt_sa_ms=STATS, dt_ca_ms=STATS, dt_tx_ms=STATS,
+    per_node=st.dictionaries(st.text(), st.fixed_dictionaries({"role": st.text()},
+                                                             optional={"dt_ca_ms": STATS})),
+    transactions=st.lists(TRANSACTION, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT)
+def test_metrics_json_is_json_dumps_of_the_report(report):
+    assert metrics_json(report) == json.dumps(vars(report), indent=1)
+
+
+def report_of_one_transaction():
+    record = TxRecord(tx_id=0, origin=1, device_id=1, seq=0, t_init=0, t_send=5,
+                      t_recv_trusted=10, t_validated=130, accepted=True, client_outcomes={
+                          2: ClientOutcome(t_recv=145, t_done=190, accepted=True, reason=None)})
+    return build_metrics(SimResult(events=(), nodes={}, tx_records=(record,),
+                                   adversarial=()), nodes=())
+
+
+@pytest.mark.parametrize("value", [np.int64(7), 7.0])
+@pytest.mark.parametrize("client", [False, True])
+def test_metrics_json_refuses_a_numpy_int_or_a_float(value, client):
+    # json.dumps refuses the numpy scalar; metrics_json refuses both
+    report = report_of_one_transaction()
+    entry = report.transactions[0]
+    (entry["clients"][format_device_id(2)] if client else entry)["reason"] = value
+    with pytest.raises(TypeError):
+        metrics_json(report)
 
 
 @settings(max_examples=200, deadline=None)

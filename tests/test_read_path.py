@@ -30,7 +30,7 @@ from pufledger.puf import (
     selected_freqs,
 )
 from pufledger.registry import (
-    _INDEX_STRS,
+    _TOKENS,
     CrpRecord,
     Registry,
     enroll,
@@ -982,9 +982,10 @@ def test_entry_line_is_json_dumps_of_its_fields(height, prev_hash, device_id, se
     assert entry_from_json_line(line) == entry
 
 
-# indices on both sides of the int-string table's end, up to random_challenge's largest bank
-RECORD_INDEX = st.one_of(st.integers(0, len(_INDEX_STRS) + 3),
-                         st.integers(len(_INDEX_STRS) - 3, 2**31 - 1), st.just(2**31 - 1))
+# indices of the default bank and past it, up to random_challenge's largest bank, and
+# both sides of each edge between base-1000 digit groups
+RECORD_INDEX = st.one_of(st.integers(0, 259), st.integers(0, 2**31 - 1),
+                         st.sampled_from([999, 1000, 999_999, 1_000_000, 10**9, 2**31 - 1]))
 
 
 def challenge_of(pairs):
@@ -1011,14 +1012,24 @@ def test_record_line_is_json_dumps_of_its_fields(challenges, device_id, data):
     assert record_to_json_line(record) == record_line_by_json_dumps(record)
 
 
-def test_record_line_spells_indices_past_the_table_with_str():
+def test_record_line_spells_the_largest_index_with_a_fixed_table():
     top = 2**31 - 1  # the largest index random_challenge can draw
     challenge = challenge_of([(0, top), (255, 256), (256, 255), (top, 0)])
     record = CrpRecord(7, challenge[None], (Response(np.array([1, 0, 1, 1], dtype=np.uint8)),))
+    size = _TOKENS.size
     line = record_to_json_line(record)
     assert line == record_line_by_json_dumps(record)
     assert f'"challenge":[[0,{top}],[255,256],[256,255],[{top},0]]' in line
-    assert len(_INDEX_STRS) == 256  # fixed at import, never grown to the largest index
+    assert _TOKENS.size == size == 8002  # fixed at import, never grown to the largest index
+
+
+@pytest.mark.parametrize("selector", [-1, -256, -2**31])
+def test_record_line_refuses_a_negative_selector(selector):
+    # numpy would take -1 from the table's end and write another, valid index
+    challenge = challenge_of([(0, 1), (2, selector)])
+    record = CrpRecord(7, challenge[None], (Response(np.array([1, 0], dtype=np.uint8)),))
+    with pytest.raises(ValueError, match="negative"):
+        record_to_json_line(record)
 
 
 # every detail shape netsim logs, by event kind
