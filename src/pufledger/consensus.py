@@ -1,21 +1,26 @@
 """Authentication-based consensus over PUF-backed blocks.
 
 A device initiates a transaction by hashing its block data together with
-one of its enrolled responses; only the hash travels. A node holds its
-enrolled challenges as its registry record does, one (k, 2, n_bits)
-selector array with a row per challenge, and its device re-derives a
-response from a row noiselessly. A trusted node authenticates by linearly
-scanning the device's stored responses and recomputing the tag for each
-until one matches, then appends the block to its chain and rebroadcasts
-it with a validation tag of its own, made with its stored response at
-index `height % len(challenges)`. Clients drop anything not validated by
-the trusted node, rebuild the entry at their own height and tip, recompute
-the validation tag once with the trusted node's stored response at that
-same index, and append an entry identical to the trusted node's.
+one of its enrolled responses; only the hash travels, with the index of
+the challenge it answered. A node holds its enrolled challenges as its
+registry record does, one (k, 2, n_bits) selector array with a row per
+challenge, and its device re-derives a response from a row noiselessly.
+Stored responses are in enrollment order, so a trusted node authenticates
+with one hash: it recomputes the tag with the device's stored response at
+the block's challenge index, then appends the block to its chain and
+rebroadcasts it with a validation tag of its own, made with its stored
+response at index `height % len(challenges)`. Clients drop anything not
+validated by the trusted node, build the entry at their own height and
+tip, recompute the validation tag once with the trusted node's stored
+response at that same index, and append an entry identical to the trusted
+node's; an honest client gets the very entry object the trusted node
+built (`ledger.make_entry` is memoized).
 
 No response ever crosses the network in any direction: origin blocks carry
 the authentication tag, rebroadcasts add a validation tag, both are
-SHA-256 outputs.
+SHA-256 outputs. Challenges are public in challenge-response
+authentication, and a challenge index reveals no response: without the
+device, or the registry, nobody can compute the tag it names.
 """
 
 from __future__ import annotations
@@ -54,17 +59,24 @@ REASON_NOT_FROM_TRUSTED = "not-from-trusted"
 class WireBlock:
     """Exactly what crosses the (simulated) network for one block.
 
-    The three validation fields appear together on rebroadcasts from a
-    trusted node and are absent on origin blocks.
+    challenge_index names the enrolled challenge whose response keys
+    auth_tag, a non-negative int; a rebroadcast carries its origin block's
+    index. The three validation fields appear together on rebroadcasts from
+    a trusted node and are absent on origin blocks.
     """
 
     data: BlockData
     auth_tag: AuthTag
+    challenge_index: int
     validated_by: Optional[int] = None
     t_validated: Optional[int] = None
     validation_tag: Optional[bytes] = None
 
     def __post_init__(self) -> None:
+        index = self.challenge_index
+        # a bool would pass as index 0 or 1
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise ValueError(f"challenge_index must be a non-negative int, got {index!r}")
         tag = self.validation_tag
         if not (self.validated_by is None) == (self.t_validated is None) == (tag is None):
             raise ValueError(
@@ -113,7 +125,8 @@ def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) ->
     """Build and sign the next block for this node's device.
 
     The device re-derives the enrolled response noiselessly on the spot;
-    only the resulting tag is placed on the wire. Advances next_seq.
+    only the resulting tag and the challenge index are placed on the
+    wire. Advances next_seq.
     """
     if not 0 <= challenge_index < len(node.challenges):
         raise ValueError(
@@ -123,7 +136,7 @@ def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) ->
     response = reference_response(node.device, node.challenges[challenge_index])
     tag = make_auth_tag(data, response)
     node.next_seq += 1
-    return WireBlock(data=data, auth_tag=tag)
+    return WireBlock(data=data, auth_tag=tag, challenge_index=challenge_index)
 
 
 def _validation_tag(entry_hash: bytes, response) -> bytes:
@@ -131,11 +144,13 @@ def _validation_tag(entry_hash: bytes, response) -> bytes:
 
 
 def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> Verdict:
-    """Judge an origin block: scan the device's stored responses for one
-    whose recomputed tag matches, guard against stale sequence numbers,
-    then append and rebroadcast with this node's validation tag.
+    """Judge an origin block: recompute its tag once, with the device's
+    stored response at the block's challenge index, guard against stale
+    sequence numbers, then append and rebroadcast with this node's
+    validation tag.
 
-    Work is bounded by one tag recomputation per stored response. Every
+    An index past the device's stored responses is a no-match with no hash
+    tried; a wrong index, like a wrong tag, is a no-match after one. Every
     check that can raise runs before the node's state changes."""
     if trusted.role != ROLE_TRUSTED:
         raise ValueError("authenticate requires a trusted node")
@@ -148,17 +163,15 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
     except UnknownDeviceError:
         return Verdict(False, REASON_UNKNOWN_DEVICE, None, 0)
 
-    # make_auth_tag's digest, with the block encoded once for the whole scan
-    prefix = block.data.encoded
-    for hashes, response in enumerate(stored, start=1):
-        if sha256(prefix + response.packed()) == block.auth_tag.h:
-            break
-    else:
-        return Verdict(False, REASON_NO_MATCH, None, len(stored))
+    if block.challenge_index >= len(stored):
+        return Verdict(False, REASON_NO_MATCH, None, 0)
+    # make_auth_tag's digest
+    if sha256(block.data.encoded + stored[block.challenge_index].packed()) != block.auth_tag.h:
+        return Verdict(False, REASON_NO_MATCH, None, 1)
 
     last = trusted.last_seq_accepted.get(block.data.device_id)
     if last is not None and block.data.seq <= last:
-        return Verdict(False, REASON_REPLAY, None, hashes)
+        return Verdict(False, REASON_REPLAY, None, 1)
 
     entry = append(trusted.chain, block.data, block.auth_tag, trusted.node_id, now)
     trusted.last_seq_accepted[block.data.device_id] = block.data.seq
@@ -169,11 +182,12 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
     rebroadcast = WireBlock(
         data=block.data,
         auth_tag=block.auth_tag,
+        challenge_index=block.challenge_index,
         validated_by=trusted.node_id,
         t_validated=now,
         validation_tag=_validation_tag(entry.entry_hash, own_response),
     )
-    return Verdict(True, None, entry, hashes, rebroadcast)
+    return Verdict(True, None, entry, 1, rebroadcast)
 
 
 def accept_validated(client: NodeState, block: WireBlock,
@@ -183,7 +197,7 @@ def accept_validated(client: NodeState, block: WireBlock,
     replays, then recompute the validation tag once, with the trusted
     node's stored response at the index it used for this height. On
     success the appended entry is bit-identical to the trusted node's
-    entry."""
+    entry, and while `make_entry`'s memo holds it, the same object."""
     if client.role != ROLE_CLIENT:
         raise ValueError("accept_validated requires a client node")
     trusted_id, stored = view
@@ -194,14 +208,8 @@ def accept_validated(client: NodeState, block: WireBlock,
     if last is not None and block.data.seq <= last:
         return Verdict(False, REASON_REPLAY, None, 0)
 
-    candidate = make_entry(
-        height=len(client.chain),
-        prev_hash=tip_hash(client.chain),
-        data=block.data,
-        auth_tag=block.auth_tag,
-        trusted_node_id=block.validated_by,
-        t_validated=block.t_validated,
-    )
+    candidate = make_entry(len(client.chain), tip_hash(client.chain), block.data,
+                           block.auth_tag, block.validated_by, block.t_validated)
     # a candidate at another height or tip than the validator's has another
     # entry hash, so no stored response could match it
     expected = _validation_tag(candidate.entry_hash, stored[candidate.height % len(stored)])

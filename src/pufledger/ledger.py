@@ -8,6 +8,9 @@ else can forge it.
 
 A chain is a plain list of entries that `append` extends in place; each
 replica owns its list, so an append adds one entry and copies nothing.
+Entries are immutable, and `make_entry` hands out one entry object per
+distinct field tuple among the last ENTRY_MEMO_SIZE it built, so replicas
+that agree share entries, and each entry is hashed and serialized once.
 Entries link by hash. A malformed entry cannot be built: every field is
 checked when a ChainEntry is constructed. Verification walks the chain
 from the first entry and reports the lowest height at which anything
@@ -20,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -30,6 +33,7 @@ from .puf import DEVICE_ID_BITS, DEVICE_ID_HEX_DIGITS, RESPONSE_BITS, Response, 
 MAX_PAYLOAD_BYTES = 64 * 1024
 HASH_BYTES = 32
 GENESIS_PREV_HASH = bytes(HASH_BYTES)
+ENTRY_MEMO_SIZE = 64
 
 _DEVICE_ID_BYTES = DEVICE_ID_BITS // 8
 
@@ -73,7 +77,7 @@ class BlockData:
 
         All integers are big-endian. The length prefix makes the encoding
         injective: no two distinct BlockData values share an encoding. It is
-        built once per block: the block's tag, its scan at the trusted node
+        built once per block: the block's tag, its check at the trusted node
         and every entry that holds it read the same bytes.
         """
         return (self.device_id.to_bytes(_DEVICE_ID_BYTES, "big") + self.seq.to_bytes(8, "big")
@@ -136,10 +140,20 @@ class ChainEntry:
         _check_hash("entry_hash", self.entry_hash)
         object.__setattr__(self, "_hash_matches", self.entry_hash == computed)
 
+    @cached_property
+    def json_line(self) -> str:
+        """entry_to_json_line(self), built once however many replicas hold
+        the entry."""
+        return entry_to_json_line(self)
+
 
 def tip_hash(chain: list[ChainEntry]) -> bytes:
     """Hash the next entry links to: the last entry's, or all zeros."""
     return chain[-1].entry_hash if chain else GENESIS_PREV_HASH
+
+
+# typed: 1, True and 1.0 are equal keys, but only the int is a valid field
+_memo_entry = lru_cache(maxsize=ENTRY_MEMO_SIZE, typed=True)(ChainEntry)
 
 
 def make_entry(
@@ -150,7 +164,16 @@ def make_entry(
     trusted_node_id: int,
     t_validated: int,
 ) -> ChainEntry:
-    return ChainEntry(height, prev_hash, data, auth_tag, trusted_node_id, t_validated)
+    """The entry with these fields and its computed hash. Memoized: among
+    the last ENTRY_MEMO_SIZE distinct field tuples, equal fields return the
+    same entry object, so a client replicating the trusted node's block
+    gets the trusted node's entry without hashing it again. Fields that
+    cannot be memoized (an unhashable value) build an entry each call, and
+    an invalid field raises ConfigError either way."""
+    try:
+        return _memo_entry(height, prev_hash, data, auth_tag, trusted_node_id, t_validated)
+    except TypeError:  # unhashable: ChainEntry checks the fields and says what is wrong
+        return ChainEntry(height, prev_hash, data, auth_tag, trusted_node_id, t_validated)
 
 
 def append(
@@ -228,8 +251,10 @@ def entry_from_json_line(line: str) -> ChainEntry:
 
 
 def save_chain(path: str | Path, chain: list[ChainEntry]) -> None:
+    """Write one entry_to_json_line per entry, each ended by a newline; an
+    entry shared by several replicas is formatted once (ChainEntry.json_line)."""
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("".join([entry_to_json_line(entry) + "\n" for entry in chain]))
+        fh.write("".join([entry.json_line + "\n" for entry in chain]))
 
 
 def verify_chain_bytes(raw: bytes) -> Optional[int]:

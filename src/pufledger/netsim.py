@@ -25,9 +25,9 @@ Adversaries are part of the scenario. Four kinds are understood:
                     as validator, with a made-up validation tag, and sends
                     them to every client.
 
-Adversarial sends use the normal latency model but are never dropped, so
-each injection is judged by its target and shows up in the result exactly
-once per receiver.
+Fabricated blocks name challenge index 0. Adversarial sends use the
+normal latency model but are never dropped, so each injection is judged by
+its target and shows up in the result exactly once per receiver.
 """
 
 from __future__ import annotations
@@ -543,7 +543,7 @@ class _Sim:
                 payload=bytes(self.rng_adv.bytes(8)),
             )
             self.fake_seq += 1
-            block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()))
+            block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()), challenge_index=0)
             self.log(t, "inject", None, "", {
                 "kind": adv.kind, "device_id": format_device_id(data.device_id),
             })
@@ -558,7 +558,7 @@ class _Sim:
             )
             self.fake_seq += 1
             block = WireBlock(
-                data=data, auth_tag=AuthTag(self.random_tag()),
+                data=data, auth_tag=AuthTag(self.random_tag()), challenge_index=0,
                 validated_by=self.trusted_id, t_validated=t, validation_tag=self.random_tag(),
             )
             clients = [n for n in self.order if self.nodes[n].role == ROLE_CLIENT]

@@ -183,7 +183,7 @@ def record_to_json_line(record: CrpRecord) -> str:
                 slots[..., k][above == 0] = _EMPTY
             above = higher
         # each challenge's "[a,b],…,[y,z]," between row ends
-        texts = _TOKENS.take(tokens).tobytes().replace(b"\0", b"").decode("ascii").split("|")
+        texts = _TOKENS.take(tokens).tobytes().translate(None, b"\0").decode("ascii").split("|")
         pairs += [f'{{"challenge":[{text[:-1]}],"response":"{response.hex()}"}}'
                   for text, response in zip(texts, record.responses[start:start + CHUNK_ROWS])]
     return (f'{{"device_id":"{format_device_id(record.device_id)}",'

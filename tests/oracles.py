@@ -22,6 +22,7 @@ def wire_to_json(block: WireBlock) -> str:
         "t_init": block.data.t_init,
         "payload": block.data.payload.hex(),
         "auth_tag": block.auth_tag.hex(),
+        "challenge_index": block.challenge_index,
     }
     if block.is_validated:
         obj["validated_by"] = format_device_id(block.validated_by)

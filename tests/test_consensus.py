@@ -85,20 +85,33 @@ def test_wire_json_round_trip(fresh_nodes):
         data = BlockData(int(obj.pop("device_id"), 16), obj.pop("seq"), obj.pop("t_init"),
                          bytes.fromhex(obj.pop("payload")))
         auth_tag = AuthTag(bytes.fromhex(obj.pop("auth_tag")))
+        challenge_index = obj.pop("challenge_index")
         validation = {}
         if original.is_validated:
             validation = dict(validated_by=int(obj.pop("validated_by"), 16),
                               t_validated=obj.pop("t_validated"),
                               validation_tag=bytes.fromhex(obj.pop("validation_tag")))
         assert obj == {}
-        assert WireBlock(data, auth_tag, **validation) == original
+        assert WireBlock(data, auth_tag, challenge_index, **validation) == original
 
 
 def test_wire_block_validation_trio_is_all_or_none(fresh_nodes):
     registry, nodes = fresh_nodes
     block, _ = pipeline(registry, nodes)
     with pytest.raises(ValueError):
-        WireBlock(data=block.data, auth_tag=block.auth_tag, validated_by=nodes[0].node_id)
+        WireBlock(data=block.data, auth_tag=block.auth_tag, challenge_index=0,
+                  validated_by=nodes[0].node_id)
+
+
+def test_wire_block_requires_a_non_negative_int_challenge_index(fresh_nodes):
+    registry, nodes = fresh_nodes
+    block, result = pipeline(registry, nodes, challenge_index=2)
+    assert block.challenge_index == result.rebroadcast.challenge_index == 2
+    with pytest.raises(TypeError):
+        WireBlock(data=block.data, auth_tag=block.auth_tag)
+    for bad in (-1, True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="challenge_index"):
+            WireBlock(data=block.data, auth_tag=block.auth_tag, challenge_index=bad)
 
 
 # --- authenticate ----------------------------------------------------------------
@@ -131,42 +144,69 @@ def test_authenticate_rebroadcast_tag_recomputable(fresh_nodes):
     assert rb.validation_tag == expected
 
 
-def test_authenticate_scan_stops_at_matching_response(fresh_nodes, enrolled):
+def test_authenticate_hashes_once_at_the_named_index(fresh_nodes, enrolled):
     registry, nodes = fresh_nodes
     _, records = enrolled
     trusted, client = nodes[0], nodes[1]
-    k = 5
+    k = len(records[client.node_id].responses) - 1  # the last: a scan would have tried them all
     block = initiate(client, b"x", k, now=1)
     result = authenticate(trusted, block, registry, now=2)
     assert result.accepted
-    assert result.hashes_tried == k + 1
-    assert result.hashes_tried <= len(records[client.node_id].responses)
+    assert result.hashes_tried == 1
 
 
-def test_authenticate_matches_brute_force_oracle(fresh_nodes, enrolled):
+def test_authenticate_matches_the_one_index_oracle(fresh_nodes, enrolled):
+    """Accept iff the tag is make_auth_tag(data, stored[index]); an index
+    past the stored responses tries no hash, any other no-match one."""
     registry, nodes = fresh_nodes
     _, records = enrolled
     trusted, client = nodes[0], nodes[1]
     stored = records[client.node_id].responses
     rng = np.random.default_rng(31)
-    for trial in range(30):
+    seen = set()
+    for trial in range(40):
         data = BlockData(device_id=client.node_id, seq=trial, t_init=trial,
                          payload=bytes(rng.bytes(8)))
-        if trial % 3 == 0:
-            tag = make_auth_tag(data, stored[trial % len(stored)])
-        elif trial % 3 == 1:
+        index = int(rng.integers(0, len(stored) + 3))  # sometimes out of range
+        signer = int(rng.integers(0, len(stored)))
+        if trial % 4 == 0:
+            tag = make_auth_tag(data, stored[index % len(stored)])
+        elif trial % 4 == 1:
             tag = AuthTag(bytes(rng.bytes(32)))
+        elif trial % 4 == 2:
+            tag = make_auth_tag(data, stored[signer])  # the right tag for another index
         else:
             wrong_data = BlockData(device_id=client.node_id, seq=trial,
                                    t_init=trial, payload=b"tampered")
-            tag = make_auth_tag(wrong_data, stored[0])
-        expected = any(make_auth_tag(data, r) == tag for r in stored)
-        block = WireBlock(data=data, auth_tag=tag)
-        result = authenticate(trusted, block, registry, now=trial)
+            tag = make_auth_tag(wrong_data, stored[index % len(stored)])
+        in_range = index < len(stored)
+        expected = in_range and make_auth_tag(data, stored[index]) == tag
+        result = authenticate(trusted, WireBlock(data, tag, index), registry, now=trial)
         assert result.accepted == expected
+        assert result.hashes_tried == int(in_range)
         if not expected:
             assert result.reason == REASON_NO_MATCH
-            assert result.hashes_tried == len(stored)
+        seen.add((result.accepted, result.hashes_tried))
+    assert seen == {(True, 1), (False, 1), (False, 0)}
+
+
+@pytest.mark.parametrize("shift", [1, "past"])
+def test_authenticate_rejects_a_wrong_index_without_changing_state(fresh_nodes, enrolled, shift):
+    """A right tag under another index is a no-match after one hash; an
+    index past the stored responses is one after none. Either way the
+    block stays new, so the same block with its own index is accepted."""
+    registry, nodes = fresh_nodes
+    _, records = enrolled
+    trusted, client = nodes[0], nodes[1]
+    n_stored = len(records[client.node_id].responses)
+    block = initiate(client, b"moved", 3, now=1)
+    wrong = replace(block, challenge_index=n_stored if shift == "past" else 3 + shift)
+    result = authenticate(trusted, wrong, registry, now=2)
+    assert not result.accepted
+    assert result.reason == REASON_NO_MATCH
+    assert result.hashes_tried == (0 if shift == "past" else 1)
+    assert trusted.chain == [] and trusted.trust_value == 0 and trusted.last_seq_accepted == {}
+    assert authenticate(trusted, block, registry, now=3).accepted
 
 
 def test_authenticate_rejects_replayed_sequence(fresh_nodes):
@@ -177,6 +217,7 @@ def test_authenticate_rejects_replayed_sequence(fresh_nodes):
     replayed = authenticate(trusted, block, registry, now=3)
     assert not replayed.accepted
     assert replayed.reason == REASON_REPLAY
+    assert replayed.hashes_tried == 1
     assert len(trusted.chain) == 1
 
 
@@ -184,7 +225,7 @@ def test_authenticate_rejects_unknown_device(fresh_nodes):
     registry, nodes = fresh_nodes
     trusted = nodes[0]
     data = BlockData(device_id=0xFFFFFFFFFFFF, seq=0, t_init=0)
-    block = WireBlock(data=data, auth_tag=AuthTag(b"\x11" * 32))
+    block = WireBlock(data=data, auth_tag=AuthTag(b"\x11" * 32), challenge_index=0)
     result = authenticate(trusted, block, registry, now=0)
     assert not result.accepted
     assert result.reason == REASON_UNKNOWN_DEVICE

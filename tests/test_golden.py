@@ -41,7 +41,7 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "events.ndjson":
-            "cfc39a936f1dc20ff538b98622da0214a422d1e98799ff8954365a9cdc526ec3",
+            "a958224f67c3bd703714900f6cd44b2a2bf0de2011fff87ff60f3d1121a510d9",
         "metrics.json":
             "11bca74f701958692460b60ac8f15a69fd0da7e05f6d46d8c7c84ce85e8ec7ea",
         "registry.ndjson":
@@ -59,7 +59,7 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "bb2d1ac428eb216a6121edb86f1fc508160914ca4ca4640583891d6e00ee6491",
         "events.ndjson":
-            "84e1d50880f362ff900c663761363f3d7868390ca176dfcd5c7f598bd823dfa0",
+            "3b34e474550545b4b6b08893685e50bba95856a581911aface4c48c041596fb3",
         "metrics.json":
             "9ea5d420f0d5433a3798eb10ba99e84833198ca02ad06ff31d1f1e545f860c61",
         "registry.ndjson":
@@ -77,7 +77,7 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "events.ndjson":
-            "c2f520eb25108bbe1666efc8d5a0652bd8ff12f3158adf84fec1a38a764be30a",
+            "6841082a2eff20dfcf5c0f0b8bd5a26c142322dfd5190536af92a1679b466dbd",
         "metrics.json":
             "eb1b0cb56a8bc7df23e156c8b8ed9ca92d5400bb477e55032286244a4f6f0e18",
         "registry.ndjson":
@@ -95,7 +95,7 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "efd20208a35384f50c29f8af3d25e36b343f9801d8127f6b1432e10970a2d799",
         "events.ndjson":
-            "17c8864c07a48c5e3ad3981be9ce614ae3541e18bde4cb70af8eebec205d02bb",
+            "9b406d2f5e7a12fe32e0e9985ac31878fc957f00be33d5d433ded805f693e712",
         "metrics.json":
             "5092902f215c71e5cacb66f79566cc915942784c09bd1189760798777ceea949",
         "registry.ndjson":
@@ -113,7 +113,7 @@ GOLDEN_SCENARIOS = {
         "chain_f22904f78d4a.ndjson":
             "1452a97c26bdae42bf6beb10079fee336f8baef852fc152211734746aec91103",
         "events.ndjson":
-            "80bb2cf64e1c14b7ded9019e3a81f972af8ceaf215a87a08550bd1a7c846f900",
+            "e3da5881a9ba273a1b162a6bf7fd6860692035deacd80fefe99aabe2a7d32ea9",
         "metrics.json":
             "9b5d62b70debfd22104bcd22ee60d334ef2fc63ab86277adca2e1287e7497b35",
         "registry.ndjson":
@@ -153,6 +153,20 @@ def test_client_judgments_hash_once(name, tmp_path):
               if event.kind in ("accept", "reject") and event.node in clients
               and "hashes" in event.detail]
     assert judged and set(judged) == {1}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_trusted_judgments_hash_at_most_once(name):
+    """The trusted node recomputes one tag, at the index the block names;
+    an unknown device tries none. A scan would record up to every stored
+    response."""
+    overrides, _ = GOLDEN_SCENARIOS[name]
+    output = run_scenario(ScenarioConfig(**SMALL, **overrides), write_outputs=False)
+    trusted = output.built.scenario.world.registry.trusted_id
+    judged = [event.detail["hashes"] for event in output.result.events
+              if event.kind in ("accept", "reject") and event.node == trusted
+              and "hashes" in event.detail]
+    assert judged and set(judged) <= {0, 1}
 
 
 def test_fom_report_matches_golden_digest():

@@ -24,9 +24,10 @@ from pufledger.ledger import (
     make_entry,
     sha256,
 )
+from pufledger import ScenarioConfig, run_scenario
 from pufledger.cli import main
 from pufledger.errors import ConfigError, PayloadSizeError
-from pufledger.puf import Response
+from pufledger.puf import Response, format_device_id
 from sha256_oracle import sha256_pure
 
 
@@ -302,6 +303,52 @@ def test_append_extends_in_place_and_returns_the_new_entry():
     assert len(chain) == 3 and chain[-1] is entry
     assert entry == make_entry(2, chain[1].entry_hash, data, tag, 0xBB, 4)
     assert verify(chain) is None
+
+
+def test_make_entry_returns_the_memoized_entry_for_equal_fields():
+    data = BlockData(device_id=7, seq=1, t_init=2, payload=b"memo")
+    tag = make_auth_tag(data, R1)
+    first = make_entry(0, bytes(32), data, tag, 0xCC, 9)
+    # equal, but distinct, field objects
+    again = make_entry(0, bytes(bytearray(32)), BlockData(7, 1, 2, b"memo"), AuthTag(tag.h),
+                       0xCC, 9)
+    assert again is first
+    fresh = ChainEntry(0, bytes(32), data, tag, 0xCC, 9)
+    assert again == fresh and again.entry_hash == fresh.entry_hash
+    assert verify([again]) is None
+    assert make_entry(1, bytes(32), data, tag, 0xCC, 9) != first
+
+
+@pytest.mark.parametrize("position", [0, 4, 5])  # height, trusted_node_id, t_validated
+def test_make_entry_memo_keeps_a_bool_or_float_field_invalid(position):
+    fields = [0, bytes(32), BlockData(1, 0, 0), AuthTag(bytes(32)), 1, 0]
+    fields[position] = 1
+    make_entry(*fields)  # 1 == True == 1.0, so an untyped memo would return this entry
+    for bad in (True, 1.0):
+        fields[position] = bad
+        with pytest.raises(ConfigError):
+            make_entry(*fields)
+
+
+@pytest.mark.parametrize("position, bad", [(1, bytearray(32)), (2, [1, 0, 0]), (3, {})])
+def test_make_entry_refuses_an_unhashable_field_with_config_error(position, bad):
+    fields = [0, bytes(32), BlockData(1, 0, 0), AuthTag(bytes(32)), 1, 0]
+    fields[position] = bad
+    with pytest.raises(ConfigError):
+        make_entry(*fields)
+
+
+def test_an_honest_run_builds_one_entry_object_per_block(tmp_path):
+    """Every client replicates the trusted node's entry objects, and each
+    chain file is still entry_to_json_line of each entry, one a line."""
+    output = run_scenario(ScenarioConfig(out_dir=str(tmp_path)))
+    trusted = output.built.scenario.world.registry.trusted_id
+    chains = [node.chain for node in output.result.nodes.values()]
+    assert len(chains) == 6 and len(output.result.nodes[trusted].chain) == 300
+    assert len({id(entry) for chain in chains for entry in chain}) == 300
+    for node_id, node in output.result.nodes.items():
+        written = output.files[f"chain_{format_device_id(node_id)}"].read_text(encoding="ascii")
+        assert written == "".join(entry_to_json_line(entry) + "\n" for entry in node.chain)
 
 
 # --- persistence ---------------------------------------------------------------------
