@@ -142,8 +142,7 @@ class ChainEntry:
 
     @cached_property
     def json_line(self) -> str:
-        """entry_to_json_line(self), built once however many replicas hold
-        the entry."""
+        """entry_to_json_line(self), built once for every replica holding the entry."""
         return entry_to_json_line(self)
 
 
@@ -164,12 +163,10 @@ def make_entry(
     trusted_node_id: int,
     t_validated: int,
 ) -> ChainEntry:
-    """The entry with these fields and its computed hash. Memoized: among
-    the last ENTRY_MEMO_SIZE distinct field tuples, equal fields return the
-    same entry object, so a client replicating the trusted node's block
-    gets the trusted node's entry without hashing it again. Fields that
-    cannot be memoized (an unhashable value) build an entry each call, and
-    an invalid field raises ConfigError either way."""
+    """The entry with these fields, memoized over the last ENTRY_MEMO_SIZE
+    distinct field tuples: a client replicating the trusted node's block
+    gets the trusted node's entry object without hashing it again.
+    Unhashable fields skip the memo; invalid ones raise ConfigError."""
     try:
         return _memo_entry(height, prev_hash, data, auth_tag, trusted_node_id, t_validated)
     except TypeError:  # unhashable: ChainEntry checks the fields and says what is wrong
@@ -251,8 +248,7 @@ def entry_from_json_line(line: str) -> ChainEntry:
 
 
 def save_chain(path: str | Path, chain: list[ChainEntry]) -> None:
-    """Write one entry_to_json_line per entry, each ended by a newline; an
-    entry shared by several replicas is formatted once (ChainEntry.json_line)."""
+    """Write each entry's json_line, one a line."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("".join([entry.json_line + "\n" for entry in chain]))
 
