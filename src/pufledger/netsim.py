@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's own string escape
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -178,35 +178,103 @@ def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
     return replace(scenario, adversaries=scenario.adversaries + (adversary,))
 
 
-class LogEvent(NamedTuple):
-    t_ms: int
+class EventLayout(NamedTuple):
+    """An event kind's detail keys in order, one type (int, str or bool) per
+    key, and the function that formats such an event's line."""
+
     kind: str
+    keys: tuple[str, ...]
+    types: tuple[type, ...]
+    line: Callable[[int, str, str, tuple], str]
+
+
+_BRACES = str.maketrans({"{": "{{", "}": "}}"})  # text to the literal part of an f-string
+
+
+def event_layout(kind: str, slots: str) -> EventLayout:
+    """The layout of kind's events, whose detail slots are "key:type" words
+    (type int, str or bool), and its line(t_ms, node_text, block_ref, values)
+    compiled once: byte-equal to compact json.dumps, and a TypeError for a
+    value whose type is not exactly its slot's (a bool is no int)."""
+    keys, names = zip(*(slot.split(":") for slot in slots.split()))
+    spell = {"int": "{v%d}", "bool": '{"true" if v%d else "false"}', "str": "{_quote(v%d)}"}
+    detail = ",".join(_quote(key).translate(_BRACES) + ":" + spell[name] % k
+                      for k, (key, name) in enumerate(zip(keys, names)))
+    text = ('{{"t_ms":{t_ms},"kind":' + _quote(kind).translate(_BRACES) + ',"node":"{node}",'
+            '"block_ref":{_quote(block_ref)},"detail":{{' + detail + "}}}}")
+    wrong = " or ".join(f"type(v{k}) is not {name}" for k, name in enumerate(names))
+    types = tuple({"int": int, "str": str, "bool": bool}[name] for name in names)
+    namespace = {"_quote": _quote, "types": types}
+    exec(f"def line(t_ms, node, block_ref, values):\n"
+         f"    ({''.join(f'v{k},' for k in range(len(keys)))}) = values\n"
+         f"    if {wrong}:\n"
+         f"        raise TypeError(f'detail values {{values!r}} are not of types {{types}}')\n"
+         f"    return f{text!r}\n", namespace)
+    return EventLayout(kind, keys, types, namespace["line"])
+
+
+# every layout netsim logs; reject has one with the hashes it spent and one without
+_LOSE = event_layout("lose", "tx:int from:str")
+_INITIATE = event_layout("initiate", "tx:int seq:int device_id:str challenge_index:int")
+_TAMPER = event_layout("tamper", "tx:int field:str")
+_DELIVER = event_layout("deliver", "msg:int tx:int from:str validated:bool adv:str")
+_ACCEPT = event_layout("accept", "tx:int seq:int height:int role:str hashes:int adv:str")
+_REBROADCAST = event_layout("rebroadcast", "tx:int")
+_REJECT_HASHED = event_layout("reject", "msg:int tx:int reason:str hashes:int adv:str")
+_REJECT = event_layout("reject", "msg:int tx:int reason:str adv:str")
+_PENALIZE = event_layout("penalize", "penalties:int trust_value:int")
+_DEMOTE = event_layout("demote", "trust_value:int")
+_INJECT_NOOP = event_layout("inject-noop", "kind:str tx:int")
+_INJECT_REPLAY = event_layout("inject", "kind:str tx:int")
+_INJECT_FAKE = event_layout("inject", "kind:str device_id:str")
+_INJECT_FORGE = event_layout("inject", "kind:str claim:str")
+
+
+class LogEvent(NamedTuple):
+    """One logged event: its layout and its detail values in layout order;
+    kind and detail (a fresh dict, keys in layout order) derive from them."""
+
+    t_ms: int
+    layout: EventLayout
     node: Optional[int]
     block_ref: str
-    detail: dict
+    values: tuple
+
+    @property
+    def kind(self) -> str:
+        return self.layout.kind
+
+    @property
+    def detail(self) -> dict:
+        return dict(zip(self.layout.keys, self.values))
 
 
-def event_to_json_line(event: LogEvent) -> str:
+def event_to_json_line(event: LogEvent, node_text: Optional[str] = None) -> str:
     """The event as one compact JSON object, byte-equal to json.dumps with
-    separators=(",", ":"). Detail values are str, bool or int; every string
-    is escaped as json.dumps escapes it."""
-    detail = []
-    for key, value in event.detail.items():
-        if isinstance(value, str):
-            value = _quote(value)
-        elif value is True or value is False:
-            value = "true" if value else "false"
-        elif type(value) is not int:
-            raise TypeError(f"event detail {key!r} is not str, bool or int: {value!r}")
-        detail.append(f"{_quote(key)}:{value}")
-    node = format_device_id(event.node) if event.node is not None else ""
-    return (f'{{"t_ms":{event.t_ms},"kind":{_quote(event.kind)},"node":"{node}",'
-            f'"block_ref":{_quote(event.block_ref)},"detail":{{{",".join(detail)}}}}}')
+    separators=(",", ":"), from its layout's line function: every string is
+    escaped as json.dumps escapes it, and a detail value whose type is not
+    its slot's raises TypeError. node_text is the event's node id already
+    formatted, as save_events passes it; by default it is formatted here."""
+    if node_text is None:
+        node_text = format_device_id(event.node) if event.node is not None else ""
+    return event.layout.line(event.t_ms, node_text, event.block_ref, event.values)
+
+
+_EVENT_CHUNK = 1024  # lines formatted and written at a time
 
 
 def save_events(path: str | Path, events: tuple[LogEvent, ...]) -> None:
+    """Write each event's event_to_json_line line, formatting each node id
+    once and writing _EVENT_CHUNK lines at a time: no whole-file text is
+    ever held."""
+    node_text = {node: format_device_id(node) if node is not None else ""
+                 for node in {event.node for event in events}}
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("".join([event_to_json_line(event) + "\n" for event in events]))
+        for start in range(0, len(events), _EVENT_CHUNK):
+            lines = [event_to_json_line(event, node_text[event.node])
+                     for event in events[start:start + _EVENT_CHUNK]]
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 @dataclass
@@ -321,8 +389,9 @@ class _Sim:
         heapq.heappush(self.heap, (t, self.push_counter, item))
         self.push_counter += 1
 
-    def log(self, t: int, kind: str, node: Optional[int], block_ref: str, detail: dict) -> None:
-        self.events.append(LogEvent(t, kind, node, block_ref, detail))
+    def log(self, t: int, layout: EventLayout, node: Optional[int], block_ref: str,
+            values: tuple) -> None:
+        self.events.append(LogEvent(t, layout, node, block_ref, values))
 
     def latency(self) -> int:
         model = self.config.latency
@@ -356,10 +425,9 @@ class _Sim:
         for receiver in receivers:
             if droppable and self.config.drop_rate > 0.0:
                 if float(self.rng_drop.random()) < self.config.drop_rate:
-                    self.log(t_send, "lose", receiver, "", {
-                        "tx": tx_id if tx_id is not None else -1,
-                        "from": format_device_id(sender) if sender is not None else "",
-                    })
+                    self.log(t_send, _LOSE, receiver, "", (
+                        tx_id if tx_id is not None else -1,
+                        format_device_id(sender) if sender is not None else ""))
                     continue
             msg = _Message(self.msg_counter, block, sender, receiver, tx_id, provenance)
             self.msg_counter += 1
@@ -409,31 +477,25 @@ class _Sim:
             seq=block.data.seq, t_init=t, t_send=t_send,
         )
         self.tx_records.append(record)
-        self.log(t, "initiate", init.node_id, "", {
-            "tx": tx_id, "seq": block.data.seq,
-            "device_id": format_device_id(block.data.device_id),
-            "challenge_index": init.challenge_index,
-        })
+        self.log(t, _INITIATE, init.node_id, "", (
+            tx_id, block.data.seq, format_device_id(block.data.device_id), init.challenge_index))
         provenance = "normal"
         out_block = block
         if tx_id in self.tamper_by_tx:
             fld = self.tamper_by_tx[tx_id]
             out_block = self.tampered_copy(block, fld)
             provenance = "tamper"
-            self.log(t_send, "tamper", None, "", {"tx": tx_id, "field": fld})
+            self.log(t_send, _TAMPER, None, "", (tx_id, fld))
         self.captured_origin[tx_id] = out_block
         self.send(out_block, init.node_id, self.peers_of(init.node_id), t_send, tx_id, provenance)
 
     def handle_delivery(self, t: int, msg: _Message) -> None:
         receiver = msg.receiver
         role = self.nodes[receiver].role
-        self.log(t, "deliver", receiver, "", {
-            "msg": msg.msg_id,
-            "tx": msg.tx_id if msg.tx_id is not None else -1,
-            "from": format_device_id(msg.sender) if msg.sender is not None else "",
-            "validated": msg.block.is_validated,
-            "adv": msg.provenance,
-        })
+        self.log(t, _DELIVER, receiver, "", (
+            msg.msg_id, msg.tx_id if msg.tx_id is not None else -1,
+            format_device_id(msg.sender) if msg.sender is not None else "",
+            msg.block.is_validated, msg.provenance))
         if msg.block.is_validated:
             # structural drop at arrival unless the header names the trusted
             # node and it is not demoted: no validation work is spent on it
@@ -495,20 +557,18 @@ class _Sim:
                 record.reason = reason
         if accepted:
             entry = result.entry
-            self.log(t, "accept", receiver, entry.entry_hash.hex(), {
-                "tx": tx, "seq": entry.data.seq, "height": entry.height,
-                "role": role, "hashes": result.hashes_tried, "adv": msg.provenance,
-            })
+            self.log(t, _ACCEPT, receiver, entry.entry_hash.hex(), (
+                tx, entry.data.seq, entry.height, role, result.hashes_tried, msg.provenance))
             if role == ROLE_TRUSTED:
-                self.log(t, "rebroadcast", receiver, entry.entry_hash.hex(), {"tx": tx})
+                self.log(t, _REBROADCAST, receiver, entry.entry_hash.hex(), (tx,))
                 self.send(result.rebroadcast, receiver, self.peers_of(receiver),
                           t, msg.tx_id, "normal")
             return
-        detail = {"msg": msg.msg_id, "tx": tx, "reason": reason}
-        if result is not None:
-            detail["hashes"] = result.hashes_tried
-        detail["adv"] = msg.provenance
-        self.log(t, "reject", receiver, "", detail)
+        if result is None:
+            self.log(t, _REJECT, receiver, "", (msg.msg_id, tx, reason, msg.provenance))
+        else:
+            self.log(t, _REJECT_HASHED, receiver, "", (
+                msg.msg_id, tx, reason, result.hashes_tried, msg.provenance))
         if msg.block.is_validated and reason == REASON_NO_MATCH:
             self.penalize(t)
 
@@ -518,13 +578,11 @@ class _Sim:
         self.penalties += 1
         node = self.nodes[self.trusted_id]
         node.trust_value -= 1
-        self.log(t, "penalize", self.trusted_id, "", {
-            "penalties": self.penalties, "trust_value": node.trust_value,
-        })
+        self.log(t, _PENALIZE, self.trusted_id, "", (self.penalties, node.trust_value))
         threshold = self.config.demotion_threshold
         if threshold and self.penalties >= threshold and node.role == ROLE_TRUSTED:
             node.role = ROLE_CLIENT
-            self.log(t, "demote", self.trusted_id, "", {"trust_value": node.trust_value})
+            self.log(t, _DEMOTE, self.trusted_id, "", (node.trust_value,))
 
     def handle_injection(self, t: int, adv_index: int) -> None:
         adv = self.scenario.adversaries[adv_index]
@@ -532,9 +590,9 @@ class _Sim:
             tx_id = adv.target["tx_id"]
             block = self.captured_origin.get(tx_id)
             if block is None:
-                self.log(t, "inject-noop", None, "", {"kind": adv.kind, "tx": tx_id})
+                self.log(t, _INJECT_NOOP, None, "", (adv.kind, tx_id))
                 return
-            self.log(t, "inject", None, "", {"kind": adv.kind, "tx": tx_id})
+            self.log(t, _INJECT_REPLAY, None, "", (adv.kind, tx_id))
             self.send(block, None, [self.trusted_id], t, tx_id, "replay", droppable=False)
         elif adv.kind == "fake-device":
             data = BlockData(
@@ -544,9 +602,7 @@ class _Sim:
             )
             self.fake_seq += 1
             block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()), challenge_index=0)
-            self.log(t, "inject", None, "", {
-                "kind": adv.kind, "device_id": format_device_id(data.device_id),
-            })
+            self.log(t, _INJECT_FAKE, None, "", (adv.kind, format_device_id(data.device_id)))
             self.send(block, None, [self.trusted_id], t, None, "fake-device", droppable=False)
         elif adv.kind == "forge-validator":
             victim = self.order[-1]  # an enrolled device id to put in the block
@@ -562,9 +618,7 @@ class _Sim:
                 validated_by=self.trusted_id, t_validated=t, validation_tag=self.random_tag(),
             )
             clients = [n for n in self.order if self.nodes[n].role == ROLE_CLIENT]
-            self.log(t, "inject", None, "", {
-                "kind": adv.kind, "claim": format_device_id(self.trusted_id),
-            })
+            self.log(t, _INJECT_FORGE, None, "", (adv.kind, format_device_id(self.trusted_id)))
             self.send(block, None, clients, t, None, "forge-validator", droppable=False)
 
     def run(self) -> SimResult:

@@ -169,6 +169,21 @@ def test_trusted_judgments_hash_at_most_once(name):
     assert judged and set(judged) <= {0, 1}
 
 
+# the golden worlds, and one whose jitter reorders deliveries
+LAYOUT_WORLDS = {**{name: overrides for name, (overrides, _) in GOLDEN_SCENARIOS.items()},
+                 "jitter": dict(latency_jitter_ms=150)}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_WORLDS))
+def test_every_event_fills_its_layout(name):
+    """Each logged value has its slot's type, and the detail view holds the
+    layout's keys in order with the logged values."""
+    output = run_scenario(ScenarioConfig(**SMALL, **LAYOUT_WORLDS[name]), write_outputs=False)
+    for event in output.result.events:
+        assert tuple(map(type, event.values)) == event.layout.types
+        assert tuple(event.detail.items()) == tuple(zip(event.layout.keys, event.values))
+
+
 def test_fom_report_matches_golden_digest():
     overrides, expected = GOLDEN_FOM
     doc = run_fom_calibration(ScenarioConfig(**overrides))

@@ -10,6 +10,7 @@ import math
 import re
 import signal
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1032,73 +1033,89 @@ def test_record_line_refuses_a_negative_selector(selector):
         record_to_json_line(record)
 
 
-# every detail shape netsim logs, by event kind
+# every event layout netsim logs: kind, detail keys in order, one type per key
 DETAIL_SHAPES = (
-    ("lose", ("tx", "from")),
-    ("initiate", ("tx", "seq", "device_id", "challenge_index")),
-    ("tamper", ("tx", "field")),
-    ("deliver", ("msg", "tx", "from", "validated", "adv")),
-    ("accept", ("tx", "seq", "height", "role", "hashes", "adv")),
-    ("rebroadcast", ("tx",)),
-    ("reject", ("msg", "tx", "reason", "hashes", "adv")),
-    ("reject", ("msg", "tx", "reason", "adv")),
-    ("penalize", ("penalties", "trust_value")),
-    ("demote", ("trust_value",)),
-    ("inject-noop", ("kind", "tx")),
-    ("inject", ("kind", "tx")),
-    ("inject", ("kind", "device_id")),
-    ("inject", ("kind", "claim")),
+    ("lose", ("tx", "from"), (int, str)),
+    ("initiate", ("tx", "seq", "device_id", "challenge_index"), (int, int, str, int)),
+    ("tamper", ("tx", "field"), (int, str)),
+    ("deliver", ("msg", "tx", "from", "validated", "adv"), (int, int, str, bool, str)),
+    ("accept", ("tx", "seq", "height", "role", "hashes", "adv"), (int, int, int, str, int, str)),
+    ("rebroadcast", ("tx",), (int,)),
+    ("reject", ("msg", "tx", "reason", "hashes", "adv"), (int, int, str, int, str)),
+    ("reject", ("msg", "tx", "reason", "adv"), (int, int, str, str)),
+    ("penalize", ("penalties", "trust_value"), (int, int)),
+    ("demote", ("trust_value",), (int,)),
+    ("inject-noop", ("kind", "tx"), (str, int)),
+    ("inject", ("kind", "tx"), (str, int)),
+    ("inject", ("kind", "device_id"), (str, str)),
+    ("inject", ("kind", "claim"), (str, str)),
 )
+LAYOUTS = [value for value in vars(netsim).values() if isinstance(value, netsim.EventLayout)]
+
+
+def shape(layout):
+    return layout.kind, layout.keys, layout.types
 
 
 def logged_shapes():
-    """(kind, detail keys) of every self.log call in netsim's source; the
-    keys are None where the detail is not a dict literal."""
+    """The shape of the layout each self.log call in netsim's source names;
+    each call names a module-level layout and passes that many values."""
     with open(netsim.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for call in ast.walk(tree):
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) \
                 and call.func.attr == "log":
-            kind, detail = call.args[1], call.args[4]
-            assert isinstance(kind, ast.Constant), ast.unparse(call)
-            keys = (tuple(key.value for key in detail.keys)
-                    if isinstance(detail, ast.Dict) else None)
-            yield kind.value, keys
+            name, values = call.args[1], call.args[4]
+            assert isinstance(name, ast.Name) and isinstance(values, ast.Tuple), ast.unparse(call)
+            layout = getattr(netsim, name.id)
+            assert len(values.elts) == len(layout.keys), ast.unparse(call)
+            yield shape(layout)
 
 
 def test_detail_shapes_are_the_shapes_netsim_logs():
-    # a kind netsim stops or starts logging cannot leave DETAIL_SHAPES stale
-    logged = list(logged_shapes())
-    assert {kind for kind, _ in logged} == {kind for kind, _ in DETAIL_SHAPES}
-    for kind, keys in logged:
-        assert keys is None or (kind, keys) in DETAIL_SHAPES
+    # a layout netsim adds, drops, stops or starts logging cannot leave DETAIL_SHAPES stale
+    assert Counter(map(shape, LAYOUTS)) == Counter(DETAIL_SHAPES)
+    assert set(logged_shapes()) == set(DETAIL_SHAPES)
 
 
 # quotes, backslashes, control characters, DEL, non-ASCII, a line separator,
 # a lone surrogate and a character outside the BMP, next to everything else
 SPECIAL = '"\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=12)
-DETAIL_VALUE = st.one_of(st.integers(-1, 3), st.integers(-2**63, 2**64), st.booleans(), TEXT)
+SLOT_VALUE = {
+    int: st.one_of(st.sampled_from([-1, 0, 2**63, 2**64]), st.integers(-2**64, 2**64)),
+    str: TEXT,
+    bool: st.booleans(),
+}
 
 
-@given(st.sampled_from(DETAIL_SHAPES), st.data())
+@given(st.sampled_from(LAYOUTS), st.data())
 @settings(max_examples=500, deadline=None)
-def test_event_line_is_json_dumps_of_its_fields(shape, data):
-    kind, keys = shape
+def test_event_line_is_json_dumps_of_its_fields(layout, data):
+    kind = data.draw(st.one_of(st.just(layout.kind), TEXT), label="kind")
+    if kind != layout.kind:  # the same slots under another kind, compiled the same way
+        layout = netsim.event_layout(kind, " ".join(
+            f"{key}:{typ.__name__}" for key, typ in zip(layout.keys, layout.types)))
     event = LogEvent(
         t_ms=data.draw(st.one_of(st.integers(0, 10**6), U64), label="t_ms"),
-        kind=data.draw(st.one_of(st.just(kind), TEXT), label="kind"),
+        layout=layout,
         node=data.draw(st.one_of(st.none(), DEVICE_ID), label="node"),
         block_ref=data.draw(st.one_of(st.just(""), HASH.map(bytes.hex), TEXT), label="block_ref"),
-        detail={key: data.draw(DETAIL_VALUE, label=key) for key in keys},
+        values=tuple(data.draw(SLOT_VALUE[typ], label=key)
+                     for key, typ in zip(layout.keys, layout.types)),
     )
+    assert event.kind == kind
     assert event_to_json_line(event) == event_line_by_json_dumps(event)
 
 
-@pytest.mark.parametrize("value", [None, 1.5, [1], {"tx": 1}])
-def test_event_line_refuses_a_detail_value_it_does_not_spell(value):
+@pytest.mark.parametrize("layout, values", [
+    *((netsim._REBROADCAST, (value,)) for value in (None, 1.5, [1], True)),  # int slot
+    (netsim._DELIVER, (0, 0, "", 1, "normal")),  # bool slot
+    (netsim._TAMPER, (0, 7)),  # str slot
+], ids=["None-int", "float-int", "list-int", "bool-int", "int-bool", "int-str"])
+def test_event_line_refuses_a_detail_value_it_does_not_spell(layout, values):
     with pytest.raises(TypeError):
-        event_to_json_line(LogEvent(0, "rebroadcast", None, "", {"tx": value}))
+        event_to_json_line(LogEvent(0, layout, None, "", values))
 
 
 def saved_text(save, path, objects):
@@ -1127,14 +1144,36 @@ def test_saved_registry_is_its_header_then_its_encoded_records(tmp_path, enrolle
     assert text.count("\n") == 1 + len(records)
 
 
-# 15 events run through every shape and start over
-@pytest.mark.parametrize("n", [0, 1, 15])
+SLOT_OF = {int: lambda k: k, str: lambda k: f"s{k}", bool: lambda k: k % 3 == 0}
+CHUNK = netsim._EVENT_CHUNK
+
+
+# 15 events run through every layout and start over; the rest straddle whole chunks
+@pytest.mark.parametrize("n", [0, 1, 15, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 def test_saved_events_are_their_encoded_lines(tmp_path, n):
-    shapes = (DETAIL_SHAPES[k % len(DETAIL_SHAPES)] for k in range(n))
-    events = tuple(LogEvent(k, kind, k if k % 2 else None, "", {key: k for key in keys})
-                   for k, (kind, keys) in enumerate(shapes))
+    layouts = (LAYOUTS[k % len(LAYOUTS)] for k in range(n))
+    events = tuple(LogEvent(k, layout, k % 7 if k % 2 else None, "",
+                            tuple(SLOT_OF[typ](k) for typ in layout.types))
+                   for k, layout in enumerate(layouts))
     text = saved_text(save_events, tmp_path / "events.ndjson", events)
     assert text == "".join(event_to_json_line(event) + "\n" for event in events)
+
+
+def test_saving_events_holds_less_than_the_file_it_writes(tmp_path):
+    """The writer formats and writes a chunk of lines at a time: what it holds
+    at its peak, above its inputs, stays below the file it writes. Joining the
+    whole file's lines held the lines, their text and its bytes at once."""
+    config = ScenarioConfig(adversary="forge-validator", adversary_events=3)
+    events = harness.run_scenario(config, write_outputs=False).result.events
+    path = tmp_path / "events.ndjson"
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        save_events(path, events)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 4 * CHUNK
+    assert peak < path.stat().st_size
 
 
 # --- chain files against the json.loads parser -----------------------------------
