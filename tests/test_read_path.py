@@ -1108,12 +1108,18 @@ def test_event_line_is_json_dumps_of_its_fields(layout, data):
     assert event_to_json_line(event) == event_line_by_json_dumps(event)
 
 
+@pytest.mark.parametrize("value", [None, 1.5, [1], {"tx": 1}, True])
+def test_event_line_refuses_a_detail_value_it_does_not_spell(value):
+    # rebroadcast's one slot is an int slot, and a bool is no int
+    with pytest.raises(TypeError):
+        event_to_json_line(LogEvent(0, netsim._REBROADCAST, None, "", (value,)))
+
+
 @pytest.mark.parametrize("layout, values", [
-    *((netsim._REBROADCAST, (value,)) for value in (None, 1.5, [1], True)),  # int slot
-    (netsim._DELIVER, (0, 0, "", 1, "normal")),  # bool slot
-    (netsim._TAMPER, (0, 7)),  # str slot
-], ids=["None-int", "float-int", "list-int", "bool-int", "int-bool", "int-str"])
-def test_event_line_refuses_a_detail_value_it_does_not_spell(layout, values):
+    (netsim._DELIVER, (0, 0, "", 1, "normal")),
+    (netsim._TAMPER, (0, 7)),
+], ids=["int-in-bool-slot", "int-in-str-slot"])
+def test_event_line_refuses_an_int_in_a_bool_or_str_slot(layout, values):
     with pytest.raises(TypeError):
         event_to_json_line(LogEvent(0, layout, None, "", values))
 
