@@ -263,16 +263,11 @@ _EVENT_CHUNK = 1024  # lines formatted and written at a time
 
 
 def save_events(path: str | Path, events: tuple[LogEvent, ...]) -> None:
-    """Write each event's event_to_json_line line, from the same layout
-    line function, formatting each node id once per save and writing
-    _EVENT_CHUNK lines at a time: no whole-file text is ever held."""
-    node_text = {node: format_device_id(node) if node is not None else ""
-                 for node in {event.node for event in events}}
+    """Write each event's event_to_json_line line, _EVENT_CHUNK lines at a
+    time: no whole-file text is ever held."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         for start in range(0, len(events), _EVENT_CHUNK):
-            lines = [event.layout.line(event.t_ms, node_text[event.node], event.block_ref,
-                                       event.values)
-                     for event in events[start:start + _EVENT_CHUNK]]
+            lines = list(map(event_to_json_line, events[start:start + _EVENT_CHUNK]))
             lines.append("")
             fh.write("\n".join(lines))
 
