@@ -13,8 +13,8 @@ reads every other race as its reference bit; so a caller that reads in a
 fixed order from one generator fixes every read. A challenge is one
 (2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
 set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
-(count, 2, n_bits) array, and refills the rows that repeat a pair with one
-more draw for all of them; every function here that takes selectors takes
+(count, 2, n_bits) array, and refills the rows that repeat a pair in whole
+rounds, one draw a round; every function here that takes selectors takes
 a row or any stack of rows.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
@@ -25,10 +25,9 @@ reference response, and so every artifact built from one, depends on it.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,11 +153,6 @@ class PufDevice:
     def bank_size(self) -> int:
         return len(self.set1_freqs)
 
-    @cached_property
-    def max_freq_mhz(self) -> float:
-        """The fastest oscillator: every race's gap |f2 - f1| is below it."""
-        return float(max(self.set1_freqs.max(), self.set2_freqs.max()))
-
 
 def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevice:
     """Fabricate a device deterministically from (config.rng_seed, device_seed).
@@ -226,11 +220,8 @@ def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.nda
     +-inf, a certain bit, without an overflow warning."""
     if device.noise_sigma_mhz == 0:
         return None
-    scale = device.noise_sigma_mhz * math.sqrt(2)
-    if device.max_freq_mhz < scale * (sys.float_info.max / 2):  # no quotient overflows
-        return (f2 - f1) / scale
     with np.errstate(over="ignore"):
-        return (f2 - f1) / scale
+        return (f2 - f1) / (device.noise_sigma_mhz * math.sqrt(2))
 
 
 def uncertain_races(threshold: np.ndarray) -> np.ndarray:
@@ -297,13 +288,11 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
     over bank_size^2 choices, in one integers(bank_size, size=(count, 2, n_bits))
     draw, returned as it is: row r's set1 selectors, then its set2
     selectors, int64. A row that repeats a pair keeps its first occurrences
-    and, after the batch and in row order, is refilled in place from rng,
-    need set1 then need set2 selectors a round. So each challenge is the
-    first n_bits distinct pairs of an iid stream of pairs. All repeat rows'
-    first rounds come from one integers call, the stream of one call a row
-    (a draw below 2**32 takes one 32-bit word at a time); if a refill repeats
-    a pair, rng is rewound, redraws that call through the row, and draws one
-    round a call from there."""
+    and is refilled in place in rounds: each round is one integers call for
+    every row still short, in row order, need set1 then need set2 selectors
+    a row, until no row is short. Which draws a row keeps depends only on
+    which draws are equal, so each challenge is uniform over ordered
+    n_bits-tuples of distinct pairs."""
     if n_bits < 1:
         raise ChallengeError("challenge must select at least one oscillator pair")
     if bank_size > _MAX_DRAW_BANK:
@@ -315,30 +304,24 @@ def random_challenge(bank_size: int, n_bits: int, count: int,
     batch = rng.integers(bank_size, size=(count, 2, n_bits))
     codes = batch[:, 0] * bank_size  # pair (i, j) coded as i * bank_size + j
     codes += batch[:, 1]
-    # g copies of a pair are g - 1 equal neighbours once sorted: a row's first refill
-    # need. A bool sum, as fom.reliability's: any() would page in one more reduction loop
+    # g copies of a pair are g - 1 equal neighbours once sorted. A bool sum, as
+    # fom.reliability's: any() would page in one more reduction loop
     ordered = np.sort(codes, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1, dtype=np.int64)
-    rows = repeats.nonzero()[0]
-    if not len(rows):
-        return batch
-    state = rng.bit_generator.state
-    batched = rng.integers(bank_size, size=2 * int(repeats[rows].sum())).tolist()
-    at, filled = 0, []
-    for chosen in map(dict.fromkeys, codes[rows].tolist()):  # first occurrences, in draw order
-        while len(chosen) < n_bits:
-            need = n_bits - len(chosen)  # most often 1: Python ints beat numpy calls
-            ij = (batched[at:at + 2 * need] if batched
-                  else rng.integers(bank_size, size=2 * need).tolist())
+    rows = (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1, dtype=np.int64).nonzero()[0]
+    chosen = list(map(dict.fromkeys, codes[rows].tolist()))  # first occurrences, in draw order
+    short = chosen
+    while short:  # a round: most needs are 1, so Python ints beat numpy calls
+        needs = [n_bits - len(pairs) for pairs in short]
+        ij = rng.integers(bank_size, size=2 * sum(needs)).tolist()
+        at = 0
+        for pairs, need in zip(short, needs):
+            pairs.update(dict.fromkeys([i * bank_size + j for i, j in zip(
+                ij[at:at + need], ij[at + need:at + 2 * need])]))
             at += 2 * need
-            chosen.update(dict.fromkeys([i * bank_size + j for i, j in zip(ij[:need], ij[need:])]))
-            if batched and len(chosen) < n_bits:  # a refill repeated a pair: rewind, redraw
-                rng.bit_generator.state = state  # through this row, then draw a round a call
-                rng.integers(bank_size, size=at)
-                batched = []
-        filled.extend(chosen)
+        short = [pairs for pairs in short if len(pairs) < n_bits]
     batch[rows, 0], batch[rows, 1] = np.divmod(
-        np.array(filled, dtype=np.int64).reshape(len(rows), n_bits), bank_size)
+        np.array([code for pairs in chosen for code in pairs], dtype=np.int64).reshape(
+            len(rows), n_bits), bank_size)
     return batch
 
 

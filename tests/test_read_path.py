@@ -672,33 +672,37 @@ def drawn_pool(bank_size, n_bits, count, rng):
     return np.concatenate(list(challenge_chunks(bank_size, n_bits, count, rng)))
 
 
-def random_challenge_by_pairs(bank_size, n_bits, count, rng):
+def random_challenge_by_pairs(bank_size, n_bits, count, rng, rounds=None):
     """random_challenge as loops over (i, j) tuples: count rows, each n_bits
-    set1 draws then n_bits set2 draws; then, in row order, each row keeps its
-    first draws of every pair and, while short, draws need set1 and need set2
-    indices more."""
+    set1 draws then n_bits set2 draws, each keeping its first draws of every
+    pair; then rounds until no row is short, in each of which every short
+    row, in row order, draws need set1 and need set2 indices more. Appends
+    each round's needs, in row order, to rounds when it is given."""
     rows = []
     for _ in range(count):
         i = rng.integers(0, bank_size, size=n_bits)
         j = rng.integers(0, bank_size, size=n_bits)
-        rows.append(list(zip(i.tolist(), j.tolist())))
-    challenges = []
-    for row in rows:
-        chosen = dict.fromkeys(row)
-        while len(chosen) < n_bits:
-            need = n_bits - len(chosen)
+        rows.append(dict.fromkeys(zip(i.tolist(), j.tolist())))
+    short = [chosen for chosen in rows if len(chosen) < n_bits]
+    while short:
+        needs = [n_bits - len(chosen) for chosen in short]
+        if rounds is not None:
+            rounds.append(needs)
+        for chosen, need in zip(short, needs):
             i = rng.integers(0, bank_size, size=need)
             j = rng.integers(0, bank_size, size=need)
             for pair in zip(i.tolist(), j.tolist()):
                 chosen.setdefault(pair, None)
-        challenges.append(list(chosen))
-    return challenges
+        short = [chosen for chosen in short if len(chosen) < n_bits]
+    return [list(chosen) for chosen in rows]
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (200, 128), (1000, 128), (2**31, 128),
-                                               (16, 200), (4, 16), (3, 9), (1, 1)])
+                                               (16, 200), (16, 40), (12, 128), (4, 16), (3, 9),
+                                               (1, 1)])
 def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
-    # dense banks (3, 4, 16) repeat a pair in most rows, which are refilled after the batch
+    # dense banks (3, 4, 12, 16) repeat a pair in most rows, which are refilled after
+    # the batch, and at 12 and 16 most chunks take more than one round
     for count, n_seeds in ((1, 100), (63, 4), (64, 4), (65, 4), (130, 4)):
         for seed in range(n_seeds):
             fast_rng, loop_rng = np.random.default_rng([seed]), np.random.default_rng([seed])
@@ -711,10 +715,11 @@ def test_random_challenge_matches_a_loop_over_pairs(bank_size, n_bits):
 
 class CountingDraws:
     """A generator that passes its integers draws through and records the
-    size of each; random_challenge also saves and restores its state."""
+    size of each. It has no bit_generator, so a draw that saved or rewound
+    the generator's state would raise."""
 
     def __init__(self, rng):
-        self.rng, self.bit_generator, self.sizes = rng, rng.bit_generator, []
+        self.rng, self.sizes = rng, []
 
     def integers(self, *args, size):
         self.sizes.append(math.prod(np.atleast_1d(size).tolist()))
@@ -731,39 +736,34 @@ def first_refill_needs(bank_size, n_bits, count, seed):
 
 def test_a_bank_256_chunk_refills_every_repeat_row_from_one_draw():
     for seed in range(10):
-        rng = CountingDraws(np.random.default_rng([seed]))
-        loop_rng = CountingDraws(np.random.default_rng([seed]))
+        rng, loop_rng = CountingDraws(np.random.default_rng([seed])), np.random.default_rng([seed])
         chunk = random_challenge(256, 128, 64, rng)
+        rounds = []
         assert [pairs_of(challenge) for challenge in chunk] == random_challenge_by_pairs(
-            256, 128, 64, loop_rng)
-        assert rng.rng.bit_generator.state == loop_rng.rng.bit_generator.state
+            256, 128, 64, loop_rng, rounds)
+        assert rng.rng.bit_generator.state == loop_rng.bit_generator.state
         needs = first_refill_needs(256, 128, 64, seed)
-        # the loop draws i and j apart: 2 calls a row, then 2 a refill round
-        refill_rounds = (len(loop_rng.sizes) - 2 * 64) // 2
-        assert needs and refill_rounds == len(needs)  # no refill repeated a pair
+        assert needs and rounds == [needs]  # no refill repeated a pair
         # so two calls: the batch, and every repeat row's refill
         assert rng.sizes == [64 * 2 * 128, 2 * sum(needs)]
 
 
-def test_a_refill_that_repeats_a_pair_rewinds_and_refills_the_later_rows_one_by_one():
+def test_a_refill_that_repeats_a_pair_is_refilled_in_whole_rounds():
     # at bank 16 a 40-pair row repeats a pair about 95% of the time, and a refilled
     # pair repeats one of the row's own about 15% of the time
-    rewound_inside = 0
+    several_rounds = 0
     for seed in range(10):
         rng, loop_rng = CountingDraws(np.random.default_rng([seed])), np.random.default_rng([seed])
         chunk = random_challenge(16, 40, 64, rng)
+        rounds = []
         assert [pairs_of(challenge) for challenge in chunk] == random_challenge_by_pairs(
-            16, 40, 64, loop_rng)
+            16, 40, 64, loop_rng, rounds)
         assert rng.rng.bit_generator.state == loop_rng.bit_generator.state
-        needs = first_refill_needs(16, 40, 64, seed)
-        assert rng.sizes[:2] == [64 * 2 * 40, 2 * sum(needs)]
-        if len(rng.sizes) > 2:  # rewound: the batch refill redrawn through the row
-            ends = np.cumsum([2 * need for need in needs]).tolist()
-            row = ends.index(rng.sizes[2])
-            rewound_inside += 0 < row < len(needs) - 1
-            # then a round a call: the rest of that row, then every later repeat row
-            assert len(rng.sizes) - 3 >= len(needs) - row
-    assert rewound_inside >= 5
+        assert rounds[0] == first_refill_needs(16, 40, 64, seed)
+        # the batch, then one call a round: 2 x the needs of the rows still short
+        assert rng.sizes == [64 * 2 * 40] + [2 * sum(needs) for needs in rounds]
+        several_rounds += len(rounds) >= 2
+    assert several_rounds >= 5
 
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (4, 16)])
