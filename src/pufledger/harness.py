@@ -500,7 +500,7 @@ class ScenarioOutput:
     files: dict[str, Path]
 
 
-def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOutput:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     """Build the world, run the simulation, assemble metrics, write artifacts.
 
     Writes one chain file per node plus the registry, the event log, the
@@ -509,23 +509,21 @@ def run_scenario(cfg: ScenarioConfig, write_outputs: bool = True) -> ScenarioOut
     built = build_world(cfg)
     result = netsim.run(built.sim_config, built.scenario)
     report = build_metrics(result, built.scenario.world.nodes)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
-    if write_outputs:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for node_id in built.node_ids:
-            path = out / f"chain_{format_device_id(node_id)}.ndjson"
-            ledger.save_chain(path, result.nodes[node_id].chain)
-            files[f"chain_{format_device_id(node_id)}"] = path
-        files["registry"] = out / "registry.ndjson"
-        registry_mod.save_registry(files["registry"], built.scenario.world.registry)
-        files["events"] = out / "events.ndjson"
-        netsim.save_events(files["events"], result.events)
-        files["metrics"] = out / "metrics.json"
-        files["metrics"].write_text(metrics_json(report) + "\n", encoding="ascii")
-        files["timings"] = out / "timings.csv"
-        files["timings"].write_text(
-            "\n".join(timings_csv_lines(report)) + "\n", encoding="ascii")
+    for node_id in built.node_ids:
+        path = out / f"chain_{format_device_id(node_id)}.ndjson"
+        ledger.save_chain(path, result.nodes[node_id].chain)
+        files[f"chain_{format_device_id(node_id)}"] = path
+    files["registry"] = out / "registry.ndjson"
+    registry_mod.save_registry(files["registry"], built.scenario.world.registry)
+    files["events"] = out / "events.ndjson"
+    netsim.save_events(files["events"], result.events)
+    files["metrics"] = out / "metrics.json"
+    files["metrics"].write_text(metrics_json(report) + "\n", encoding="ascii")
+    files["timings"] = out / "timings.csv"
+    files["timings"].write_text("\n".join(timings_csv_lines(report)) + "\n", encoding="ascii")
     return ScenarioOutput(cfg, built, result, report, files)
 
 

@@ -4,12 +4,16 @@ Time is an integer millisecond counter. Every message send samples a link
 latency, every handler charges a processing cost, and all draws come from
 named generator streams derived from the single simulation seed, so one
 (config, scenario) pair always produces one event log, byte for byte.
-Jitter and costs are drawn _LATENCY_CHUNK values at a time, in the order
-scalar draws would take them: jitter as integers, costs as standard
-normals z that each node scales to mean + sd * z, which is numpy's
-normal(mean, sd) for the same draw. Nodes with different cost models share
-a chunk, and a cost with sd 0 draws nothing.
+Jitter, drops and costs each come from one stream of values drawn
+_LATENCY_CHUNK at a time, in the order scalar draws would take them:
+jitter as integers, drops as uniform doubles, costs as standard normals z
+that each node scales to mean + sd * z, which is numpy's normal(mean, sd)
+for the same draw. Nodes with different cost models share a chunk, a cost
+with sd 0 and a latency with jitter 0 draw nothing, and only a droppable
+send in a lossy run draws a drop value.
 
+The event loop is a heap of handler calls: each entry is a time, a push
+counter that breaks ties in push order, a handler and its arguments.
 Broadcast is unicast fan-out: the sender schedules one delivery per peer.
 There are no sockets and no wall-clock reads anywhere in this module.
 
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's own string escape
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,7 +68,14 @@ _STREAM_LATENCY = 1
 _STREAM_DROP = 2
 _STREAM_COST = 3
 _STREAM_ADVERSARY = 4
-_LATENCY_CHUNK = 256  # jitter and cost draws per numpy call: the scalar draws' values, in order
+_LATENCY_CHUNK = 256  # draws per numpy call of a stream: the scalar draws' values, in order
+
+
+def _stream(draw: Callable[..., np.ndarray], *args) -> Iterator:
+    """The values of successive draw(*args, size=_LATENCY_CHUNK) calls, one
+    at a time and in order; a chunk is drawn only when the last is used up."""
+    while True:
+        yield from draw(*args, size=_LATENCY_CHUNK).tolist()
 
 
 @dataclass(frozen=True)
@@ -322,7 +333,7 @@ class _Message(NamedTuple):
     block: WireBlock
     sender: Optional[int]
     receiver: int
-    tx_id: Optional[int]
+    tx_id: int  # -1 for a fabricated block
     provenance: str  # "normal" or an adversary kind
 
 
@@ -353,14 +364,16 @@ class _Sim:
             for node in world_nodes
         }
 
-        self.rng_latency = np.random.default_rng([config.seed, _STREAM_LATENCY])
-        self.jitter_left: list[int] = []  # the current chunk's undrawn values, last first
-        self.rng_drop = np.random.default_rng([config.seed, _STREAM_DROP])
-        self.rng_cost = np.random.default_rng([config.seed, _STREAM_COST])
-        self.normals_left: list[float] = []  # as jitter_left, for the cost draws
-        self.rng_adv = np.random.default_rng([config.seed, _STREAM_ADVERSARY])
+        def rng(stream: int) -> np.random.Generator:
+            return np.random.default_rng([config.seed, stream])
 
-        self.heap: list[tuple[int, int, tuple]] = []
+        # plain iterators, so that a test can replace one with a fixed schedule
+        self.jitter = _stream(rng(_STREAM_LATENCY).integers, 0, config.latency.jitter_ms + 1)
+        self.drops = _stream(rng(_STREAM_DROP).random)
+        self.normals = _stream(rng(_STREAM_COST).standard_normal)
+        self.rng_adv = rng(_STREAM_ADVERSARY)
+
+        self.heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self.push_counter = 0
         self.msg_counter = 0
         self.events: list[LogEvent] = []
@@ -380,8 +393,9 @@ class _Sim:
 
     # -- plumbing ------------------------------------------------------------
 
-    def push(self, t: int, item: tuple) -> None:
-        heapq.heappush(self.heap, (t, self.push_counter, item))
+    def push(self, t: int, handler: Callable[..., None], *args) -> None:
+        """Call handler(t, *args) at t, after every call pushed before it for t."""
+        heapq.heappush(self.heap, (t, self.push_counter, handler, args))
         self.push_counter += 1
 
     def log(self, t: int, layout: EventLayout, node: Optional[int], block_ref: str,
@@ -390,10 +404,7 @@ class _Sim:
 
     def latency(self) -> int:
         model = self.config.latency
-        if model.jitter_ms and not self.jitter_left:
-            chunk = self.rng_latency.integers(0, model.jitter_ms + 1, size=_LATENCY_CHUNK)
-            self.jitter_left = chunk.tolist()[::-1]
-        return model.base_ms + (self.jitter_left.pop() if model.jitter_ms else 0)
+        return model.base_ms + (next(self.jitter) if model.jitter_ms else 0)
 
     def cost(self, node_id: int, which: str) -> int:
         model = self.config.costs[node_id]
@@ -404,9 +415,7 @@ class _Sim:
         if sd == 0:
             return max(0, int(round(mean)))
         # normal(mean, sd) is mean + sd * standard_normal(): the same value
-        if not self.normals_left:
-            self.normals_left = self.rng_cost.standard_normal(_LATENCY_CHUNK).tolist()[::-1]
-        return max(0, int(round(mean + sd * self.normals_left.pop())))
+        return max(0, int(round(mean + sd * next(self.normals))))
 
     def occupy(self, node_id: int, arrival: int, cost_ms: int) -> int:
         start = max(arrival, self.free_at[node_id])
@@ -415,41 +424,38 @@ class _Sim:
         return done
 
     def send(self, block: WireBlock, sender: Optional[int], receivers: list[int],
-             t_send: int, tx_id: Optional[int], provenance: str,
-             droppable: bool = True) -> None:
+             t_send: int, tx_id: int, provenance: str, droppable: bool = True) -> None:
+        drop_rate = self.config.drop_rate if droppable else 0.0
         for receiver in receivers:
-            if droppable and self.config.drop_rate > 0.0:
-                if float(self.rng_drop.random()) < self.config.drop_rate:
-                    self.log(t_send, _LOSE, receiver, "", (
-                        tx_id if tx_id is not None else -1,
-                        format_device_id(sender) if sender is not None else ""))
-                    continue
+            if drop_rate and next(self.drops) < drop_rate:
+                # only honest sends are droppable, and each has a sender
+                self.log(t_send, _LOSE, receiver, "", (tx_id, format_device_id(sender)))
+                continue
             msg = _Message(self.msg_counter, block, sender, receiver, tx_id, provenance)
             self.msg_counter += 1
-            self.push(t_send + self.latency(), ("deliver", msg))
+            self.push(t_send + self.latency(), self.handle_delivery, msg)
 
     def peers_of(self, node_id: int) -> list[int]:
         return [other for other in self.order if other != node_id]
 
     # -- adversary helpers -----------------------------------------------------
 
+    def flipped(self, raw: bytes) -> bytes:
+        """raw with one bit flipped, the bit drawn from rng_adv."""
+        bit = int(self.rng_adv.integers(0, len(raw) * 8))
+        out = bytearray(raw)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+
     def tampered_copy(self, block: WireBlock, fld: str) -> WireBlock:
-        if fld == "payload" and len(block.data.payload) == 0:
-            fld = "auth_tag"  # nothing to flip in an empty payload
-        if fld == "payload":
-            bit = int(self.rng_adv.integers(0, len(block.data.payload) * 8))
-            raw = bytearray(block.data.payload)
-            raw[bit // 8] ^= 1 << (bit % 8)
-            data = replace(block.data, payload=bytes(raw))
-            return replace(block, data=data)
-        if fld == "auth_tag":
-            bit = int(self.rng_adv.integers(0, HASH_BYTES * 8))
-            raw = bytearray(block.auth_tag.h)
-            raw[bit // 8] ^= 1 << (bit % 8)
-            return replace(block, auth_tag=AuthTag(bytes(raw)))
+        if fld == "payload" and block.data.payload:
+            return replace(block, data=replace(block.data,
+                                               payload=self.flipped(block.data.payload)))
+        if fld != "device_id":  # the auth tag, or a payload with nothing to flip
+            return replace(block, auth_tag=AuthTag(self.flipped(block.auth_tag.h)))
         bit = int(self.rng_adv.integers(0, DEVICE_ID_BITS))
-        data = replace(block.data, device_id=block.data.device_id ^ (1 << bit))
-        return replace(block, data=data)
+        return replace(block, data=replace(block.data,
+                                           device_id=block.data.device_id ^ (1 << bit)))
 
     def unenrolled_device_id(self) -> int:
         while True:
@@ -457,8 +463,21 @@ class _Sim:
             if not self.registry.has_device(candidate):
                 return candidate
 
-    def random_tag(self) -> bytes:
-        return self.rng_adv.bytes(HASH_BYTES)
+    def fabricated_block(self, t: int, device_id: int, seq_base: int,
+                         validated: bool) -> WireBlock:
+        """A block no device signed, at challenge index 0 and sequence number
+        seq_base plus the count of blocks fabricated before it: 8 payload
+        bytes and an auth tag, and when validated a validation tag under the
+        trusted node's name, drawn from rng_adv in that order."""
+        data = BlockData(device_id=device_id, seq=seq_base + self.fake_seq, t_init=t,
+                         payload=self.rng_adv.bytes(8))
+        self.fake_seq += 1
+        auth_tag = AuthTag(self.rng_adv.bytes(HASH_BYTES))
+        if not validated:
+            return WireBlock(data=data, auth_tag=auth_tag, challenge_index=0)
+        return WireBlock(data=data, auth_tag=auth_tag, challenge_index=0,
+                         validated_by=self.trusted_id, t_validated=t,
+                         validation_tag=self.rng_adv.bytes(HASH_BYTES))
 
     # -- handlers --------------------------------------------------------------
 
@@ -488,8 +507,7 @@ class _Sim:
         receiver = msg.receiver
         role = self.nodes[receiver].role
         self.log(t, _DELIVER, receiver, "", (
-            msg.msg_id, msg.tx_id if msg.tx_id is not None else -1,
-            format_device_id(msg.sender) if msg.sender is not None else "",
+            msg.msg_id, msg.tx_id, format_device_id(msg.sender) if msg.sender is not None else "",
             msg.block.is_validated, msg.provenance))
         if msg.block.is_validated:
             # structural drop at arrival unless the header names the trusted
@@ -505,7 +523,7 @@ class _Sim:
         # reserve the receiver and let the verdict land when the work ends:
         # appends, penalties and demotions happen in global time order
         done = self.occupy(receiver, t, self.cost(receiver, "handle"))
-        self.push(done, ("judge", msg, t))
+        self.push(done, self.handle_judgment, msg, t)
 
     def handle_judgment(self, done: int, msg: _Message, arrival: int) -> None:
         node = self.nodes[msg.receiver]
@@ -533,16 +551,16 @@ class _Sim:
         role = self.nodes[receiver].role
         accepted = result is not None and result.accepted
         reason = result.reason if result is not None else REASON_NOT_FROM_TRUSTED
-        tx = msg.tx_id if msg.tx_id is not None else -1
+        tx = msg.tx_id
         overtook = (msg.provenance == "replay" and accepted
-                    and self.tx_records[msg.tx_id].accepted is None)
+                    and self.tx_records[tx].accepted is None)
         if msg.provenance != "normal" and not overtook:
             self.adversarial.append(AdvOutcome(
                 kind=msg.provenance, msg_id=msg.msg_id, receiver=receiver,
                 t_ms=t, accepted=accepted, reason=reason,
             ))
-        elif msg.tx_id is not None and result is not None:
-            record = self.tx_records[msg.tx_id]
+        elif tx >= 0 and result is not None:
+            record = self.tx_records[tx]
             if msg.block.is_validated:
                 record.client_outcomes[receiver] = ClientOutcome(arrival, t, accepted, reason)
             elif record.accepted is None:
@@ -556,8 +574,7 @@ class _Sim:
                 tx, entry.data.seq, entry.height, role, result.hashes_tried, msg.provenance))
             if role == ROLE_TRUSTED:
                 self.log(t, _REBROADCAST, receiver, entry.entry_hash.hex(), (tx,))
-                self.send(result.rebroadcast, receiver, self.peers_of(receiver),
-                          t, msg.tx_id, "normal")
+                self.send(result.rebroadcast, receiver, self.peers_of(receiver), t, tx, "normal")
             return
         if result is None:
             self.log(t, _REJECT, receiver, "", (msg.msg_id, tx, reason, msg.provenance))
@@ -579,8 +596,7 @@ class _Sim:
             node.role = ROLE_CLIENT
             self.log(t, _DEMOTE, self.trusted_id, "", (node.trust_value,))
 
-    def handle_injection(self, t: int, adv_index: int) -> None:
-        adv = self.scenario.adversaries[adv_index]
+    def handle_injection(self, t: int, adv: Adversary) -> None:
         if adv.kind == "replay":
             tx_id = adv.target["tx_id"]
             block = self.captured_origin.get(tx_id)
@@ -590,48 +606,25 @@ class _Sim:
             self.log(t, _INJECT_REPLAY, None, "", (adv.kind, tx_id))
             self.send(block, None, [self.trusted_id], t, tx_id, "replay", droppable=False)
         elif adv.kind == "fake-device":
-            data = BlockData(
-                device_id=self.unenrolled_device_id(),
-                seq=self.fake_seq, t_init=t,
-                payload=bytes(self.rng_adv.bytes(8)),
-            )
-            self.fake_seq += 1
-            block = WireBlock(data=data, auth_tag=AuthTag(self.random_tag()), challenge_index=0)
-            self.log(t, _INJECT_FAKE, None, "", (adv.kind, format_device_id(data.device_id)))
-            self.send(block, None, [self.trusted_id], t, None, "fake-device", droppable=False)
+            block = self.fabricated_block(t, self.unenrolled_device_id(), 0, validated=False)
+            self.log(t, _INJECT_FAKE, None, "", (adv.kind, format_device_id(block.data.device_id)))
+            self.send(block, None, [self.trusted_id], t, -1, adv.kind, droppable=False)
         elif adv.kind == "forge-validator":
-            victim = self.order[-1]  # an enrolled device id to put in the block
-            data = BlockData(
-                device_id=victim,
-                seq=(1 << 32) + self.fake_seq,  # far past any honest sequence number
-                t_init=t,
-                payload=bytes(self.rng_adv.bytes(8)),
-            )
-            self.fake_seq += 1
-            block = WireBlock(
-                data=data, auth_tag=AuthTag(self.random_tag()), challenge_index=0,
-                validated_by=self.trusted_id, t_validated=t, validation_tag=self.random_tag(),
-            )
+            # an enrolled device id, far past any honest sequence number
+            block = self.fabricated_block(t, self.order[-1], 1 << 32, validated=True)
             clients = [n for n in self.order if self.nodes[n].role == ROLE_CLIENT]
             self.log(t, _INJECT_FORGE, None, "", (adv.kind, format_device_id(self.trusted_id)))
-            self.send(block, None, clients, t, None, "forge-validator", droppable=False)
+            self.send(block, None, clients, t, -1, adv.kind, droppable=False)
 
     def run(self) -> SimResult:
-        for tx_id in range(len(self.scenario.initiations)):
-            self.push(self.scenario.initiations[tx_id].t_ms, ("init", tx_id))
-        for adv_index, adv in enumerate(self.scenario.adversaries):
+        for tx_id, init in enumerate(self.scenario.initiations):
+            self.push(init.t_ms, self.handle_initiation, tx_id)
+        for adv in self.scenario.adversaries:
             for t in adv.schedule:
-                self.push(t, ("inject", adv_index))
+                self.push(t, self.handle_injection, adv)
         while self.heap:
-            t, _, item = heapq.heappop(self.heap)
-            if item[0] == "init":
-                self.handle_initiation(t, item[1])
-            elif item[0] == "deliver":
-                self.handle_delivery(t, item[1])
-            elif item[0] == "judge":
-                self.handle_judgment(t, item[1], item[2])
-            else:
-                self.handle_injection(t, item[1])
+            t, _, handler, args = heapq.heappop(self.heap)
+            handler(t, *args)
         # a stable sort puts the log in simulated-time order; entries sharing
         # a timestamp keep their processing order
         self.events.sort(key=lambda event: event.t_ms)

@@ -232,10 +232,9 @@ def uncertain_races(threshold: np.ndarray) -> np.ndarray:
 
 
 def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generator,
-                n_reads: int | None = None) -> np.ndarray:
-    """One noisy read of a challenge row's races as an (n_bits,) bool array,
-    or n_reads of them as an (n_reads, n_bits) array; for a stack of rows,
-    the same per row, (..., n_bits) or (..., n_reads, n_bits).
+                n_reads: int) -> np.ndarray:
+    """n_reads noisy reads of a challenge row's races as an (n_reads, n_bits)
+    bool array; for a stack of rows, the same per row, (..., n_reads, n_bits).
 
     Both oscillators of a race get independent N(0, sigma^2) jitter, so
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
@@ -249,10 +248,8 @@ def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generat
     challenge selects past the device's banks.
     """
     f1, f2 = selected_freqs(device, challenge)
-    shape = f1.shape
-    if n_reads is not None:  # a reads axis before each row's bits
-        f1, f2 = f1[..., None, :], f2[..., None, :]
-        shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
+    f1, f2 = f1[..., None, :], f2[..., None, :]  # a reads axis before each row's bits
+    shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
     reads = np.broadcast_to(arbiter_bits(f1, f2), shape)
     threshold = read_thresholds(device, f1, f2)
     if threshold is None:
@@ -271,7 +268,7 @@ def evaluate(device: PufDevice, challenge: np.ndarray, eval_seed: int) -> Respon
     if (isinstance(eval_seed, bool) or not isinstance(eval_seed, (int, np.integer))
             or not 0 <= eval_seed < 1 << 64):
         raise ConfigError(f"eval_seed must be an integer in [0, 2**64), got {eval_seed!r}")
-    return Response(noisy_reads(device, challenge, np.random.default_rng([eval_seed])))
+    return Response(noisy_reads(device, challenge, np.random.default_rng([eval_seed]), 1)[0])
 
 
 # largest bank random_challenge draws from: pair codes i * bank_size + j stay

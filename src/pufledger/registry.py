@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
-
 import numpy as np
 
 from .errors import (
@@ -56,9 +54,9 @@ class CrpRecord:
 
 class Registry:
     """Records keyed by device id plus the id of the one node with read
-    access, if any."""
+    access."""
 
-    def __init__(self, trusted_id: Optional[int] = None) -> None:
+    def __init__(self, trusted_id: int) -> None:
         self._records: dict[int, CrpRecord] = {}
         self.trusted_id = trusted_id
 
@@ -138,7 +136,7 @@ def trusted_view(registry: Registry) -> tuple[int, tuple[Response, ...]]:
     node's id and its stored responses, used to check that a validated
     block really came from it. Raises when that node is not enrolled."""
     trusted_id = registry.trusted_id
-    if not registry.has_device(trusted_id):  # also None: no trusted node
+    if not registry.has_device(trusted_id):
         raise UnknownDeviceError(trusted_id)
     return trusted_id, registry._records[trusted_id].responses
 
@@ -192,8 +190,8 @@ def record_to_json_line(record: CrpRecord) -> str:
 
 def save_registry(path: str | Path, registry: Registry) -> None:
     """Write the ACL header line, then one canonical record line per device."""
-    trusted = [] if registry.trusted_id is None else [format_device_id(registry.trusted_id)]
-    header = json.dumps({"trusted_node_ids": trusted}, separators=(",", ":"))
+    header = json.dumps({"trusted_node_ids": [format_device_id(registry.trusted_id)]},
+                        separators=(",", ":"))
     lines = [header] + [record_to_json_line(registry._records[device_id])
                         for device_id in registry.device_ids]
     with open(path, "w", encoding="ascii", newline="") as fh:

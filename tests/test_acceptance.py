@@ -119,7 +119,7 @@ def test_c03_randomness_of_screened_responses():
 
 def test_c04_screening_yield_at_defaults():
     device = manufacture(PufConfig(), 0xABCDEF012345, 0)
-    record = enroll(Registry(), device, 500, ScreeningPolicy(), 42)
+    record = enroll(Registry(device.device_id), device, 500, ScreeningPolicy(), 42)
     n_accepted = len(record.responses)
     ok = 90 <= n_accepted <= 170
     _report(4, ok, f"{n_accepted} of 500 candidate challenges accepted (bounds [90, 170])")
@@ -142,7 +142,7 @@ def test_c05_protocol_completeness(tmp_path):
                    f"{elapsed:.2f}s (< 30s)")
 
 
-def test_c06_protocol_soundness():
+def test_c06_protocol_soundness(tmp_path):
     runs = {
         "tamper": ScenarioConfig(seed=101, n_transactions=700, n_candidates=150,
                                  tx_spacing_ms=150, adversary="tamper",
@@ -160,7 +160,7 @@ def test_c06_protocol_soundness():
     false_accepts = 0
     wrong_reasons = []
     for kind, cfg in runs.items():
-        output = run_scenario(cfg, write_outputs=False)
+        output = run_scenario(replace(cfg, out_dir=str(tmp_path / kind)))
         outcomes = output.result.adversarial
         trusted_id = output.built.scenario.world.registry.trusted_id
         total += len(outcomes)
@@ -217,9 +217,9 @@ def test_c07_tamper_evidence_is_exhaustive(tmp_path):
 
 
 @pytest.mark.slow
-def test_c08_no_enrolled_response_leaks_onto_the_wire():
-    cfg = ScenarioConfig(n_transactions=10_000, n_candidates=150)
-    output = run_scenario(cfg, write_outputs=False)
+def test_c08_no_enrolled_response_leaks_onto_the_wire(tmp_path):
+    cfg = ScenarioConfig(n_transactions=10_000, n_candidates=150, out_dir=str(tmp_path))
+    output = run_scenario(cfg)
     events_text = "\n".join(event_to_json_line(event) for event in output.result.events)
 
     built = output.built
@@ -262,8 +262,8 @@ def test_c09_authentication_beats_proof_of_work():
                    f"ratio {ratio:.5f} (<= 0.01)")
 
 
-def test_c10_timing_identities_hold_exactly():
-    output = run_scenario(ScenarioConfig(), write_outputs=False)
+def test_c10_timing_identities_hold_exactly(tmp_path):
+    output = run_scenario(ScenarioConfig(out_dir=str(tmp_path)))
     report = output.report
     assert report.accepted == 300
 

@@ -6,6 +6,7 @@ moves a figure fails until the README states the new one.
 that layout."""
 
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ def claims() -> dict[str, str]:
                 run_fom_calibration(ScenarioConfig(seed=seed))["screening"]["accepted_by_device"]]
     fom = run_fom_calibration(ScenarioConfig(seed=42))
     accepted = fom["screening"]["accepted_by_device"]
-    scenario = run_scenario(ScenarioConfig(seed=42), write_outputs=False)
+    with tempfile.TemporaryDirectory() as out_dir:
+        scenario = run_scenario(ScenarioConfig(seed=42, out_dir=out_dir))
     enrolled = [len(record.responses) for record in scenario.built.records.values()]
     return {
         "screened-median-seeds-1-20": f"{np.median(screened):.1f}",

@@ -261,7 +261,8 @@ def test_enroll_screens_every_candidate_once(default_config, screen_calls, monke
         return chunk
 
     monkeypatch.setattr(puf, "random_challenge", draw_each_twice)
-    record = registry.enroll(registry.Registry(), device, 150, ScreeningPolicy(), seed=5)
+    record = registry.enroll(registry.Registry(device.device_id), device, 150, ScreeningPolicy(),
+                             seed=5)
     assert len(drawn) == 150  # three chunks, the last one short
     assert len(screen_calls) == 150
     # call k judges drawn row k: its band, and the kept rows in draw order are the record's

@@ -146,7 +146,7 @@ def test_client_judgments_hash_once(name, tmp_path):
     """A client checks the one stored response the validator used, so every
     client accept or reject that spent validation work records one hash."""
     overrides, _ = GOLDEN_SCENARIOS[name]
-    output = run_scenario(ScenarioConfig(**SMALL, **overrides), write_outputs=False)
+    output = run_scenario(ScenarioConfig(**SMALL, **overrides, out_dir=str(tmp_path)))
     clients = {node_id for node_id, node in output.result.nodes.items()
                if node_id != output.built.scenario.world.registry.trusted_id}
     judged = [event.detail["hashes"] for event in output.result.events
@@ -156,12 +156,12 @@ def test_client_judgments_hash_once(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-def test_trusted_judgments_hash_at_most_once(name):
+def test_trusted_judgments_hash_at_most_once(name, tmp_path):
     """The trusted node recomputes one tag, at the index the block names;
     an unknown device tries none. A scan would record up to every stored
     response."""
     overrides, _ = GOLDEN_SCENARIOS[name]
-    output = run_scenario(ScenarioConfig(**SMALL, **overrides), write_outputs=False)
+    output = run_scenario(ScenarioConfig(**SMALL, **overrides, out_dir=str(tmp_path)))
     trusted = output.built.scenario.world.registry.trusted_id
     judged = [event.detail["hashes"] for event in output.result.events
               if event.kind in ("accept", "reject") and event.node == trusted
@@ -175,10 +175,10 @@ LAYOUT_WORLDS = {**{name: overrides for name, (overrides, _) in GOLDEN_SCENARIOS
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_WORLDS))
-def test_every_event_fills_its_layout(name):
+def test_every_event_fills_its_layout(name, tmp_path):
     """Each logged value has its slot's type, and the detail view holds the
     layout's keys in order with the logged values."""
-    output = run_scenario(ScenarioConfig(**SMALL, **LAYOUT_WORLDS[name]), write_outputs=False)
+    output = run_scenario(ScenarioConfig(**SMALL, **LAYOUT_WORLDS[name], out_dir=str(tmp_path)))
     for event in output.result.events:
         assert tuple(map(type, event.values)) == event.layout.types
         assert tuple(event.detail.items()) == tuple(zip(event.layout.keys, event.values))
@@ -225,11 +225,11 @@ def verdict_counts(output) -> Counter:
     return counts
 
 
-def test_golden_scenarios_reach_every_listed_verdict():
+def test_golden_scenarios_reach_every_listed_verdict(tmp_path):
     reached = Counter()
     for overrides, _ in GOLDEN_SCENARIOS.values():
-        reached += verdict_counts(run_scenario(ScenarioConfig(**SMALL, **overrides),
-                                               write_outputs=False))
+        reached += verdict_counts(run_scenario(ScenarioConfig(**SMALL, **overrides,
+                                                              out_dir=str(tmp_path))))
     assert set(reached) == LISTED_VERDICTS
 
 

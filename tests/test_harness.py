@@ -264,7 +264,7 @@ def built_ids(output):
 
 
 def test_csv_rows_match_metrics_timestamps(tmp_path):
-    output = run_scenario(small_config(out_dir=str(tmp_path)), write_outputs=False)
+    output = run_scenario(small_config(out_dir=str(tmp_path)))
     rows = timings_csv_lines(output.report)[1:]
     for row, entry in zip(rows, output.report.transactions):
         tx, seq, device_id, dt_sa, dt_ca, dt_tx, result, reason = row.split(",")
@@ -364,7 +364,7 @@ def test_run_scenario_is_reproducible(tmp_path):
 
 def test_run_scenario_with_drops_accounts_for_every_transaction(tmp_path):
     cfg = small_config(n_transactions=30, drop_rate=0.5, out_dir=str(tmp_path))
-    report = run_scenario(cfg, write_outputs=False).report
+    report = run_scenario(cfg).report
     assert report.rejected_by_reason.get("lost", 0) > 0
     assert report.accepted + sum(report.rejected_by_reason.values()) == 30
     # lost rows leave the timing columns blank
@@ -374,7 +374,7 @@ def test_run_scenario_with_drops_accounts_for_every_transaction(tmp_path):
 
 def test_run_scenario_tamper_adversary_end_to_end(tmp_path):
     cfg = small_config(adversary="tamper", adversary_events=2, out_dir=str(tmp_path))
-    output = run_scenario(cfg, write_outputs=False)
+    output = run_scenario(cfg)
     report = output.report
     assert report.adversarial_accepted == 0
     assert report.n_adversarial > 0

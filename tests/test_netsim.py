@@ -81,6 +81,14 @@ def test_chunked_latency_draws_are_the_scalar_draws(sim_parts, jitter):
         assert sim.latency() == expected
 
 
+def test_chunked_drop_draws_are_the_scalar_draws(sim_parts):
+    config, world = sim_parts
+    sim = netsim._Sim(replace(config, drop_rate=0.05), Scenario(world=world, initiations=()))
+    scalar = np.random.default_rng([config.seed, netsim._STREAM_DROP])
+    for _ in range(3 * netsim._LATENCY_CHUNK + 5):
+        assert next(sim.drops) == float(scalar.random())
+
+
 def test_chunked_cost_draws_are_the_scalar_draws(sim_parts):
     # nodes with different (mean, sd) share one cost stream, so a chunk drawn
     # with one node's parameters would be wrong for the others; sd == 0 draws nothing

@@ -420,7 +420,7 @@ def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
         accepted += result.accepted
     assert accepted and rng.bit_generator.state == untouched
     # enrollment then draws challenges only: the pool of one generator, screened in order
-    record = enroll(Registry(), device, 60, ScreeningPolicy(), 16)
+    record = enroll(Registry(device.device_id), device, 60, ScreeningPolicy(), 16)
     pool_rng = np.random.default_rng([16])
     pool = drawn_pool(device.bank_size, 128, 60, pool_rng)
     expected = [c for c in pool if 45.0 <= randomness(reference_response(device, c).bits) <= 55.0]
@@ -484,18 +484,17 @@ def edge_stacks():
 def test_m_rows_in_one_read_call_read_as_m_one_row_calls(name, device, stack):
     widths = [uncertain_count(device, row) for row in stack]
     assert set(widths) == ({0, 128} if name == "mixed stack" else {0})
-    for n_reads in (None, 1, 3):
+    for n_reads in (1, 3):
         rng, oracle_rng = CountingRng(np.random.default_rng(42)), np.random.default_rng(42)
         reads = puf.noisy_reads(device, stack, rng, n_reads)
         assert reads.tolist() == [puf.noisy_reads(device, row, oracle_rng, n_reads).tolist()
                                   for row in stack]
         assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
-        assert rng.normals == sum(widths) * (n_reads or 1)
+        assert rng.normals == sum(widths) * n_reads
         # a row that draws nothing reads its reference every time
         refs = puf.arbiter_bits(*selected_freqs(device, stack))
         certain_rows = [r for r, width in enumerate(widths) if not width]
-        expected = refs[certain_rows] if n_reads is None else refs[certain_rows, None]
-        assert (reads[certain_rows] == expected).all()
+        assert (reads[certain_rows] == refs[certain_rows, None]).all()
 
 
 def test_races_a_hair_inside_certain_sd_draw_and_a_hair_outside_do_not():
@@ -611,9 +610,9 @@ def test_enroll_matches_a_loop_over_one_generator(n_candidates):
             expected = enroll_by_rounds(device, n_candidates, policy, 77)
             if not expected:
                 with pytest.raises(EnrollmentFailedError):
-                    enroll(Registry(), device, n_candidates, policy, 77)
+                    enroll(Registry(device.device_id), device, n_candidates, policy, 77)
                 continue
-            record = enroll(Registry(), device, n_candidates, policy, 77)
+            record = enroll(Registry(device.device_id), device, n_candidates, policy, 77)
             assert pairs_and_bits(record.pairs) == expected
             enrolled += 1
     # seed 77 keeps the first candidate at the defaults, so every size enrolls somewhere
@@ -783,7 +782,7 @@ def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypat
     # stable, and a bank-4 challenge, which races all 16 pairs, reads 8 ones
     device = PufDevice(0x607, np.resize([240.0, 245.0, 255.0, 260.0], bank_size),
                        np.resize([250.0, 250.5, 249.5, 251.0], bank_size), 0.245)
-    record = enroll(Registry(), device, 192, ScreeningPolicy(), 12)
+    record = enroll(Registry(device.device_id), device, 192, ScreeningPolicy(), 12)
     challenges = record.challenges
     assert len(chunks) == 3 and len(challenges) == len(record.responses) > 0
     assert challenges.shape[1:] == (2, n_bits) and challenges.dtype == np.int64
@@ -1141,7 +1140,7 @@ def test_saved_chain_is_its_encoded_lines(tmp_path, n):
 
 def test_saved_registry_is_its_header_then_its_encoded_records(tmp_path, enrolled):
     registry, records = enrolled
-    for reg, ids in ((Registry(2**48 - 1), ["ffffffffffff"]), (Registry(), []),
+    for reg, ids in ((Registry(2**48 - 1), ["ffffffffffff"]),
                      (registry, [format_device_id(registry.trusted_id)])):
         header = dumps({"trusted_node_ids": ids})
         lines = [header] + [record_to_json_line(records[i]) for i in reg.device_ids]
@@ -1169,8 +1168,9 @@ def test_saving_events_holds_less_than_the_file_it_writes(tmp_path):
     """The writer formats and writes a chunk of lines at a time: what it holds
     at its peak, above its inputs, stays below the file it writes. Joining the
     whole file's lines held the lines, their text and its bytes at once."""
-    config = ScenarioConfig(adversary="forge-validator", adversary_events=3)
-    events = harness.run_scenario(config, write_outputs=False).result.events
+    config = ScenarioConfig(adversary="forge-validator", adversary_events=3,
+                            out_dir=str(tmp_path / "run"))
+    events = harness.run_scenario(config).result.events
     path = tmp_path / "events.ndjson"
     tracemalloc.start()  # traces only what is allocated from here on
     try:
