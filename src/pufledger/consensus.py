@@ -2,19 +2,20 @@
 
 A device initiates a transaction by hashing its block data together with
 one of its enrolled responses; only the hash travels, with the index of
-the challenge it answered. A node holds its enrolled challenges as its
-registry record does, one (k, 2, n_bits) selector array with a row per
-challenge, and its device re-derives a response from a row noiselessly.
-Stored responses are in enrollment order, so a trusted node authenticates
-with one hash: it recomputes the tag with the device's stored response at
-the block's challenge index, then appends the block to its chain and
-rebroadcasts it with a validation tag of its own, made with its stored
-response at index `height % len(challenges)`. Clients drop anything not
-validated by the trusted node, build the entry at their own height and
-tip, recompute the validation tag once with the trusted node's stored
-response at that same index, and append an entry identical to the trusted
-node's; an honest client gets the very entry object the trusted node
-built (`ledger.make_entry` is memoized).
+the challenge it answered. A trusted node authenticates with one hash:
+it recomputes the tag with the device's stored response at that index,
+appends the block to its chain and rebroadcasts it with a validation tag
+of its own, made with its stored response at index
+`height % len(challenges)`. A client builds the entry at its own height
+and tip, recomputes the validation tag once with the trusted node's
+stored response at that same index, and appends an entry identical to
+the trusted node's: while `ledger.make_entry`'s memo holds it, the same
+object.
+
+Every protocol decision is made here, as a step on node state: `admits`
+says on arrival whether a delivery is worth judging, `judge` gives the
+verdict and the node it blames, and `penalize` docks trust and demotes.
+A simulator only moves blocks and applies what these return.
 
 No response ever crosses the network in any direction: origin blocks carry
 the authentication tag, rebroadcasts add a validation tag, both are
@@ -94,7 +95,8 @@ class WireBlock:
 class NodeState:
     """Everything one network participant owns: its device, its enrolled
     challenges (its registry record's selector array), its replica of the
-    chain, and its bookkeeping."""
+    chain, and its bookkeeping. Only this module writes role, trust_value
+    and penalties."""
 
     node_id: int
     role: str
@@ -103,6 +105,7 @@ class NodeState:
     chain: list[ChainEntry] = field(default_factory=list)
     next_seq: int = 0
     trust_value: int = 0
+    penalties: int = 0
     last_seq_accepted: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -112,13 +115,15 @@ class NodeState:
 
 class Verdict(NamedTuple):
     """Outcome of one node judging one block. Only a trusted node's accept
-    carries a rebroadcast."""
+    carries a rebroadcast, and only a client's tag mismatch blames a node:
+    the validator the block names."""
 
     accepted: bool
     reason: Optional[str]
     entry: Optional[ChainEntry]
     hashes_tried: int
     rebroadcast: Optional[WireBlock] = None
+    blamed: Optional[int] = None
 
 
 def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) -> WireBlock:
@@ -126,17 +131,17 @@ def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) ->
 
     The device re-derives the enrolled response noiselessly on the spot;
     only the resulting tag and the challenge index are placed on the
-    wire. Advances next_seq.
+    wire. Advances next_seq, unless the index is not a valid one.
     """
     if not 0 <= challenge_index < len(node.challenges):
         raise ValueError(
             f"challenge_index {challenge_index} out of range for {len(node.challenges)} enrolled"
         )
     data = BlockData(device_id=node.device.device_id, seq=node.next_seq, t_init=now, payload=payload)
-    response = reference_response(node.device, node.challenges[challenge_index])
-    tag = make_auth_tag(data, response)
+    tag = make_auth_tag(data, reference_response(node.device, node.challenges[challenge_index]))
+    block = WireBlock(data=data, auth_tag=tag, challenge_index=challenge_index)
     node.next_seq += 1
-    return WireBlock(data=data, auth_tag=tag, challenge_index=challenge_index)
+    return block
 
 
 def _validation_tag(entry_hash: bytes, response) -> bytes:
@@ -214,10 +219,39 @@ def accept_validated(client: NodeState, block: WireBlock,
     # entry hash, so no stored response could match it
     expected = _validation_tag(candidate.entry_hash, stored[candidate.height % len(stored)])
     if expected != block.validation_tag:
-        return Verdict(False, REASON_NO_MATCH, None, 1)
+        return Verdict(False, REASON_NO_MATCH, None, 1, blamed=trusted_id)
     client.chain.append(candidate)
     client.last_seq_accepted[block.data.device_id] = block.data.seq
     return Verdict(True, None, candidate, 1)
+
+
+def admits(node: NodeState, block: WireBlock, trusted: NodeState) -> bool:
+    """Whether node spends work on block: an origin block only at a trusted
+    node, a rebroadcast only if it names the trusted node, not demoted."""
+    if block.is_validated:
+        return block.validated_by == trusted.node_id and trusted.role == ROLE_TRUSTED
+    return node.role == ROLE_TRUSTED
+
+
+def judge(node: NodeState, block: WireBlock, registry: Registry,
+          view: tuple[int, tuple[Response, ...]], now: int) -> Optional[Verdict]:
+    """Judge an admitted block when the work ends. An origin block's
+    authority is checked again (None: node was demoted while it waited), a
+    rebroadcast's admission is not."""
+    if block.is_validated:
+        return accept_validated(node, block, view, now)
+    return authenticate(node, block, registry, now) if node.role == ROLE_TRUSTED else None
+
+
+def penalize(node: NodeState, demotion_threshold: int) -> bool:
+    """Charge a blamed node one penalty and one trust point; True when this
+    demotes it to a client, at demotion_threshold penalties (0: never)."""
+    node.penalties += 1
+    node.trust_value -= 1
+    demoted = 0 < demotion_threshold <= node.penalties and node.role == ROLE_TRUSTED
+    if demoted:
+        node.role = ROLE_CLIENT
+    return demoted
 
 
 def pow_mine_baseline(data: BlockData, difficulty_bits: int) -> tuple[int, bytes]:

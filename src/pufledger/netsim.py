@@ -15,7 +15,8 @@ send in a lossy run draws a drop value.
 The event loop is a heap of handler calls: each entry is a time, a push
 counter that breaks ties in push order, a handler and its arguments.
 Broadcast is unicast fan-out: the sender schedules one delivery per peer.
-There are no sockets and no wall-clock reads anywhere in this module.
+There are no sockets and no wall-clock reads anywhere in this module. It
+moves blocks and decides no verdict: consensus.admits, judge and penalize do.
 
 Adversaries are part of the scenario. Four kinds are understood:
 
@@ -49,7 +50,6 @@ from . import consensus
 from .consensus import (
     ROLE_CLIENT,
     ROLE_TRUSTED,
-    REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
     NodeState,
     Verdict,
@@ -381,15 +381,11 @@ class _Sim:
         self.tx_records: list[TxRecord] = []
         self.adversarial: list[AdvOutcome] = []
         self.captured_origin: dict[int, WireBlock] = {}
-        self.penalties = 0  # the trusted node's, one per client no-match
         self.fake_seq = 0
 
-        tamper_by_tx: dict[int, str] = {}
-        for adv in scenario.adversaries:
-            if adv.kind == "tamper":
-                for tx in adv.target["tx_ids"]:
-                    tamper_by_tx[tx] = adv.target.get("field", "payload")
-        self.tamper_by_tx = tamper_by_tx
+        self.tamper_by_tx: dict[int, str] = {
+            tx: adv.target.get("field", "payload") for adv in scenario.adversaries
+            if adv.kind == "tamper" for tx in adv.target["tx_ids"]}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -486,38 +482,24 @@ class _Sim:
         node = self.nodes[init.node_id]
         block = consensus.initiate(node, init.payload, init.challenge_index, now=t)
         t_send = self.occupy(init.node_id, t, self.cost(init.node_id, "init"))
-        record = TxRecord(
-            tx_id=tx_id, origin=init.node_id, device_id=block.data.device_id,
-            seq=block.data.seq, t_init=t, t_send=t_send,
-        )
-        self.tx_records.append(record)
+        self.tx_records.append(TxRecord(tx_id=tx_id, origin=init.node_id, t_init=t, t_send=t_send,
+                                        device_id=block.data.device_id, seq=block.data.seq))
         self.log(t, _INITIATE, init.node_id, "", (
             tx_id, block.data.seq, format_device_id(block.data.device_id), init.challenge_index))
         provenance = "normal"
-        out_block = block
-        if tx_id in self.tamper_by_tx:
-            fld = self.tamper_by_tx[tx_id]
-            out_block = self.tampered_copy(block, fld)
-            provenance = "tamper"
+        fld = self.tamper_by_tx.get(tx_id)
+        if fld is not None:
+            block, provenance = self.tampered_copy(block, fld), "tamper"
             self.log(t_send, _TAMPER, None, "", (tx_id, fld))
-        self.captured_origin[tx_id] = out_block
-        self.send(out_block, init.node_id, self.peers_of(init.node_id), t_send, tx_id, provenance)
+        self.captured_origin[tx_id] = block
+        self.send(block, init.node_id, self.peers_of(init.node_id), t_send, tx_id, provenance)
 
     def handle_delivery(self, t: int, msg: _Message) -> None:
         receiver = msg.receiver
-        role = self.nodes[receiver].role
         self.log(t, _DELIVER, receiver, "", (
             msg.msg_id, msg.tx_id, format_device_id(msg.sender) if msg.sender is not None else "",
             msg.block.is_validated, msg.provenance))
-        if msg.block.is_validated:
-            # structural drop at arrival unless the header names the trusted
-            # node and it is not demoted: no validation work is spent on it
-            judged = (msg.block.validated_by == self.trusted_id
-                      and self.nodes[self.trusted_id].role == ROLE_TRUSTED)
-        else:
-            # clients act only on blocks the trusted node has validated
-            judged = role == ROLE_TRUSTED
-        if not judged:
+        if not consensus.admits(self.nodes[receiver], msg.block, self.nodes[self.trusted_id]):
             self.record_verdict(t, msg, None)
             return
         # reserve the receiver and let the verdict land when the work ends:
@@ -526,17 +508,11 @@ class _Sim:
         self.push(done, self.handle_judgment, msg, t)
 
     def handle_judgment(self, done: int, msg: _Message, arrival: int) -> None:
-        node = self.nodes[msg.receiver]
-        if msg.block.is_validated:
-            result = consensus.accept_validated(node, msg.block, self.view, now=done)
-        elif node.role == ROLE_TRUSTED:
-            result = consensus.authenticate(node, msg.block, self.registry, now=done)
-        else:
-            result = None  # demoted while this block sat in its queue: authority is gone
+        result = consensus.judge(self.nodes[msg.receiver], msg.block, self.registry,
+                                 self.view, done)
         self.record_verdict(done, msg, result, arrival)
 
-    def record_verdict(self, t: int, msg: _Message,
-                       result: Optional[Verdict],
+    def record_verdict(self, t: int, msg: _Message, result: Optional[Verdict],
                        arrival: Optional[int] = None) -> None:
         """Log one node's verdict on one delivery and account for it.
 
@@ -545,20 +521,18 @@ class _Sim:
         ones update their TxRecord. So does an accepted replay that overtook
         its transaction's origin copy: it carries exactly the block the
         origin sent, and the origin copy's replay reject that follows leaves
-        the record alone. A trusted accept is rebroadcast, and a client's
-        no-match penalizes the trusted node."""
+        the record alone. A verdict's rebroadcast is sent, and the node it
+        blames is penalized."""
         receiver = msg.receiver
-        role = self.nodes[receiver].role
         accepted = result is not None and result.accepted
         reason = result.reason if result is not None else REASON_NOT_FROM_TRUSTED
         tx = msg.tx_id
         overtook = (msg.provenance == "replay" and accepted
                     and self.tx_records[tx].accepted is None)
         if msg.provenance != "normal" and not overtook:
-            self.adversarial.append(AdvOutcome(
-                kind=msg.provenance, msg_id=msg.msg_id, receiver=receiver,
-                t_ms=t, accepted=accepted, reason=reason,
-            ))
+            self.adversarial.append(AdvOutcome(kind=msg.provenance, msg_id=msg.msg_id,
+                                               receiver=receiver, t_ms=t, accepted=accepted,
+                                               reason=reason))
         elif tx >= 0 and result is not None:
             record = self.tx_records[tx]
             if msg.block.is_validated:
@@ -570,9 +544,9 @@ class _Sim:
                 record.reason = reason
         if accepted:
             entry = result.entry
-            self.log(t, _ACCEPT, receiver, entry.entry_hash.hex(), (
-                tx, entry.data.seq, entry.height, role, result.hashes_tried, msg.provenance))
-            if role == ROLE_TRUSTED:
+            self.log(t, _ACCEPT, receiver, entry.entry_hash.hex(), (tx, entry.data.seq, entry.height,
+                     self.nodes[receiver].role, result.hashes_tried, msg.provenance))
+            if result.rebroadcast is not None:
                 self.log(t, _REBROADCAST, receiver, entry.entry_hash.hex(), (tx,))
                 self.send(result.rebroadcast, receiver, self.peers_of(receiver), t, tx, "normal")
             return
@@ -581,20 +555,12 @@ class _Sim:
         else:
             self.log(t, _REJECT_HASHED, receiver, "", (
                 msg.msg_id, tx, reason, result.hashes_tried, msg.provenance))
-        if msg.block.is_validated and reason == REASON_NO_MATCH:
-            self.penalize(t)
-
-    def penalize(self, t: int) -> None:
-        """A client caught a bad validation under the trusted node's name;
-        at the threshold the node is demoted to a client."""
-        self.penalties += 1
-        node = self.nodes[self.trusted_id]
-        node.trust_value -= 1
-        self.log(t, _PENALIZE, self.trusted_id, "", (self.penalties, node.trust_value))
-        threshold = self.config.demotion_threshold
-        if threshold and self.penalties >= threshold and node.role == ROLE_TRUSTED:
-            node.role = ROLE_CLIENT
-            self.log(t, _DEMOTE, self.trusted_id, "", (node.trust_value,))
+            if result.blamed is not None:
+                blamed = self.nodes[result.blamed]
+                demoted = consensus.penalize(blamed, self.config.demotion_threshold)
+                self.log(t, _PENALIZE, result.blamed, "", (blamed.penalties, blamed.trust_value))
+                if demoted:
+                    self.log(t, _DEMOTE, result.blamed, "", (blamed.trust_value,))
 
     def handle_injection(self, t: int, adv: Adversary) -> None:
         if adv.kind == "replay":

@@ -5,19 +5,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pufledger import consensus
 from pufledger.ledger import AuthTag, BlockData, make_auth_tag
 from pufledger.consensus import (
     NodeState,
     WireBlock,
     accept_validated,
+    admits,
     authenticate,
     initiate,
+    judge,
+    penalize,
     pow_mine_baseline,
     REASON_NO_MATCH,
     REASON_NOT_FROM_TRUSTED,
     REASON_REPLAY,
     REASON_UNKNOWN_DEVICE,
     ROLE_CLIENT,
+    ROLE_TRUSTED,
 )
 from pufledger.puf import reference_response
 from pufledger.registry import trusted_view
@@ -59,6 +64,19 @@ def test_initiate_rejects_bad_challenge_index(fresh_nodes):
     _, nodes = fresh_nodes
     with pytest.raises(ValueError):
         initiate(nodes[1], b"", len(nodes[1].challenges), now=0)
+
+
+def test_a_rejected_challenge_index_leaves_next_seq_alone(fresh_nodes):
+    """An index that is no valid one raises before the sequence advances, so
+    the device's next block takes the number the rejected one would have."""
+    _, nodes = fresh_nodes
+    client = nodes[1]
+    initiate(client, b"first", 0, now=0)
+    for bad in (np.int64(0), True, -1, len(client.challenges)):
+        with pytest.raises(ValueError):
+            initiate(client, b"x", bad, now=1)
+        assert client.next_seq == 1, bad
+    assert initiate(client, b"next", 0, now=2).data.seq == 1
 
 
 def test_wire_blocks_never_carry_response_bytes(fresh_nodes, enrolled):
@@ -363,6 +381,85 @@ def test_chains_stay_identical_over_many_transactions(fresh_nodes):
     tips = {node.chain[-1].entry_hash for node in nodes}
     assert len(tips) == 1
     assert len(trusted.chain) == 12
+
+
+# --- admission, judgment, blame and demotion ---------------------------------------------
+
+def test_the_protocol_rules_in_one_table(fresh_nodes, monkeypatch):
+    """admits over every receiver role, block kind and trusted-node state;
+    judge's verdict, hashes and blame per case, calling authenticate and
+    accept_validated through the module, once per hashed judgment; and
+    penalize demoting at most once, at its threshold."""
+    registry, nodes = fresh_nodes
+    view = trusted_view(registry)
+    trusted_id = nodes[0].node_id
+
+    def fresh(node, **changes):
+        return replace(node, chain=[], last_seq_accepted={}, **changes)
+
+    origin = initiate(nodes[1], b"rules", 0, now=1)
+    rebroadcast = authenticate(fresh(nodes[0]), origin, registry, now=2).rebroadcast
+    blocks = {"origin": origin, "names trusted": rebroadcast,
+              "names another": replace(rebroadcast, validated_by=nodes[3].node_id)}
+    # an origin block is admitted by a trusted receiver, a rebroadcast naming
+    # the trusted node while that node is live, one naming another never
+    admitted = {"origin": {ROLE_TRUSTED}, "names trusted": {"live"}, "names another": set()}
+    for role in (ROLE_TRUSTED, ROLE_CLIENT):
+        for kind, block in blocks.items():
+            for state in ("live", "demoted"):
+                trusted = fresh(nodes[0], role=ROLE_TRUSTED if state == "live" else ROLE_CLIENT)
+                got = admits(fresh(nodes[2], role=role), block, trusted)
+                assert got == bool({role, state} & admitted[kind]), (role, kind, state)
+
+    seen_trusted, seen_client = fresh(nodes[0]), fresh(nodes[2])
+    authenticate(seen_trusted, origin, registry, now=3)
+    accept_validated(seen_client, rebroadcast, view, now=3)
+    calls = []
+
+    def spy(name):
+        original = getattr(consensus, name)
+
+        def called(*args):
+            calls.append(name)
+            return original(*args)
+        return called
+
+    for name in ("authenticate", "accept_validated"):
+        monkeypatch.setattr(consensus, name, spy(name))
+    unknown = WireBlock(BlockData(device_id=0xFFFFFFFFFFFF, seq=0, t_init=0),
+                        AuthTag(b"\x11" * 32), 0)
+    bad_auth = replace(origin, auth_tag=AuthTag(b"\x42" * 32))
+    bad_validation = replace(rebroadcast, validation_tag=b"\x42" * 32)
+    # receiver, block: accepted, reason, hashes tried, blamed, rebroadcast, the call it costs
+    table = [
+        (fresh(nodes[0]), origin, (True, None, 1, None, True, "authenticate")),
+        (fresh(nodes[0]), bad_auth, (False, REASON_NO_MATCH, 1, None, False, "authenticate")),
+        (fresh(nodes[0]), unknown, (False, REASON_UNKNOWN_DEVICE, 0, None, False, "authenticate")),
+        (seen_trusted, origin, (False, REASON_REPLAY, 1, None, False, "authenticate")),
+        (fresh(nodes[2]), rebroadcast, (True, None, 1, None, False, "accept_validated")),
+        (fresh(nodes[2]), bad_validation,
+         (False, REASON_NO_MATCH, 1, trusted_id, False, "accept_validated")),
+        (fresh(nodes[2]), blocks["names another"],
+         (False, REASON_NOT_FROM_TRUSTED, 0, None, False, "accept_validated")),
+        (seen_client, rebroadcast, (False, REASON_REPLAY, 0, None, False, "accept_validated")),
+    ]
+    for receiver, block, expected in table:
+        verdict = judge(receiver, block, registry, view, now=10)
+        assert (verdict.accepted, verdict.reason, verdict.hashes_tried, verdict.blamed,
+                verdict.rebroadcast is not None, calls.pop()) == expected
+        assert calls == []
+    hashes = []
+    monkeypatch.setattr(consensus, "sha256", lambda data: hashes.append(data) or b"")
+    demoted = fresh(nodes[0], role=ROLE_CLIENT)
+    assert judge(demoted, origin, registry, view, now=10) is None
+    assert (calls, hashes, demoted.chain) == ([], [], [])
+
+    for threshold, demoted_at in ((0, None), (1, 1), (3, 3)):
+        node = fresh(nodes[0])
+        demotions = [penalize(node, threshold) for _ in range(5)]
+        assert demotions == [k == demoted_at for k in range(1, 6)], threshold
+        assert (node.penalties, node.trust_value) == (5, -5)
+        assert node.role == (ROLE_TRUSTED if demoted_at is None else ROLE_CLIENT)
 
 
 # --- proof-of-work baseline ------------------------------------------------------------
