@@ -56,6 +56,12 @@ REASON_REPLAY = "replay"
 REASON_NOT_FROM_TRUSTED = "not-from-trusted"
 
 
+def _check_challenge_index(index: object) -> None:
+    """A non-negative int, not a bool (which would pass as 0 or 1), or ValueError."""
+    if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        raise ValueError(f"challenge_index must be a non-negative int, got {index!r}")
+
+
 @dataclass(frozen=True)
 class WireBlock:
     """Exactly what crosses the (simulated) network for one block.
@@ -74,10 +80,7 @@ class WireBlock:
     validation_tag: Optional[bytes] = None
 
     def __post_init__(self) -> None:
-        index = self.challenge_index
-        # a bool would pass as index 0 or 1
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-            raise ValueError(f"challenge_index must be a non-negative int, got {index!r}")
+        _check_challenge_index(self.challenge_index)
         tag = self.validation_tag
         if not (self.validated_by is None) == (self.t_validated is None) == (tag is None):
             raise ValueError(
@@ -133,7 +136,8 @@ def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) ->
     only the resulting tag and the challenge index are placed on the
     wire. Advances next_seq, unless the index is not a valid one.
     """
-    if not 0 <= challenge_index < len(node.challenges):
+    _check_challenge_index(challenge_index)
+    if challenge_index >= len(node.challenges):
         raise ValueError(
             f"challenge_index {challenge_index} out of range for {len(node.challenges)} enrolled"
         )

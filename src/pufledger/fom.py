@@ -19,14 +19,16 @@ candidate in draw order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .puf import (PufDevice, arbiter_bits, noisy_reads, read_thresholds, selected_freqs,
-                  uncertain_races)
+from .puf import (PufDevice, arbiter_bits, read_thresholds, selected_freqs, uncertain_races,
+                  uncertain_reads)
 
 
 @dataclass(frozen=True)
@@ -71,17 +73,12 @@ def uniqueness(mat: np.ndarray) -> float:
 
     mat[d, c] holds device d's response bits on challenge c. Averages over
     all unordered device pairs and all challenges; every pair and challenge
-    gets equal weight.
+    gets equal weight. A pair adds its unequal bits' count / bits, in order.
     """
     _check_matrix(mat)
-    n_devices = mat.shape[0]
-    total = 0.0
-    n_pairs = 0
-    for a in range(n_devices):
-        for b in range(a + 1, n_devices):
-            total += float((mat[a] != mat[b]).mean())
-            n_pairs += 1
-    return 100.0 * total / n_pairs
+    pairs = list(combinations(range(len(mat)), 2))
+    return 100.0 * sum(int(np.count_nonzero(mat[a] != mat[b])) / mat[0].size
+                       for a, b in pairs) / len(pairs)
 
 
 def reliability(device: PufDevice, challenge: np.ndarray, n_reevals: int,
@@ -91,14 +88,19 @@ def reliability(device: PufDevice, challenge: np.ndarray, n_reevals: int,
 
     Every row's n_reevals reads are drawn from rng in one call, row by row.
     A bit read as 1 in k of n reads disagrees in k * (n - k) of the read
-    pairs, so the sum of that over bits is the pairwise distance total.
+    pairs, so the sum of that over bits is the pairwise distance total. A
+    certain race has k in {0, n}: only puf.uncertain_reads' races count.
     """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")
-    ones = noisy_reads(device, challenge, rng, n_reevals).sum(axis=-2, dtype=np.int64)
-    total = (ones * (n_reevals - ones)).sum(axis=-1)
-    n_pairs = n_reevals * (n_reevals - 1) // 2
-    return 100.0 * total / (n_pairs * challenge.shape[-1])
+    f1, f2 = selected_freqs(device, challenge)
+    at, ones = uncertain_reads(device, f1, f2, rng, n_reevals)
+    k = ones.sum(axis=0, dtype=np.int64)
+    # a row's races are one run of at: its total is a difference of running sums
+    end = np.bincount(at // f1.shape[-1], minlength=math.prod(f1.shape[:-1])).cumsum()
+    running = np.concatenate([[0], (k * (n_reevals - k)).cumsum()])
+    total = np.diff(running[end], prepend=0).reshape(f1.shape[:-1])
+    return 100.0 * total / (n_reevals * (n_reevals - 1) // 2 * challenge.shape[-1])
 
 
 def randomness(bits: np.ndarray) -> float | np.ndarray:
@@ -114,19 +116,16 @@ def mean_abs_correlation(mat: np.ndarray) -> float:
     mat[d, c] holds device d's response bits on challenge c. Each device's
     responses are flattened to one long ±1 vector; the value is the average
     |Pearson correlation| over unordered device pairs. Near zero for an
-    ideal population.
+    ideal population. Each vector's std is taken once, then it is centered.
     """
     _check_matrix(mat)
     flat = mat.reshape(mat.shape[0], -1).astype(np.float64) * 2.0 - 1.0
-    n_devices = flat.shape[0]
-    vals = []
-    for a in range(n_devices):
-        for b in range(a + 1, n_devices):
-            sa, sb = flat[a].std(), flat[b].std()
-            if sa == 0.0 or sb == 0.0:
-                continue  # constant response vector: correlation undefined
-            cov = float(((flat[a] - flat[a].mean()) * (flat[b] - flat[b].mean())).mean())
-            vals.append(abs(cov / (sa * sb)))
+    stds = [row.std() for row in flat]
+    for row in flat:
+        row -= row.mean()
+    # a constant response vector has std 0 and no correlation: its pairs are skipped
+    vals = [abs(float((flat[a] * flat[b]).mean()) / (stds[a] * stds[b]))
+            for a, b in combinations(range(len(flat)), 2) if stds[a] and stds[b]]
     return float(np.mean(vals)) if vals else 0.0
 
 

@@ -231,6 +231,32 @@ def uncertain_races(threshold: np.ndarray) -> np.ndarray:
     return np.abs(threshold) < CERTAIN_SD
 
 
+def uncertain_reads(device: PufDevice, f1: np.ndarray, f2: np.ndarray,
+                    rng: np.random.Generator, n_reads: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_reads reads of the uncertain_races of f1 against f2 (a row's raced
+    frequencies or a stack of them), from one standard_normal(n_reads *
+    races) draw: row by row, then read by read, then the row's uncertain
+    races in bit order. Returns their flat indices into f1's shape and an
+    (n_reads, races) bool array: read i of race g is 1 when its normal
+    exceeds the race's threshold. A noiseless device draws nothing."""
+    threshold = read_thresholds(device, f1, f2)
+    if threshold is None:
+        return np.empty(0, dtype=np.intp), np.empty((n_reads, 0), dtype=bool)
+    at = np.flatnonzero(uncertain_races(threshold))
+    row = at // threshold.shape[-1]
+    widths = np.bincount(row)
+    reads = np.empty((n_reads, len(at)), dtype=bool)  # too large to hold fails here, undrawn
+    normals = rng.standard_normal(n_reads * len(at))
+    # read i of race g, in a row whose races start at race first, is normal
+    # first * n_reads + i * width + (g - first); one read at a time, no 2-D index
+    position = (widths.cumsum() - widths)[row] * (n_reads - 1) + np.arange(len(at))
+    width, threshold = widths[row], threshold.ravel()[at]
+    for read in reads:
+        np.greater(normals.take(position), threshold, out=read)
+        position += width
+    return at, reads
+
+
 def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generator,
                 n_reads: int) -> np.ndarray:
     """n_reads noisy reads of a challenge row's races as an (n_reads, n_bits)
@@ -238,26 +264,17 @@ def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generat
 
     Both oscillators of a race get independent N(0, sigma^2) jitter, so
     f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
-    standard normal, exceeds the race's read_thresholds. A read draws z
-    from rng only for its uncertain_races and reads every other race as its
-    reference bit, all in one draw of standard_normal(count): row by row,
-    then read by read, then the row's uncertain races in bit order. So n
-    reads of m rows in one call are the reads of m calls of n, row by row;
-    screening draws for the same races. A noiseless device draws nothing:
-    each of its reads is its reference. Raises ChallengeError when the
-    challenge selects past the device's banks.
+    standard normal, exceeds the race's read_thresholds. The uncertain
+    races read through uncertain_reads, so n reads of m rows in one call
+    are the reads of m calls of n; every other race reads its reference
+    bit. Raises ChallengeError past the device's banks.
     """
     f1, f2 = selected_freqs(device, challenge)
-    f1, f2 = f1[..., None, :], f2[..., None, :]  # a reads axis before each row's bits
-    shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
-    reads = np.broadcast_to(arbiter_bits(f1, f2), shape)
-    threshold = read_thresholds(device, f1, f2)
-    if threshold is None:
-        return reads
-    reads = reads.copy()  # first: a shape too large to hold fails here, before any scan
-    uncertain = np.broadcast_to(uncertain_races(threshold), shape)
-    threshold = np.broadcast_to(threshold, shape)[uncertain]
-    reads[uncertain] = rng.standard_normal(len(threshold)) > threshold
+    # a shape too large to hold fails here, before the draw
+    reads = np.repeat(arbiter_bits(f1, f2)[..., None, :], n_reads, axis=-2)
+    at, ones = uncertain_reads(device, f1, f2, rng, n_reads)
+    row, bit = np.divmod(at, f1.shape[-1])
+    reads.reshape(math.prod(f1.shape[:-1]), n_reads, f1.shape[-1])[row, :, bit] = ones.T
     return reads
 
 

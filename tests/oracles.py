@@ -1,8 +1,9 @@
 """Small reference functions that only the tests need: the wire rendering
 c08 scans for leaked responses, the leading-zero count the proof-of-work
 tests check digests with, the Hamming distance the screening and
-evaluation tests count bit errors with, and screening one challenge row
-at a time."""
+evaluation tests count bit errors with, screening one challenge row at a
+time, and the three figures of merit computed over whole arrays and pair
+by pair, as fom computed them before it counted only what can differ."""
 
 import json
 from typing import NamedTuple
@@ -11,7 +12,8 @@ import numpy as np
 
 from pufledger.consensus import WireBlock
 from pufledger.fom import screen_pool
-from pufledger.puf import Response, format_device_id, reference_response
+from pufledger.puf import (Response, arbiter_bits, format_device_id, read_thresholds,
+                           reference_response, selected_freqs, uncertain_races)
 
 
 def wire_to_json(block: WireBlock) -> str:
@@ -56,3 +58,57 @@ def screen_one(device, challenge, policy, rng):
     reference = reference_response(device, challenge).bits.astype(bool)
     assert all(np.array_equal(bits, reference) for bits in refs)
     return Screened(len(kept) == 1, reference)
+
+
+def noisy_reads_by_mask(device, challenge, rng, n_reads):
+    """puf.noisy_reads over the whole (..., n_reads, n_bits) array of
+    reads: the reference bits broadcast over the reads, then one normal
+    for every uncertain race of that array, in one draw in its C order
+    (row, then read, then bit). A noiseless device draws nothing."""
+    f1, f2 = selected_freqs(device, challenge)
+    f1, f2 = f1[..., None, :], f2[..., None, :]
+    shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
+    reads = np.broadcast_to(arbiter_bits(f1, f2), shape).copy()
+    threshold = read_thresholds(device, f1, f2)
+    if threshold is None:
+        return reads
+    uncertain = np.broadcast_to(uncertain_races(threshold), shape)
+    threshold = np.broadcast_to(threshold, shape)[uncertain]
+    reads[uncertain] = rng.standard_normal(len(threshold)) > threshold
+    return reads
+
+
+def reliability_by_read_arrays(device, challenge, n_reevals, rng):
+    """fom.reliability from every race's ones over noisy_reads_by_mask's
+    reads, certain races included: a race read as 1 in k of n reads adds
+    k * (n - k), summed over each row's bits."""
+    ones = noisy_reads_by_mask(device, challenge, rng, n_reevals).sum(axis=-2, dtype=np.int64)
+    total = (ones * (n_reevals - ones)).sum(axis=-1)
+    n_pairs = n_reevals * (n_reevals - 1) // 2
+    return 100.0 * total / (n_pairs * challenge.shape[-1])
+
+
+def uniqueness_by_pairs(mat):
+    """fom.uniqueness as a sum, pair by pair, of each device pair's mean of
+    unequal bits."""
+    total, n_pairs = 0.0, 0
+    for a in range(len(mat)):
+        for b in range(a + 1, len(mat)):
+            total += float((mat[a] != mat[b]).mean())
+            n_pairs += 1
+    return 100.0 * total / n_pairs
+
+
+def correlation_by_pairs(mat):
+    """fom.mean_abs_correlation pair by pair: each pair's stds, and the
+    mean of the product of its two centered +-1 vectors."""
+    flat = mat.reshape(mat.shape[0], -1).astype(np.float64) * 2.0 - 1.0
+    vals = []
+    for a in range(len(flat)):
+        for b in range(a + 1, len(flat)):
+            sa, sb = flat[a].std(), flat[b].std()
+            if sa == 0.0 or sb == 0.0:
+                continue
+            cov = float(((flat[a] - flat[a].mean()) * (flat[b] - flat[b].mean())).mean())
+            vals.append(abs(cov / (sa * sb)))
+    return float(np.mean(vals)) if vals else 0.0

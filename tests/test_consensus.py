@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -72,10 +73,14 @@ def test_a_rejected_challenge_index_leaves_next_seq_alone(fresh_nodes):
     _, nodes = fresh_nodes
     client = nodes[1]
     initiate(client, b"first", 0, now=0)
-    for bad in (np.int64(0), True, -1, len(client.challenges)):
+    for bad in (np.int64(0), True, -1, len(client.challenges), 1.0, "0"):
         with pytest.raises(ValueError):
             initiate(client, b"x", bad, now=1)
         assert client.next_seq == 1, bad
+    # WireBlock's rule, checked before the device is read: the error names the index
+    for bad in (True, 1.0, "0"):
+        with pytest.raises(ValueError, match=re.escape(f"non-negative int, got {bad!r}")):
+            initiate(client, b"x", bad, now=1)
     assert initiate(client, b"next", 0, now=2).data.seq == 1
 
 

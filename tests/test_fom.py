@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu, norm
 
@@ -23,7 +23,7 @@ from pufledger.fom import (
     reliability,
     uniqueness,
 )
-from oracles import screen_one
+from oracles import correlation_by_pairs, reliability_by_read_arrays, screen_one, uniqueness_by_pairs
 
 
 def gap_device(deltas, noise):
@@ -94,6 +94,52 @@ def test_uniqueness_rejects_single_device_or_ragged():
             uniqueness(bad)
         with pytest.raises(ValueError):
             mean_abs_correlation(bad)
+
+
+@st.composite
+def response_matrices(draw):
+    """A (devices, challenges, bits) uint8 matrix of 2-7 devices, 1-3
+    challenges and 1, 7, 9 or 128 bits (whole bytes and not): each
+    device's rows random, a copy or the complement of an earlier device's,
+    or constant."""
+    shape = (draw(st.integers(1, 3)), draw(st.sampled_from([1, 7, 9, 128])))
+    devices = []
+    for _ in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(["random", "zeros", "ones"]
+                                    + (["copy", "complement"] if devices else [])))
+        if kind == "random":
+            seed = draw(st.integers(0, 2**32 - 1))
+            devices.append(np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8))
+        elif kind in ("copy", "complement"):
+            earlier = devices[draw(st.integers(0, len(devices) - 1))]
+            devices.append(earlier.copy() if kind == "copy" else 1 - earlier)
+        else:
+            devices.append(np.full(shape, kind == "ones", dtype=np.uint8))
+    return np.stack(devices)
+
+
+@given(response_matrices())
+@example(np.zeros((2, 1, 1), dtype=np.uint8))
+@example(np.array([[[0, 1, 1, 0, 1, 0, 0]], [[0, 1, 1, 0, 1, 0, 0]]], dtype=np.uint8))
+@example(np.array([[[1, 0, 1, 1, 0, 0, 1, 0, 1]], [[0, 1, 0, 0, 1, 1, 0, 1, 0]]], dtype=np.uint8))
+@example(np.stack([np.ones((3, 128), dtype=np.uint8), np.eye(3, 128, dtype=np.uint8),
+                   np.zeros((3, 128), dtype=np.uint8)]))
+@settings(max_examples=200, deadline=None)
+def test_uniqueness_and_correlation_equal_their_pair_by_pair_oracles(mat):
+    before = mat.copy()
+    for fast, oracle in ((uniqueness, uniqueness_by_pairs),
+                         (mean_abs_correlation, correlation_by_pairs)):
+        value, expected = fast(mat), oracle(mat)
+        assert type(value) is float and value == expected, (fast.__name__, value, expected)
+    assert np.array_equal(mat, before)  # correlation centers its own float copy
+
+
+def test_fom_calibration_equals_the_oracles_beyond_seed_42(monkeypatch):
+    shipped = [run_fom_calibration(ScenarioConfig(seed=seed)) for seed in (1, 2, 3)]
+    monkeypatch.setattr(fom, "uniqueness", uniqueness_by_pairs)
+    monkeypatch.setattr(fom, "reliability", reliability_by_read_arrays)
+    monkeypatch.setattr(fom, "mean_abs_correlation", correlation_by_pairs)
+    assert shipped == [run_fom_calibration(ScenarioConfig(seed=seed)) for seed in (1, 2, 3)]
 
 
 # --- reliability ----------------------------------------------------------------

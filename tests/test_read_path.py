@@ -57,7 +57,8 @@ from pufledger.ledger import (
 from pufledger.netsim import LogEvent, event_to_json_line, save_events
 from pufledger.puf import format_device_id
 from conftest import rng_seeds
-from oracles import hamming, leading_zero_bits, screen_one
+from oracles import (hamming, leading_zero_bits, noisy_reads_by_mask, reliability_by_read_arrays,
+                     screen_one)
 
 
 def race_thresholds(device, challenge):
@@ -495,6 +496,59 @@ def test_m_rows_in_one_read_call_read_as_m_one_row_calls(name, device, stack):
         refs = puf.arbiter_bits(*selected_freqs(device, stack))
         certain_rows = [r for r, width in enumerate(widths) if not width]
         assert (reads[certain_rows] == refs[certain_rows, None]).all()
+
+
+def two_level_stacks():
+    """(name, device, (2, 3, 2, n_bits) stack): edge_stacks' mixed stack, and
+    a manufactured device's drawn rows, as two levels of rows."""
+    _, device, mixed = edge_stacks()[-1]
+    drawn = random_challenge(SCREEN_DEVICES[0].bank_size, 128, 6, np.random.default_rng(45))
+    return [("mixed stack, two levels", device, mixed.reshape(2, 3, 2, 128)),
+            ("drawn rows, two levels", SCREEN_DEVICES[0], drawn.reshape(2, 3, 2, 128))]
+
+
+READ_STACKS = edge_stacks() + two_level_stacks()
+
+
+@pytest.mark.parametrize("name, device, stack", READ_STACKS, ids=[e[0] for e in READ_STACKS])
+def test_reliability_reads_only_uncertain_races_as_the_read_arrays_oracle_does(name, device,
+                                                                                 stack):
+    widths = [uncertain_count(device, row) for row in stack.reshape(-1, 2, 128)]
+    for n_reevals in (2, 3, 11):
+        rng, oracle_rng = CountingRng(np.random.default_rng(46)), np.random.default_rng(46)
+        value = reliability(device, stack, n_reevals, rng)
+        expected = reliability_by_read_arrays(device, stack, n_reevals, oracle_rng)
+        assert value.shape == stack.shape[:-2] and value.tolist() == expected.tolist()
+        assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
+        # one standard_normal call of every row's reads; a noiseless device makes none
+        assert (rng.calls, rng.normals) == ((1, n_reevals * sum(widths)) if device.noise_sigma_mhz
+                                            else (0, 0))
+        # a row alone gives one np.float64, drawn as the stack drew its reads
+        row = stack.reshape(-1, 2, 128)[-1]
+        value = reliability(device, row, n_reevals, rng)
+        assert type(value) is np.float64
+        assert value == reliability_by_read_arrays(device, row, n_reevals, oracle_rng)
+        assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
+        reads = puf.noisy_reads(device, stack, rng, n_reevals)
+        assert reads.tolist() == noisy_reads_by_mask(device, stack, oracle_rng, n_reevals).tolist()
+        assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_reads", [2**60, 2**62, 2**63 - 1])
+def test_reads_numpy_cannot_size_raise_before_the_generator_moves(n_reads):
+    # every such read array would take 2**63 bytes or more, which numpy refuses
+    # without allocating
+    device = SCREEN_DEVICES[0]
+    stack = random_challenge(device.bank_size, 128, 3, np.random.default_rng(47))
+    assert all(uncertain_count(device, row) for row in stack)
+    for read in (lambda rng: reliability(device, stack, n_reads, rng),
+                 lambda rng: reliability(device, stack[0], n_reads, rng),
+                 lambda rng: puf.noisy_reads(device, stack, rng, n_reads)):
+        rng = CountingRng(np.random.default_rng(48))
+        untouched = rng.rng.bit_generator.state
+        with pytest.raises(ValueError):
+            read(rng)
+        assert rng.calls == 0 and rng.rng.bit_generator.state == untouched
 
 
 def test_races_a_hair_inside_certain_sd_draw_and_a_hair_outside_do_not():
