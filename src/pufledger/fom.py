@@ -27,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .puf import (PufDevice, arbiter_bits, read_thresholds, selected_freqs, uncertain_races,
-                  uncertain_reads)
+from .puf import PufDevice, arbiter_bits, selected_freqs, uncertain_races, uncertain_reads
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,9 @@ def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
 
     The chunk is judged as arrays: one gather per bank (ChallengeError past
     a bank), the reference bits in one compare, the randomness band in one
-    compare of each row's randomness(), and the in-band rows' thresholds in
-    one division. Their uncertain_races are flattened once, row by row, in
-    bit order; every other race reads its reference bit and never flips.
+    compare of each row's randomness(), and the in-band rows' races from
+    one puf.uncertain_races call, flat, row by row, in bit order; every
+    other race reads its reference bit and never flips.
     The reads then come in rounds: each round draws one read for every
     in-band row still alive, in row order, as one standard_normal(races)
     draw from rng for the live rows' uncertain races, and counts each row's
@@ -168,22 +167,20 @@ def screen_pool(device: PufDevice, chunk: np.ndarray, policy: ScreeningPolicy,
     in_band = (low <= rnd) & (rnd <= high)
     worst = np.zeros(len(chunk), dtype=np.int64)
     live = in_band.nonzero()[0]
-    thresholds = read_thresholds(device, f1[live], f2[live])
-    if thresholds is not None:
-        at = np.flatnonzero(uncertain_races(thresholds))
-        row = at // chunk.shape[-1]  # each uncertain race's row among the live ones
-        thresholds, race_refs = thresholds.ravel()[at], refs[live].ravel()[at]
-        for _ in range(policy.n_screen_reevals):
-            if not len(thresholds):
-                break
-            flipped = (rng.standard_normal(len(thresholds)) > thresholds) != race_refs
-            flips = np.bincount(row[flipped], minlength=len(live))
-            worst[live] = np.maximum(worst[live], flips)
-            alive = flips <= policy.max_unreliable_bits
-            if not alive.all():
-                stays = alive[row]
-                row = (alive.cumsum() - 1)[row[stays]]
-                thresholds, race_refs, live = thresholds[stays], race_refs[stays], live[alive]
+    at, thresholds = uncertain_races(device, f1[live], f2[live])
+    row = at // chunk.shape[-1]  # each uncertain race's row among the live ones
+    race_refs = refs[live].ravel()[at]
+    for _ in range(policy.n_screen_reevals):
+        if not len(thresholds):
+            break
+        flipped = (rng.standard_normal(len(thresholds)) > thresholds) != race_refs
+        flips = np.bincount(row[flipped], minlength=len(live))
+        worst[live] = np.maximum(worst[live], flips)
+        alive = flips <= policy.max_unreliable_bits
+        if not alive.all():
+            stays = alive[row]
+            row = (alive.cumsum() - 1)[row[stays]]
+            thresholds, race_refs, live = thresholds[stays], race_refs[stays], live[alive]
     kept = [r for r, (ok, flips) in enumerate(zip(in_band.tolist(), worst.tolist()))
             if screen_challenge(ok, flips, policy).accepted]
     kept = np.array(kept, dtype=np.intp)

@@ -68,7 +68,7 @@ _ADVERSARY_CHOICES = ("none",) + netsim.ADVERSARY_KINDS
 # keep simulated times inside the ledger's 64-bit fields: 2**25 jobs per node,
 # each at most 41 * 2**31 ms (40 sd above the mean), end below 2**62 ms; node
 # counts stay far below the 2**48 device ids that _draw_node_ids draws from,
-# and candidate, pool and trial counts cannot ask for unbounded work
+# and candidate, pool, read and trial counts cannot ask for unbounded work
 _MAX_MS = 2**31
 _MAX_COUNT = 2**24
 
@@ -92,7 +92,7 @@ _BOUNDS: dict[str, tuple[float, float]] = {
     "fom_n_devices": (2, _MAX_COUNT),
     "fom_n_challenges": (1, math.inf),
     "fom_pool_size": (1, _MAX_COUNT),
-    "fom_n_reevals": (2, math.inf),
+    "fom_n_reevals": (2, _MAX_COUNT),
     "cost_trusted_mean_ms": (0.0, _MAX_MS),
     "cost_trusted_sd_ms": (0.0, _MAX_MS),
     "cost_client_fast_mean_ms": (0.0, _MAX_MS),

@@ -9,8 +9,8 @@ _LATENCY_CHUNK at a time, in the order scalar draws would take them:
 jitter as integers, drops as uniform doubles, costs as standard normals z
 that each node scales to mean + sd * z, which is numpy's normal(mean, sd)
 for the same draw. Nodes with different cost models share a chunk, a cost
-with sd 0 and a latency with jitter 0 draw nothing, and only a droppable
-send in a lossy run draws a drop value.
+with sd 0 and a latency with jitter 0 draw nothing, and only a send with a
+sender (an honest one) in a lossy run draws a drop value.
 
 The event loop is a heap of handler calls: each entry is a time, a push
 counter that breaks ties in push order, a handler and its arguments.
@@ -420,11 +420,11 @@ class _Sim:
         return done
 
     def send(self, block: WireBlock, sender: Optional[int], receivers: list[int],
-             t_send: int, tx_id: int, provenance: str, droppable: bool = True) -> None:
-        drop_rate = self.config.drop_rate if droppable else 0.0
+             t_send: int, tx_id: int, provenance: str) -> None:
+        # only honest sends are droppable, and each has a sender; an adversary's has none
+        drop_rate = self.config.drop_rate if sender is not None else 0.0
         for receiver in receivers:
             if drop_rate and next(self.drops) < drop_rate:
-                # only honest sends are droppable, and each has a sender
                 self.log(t_send, _LOSE, receiver, "", (tx_id, format_device_id(sender)))
                 continue
             msg = _Message(self.msg_counter, block, sender, receiver, tx_id, provenance)
@@ -570,17 +570,17 @@ class _Sim:
                 self.log(t, _INJECT_NOOP, None, "", (adv.kind, tx_id))
                 return
             self.log(t, _INJECT_REPLAY, None, "", (adv.kind, tx_id))
-            self.send(block, None, [self.trusted_id], t, tx_id, "replay", droppable=False)
+            self.send(block, None, [self.trusted_id], t, tx_id, "replay")
         elif adv.kind == "fake-device":
             block = self.fabricated_block(t, self.unenrolled_device_id(), 0, validated=False)
             self.log(t, _INJECT_FAKE, None, "", (adv.kind, format_device_id(block.data.device_id)))
-            self.send(block, None, [self.trusted_id], t, -1, adv.kind, droppable=False)
+            self.send(block, None, [self.trusted_id], t, -1, adv.kind)
         elif adv.kind == "forge-validator":
             # an enrolled device id, far past any honest sequence number
             block = self.fabricated_block(t, self.order[-1], 1 << 32, validated=True)
             clients = [n for n in self.order if self.nodes[n].role == ROLE_CLIENT]
             self.log(t, _INJECT_FORGE, None, "", (adv.kind, format_device_id(self.trusted_id)))
-            self.send(block, None, clients, t, -1, adv.kind, droppable=False)
+            self.send(block, None, clients, t, -1, adv.kind)
 
     def run(self) -> SimResult:
         for tx_id, init in enumerate(self.scenario.initiations):

@@ -8,9 +8,10 @@ arbiter emits 1 when the first bank's oscillator is faster. Thermal noise
 jitters every race, so repeated evaluations of the same challenge can
 disagree on bits whose frequency gap is small. A noisy read draws one
 standard normal from its caller's generator for each uncertain race, one
-within CERTAIN_SD standard deviations of flipping (see uncertain_races), and
-reads every other race as its reference bit; so a caller that reads in a
-fixed order from one generator fixes every read. A challenge is one
+within CERTAIN_SD standard deviations of flipping (uncertain_races alone
+holds that rule), reads every other race as its reference bit, and draws
+nothing when no race is uncertain; so a caller that reads in a fixed order
+from one generator fixes every read. A challenge is one
 (2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
 set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
 (count, 2, n_bits) array, and refills the rows that repeat a pair in whole
@@ -96,7 +97,7 @@ class Response:
     """An ordered bit vector produced by evaluating one challenge.
 
     bits is a one-dimensional uint8 array of 0s and 1s; a bool array, as
-    arbiter_bits and noisy_reads give, is taken as a uint8 copy."""
+    arbiter_bits gives, is taken as a uint8 copy."""
 
     bits: np.ndarray
     _packed: bytes = field(init=False, repr=False)
@@ -213,79 +214,59 @@ def reference_response(device: PufDevice, challenge: np.ndarray) -> Response:
     return Response(arbiter_bits(*selected_freqs(device, challenge)))
 
 
-def read_thresholds(device: PufDevice, f1: np.ndarray, f2: np.ndarray) -> np.ndarray | None:
-    """Each race's noisy-read threshold (f2 - f1) / (sigma * sqrt 2), in one
-    division of the raced frequencies' shape; None for a noiseless device,
-    whose reads draw nothing. A gap too large for a subnormal sigma becomes
-    +-inf, a certain bit, without an overflow warning."""
-    if device.noise_sigma_mhz == 0:
-        return None
-    with np.errstate(over="ignore"):
-        return (f2 - f1) / (device.noise_sigma_mhz * math.sqrt(2))
-
-
-def uncertain_races(threshold: np.ndarray) -> np.ndarray:
-    """Which races of a read_thresholds array a noisy read draws a normal
-    for, as a bool array of its shape: those with |threshold| < CERTAIN_SD.
-    Every other race, +-inf included, reads its reference bit."""
-    return np.abs(threshold) < CERTAIN_SD
+def uncertain_races(device: PufDevice, f1: np.ndarray,
+                    f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The races of f1 against f2 (a row's raced frequencies or a stack of
+    them) that a noisy read draws a normal for, as flat indices into f1's
+    shape, row by row in bit order, and their thresholds (f2 - f1) / (sigma
+    * sqrt 2): with N(0, sigma^2) jitter on both oscillators, a race reads 1
+    when a standard normal exceeds its threshold. A race is uncertain when
+    |threshold| < CERTAIN_SD; a subnormal sigma's +-inf and a noiseless
+    device's +-inf or nan are not, and do not warn."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        threshold = (f2 - f1) / (device.noise_sigma_mhz * math.sqrt(2))
+        at = np.flatnonzero(np.abs(threshold) < CERTAIN_SD)
+    return at, threshold.ravel()[at]
 
 
 def uncertain_reads(device: PufDevice, f1: np.ndarray, f2: np.ndarray,
                     rng: np.random.Generator, n_reads: int) -> tuple[np.ndarray, np.ndarray]:
-    """n_reads reads of the uncertain_races of f1 against f2 (a row's raced
-    frequencies or a stack of them), from one standard_normal(n_reads *
-    races) draw: row by row, then read by read, then the row's uncertain
-    races in bit order. Returns their flat indices into f1's shape and an
-    (n_reads, races) bool array: read i of race g is 1 when its normal
-    exceeds the race's threshold. A noiseless device draws nothing."""
-    threshold = read_thresholds(device, f1, f2)
-    if threshold is None:
-        return np.empty(0, dtype=np.intp), np.empty((n_reads, 0), dtype=bool)
-    at = np.flatnonzero(uncertain_races(threshold))
-    row = at // threshold.shape[-1]
-    widths = np.bincount(row)
+    """n_reads reads of the uncertain_races of f1 against f2, from one
+    standard_normal(n_reads * races) draw: row by row, then read by read,
+    then the row's uncertain races in bit order, so n reads of m rows in
+    one call are the reads of m calls of n. Returns their flat indices into
+    f1's shape and an (n_reads, races) bool array: read i of race g is 1
+    when its normal exceeds the race's threshold."""
+    at, threshold = uncertain_races(device, f1, f2)
     reads = np.empty((n_reads, len(at)), dtype=bool)  # too large to hold fails here, undrawn
+    if not len(at):  # no uncertain race, no draw
+        return at, reads
+    row = at // f1.shape[-1]
+    widths = np.bincount(row)
     normals = rng.standard_normal(n_reads * len(at))
     # read i of race g, in a row whose races start at race first, is normal
     # first * n_reads + i * width + (g - first); one read at a time, no 2-D index
     position = (widths.cumsum() - widths)[row] * (n_reads - 1) + np.arange(len(at))
-    width, threshold = widths[row], threshold.ravel()[at]
+    width = widths[row]
     for read in reads:
         np.greater(normals.take(position), threshold, out=read)
         position += width
     return at, reads
 
 
-def noisy_reads(device: PufDevice, challenge: np.ndarray, rng: np.random.Generator,
-                n_reads: int) -> np.ndarray:
-    """n_reads noisy reads of a challenge row's races as an (n_reads, n_bits)
-    bool array; for a stack of rows, the same per row, (..., n_reads, n_bits).
-
-    Both oscillators of a race get independent N(0, sigma^2) jitter, so
-    f1 + j1 > f2 + j2 exactly when z = (j1 - j2) / (sigma * sqrt 2), a
-    standard normal, exceeds the race's read_thresholds. The uncertain
-    races read through uncertain_reads, so n reads of m rows in one call
-    are the reads of m calls of n; every other race reads its reference
-    bit. Raises ChallengeError past the device's banks.
-    """
-    f1, f2 = selected_freqs(device, challenge)
-    # a shape too large to hold fails here, before the draw
-    reads = np.repeat(arbiter_bits(f1, f2)[..., None, :], n_reads, axis=-2)
-    at, ones = uncertain_reads(device, f1, f2, rng, n_reads)
-    row, bit = np.divmod(at, f1.shape[-1])
-    reads.reshape(math.prod(f1.shape[:-1]), n_reads, f1.shape[-1])[row, :, bit] = ones.T
-    return reads
-
-
 def evaluate(device: PufDevice, challenge: np.ndarray, eval_seed: int) -> Response:
-    """One noisy read of a challenge row on a device (see noisy_reads), drawn from
-    np.random.default_rng([eval_seed]); eval_seed must be an integer in
-    [0, 2**64)."""
+    """One noisy read of a challenge row: its reference bits with one
+    uncertain_reads read from np.random.default_rng([eval_seed]) written in;
+    eval_seed must be an integer in [0, 2**64). A stack of rows raises
+    Response's ValueError."""
     if (isinstance(eval_seed, bool) or not isinstance(eval_seed, (int, np.integer))
             or not 0 <= eval_seed < 1 << 64):
         raise ConfigError(f"eval_seed must be an integer in [0, 2**64), got {eval_seed!r}")
-    return Response(noisy_reads(device, challenge, np.random.default_rng([eval_seed]), 1)[0])
+    f1, f2 = selected_freqs(device, challenge)
+    bits = arbiter_bits(f1, f2)
+    at, ones = uncertain_reads(device, f1, f2, np.random.default_rng([eval_seed]), 1)
+    bits.put(at, ones[0])  # put writes through flat indices, whatever bits' shape
+    return Response(bits)
 
 
 # largest bank random_challenge draws from: pair codes i * bank_size + j stay

@@ -12,8 +12,8 @@ import numpy as np
 
 from pufledger.consensus import WireBlock
 from pufledger.fom import screen_pool
-from pufledger.puf import (Response, arbiter_bits, format_device_id, read_thresholds,
-                           reference_response, selected_freqs, uncertain_races)
+from pufledger.puf import (CERTAIN_SD, Response, arbiter_bits, format_device_id,
+                           reference_response, selected_freqs)
 
 
 def wire_to_json(block: WireBlock) -> str:
@@ -61,20 +61,22 @@ def screen_one(device, challenge, policy, rng):
 
 
 def noisy_reads_by_mask(device, challenge, rng, n_reads):
-    """puf.noisy_reads over the whole (..., n_reads, n_bits) array of
-    reads: the reference bits broadcast over the reads, then one normal
-    for every uncertain race of that array, in one draw in its C order
-    (row, then read, then bit). A noiseless device draws nothing."""
+    """n_reads noisy reads of a row or a stack of rows over the whole
+    (..., n_reads, n_bits) array of reads: the reference bits broadcast over
+    the reads, then one normal for every uncertain race of that array, one
+    whose threshold (f2 - f1) / (sigma sqrt 2) is within CERTAIN_SD of 0, in
+    one draw in its C order (row, then read, then bit). A noiseless device
+    draws nothing."""
     f1, f2 = selected_freqs(device, challenge)
     f1, f2 = f1[..., None, :], f2[..., None, :]
     shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
     reads = np.broadcast_to(arbiter_bits(f1, f2), shape).copy()
-    threshold = read_thresholds(device, f1, f2)
-    if threshold is None:
+    if device.noise_sigma_mhz == 0:
         return reads
-    uncertain = np.broadcast_to(uncertain_races(threshold), shape)
-    threshold = np.broadcast_to(threshold, shape)[uncertain]
-    reads[uncertain] = rng.standard_normal(len(threshold)) > threshold
+    with np.errstate(over="ignore"):  # a subnormal sigma's gaps overflow to +-inf
+        threshold = np.broadcast_to((f2 - f1) / (device.noise_sigma_mhz * np.sqrt(2)), shape)
+    uncertain = np.abs(threshold) < CERTAIN_SD
+    reads[uncertain] = rng.standard_normal(np.count_nonzero(uncertain)) > threshold[uncertain]
     return reads
 
 

@@ -1,7 +1,9 @@
 """The protocol has one owner. consensus decides which deliveries are
 judged, every verdict, whom it blames and when a node is demoted; netsim
 only moves messages. Checked on the source, so that a protocol rule that
-creeps back into netsim fails here rather than in a later digest."""
+creeps back into netsim fails here rather than in a later digest. The read
+rule has one owner too: puf.uncertain_races alone decides which races a
+noisy read draws for."""
 
 import ast
 from pathlib import Path
@@ -60,3 +62,54 @@ def test_the_check_sees_each_kind_of_use(tmp_path):
     assert protocol_uses(planted) == {
         "names REASON_NO_MATCH", "writes trust_value", "writes role", "writes penalties",
         "reads validated_by"}
+
+
+def read_rule_uses(path: Path) -> set[str]:
+    """The qualified names of the functions in a module that name
+    CERTAIN_SD (by name, attribute or import) or read a .noise_sigma_mhz
+    attribute; a use outside any function is the module's own. Defining
+    CERTAIN_SD, or passing a noise_sigma_mhz= keyword, is no use."""
+    uses = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute):
+                used = child.attr == "CERTAIN_SD" or (
+                    child.attr == "noise_sigma_mhz" and isinstance(child.ctx, ast.Load))
+            elif isinstance(child, ast.Name):
+                used = child.id == "CERTAIN_SD" and isinstance(child.ctx, ast.Load)
+            else:
+                used = isinstance(child, ast.alias) and child.name == "CERTAIN_SD"
+            if used:
+                uses.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return uses
+
+
+def test_uncertain_races_alone_holds_the_read_rule():
+    uses = set().union(*(read_rule_uses(path) for path in sorted(SRC.glob("*.py"))))
+    # the device's own validation and manufacture carry sigma; only the rule reads it
+    assert uses == {"puf.PufConfig.__post_init__", "puf.PufDevice.__post_init__",
+                    "puf.manufacture", "puf.uncertain_races"}
+
+
+def test_the_read_rule_check_sees_each_kind_of_use(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "from .puf import CERTAIN_SD\n"
+        "LIMIT = 8.0\n"
+        "def noiseless(device):\n"
+        "    return device.noise_sigma_mhz == 0\n"
+        "class Reader:\n"
+        "    def certain(self, threshold):\n"
+        "        return abs(threshold) >= puf.CERTAIN_SD\n"
+        "def built():\n"
+        "    CERTAIN_SD = 8.0\n"
+        "    return PufDevice(1, None, None, noise_sigma_mhz=0.1)\n",
+        encoding="utf-8")
+    assert read_rule_uses(planted) == {"planted", "planted.noiseless", "planted.Reader.certain"}

@@ -85,6 +85,7 @@ def test_config_text_parses_types_and_comments():
     ("puf_freq_sigma_mhz = nan", "puf_freq_sigma_mhz"),
     ("fom_n_devices = 1", "fom_n_devices"),
     ("fom_n_reevals = 1", "fom_n_reevals"),
+    ("fom_n_reevals = 16777217", "fom_n_reevals"),
     ("fom_n_challenges = 0", "fom_n_challenges"),
     ("pow_difficulty_bits = 33", "pow_difficulty_bits"),
     ("fom_pool_size = -1", "fom_pool_size"),
@@ -472,6 +473,7 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     # counts of work, each capped at 2**24
     dict(n_candidates=2**24 + 1), dict(fom_pool_size=2**24 + 1), dict(bench_trials=2**24 + 1),
     dict(screen_n_reevals=2**24 + 1), dict(screen_n_reevals=10**15),
+    dict(fom_n_reevals=2**24 + 1), dict(fom_n_reevals=2**62),
     # a nearly noiseless device passes every read, so each in-band candidate reads them all
     dict(screen_n_reevals=10**15, puf_noise_sigma_mhz=0.0001, n_candidates=1, n_clients=1,
          n_fast_clients=0, n_transactions=0),

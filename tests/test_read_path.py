@@ -485,17 +485,20 @@ def edge_stacks():
 def test_m_rows_in_one_read_call_read_as_m_one_row_calls(name, device, stack):
     widths = [uncertain_count(device, row) for row in stack]
     assert set(widths) == ({0, 128} if name == "mixed stack" else {0})
+    f1, f2 = selected_freqs(device, stack)
     for n_reads in (1, 3):
         rng, oracle_rng = CountingRng(np.random.default_rng(42)), np.random.default_rng(42)
-        reads = puf.noisy_reads(device, stack, rng, n_reads)
-        assert reads.tolist() == [puf.noisy_reads(device, row, oracle_rng, n_reads).tolist()
-                                  for row in stack]
+        at, reads = puf.uncertain_reads(device, f1, f2, rng, n_reads)
+        rows = [puf.uncertain_reads(device, f1[r], f2[r], oracle_rng, n_reads)
+                for r in range(len(stack))]
+        assert at.tolist() == [128 * r + g for r, (row_at, _) in enumerate(rows)
+                               for g in row_at.tolist()]
+        assert reads.tolist() == np.concatenate([row_reads for _, row_reads in rows],
+                                                axis=1).tolist()
         assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.normals == sum(widths) * n_reads
-        # a row that draws nothing reads its reference every time
-        refs = puf.arbiter_bits(*selected_freqs(device, stack))
-        certain_rows = [r for r, width in enumerate(widths) if not width]
-        assert (reads[certain_rows] == refs[certain_rows, None]).all()
+        # a row that draws nothing has no race among the reads: it reads its reference
+        assert np.bincount(at // 128, minlength=len(stack)).tolist() == widths
 
 
 def two_level_stacks():
@@ -520,8 +523,8 @@ def test_reliability_reads_only_uncertain_races_as_the_read_arrays_oracle_does(n
         expected = reliability_by_read_arrays(device, stack, n_reevals, oracle_rng)
         assert value.shape == stack.shape[:-2] and value.tolist() == expected.tolist()
         assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
-        # one standard_normal call of every row's reads; a noiseless device makes none
-        assert (rng.calls, rng.normals) == ((1, n_reevals * sum(widths)) if device.noise_sigma_mhz
+        # one standard_normal call of every row's reads; none when no race is uncertain
+        assert (rng.calls, rng.normals) == ((1, n_reevals * sum(widths)) if sum(widths)
                                             else (0, 0))
         # a row alone gives one np.float64, drawn as the stack drew its reads
         row = stack.reshape(-1, 2, 128)[-1]
@@ -529,9 +532,11 @@ def test_reliability_reads_only_uncertain_races_as_the_read_arrays_oracle_does(n
         assert type(value) is np.float64
         assert value == reliability_by_read_arrays(device, row, n_reevals, oracle_rng)
         assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
-        reads = puf.noisy_reads(device, stack, rng, n_reevals)
-        assert reads.tolist() == noisy_reads_by_mask(device, stack, oracle_rng, n_reevals).tolist()
-        assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
+    # evaluate's one read of each row is the oracle's read from the same seed
+    for row in stack.reshape(-1, 2, 128):
+        for s in rng_seeds(47, 3):
+            assert (evaluate(device, row, s).bits.tolist()
+                    == noisy_reads_by_mask(device, row, np.random.default_rng([s]), 1)[0].tolist())
 
 
 @pytest.mark.parametrize("n_reads", [2**60, 2**62, 2**63 - 1])
@@ -542,8 +547,7 @@ def test_reads_numpy_cannot_size_raise_before_the_generator_moves(n_reads):
     stack = random_challenge(device.bank_size, 128, 3, np.random.default_rng(47))
     assert all(uncertain_count(device, row) for row in stack)
     for read in (lambda rng: reliability(device, stack, n_reads, rng),
-                 lambda rng: reliability(device, stack[0], n_reads, rng),
-                 lambda rng: puf.noisy_reads(device, stack, rng, n_reads)):
+                 lambda rng: reliability(device, stack[0], n_reads, rng)):
         rng = CountingRng(np.random.default_rng(48))
         untouched = rng.rng.bit_generator.state
         with pytest.raises(ValueError):
@@ -558,16 +562,40 @@ def test_races_a_hair_inside_certain_sd_draw_and_a_hair_outside_do_not():
                      -(CERTAIN_SD + hair)])
     device = PufDevice(0x60A, np.full(4, 250.0), 250.0 + gaps, math.sqrt(0.5))
     challenge = np.array([np.arange(4), np.arange(4)])
-    thresholds = puf.read_thresholds(device, *selected_freqs(device, challenge))
-    assert np.allclose(thresholds, gaps, rtol=0, atol=1e-12)
-    assert puf.uncertain_races(thresholds).tolist() == [True, True, False, False]
+    assert np.allclose(race_thresholds(device, challenge), gaps, rtol=0, atol=1e-12)
+    f1, f2 = selected_freqs(device, challenge)
+    at, thresholds = puf.uncertain_races(device, f1, f2)
+    assert at.tolist() == [0, 1]
+    assert np.allclose(thresholds, gaps[:2], rtol=0, atol=1e-12)
     assert uncertain_count(device, challenge) == 2
     rng = CountingRng(np.random.default_rng(43))
-    reads = puf.noisy_reads(device, challenge, rng, 5)
-    assert rng.normals == 5 * 2
-    assert (reads[:, 2:] == [False, True]).all()  # the reference bits, undrawn
+    at, reads = puf.uncertain_reads(device, f1, f2, rng, 5)
+    assert rng.normals == 5 * 2 and at.tolist() == [0, 1] and reads.shape == (5, 2)
+    # the reference bits, undrawn
+    assert all(evaluate(device, challenge, s).bits[2:].tolist() == [0, 1] for s in range(5))
     kept, _ = screen_pool(device, challenge[None], ScreeningPolicy(randomness_band=(0, 100)), rng)
     assert rng.normals == 5 * 2 + 11 * 2 and kept.tolist() == [0]
+
+
+@pytest.mark.parametrize("name, device, stack", edge_stacks(), ids=[e[0] for e in edge_stacks()])
+def test_a_read_with_no_uncertain_race_makes_no_standard_normal_call(name, device, stack):
+    widths = [uncertain_count(device, row) for row in stack]
+    assert any(widths) == (name == "mixed stack")
+    # the stack and each of its rows, through every read entry point
+    for rows, width in [(stack, sum(widths)), *zip(stack, widths)]:
+        for n_reads in (2, 11):
+            rng = CountingRng(np.random.default_rng(49))
+            untouched = rng.rng.bit_generator.state
+            reliability(device, rows, n_reads, rng)
+            assert rng.calls == (1 if width else 0)
+            puf.uncertain_reads(device, *selected_freqs(device, rows), rng, n_reads)
+            assert rng.calls == (2 if width else 0)
+            assert (rng.rng.bit_generator.state == untouched) == (not width)
+    if name != "mixed stack":
+        rng = CountingRng(np.random.default_rng(50))
+        untouched = rng.rng.bit_generator.state
+        screen_pool(device, stack, ScreeningPolicy(randomness_band=(0, 100)), rng)
+        assert rng.calls == 0 and rng.rng.bit_generator.state == untouched
 
 
 def test_a_default_world_skips_only_race_reads_that_cannot_flip(monkeypatch):
