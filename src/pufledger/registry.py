@@ -2,18 +2,19 @@
 
 At enrollment a device's candidate challenges are screened and the noiseless
 reference response of every survivor is stored. A record holds its
-challenges as one read-only (k, 2, n_bits) selector array, a row per
-challenge as puf.random_challenge draws them, next to a tuple of k
-responses. Records are append-only: a device enrolls once and its record
-never changes afterwards.
+challenges as one read-only (k, 2, n_bits) int32 selector array, a row per
+challenge as puf.random_challenge draws them (every selector is below its
+largest bank, 2**31), next to a tuple of k responses. Records are
+append-only: a device enrolls once and its record never changes afterwards.
 
 Reads are gated. The one trusted node may fetch any device's stored
 responses (never the challenges). Ordinary clients get no general read
 access; they only receive the narrow view needed to check the trusted
 node's validations, via trusted_view().
 
-save_registry writes each record as one compact json.dumps line, spelling
-a chunk of challenges per gather from a fixed table of digit-group tokens.
+save_registry writes a record at a time, each as one compact json.dumps
+line, spelling a chunk of challenges per gather from a fixed table of
+digit-group tokens; it never holds more than one record's line.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .puf import CHUNK_ROWS, RESPONSE_BITS, PufDevice, Response, challenge_chunk
 @dataclass(frozen=True, eq=False)
 class CrpRecord:
     """All enrolled challenge/response pairs for one device, in screening
-    order: challenges[i], a (2, n_bits) selector row, and responses[i]."""
+    order: challenges[i], a (2, n_bits) selector row, and responses[i].
+    Raises ValueError unless there is at least one response and challenges
+    has shape (k, 2, n_bits) for k responses."""
 
     device_id: int
     challenges: np.ndarray
@@ -45,6 +48,10 @@ class CrpRecord:
     def __post_init__(self) -> None:
         if not self.responses:
             raise ValueError("a record must hold at least one challenge/response pair")
+        shape = np.shape(self.challenges)
+        if len(shape) != 3 or shape[:2] != (len(self.responses), 2):
+            raise ValueError(f"challenges of shape {shape} do not pair with "
+                             f"{len(self.responses)} responses as (k, 2, n_bits)")
 
     @property
     def pairs(self) -> tuple[tuple[np.ndarray, Response], ...]:
@@ -87,10 +94,10 @@ def enroll(
     chunk. Every candidate is screened once and reads up to its first
     failing read; one rejected for randomness, or any candidate of a
     noiseless device, draws no reads. The kept rows of every chunk are
-    concatenated into the record's one read-only challenge array, which
-    shares no memory with a drawn chunk, and only a kept row gets a
-    Response. Raises when the device already has a record or when nothing
-    survives.
+    concatenated into the record's one read-only int32 challenge array,
+    half the memory of the drawn int64 chunks and sharing none with them,
+    and only a kept row gets a Response. Raises when the device already
+    has a record or when nothing survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -109,7 +116,7 @@ def enroll(
             f"screening rejected all {n_candidates} candidates for device "
             f"{format_device_id(device.device_id)}"
         )
-    challenges = np.concatenate(kept_rows)
+    challenges = np.concatenate(kept_rows, dtype=np.int32)
     challenges.setflags(write=False)
     record = CrpRecord(device.device_id, challenges, tuple(responses))
     registry._records[device.device_id] = record
@@ -189,10 +196,12 @@ def record_to_json_line(record: CrpRecord) -> str:
 
 
 def save_registry(path: str | Path, registry: Registry) -> None:
-    """Write the ACL header line, then one canonical record line per device."""
+    """Write the ACL header line, then one canonical record line per device,
+    a record at a time."""
     header = json.dumps({"trusted_node_ids": [format_device_id(registry.trusted_id)]},
                         separators=(",", ":"))
-    lines = [header] + [record_to_json_line(registry._records[device_id])
-                        for device_id in registry.device_ids]
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("".join([line + "\n" for line in lines]))
+        fh.write(header + "\n")
+        for record in registry._records.values():
+            fh.write(record_to_json_line(record))
+            fh.write("\n")

@@ -867,7 +867,7 @@ def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypat
     record = enroll(Registry(device.device_id), device, 192, ScreeningPolicy(), 12)
     challenges = record.challenges
     assert len(chunks) == 3 and len(challenges) == len(record.responses) > 0
-    assert challenges.shape[1:] == (2, n_bits) and challenges.dtype == np.int64
+    assert challenges.shape[1:] == (2, n_bits) and challenges.dtype == np.int32
     assert challenges.base is None and not challenges.flags.writeable
     assert not any(np.shares_memory(challenges, chunk) for chunk in chunks)
     # exactly kept rows: the stored rows are drawn rows, in draw order
@@ -1091,17 +1091,23 @@ def test_record_line_is_json_dumps_of_its_fields(challenges, device_id, data):
     )
     record = CrpRecord(device_id, np.array([challenge_of(pairs) for pairs in challenges]),
                        responses)
-    assert record_to_json_line(record) == record_line_by_json_dumps(record)
+    line = record_to_json_line(record)
+    assert line == record_line_by_json_dumps(record)
+    # enroll stores int32 selectors: the same selectors spell the same line
+    narrow = CrpRecord(device_id, record.challenges.astype(np.int32), responses)
+    assert record_to_json_line(narrow) == line
 
 
 def test_record_line_spells_the_largest_index_with_a_fixed_table():
     top = 2**31 - 1  # the largest index random_challenge can draw
     challenge = challenge_of([(0, top), (255, 256), (256, 255), (top, 0)])
-    record = CrpRecord(7, challenge[None], (Response(np.array([1, 0, 1, 1], dtype=np.uint8)),))
     size = _TOKENS.size
-    line = record_to_json_line(record)
-    assert line == record_line_by_json_dumps(record)
-    assert f'"challenge":[[0,{top}],[255,256],[256,255],[{top},0]]' in line
+    for dtype in (np.int64, np.int32):  # int32 is what enroll stores
+        record = CrpRecord(7, challenge[None].astype(dtype),
+                           (Response(np.array([1, 0, 1, 1], dtype=np.uint8)),))
+        line = record_to_json_line(record)
+        assert line == record_line_by_json_dumps(record)
+        assert f'"challenge":[[0,{top}],[255,256],[256,255],[{top},0]]' in line
     assert _TOKENS.size == size == 8002  # fixed at import, never grown to the largest index
 
 
@@ -1109,9 +1115,11 @@ def test_record_line_spells_the_largest_index_with_a_fixed_table():
 def test_record_line_refuses_a_negative_selector(selector):
     # numpy would take -1 from the table's end and write another, valid index
     challenge = challenge_of([(0, 1), (2, selector)])
-    record = CrpRecord(7, challenge[None], (Response(np.array([1, 0], dtype=np.uint8)),))
-    with pytest.raises(ValueError, match="negative"):
-        record_to_json_line(record)
+    for dtype in (np.int64, np.int32):  # int32 is what enroll stores
+        record = CrpRecord(7, challenge[None].astype(dtype),
+                           (Response(np.array([1, 0], dtype=np.uint8)),))
+        with pytest.raises(ValueError, match="negative"):
+            record_to_json_line(record)
 
 
 # every event layout netsim logs: kind, detail keys in order, one type per key

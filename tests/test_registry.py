@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pufledger.errors import (
     UnknownDeviceError,
 )
 from pufledger.fom import ScreeningPolicy, randomness
+from pufledger.harness import ScenarioConfig, build_world
 from oracles import screen_one
 
 
@@ -136,6 +138,24 @@ def test_crp_record_validation(default_config):
         CrpRecord(device.device_id, np.empty((0, 2, 128), dtype=np.int64), ())
 
 
+def test_crp_record_refuses_more_challenges_than_responses(devices, enrolled):
+    # the line would pair the first challenge and silently drop the second
+    _, records = enrolled
+    record = records[devices[1].device_id]
+    with pytest.raises(ValueError, match="do not pair"):
+        CrpRecord(record.device_id, record.challenges[:2], record.responses[:1])
+
+
+def test_crp_record_refuses_more_responses_than_challenges(devices, enrolled):
+    # the line would write a second pair with an empty challenge list
+    _, records = enrolled
+    record = records[devices[1].device_id]
+    with pytest.raises(ValueError, match="do not pair"):
+        CrpRecord(record.device_id, record.challenges[:1], record.responses[:2])
+    with pytest.raises(ValueError, match="do not pair"):  # one row, not a stack of them
+        CrpRecord(record.device_id, record.challenges[0], record.responses[:2])
+
+
 def test_record_line_round_trip(enrolled, devices):
     # one record line reads back, with plain json.loads, to every field of the
     # record, and is already in compact canonical form
@@ -167,3 +187,18 @@ def test_registry_file_round_trip(tmp_path, enrolled):
             [[i, j] for i, j in zip(set1, set2)] for set1, set2 in record.challenges.tolist()
         ]
         assert [pair["response"] for pair in obj["pairs"]] == [r.hex() for r in record.responses]
+
+
+def test_saving_the_registry_holds_less_than_the_file_it_writes(tmp_path):
+    """The writer formats and writes a record at a time: what it holds at its
+    peak, above its inputs, stays below the file it writes."""
+    registry = build_world(ScenarioConfig(seed=42)).scenario.world.registry
+    path = tmp_path / "registry.ndjson"
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        save_registry(path, registry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(registry.device_ids) == 6
+    assert peak < path.stat().st_size
