@@ -200,7 +200,7 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
 
 
 def accept_validated(client: NodeState, block: WireBlock,
-                     view: tuple[int, tuple[Response, ...]], now: int) -> Verdict:
+                     view: tuple[int, tuple[Response, ...]]) -> Verdict:
     """Judge a rebroadcast against registry.trusted_view's (trusted id,
     stored responses) pair: check it names the trusted node, guard against
     replays, then recompute the validation tag once, with the trusted
@@ -243,7 +243,7 @@ def judge(node: NodeState, block: WireBlock, registry: Registry,
     authority is checked again (None: node was demoted while it waited), a
     rebroadcast's admission is not."""
     if block.is_validated:
-        return accept_validated(node, block, view, now)
+        return accept_validated(node, block, view)
     return authenticate(node, block, registry, now) if node.role == ROLE_TRUSTED else None
 
 

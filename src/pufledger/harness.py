@@ -72,6 +72,9 @@ _ADVERSARY_CHOICES = ("none",) + netsim.ADVERSARY_KINDS
 _MAX_MS = 2**31
 _MAX_COUNT = 2**24
 
+# the types a field of each type takes, the first parsing config text; a bool is not an int
+_TYPES = {"int": (int,), "float": (float, int), "str": (str,)}
+
 # inclusive (low, high) of each range-checked ScenarioConfig field; seed,
 # puf_* and the rest of screen_* are checked by PufConfig and ScreeningPolicy
 _BOUNDS: dict[str, tuple[float, float]] = {
@@ -150,6 +153,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if type(value) not in _TYPES[f.type]:
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             if f.name in _BOUNDS:
@@ -164,6 +169,8 @@ class ScenarioConfig:
             raise ConfigError("adversary_events must be >= 1 when an adversary is set")
         if self.adversary in ("tamper", "replay") and self.n_transactions == 0:
             raise ConfigError(f"a {self.adversary} adversary needs n_transactions >= 1")
+        self.puf_config()
+        self.screening_policy()
 
     def puf_config(self) -> PufConfig:
         return PufConfig(
@@ -182,7 +189,7 @@ class ScenarioConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+_FIELD_TYPES = {f.name: _TYPES[f.type][0] for f in fields(ScenarioConfig)}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -200,14 +207,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        kind = _FIELD_TYPES[key]
         try:
-            if kind == "int":
-                values[key] = int(value)
-            elif kind == "float":
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _FIELD_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return ScenarioConfig(**values)
@@ -425,9 +426,9 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
 
 
 def timings_csv_lines(report: MetricsReport) -> list[str]:
-    """One row per transaction. Client-side columns reflect the last client
-    to finish replicating the block, when the transaction is fully settled,
-    and on a tie the first in client order; unaccepted rows leave them blank."""
+    """One row per transaction. Client-side columns describe the last client
+    to accept the block, on a tie the first in client order, even if others
+    rejected or never received it; a row no client accepted leaves them blank."""
     lines = [CSV_HEADER]
     for entry in report.transactions:
         dt_sa = ""
@@ -493,7 +494,6 @@ def metrics_json(report: MetricsReport) -> str:
 
 @dataclass
 class ScenarioOutput:
-    config: ScenarioConfig
     built: BuiltWorld
     result: SimResult
     report: MetricsReport
@@ -524,7 +524,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutput:
     files["metrics"].write_text(metrics_json(report) + "\n", encoding="ascii")
     files["timings"] = out / "timings.csv"
     files["timings"].write_text("\n".join(timings_csv_lines(report)) + "\n", encoding="ascii")
-    return ScenarioOutput(cfg, built, result, report, files)
+    return ScenarioOutput(built, result, report, files)
 
 
 # --- figure-of-merit calibration --------------------------------------------

@@ -313,9 +313,7 @@ class AdvOutcome:
     """How one adversarial delivery was judged."""
 
     kind: str
-    msg_id: int
     receiver: int
-    t_ms: int
     accepted: bool
     reason: Optional[str]
 
@@ -530,9 +528,7 @@ class _Sim:
         overtook = (msg.provenance == "replay" and accepted
                     and self.tx_records[tx].accepted is None)
         if msg.provenance != "normal" and not overtook:
-            self.adversarial.append(AdvOutcome(kind=msg.provenance, msg_id=msg.msg_id,
-                                               receiver=receiver, t_ms=t, accepted=accepted,
-                                               reason=reason))
+            self.adversarial.append(AdvOutcome(msg.provenance, receiver, accepted, reason))
         elif tx >= 0 and result is not None:
             record = self.tx_records[tx]
             if msg.block.is_validated:

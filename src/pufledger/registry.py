@@ -67,10 +67,6 @@ class Registry:
         self._records: dict[int, CrpRecord] = {}
         self.trusted_id = trusted_id
 
-    @property
-    def device_ids(self) -> tuple[int, ...]:
-        return tuple(self._records.keys())
-
     def has_device(self, device_id: int) -> bool:
         return device_id in self._records
 

@@ -3,10 +3,12 @@ judged, every verdict, whom it blames and when a node is demoted; netsim
 only moves messages. Checked on the source, so that a protocol rule that
 creeps back into netsim fails here rather than in a later digest. The read
 rule has one owner too: puf.uncertain_races alone decides which races a
-noisy read draws for."""
+noisy read draws for. Each named substream of the seed has one owner."""
 
 import ast
 from pathlib import Path
+
+from pufledger import harness, netsim
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pufledger"
 PROTOCOL_FIELDS = ("role", "trust_value", "penalties")  # a node's standing, consensus's to write
@@ -113,3 +115,13 @@ def test_the_read_rule_check_sees_each_kind_of_use(tmp_path):
         "    return PufDevice(1, None, None, noise_sigma_mhz=0.1)\n",
         encoding="utf-8")
     assert read_rule_uses(planted) == {"planted", "planted.noiseless", "planted.Reader.certain"}
+
+
+def test_seed_substreams_are_distinct_within_and_across_modules():
+    """harness and netsim both draw default_rng([seed, k]) from the scenario
+    seed: a k named twice would feed two draws the same numbers."""
+    streams = {f"{module.__name__}.{name}": value for module in (harness, netsim)
+               for name, value in vars(module).items() if name.startswith("_STREAM_")}
+    assert {name.rpartition(".")[0] for name in streams} == {"pufledger.harness",
+                                                             "pufledger.netsim"}
+    assert len(set(streams.values())) == len(streams), streams

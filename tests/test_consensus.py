@@ -282,7 +282,7 @@ def test_judging_appends_to_the_same_list(fresh_nodes):
     trusted, client = nodes[0], nodes[2]
     trusted_chain, client_chain = trusted.chain, client.chain
     _, result = pipeline(registry, nodes)
-    assert accept_validated(client, result.rebroadcast, trusted_view(registry), now=200).accepted
+    assert accept_validated(client, result.rebroadcast, trusted_view(registry)).accepted
     assert trusted.chain is trusted_chain and client.chain is client_chain
     assert trusted_chain == client_chain == [result.entry]
 
@@ -295,7 +295,7 @@ def test_clients_replicate_the_exact_entry(fresh_nodes, enrolled):
     _, result = pipeline(registry, nodes)
     view = trusted_view(registry)
     for client in nodes[1:]:
-        outcome = accept_validated(client, result.rebroadcast, view, now=200)
+        outcome = accept_validated(client, result.rebroadcast, view)
         assert outcome.accepted
         assert outcome.entry == result.entry
         assert client.chain[-1] == trusted.chain[-1]
@@ -304,7 +304,7 @@ def test_clients_replicate_the_exact_entry(fresh_nodes, enrolled):
 def test_accept_rejects_unvalidated_block(fresh_nodes):
     registry, nodes = fresh_nodes
     block, _ = pipeline(registry, nodes)
-    outcome = accept_validated(nodes[2], block, trusted_view(registry), now=200)
+    outcome = accept_validated(nodes[2], block, trusted_view(registry))
     assert not outcome.accepted
     assert outcome.reason == REASON_NOT_FROM_TRUSTED
 
@@ -315,7 +315,7 @@ def test_accept_rejects_untrusted_validator(fresh_nodes):
     block, result = pipeline(registry, nodes)
     rb = result.rebroadcast
     forged = replace(rb, validated_by=impostor.node_id)
-    outcome = accept_validated(nodes[2], forged, trusted_view(registry), now=200)
+    outcome = accept_validated(nodes[2], forged, trusted_view(registry))
     assert not outcome.accepted
     assert outcome.reason == REASON_NOT_FROM_TRUSTED
 
@@ -325,7 +325,7 @@ def test_accept_rejects_wrong_validation_tag(fresh_nodes):
     block, result = pipeline(registry, nodes)
     rb = result.rebroadcast
     forged = replace(rb, validation_tag=b"\x42" * 32)
-    outcome = accept_validated(nodes[2], forged, trusted_view(registry), now=200)
+    outcome = accept_validated(nodes[2], forged, trusted_view(registry))
     assert not outcome.accepted
     assert outcome.reason == REASON_NO_MATCH
     assert outcome.hashes_tried == 1
@@ -343,7 +343,7 @@ def test_accept_rejects_tag_made_with_another_stored_response(fresh_nodes):
     other = hashlib.sha256(result.entry.entry_hash + stored[1].packed()).digest()
     client = nodes[2]
     outcome = accept_validated(client, replace(rb, validation_tag=other),
-                               trusted_view(registry), now=200)
+                               trusted_view(registry))
     assert not outcome.accepted
     assert outcome.reason == REASON_NO_MATCH
     assert outcome.hashes_tried == 1
@@ -355,8 +355,8 @@ def test_accept_rejects_replay(fresh_nodes):
     _, result = pipeline(registry, nodes)
     view = trusted_view(registry)
     client = nodes[2]
-    assert accept_validated(client, result.rebroadcast, view, now=200).accepted
-    again = accept_validated(client, result.rebroadcast, view, now=201)
+    assert accept_validated(client, result.rebroadcast, view).accepted
+    again = accept_validated(client, result.rebroadcast, view)
     assert not again.accepted
     assert again.reason == REASON_REPLAY
     assert len(client.chain) == 1
@@ -366,7 +366,7 @@ def test_accept_requires_client_role(fresh_nodes):
     registry, nodes = fresh_nodes
     _, result = pipeline(registry, nodes)
     with pytest.raises(ValueError):
-        accept_validated(nodes[0], result.rebroadcast, trusted_view(registry), now=0)
+        accept_validated(nodes[0], result.rebroadcast, trusted_view(registry))
 
 
 def test_chains_stay_identical_over_many_transactions(fresh_nodes):
@@ -381,7 +381,7 @@ def test_chains_stay_identical_over_many_transactions(fresh_nodes):
         result = authenticate(trusted, block, registry, now=now + 5)
         assert result.accepted
         for client in clients:
-            assert accept_validated(client, result.rebroadcast, view, now=now + 9).accepted
+            assert accept_validated(client, result.rebroadcast, view).accepted
         now += 100
     tips = {node.chain[-1].entry_hash for node in nodes}
     assert len(tips) == 1
@@ -418,7 +418,7 @@ def test_the_protocol_rules_in_one_table(fresh_nodes, monkeypatch):
 
     seen_trusted, seen_client = fresh(nodes[0]), fresh(nodes[2])
     authenticate(seen_trusted, origin, registry, now=3)
-    accept_validated(seen_client, rebroadcast, view, now=3)
+    accept_validated(seen_client, rebroadcast, view)
     calls = []
 
     def spy(name):

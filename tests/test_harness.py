@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufledger.harness import (
+    _BOUNDS,
     _STREAM_PAYLOAD,
     CSV_HEADER,
     _draw_payloads,
@@ -26,6 +27,7 @@ from pufledger import ScenarioConfig, run_scenario
 from pufledger.ledger import verify_chain_file
 from pufledger.cli import main
 from pufledger.consensus import ROLE_CLIENT, ROLE_TRUSTED
+from pufledger import netsim
 from pufledger.netsim import ClientOutcome, SimResult, TxRecord
 from pufledger.puf import format_device_id
 
@@ -116,16 +118,29 @@ NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type in ("int", "f
 @pytest.mark.parametrize("name", NUMERIC_FIELDS)
 def test_minus_one_is_rejected_for_every_numeric_field(name):
     """Keeps the bounds table complete: a new numeric field fails here until
-    its range is checked when a config is built."""
-    if (name == "seed" or name.startswith(("puf_", "screen_"))) and name != "screen_n_reevals":
-        # checked where they are used, by PufConfig and ScreeningPolicy; the
-        # read count is a count of work, capped in the bounds table
-        cfg = ScenarioConfig(**{name: -1})
-        with pytest.raises(ConfigError):
-            cfg.screening_policy() if name.startswith("screen_") else cfg.puf_config()
-        return
-    with pytest.raises(ConfigError, match=name):
+    its range is checked when a config is built. PufConfig and
+    ScreeningPolicy check seed, puf_* and the rest of screen_* under their
+    own field names."""
+    with pytest.raises(ConfigError, match=name if name in _BOUNDS else None):
         ScenarioConfig(**{name: -1})
+
+
+WRONG_TYPES = ([(f.name, value) for f in fields(ScenarioConfig) if f.type == "int"
+                for value in (1.5, True)]
+               + [(f.name, True) for f in fields(ScenarioConfig) if f.type == "float"]
+               + [("adversary", 1)])
+
+
+@pytest.mark.parametrize("name,value", WRONG_TYPES)
+def test_a_value_of_another_type_is_rejected_when_a_config_is_built(name, value):
+    """seed=True would run seed 1, latency_jitter_ms=2.5 the jitter of 2, and
+    n_transactions=2.5 would enroll every device and then fail inside numpy."""
+    with pytest.raises(ConfigError, match=rf"^{name} must be \w+, got"):
+        ScenarioConfig(**{name: value})
+
+
+def test_an_int_is_taken_for_a_float_field():
+    assert ScenarioConfig(drop_rate=0, puf_freq_mean_mhz=250) == ScenarioConfig()
 
 
 def test_load_config_round_trip(tmp_path):
@@ -293,6 +308,21 @@ def test_csv_row_takes_the_first_client_in_order_on_a_t_done_tie():
                                      adversarial=()), nodes=())
     # client 3 and client 4 both finish last at 200; client 3 comes first
     assert timings_csv_lines(report)[1:] == [f"0,0,{format_device_id(1)},120,60,200,accepted,"]
+
+
+def test_csv_row_of_a_partially_replicated_block_reports_its_last_accepting_client():
+    """In a lossy world transaction 5 is accepted by 4 of its 5 clients, and
+    the one that rejects it finishes last: the row shows the last to accept."""
+    cfg = ScenarioConfig(seed=42, n_transactions=40, n_candidates=200, drop_rate=0.05)
+    built = build_world(cfg)
+    report = build_metrics(netsim.run(built.sim_config, built.scenario),
+                           built.scenario.world.nodes)
+    clients = report.transactions[5]["clients"].values()
+    assert sorted(c["accepted"] for c in clients) == [False] + [True] * 4
+    assert not max(clients, key=lambda c: c["t_done"])["accepted"]
+    last = max((c for c in clients if c["accepted"]), key=lambda c: c["t_done"])
+    assert (last["t_recv"], last["t_done"]) == (1631, 1684)  # t_init 1500
+    assert timings_csv_lines(report)[1 + 5] == "5,1,f22904f78d4a,115,53,184,accepted,"
 
 
 # any value json.dumps and metrics_json both write, in any field; the text has

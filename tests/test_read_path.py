@@ -1230,10 +1230,11 @@ def test_saved_chain_is_its_encoded_lines(tmp_path, n):
 
 def test_saved_registry_is_its_header_then_its_encoded_records(tmp_path, enrolled):
     registry, records = enrolled
-    for reg, ids in ((Registry(2**48 - 1), ["ffffffffffff"]),
-                     (registry, [format_device_id(registry.trusted_id)])):
+    for reg, ids, saved in ((Registry(2**48 - 1), ["ffffffffffff"], {}),
+                            (registry, [format_device_id(registry.trusted_id)], records)):
         header = dumps({"trusted_node_ids": ids})
-        lines = [header] + [record_to_json_line(records[i]) for i in reg.device_ids]
+        # records is in enrollment order, the order the registry saves
+        lines = [header] + [record_to_json_line(record) for record in saved.values()]
         text = saved_text(save_registry, tmp_path / "registry.ndjson", reg)
         assert text == "".join(line + "\n" for line in lines)
     assert text.count("\n") == 1 + len(records)

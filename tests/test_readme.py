@@ -1,6 +1,7 @@
 """The README's library example runs, it shows the whole root surface, and
 its command line synopsis lists exactly the options the parser defines; the
-package defines nothing that only tests use."""
+package defines nothing that only tests use, and no function takes a
+parameter its body never reads."""
 
 import argparse
 import ast
@@ -50,9 +51,9 @@ def record_fields(cls: type) -> set[str]:
 
 def definitions(path: Path, package: str = "pufledger"):
     """(qualified name, name) of each module-level function and class, of
-    each annotated field of a dataclass or NamedTuple, and of each method
-    that is neither a dunder, a property nor an override (which callers
-    reach through the base class, as numpy does generate_state)."""
+    each annotated field of a dataclass or NamedTuple, and of each method or
+    property that is neither a dunder nor an override (which callers reach
+    through the base class, as numpy does generate_state)."""
     module = importlib.import_module(f"{package}.{path.stem}")
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -69,8 +70,6 @@ def definitions(path: Path, package: str = "pufledger"):
                 yield f"{node.name}.{item.target.id}", item.target.id
             elif (isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
-                    and not any(isinstance(d, ast.Name) and d.id == "property"
-                                for d in item.decorator_list)
                     and not any(item.name in vars(base) for base in bases)):
                 yield f"{node.name}.{item.name}", item.name
 
@@ -95,6 +94,25 @@ def unread(src: list[Path], readers: list[Path], package: str = "pufledger") -> 
     referenced = {name for path in src + readers for name in references(path)}
     return {qualified for path in src for qualified, name in definitions(path, package)
             if name not in referenced}
+
+
+def unread_parameters(src: list[Path]) -> set[str]:
+    """`function(parameter)` for each parameter of a function or lambda in
+    src that its body, nested functions included, never reads."""
+    unused = set()
+    for path in src:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for statement in body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unused.update(f"{getattr(node, 'name', '<lambda>')}({param.arg})"
+                          for param in params if param.arg not in read)
+    return unused
 
 
 def test_package_defines_nothing_only_tests_use():
@@ -134,3 +152,67 @@ def test_the_check_flags_a_field_nothing_reads(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(tmp_path))
     assert unread([package / "records.py"], [], "planted") == {
         "total", "Record.planted_unread", "Pair.also_unread"}
+
+
+def test_the_check_flags_a_property_nothing_reads(tmp_path, monkeypatch):
+    package = tmp_path / "planted_properties"  # not the cached "planted"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "shapes.py").write_text(textwrap.dedent("""
+        class Base:
+            @property
+            def inherited(self) -> int:
+                return 0
+
+
+        class Square(Base):
+            def __init__(self, side: int) -> None:
+                self.side = side
+
+            @property
+            def area(self) -> int:
+                return self.side * self.side
+
+            @property
+            def planted_unread(self) -> int:
+                return 4 * self.side
+
+            @property
+            def inherited(self) -> int:  # an override: reached through Base
+                return 1
+
+            @property
+            def __dunder__(self) -> int:
+                return 2
+
+
+        def report(square: Square) -> int:
+            return square.area
+    """))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert unread([package / "shapes.py"], [], "planted_properties") == {
+        "report", "Base.inherited", "Square.planted_unread"}
+
+
+def test_package_takes_no_parameter_it_never_reads():
+    assert unread_parameters(sorted((ROOT / "src" / "pufledger").glob("*.py"))) == set()
+
+
+def test_the_check_flags_a_parameter_nothing_reads(tmp_path):
+    path = tmp_path / "params.py"
+    path.write_text(textwrap.dedent("""
+        def scale(value, factor, planted_unused, *rest, **options):
+            def inner():
+                return factor  # read only inside a nested function
+            return value * inner(), options
+
+
+        class Box:
+            def grow(self, by, also_unused):
+                self.size += by
+
+
+        key = lambda item, lambda_unused: item
+    """))
+    assert unread_parameters([path]) == {
+        "scale(planted_unused)", "scale(rest)", "grow(also_unused)", "<lambda>(lambda_unused)"}
