@@ -4,13 +4,17 @@ A device initiates a transaction by hashing its block data together with
 one of its enrolled responses; only the hash travels, with the index of
 the challenge it answered. A trusted node authenticates with one hash:
 it recomputes the tag with the device's stored response at that index,
-appends the block to its chain and rebroadcasts it with a validation tag
-of its own, made with its stored response at index
-`height % len(challenges)`. A client builds the entry at its own height
-and tip, recomputes the validation tag once with the trusted node's
-stored response at that same index, and appends an entry identical to
-the trusted node's: while `ledger.make_entry`'s memo holds it, the same
-object.
+appends the block to its chain and rebroadcasts it to each peer with a
+validation tag made for that peer, keyed by the peer's own stored
+response at index `height % len`: one MAC per receiver, as PBFT's
+authenticators are. A client builds the entry at its own height and tip,
+recomputes the validation tag once with its own enrolled response at
+that index, and appends an entry identical to the trusted node's: while
+`ledger.make_entry`'s memo holds it, the same object.
+
+Only the trusted node reads the registry, and only here. A client holds
+its own responses and no other node's, so it can check a validation made
+for it but cannot make one another client accepts.
 
 Every protocol decision is made here, as a step on node state: `admits`
 says on arrival whether a delivery is worth judging, `judge` gives the
@@ -97,14 +101,15 @@ class WireBlock:
 @dataclass
 class NodeState:
     """Everything one network participant owns: its device, its enrolled
-    challenges (its registry record's selector array), its replica of the
-    chain, and its bookkeeping. Only this module writes role, trust_value
-    and penalties."""
+    challenges and their responses (its registry record's selector array
+    and response tuple), its replica of the chain, and its bookkeeping.
+    Only this module writes role, trust_value and penalties."""
 
     node_id: int
     role: str
     device: PufDevice
     challenges: np.ndarray
+    responses: tuple[Response, ...]
     chain: list[ChainEntry] = field(default_factory=list)
     next_seq: int = 0
     trust_value: int = 0
@@ -117,15 +122,16 @@ class NodeState:
 
 
 class Verdict(NamedTuple):
-    """Outcome of one node judging one block. Only a trusted node's accept
-    carries a rebroadcast, and only a client's tag mismatch blames a node:
-    the validator the block names."""
+    """Outcome of one node judging one block. Only a trusted node's accept,
+    through judge, carries a rebroadcast: a (peer, block) pair per peer.
+    Only a client's tag mismatch blames a node: the validator the block
+    names."""
 
     accepted: bool
     reason: Optional[str]
     entry: Optional[ChainEntry]
     hashes_tried: int
-    rebroadcast: Optional[WireBlock] = None
+    rebroadcast: Optional[tuple[tuple[int, WireBlock], ...]] = None
     blamed: Optional[int] = None
 
 
@@ -155,8 +161,7 @@ def _validation_tag(entry_hash: bytes, response) -> bytes:
 def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> Verdict:
     """Judge an origin block: recompute its tag once, with the device's
     stored response at the block's challenge index, guard against stale
-    sequence numbers, then append and rebroadcast with this node's
-    validation tag.
+    sequence numbers, then append.
 
     An index past the device's stored responses is a no-match with no hash
     tried; a wrong index, like a wrong tag, is a no-match after one. Every
@@ -165,8 +170,6 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
         raise ValueError("authenticate requires a trusted node")
     if block.is_validated:
         raise ValueError("authenticate judges origin blocks, not rebroadcasts")
-    if len(trusted.challenges) == 0:
-        raise ValueError("trusted node has no enrolled challenges to validate with")
     try:
         stored = lookup(registry, trusted.node_id, block.data.device_id)
     except UnknownDeviceError:
@@ -185,31 +188,31 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
     entry = append(trusted.chain, block.data, block.auth_tag, trusted.node_id, now)
     trusted.last_seq_accepted[block.data.device_id] = block.data.seq
     trusted.trust_value += 1
-
-    pick = entry.height % len(trusted.challenges)
-    own_response = reference_response(trusted.device, trusted.challenges[pick])
-    rebroadcast = WireBlock(
-        data=block.data,
-        auth_tag=block.auth_tag,
-        challenge_index=block.challenge_index,
-        validated_by=trusted.node_id,
-        t_validated=now,
-        validation_tag=_validation_tag(entry.entry_hash, own_response),
-    )
-    return Verdict(True, None, entry, 1, rebroadcast)
+    return Verdict(True, None, entry, 1)
 
 
-def accept_validated(client: NodeState, block: WireBlock,
-                     view: tuple[int, tuple[Response, ...]]) -> Verdict:
-    """Judge a rebroadcast against registry.trusted_view's (trusted id,
-    stored responses) pair: check it names the trusted node, guard against
-    replays, then recompute the validation tag once, with the trusted
-    node's stored response at the index it used for this height. On
+def rebroadcasts(trusted: NodeState, block: WireBlock, entry: ChainEntry, registry: Registry,
+                 peers: list[int]) -> tuple[tuple[int, WireBlock], ...]:
+    """The accepted block once per peer, in peer order, each with the
+    validation tag of entry keyed by that peer's stored response at index
+    `height % len`."""
+    pairs = []
+    for peer in peers:
+        stored = lookup(registry, trusted.node_id, peer)
+        tag = _validation_tag(entry.entry_hash, stored[entry.height % len(stored)])
+        pairs.append((peer, WireBlock(block.data, block.auth_tag, block.challenge_index,
+                                      trusted.node_id, entry.t_validated, tag)))
+    return tuple(pairs)
+
+
+def accept_validated(client: NodeState, block: WireBlock, trusted_id: int) -> Verdict:
+    """Judge a rebroadcast: check it names the trusted node, guard against
+    replays, then recompute the validation tag once, with the client's own
+    enrolled response at the index the validator used for this height. On
     success the appended entry is bit-identical to the trusted node's
     entry, and while `make_entry`'s memo holds it, the same object."""
     if client.role != ROLE_CLIENT:
         raise ValueError("accept_validated requires a client node")
-    trusted_id, stored = view
     if block.validated_by != trusted_id:  # also None: an unvalidated block
         return Verdict(False, REASON_NOT_FROM_TRUSTED, None, 0)
 
@@ -220,8 +223,9 @@ def accept_validated(client: NodeState, block: WireBlock,
     candidate = make_entry(len(client.chain), tip_hash(client.chain), block.data,
                            block.auth_tag, block.validated_by, block.t_validated)
     # a candidate at another height or tip than the validator's has another
-    # entry hash, so no stored response could match it
-    expected = _validation_tag(candidate.entry_hash, stored[candidate.height % len(stored)])
+    # entry hash, so no response could match it
+    own = client.responses
+    expected = _validation_tag(candidate.entry_hash, own[candidate.height % len(own)])
     if expected != block.validation_tag:
         return Verdict(False, REASON_NO_MATCH, None, 1, blamed=trusted_id)
     client.chain.append(candidate)
@@ -237,14 +241,20 @@ def admits(node: NodeState, block: WireBlock, trusted: NodeState) -> bool:
     return node.role == ROLE_TRUSTED
 
 
-def judge(node: NodeState, block: WireBlock, registry: Registry,
-          view: tuple[int, tuple[Response, ...]], now: int) -> Optional[Verdict]:
-    """Judge an admitted block when the work ends. An origin block's
-    authority is checked again (None: node was demoted while it waited), a
-    rebroadcast's admission is not."""
+def judge(node: NodeState, block: WireBlock, registry: Registry, peers: list[int],
+          now: int) -> Optional[Verdict]:
+    """Judge an admitted block when the work ends; an accepted origin block
+    carries its rebroadcasts to peers. An origin block's authority is
+    checked again (None: node was demoted while it waited), a rebroadcast's
+    admission is not."""
     if block.is_validated:
-        return accept_validated(node, block, view)
-    return authenticate(node, block, registry, now) if node.role == ROLE_TRUSTED else None
+        return accept_validated(node, block, registry.trusted_id)
+    if node.role != ROLE_TRUSTED:
+        return None
+    verdict = authenticate(node, block, registry, now)
+    if not verdict.accepted:
+        return verdict
+    return verdict._replace(rebroadcast=rebroadcasts(node, block, verdict.entry, registry, peers))
 
 
 def penalize(node: NodeState, demotion_threshold: int) -> bool:

@@ -277,13 +277,11 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
     slow_cost = CostModel(cfg.cost_init_mean_ms, cfg.cost_init_sd_ms,
                           cfg.cost_client_slow_mean_ms, cfg.cost_client_slow_sd_ms)
     costs = {trusted_id: trusted_cost}
-    nodes = [NodeState(trusted_id, ROLE_TRUSTED, devices[0],
-                       records[trusted_id].challenges)]
     for i in range(cfg.n_clients):
-        node_id = node_ids[1 + i]
-        costs[node_id] = fast_cost if i < cfg.n_fast_clients else slow_cost
-        nodes.append(NodeState(node_id, ROLE_CLIENT, devices[1 + i],
-                               records[node_id].challenges))
+        costs[node_ids[1 + i]] = fast_cost if i < cfg.n_fast_clients else slow_cost
+    nodes = [NodeState(node_id, ROLE_CLIENT if i else ROLE_TRUSTED, device,
+                       records[node_id].challenges, records[node_id].responses)
+             for i, (node_id, device) in enumerate(zip(node_ids, devices))]
 
     sim_config = SimConfig(
         seed=cfg.seed,

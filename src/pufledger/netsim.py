@@ -58,7 +58,7 @@ from .consensus import (
 from .errors import ScenarioError
 from .ledger import AuthTag, BlockData, HASH_BYTES
 from .puf import DEVICE_ID_BITS, format_device_id
-from .registry import Registry, trusted_view
+from .registry import Registry
 
 ADVERSARY_KINDS = ("tamper", "replay", "fake-device", "forge-validator")
 _TAMPER_FIELDS = ("payload", "auth_tag", "device_id")
@@ -153,8 +153,8 @@ class Adversary:
 @dataclass(frozen=True)
 class World:
     """Initial node states, in broadcast order, plus the enrollment
-    registry. Exactly one node is trusted; it is the registry's trusted id
-    and is enrolled. run() never mutates these; it works on copies."""
+    registry. Exactly one node is trusted; it is the registry's trusted id.
+    Every node is enrolled. run() never mutates these; it works on copies."""
 
     nodes: tuple[NodeState, ...]
     registry: Registry
@@ -352,7 +352,11 @@ class _Sim:
             raise ScenarioError("the registry's trusted id is not the world's trusted node")
         if not self.registry.has_device(self.trusted_id):
             raise ScenarioError("the trusted node is not enrolled")
-        self.view = trusted_view(self.registry)
+        for node_id in self.order:  # the trusted node tags each validation for its receiver
+            if not self.registry.has_device(node_id):
+                raise ScenarioError(f"node {format_device_id(node_id)} is not enrolled")
+        self.peers: dict[int, list[int]] = {
+            node_id: [other for other in self.order if other != node_id] for node_id in self.order}
         # run() works on private copies so a scenario can be re-run; a run
         # mutates only a node's chain list, seq dict and scalar fields (its
         # device, challenges and chain entries are immutable and shared)
@@ -429,9 +433,6 @@ class _Sim:
             self.msg_counter += 1
             self.push(t_send + self.latency(), self.handle_delivery, msg)
 
-    def peers_of(self, node_id: int) -> list[int]:
-        return [other for other in self.order if other != node_id]
-
     # -- adversary helpers -----------------------------------------------------
 
     def flipped(self, raw: bytes) -> bytes:
@@ -490,7 +491,7 @@ class _Sim:
             block, provenance = self.tampered_copy(block, fld), "tamper"
             self.log(t_send, _TAMPER, None, "", (tx_id, fld))
         self.captured_origin[tx_id] = block
-        self.send(block, init.node_id, self.peers_of(init.node_id), t_send, tx_id, provenance)
+        self.send(block, init.node_id, self.peers[init.node_id], t_send, tx_id, provenance)
 
     def handle_delivery(self, t: int, msg: _Message) -> None:
         receiver = msg.receiver
@@ -507,7 +508,7 @@ class _Sim:
 
     def handle_judgment(self, done: int, msg: _Message, arrival: int) -> None:
         result = consensus.judge(self.nodes[msg.receiver], msg.block, self.registry,
-                                 self.view, done)
+                                 self.peers[msg.receiver], done)
         self.record_verdict(done, msg, result, arrival)
 
     def record_verdict(self, t: int, msg: _Message, result: Optional[Verdict],
@@ -519,8 +520,8 @@ class _Sim:
         ones update their TxRecord. So does an accepted replay that overtook
         its transaction's origin copy: it carries exactly the block the
         origin sent, and the origin copy's replay reject that follows leaves
-        the record alone. A verdict's rebroadcast is sent, and the node it
-        blames is penalized."""
+        the record alone. A verdict's rebroadcast is sent, each block to its
+        own peer, and the node it blames is penalized."""
         receiver = msg.receiver
         accepted = result is not None and result.accepted
         reason = result.reason if result is not None else REASON_NOT_FROM_TRUSTED
@@ -544,7 +545,8 @@ class _Sim:
                      self.nodes[receiver].role, result.hashes_tried, msg.provenance))
             if result.rebroadcast is not None:
                 self.log(t, _REBROADCAST, receiver, entry.entry_hash.hex(), (tx,))
-                self.send(result.rebroadcast, receiver, self.peers_of(receiver), t, tx, "normal")
+                for peer, block in result.rebroadcast:
+                    self.send(block, receiver, [peer], t, tx, "normal")
             return
         if result is None:
             self.log(t, _REJECT, receiver, "", (msg.msg_id, tx, reason, msg.provenance))

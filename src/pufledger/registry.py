@@ -8,9 +8,7 @@ largest bank, 2**31), next to a tuple of k responses. Records are
 append-only: a device enrolls once and its record never changes afterwards.
 
 Reads are gated. The one trusted node may fetch any device's stored
-responses (never the challenges). Ordinary clients get no general read
-access; they only receive the narrow view needed to check the trusted
-node's validations, via trusted_view().
+responses (never the challenges); no other node reads the registry.
 
 save_registry writes a record at a time, each as one compact json.dumps
 line, spelling a chunk of challenges per gather from a fixed table of
@@ -132,16 +130,6 @@ def lookup(registry: Registry, requester_node_id: int, device_id: int) -> tuple[
     if not registry.has_device(device_id):
         raise UnknownDeviceError(device_id)
     return registry._records[device_id].responses
-
-
-def trusted_view(registry: Registry) -> tuple[int, tuple[Response, ...]]:
-    """The one slice of the registry every client may read: the trusted
-    node's id and its stored responses, used to check that a validated
-    block really came from it. Raises when that node is not enrolled."""
-    trusted_id = registry.trusted_id
-    if not registry.has_device(trusted_id):
-        raise UnknownDeviceError(trusted_id)
-    return trusted_id, registry._records[trusted_id].responses
 
 
 # --- persistence -----------------------------------------------------------

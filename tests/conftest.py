@@ -50,6 +50,7 @@ def fresh_nodes(devices, enrolled):
             role=role,
             device=device,
             challenges=records[device.device_id].challenges,
+            responses=records[device.device_id].responses,
         ))
     return registry, nodes
 

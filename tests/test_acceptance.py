@@ -224,16 +224,16 @@ def test_c08_no_enrolled_response_leaks_onto_the_wire(tmp_path):
 
     built = output.built
     nodes = {node.node_id: copy.deepcopy(node) for node in built.scenario.world.nodes}
-    trusted = nodes[built.node_ids[0]]
+    trusted_id, *peers = built.node_ids
     registry = built.scenario.world.registry
     wire_lines = []
     for init in built.scenario.initiations:
         block = consensus.initiate(nodes[init.node_id], init.payload,
                                    init.challenge_index, now=init.t_ms)
         wire_lines.append(wire_to_json(block))
-        result = consensus.authenticate(trusted, block, registry, now=init.t_ms)
+        result = consensus.judge(nodes[trusted_id], block, registry, peers, now=init.t_ms)
         assert result.accepted
-        wire_lines.append(wire_to_json(result.rebroadcast))
+        wire_lines += [wire_to_json(rebroadcast) for _, rebroadcast in result.rebroadcast]
     wire_text = "\n".join(wire_lines)
 
     secrets = [response
@@ -245,7 +245,7 @@ def test_c08_no_enrolled_response_leaks_onto_the_wire(tmp_path):
         for response in secrets:
             if response.packed() in data or response.hex() in text:
                 leaks += 1
-    ok = leaks == 0 and len(wire_lines) == 20_000
+    ok = leaks == 0 and len(wire_lines) == 10_000 * (1 + len(peers))
     _report(8, ok, f"{len(secrets)} enrolled responses, {leaks} leaked into "
                    f"{len(wire_text) + len(events_text)} bytes of wire blocks and "
                    f"event logs across 10000 transactions")

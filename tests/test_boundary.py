@@ -3,7 +3,8 @@ judged, every verdict, whom it blames and when a node is demoted; netsim
 only moves messages. Checked on the source, so that a protocol rule that
 creeps back into netsim fails here rather than in a later digest. The read
 rule has one owner too: puf.uncertain_races alone decides which races a
-noisy read draws for. Each named substream of the seed has one owner."""
+noisy read draws for. The registry has one reader: consensus, for the
+trusted node. Each named substream of the seed has one owner."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,39 @@ def test_the_check_sees_each_kind_of_use(tmp_path):
     assert protocol_uses(planted) == {
         "names REASON_NO_MATCH", "writes trust_value", "writes role", "writes penalties",
         "reads validated_by"}
+
+
+def registry_uses(path: Path) -> tuple[set[str], bool]:
+    """The names the module imports from registry, and whether it names
+    lookup at all (by name, attribute or import)."""
+    imported, names_lookup = set(), False
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "registry":
+            imported.update(alias.name for alias in node.names)
+        names_lookup |= "lookup" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))
+    return imported, names_lookup
+
+
+def test_the_registry_has_one_reader():
+    """Only the trusted node reads stored responses, and only through
+    consensus: netsim imports nothing from registry but the Registry type,
+    and no module but consensus names lookup."""
+    uses = {path.stem: registry_uses(path) for path in sorted(SRC.glob("*.py"))}
+    assert uses["netsim"] == ({"Registry"}, False)
+    assert {module for module, (_, names_lookup) in uses.items() if names_lookup} == {
+        "consensus", "registry"}  # registry defines it
+
+
+def test_the_registry_check_sees_each_kind_of_use(tmp_path):
+    for text in ("from .registry import Registry, lookup\n",
+                 "from . import registry\nregistry.lookup(r, 1, 2)\n",
+                 "def f(read=lookup):\n    return read\n"):
+        planted = tmp_path / "planted.py"
+        planted.write_text(text, encoding="utf-8")
+        assert registry_uses(planted)[1], text
+    planted.write_text("from .registry import Registry\n", encoding="utf-8")
+    assert registry_uses(planted) == ({"Registry"}, False)
 
 
 def read_rule_uses(path: Path) -> set[str]:

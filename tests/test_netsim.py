@@ -40,8 +40,9 @@ def sim_parts(devices, enrolled):
     nodes = []
     for i, device in enumerate(devices):
         role = ROLE_TRUSTED if i == 0 else ROLE_CLIENT
-        nodes.append(NodeState(device.device_id, role, device,
-                               records[device.device_id].challenges))
+        record = records[device.device_id]
+        nodes.append(NodeState(device.device_id, role, device, record.challenges,
+                               record.responses))
     config = SimConfig(
         seed=9,
         latency=LatencyModel(4, 2),
@@ -441,6 +442,18 @@ def test_run_rejects_a_world_without_a_trusted_node(sim_parts, monkeypatch):
         scenario = Scenario(world=bad, initiations=make_initiations(world, 3))
         with pytest.raises(ScenarioError, match="trusted node"):
             run(config, scenario)
+
+
+def test_run_rejects_a_world_with_an_unenrolled_client(sim_parts, monkeypatch):
+    # the trusted node tags each validation with its receiver's stored response
+    config, world = sim_parts
+    *enrolled_nodes, last = world.nodes
+    stranger = replace(last, node_id=0xFFFFFFFFFFFF)
+    costs = {stranger.node_id if n == last.node_id else n: c for n, c in config.costs.items()}
+    bad = replace(world, nodes=(*enrolled_nodes, stranger))
+    monkeypatch.setattr(netsim._Sim, "log", lambda *args: pytest.fail("an event was logged"))
+    with pytest.raises(ScenarioError, match="node ffffffffffff is not enrolled"):
+        run(replace(config, costs=costs), Scenario(world=bad, initiations=make_initiations(bad, 3)))
 
 
 def test_demotion_threshold_must_not_be_negative(sim_parts):

@@ -11,7 +11,6 @@ from pufledger.registry import (
     lookup,
     record_to_json_line,
     save_registry,
-    trusted_view,
     CrpRecord,
 )
 from pufledger.errors import (
@@ -113,23 +112,13 @@ def test_registry_membership(devices, enrolled):
     assert not registry.has_device(0xFFFFFFFFFFFF)
 
 
-def test_trusted_view_exposes_only_trusted_nodes(devices, enrolled):
-    registry, records = enrolled
-    view = trusted_view(registry)
-    trusted_id = devices[0].device_id
-    assert view == (trusted_id, records[trusted_id].responses)
-    with pytest.raises(UnknownDeviceError):  # the trusted node is not enrolled
-        trusted_view(Registry(trusted_id))
-
-
-def test_lookup_and_trusted_view_return_the_stored_responses_tuple(devices, enrolled):
+def test_lookup_returns_the_stored_responses_tuple(devices, enrolled):
     # the record's own tuple, not one rebuilt per call
     registry, records = enrolled
     trusted_id = devices[0].device_id
     for device in devices:
         stored = records[device.device_id].responses
         assert lookup(registry, trusted_id, device.device_id) is stored
-    assert trusted_view(registry)[1] is records[trusted_id].responses
 
 
 def test_crp_record_validation(default_config):
