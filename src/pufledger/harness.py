@@ -52,6 +52,7 @@ from .puf import (
     format_device_id,
     manufacture,
     selected_freqs,
+    selector_dtype,
 )
 from .registry import Registry, enroll
 
@@ -546,9 +547,10 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
                for i, device_id in enumerate(_draw_node_ids(cfg.seed, cfg.fom_n_devices))]
 
     pool_rng = np.random.default_rng([cfg.seed, _STREAM_FOM_POOL])
-    # selectors stay below random_challenge's largest bank, 2**31, so int32
-    # holds them in half the memory
-    pool = np.empty((cfg.fom_pool_size, 2, RESPONSE_BITS), dtype=np.int32)
+    # held as a record holds its challenges: uint8 at the default bank, an
+    # eighth of the drawn int64 chunks
+    pool = np.empty((cfg.fom_pool_size, 2, RESPONSE_BITS),
+                    dtype=selector_dtype(puf_config.bank_size))
     chunks = challenge_chunks(puf_config.bank_size, RESPONSE_BITS, cfg.fom_pool_size, pool_rng)
     for start, chunk in zip(range(0, cfg.fom_pool_size, CHUNK_ROWS), chunks):
         pool[start:start + CHUNK_ROWS] = chunk

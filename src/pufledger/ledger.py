@@ -145,6 +145,12 @@ class ChainEntry:
         """entry_to_json_line(self), built once for every replica holding the entry."""
         return entry_to_json_line(self)
 
+    @cached_property
+    def hash_hex(self) -> str:
+        """entry_hash as 64 lowercase hex digits, built once: every accept and
+        rebroadcast of the entry, at every replica, names it by this string."""
+        return self.entry_hash.hex()
+
 
 def tip_hash(chain: list[ChainEntry]) -> bytes:
     """Hash the next entry links to: the last entry's, or all zeros."""
@@ -229,7 +235,7 @@ def entry_to_json_line(entry: ChainEntry) -> str:
         f'"t_init":{data.t_init},"payload":"{data.payload.hex()}",'
         f'"auth_tag":"{entry.auth_tag.hex()}",'
         f'"trusted_node_id":"{format_device_id(entry.trusted_node_id)}",'
-        f'"t_validated":{entry.t_validated},"entry_hash":"{entry.entry_hash.hex()}"}}'
+        f'"t_validated":{entry.t_validated},"entry_hash":"{entry.hash_hex}"}}'
     )
 
 

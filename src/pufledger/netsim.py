@@ -283,7 +283,7 @@ def save_events(path: str | Path, events: tuple[LogEvent, ...]) -> None:
             fh.write("\n".join(lines))
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientOutcome:
     t_recv: int
     t_done: int
@@ -291,7 +291,7 @@ class ClientOutcome:
     reason: Optional[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     """Complete timing picture of one initiated transaction."""
 
@@ -541,10 +541,10 @@ class _Sim:
                 record.reason = reason
         if accepted:
             entry = result.entry
-            self.log(t, _ACCEPT, receiver, entry.entry_hash.hex(), (tx, entry.data.seq, entry.height,
+            self.log(t, _ACCEPT, receiver, entry.hash_hex, (tx, entry.data.seq, entry.height,
                      self.nodes[receiver].role, result.hashes_tried, msg.provenance))
             if result.rebroadcast is not None:
-                self.log(t, _REBROADCAST, receiver, entry.entry_hash.hex(), (tx,))
+                self.log(t, _REBROADCAST, receiver, entry.hash_hex, (tx,))
                 for peer, block in result.rebroadcast:
                     self.send(block, receiver, [peer], t, tx, "normal")
             return

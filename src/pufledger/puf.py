@@ -12,11 +12,12 @@ within CERTAIN_SD standard deviations of flipping (uncertain_races alone
 holds that rule), reads every other race as its reference bit, and draws
 nothing when no race is uncertain; so a caller that reads in a fixed order
 from one generator fixes every read. A challenge is one
-(2, n_bits) int64 selector row: bit k races set1[row[0, k]] against
+(2, n_bits) selector row: bit k races set1[row[0, k]] against
 set2[row[1, k]]. random_challenge draws them a chunk at a time, as one
-(count, 2, n_bits) array, and refills the rows that repeat a pair in whole
-rounds, one draw a round; every function here that takes selectors takes
-a row or any stack of rows.
+(count, 2, n_bits) int64 array, and refills the rows that repeat a pair in
+whole rounds, one draw a round; a stored row is held in selector_dtype.
+Every function here that takes selectors takes a row or any stack of rows,
+of any integer dtype.
 
 Frequencies are in MHz and are rounded to 1e-6 MHz (FREQ_DECIMALS) at
 manufacture. The rounding is part of what a seed manufactures: every stored
@@ -92,32 +93,31 @@ class PufConfig:
         return self.n_oscillators // 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Response:
-    """An ordered bit vector produced by evaluating one challenge.
+    """An ordered bit vector produced by evaluating one challenge, held as
+    n_bits and its bits packed MSB-first: no bit array outlives the build.
 
-    bits is a one-dimensional uint8 array of 0s and 1s; a bool array, as
-    arbiter_bits gives, is taken as a uint8 copy."""
+    Built from a non-empty one-dimensional array of bools, as arbiter_bits
+    gives, or of uint8 0s and 1s; the array is read, never kept or frozen."""
 
-    bits: np.ndarray
-    _packed: bytes = field(init=False, repr=False)
+    n_bits: int
+    _packed: bytes = field(repr=False)
 
-    def __post_init__(self) -> None:
-        bits = self.bits
+    def __init__(self, bits: np.ndarray) -> None:
         if bits.ndim != 1 or len(bits) == 0:
             raise ValueError("response bits must be a non-empty one-dimensional array")
-        if bits.dtype == np.bool_:
-            # 0 or 1 by type; a copy, as cheap as a view and without a base to keep alive
-            bits = bits.astype(np.uint8)
-            object.__setattr__(self, "bits", bits)
-        elif bits.dtype != np.uint8 or bits.max() > 1:
+        if bits.dtype != np.bool_ and (bits.dtype != np.uint8 or bits.max() > 1):
             raise ValueError("response bits must be bool, or uint8 0 or 1")
-        bits.setflags(write=False)
+        object.__setattr__(self, "n_bits", len(bits))
         object.__setattr__(self, "_packed", np.packbits(bits).tobytes())
 
     @property
-    def n_bits(self) -> int:
-        return len(self.bits)
+    def bits(self) -> np.ndarray:
+        """The bits as a fresh read-only uint8 array of 0s and 1s."""
+        bits = np.unpackbits(np.frombuffer(self._packed, np.uint8), count=self.n_bits)
+        bits.setflags(write=False)
+        return bits
 
     def packed(self) -> bytes:
         """Pack bits MSB-first: bit 0 lands in the high bit of byte 0."""
@@ -178,6 +178,13 @@ def manufacture(config: PufConfig, device_id: int, device_seed: int) -> PufDevic
         set2_freqs=freqs[half:].copy(),
         noise_sigma_mhz=config.noise_sigma_mhz,
     )
+
+
+def selector_dtype(bank_size: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every selector of a
+    bank_size bank, 0 to bank_size - 1: uint8 up to 256 oscillators a bank,
+    uint16 up to 65,536. Stored challenges use it; draws stay int64."""
+    return np.min_scalar_type(bank_size - 1)
 
 
 def selected_freqs(device: PufDevice, selectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

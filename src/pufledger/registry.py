@@ -2,10 +2,11 @@
 
 At enrollment a device's candidate challenges are screened and the noiseless
 reference response of every survivor is stored. A record holds its
-challenges as one read-only (k, 2, n_bits) int32 selector array, a row per
-challenge as puf.random_challenge draws them (every selector is below its
-largest bank, 2**31), next to a tuple of k responses. Records are
-append-only: a device enrolls once and its record never changes afterwards.
+challenges as one read-only (k, 2, n_bits) selector array, a row per
+challenge as puf.random_challenge draws them, in puf.selector_dtype of the
+device's bank (uint8 at the default 256 oscillators a bank), next to a
+tuple of k responses. Records are append-only: a device enrolls once and
+its record never changes afterwards.
 
 Reads are gated. The one trusted node may fetch any device's stored
 responses (never the challenges); no other node reads the registry.
@@ -29,7 +30,8 @@ from .errors import (
     UnknownDeviceError,
 )
 from .fom import ScreeningPolicy, screen_pool
-from .puf import CHUNK_ROWS, RESPONSE_BITS, PufDevice, Response, challenge_chunks, format_device_id
+from .puf import (CHUNK_ROWS, RESPONSE_BITS, PufDevice, Response, challenge_chunks,
+                  format_device_id, selector_dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +90,11 @@ def enroll(
     chunk. Every candidate is screened once and reads up to its first
     failing read; one rejected for randomness, or any candidate of a
     noiseless device, draws no reads. The kept rows of every chunk are
-    concatenated into the record's one read-only int32 challenge array,
-    half the memory of the drawn int64 chunks and sharing none with them,
-    and only a kept row gets a Response. Raises when the device already
-    has a record or when nothing survives.
+    concatenated into the record's one read-only challenge array, in
+    puf.selector_dtype of the bank (an eighth of the drawn int64 chunks'
+    memory at the default bank) and sharing none with them, and only a
+    kept row gets a Response. Raises when the device already has a record
+    or when nothing survives.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -110,7 +113,9 @@ def enroll(
             f"screening rejected all {n_candidates} candidates for device "
             f"{format_device_id(device.device_id)}"
         )
-    challenges = np.concatenate(kept_rows, dtype=np.int32)
+    # unsafe only in name: every drawn selector is below bank_size
+    challenges = np.concatenate(kept_rows, dtype=selector_dtype(device.bank_size),
+                                casting="unsafe")
     challenges.setflags(write=False)
     record = CrpRecord(device.device_id, challenges, tuple(responses))
     registry._records[device.device_id] = record
@@ -163,6 +168,7 @@ def record_to_json_line(record: CrpRecord) -> str:
         tokens[:, -1] = _ROW_END
         # token slots in text order (row, pair, side, group), indexed like the chunk
         slots = tokens[:, :-1].reshape(len(chunk), -1, 2, n_groups).transpose(0, 2, 1, 3)
+        # in the chunk's own dtype: 1000 * (x // 1000) never exceeds x, and 8 bits hold one group
         above = chunk  # each selector down to the current group
         for k in range(n_groups - 1, -1, -1):
             higher = above // 1000 if k else 0  # n_groups leaves nothing above group 0

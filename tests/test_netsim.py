@@ -460,3 +460,22 @@ def test_demotion_threshold_must_not_be_negative(sim_parts):
     config, _ = sim_parts
     with pytest.raises(ScenarioError, match="demotion_threshold"):
         replace(config, demotion_threshold=-1)
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.1])
+def test_a_run_names_each_entry_and_each_sender_by_one_string(drop_rate):
+    built = build_world(ScenarioConfig(seed=42, drop_rate=drop_rate))
+    result = run(built.sim_config, built.scenario)
+    height = {}  # (node, tx) -> height of its accept
+    senders = {}  # sender name -> ids of its string objects
+    for event in result.events:
+        if event.kind == "accept":
+            height[event.node, event.detail["tx"]] = event.detail["height"]
+        if event.kind in ("accept", "rebroadcast"):
+            entry = result.nodes[event.node].chain[height[event.node, event.detail["tx"]]]
+            assert event.block_ref is entry.hash_hex == entry.entry_hash.hex()
+        elif event.kind in ("deliver", "lose"):
+            senders.setdefault(event.detail["from"], set()).add(id(event.detail["from"]))
+    assert len(senders) == len(built.node_ids)
+    assert all(len(ids) == 1 for ids in senders.values())
+    assert any(event.kind == "lose" for event in result.events) == (drop_rate > 0)

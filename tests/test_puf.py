@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -171,6 +172,41 @@ def test_response_pack_msb_first():
     bits = np.zeros(8, dtype=np.uint8)
     bits[0] = 1  # first bit is the most significant bit of the first byte
     assert Response(bits).packed() == b"\x80"
+
+
+def test_response_holds_its_length_and_packed_bits_only():
+    raw = np.array([1, 0, 1, 1, 0, 0, 0, 1, 1], dtype=np.uint8)
+    for given_bits in (raw, raw.astype(bool)):
+        response = Response(given_bits)
+        assert not hasattr(response, "__dict__")
+        assert response.n_bits == 9 and response.packed() == b"\xb1\x80"
+        bits = response.bits
+        assert bits.dtype == np.uint8 and bits.tolist() == raw.tolist()
+        assert not bits.flags.writeable and bits is not response.bits
+        with pytest.raises(ValueError):
+            bits[0] = 0
+        for name in ("n_bits", "_packed"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(response, name, getattr(response, name))
+        with pytest.raises((AttributeError, TypeError)):  # no slot holds a new name
+            response.bits_copy = raw
+    # the caller's array is read, neither frozen nor kept
+    response = Response(raw)
+    assert raw.flags.writeable
+    raw[0] = 0
+    assert response.bits[0] == 1
+
+
+# uint8 values above one: tests/test_read_path.py
+@pytest.mark.parametrize("bits", [
+    np.zeros((2, 4), dtype=np.uint8),
+    np.zeros(0, dtype=np.uint8),
+    np.zeros(0, dtype=bool),
+    np.array([0, 1, 1, 0], dtype=np.int64),
+], ids=["2-D", "empty", "empty-bool", "int64"])
+def test_response_refuses_what_is_not_a_bit_vector(bits):
+    with pytest.raises(ValueError, match="response bits must be"):
+        Response(bits)
 
 
 def test_response_hamming_counts_differing_bits():

@@ -849,8 +849,9 @@ def test_a_refill_that_repeats_a_pair_is_refilled_in_whole_rounds():
 
 @pytest.mark.parametrize("bank_size, n_bits", [(256, 128), (4, 16)])
 def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypatch):
-    # enrollment concatenates each chunk's kept rows into one array, so a record holds
-    # no 64-row chunk alive; at bank 4 every row is refilled, at 256 about one in eight
+    # enrollment concatenates each chunk's kept rows into one array of the bank's
+    # narrowest unsigned dtype (uint8 at both banks), so a record holds no 64-row
+    # chunk alive; at bank 4 every row is refilled, at 256 about one in eight
     chunks = []
     real_draw = puf.random_challenge
 
@@ -867,7 +868,7 @@ def test_drawn_selectors_are_not_views_of_the_batch(bank_size, n_bits, monkeypat
     record = enroll(Registry(device.device_id), device, 192, ScreeningPolicy(), 12)
     challenges = record.challenges
     assert len(chunks) == 3 and len(challenges) == len(record.responses) > 0
-    assert challenges.shape[1:] == (2, n_bits) and challenges.dtype == np.int32
+    assert challenges.shape[1:] == (2, n_bits) and challenges.dtype == np.uint8
     assert challenges.base is None and not challenges.flags.writeable
     assert not any(np.shares_memory(challenges, chunk) for chunk in chunks)
     # exactly kept rows: the stored rows are drawn rows, in draw order
@@ -1093,16 +1094,19 @@ def test_record_line_is_json_dumps_of_its_fields(challenges, device_id, data):
                        responses)
     line = record_to_json_line(record)
     assert line == record_line_by_json_dumps(record)
-    # enroll stores int32 selectors: the same selectors spell the same line
-    narrow = CrpRecord(device_id, record.challenges.astype(np.int32), responses)
-    assert record_to_json_line(narrow) == line
+    # the same selectors spell the same line in any integer dtype that holds them:
+    # int32, and the narrowest unsigned one, as enroll stores a bank just past them
+    for dtype in (np.int32, np.min_scalar_type(record.challenges.max())):
+        narrow = CrpRecord(device_id, record.challenges.astype(dtype), responses)
+        assert record_to_json_line(narrow) == line
 
 
 def test_record_line_spells_the_largest_index_with_a_fixed_table():
     top = 2**31 - 1  # the largest index random_challenge can draw
     challenge = challenge_of([(0, top), (255, 256), (256, 255), (top, 0)])
     size = _TOKENS.size
-    for dtype in (np.int64, np.int32):  # int32 is what enroll stores
+    # signed, and uint32: what enroll would store for a bank of 2**31
+    for dtype in (np.int64, np.int32, np.uint32):
         record = CrpRecord(7, challenge[None].astype(dtype),
                            (Response(np.array([1, 0, 1, 1], dtype=np.uint8)),))
         line = record_to_json_line(record)
@@ -1115,7 +1119,7 @@ def test_record_line_spells_the_largest_index_with_a_fixed_table():
 def test_record_line_refuses_a_negative_selector(selector):
     # numpy would take -1 from the table's end and write another, valid index
     challenge = challenge_of([(0, 1), (2, selector)])
-    for dtype in (np.int64, np.int32):  # int32 is what enroll stores
+    for dtype in (np.int64, np.int32):  # only a signed dtype can hold one
         record = CrpRecord(7, challenge[None].astype(dtype),
                            (Response(np.array([1, 0], dtype=np.uint8)),))
         with pytest.raises(ValueError, match="negative"):

@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pufledger.puf import PufConfig, manufacture, random_challenge, reference_response
+from pufledger import registry
+from pufledger.puf import (
+    PufConfig,
+    PufDevice,
+    manufacture,
+    random_challenge,
+    reference_response,
+    selector_dtype,
+)
 from pufledger.registry import (
     Registry,
     enroll,
@@ -42,6 +50,25 @@ def test_enroll_seed_changes_selection(default_config, policy):
     first = enroll(Registry(0x1), device, 80, policy, seed=5)
     second = enroll(Registry(0x1), device, 80, policy, seed=6)
     assert selectors(first) != selectors(second)
+
+
+@pytest.mark.parametrize("bank, dtype", [(4, np.uint8), (256, np.uint8), (512, np.uint16)])
+def test_records_hold_the_narrowest_unsigned_selectors(bank, dtype, monkeypatch, policy):
+    if bank == 4:
+        # 16 pairs, all raced by a 16-bit challenge: half the first bank beats the
+        # whole second by 4.5 MHz or more, so every race is stable and reads 8 ones
+        monkeypatch.setattr(registry, "RESPONSE_BITS", 16)
+        device = PufDevice(0x607, np.resize([240.0, 245.0, 255.0, 260.0], bank),
+                           np.resize([250.0, 250.5, 249.5, 251.0], bank), 0.245)
+    else:
+        device = manufacture(PufConfig(n_oscillators=2 * bank), 0x607, 3)
+    record = enroll(Registry(0x1), device, 128, policy, seed=8)
+    assert record.challenges.dtype == dtype == selector_dtype(bank) == np.min_scalar_type(bank - 1)
+    wide = record.challenges.astype(np.int64)
+    assert wide.max() < bank
+    for row, wide_row, response in zip(record.challenges, wide, record.responses):
+        assert (reference_response(device, row).packed()
+                == reference_response(device, wide_row).packed() == response.packed())
 
 
 def test_enrolled_responses_are_noiseless_references(devices, enrolled):
