@@ -2,10 +2,11 @@
 
 Everything here is driven by one flat ScenarioConfig whose field names are
 exactly the keys accepted in a config file (one `key=value` per line, `#`
-comments). A scenario derives every random draw from the single seed
-through named substreams, so identical configs produce byte-identical
-chains, registries, event logs and metrics; metrics_json writes the report
-at the bytes of json.dumps(indent=1), its transactions from templates.
+comments). A scenario derives every random draw from the single seed, as
+build_world lists, so identical configs produce byte-identical chains,
+registries, event logs and metrics. The report's transactions are the
+run's own TxRecords; metrics_json writes the report at the bytes of
+json.dumps(indent=1), each record as its row from one template.
 
 The default cost model mirrors a small hardware testbed: one fast
 validator board around 120 ms per block add, two mid clients around 46.5
@@ -39,6 +40,7 @@ from .netsim import (
     Scenario,
     SimConfig,
     SimResult,
+    TxRecord,
     World,
     inject,
 )
@@ -340,7 +342,7 @@ class MetricsReport:
     dt_ca_ms: dict[str, float]
     dt_tx_ms: dict[str, float]
     per_node: dict[str, dict]
-    transactions: list[dict]
+    transactions: tuple[TxRecord, ...]  # the run's own records, not a copy
 
 
 def _stats(values: list[int | float]) -> dict[str, float]:
@@ -351,31 +353,23 @@ def _stats(values: list[int | float]) -> dict[str, float]:
     return {"mean": mean, "sd": sd, "n": len(values)}
 
 
+def _result(record: TxRecord) -> str:
+    if record.accepted is None:
+        return "lost"
+    return "accepted" if record.accepted else "rejected"
+
+
 def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsReport:
     """Metrics of one run; nodes are the world's initial node states, whose
-    roles (before any demotion) label the per-node rows. The pooled client
+    roles (before any demotion) label the per-node rows. The report's
+    transactions are result.tx_records themselves. The pooled client
     figures pool the per-client lists: _stats is exact in any order."""
     rejected: dict[str, int] = {}
-    transactions = []
     dt_sa_all: list[int] = []
     per_node_ca: dict[int, list[int]] = {}
     per_node_tx: dict[int, list[int]] = {}
 
     for record in result.tx_records:
-        entry = {
-            "tx": record.tx_id,
-            "seq": record.seq,
-            "device_id": format_device_id(record.device_id),
-            "origin": format_device_id(record.origin),
-            "t_init": record.t_init,
-            "t_send": record.t_send,
-            "t_recv_trusted": record.t_recv_trusted,
-            "t_validated": record.t_validated,
-            "result": "lost" if record.accepted is None
-                      else ("accepted" if record.accepted else "rejected"),
-            "reason": record.reason,
-            "clients": {},
-        }
         if record.accepted is None:
             rejected["lost"] = rejected.get("lost", 0) + 1
         elif record.accepted:
@@ -383,16 +377,9 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
         else:
             rejected[record.reason] = rejected.get(record.reason, 0) + 1
         for node_id, outcome in record.client_outcomes.items():
-            entry["clients"][format_device_id(node_id)] = {
-                "t_recv": outcome.t_recv,
-                "t_done": outcome.t_done,
-                "accepted": outcome.accepted,
-                "reason": outcome.reason,
-            }
             if outcome.accepted:
                 per_node_ca.setdefault(node_id, []).append(outcome.t_done - outcome.t_recv)
                 per_node_tx.setdefault(node_id, []).append(outcome.t_done - record.t_init)
-        transactions.append(entry)
 
     adv_rejected: dict[str, int] = {}
     for outcome in result.adversarial:
@@ -420,31 +407,26 @@ def build_metrics(result: SimResult, nodes: tuple[NodeState, ...]) -> MetricsRep
         dt_ca_ms=_stats([dt for dts in per_node_ca.values() for dt in dts]),
         dt_tx_ms=_stats([dt for dts in per_node_tx.values() for dt in dts]),
         per_node=per_node,
-        transactions=transactions,
+        transactions=result.tx_records,
     )
 
 
 def timings_csv_lines(report: MetricsReport) -> list[str]:
-    """One row per transaction. Client-side columns describe the last client
-    to accept the block, on a tie the first in client order, even if others
+    """One row per record. Client-side columns describe the last client to
+    accept the block, on a tie the first in client order, even if others
     rejected or never received it; a row no client accepted leaves them blank."""
     lines = [CSV_HEADER]
-    for entry in report.transactions:
-        dt_sa = ""
-        if entry["t_validated"] is not None:  # netsim sets t_recv_trusted with it
-            dt_sa = str(entry["t_validated"] - entry["t_recv_trusted"])
-        dt_ca = ""
-        dt_tx = ""
-        accepted = [outcome for outcome in entry["clients"].values() if outcome["accepted"]]
+    for record in report.transactions:
+        dt_sa = dt_ca = dt_tx = ""
+        if record.t_validated is not None:  # netsim sets t_recv_trusted with it
+            dt_sa = str(record.t_validated - record.t_recv_trusted)
+        accepted = [outcome for outcome in record.client_outcomes.values() if outcome.accepted]
         if accepted:
-            last = max(accepted, key=lambda outcome: outcome["t_done"])
-            dt_ca = str(last["t_done"] - last["t_recv"])
-            dt_tx = str(last["t_done"] - entry["t_init"])
-        reason = entry["reason"] or ""
-        lines.append(
-            f'{entry["tx"]},{entry["seq"]},{entry["device_id"]},'
-            f'{dt_sa},{dt_ca},{dt_tx},{entry["result"]},{reason}'
-        )
+            last = max(accepted, key=lambda outcome: outcome.t_done)
+            dt_ca = str(last.t_done - last.t_recv)
+            dt_tx = str(last.t_done - record.t_init)
+        lines.append(f"{record.tx_id},{record.seq},{format_device_id(record.device_id)},"
+                     f"{dt_sa},{dt_ca},{dt_tx},{_result(record)},{record.reason or ''}")
     return lines
 
 
@@ -461,29 +443,33 @@ def _scalar(value: object) -> str:
     raise TypeError(f"transaction field is not int, str, None or bool: {value!r}")
 
 
-def _transaction_json(entry: dict) -> str:
-    """One build_metrics transaction as json.dumps writes it at indent=1, depth 2."""
+def _transaction_json(record: TxRecord) -> str:
+    """One record's metrics.json row as json.dumps writes it at indent=1,
+    depth 2; ids and the result are hex digits and letters, never escaped."""
     s = _scalar
     clients = "{}"
-    if entry["clients"]:
+    if record.client_outcomes:
         clients = "{\n" + ",\n".join([
-            f'    {_quote(node)}: {{\n     "t_recv": {s(c["t_recv"])},\n'
-            f'     "t_done": {s(c["t_done"])},\n     "accepted": {s(c["accepted"])},\n'
-            f'     "reason": {s(c["reason"])}\n    }}'
-            for node, c in entry["clients"].items()]) + "\n   }"
-    return (f'  {{\n   "tx": {s(entry["tx"])},\n   "seq": {s(entry["seq"])},\n'
-            f'   "device_id": {s(entry["device_id"])},\n   "origin": {s(entry["origin"])},\n'
-            f'   "t_init": {s(entry["t_init"])},\n   "t_send": {s(entry["t_send"])},\n'
-            f'   "t_recv_trusted": {s(entry["t_recv_trusted"])},\n'
-            f'   "t_validated": {s(entry["t_validated"])},\n'
-            f'   "result": {s(entry["result"])},\n   "reason": {s(entry["reason"])},\n'
+            f'    "{format_device_id(node)}": {{\n     "t_recv": {s(c.t_recv)},\n'
+            f'     "t_done": {s(c.t_done)},\n     "accepted": {s(c.accepted)},\n'
+            f'     "reason": {s(c.reason)}\n    }}'
+            for node, c in record.client_outcomes.items()]) + "\n   }"
+    return (f'  {{\n   "tx": {s(record.tx_id)},\n   "seq": {s(record.seq)},\n'
+            f'   "device_id": "{format_device_id(record.device_id)}",\n'
+            f'   "origin": "{format_device_id(record.origin)}",\n'
+            f'   "t_init": {s(record.t_init)},\n   "t_send": {s(record.t_send)},\n'
+            f'   "t_recv_trusted": {s(record.t_recv_trusted)},\n'
+            f'   "t_validated": {s(record.t_validated)},\n'
+            f'   "result": "{_result(record)}",\n   "reason": {s(record.reason)},\n'
             f'   "clients": {clients}\n  }}')
 
 
 def metrics_json(report: MetricsReport) -> str:
-    """json.dumps(vars(report), indent=1) for transactions in build_metrics's
-    key order: the rest goes through json.dumps, each transaction and client
-    outcome through one template. A field not int, str, None or bool raises."""
+    """json.dumps(indent=1) of the report with each record written as its
+    row: tx, seq, device_id, origin, the four times, result, reason, and
+    clients by node id, each with t_recv, t_done, accepted and reason. The
+    rest goes through json.dumps, each row and client outcome through one
+    template; a row field not int, str, None or bool raises TypeError."""
     head = json.dumps({key: value for key, value in vars(report).items()
                        if key != "transactions"}, indent=1)
     body = ",\n".join(map(_transaction_json, report.transactions))

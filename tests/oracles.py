@@ -2,8 +2,10 @@
 c08 scans for leaked responses, the leading-zero count the proof-of-work
 tests check digests with, the Hamming distance the screening and
 evaluation tests count bit errors with, screening one challenge row at a
-time, and the three figures of merit computed over whole arrays and pair
-by pair, as fom computed them before it counted only what can differ."""
+time, the three figures of merit computed over whole arrays and pair by
+pair, as fom computed them before it counted only what can differ, and a
+transaction's metrics.json row as a dict, as build_metrics built it before
+the report held the run's own records."""
 
 import json
 from typing import NamedTuple
@@ -31,6 +33,36 @@ def wire_to_json(block: WireBlock) -> str:
         obj["t_validated"] = block.t_validated
         obj["validation_tag"] = block.validation_tag.hex()
     return json.dumps(obj, separators=(",", ":"))
+
+
+def metrics_row(record) -> dict:
+    """A TxRecord as its metrics.json row: json.dumps of it at indent=1 and
+    depth 2 is what metrics_json writes for the record."""
+    if record.accepted is None:
+        result = "lost"
+    else:
+        result = "accepted" if record.accepted else "rejected"
+    return {
+        "tx": record.tx_id,
+        "seq": record.seq,
+        "device_id": format_device_id(record.device_id),
+        "origin": format_device_id(record.origin),
+        "t_init": record.t_init,
+        "t_send": record.t_send,
+        "t_recv_trusted": record.t_recv_trusted,
+        "t_validated": record.t_validated,
+        "result": result,
+        "reason": record.reason,
+        "clients": {
+            format_device_id(node_id): {
+                "t_recv": outcome.t_recv,
+                "t_done": outcome.t_done,
+                "accepted": outcome.accepted,
+                "reason": outcome.reason,
+            }
+            for node_id, outcome in record.client_outcomes.items()
+        },
+    }
 
 
 def leading_zero_bits(digest: bytes) -> int:

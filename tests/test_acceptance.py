@@ -271,21 +271,21 @@ def test_c10_timing_identities_hold_exactly(tmp_path):
     identity_errors = 0
     dt_tx_values = []
     dt_sa_values = []
-    for entry in report.transactions:
-        dt_sa_values.append(entry["t_validated"] - entry["t_recv_trusted"])
-        for outcome in entry["clients"].values():
-            dt_tx_values.append(outcome["t_done"] - entry["t_init"])
+    for record in report.transactions:
+        dt_sa_values.append(record.t_validated - record.t_recv_trusted)
+        for outcome in record.client_outcomes.values():
+            dt_tx_values.append(outcome.t_done - record.t_init)
 
     rows = timings_csv_lines(report)[1:]
-    for row, entry in zip(rows, report.transactions):
+    for row, record in zip(rows, report.transactions):
         _, _, _, dt_sa, dt_ca, dt_tx, _, _ = row.split(",")
-        if int(dt_sa) != entry["t_validated"] - entry["t_recv_trusted"]:
+        if int(dt_sa) != record.t_validated - record.t_recv_trusted:
             identity_errors += 1
-        last_done = max(c["t_done"] for c in entry["clients"].values())
-        last = next(c for c in entry["clients"].values() if c["t_done"] == last_done)
-        if int(dt_ca) != last["t_done"] - last["t_recv"]:
+        last_done = max(c.t_done for c in record.client_outcomes.values())
+        last = next(c for c in record.client_outcomes.values() if c.t_done == last_done)
+        if int(dt_ca) != last.t_done - last.t_recv:
             identity_errors += 1
-        if int(dt_tx) != last["t_done"] - entry["t_init"]:
+        if int(dt_tx) != last.t_done - record.t_init:
             identity_errors += 1
 
     mean_dt_tx = float(np.mean(dt_tx_values))

@@ -31,6 +31,8 @@ from pufledger import netsim
 from pufledger.netsim import ClientOutcome, SimResult, TxRecord
 from pufledger.puf import format_device_id
 
+from oracles import metrics_row
+
 
 def small_config(**overrides) -> ScenarioConfig:
     base = dict(
@@ -282,7 +284,9 @@ def built_ids(output):
 def test_csv_rows_match_metrics_timestamps(tmp_path):
     output = run_scenario(small_config(out_dir=str(tmp_path)))
     rows = timings_csv_lines(output.report)[1:]
-    for row, entry in zip(rows, output.report.transactions):
+    entries = json.loads(output.files["metrics"].read_text())["transactions"]
+    assert len(rows) == len(entries) == 10
+    for row, entry in zip(rows, entries):
         tx, seq, device_id, dt_sa, dt_ca, dt_tx, result, reason = row.split(",")
         assert int(tx) == entry["tx"]
         assert int(seq) == entry["seq"]
@@ -317,26 +321,24 @@ def test_csv_row_of_a_partially_replicated_block_reports_its_last_accepting_clie
     built = build_world(cfg)
     report = build_metrics(netsim.run(built.sim_config, built.scenario),
                            built.scenario.world.nodes)
-    clients = report.transactions[5]["clients"].values()
-    assert sorted(c["accepted"] for c in clients) == [False] + [True] * 4
-    assert not max(clients, key=lambda c: c["t_done"])["accepted"]
-    last = max((c for c in clients if c["accepted"]), key=lambda c: c["t_done"])
-    assert (last["t_recv"], last["t_done"]) == (1631, 1684)  # t_init 1500
+    clients = report.transactions[5].client_outcomes.values()
+    assert sorted(c.accepted for c in clients) == [False] + [True] * 4
+    assert not max(clients, key=lambda c: c.t_done).accepted
+    last = max((c for c in clients if c.accepted), key=lambda c: c.t_done)
+    assert (last.t_recv, last.t_done) == (1631, 1684)  # t_init 1500
     assert timings_csv_lines(report)[1 + 5] == "5,1,f22904f78d4a,115,53,184,accepted,"
 
 
-# any value json.dumps and metrics_json both write, in any field; the text has
-# quotes, control characters and non-ASCII
+# any value json.dumps and metrics_json both write, in any field _scalar
+# spells; the text has quotes, control characters and non-ASCII
 SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
-CLIENT_KEYS = ("t_recv", "t_done", "accepted", "reason")
-TX_KEYS = ("tx", "seq", "device_id", "origin", "t_init", "t_send", "t_recv_trusted",
-           "t_validated", "result", "reason")
-# dicts in build_metrics's key order
-CLIENT = st.tuples(*[SCALAR] * len(CLIENT_KEYS)).map(
-    lambda values: dict(zip(CLIENT_KEYS, values)))
-TRANSACTION = st.tuples(*[SCALAR] * len(TX_KEYS),
-                        st.dictionaries(st.text(), CLIENT, max_size=4)).map(
-    lambda values: dict(zip(TX_KEYS + ("clients",), values)))
+NODE_ID = st.integers(0, 2**48 - 1)
+OUTCOME = st.builds(ClientOutcome, t_recv=SCALAR, t_done=SCALAR, accepted=SCALAR, reason=SCALAR)
+RECORD = st.builds(
+    TxRecord, tx_id=SCALAR, origin=NODE_ID, device_id=NODE_ID, seq=SCALAR, t_init=SCALAR,
+    t_send=SCALAR, t_recv_trusted=SCALAR, t_validated=SCALAR,
+    accepted=st.one_of(st.none(), st.booleans()), reason=SCALAR,
+    client_outcomes=st.dictionaries(NODE_ID, OUTCOME, max_size=4))
 STATS = st.fixed_dictionaries({"mean": st.floats(), "sd": st.floats(), "n": st.integers()})
 REPORT = st.builds(
     MetricsReport, n_transactions=st.integers(), n_adversarial=st.integers(),
@@ -346,13 +348,19 @@ REPORT = st.builds(
     dt_sa_ms=STATS, dt_ca_ms=STATS, dt_tx_ms=STATS,
     per_node=st.dictionaries(st.text(), st.fixed_dictionaries({"role": st.text()},
                                                              optional={"dt_ca_ms": STATS})),
-    transactions=st.lists(TRANSACTION, max_size=4))
+    transactions=st.lists(RECORD, max_size=4).map(tuple))
 
 
 @settings(max_examples=300, deadline=None)
 @given(REPORT)
 def test_metrics_json_is_json_dumps_of_the_report(report):
-    assert metrics_json(report) == json.dumps(vars(report), indent=1)
+    rows = [metrics_row(record) for record in report.transactions]
+    assert metrics_json(report) == json.dumps({**vars(report), "transactions": rows}, indent=1)
+
+
+def test_the_report_holds_the_runs_own_records(tmp_path):
+    output = run_scenario(small_config(out_dir=str(tmp_path)))
+    assert output.report.transactions is output.result.tx_records
 
 
 def report_of_one_transaction():
@@ -368,8 +376,8 @@ def report_of_one_transaction():
 def test_metrics_json_refuses_a_numpy_int_or_a_float(value, client):
     # json.dumps refuses the numpy scalar; metrics_json refuses both
     report = report_of_one_transaction()
-    entry = report.transactions[0]
-    (entry["clients"][format_device_id(2)] if client else entry)["reason"] = value
+    record = report.transactions[0]
+    (record.client_outcomes[2] if client else record).reason = value
     with pytest.raises(TypeError):
         metrics_json(report)
 

@@ -24,6 +24,8 @@ from pufledger.harness import ScenarioConfig, build_metrics, build_world, timing
 from pufledger.ledger import entry_to_json_line
 from pufledger.netsim import Adversary, inject
 
+from oracles import metrics_row
+
 SMALL = dict(n_candidates=120, n_transactions=40, n_clients=3, n_fast_clients=1)
 SHIFT_MS = 777
 
@@ -74,7 +76,8 @@ def test_shifting_every_time_shifts_every_event(overrides):
     for figure in ("dt_sa_ms", "dt_ca_ms", "dt_tx_ms", "per_node", "accepted",
                    "rejected_by_reason", "adversarial_rejected_by_reason"):
         assert getattr(moved_report, figure) == getattr(report, figure), figure
-    assert moved_report.transactions == [shifted_row(row, SHIFT_MS) for row in report.transactions]
+    assert ([metrics_row(record) for record in moved_report.transactions]
+            == [shifted_row(metrics_row(record), SHIFT_MS) for record in report.transactions])
 
 
 @pytest.mark.parametrize("seed", [1, 42])
