@@ -95,10 +95,8 @@ def reliability(device: PufDevice, challenge: np.ndarray, n_reevals: int,
     f1, f2 = selected_freqs(device, challenge)
     at, ones = uncertain_reads(device, f1, f2, rng, n_reevals)
     k = ones.sum(axis=0, dtype=np.int64)
-    # a row's races are one run of at: its total is a difference of running sums
-    end = np.bincount(at // f1.shape[-1], minlength=math.prod(f1.shape[:-1])).cumsum()
-    running = np.concatenate([[0], (k * (n_reevals - k)).cumsum()])
-    total = np.diff(running[end], prepend=0).reshape(f1.shape[:-1])
+    total = np.bincount(at // f1.shape[-1], weights=k * (n_reevals - k),
+                        minlength=math.prod(f1.shape[:-1])).reshape(f1.shape[:-1])
     return 100.0 * total / (n_reevals * (n_reevals - 1) // 2 * challenge.shape[-1])
 
 
