@@ -85,10 +85,10 @@ def reliability(device: PufDevice, challenge: np.ndarray, n_reevals: int,
     """Mean pairwise Hamming distance among repeated noisy reads of one
     (2, n_bits) challenge row, in percent, or of each row of a stack of them.
 
-    Every row's n_reevals reads are drawn from rng in one call, row by row.
-    A bit read as 1 in k of n reads disagrees in k * (n - k) of the read
-    pairs, so the sum of that over bits is the pairwise distance total. A
-    certain race has k in {0, n}: only puf.uncertain_reads' races count.
+    Its n_reevals reads come from one puf.uncertain_reads call, read by
+    read. A bit read as 1 in k of n reads disagrees in k * (n - k) of the
+    read pairs, so the sum of that over bits is the pairwise distance total.
+    A certain race has k in {0, n}: only puf.uncertain_reads' races count.
     """
     if n_reevals < 2:
         raise ValueError(f"n_reevals must be >= 2, got {n_reevals}")

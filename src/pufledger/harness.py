@@ -524,8 +524,8 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
 
     Derivations from the seed: device ids from substream 10, the pool from
     substream 20, device d's screening reads from substream (21, d), and
-    every reliability read from substream 22, device by device and
-    challenge by challenge.
+    every reliability read from substream 22, device by device and a chunk
+    of rows a draw, read by read.
     """
     puf_config = cfg.puf_config()
     policy = cfg.screening_policy()
@@ -563,7 +563,7 @@ def run_fom_calibration(cfg: ScenarioConfig) -> dict:
         if d == 0:
             common_matrix = matrix  # every device on device 0's set, for correlation
         uni = fom.uniqueness(matrix)
-        # a chunk of rows a draw: every row's reads, in the order one row a call draws them
+        # a chunk of rows a draw, read by read; the chunk bounds the reads held at once
         rel = float(np.mean(np.concatenate([
             fom.reliability(device, challenges[start:start + CHUNK_ROWS], cfg.fom_n_reevals,
                             rel_rng)

@@ -238,26 +238,16 @@ def uncertain_races(device: PufDevice, f1: np.ndarray,
 
 def uncertain_reads(device: PufDevice, f1: np.ndarray, f2: np.ndarray,
                     rng: np.random.Generator, n_reads: int) -> tuple[np.ndarray, np.ndarray]:
-    """n_reads reads of the uncertain_races of f1 against f2, from one
-    standard_normal(n_reads * races) draw: row by row, then read by read,
-    then the row's uncertain races in bit order, so n reads of m rows in
-    one call are the reads of m calls of n. Returns their flat indices into
-    f1's shape and an (n_reads, races) bool array: read i of race g is 1
-    when its normal exceeds the race's threshold."""
+    """n_reads reads of the uncertain_races of f1 against f2 from one
+    standard_normal(n_reads * races) draw, read by read as a screening
+    round reads: each read takes the next normal of every uncertain race,
+    so n reads in one call are n one-read calls in turn. Returns the races'
+    flat indices into f1's shape and an (n_reads, races) bool array: read i
+    of race g is 1 when its normal exceeds the race's threshold."""
     at, threshold = uncertain_races(device, f1, f2)
     reads = np.empty((n_reads, len(at)), dtype=bool)  # too large to hold fails here, undrawn
-    if not len(at):  # no uncertain race, no draw
-        return at, reads
-    row = at // f1.shape[-1]
-    widths = np.bincount(row)
-    normals = rng.standard_normal(n_reads * len(at))
-    # read i of race g, in a row whose races start at race first, is normal
-    # first * n_reads + i * width + (g - first); one read at a time, no 2-D index
-    position = (widths.cumsum() - widths)[row] * (n_reads - 1) + np.arange(len(at))
-    width = widths[row]
-    for read in reads:
-        np.greater(normals.take(position), threshold, out=read)
-        position += width
+    if len(at):  # no uncertain race, no draw
+        np.greater(rng.standard_normal(reads.size).reshape(reads.shape), threshold, out=reads)
     return at, reads
 
 

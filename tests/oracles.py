@@ -94,14 +94,13 @@ def screen_one(device, challenge, policy, rng):
 
 def noisy_reads_by_mask(device, challenge, rng, n_reads):
     """n_reads noisy reads of a row or a stack of rows over the whole
-    (..., n_reads, n_bits) array of reads: the reference bits broadcast over
+    (n_reads, ..., n_bits) array of reads: the reference bits broadcast over
     the reads, then one normal for every uncertain race of that array, one
     whose threshold (f2 - f1) / (sigma sqrt 2) is within CERTAIN_SD of 0, in
-    one draw in its C order (row, then read, then bit). A noiseless device
+    one draw in its C order (read, then row, then bit). A noiseless device
     draws nothing."""
     f1, f2 = selected_freqs(device, challenge)
-    f1, f2 = f1[..., None, :], f2[..., None, :]
-    shape = f1.shape[:-2] + (n_reads, f1.shape[-1])
+    shape = (n_reads,) + f1.shape
     reads = np.broadcast_to(arbiter_bits(f1, f2), shape).copy()
     if device.noise_sigma_mhz == 0:
         return reads
@@ -116,7 +115,7 @@ def reliability_by_read_arrays(device, challenge, n_reevals, rng):
     """fom.reliability from every race's ones over noisy_reads_by_mask's
     reads, certain races included: a race read as 1 in k of n reads adds
     k * (n - k), summed over each row's bits."""
-    ones = noisy_reads_by_mask(device, challenge, rng, n_reevals).sum(axis=-2, dtype=np.int64)
+    ones = noisy_reads_by_mask(device, challenge, rng, n_reevals).sum(axis=0, dtype=np.int64)
     total = (ones * (n_reevals - ones)).sum(axis=-1)
     n_pairs = n_reevals * (n_reevals - 1) // 2
     return 100.0 * total / (n_pairs * challenge.shape[-1])

@@ -125,7 +125,7 @@ GOLDEN_SCENARIOS = {
 
 GOLDEN_FOM = (
     dict(fom_n_devices=3, fom_pool_size=60, fom_n_challenges=20, fom_n_reevals=5),
-    "d2d83836f0dd1e5aa9a0db704db3fa839d71b80d560b91121069d133251c9b3d",
+    "bda90cd5db7d15761d0b12f061924d151e43414bc91238be0941c72438cfb247",
 )
 
 

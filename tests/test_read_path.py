@@ -126,12 +126,17 @@ def outcome(result):
     return result.accepted, Response(result.reference).packed()
 
 
-def reliability_by_reads(device, challenge, n_reevals, rng):
-    reads = [Response(read_by_normals(device, challenge, rng)) for _ in range(n_reevals)]
-    total = sum(hamming(reads[a], reads[b])
-                for a in range(n_reevals) for b in range(a + 1, n_reevals))
+def reliability_by_reads(device, rows, n_reevals, rng):
+    """fom.reliability spelled out over a (count, 2, n_bits) stack of rows:
+    n_reevals reads from rng, each one read_by_normals of every row in
+    turn, and each row's mean pairwise Hamming distance in percent, as a
+    list."""
+    reads = [[Response(read_by_normals(device, row, rng)) for row in rows]
+             for _ in range(n_reevals)]
     n_pairs = n_reevals * (n_reevals - 1) // 2
-    return 100.0 * total / (n_pairs * challenge.shape[-1])
+    return [100.0 * sum(hamming(reads[a][r], reads[b][r])
+                        for a in range(n_reevals) for b in range(a + 1, n_reevals))
+            / (n_pairs * rows.shape[-1]) for r in range(len(rows))]
 
 
 SCREEN_DEVICES = [
@@ -286,16 +291,15 @@ def test_reliability_matches_a_loop_over_reads():
         for _ in range(20):
             challenge = random_challenge(device.bank_size, 128, 1, draw_rng)[0]
             for n_reevals in (2, 3, 11):
-                assert (reliability(device, challenge, n_reevals, rng)
-                        == reliability_by_reads(device, challenge, n_reevals, oracle_rng))
+                assert ([reliability(device, challenge, n_reevals, rng)]
+                        == reliability_by_reads(device, challenge[None], n_reevals, oracle_rng))
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        # a stack of rows reads each row's reads in one draw, row by row
+        # a stack of rows reads in one draw, read by read, each read covering every row
         for count in (1, 2, 7):
             stack = random_challenge(device.bank_size, 128, count, draw_rng)
             for n_reevals in (2, 11):
                 assert (reliability(device, stack, n_reevals, rng).tolist()
-                        == [reliability_by_reads(device, challenge, n_reevals, oracle_rng)
-                            for challenge in stack])
+                        == reliability_by_reads(device, stack, n_reevals, oracle_rng))
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -377,11 +381,12 @@ def test_reliability_matches_a_loop_over_evaluate():
                 assert (reliability(device, challenge, n_reevals, reads)
                         == reliability_by_evaluate(device, challenge, n_reevals, reads.seeds))
                 assert reads.served == (n_reevals if device.noise_sigma_mhz else 0)
+        # read by read: the k-th read served is row k % 5's read k // 5
         stack = random_challenge(device.bank_size, 128, 5, rng)
         reads = EvalSeedReads(rng_seeds(100 * d + 99, 5 * 11),
-                              [uncertain_count(device, row) for row in stack for _ in range(11)])
+                              [uncertain_count(device, row) for _ in range(11) for row in stack])
         assert reliability(device, stack, 11, reads).tolist() == [
-            reliability_by_evaluate(device, challenge, 11, reads.seeds[11 * r:])
+            reliability_by_evaluate(device, challenge, 11, reads.seeds[r::5])
             for r, challenge in enumerate(stack)]
         assert reads.served == (5 * 11 if device.noise_sigma_mhz else 0)
 
@@ -401,7 +406,7 @@ def test_reliability_is_zero_when_every_read_agrees():
     ref = reference_response(device, challenge)
     assert all(evaluate(device, challenge, s).packed() == ref.packed() for s in rng_seeds(7, 11))
     assert reliability(device, challenge, 11, np.random.default_rng(7)) == 0.0
-    assert reliability_by_reads(device, challenge, 11, np.random.default_rng(7)) == 0.0
+    assert reliability_by_reads(device, challenge[None], 11, np.random.default_rng(7)) == [0.0]
 
 
 def test_a_noiseless_device_draws_nothing_and_reads_its_reference():
@@ -459,8 +464,8 @@ class CountingRng:
 
 
 def edge_stacks():
-    """(name, device, stack of challenge rows) read from one call and from
-    one-row calls: a noiseless device, a subnormal sigma whose every
+    """(name, device, stack of challenge rows) read n reads a call and one
+    read a call: a noiseless device, a subnormal sigma whose every
     threshold is +-inf, an all-certain row (every gap +-5 MHz, 14 sd), and
     a stack that mixes such rows with rows whose 128 races are all
     uncertain (every gap +-0.3 MHz, under 1 sd)."""
@@ -482,19 +487,19 @@ def edge_stacks():
 
 
 @pytest.mark.parametrize("name, device, stack", edge_stacks(), ids=[e[0] for e in edge_stacks()])
-def test_m_rows_in_one_read_call_read_as_m_one_row_calls(name, device, stack):
+def test_n_reads_in_one_read_call_read_as_n_one_read_calls(name, device, stack):
     widths = [uncertain_count(device, row) for row in stack]
     assert set(widths) == ({0, 128} if name == "mixed stack" else {0})
     f1, f2 = selected_freqs(device, stack)
-    for n_reads in (1, 3):
+    for n_reads in (1, 3, 11):
         rng, oracle_rng = CountingRng(np.random.default_rng(42)), np.random.default_rng(42)
         at, reads = puf.uncertain_reads(device, f1, f2, rng, n_reads)
-        rows = [puf.uncertain_reads(device, f1[r], f2[r], oracle_rng, n_reads)
-                for r in range(len(stack))]
-        assert at.tolist() == [128 * r + g for r, (row_at, _) in enumerate(rows)
-                               for g in row_at.tolist()]
-        assert reads.tolist() == np.concatenate([row_reads for _, row_reads in rows],
-                                                axis=1).tolist()
+        calls = [puf.uncertain_reads(device, f1, f2, oracle_rng, 1) for _ in range(n_reads)]
+        # the stack's races, row by row in bit order, each read covering all of them
+        assert at.tolist() == [128 * r + g for r in range(len(stack))
+                               for g in puf.uncertain_races(device, f1[r], f2[r])[0].tolist()]
+        assert all(np.array_equal(call_at, at) for call_at, _ in calls)
+        assert reads.tolist() == [call_reads[0].tolist() for _, call_reads in calls]
         assert rng.rng.bit_generator.state == oracle_rng.bit_generator.state
         assert rng.normals == sum(widths) * n_reads
         # a row that draws nothing has no race among the reads: it reads its reference
