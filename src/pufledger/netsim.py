@@ -180,6 +180,8 @@ def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
             raise ScenarioError("tamper target needs valid tx_ids")
         if target.get("field", "payload") not in _TAMPER_FIELDS:
             raise ScenarioError(f"tamper field must be one of {_TAMPER_FIELDS}")
+        if adversary.schedule:  # it acts in flight, as its targets are sent
+            raise ScenarioError("tamper takes no schedule")
     elif adversary.kind == "replay":
         tx_id = target.get("tx_id")
         if tx_id is None or not 0 <= tx_id < n_tx:

@@ -394,6 +394,9 @@ def test_inject_rejects_unknown_settings(sim_parts):
         inject(Adversary("tamper", {"tx_ids": [99]}, ()), scenario)
     with pytest.raises(ScenarioError):
         inject(Adversary("tamper", {"tx_ids": [0], "field": "entry_hash"}, ()), scenario)
+    # a schedule the event loop would push and the tamper would never act on
+    with pytest.raises(ScenarioError, match="^tamper takes no schedule$"):
+        inject(Adversary("tamper", {"tx_ids": [0]}, (100, 5000)), scenario)
     for kind, target in [("replay", {"tx_id": 0}), ("fake-device", {}), ("forge-validator", {})]:
         with pytest.raises(ScenarioError, match=f"^{kind} needs at least one scheduled time$"):
             inject(Adversary(kind, target, ()), scenario)
