@@ -4,12 +4,19 @@ only moves messages. Checked on the source, so that a protocol rule that
 creeps back into netsim fails here rather than in a later digest. The read
 rule has one owner too: puf.uncertain_races alone decides which races a
 noisy read draws for. The registry has one reader: consensus, for the
-trusted node. Each named substream of the seed has one owner."""
+trusted node. Each named substream of the seed has one owner, and no two
+keys of a run are to build one generator (not yet: ROADMAP item 21)."""
 
 import ast
+import sys
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from pufledger import harness, netsim
+from pufledger.harness import ScenarioConfig, run_fom_calibration, run_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pufledger"
 PROTOCOL_FIELDS = ("role", "trust_value", "penalties")  # a node's standing, consensus's to write
@@ -159,3 +166,44 @@ def test_seed_substreams_are_distinct_within_and_across_modules():
     assert {name.rpartition(".")[0] for name in streams} == {"pufledger.harness",
                                                              "pufledger.netsim"}
     assert len(set(streams.values())) == len(streams), streams
+
+
+def generator_keys(monkeypatch, run):
+    """Every (call site, key) from which run() builds a numpy generator,
+    grouped by the generator's starting state. A call site is the calling
+    function; a key is spelled as a tuple of ints, whether passed as an int
+    or a list."""
+    real = np.random.default_rng
+    by_state = defaultdict(set)
+
+    def recording(seed=None):
+        rng = real(seed)
+        caller = sys._getframe(1).f_code
+        state = rng.bit_generator.state["state"]
+        by_state[state["state"], state["inc"]].add(
+            (f"{Path(caller.co_filename).stem}.{caller.co_qualname}",
+             tuple(int(word) for word in np.ravel(seed))))
+        return rng
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.random, "default_rng", recording)
+        run()
+    return by_state
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 21")
+def test_no_two_keys_of_a_run_give_one_generator(monkeypatch, tmp_path):
+    """Two call sites, or one site's two keys, that build the same generator
+    feed two draws the same numbers. Generators are compared by state, not
+    by key spelling: numpy folds a key's trailing zero words, so [42, 0]
+    builds what [42] builds."""
+    runs = {
+        "seed-42 scenario": lambda: run_scenario(
+            ScenarioConfig(seed=42, out_dir=str(tmp_path / "default"))),
+        "12-client world": lambda: run_scenario(
+            ScenarioConfig(seed=42, n_clients=12, out_dir=str(tmp_path / "wide"))),
+        "fom calibration": lambda: run_fom_calibration(ScenarioConfig(seed=42)),
+    }
+    shared = [(name, sorted(keys)) for name, run in runs.items()
+              for keys in generator_keys(monkeypatch, run).values() if len(keys) > 1]
+    assert not shared, shared
