@@ -154,8 +154,9 @@ def initiate(node: NodeState, payload: bytes, challenge_index: int, now: int) ->
     return block
 
 
-def _validation_tag(entry_hash: bytes, response) -> bytes:
-    return sha256(entry_hash + response.packed())
+def _keyed_hash(message: bytes, response: Response) -> bytes:
+    """An auth tag's digest for block data, a validation tag for an entry hash."""
+    return sha256(message + response.packed())
 
 
 def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: int) -> Verdict:
@@ -177,8 +178,7 @@ def authenticate(trusted: NodeState, block: WireBlock, registry: Registry, now: 
 
     if block.challenge_index >= len(stored):
         return Verdict(False, REASON_NO_MATCH, None, 0)
-    # make_auth_tag's digest
-    if sha256(block.data.encoded + stored[block.challenge_index].packed()) != block.auth_tag.h:
+    if _keyed_hash(block.data.encoded, stored[block.challenge_index]) != block.auth_tag.h:
         return Verdict(False, REASON_NO_MATCH, None, 1)
 
     last = trusted.last_seq_accepted.get(block.data.device_id)
@@ -199,7 +199,7 @@ def rebroadcasts(trusted: NodeState, block: WireBlock, entry: ChainEntry, regist
     pairs = []
     for peer in peers:
         stored = lookup(registry, trusted.node_id, peer)
-        tag = _validation_tag(entry.entry_hash, stored[entry.height % len(stored)])
+        tag = _keyed_hash(entry.entry_hash, stored[entry.height % len(stored)])
         pairs.append((peer, WireBlock(block.data, block.auth_tag, block.challenge_index,
                                       trusted.node_id, entry.t_validated, tag)))
     return tuple(pairs)
@@ -225,7 +225,7 @@ def accept_validated(client: NodeState, block: WireBlock, trusted_id: int) -> Ve
     # a candidate at another height or tip than the validator's has another
     # entry hash, so no response could match it
     own = client.responses
-    expected = _validation_tag(candidate.entry_hash, own[candidate.height % len(own)])
+    expected = _keyed_hash(candidate.entry_hash, own[candidate.height % len(own)])
     if expected != block.validation_tag:
         return Verdict(False, REASON_NO_MATCH, None, 1, blamed=trusted_id)
     client.chain.append(candidate)

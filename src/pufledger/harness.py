@@ -42,7 +42,6 @@ from .netsim import (
     SimResult,
     TxRecord,
     World,
-    inject,
 )
 from .puf import (
     CHUNK_ROWS,
@@ -306,24 +305,23 @@ def build_world(cfg: ScenarioConfig) -> BuiltWorld:
             challenge_index=tx // cfg.n_clients % len(records[node_id].responses),
         ))
 
-    scenario = Scenario(
-        world=World(nodes=tuple(nodes), registry=reg),
-        initiations=tuple(initiations),
-    )
-    scenario = _apply_config_adversary(cfg, scenario)
+    scenario = Scenario(world=World(nodes=tuple(nodes), registry=reg),
+                        initiations=tuple(initiations), adversaries=_config_adversaries(cfg))
     return BuiltWorld(sim_config, scenario, tuple(node_ids), records)
 
 
-def _apply_config_adversary(cfg: ScenarioConfig, scenario: Scenario) -> Scenario:
+def _config_adversaries(cfg: ScenarioConfig) -> tuple[Adversary, ...]:
+    """The config's adversary: a tamper of the first adversary_events
+    transactions, or that many injections, one spacing apart, after them all."""
     if cfg.adversary == "none":
-        return scenario
-    n_tx = len(scenario.initiations)
-    times = tuple((n_tx + 1 + k) * cfg.tx_spacing_ms for k in range(cfg.adversary_events))
+        return ()
+    n_tx = cfg.n_transactions
     if cfg.adversary == "tamper":
         tx_ids = list(range(min(cfg.adversary_events, n_tx)))
-        return inject(Adversary("tamper", {"tx_ids": tx_ids, "field": "payload"}), scenario)
+        return (Adversary("tamper", {"tx_ids": tx_ids, "field": "payload"}),)
+    times = tuple((n_tx + 1 + k) * cfg.tx_spacing_ms for k in range(cfg.adversary_events))
     target = {"tx_id": 0} if cfg.adversary == "replay" else {}
-    return inject(Adversary(cfg.adversary, target, times), scenario)
+    return (Adversary(cfg.adversary, target, times),)
 
 
 # --- metrics ----------------------------------------------------------------
@@ -612,12 +610,12 @@ def run_benchmark(cfg: ScenarioConfig) -> dict:
     reg = built.scenario.world.registry
     n_enrolled = len(built.records[client.node_id].responses)
     payload_rng = np.random.default_rng([cfg.seed, _STREAM_PAYLOAD])
+    auth_payloads = _draw_payloads(payload_rng, cfg.bench_trials, cfg.payload_bytes)
+    pow_payloads = _draw_payloads(payload_rng, cfg.bench_trials, cfg.payload_bytes)
 
     auth_times = []
-    for trial in range(cfg.bench_trials):
-        block = consensus.initiate(
-            client, bytes(payload_rng.bytes(cfg.payload_bytes)),
-            trial % n_enrolled, now=trial)
+    for trial, payload in enumerate(auth_payloads):
+        block = consensus.initiate(client, payload, trial % n_enrolled, now=trial)
         start = time.perf_counter()
         result = consensus.authenticate(trusted, block, reg, now=trial)
         auth_times.append(time.perf_counter() - start)
@@ -625,10 +623,8 @@ def run_benchmark(cfg: ScenarioConfig) -> dict:
             raise ScenarioError("benchmark authentication unexpectedly failed")
 
     pow_times = []
-    for trial in range(cfg.bench_trials):
-        data = BlockData(
-            device_id=client.node_id, seq=trial, t_init=trial,
-            payload=bytes(payload_rng.bytes(cfg.payload_bytes)))
+    for trial, payload in enumerate(pow_payloads):
+        data = BlockData(device_id=client.node_id, seq=trial, t_init=trial, payload=payload)
         start = time.perf_counter()
         consensus.pow_mine_baseline(data, cfg.pow_difficulty_bits)
         pow_times.append(time.perf_counter() - start)

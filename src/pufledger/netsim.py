@@ -18,17 +18,17 @@ Broadcast is unicast fan-out: the sender schedules one delivery per peer.
 There are no sockets and no wall-clock reads anywhere in this module. It
 moves blocks and decides no verdict: consensus.admits, judge and penalize do.
 
-Adversaries are part of the scenario. Four kinds are understood:
+Adversaries are part of the scenario, checked when it is built. Each of
+the four kinds reads only its target keys, which _TARGET_KEYS lists:
 
-* tamper          - flips one bit of a chosen field in a transaction's
-                    origin broadcast, in flight, for every receiver,
-* replay          - re-delivers a previously broadcast origin block to the
-                    trusted node at scheduled times,
-* fake-device     - fabricates blocks claiming a device id that was never
-                    enrolled and sends them to the trusted node,
-* forge-validator - fabricates blocks that merely claim the trusted node
-                    as validator, with a made-up validation tag, and sends
-                    them to every client.
+* tamper          - flips one bit of field (default "payload") in the origin
+                    broadcast of each of tx_ids, in flight, for every receiver,
+* replay          - re-delivers tx_id's origin block to the trusted node at
+                    scheduled times,
+* fake-device     - no keys: fabricates blocks claiming a device id that was
+                    never enrolled and sends them to the trusted node,
+* forge-validator - no keys: sends every client fabricated blocks that only
+                    claim the trusted node as validator, with a made-up tag.
 
 Fabricated blocks name challenge index 0. Adversarial sends use the
 normal latency model but are never dropped, so each injection is judged by
@@ -60,7 +60,9 @@ from .ledger import AuthTag, BlockData, HASH_BYTES
 from .puf import DEVICE_ID_BITS, format_device_id
 from .registry import Registry
 
-ADVERSARY_KINDS = ("tamper", "replay", "fake-device", "forge-validator")
+_TARGET_KEYS = {"tamper": ("tx_ids", "field"), "replay": ("tx_id",),
+                "fake-device": (), "forge-validator": ()}
+ADVERSARY_KINDS = tuple(_TARGET_KEYS)
 _TAMPER_FIELDS = ("payload", "auth_tag", "device_id")
 
 # named sub-streams of the simulation seed
@@ -141,13 +143,31 @@ class Initiation:
 
 @dataclass(frozen=True)
 class Adversary:
+    """An attack: its kind, the target keys the kind reads, and when it acts."""
+
     kind: str
     target: dict
     schedule: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ADVERSARY_KINDS:
+        keys = _TARGET_KEYS.get(self.kind)
+        if keys is None:
             raise ScenarioError(f"unknown adversary kind {self.kind!r}")
+        if not set(self.target) <= set(keys):
+            raise ScenarioError(f"{self.kind} reads only target keys {keys}, got {[*self.target]}")
+        if any(t < 0 for t in self.schedule):
+            raise ScenarioError("adversary event times must be >= 0")
+        if self.kind == "tamper":
+            if not self.target.get("tx_ids"):
+                raise ScenarioError("tamper target needs valid tx_ids")
+            if self.target.get("field", "payload") not in _TAMPER_FIELDS:
+                raise ScenarioError(f"tamper field must be one of {_TAMPER_FIELDS}")
+            if self.schedule:  # it acts in flight, as its targets are sent
+                raise ScenarioError("tamper takes no schedule")
+        elif self.kind == "replay" and self.target.get("tx_id") is None:
+            raise ScenarioError("replay target needs a valid tx_id")
+        if self.kind != "tamper" and not self.schedule:
+            raise ScenarioError(f"{self.kind} needs at least one scheduled time")
 
 
 @dataclass(frozen=True)
@@ -166,29 +186,15 @@ class Scenario:
     initiations: tuple[Initiation, ...]
     adversaries: tuple[Adversary, ...] = ()
 
-
-def inject(adversary: Adversary, scenario: Scenario) -> Scenario:
-    """Validate an adversary against the scenario and return the extended
-    scenario. The original scenario is untouched."""
-    if any(t < 0 for t in adversary.schedule):
-        raise ScenarioError("adversary event times must be >= 0")
-    n_tx = len(scenario.initiations)
-    target = adversary.target
-    if adversary.kind == "tamper":
-        tx_ids = target.get("tx_ids")
-        if not tx_ids or any(not 0 <= t < n_tx for t in tx_ids):
-            raise ScenarioError("tamper target needs valid tx_ids")
-        if target.get("field", "payload") not in _TAMPER_FIELDS:
-            raise ScenarioError(f"tamper field must be one of {_TAMPER_FIELDS}")
-        if adversary.schedule:  # it acts in flight, as its targets are sent
-            raise ScenarioError("tamper takes no schedule")
-    elif adversary.kind == "replay":
-        tx_id = target.get("tx_id")
-        if tx_id is None or not 0 <= tx_id < n_tx:
-            raise ScenarioError("replay target needs a valid tx_id")
-    if adversary.kind != "tamper" and not adversary.schedule:
-        raise ScenarioError(f"{adversary.kind} needs at least one scheduled time")
-    return replace(scenario, adversaries=scenario.adversaries + (adversary,))
+    def __post_init__(self) -> None:
+        if any(init.t_ms < 0 for init in self.initiations):
+            raise ScenarioError("initiation times must be >= 0")
+        n_tx = len(self.initiations)
+        for adv in self.adversaries:
+            if adv.kind == "tamper" and any(not 0 <= t < n_tx for t in adv.target["tx_ids"]):
+                raise ScenarioError("tamper target needs valid tx_ids")
+            if adv.kind == "replay" and not 0 <= adv.target["tx_id"] < n_tx:
+                raise ScenarioError("replay target needs a valid tx_id")
 
 
 class EventLayout(NamedTuple):
@@ -605,7 +611,4 @@ class _Sim:
 def run(config: SimConfig, scenario: Scenario) -> SimResult:
     """Execute the scenario and return the full result; result.events is the
     event log and is a pure function of (config, scenario)."""
-    for init in scenario.initiations:
-        if init.t_ms < 0:
-            raise ScenarioError("initiation times must be >= 0")
     return _Sim(config, scenario).run()

@@ -5,7 +5,9 @@ creeps back into netsim fails here rather than in a later digest. The read
 rule has one owner too: puf.uncertain_races alone decides which races a
 noisy read draws for. The registry has one reader: consensus, for the
 trusted node. Each named substream of the seed has one owner, and no two
-keys of a run are to build one generator (not yet: ROADMAP item 21)."""
+keys of a run are to build one generator (not yet: ROADMAP item 21). The
+adversary target keys have one table: netsim._TARGET_KEYS lists each key
+that src/ reads from a target."""
 
 import ast
 import sys
@@ -156,6 +158,44 @@ def test_the_read_rule_check_sees_each_kind_of_use(tmp_path):
         "    return PufDevice(1, None, None, noise_sigma_mhz=0.1)\n",
         encoding="utf-8")
     assert read_rule_uses(planted) == {"planted", "planted.noiseless", "planted.Reader.certain"}
+
+
+def target_keys_read(path: Path) -> set:
+    """Each key the module reads from a `.target` attribute, by subscript or
+    by the first argument of a `.get(...)` call on it; a key that is not a
+    string constant reads as None, since no table can hold it."""
+    keys = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Subscript):
+            owner, key = node.value, node.slice
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            owner, key = node.func.value, node.args[0] if node.args else None
+        else:
+            continue
+        if isinstance(owner, ast.Attribute) and owner.attr == "target":
+            keys.add(key.value if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                     else None)
+    return keys
+
+
+def test_every_target_key_read_is_in_the_adversary_table():
+    """A key read that the table lacks is one that Adversary refuses, so
+    that code never runs; a key the table lists that nothing reads is one
+    that an adversary may carry to no effect."""
+    read = set().union(*(target_keys_read(path) for path in sorted(SRC.glob("*.py"))))
+    assert read == {key for keys in netsim._TARGET_KEYS.values() for key in keys}
+
+
+def test_the_target_key_check_sees_each_kind_of_read(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "def f(adv, key, options):\n"
+        "    first = adv.target['tx_ids'][0]\n"
+        "    fld = adv.target.get('feild', 'payload')\n"
+        "    other = adv.target[key]\n"
+        "    return options.get('tx_id'), adv.schedule[0], sorted(adv.target)\n",
+        encoding="utf-8")
+    assert target_keys_read(planted) == {"tx_ids", "feild", None}
 
 
 def test_seed_substreams_are_distinct_within_and_across_modules():

@@ -22,7 +22,7 @@ import pytest
 from pufledger import netsim
 from pufledger.harness import ScenarioConfig, build_metrics, build_world, timings_csv_lines
 from pufledger.ledger import entry_to_json_line
-from pufledger.netsim import Adversary, inject
+from pufledger.netsim import Adversary
 
 from oracles import metrics_row
 
@@ -88,7 +88,7 @@ def test_an_adversary_after_all_honest_traffic_changes_no_honest_artifact(seed, 
     honest = netsim.run(built.sim_config, built.scenario)
     end = honest.events[-1].t_ms
     adversary = Adversary(kind, {"tx_id": 0} if kind == "replay" else {}, (end + 1, end + 250))
-    late = netsim.run(built.sim_config, inject(adversary, built.scenario))
+    late = netsim.run(built.sim_config, replace(built.scenario, adversaries=(adversary,)))
 
     assert len(late.adversarial) == 2  # both injections were delivered and judged
     for node_id in built.node_ids:

@@ -1,4 +1,5 @@
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from pufledger.netsim import (
     Scenario,
     SimConfig,
     World,
-    inject,
     run,
     event_to_json_line,
 )
@@ -181,8 +181,8 @@ def test_runs_leave_the_world_untouched(sim_parts):
     # trusted node, which must not reach the world's nodes or the next run
     config, world = sim_parts
     roles = [node.role for node in world.nodes]
-    scenario = Scenario(world=world, initiations=make_initiations(world, 4))
-    scenario = inject(Adversary("forge-validator", {}, (2000, 2400, 2800)), scenario)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 4),
+                        adversaries=(Adversary("forge-validator", {}, (2000, 2400, 2800)),))
     first = run(config, scenario)
     second = run(config, scenario)
     assert any(e.kind == "demote" for e in first.events)
@@ -258,10 +258,10 @@ def test_drop_rate_validation(sim_parts):
 def test_tamper_adversary_is_always_rejected(sim_parts):
     config, world = sim_parts
     initiations = make_initiations(world, 9)
-    scenario = Scenario(world=world, initiations=initiations)
-    scenario = inject(Adversary("tamper", {"tx_ids": [0, 4], "field": "payload"}), scenario)
-    scenario = inject(Adversary("tamper", {"tx_ids": [2], "field": "auth_tag"}), scenario)
-    scenario = inject(Adversary("tamper", {"tx_ids": [6], "field": "device_id"}), scenario)
+    scenario = Scenario(world=world, initiations=initiations, adversaries=(
+        Adversary("tamper", {"tx_ids": [0, 4], "field": "payload"}),
+        Adversary("tamper", {"tx_ids": [2], "field": "auth_tag"}),
+        Adversary("tamper", {"tx_ids": [6], "field": "device_id"})))
     result = run(config, scenario)
 
     assert not any(o.accepted for o in result.adversarial)
@@ -284,9 +284,9 @@ def test_tamper_adversary_is_always_rejected(sim_parts):
 def test_replay_adversary_is_rejected_or_noop(sim_parts):
     config, world = sim_parts
     initiations = make_initiations(world, 4)
-    scenario = Scenario(world=world, initiations=initiations)
     # one attempt before the victim transaction exists, two after it settled
-    scenario = inject(Adversary("replay", {"tx_id": 1}, (50, 3000, 3200)), scenario)
+    scenario = Scenario(world=world, initiations=initiations,
+                        adversaries=(Adversary("replay", {"tx_id": 1}, (50, 3000, 3200)),))
     result = run(config, scenario)
     assert all(r.accepted for r in result.tx_records)
     replays = [o for o in result.adversarial if o.kind == "replay"]
@@ -300,8 +300,8 @@ def test_replay_adversary_is_rejected_or_noop(sim_parts):
 
 def test_fake_device_adversary_is_unknown(sim_parts):
     config, world = sim_parts
-    scenario = Scenario(world=world, initiations=make_initiations(world, 2))
-    scenario = inject(Adversary("fake-device", {}, (1500, 1700, 1900)), scenario)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 2),
+                        adversaries=(Adversary("fake-device", {}, (1500, 1700, 1900)),))
     result = run(config, scenario)
     fakes = [o for o in result.adversarial if o.kind == "fake-device"]
     assert len(fakes) == 3
@@ -312,9 +312,9 @@ def test_fake_device_adversary_is_unknown(sim_parts):
 
 def test_forged_validator_blocks_never_stick(sim_parts):
     config, world = sim_parts
-    scenario = Scenario(world=world, initiations=make_initiations(world, 3))
     schedule = (2000, 2400, 2800, 3200)
-    scenario = inject(Adversary("forge-validator", {}, schedule), scenario)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 3),
+                        adversaries=(Adversary("forge-validator", {}, schedule),))
     result = run(config, scenario)
 
     forged = [o for o in result.adversarial if o.kind == "forge-validator"]
@@ -342,7 +342,8 @@ def test_a_block_queued_at_a_validator_demoted_before_judging_it_stays_lost():
     cfg = ScenarioConfig(n_candidates=100, n_transactions=40, n_clients=3,
                          n_fast_clients=1, tx_spacing_ms=20)
     built = build_world(cfg)
-    scenario = inject(Adversary("forge-validator", {}, (300, 310, 320)), built.scenario)
+    scenario = replace(built.scenario,
+                       adversaries=(Adversary("forge-validator", {}, (300, 310, 320)),))
     result = run(built.sim_config, scenario)
     trusted_id = built.node_ids[0]
     (demoted_at,) = [e.t_ms for e in result.events if e.kind == "demote"]
@@ -364,8 +365,8 @@ def test_a_block_queued_at_a_validator_demoted_before_judging_it_stays_lost():
 def test_demotion_threshold_can_be_disabled(sim_parts):
     config, world = sim_parts
     config = replace(config, demotion_threshold=0)
-    scenario = Scenario(world=world, initiations=make_initiations(world, 2))
-    scenario = inject(Adversary("forge-validator", {}, (1500, 2500)), scenario)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 2),
+                        adversaries=(Adversary("forge-validator", {}, (1500, 2500)),))
     result = run(config, scenario)
     forged = [o for o in result.adversarial if o.kind == "forge-validator"]
     assert all(o.reason == REASON_NO_MATCH for o in forged)
@@ -375,33 +376,62 @@ def test_demotion_threshold_can_be_disabled(sim_parts):
 
 def test_trust_values_track_accepts_and_penalties(sim_parts):
     config, world = sim_parts
-    scenario = Scenario(world=world, initiations=make_initiations(world, 6))
-    scenario = inject(Adversary("forge-validator", {}, (3000,)), scenario)
+    scenario = Scenario(world=world, initiations=make_initiations(world, 6),
+                        adversaries=(Adversary("forge-validator", {}, (3000,)),))
     result = run(config, scenario)
     trusted = result.nodes[world.nodes[0].node_id]
     # six accepted blocks, five clients each catching one forged tag
     assert trusted.trust_value == 6 - 5
 
 
-# --- injection validation ------------------------------------------------------------
+# --- adversary and scenario validation ------------------------------------------------
 
-def test_inject_rejects_unknown_settings(sim_parts):
+def test_adversaries_and_scenarios_refuse_unknown_settings(sim_parts):
     _, world = sim_parts
-    scenario = Scenario(world=world, initiations=make_initiations(world, 2))
-    with pytest.raises(ScenarioError):
-        inject(Adversary("meddle", {}, (100,)), scenario)
-    with pytest.raises(ScenarioError):
-        inject(Adversary("tamper", {"tx_ids": [99]}, ()), scenario)
-    with pytest.raises(ScenarioError):
-        inject(Adversary("tamper", {"tx_ids": [0], "field": "entry_hash"}, ()), scenario)
+    initiations = make_initiations(world, 2)
+    with pytest.raises(ScenarioError, match="^unknown adversary kind 'meddle'$"):
+        Adversary("meddle", {}, (100,))
+    with pytest.raises(ScenarioError, match="^tamper target needs valid tx_ids$"):
+        Scenario(world, initiations, (Adversary("tamper", {"tx_ids": [99]}, ()),))
+    with pytest.raises(ScenarioError, match=r"^tamper field must be one of \("):
+        Adversary("tamper", {"tx_ids": [0], "field": "entry_hash"}, ())
     # a schedule the event loop would push and the tamper would never act on
     with pytest.raises(ScenarioError, match="^tamper takes no schedule$"):
-        inject(Adversary("tamper", {"tx_ids": [0]}, (100, 5000)), scenario)
+        Adversary("tamper", {"tx_ids": [0]}, (100, 5000))
     for kind, target in [("replay", {"tx_id": 0}), ("fake-device", {}), ("forge-validator", {})]:
         with pytest.raises(ScenarioError, match=f"^{kind} needs at least one scheduled time$"):
-            inject(Adversary(kind, target, ()), scenario)
-    with pytest.raises(ScenarioError):
-        inject(Adversary("fake-device", {}, (100, -1)), scenario)
+            Adversary(kind, target, ())
+    with pytest.raises(ScenarioError, match="^adversary event times must be >= 0$"):
+        Adversary("fake-device", {}, (100, -1))
+    late = (replace(initiations[0], t_ms=-1),) + initiations[1:]
+    with pytest.raises(ScenarioError, match="^initiation times must be >= 0$"):
+        Scenario(world, late)
+
+
+@pytest.mark.parametrize("kind, target, schedule, keys", [
+    ("tamper", {"tx_ids": [0], "feild": "auth_tag"}, (), "('tx_ids', 'field')"),
+    ("fake-device", {"tx_id": 1, "device_id": 5}, (100,), "()"),
+    ("forge-validator", {"validator": 3}, (100,), "()"),
+], ids=["tamper-feild", "fake-device-tx_id", "forge-validator-validator"])
+def test_each_kind_refuses_a_target_key_it_does_not_read(kind, target, schedule, keys):
+    # a misspelled or foreign key would otherwise be ignored and run another attack
+    message = f"{kind} reads only target keys {keys}, got {list(target)}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        Adversary(kind, target, schedule)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Adversary("replay", {}, (100,)), "replay target needs a valid tx_id"),
+    (lambda: Adversary("replay", {"tx_id": 2}, (100,)), "replay target needs a valid tx_id"),
+    (lambda: Adversary("fake-device", {}), "fake-device needs at least one scheduled time"),
+    (lambda: Adversary("fake-device", {}, (-5,)), "adversary event times must be >= 0"),
+], ids=["replay-no-tx_id", "replay-past-last-tx", "fake-device-no-schedule", "negative-time"])
+def test_a_directly_built_scenario_refuses_a_bad_adversary_before_any_event(
+        sim_parts, monkeypatch, make, message):
+    config, world = sim_parts
+    monkeypatch.setattr(netsim, "_Sim", None)  # no run may start
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        run(config, Scenario(world, make_initiations(world, 2), (make(),)))
 
 
 @pytest.mark.parametrize("index", range(4))

@@ -9,21 +9,23 @@ initiated. Safety is stated by content, not by the path a copy took: a
 replayed copy that reaches the trusted node before its original appends the
 honest block, which is safe. Liveness (every honest transaction settles, no
 honest validator is penalized) is not asserted: loss and reordering break
-it today.
+it today. An adversary with any target and schedule is refused with a
+ScenarioError when its scenario is built, or runs safely.
 """
 
 import itertools
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pufledger import netsim
-from pufledger.errors import EnrollmentFailedError
+from pufledger.errors import EnrollmentFailedError, ScenarioError
 from pufledger.harness import ScenarioConfig, build_metrics, build_world
 from pufledger.ledger import BlockData, make_auth_tag, verify
-from pufledger.netsim import ADVERSARY_KINDS, Adversary, inject
+from pufledger.netsim import ADVERSARY_KINDS, Adversary
 from pufledger.puf import reference_response
 
 
@@ -63,11 +65,12 @@ def assert_safe(built, result):
 
 
 def run_and_check_safety(cfg, adversary):
-    """Build cfg's world, inject the adversary (None for none), run it, and
+    """Build cfg's world, add the adversary (None for none), run it, and
     assert safety on every replica. Returns the run's result and the
     trusted node's chain."""
     built = build_world(cfg)
-    scenario = built.scenario if adversary is None else inject(adversary, built.scenario)
+    adversaries = () if adversary is None else (adversary,)
+    scenario = replace(built.scenario, adversaries=adversaries)
     result = netsim.run(built.sim_config, scenario)
     return result, assert_safe(built, result)
 
@@ -110,6 +113,50 @@ def test_no_replica_appends_content_no_device_initiated(world):
         run_and_check_safety(cfg, adversary)
     except EnrollmentFailedError:
         assume(False)  # a 40-candidate device may keep no challenge at all
+
+
+# a 4-transaction world, and every value a target key could be given: a
+# bad field, tx ids in and out of range
+CHECKED = ScenarioConfig(seed=5, n_transactions=4, n_clients=2, n_fast_clients=1,
+                         n_candidates=80, tx_spacing_ms=100, latency_jitter_ms=150)
+TX_IDS = st.sampled_from(range(-1, CHECKED.n_transactions + 1))
+TARGET_VALUES = {
+    "tx_ids": st.lists(TX_IDS, max_size=3),
+    "tx_id": TX_IDS,
+    "field": st.sampled_from(netsim._TAMPER_FIELDS + ("entry_hash",)),
+    "feild": st.sampled_from(netsim._TAMPER_FIELDS),  # a misspelling
+}
+
+
+@lru_cache(maxsize=None)
+def checked_world():
+    return build_world(CHECKED)
+
+
+@st.composite
+def adversary_settings(draw):
+    """A kind; a target of some of its own keys and at times others, another
+    kind's or a misspelled one; and no schedule or up to 3 times, perhaps
+    negative."""
+    kind = draw(st.sampled_from(ADVERSARY_KINDS))
+    own = netsim._TARGET_KEYS[kind]
+    keys = set(draw(st.lists(st.sampled_from(own), unique=True))) if own else set()
+    if draw(st.sampled_from((False, False, True))):
+        keys |= set(draw(st.lists(st.sampled_from(sorted(TARGET_VALUES)), min_size=1)))
+    schedule = draw(st.one_of(st.just(()), st.lists(st.integers(-50, 600), min_size=1,
+                                                   max_size=3).map(tuple)))
+    return kind, {key: draw(TARGET_VALUES[key]) for key in sorted(keys)}, schedule
+
+
+@given(adversary_settings())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_an_adversary_is_refused_when_built_or_runs_safely(drawn):
+    built = checked_world()
+    try:
+        scenario = replace(built.scenario, adversaries=(Adversary(*drawn),))
+    except ScenarioError:
+        return
+    assert_safe(built, netsim.run(built.sim_config, scenario))
 
 
 def test_a_replay_that_overtakes_its_original_appends_the_honest_block_once():
